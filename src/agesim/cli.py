@@ -40,7 +40,7 @@ from .scenario import (
     run_suite,
 )
 from .seeding import scenario_seed
-from .trendstats import IndicatorSeries, evaluate_indicator
+from .trendstats import IndicatorSeries, evaluate_indicator, rebased
 
 
 def _parse_phases(text: str) -> dict[str, int]:
@@ -264,13 +264,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     t0 = min(s.samples[0][0] for s in series.values())
     analyses = {}
     for name in sorted(series):
-        original = series[name]
-        shifted = IndicatorSeries(
-            name=original.name,
-            unit=original.unit,
-            samples=tuple((t - t0, v) for t, v in original.samples),
+        analyses[name] = evaluate_indicator(
+            rebased(series[name], t0), phase_boundaries=boundaries
         )
-        analyses[name] = evaluate_indicator(shifted, phase_boundaries=boundaries)
         print(_analysis_line(name, analyses[name]))
 
     if args.out:

@@ -156,12 +156,7 @@ class IntervalElapsed:
     interval_seconds: float = SECONDS_PER_HOUR
 
 
-# ── Creation outcomes ────────────────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class Created:
-    kind: EntityKind
+# ── Quota rejection ──────────────────────────────────────────────────────
 
 
 @dataclass(frozen=True)
@@ -273,17 +268,6 @@ class FaultModel:
         return None
 
 
-def sample_fault(model: FaultModel, step_name: str, state: "CloudState | None" = None):
-    """Sample an injected error for one step attempt.
-
-    Sampling depends only on the model's configuration and stream
-    position; ``state`` is accepted for call-site symmetry and the
-    phase-dependent resolution happens in the workload engine, which
-    knows what the current workload has created.
-    """
-    return model.draw(step_name)
-
-
 # ── Cloud state ──────────────────────────────────────────────────────────
 
 
@@ -334,13 +318,16 @@ class CloudState:
             0, min(quota - leftovers[kind] for kind, quota in self.quotas.items())
         )
 
-    def try_create(self, kind: EntityKind) -> Created | QuotaExceeded:
-        """Create one entity; quota-limited kinds count live plus leftovers."""
+    def try_create(self, kind: EntityKind) -> QuotaExceeded | None:
+        """Create one entity; quota-limited kinds count live plus leftovers.
+
+        Returns None on success and the rejection when the quota is full.
+        """
         quota = self.quotas.get(kind)
         if quota is not None and self.live[kind] + self.leftovers[kind] >= quota:
             return QuotaExceeded(kind)
         self.live[kind] += 1
-        return Created(kind)
+        return None
 
     def try_delete(self, kind: EntityKind) -> None:
         """Delete one live entity; underflow is a programming error."""
@@ -432,18 +419,6 @@ class CloudState:
 
 
 # ── Operations on the cloud ──────────────────────────────────────────────
-
-
-def capacity(state: CloudState) -> int:
-    return state.capacity()
-
-
-def try_create(state: CloudState, kind: EntityKind) -> Created | QuotaExceeded:
-    return state.try_create(kind)
-
-
-def try_delete(state: CloudState, kind: EntityKind) -> None:
-    state.try_delete(kind)
 
 
 def apply_resource_effects(

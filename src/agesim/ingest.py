@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -38,10 +39,12 @@ def _open_text(source: str | Path | IO[str]) -> tuple[IO[str], bool]:
 
 
 def _parse_numeric(text: str) -> float | None:
+    """A finite number, or None; ``nan`` and ``inf`` are not readable data."""
     try:
-        return float(text)
+        number = float(text)
     except ValueError:
         return None
+    return number if math.isfinite(number) else None
 
 
 def _parse_iso(text: str) -> float | None:
@@ -127,7 +130,8 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
     return series
 
 
-def _format_timestamp(ts: float) -> str:
+def format_timestamp(ts: float) -> str:
+    """Render a timestamp: whole seconds as an integer, others at full precision."""
     if float(ts).is_integer():
         return str(int(ts))
     return repr(float(ts))
@@ -140,7 +144,7 @@ def serialize_series(series_by_name: Mapping[str, "IndicatorSeries"]) -> str:
     writer.writerow(HEADER)
     for name in sorted(series_by_name):
         for ts, value in series_by_name[name].samples:
-            writer.writerow([_format_timestamp(ts), name, repr(float(value))])
+            writer.writerow([format_timestamp(ts), name, repr(float(value))])
     return out.getvalue()
 
 
@@ -171,7 +175,7 @@ def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
     successful workloads become an indicator series timestamped at each
     workload's start.
     """
-    from .trendstats import IndicatorSeries
+    from .trendstats import IndicatorSeries, nudge_ties
 
     handle, owned = _open_text(source)
     try:
@@ -213,16 +217,10 @@ def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
 
     durations = None
     if samples:
-        samples.sort()
-        previous = None
-        ordered: list[tuple[float, float]] = []
-        for ts, value in samples:
-            if previous is not None and ts <= previous:
-                ts = previous + 1e-9
-            ordered.append((ts, value))
-            previous = ts
         durations = IndicatorSeries(
-            name="workload-duration", unit="seconds", samples=tuple(ordered)
+            name="workload-duration",
+            unit="seconds",
+            samples=tuple(nudge_ties(samples)),
         )
     return WorkloadReportData(
         durations=durations,

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 
 from .scenario import ScenarioReport, SuiteResult
 from .trendstats import IndicatorAnalysis, TrendVerdict
-from .ingest import write_series_csv
+from .ingest import format_timestamp, write_series_csv
 
 #: Compact verdict markers used in tables.
 VERDICT_MARKERS = {
@@ -256,17 +256,11 @@ def _write_json(document: Mapping, path: Path) -> None:
     path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
 
 
-def _format_time(value: float) -> str:
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
-
-
 def write_error_log(report: ScenarioReport, path: Path) -> None:
     rows = ["time,step,error,ageing,overload"]
     for event in report.error_log:
         rows.append(
-            f"{_format_time(event.time)},{event.step},{event.error},"
+            f"{format_timestamp(event.time)},{event.step},{event.error},"
             f"{str(event.ageing).lower()},{str(event.overload).lower()}"
         )
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")

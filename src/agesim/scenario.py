@@ -17,6 +17,9 @@ mark where the failure was detected.
 from __future__ import annotations
 
 import dataclasses
+import types
+import typing
+from collections import abc
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -34,7 +37,12 @@ from .cloud import (
 )
 from .errors import ConfigError
 from .seeding import scenario_seed, stream
-from .trendstats import IndicatorAnalysis, IndicatorSeries, evaluate_indicator
+from .trendstats import (
+    IndicatorAnalysis,
+    IndicatorSeries,
+    evaluate_indicator,
+    nudge_ties,
+)
 from .workload import (
     STOP_STREAM,
     TimingParams,
@@ -86,95 +94,78 @@ class ScenarioConfig:
         Topology.named(self.topology)
 
     def to_document(self) -> dict:
-        doc: dict = {
-            "scenario_id": self.scenario_id,
-            "topology": self.topology,
-            "concurrency": self.concurrency,
-            "stress_hours": self.stress_hours,
-            "post_rejuvenation_hours": self.post_rejuvenation_hours,
-            "seed": self.seed,
-            "policy": self.policy.value,
-            "resources": dataclasses.asdict(self.resources),
-            "timing": self.timing.to_document(),
-            "sample_interval_seconds": self.sample_interval_seconds,
-            "deploy_failure_probability": self.deploy_failure_probability,
-        }
-        doc["resources"]["cache_depositing_steps"] = list(
-            self.resources.cache_depositing_steps
-        )
-        if self.quotas is not None:
-            doc["quotas"] = {kind.value: q for kind, q in self.quotas.items()}
-        if self.faults is not None:
-            doc["faults"] = {s: dict(e) for s, e in self.faults.items()}
-        if self.workload is not None:
-            doc["workload"] = self.workload.to_document()
-        return doc
+        return _encode(self)
 
     @classmethod
     def from_document(cls, doc: Mapping) -> "ScenarioConfig":
-        known = {
-            "scenario_id",
-            "topology",
-            "concurrency",
-            "stress_hours",
-            "post_rejuvenation_hours",
-            "seed",
-            "policy",
-            "resources",
-            "timing",
-            "quotas",
-            "faults",
-            "workload",
-            "sample_interval_seconds",
-            "deploy_failure_probability",
+        return _decode(cls, doc, "scenario")
+
+
+def _encode(value):
+    """Plain JSON data for a config value: enums by value, tuples as lists."""
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)
         }
-        unknown = set(doc) - known
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Mapping):
+        return {_encode(k): _encode(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _decode(hint, value, path: str):
+    """Build a value of the annotated type ``hint`` from JSON data.
+
+    Every field is checked against its annotation; ``path`` names the
+    value in errors, such as ``scenario.resources.ageing_rate``.
+    """
+    origin = typing.get_origin(hint)
+    if origin is typing.Union or origin is types.UnionType:
+        if value is None:
+            return None
+        (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+        return _decode(hint, value, path)
+    if origin is abc.Mapping:
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{path}: expected an object, got {value!r}")
+        key_hint, item_hint = typing.get_args(hint)
+        return {
+            _decode(key_hint, k, path): _decode(item_hint, v, f"{path}[{k!r}]")
+            for k, v in value.items()
+        }
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        item_hint, _ellipsis = typing.get_args(hint)
+        return tuple(_decode(item_hint, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{path}: expected an object, got {value!r}")
+        fields = dataclasses.fields(hint)
+        unknown = sorted(set(value) - {f.name for f in fields})
         if unknown:
-            raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
-        if "scenario_id" not in doc:
-            raise ConfigError("scenario document needs a scenario_id")
+            raise ConfigError(f"{path}.{unknown[0]}: unknown field")
+        hints = typing.get_type_hints(hint)
+        kwargs = {}
+        for f in fields:
+            if f.name in value:
+                kwargs[f.name] = _decode(hints[f.name], value[f.name], f"{path}.{f.name}")
+            elif f.default is f.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"{path}.{f.name}: missing required field")
+        return hint(**kwargs)
+    if issubclass(hint, Enum):
         try:
-            policy = EarlyFailurePolicy(doc.get("policy", "wait-for-schedule"))
+            return hint(value)
         except ValueError:
-            raise ConfigError(f"unknown policy {doc.get('policy')!r}") from None
-        quotas = None
-        if "quotas" in doc:
-            quotas = {}
-            for name, q in dict(doc["quotas"]).items():
-                try:
-                    quotas[EntityKind(name)] = int(q)
-                except ValueError:
-                    raise ConfigError(f"unknown entity kind {name!r}") from None
-        workload = None
-        if "workload" in doc:
-            workload = WorkloadDefinition.from_document(doc["workload"])
-        return cls(
-            scenario_id=str(doc["scenario_id"]),
-            topology=str(doc.get("topology", "multi-node")),
-            concurrency=int(doc.get("concurrency", 1)),
-            stress_hours=int(doc.get("stress_hours", 24)),
-            post_rejuvenation_hours=int(doc.get("post_rejuvenation_hours", 1)),
-            seed=int(doc.get("seed", 0)),
-            policy=policy,
-            resources=_resources_from_document(doc.get("resources", {})),
-            timing=TimingParams.from_document(doc.get("timing", {})),
-            quotas=quotas,
-            faults={s: dict(e) for s, e in dict(doc.get("faults", {})).items()} or None,
-            workload=workload,
-            sample_interval_seconds=float(doc.get("sample_interval_seconds", 30.0)),
-            deploy_failure_probability=float(doc.get("deploy_failure_probability", 0.0)),
-        )
-
-
-def _resources_from_document(doc: Mapping) -> ResourceParams:
-    names = {f.name for f in dataclasses.fields(ResourceParams)}
-    unknown = set(doc) - names
-    if unknown:
-        raise ConfigError(f"unknown resource fields: {sorted(unknown)}")
-    kwargs = dict(doc)
-    if "cache_depositing_steps" in kwargs:
-        kwargs["cache_depositing_steps"] = tuple(kwargs["cache_depositing_steps"])
-    return ResourceParams(**kwargs)
+            raise ConfigError(f"{path}: unknown {hint.__name__} {value!r}") from None
+    if hint is float and type(value) is int:
+        return float(value)
+    if type(value) is not hint:
+        raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -219,19 +210,6 @@ def _deploy_fails(config: ScenarioConfig) -> bool:
         return False
     rng = stream(config.seed, "deploy")
     return bool(rng.random() < config.deploy_failure_probability)
-
-
-def _bump_duplicates(samples: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Strictly order sample timestamps, nudging ties by a nanosecond."""
-    samples = sorted(samples)
-    out: list[tuple[float, float]] = []
-    previous = None
-    for ts, value in samples:
-        if previous is not None and ts <= previous:
-            ts = previous + 1e-9
-        out.append((ts, value))
-        previous = ts
-    return out
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
@@ -355,12 +333,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     sample_ts = max(
         rejuvenation_started, rejuvenation_ended - config.sample_interval_seconds
     )
-    gauges = cloud.read_gauges()
-    control = gauges[topology.control_node]
-    gauge_samples["memory-available"].append((sample_ts, control["memory_available"]))
-    gauge_samples["swap-used"].append((sample_ts, control["swap_used"]))
-    for node, name in disk_names.items():
-        gauge_samples[name].append((sample_ts, gauges[node]["disk_used"]))
+    tick_hook(sample_ts, cloud.read_gauges())
 
     # Post-rejuvenation phase.
     post_end = rejuvenation_ended + config.post_rejuvenation_hours * SECONDS_PER_HOUR
@@ -374,7 +347,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         )
 
     series: dict[str, IndicatorSeries] = {}
-    ordered_durations = _bump_duplicates(durations)
+    ordered_durations = nudge_ties(durations)
     if ordered_durations:
         series["workload-duration"] = IndicatorSeries(
             name="workload-duration", unit="seconds", samples=tuple(ordered_durations)
@@ -382,7 +355,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     for name, samples in gauge_samples.items():
         if samples:
             series[name] = IndicatorSeries(
-                name=name, unit="GB", samples=tuple(_bump_duplicates(samples))
+                name=name, unit="GB", samples=tuple(nudge_ties(samples))
             )
 
     boundaries = (rejuvenation_started, rejuvenation_ended)

@@ -92,6 +92,23 @@ class IndicatorSeries:
         return len(self.samples)
 
 
+def nudge_ties(samples: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Sort samples and move tied timestamps just past their predecessor.
+
+    A tie advances by a nanosecond, or by one float step where a
+    nanosecond is below the spacing (epoch seconds, for instance), so
+    the result is always strictly increasing.
+    """
+    out: list[tuple[float, float]] = []
+    previous = -math.inf
+    for ts, value in sorted(samples):
+        if ts <= previous:
+            ts = max(previous + 1e-9, math.nextafter(previous, math.inf))
+        out.append((ts, value))
+        previous = ts
+    return out
+
+
 @dataclass(frozen=True)
 class PhaseMarks:
     """Hour indices that do not belong to the stress phase."""
@@ -388,11 +405,12 @@ def evaluate_indicator(
     )
 
 
-def rebased(series: IndicatorSeries) -> IndicatorSeries:
-    """Shift timestamps so the first sample sits at t = 0."""
+def rebased(series: IndicatorSeries, t0: float | None = None) -> IndicatorSeries:
+    """Shift timestamps so ``t0`` (by default the first sample) sits at t = 0."""
     if not series.samples:
         return series
-    t0 = series.samples[0][0]
+    if t0 is None:
+        t0 = series.samples[0][0]
     return IndicatorSeries(
         name=series.name,
         unit=series.unit,

@@ -45,7 +45,6 @@ from .cloud import (
     EntityKind,
     FaultModel,
     IntervalElapsed,
-    QuotaExceeded,
     WorkloadStepCompleted,
     apply_resource_effects,
     check_failed,
@@ -238,29 +237,6 @@ class TimingParams:
     def base_for(self, step_name: str) -> float:
         return self.step_seconds.get(step_name, self.default_seconds)
 
-    def to_document(self) -> dict:
-        return {
-            "default_seconds": self.default_seconds,
-            "step_seconds": dict(self.step_seconds),
-            "failed_launch_seconds": self.failed_launch_seconds,
-        }
-
-    @classmethod
-    def from_document(cls, doc: Mapping) -> "TimingParams":
-        known = {"default_seconds", "step_seconds", "failed_launch_seconds"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown timing fields: {sorted(unknown)}")
-        if "step_seconds" in doc:
-            step_seconds = {str(k): float(v) for k, v in dict(doc["step_seconds"]).items()}
-        else:
-            step_seconds = {"boot server": 10.0, "create volume": 5.0}
-        return cls(
-            default_seconds=float(doc.get("default_seconds", 2.0)),
-            step_seconds=step_seconds,
-            failed_launch_seconds=float(doc.get("failed_launch_seconds", 2.0)),
-        )
-
 
 @dataclass(frozen=True)
 class WorkloadDefinition:
@@ -316,50 +292,6 @@ class WorkloadDefinition:
     @classmethod
     def default(cls) -> "WorkloadDefinition":
         return cls(steps=DEFAULT_STEPS)
-
-    def to_document(self) -> dict:
-        return {
-            "steps": [
-                {
-                    "name": s.name,
-                    "service": s.service,
-                    "action": s.action.value,
-                    "creates": s.creates.value if s.creates else None,
-                    "deletes": s.deletes.value if s.deletes else None,
-                    "operates_on": s.operates_on.value if s.operates_on else None,
-                    "depends_on": list(s.depends_on),
-                    "undo_of": s.undo_of,
-                }
-                for s in self.steps
-            ]
-        }
-
-    @classmethod
-    def from_document(cls, doc: Mapping) -> "WorkloadDefinition":
-        try:
-            raw_steps = doc["steps"]
-        except (KeyError, TypeError):
-            raise ConfigError("workload document needs a 'steps' list") from None
-        steps = []
-        for raw in raw_steps:
-            try:
-                steps.append(
-                    StepSpec(
-                        name=str(raw["name"]),
-                        service=str(raw.get("service", "unknown")),
-                        action=StepAction(raw["action"]),
-                        creates=EntityKind(raw["creates"]) if raw.get("creates") else None,
-                        deletes=EntityKind(raw["deletes"]) if raw.get("deletes") else None,
-                        operates_on=(
-                            EntityKind(raw["operates_on"]) if raw.get("operates_on") else None
-                        ),
-                        depends_on=tuple(raw.get("depends_on", ())),
-                        undo_of=raw.get("undo_of"),
-                    )
-                )
-            except (KeyError, ValueError) as exc:
-                raise ConfigError(f"bad step entry {raw!r}: {exc}") from None
-        return cls(steps=tuple(steps))
 
 
 class WorkloadStatus(Enum):
@@ -571,11 +503,11 @@ class _Execution:
 
     def _run_forward_step(self, step: StepSpec) -> tuple[str, str, bool] | None:
         if step.action is StepAction.CREATE:
-            outcome = self.cloud.try_create(step.creates)
-            if isinstance(outcome, QuotaExceeded):
-                self._record_error(step.name, outcome.error_name)
+            rejected = self.cloud.try_create(step.creates)
+            if rejected is not None:
+                self._record_error(step.name, rejected.error_name)
                 self._abort()
-                return (step.name, outcome.error_name, False)
+                return (step.name, rejected.error_name, False)
             self.stack.append((self.defn.undo_name[step.name], step.creates))
             if self._is_gated(step.creates):
                 self.gated_live += 1
@@ -622,10 +554,7 @@ class _Execution:
         spec = self._draw(step.name)
         if spec is not None:
             self._record_error(step.name, spec.name)
-            self.cloud.add_leftover(step.deletes, from_live=True)
-            if self._is_gated(step.deletes):
-                self.gated_live -= 1
-            self.leftover_kinds.append(step.deletes.value)
+            self._strand(step.deletes, None)
             self._abort()
             return (step.name, spec.name, True)
         self.cloud.try_delete(step.deletes)

@@ -25,7 +25,6 @@ from agesim.cloud import (
     Topology,
     WorkloadStepCompleted,
     apply_resource_effects,
-    capacity,
 )
 from agesim.ingest import ingest, serialize_series
 from agesim.scenario import EarlyFailurePolicy, ScenarioConfig, run_scenario
@@ -168,13 +167,13 @@ def test_c03_verdict_gate_at_ten_samples(capsys):
 def test_c04_capacity_arithmetic(capsys):
     """Quota 10 everywhere; leftovers cut the bottleneck kind's headroom."""
     state = CloudState()
-    assert capacity(state) == 10
+    assert state.capacity() == 10
     for _ in range(3):
         state.add_leftover(EntityKind.SERVER)
-    assert capacity(state) == 7
+    assert state.capacity() == 7
     for _ in range(4):
         state.add_leftover(EntityKind.ROUTER)
-    assert capacity(state) == 6
+    assert state.capacity() == 6
     announce(capsys, "C4 capacity 10 -> 7 -> 6 under accumulating leftovers")
 
 

@@ -72,6 +72,26 @@ class TestRunCommand:
         )
         assert main(["run", path]) == 2
 
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"concurrency": "abc"}, "scenario.concurrency"),
+            ({"concurrency": True}, "scenario.concurrency"),
+            ({"resources": {"ageing_rate": "x"}}, "scenario.resources.ageing_rate"),
+            (
+                {"faults": {"boot server": {"server-error-status": "0.5"}}},
+                "scenario.faults['boot server']['server-error-status']",
+            ),
+        ],
+        ids=["concurrency-str", "concurrency-bool", "ageing-rate-str", "fault-p-str"],
+    )
+    def test_mistyped_config_field_is_exit_2(self, tmp_path, capsys, fields, named):
+        path = write_json(tmp_path / "cfg.json", {"scenario_id": "x", **fields})
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}: expected ")
+        assert "Traceback" not in err
+
     def test_non_object_document_is_exit_2(self, tmp_path):
         path = write_json(tmp_path / "cfg.json", [1, 2, 3])
         assert main(["run", path]) == 2
@@ -241,6 +261,21 @@ class TestAnalyzeCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "workload-duration:" in out
+
+    def test_workloads_starting_in_one_epoch_second_are_exit_0(self, tmp_path, capsys):
+        epoch = 1_700_000_000
+        csv_path = tmp_path / "epoch.csv"
+        rows = ["timestamp,metric,value"]
+        rows += [f"{epoch + i * 600},memory-available,{8.0 - 0.01 * i}" for i in range(12)]
+        csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        workloads = [
+            {"start": epoch, "end": epoch + 60, "status": "success"},
+            {"start": epoch, "end": epoch + 70, "status": "success"},
+        ]
+        report_path = write_json(tmp_path / "wl.json", {"workloads": workloads})
+        code = main(["analyze", str(csv_path), "--workload-report", report_path])
+        assert code == 0
+        assert "workload-duration: n=1" in capsys.readouterr().out
 
     def test_duplicate_metric_across_files_is_exit_2(self, tmp_path, capsys):
         first = ramp_csv(tmp_path)

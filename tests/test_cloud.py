@@ -7,7 +7,6 @@ from agesim.cloud import (
     OVERLOAD_INDICATOR_ERRORS,
     AgeingRule,
     CloudState,
-    Created,
     EntityKind,
     ErrorSpec,
     FaultModel,
@@ -18,13 +17,9 @@ from agesim.cloud import (
     WorkloadStepCompleted,
     apply_resource_effects,
     cache_cleanup,
-    capacity,
     check_failed,
     quota_error_name,
     rejuvenate,
-    sample_fault,
-    try_create,
-    try_delete,
 )
 from agesim.errors import ConfigError, LedgerUnderflowError
 
@@ -42,14 +37,14 @@ def quiet_params(**overrides):
 class TestCapacity:
     def test_fresh_cloud(self):
         """With default quotas of 10 and no leftovers, capacity is 10."""
-        assert capacity(CloudState()) == 10
+        assert CloudState().capacity() == 10
 
     def test_three_server_leftovers(self):
         """Three stranded servers cut capacity to 7."""
         state = CloudState()
         for _ in range(3):
             state.add_leftover(EntityKind.SERVER)
-        assert capacity(state) == 7
+        assert state.capacity() == 7
 
     def test_servers_and_routers(self):
         """Adding four stranded routers to three servers cuts capacity to 6."""
@@ -58,21 +53,21 @@ class TestCapacity:
             state.add_leftover(EntityKind.SERVER)
         for _ in range(4):
             state.add_leftover(EntityKind.ROUTER)
-        assert capacity(state) == 6
+        assert state.capacity() == 6
 
     def test_floor_at_zero(self):
         state = CloudState(quotas={EntityKind.VOLUME: 2})
         for _ in range(2):
             state.add_leftover(EntityKind.VOLUME)
-        assert capacity(state) == 0
+        assert state.capacity() == 0
 
     def test_monotone_in_leftovers(self):
         """Capacity never increases as leftovers accumulate."""
         state = CloudState()
-        previous = capacity(state)
+        previous = state.capacity()
         for kind in (EntityKind.SERVER, EntityKind.VOLUME, EntityKind.ROUTER) * 4:
             state.add_leftover(kind)
-            now = capacity(state)
+            now = state.capacity()
             assert now <= previous
             previous = now
 
@@ -80,8 +75,8 @@ class TestCapacity:
         """Capacity counts leftovers only; live entities are healthy."""
         state = CloudState()
         for _ in range(5):
-            assert isinstance(try_create(state, EntityKind.SERVER), Created)
-        assert capacity(state) == 10
+            assert state.try_create(EntityKind.SERVER) is None
+        assert state.capacity() == 10
 
 
 # ── Create and delete ────────────────────────────────────────────────────
@@ -92,8 +87,8 @@ class TestLedger:
         """The 11th security group is rejected under a quota of 10."""
         state = CloudState()
         for _ in range(10):
-            assert isinstance(try_create(state, EntityKind.SECURITY_GROUP), Created)
-        outcome = try_create(state, EntityKind.SECURITY_GROUP)
+            assert state.try_create(EntityKind.SECURITY_GROUP) is None
+        outcome = state.try_create(EntityKind.SECURITY_GROUP)
         assert isinstance(outcome, QuotaExceeded)
         assert outcome.kind is EntityKind.SECURITY_GROUP
         assert outcome.error_name == "quota-exceeded-security-group"
@@ -101,32 +96,32 @@ class TestLedger:
     def test_unlimited_kinds_always_create(self):
         state = CloudState()
         for _ in range(200):
-            assert isinstance(try_create(state, EntityKind.NETWORK), Created)
+            assert state.try_create(EntityKind.NETWORK) is None
 
     def test_leftovers_count_against_quota(self):
         """Nine leftovers plus one live server fill the server quota."""
         state = CloudState()
         for _ in range(9):
             state.add_leftover(EntityKind.SERVER)
-        assert isinstance(try_create(state, EntityKind.SERVER), Created)
-        assert isinstance(try_create(state, EntityKind.SERVER), QuotaExceeded)
+        assert state.try_create(EntityKind.SERVER) is None
+        assert isinstance(state.try_create(EntityKind.SERVER), QuotaExceeded)
 
     def test_delete_decrements(self):
         state = CloudState()
-        try_create(state, EntityKind.VOLUME)
-        try_delete(state, EntityKind.VOLUME)
+        state.try_create(EntityKind.VOLUME)
+        state.try_delete(EntityKind.VOLUME)
         assert state.live[EntityKind.VOLUME] == 0
 
     def test_delete_underflow(self):
         with pytest.raises(LedgerUnderflowError):
-            try_delete(CloudState(), EntityKind.VOLUME)
+            CloudState().try_delete(EntityKind.VOLUME)
 
     def test_delete_does_not_touch_leftovers(self):
         """Leftovers are not deletable through the live ledger."""
         state = CloudState()
         state.add_leftover(EntityKind.VOLUME)
         with pytest.raises(LedgerUnderflowError):
-            try_delete(state, EntityKind.VOLUME)
+            state.try_delete(EntityKind.VOLUME)
         assert state.leftovers[EntityKind.VOLUME] == 1
 
     def test_occupancy_never_exceeds_quota(self):
@@ -134,7 +129,7 @@ class TestLedger:
         for _ in range(4):
             state.add_leftover(EntityKind.SERVER)
         created = 0
-        while isinstance(try_create(state, EntityKind.SERVER), Created):
+        while state.try_create(EntityKind.SERVER) is None:
             created += 1
         total = state.live[EntityKind.SERVER] + state.leftovers[EntityKind.SERVER]
         assert created == 6
@@ -151,12 +146,12 @@ class TestLedger:
 class TestFaultModel:
     def test_zero_probability_never_fires(self):
         model = FaultModel({"boot server": {"server-error-status": 0.0}}, seed=1)
-        assert all(sample_fault(model, "boot server") is None for _ in range(500))
+        assert all(model.draw("boot server") is None for _ in range(500))
 
     def test_certain_fault_fires(self):
         """Probability 1 at boot server yields the server-error entry."""
         model = FaultModel({"boot server": {"server-error-status": 1.0}}, seed=1)
-        spec = sample_fault(model, "boot server")
+        spec = model.draw("boot server")
         assert spec is not None
         assert spec.name == "server-error-status"
         assert spec.rule is AgeingRule.AGEING
@@ -164,12 +159,12 @@ class TestFaultModel:
 
     def test_unconfigured_step_draws_nothing(self):
         model = FaultModel({"boot server": {"server-error-status": 0.5}}, seed=1)
-        assert sample_fault(model, "create user") is None
+        assert model.draw("create user") is None
 
     def test_unknown_step_rejected(self):
         model = FaultModel(seed=1)
         with pytest.raises(ConfigError):
-            sample_fault(model, "launch rocket")
+            model.draw("launch rocket")
 
     def test_unknown_step_in_probabilities_rejected(self):
         with pytest.raises(ConfigError):
@@ -190,14 +185,14 @@ class TestFaultModel:
         probs = {"boot server": {"server-error-status": 0.3, "node-unreachable": 0.2}}
         a = FaultModel(probs, seed=77)
         b = FaultModel(probs, seed=77)
-        seq_a = [getattr(sample_fault(a, "boot server"), "name", None) for _ in range(300)]
-        seq_b = [getattr(sample_fault(b, "boot server"), "name", None) for _ in range(300)]
+        seq_a = [getattr(a.draw("boot server"), "name", None) for _ in range(300)]
+        seq_b = [getattr(b.draw("boot server"), "name", None) for _ in range(300)]
         assert seq_a == seq_b
         assert any(seq_a)
 
     def test_empirical_rate_roughly_matches(self):
         model = FaultModel({"boot server": {"server-error-status": 0.25}}, seed=5)
-        hits = sum(sample_fault(model, "boot server") is not None for _ in range(4000))
+        hits = sum(model.draw("boot server") is not None for _ in range(4000))
         assert 0.20 < hits / 4000 < 0.30
 
     def test_custom_catalog_entry(self):
@@ -205,7 +200,7 @@ class TestFaultModel:
         model = FaultModel(
             {"create volume": {"disk-jam": 1.0}}, catalog={"disk-jam": extra}, seed=2
         )
-        assert sample_fault(model, "create volume").name == "disk-jam"
+        assert model.draw("create volume").name == "disk-jam"
 
     def test_overload_indicator_names(self):
         assert quota_error_name(EntityKind.SECURITY_GROUP) in OVERLOAD_INDICATOR_ERRORS
@@ -412,9 +407,9 @@ class TestRejuvenate:
         state = CloudState(params=quiet_params())
         for _ in range(4):
             state.add_leftover(EntityKind.ROUTER)
-        assert capacity(state) == 6
+        assert state.capacity() == 6
         rejuvenate(state)
-        assert capacity(state) == 10
+        assert state.capacity() == 10
         assert state.total_leftovers() == 0
 
     def test_swap_reset(self):

@@ -115,6 +115,15 @@ class TestIngest:
             series_of("timestamp,metric,value\nyesterday,m,1.0\n")
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "row",
+        ["60,m,nan", "60,m,inf", "60,m,-inf", "nan,m,1.0", "inf,m,1.0", "-inf,m,1.0"],
+    )
+    def test_non_finite_number_rejected_with_line(self, row):
+        with pytest.raises(ParseError) as err:
+            series_of(f"timestamp,metric,value\n0,m,1.0\n{row}\n")
+        assert "line 3" in str(err.value)
+
     def test_blank_lines_skipped(self):
         series = series_of("timestamp,metric,value\n0,m,1.0\n\n30,m,2.0\n")
         assert len(series["m"].samples) == 2

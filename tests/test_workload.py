@@ -4,6 +4,7 @@ import pytest
 
 from agesim.cloud import CloudState, EntityKind, FaultModel, ResourceParams, check_failed
 from agesim.errors import ConfigError
+from agesim.scenario import ScenarioConfig
 from agesim.workload import (
     CLOUD_UNAVAILABLE,
     DEFAULT_STEP_NAMES,
@@ -64,7 +65,8 @@ class TestDefinition:
                 assert index[dep] < index[step.name]
 
     def test_document_round_trip(self):
-        assert WorkloadDefinition.from_document(DEFN.to_document()) == DEFN
+        config = ScenarioConfig(scenario_id="rt", workload=DEFN)
+        assert ScenarioConfig.from_document(config.to_document()) == config
 
     def test_out_of_order_cleanup_rejected(self):
         steps = (
@@ -148,12 +150,13 @@ class TestServiceTime:
 
     def test_timing_document_round_trip(self):
         timing = TimingParams(default_seconds=1.0, step_seconds={"boot server": 3.0})
-        again = TimingParams.from_document(timing.to_document())
-        assert again == timing
+        config = ScenarioConfig(scenario_id="rt", timing=timing)
+        assert ScenarioConfig.from_document(config.to_document()) == config
 
     def test_empty_overrides_survive_round_trip(self):
-        timing = TimingParams(step_seconds={})
-        assert TimingParams.from_document(timing.to_document()).step_seconds == {}
+        config = ScenarioConfig(scenario_id="rt", timing=TimingParams(step_seconds={}))
+        again = ScenarioConfig.from_document(config.to_document())
+        assert again.timing.step_seconds == {}
 
 
 # ── Single clean run ─────────────────────────────────────────────────────
