@@ -41,6 +41,10 @@ class EntityKind(Enum):
     SERVER = "server"
     VOLUME = "volume"
 
+    # Members are singletons, so identity hashing is exact; it avoids
+    # Enum.__hash__, a Python-level call on every ledger dict lookup.
+    __hash__ = object.__hash__
+
 
 #: Kinds subject to a per-kind quota, with the default limit of 10 each.
 DEFAULT_QUOTAS: dict[EntityKind, int] = {
@@ -130,6 +134,10 @@ class ResourceParams:
             raise ConfigError("retention_fraction must lie in [0, 1]")
         if self.contention_capacity <= 0:
             raise ConfigError("contention_capacity must be positive")
+        if not self.disk_capacity_gb > 0:
+            raise ConfigError("disk_capacity_gb must be positive")
+        if not self.cache_image_gb >= 0:
+            raise ConfigError("cache_image_gb must not be negative")
 
 
 # ── Events consumed by apply_resource_effects ────────────────────────────
@@ -272,7 +280,14 @@ class FaultModel:
 
 
 class CloudState:
-    """Mutable ledger-and-gauge state of the simulated cloud."""
+    """Mutable ledger-and-gauge state of the simulated cloud.
+
+    Capacity and whether some node's disk is full are kept up to date by
+    the mutators that can change them (``add_leftover``,
+    ``deposit_cache_image``, ``cache_cleanup`` and ``rejuvenate``), so
+    reading them, and evaluating ``check_failed``, costs O(1).  The quota
+    table is fixed at construction.
+    """
 
     def __init__(
         self,
@@ -308,13 +323,18 @@ class CloudState:
         self._next_compute = 0
         self._noise_rng = stream(seed, "noise")
         self._ageing_multiplier = 1.0
+        self._recount_capacity()
+        self._recount_disk_full()
 
     # -- capacity and ledgers ------------------------------------------------
 
     def capacity(self) -> int:
         """Workloads still executable concurrently, as limited by leftovers."""
+        return self._capacity
+
+    def _recount_capacity(self) -> None:
         leftovers = self.leftovers
-        return max(
+        self._capacity = max(
             0, min(quota - leftovers[kind] for kind, quota in self.quotas.items())
         )
 
@@ -335,18 +355,29 @@ class CloudState:
             raise LedgerUnderflowError(f"no live {kind.value} to delete")
         self.live[kind] -= 1
 
-    def add_leftover(self, kind: EntityKind, from_live: bool = False) -> None:
+    def add_leftover(
+        self, kind: EntityKind, from_live: bool = False
+    ) -> QuotaExceeded | None:
         """Record a stranded entity; it occupies quota until rejuvenation.
 
         ``from_live`` moves an existing live entity into the leftover
         ledger (a failed delete); otherwise the leftover is a fresh
-        entity created in an error state.  Either way it retains a
+        entity created in an error state, which passes the quota gate
+        like ``try_create``: when the quota is full nothing is stranded
+        and the rejection is returned.  A stranded entity retains a
         configured slice of memory until the next rejuvenation.
         """
         if from_live:
             self.try_delete(kind)
+        else:
+            quota = self.quotas.get(kind)
+            if quota is not None and self.live[kind] + self.leftovers[kind] >= quota:
+                return QuotaExceeded(kind)
         self.leftovers[kind] += 1
         self._consumed_gb += self.params.leftover_retention_gb
+        if kind in self.quotas:
+            self._recount_capacity()
+        return None
 
     def total_leftovers(self) -> int:
         return sum(self.leftovers.values())
@@ -375,6 +406,12 @@ class CloudState:
 
     def disk_used_gb(self, node: str) -> float:
         return self._cache_total.get(node, 0.0)
+
+    def _recount_disk_full(self) -> None:
+        capacity = self.params.disk_capacity_gb
+        self._disk_full = any(
+            used >= capacity for used in self._cache_total.values()
+        )
 
     def cache_disk_usage_gb(self) -> float:
         return sum(size for _, size, _ in self._cache)
@@ -416,6 +453,8 @@ class CloudState:
         size = self.params.cache_image_gb
         self._cache.append((self.clock, size, node))
         self._cache_total[node] += size
+        if self._cache_total[node] >= self.params.disk_capacity_gb:
+            self._disk_full = True
 
 
 # ── Operations on the cloud ──────────────────────────────────────────────
@@ -423,8 +462,12 @@ class CloudState:
 
 def apply_resource_effects(
     state: CloudState, event: WorkloadStepCompleted | IntervalElapsed
-) -> dict[str, dict[str, float]]:
-    """Fold one event into the resource gauges and return them.
+) -> dict[str, dict[str, float]] | None:
+    """Fold one event into the resource gauges.
+
+    Returns the ``read_gauges()`` snapshot for an interval event, which
+    is what the sampling tick records, and None for a step completion,
+    whose callers never read the gauges.
 
     Step completions deposit cache images (for configured steps, server
     boots by default) and, on the final step of a workload that created
@@ -451,9 +494,10 @@ def apply_resource_effects(
             state._noise_gb = float(state._noise_rng.uniform(-amp, amp)) if amp else 0.0
         else:
             state._noise_gb = 0.0
+        return state.read_gauges()
     else:
         raise TypeError(f"unsupported event: {event!r}")
-    return state.read_gauges()
+    return None
 
 
 def cache_cleanup(state: CloudState) -> float:
@@ -465,6 +509,7 @@ def cache_cleanup(state: CloudState) -> float:
         _, size, node = cache.popleft()
         state._cache_total[node] -= size
         freed += size
+    state._recount_disk_full()
     return freed
 
 
@@ -475,17 +520,20 @@ def check_failed(state: CloudState) -> bool:
     full, or available memory plus remaining swap headroom is exhausted.
     A failed cloud stays failed until rejuvenation; the first time the
     predicate turns true the virtual time is latched into ``failed_at``.
+
+    The first two clauses read state that ``CloudState`` caches: the
+    capacity, recounted by ``add_leftover`` and ``rejuvenate``, and the
+    disk-full flag, updated by ``deposit_cache_image``, ``cache_cleanup``
+    and ``rejuvenate``.  The memory clause is O(1) arithmetic on the
+    memory gauges, so the whole check costs the same at any ledger size.
     """
     if not state.failed:
         raw = state._raw_available_gb()
         available = max(0.0, raw)
         headroom = state.params.swap_capacity_gb - state.swap_used_gb()
         state.failed = (
-            state.capacity() == 0
-            or any(
-                state.disk_used_gb(n) >= state.params.disk_capacity_gb
-                for n in state.topology.nodes
-            )
+            state._capacity == 0
+            or state._disk_full
             or available + headroom <= 0.0
         )
         if state.failed and state.failed_at is None:
@@ -512,6 +560,8 @@ def rejuvenate(state: CloudState) -> None:
     state._cache.clear()
     for node in state._cache_total:
         state._cache_total[node] = 0.0
+    state._recount_capacity()
+    state._recount_disk_full()
     state._noise_gb = 0.0
     state.failed = False
     state.clock += params.rejuvenation_seconds

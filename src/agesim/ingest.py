@@ -170,10 +170,10 @@ class WorkloadReportData:
 def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
     """Parse a workload-report JSON document.
 
-    Records missing fields, with unknown statuses, or ending before
-    they start are counted as rejected and skipped.  Durations of
-    successful workloads become an indicator series timestamped at each
-    workload's start.
+    Records missing fields, with unknown statuses, with a start or end
+    that is not a finite number, or ending before they start are counted
+    as rejected and skipped.  Durations of successful workloads become an
+    indicator series timestamped at each workload's start.
     """
     from .trendstats import IndicatorSeries, nudge_ties
 
@@ -202,10 +202,14 @@ def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
             start = float(record["start"])
             end = float(record["end"])
             status = record["status"]
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             rejected += 1
             continue
-        if status not in statuses or end < start:
+        if (
+            status not in statuses
+            or not (math.isfinite(start) and math.isfinite(end))
+            or end < start
+        ):
             rejected += 1
             continue
         status_counts[status] += 1

@@ -10,9 +10,11 @@ Execution semantics, shared by the single-run and streaming drivers:
 * Create steps check quota first; a quota rejection is a domain error
   recorded without consuming a fault draw.
 * After the quota gate, an injected error may strike any step.  Ageing
-  errors strand an entity as a leftover; phase-dependent errors strand
-  the entity the step was touching, unless nothing has been provisioned
-  yet; non-ageing errors leave no trace beyond the failure record.
+  errors strand an entity as a leftover (a fresh one, when the workload
+  holds none of that kind, only while its quota has room);
+  phase-dependent errors strand the entity the step was touching,
+  unless nothing has been provisioned yet; non-ageing errors leave no
+  trace beyond the failure record.
 * A faulted delete step always strands the entity it was deleting.
 * The first error aborts forward progress and unwinds the outstanding
   cleanup stack; unwind steps run (and may fault) like any others.
@@ -233,6 +235,8 @@ class TimingParams:
         for name, seconds in self.step_seconds.items():
             if seconds <= 0:
                 raise ConfigError(f"step time for {name!r} must be positive")
+        if not self.failed_launch_seconds > 0:
+            raise ConfigError("failed_launch_seconds must be positive")
 
     def base_for(self, step_name: str) -> float:
         return self.step_seconds.get(step_name, self.default_seconds)
@@ -433,8 +437,10 @@ class _Execution:
                 self._strand(spec.leftover_kind, found[0])
             else:
                 # No live entity of that kind in hand: the error still
-                # strands a fresh entity in error state.
-                self.cloud.add_leftover(spec.leftover_kind)
+                # strands a fresh entity in error state, if its quota
+                # has room for one.
+                if self.cloud.add_leftover(spec.leftover_kind) is not None:
+                    return False
                 self.leftover_kinds.append(spec.leftover_kind.value)
             return True
         if spec.rule is AgeingRule.PHASE_DEPENDENT:
@@ -671,6 +677,11 @@ def run_stream(
     run early (policy decisions live in the caller).  Workloads still in
     flight at the deadline are discarded unrecorded, and a failed cloud
     parks its slots instead of spawning launch-failure records.
+
+    Clock events are scheduled lazily: the k-th tick fires at
+    ``t0 + k * tick_seconds`` and the k-th hour mark at
+    ``t0 + k * hour_seconds``, and each pushes its successor as it
+    fires, so the event heap holds O(concurrency) entries.
     """
     if concurrency < 1:
         raise ConfigError("concurrency must be at least 1")
@@ -689,20 +700,19 @@ def run_stream(
     def push(t: float, prio: int, kind: str, payload: object) -> None:
         heapq.heappush(heap, (t, prio, next(seq), kind, payload))
 
+    def push_clock(k: int, interval: float, prio: int, kind: str) -> None:
+        # A clock event carries its index k, so its successor is k + 1.
+        if (t := t0 + k * interval) < until:
+            push(t, prio, kind, k)
+
     for slot in range(concurrency):
         t_launch = t0 + slot * launch_stagger
         if t_launch < until:
             push(t_launch, PRIO_WORK, "launch", slot)
     if tick_seconds:
-        k = 0
-        while (t := t0 + k * tick_seconds) < until:
-            push(t, PRIO_TICK, "tick", None)
-            k += 1
+        push_clock(0, tick_seconds, PRIO_TICK, "tick")
     if hour_hook is not None:
-        k = 1
-        while (t := t0 + k * hour_seconds) < until:
-            push(t, PRIO_HOUR, "hour", None)
-            k += 1
+        push_clock(1, hour_seconds, PRIO_HOUR, "hour")
 
     def record(result: WorkloadResult) -> None:
         if collect:
@@ -750,8 +760,11 @@ def run_stream(
             gauges = apply_resource_effects(cloud, IntervalElapsed(tick_seconds))
             if tick_hook is not None:
                 tick_hook(t, gauges)
+            push_clock(payload + 1, tick_seconds, PRIO_TICK, "tick")
         else:  # hour
             if hour_hook(t) is STOP_STREAM:
                 stopped = True
+            else:
+                push_clock(payload + 1, hour_seconds, PRIO_HOUR, "hour")
     cloud.clock = cloud.clock if stopped else until
     return results

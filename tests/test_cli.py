@@ -92,6 +92,28 @@ class TestRunCommand:
         assert err.startswith(f"error: {named}: expected ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"resources": {"disk_capacity_gb": -1}}, "disk_capacity_gb must be positive"),
+            ({"resources": {"disk_capacity_gb": 0}}, "disk_capacity_gb must be positive"),
+            ({"resources": {"cache_image_gb": -0.04}}, "cache_image_gb must not be negative"),
+            ({"timing": {"failed_launch_seconds": 0}}, "failed_launch_seconds must be positive"),
+            ({"timing": {"failed_launch_seconds": -2}}, "failed_launch_seconds must be positive"),
+        ],
+        ids=["disk-negative", "disk-zero", "cache-image-negative", "launch-zero", "launch-negative"],
+    )
+    def test_out_of_range_config_value_is_exit_2(self, tmp_path, capsys, fields, message):
+        path = write_json(
+            tmp_path / "cfg.json",
+            {"scenario_id": "x", "stress_hours": 1, "post_rejuvenation_hours": 0, **fields},
+        )
+        assert main(["run", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert "cloud failed" not in captured.out
+
     def test_non_object_document_is_exit_2(self, tmp_path):
         path = write_json(tmp_path / "cfg.json", [1, 2, 3])
         assert main(["run", path]) == 2
@@ -276,6 +298,44 @@ class TestAnalyzeCommand:
         code = main(["analyze", str(csv_path), "--workload-report", report_path])
         assert code == 0
         assert "workload-duration: n=1" in capsys.readouterr().out
+
+    def test_non_finite_workload_times_are_rejected(self, tmp_path, capsys):
+        csv_path = ramp_csv(tmp_path)
+        workloads = [
+            {"start": i * 100.0, "end": i * 100.0 + 60 + i, "status": "success"}
+            for i in range(40)
+        ]
+        workloads += [
+            {"start": 100, "end": "inf", "status": "success"},
+            {"start": "-inf", "end": 100, "status": "success"},
+            {"start": "nan", "end": 100, "status": "success"},
+            {"start": 100, "end": float("nan"), "status": "success"},
+            {"start": 100, "end": float("inf"), "status": "success"},
+            {"start": 10**400, "end": 10**401, "status": "success"},
+        ]
+        report_path = write_json(tmp_path / "wl.json", {"workloads": workloads})
+        out_dir = tmp_path / "analysis"
+        code = main(
+            [
+                "analyze",
+                csv_path,
+                "--workload-report",
+                report_path,
+                "--out",
+                str(out_dir),
+            ]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "workload-duration:" in captured.out
+        assert "6 malformed records skipped" in captured.err
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (out_dir / "analysis.json").read_text(encoding="utf-8")
+        document = json.loads(text, parse_constant=reject)
+        assert "workload-duration" in document["indicators"]
 
     def test_duplicate_metric_across_files_is_exit_2(self, tmp_path, capsys):
         first = ramp_csv(tmp_path)

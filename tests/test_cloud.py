@@ -1,6 +1,10 @@
 """Tests for the cloud ledger, fault model, resource gauges and rejuvenation."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agesim.cloud import (
     DEFAULT_QUOTAS,
@@ -469,3 +473,163 @@ class TestRejuvenate:
         assert state.ageing_multiplier() == pytest.approx(1.01)
         rejuvenate(state)
         assert state.ageing_multiplier() == 1.0
+
+
+# ── Cached predicate state, as a property ────────────────────────────────
+
+
+def capacity_from_scratch(state):
+    leftovers = state.leftovers
+    return max(0, min(quota - leftovers[kind] for kind, quota in state.quotas.items()))
+
+
+def predicate_from_scratch(state):
+    """The failure predicate recomputed from the ledgers and gauges."""
+    params = state.params
+    available = max(0.0, state._raw_available_gb())
+    headroom = params.swap_capacity_gb - state.swap_used_gb()
+    return (
+        capacity_from_scratch(state) == 0
+        or any(
+            state.disk_used_gb(node) >= params.disk_capacity_gb
+            for node in state.topology.nodes
+        )
+        or available + headroom <= 0.0
+    )
+
+
+KINDS = tuple(EntityKind)
+
+#: Quota-limited kinds drawn as often as all kinds together.
+kinds = st.one_of(st.sampled_from(tuple(DEFAULT_QUOTAS)), st.sampled_from(KINDS))
+
+small = st.floats(min_value=0.0, max_value=0.5)
+
+clouds = st.builds(
+    CloudState,
+    topology=st.sampled_from([Topology.all_in_one(), Topology.multi_node()]),
+    params=st.builds(
+        ResourceParams,
+        initial_memory_gb=st.floats(min_value=0.1, max_value=2.0),
+        swap_threshold_gb=st.floats(min_value=0.0, max_value=1.0),
+        swap_capacity_gb=st.floats(min_value=0.0, max_value=1.0),
+        leak_per_workload_gb=small,
+        leftover_retention_gb=small,
+        warmup_noise_gb=small,
+        warmup_alloc_gb=small,
+        warmup_after_rejuvenation=st.booleans(),
+        cache_image_gb=st.floats(min_value=0.0, max_value=0.1),
+        cache_max_age_seconds=st.floats(min_value=0.0, max_value=3600.0),
+        disk_capacity_gb=st.floats(min_value=0.01, max_value=0.2),
+        retention_fraction=st.floats(min_value=0.0, max_value=1.0),
+    ),
+    # Quotas small enough for leftovers to exhaust them, on the default
+    # quota-limited kinds and on up to two more.
+    quotas=st.builds(
+        lambda defaults, extra: {**extra, **defaults},
+        st.fixed_dictionaries(
+            {kind: st.integers(min_value=1, max_value=3) for kind in DEFAULT_QUOTAS}
+        ),
+        st.dictionaries(
+            st.sampled_from(KINDS), st.integers(min_value=1, max_value=3), max_size=2
+        ),
+    ),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("leftover"), kinds, st.booleans()),
+        st.tuples(st.just("create"), kinds),
+        st.tuples(st.just("delete"), kinds),
+        st.just(("boot",)),
+        st.just(("leak",)),
+        st.tuples(st.just("tick"), st.floats(min_value=0.0, max_value=1800.0)),
+        st.tuples(st.just("cleanup"), st.floats(min_value=0.0, max_value=7200.0)),
+        st.just(("rejuvenate",)),
+    ),
+    max_size=60,
+)
+
+
+def apply_operation(state, op):
+    name = op[0]
+    if name == "leftover":
+        _, kind, from_live = op
+        if from_live and state.live[kind] == 0:
+            with pytest.raises(LedgerUnderflowError):
+                state.add_leftover(kind, from_live=True)
+        else:
+            state.add_leftover(kind, from_live=from_live)
+    elif name == "create":
+        state.try_create(op[1])
+    elif name == "delete":
+        if state.live[op[1]] == 0:
+            with pytest.raises(LedgerUnderflowError):
+                state.try_delete(op[1])
+        else:
+            state.try_delete(op[1])
+    elif name == "boot":
+        apply_resource_effects(state, WorkloadStepCompleted("boot server"))
+    elif name == "leak":
+        apply_resource_effects(
+            state,
+            WorkloadStepCompleted("delete user", workload_finished=True, did_real_work=True),
+        )
+    elif name == "tick":
+        state.clock += op[1]
+        apply_resource_effects(state, IntervalElapsed(30.0))
+    elif name == "cleanup":
+        state.clock += op[1]
+        cache_cleanup(state)
+    else:
+        rejuvenate(state)
+
+
+@settings(max_examples=300)
+@given(state=clouds, ops=operations)
+def test_cached_predicate_matches_recomputation(state, ops):
+    """After any sequence of ledger, gauge and clock operations, the cached
+    capacity and failure predicate agree with a from-scratch recount, and
+    the ledgers stay within their bounds."""
+    assert state.capacity() == capacity_from_scratch(state)
+    for op in ops:
+        leftovers_before = dict(state.leftovers)
+        failed_at_before = state.failed_at
+        apply_operation(state, op)
+
+        assert state.capacity() == capacity_from_scratch(state)
+        # The predicate as it stands now, on a copy whose latch is open.
+        probe = copy.copy(state)
+        probe.failed = False
+        assert check_failed(probe) is predicate_from_scratch(state)
+        # The latched predicate the engine sees.
+        expected = state.failed or predicate_from_scratch(state)
+        assert check_failed(state) is expected
+        if expected and failed_at_before is None:
+            assert state.failed_at == state.clock
+
+        for kind in EntityKind:
+            assert state.live[kind] >= 0
+            assert state.leftovers[kind] >= 0
+            if op[0] != "rejuvenate":
+                assert state.leftovers[kind] >= leftovers_before[kind]
+            quota = state.quotas.get(kind)
+            if quota is not None:
+                assert state.live[kind] + state.leftovers[kind] <= quota
+
+
+def test_fresh_leftover_respects_a_full_quota():
+    """A fresh leftover is refused when live entities fill the quota."""
+    state = CloudState(quotas={EntityKind.SERVER: 2})
+    assert state.try_create(EntityKind.SERVER) is None
+    assert state.add_leftover(EntityKind.SERVER) is None
+    rejected = state.add_leftover(EntityKind.SERVER)
+    assert isinstance(rejected, QuotaExceeded)
+    assert rejected.kind is EntityKind.SERVER
+    assert state.leftovers[EntityKind.SERVER] == 1
+    assert state.capacity() == 1
+    # Moving a live entity into the ledger keeps the total unchanged.
+    assert state.add_leftover(EntityKind.SERVER, from_live=True) is None
+    assert state.leftovers[EntityKind.SERVER] == 2
+

@@ -1,10 +1,13 @@
 """Tests for the workload engine: definitions, fault paths, streaming."""
 
+import heapq
+import itertools
+
 import pytest
 
 from agesim.cloud import CloudState, EntityKind, FaultModel, ResourceParams, check_failed
 from agesim.errors import ConfigError
-from agesim.scenario import ScenarioConfig
+from agesim.scenario import ScenarioConfig, run_scenario
 from agesim.workload import (
     CLOUD_UNAVAILABLE,
     DEFAULT_STEP_NAMES,
@@ -234,6 +237,25 @@ class TestBootFault:
         assert cloud.leftovers[EntityKind.SERVER] == 1
         assert result.steps_executed == 21
         assert all(count == 0 for count in cloud.live.values())
+
+    def test_fresh_leftover_needs_quota_room(self):
+        """An ageing error with no entity of its kind in hand strands a
+        fresh one only while the kind's quota has room."""
+        params = ResourceParams(warmup_noise_gb=0.0, warmup_alloc_gb=0.0)
+        cloud = CloudState(params=params, quotas={EntityKind.SERVER: 1})
+        assert cloud.try_create(EntityKind.SERVER) is None  # another tenant's server
+        faults = one_fault_model("create user", "server-error-status")
+        result = run_workload(DEFN, cloud, faults)
+        assert result.error == "server-error-status"
+        assert result.status is WorkloadStatus.NON_AGEING_FAILURE
+        assert cloud.leftovers[EntityKind.SERVER] == 0
+        assert not cloud.failed
+
+        cloud.try_delete(EntityKind.SERVER)
+        result = run_workload(DEFN, cloud, faults)
+        assert result.status is WorkloadStatus.AGEING_FAILURE
+        assert result.leftover_kinds == ("server",)
+        assert cloud.failed
 
     def test_failed_boot_deposits_no_cache_image(self):
         cloud = quiet_cloud()
@@ -478,6 +500,92 @@ class TestRunStream:
         durations = [run_workload(DEFN, cloud).duration for _ in range(5)]
         assert all(b > a for a, b in zip(durations, durations[1:]))
         assert durations[1] == pytest.approx(CLEAN_BASE_SECONDS * 1.01)
+
+    def test_clock_events_fire_at_exact_multiples(self):
+        """Ticks land on t0 + k*interval from a nonzero start, with an
+        interval that does not divide the horizon, and hour marks on
+        t0 + k*3600 for k >= 1."""
+        cloud = quiet_cloud()
+        t0 = 1234.5
+        cloud.clock = t0
+        until = t0 + 3 * 3600.0 + 100.0
+        ticks, marks = [], []
+        run_stream(
+            DEFN,
+            cloud,
+            until=until,
+            concurrency=2,
+            tick_seconds=7.3,
+            tick_hook=lambda t, gauges: ticks.append(t),
+            hour_hook=marks.append,
+        )
+        assert ticks == list(
+            itertools.takewhile(
+                lambda t: t < until, (t0 + k * 7.3 for k in itertools.count())
+            )
+        )
+        assert marks == [t0 + k * 3600.0 for k in (1, 2, 3)]
+
+    def test_stop_at_hour_two_schedules_no_later_tick(self, monkeypatch):
+        """Each tick pushes only its successor, and a stopped stream
+        pushes none past the stop."""
+        pushed = []
+        real_push = heapq.heappush
+
+        def push(heap, item):
+            pushed.append(item[3])
+            real_push(heap, item)
+
+        monkeypatch.setattr(heapq, "heappush", push)
+        cloud = quiet_cloud()
+        ticks, marks = [], []
+
+        def hour_hook(t):
+            marks.append(t)
+            return STOP_STREAM if len(marks) == 2 else None
+
+        run_stream(
+            DEFN,
+            cloud,
+            until=10 * 86400.0,
+            concurrency=1,
+            tick_seconds=30.0,
+            tick_hook=lambda t, gauges: ticks.append(t),
+            hour_hook=hour_hook,
+        )
+        assert marks == [3600.0, 7200.0]
+        assert cloud.clock == 7200.0
+        # Ticks at the stop mark itself still run: ticks precede hour marks.
+        assert ticks == [k * 30.0 for k in range(241)]
+        assert pushed.count("tick") == len(ticks) + 1
+        assert pushed.count("hour") == 2
+
+    def test_capacity_recount_runs_only_on_ledger_mutations(self, monkeypatch):
+        """Over a no-fault scenario the from-scratch capacity recount runs
+        at construction and rejuvenation, and the disk recount also at
+        the hourly cache cleanup; neither runs per step."""
+        recounts = {"capacity": 0, "disk": 0}
+        real_capacity = CloudState._recount_capacity
+        real_disk = CloudState._recount_disk_full
+
+        def recount_capacity(state):
+            recounts["capacity"] += 1
+            real_capacity(state)
+
+        def recount_disk(state):
+            recounts["disk"] += 1
+            real_disk(state)
+
+        monkeypatch.setattr(CloudState, "_recount_capacity", recount_capacity)
+        monkeypatch.setattr(CloudState, "_recount_disk_full", recount_disk)
+        config = ScenarioConfig(
+            scenario_id="counts", concurrency=4, stress_hours=2, seed=3
+        )
+        report = run_scenario(config)
+        assert sum(report.totals.values()) > 100
+        assert recounts["capacity"] == 2
+        hours = config.stress_hours + config.post_rejuvenation_hours
+        assert recounts["disk"] <= 2 + hours
 
     def test_zero_length_stream(self):
         cloud = quiet_cloud()
