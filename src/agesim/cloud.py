@@ -130,6 +130,10 @@ class ResourceParams:
     def __post_init__(self):
         if self.initial_memory_gb <= 0:
             raise ConfigError("initial_memory_gb must be positive")
+        if not self.swap_threshold_gb >= 0:
+            raise ConfigError("swap_threshold_gb must not be negative")
+        if not self.swap_capacity_gb >= 0:
+            raise ConfigError("swap_capacity_gb must not be negative")
         if not 0.0 <= self.retention_fraction <= 1.0:
             raise ConfigError("retention_fraction must lie in [0, 1]")
         if self.contention_capacity <= 0:
@@ -524,17 +528,22 @@ def check_failed(state: CloudState) -> bool:
     The first two clauses read state that ``CloudState`` caches: the
     capacity, recounted by ``add_leftover`` and ``rejuvenate``, and the
     disk-full flag, updated by ``deposit_cache_image``, ``cache_cleanup``
-    and ``rejuvenate``.  The memory clause is O(1) arithmetic on the
-    memory gauges, so the whole check costs the same at any ledger size.
+    and ``rejuvenate``.  The memory clause is O(1) arithmetic on the raw
+    available memory: available memory and swap headroom are both
+    non-negative, so their sum is exhausted exactly when no memory is left
+    (raw <= 0) and swap has filled (threshold - raw >= swap capacity, with
+    both swap parameters non-negative).
     """
     if not state.failed:
         raw = state._raw_available_gb()
-        available = max(0.0, raw)
-        headroom = state.params.swap_capacity_gb - state.swap_used_gb()
+        params = state.params
         state.failed = (
             state._capacity == 0
             or state._disk_full
-            or available + headroom <= 0.0
+            or (
+                raw <= 0.0
+                and params.swap_threshold_gb - raw >= params.swap_capacity_gb
+            )
         )
         if state.failed and state.failed_at is None:
             state.failed_at = state.clock

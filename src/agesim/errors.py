@@ -42,6 +42,13 @@ class ParseError(AgesimError):
         self.line = line
 
 
+class InvalidSeriesError(ParseError, ValueError):
+    """An indicator series breaks its invariants (a unit, increasing timestamps).
+
+    It is a ``ValueError`` too, as the series constructor raised before.
+    """
+
+
 class DuplicateTimestampError(ParseError):
     """Two rows carry the same (metric, timestamp) pair."""
 

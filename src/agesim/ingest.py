@@ -38,15 +38,6 @@ def _open_text(source: str | Path | IO[str]) -> tuple[IO[str], bool]:
     return source, False
 
 
-def _parse_numeric(text: str) -> float | None:
-    """A finite number, or None; ``nan`` and ``inf`` are not readable data."""
-    try:
-        number = float(text)
-    except ValueError:
-        return None
-    return number if math.isfinite(number) else None
-
-
 def _parse_iso(text: str) -> float | None:
     try:
         moment = datetime.fromisoformat(text.replace("Z", "+00:00"))
@@ -81,34 +72,50 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
 
         style: str | None = None
         by_metric: dict[str, list[tuple[float, float]]] = {}
+        get_samples = by_metric.get
+        isfinite = math.isfinite
         for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
             if len(row) != 3:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
                 raise ParseError(f"expected 3 columns, got {len(row)}", line=line_no)
-            raw_ts, metric, raw_value = (cell.strip() for cell in row)
+            raw_ts, metric, raw_value = row
+            raw_ts = raw_ts.strip()
+            metric = metric.strip()
+            raw_value = raw_value.strip()
             if not metric:
                 raise ParseError("empty metric name", line=line_no)
 
-            ts = _parse_numeric(raw_ts)
-            row_style = "numeric"
-            if ts is None:
+            # nan and inf are not readable data, in either column
+            try:
+                ts = float(raw_ts)
+            except ValueError:
+                ts = math.nan
+            if isfinite(ts):
+                row_style = "numeric"
+            else:
                 ts = _parse_iso(raw_ts)
                 row_style = "iso-8601"
-            if ts is None:
-                raise ParseError(f"unreadable timestamp {raw_ts!r}", line=line_no)
-            if style is None:
+                if ts is None:
+                    raise ParseError(f"unreadable timestamp {raw_ts!r}", line=line_no)
+            if style != row_style:
+                if style is not None:
+                    raise ParseError(
+                        f"mixed timestamp styles: file uses {style}, row uses {row_style}",
+                        line=line_no,
+                    )
                 style = row_style
-            elif style != row_style:
-                raise ParseError(
-                    f"mixed timestamp styles: file uses {style}, row uses {row_style}",
-                    line=line_no,
-                )
 
-            value = _parse_numeric(raw_value)
-            if value is None:
+            try:
+                value = float(raw_value)
+            except ValueError:
+                value = math.nan
+            if not isfinite(value):
                 raise ParseError(f"unreadable value {raw_value!r}", line=line_no)
-            by_metric.setdefault(metric, []).append((ts, value))
+            samples = get_samples(metric)
+            if samples is None:
+                samples = by_metric[metric] = []
+            samples.append((ts, value))
 
         if not by_metric:
             raise EmptyFileError("series file has no data rows")
@@ -170,10 +177,11 @@ class WorkloadReportData:
 def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
     """Parse a workload-report JSON document.
 
-    Records missing fields, with unknown statuses, with a start or end
-    that is not a finite number, or ending before they start are counted
-    as rejected and skipped.  Durations of successful workloads become an
-    indicator series timestamped at each workload's start.
+    Records missing fields, with a status that is not a known string,
+    with a start or end that is not a finite number, ending before they
+    start, or with an ``error`` that is neither a string nor null are
+    counted as rejected and skipped.  Durations of successful workloads
+    become an indicator series timestamped at each workload's start.
     """
     from .trendstats import IndicatorSeries, nudge_ties
 
@@ -205,15 +213,17 @@ def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
         except (KeyError, TypeError, ValueError, OverflowError):
             rejected += 1
             continue
+        error = record.get("error")
         if (
-            status not in statuses
+            not isinstance(status, str)
+            or status not in statuses
             or not (math.isfinite(start) and math.isfinite(end))
             or end < start
+            or not (error is None or isinstance(error, str))
         ):
             rejected += 1
             continue
         status_counts[status] += 1
-        error = record.get("error")
         if error:
             error_tally[error] = error_tally.get(error, 0) + 1
         if status == WorkloadStatus.SUCCESS.value:

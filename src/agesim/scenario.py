@@ -87,8 +87,8 @@ class ScenarioConfig:
             raise ConfigError("concurrency must be at least 1")
         if self.stress_hours < 0 or self.post_rejuvenation_hours < 0:
             raise ConfigError("phase lengths cannot be negative")
-        if not 0 < self.sample_interval_seconds <= SECONDS_PER_HOUR:
-            raise ConfigError("sample interval must lie in (0, 3600] seconds")
+        if not 1.0 <= self.sample_interval_seconds <= SECONDS_PER_HOUR:
+            raise ConfigError("sample interval must lie in [1, 3600] seconds")
         if not 0.0 <= self.deploy_failure_probability <= 1.0:
             raise ConfigError("deploy failure probability must lie in [0, 1]")
         Topology.named(self.topology)

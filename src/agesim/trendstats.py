@@ -39,14 +39,21 @@ spacing into per-hour units.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySeriesError, InsufficientDataError, MissingPhaseBinError
+from .errors import (
+    EmptySeriesError,
+    InsufficientDataError,
+    InvalidSeriesError,
+    MissingPhaseBinError,
+)
 
 #: Two-sided critical value at alpha = 0.05.
 Z_CRITICAL = 1.96
@@ -80,11 +87,13 @@ class IndicatorSeries:
 
     def __post_init__(self):
         if not self.unit:
-            raise ValueError("IndicatorSeries.unit must be non-empty")
-        object.__setattr__(self, "samples", tuple(tuple(s) for s in self.samples))
-        ts = [t for t, _ in self.samples]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError(
+            raise InvalidSeriesError("IndicatorSeries.unit must be non-empty")
+        samples = tuple(map(tuple, self.samples))
+        object.__setattr__(self, "samples", samples)
+        ts = [t for t, _ in samples]
+        # ``b <= a`` per neighbour pair: a NaN timestamp compares false and passes
+        if any(map(operator.le, ts[1:], ts)):
+            raise InvalidSeriesError(
                 f"timestamps of series {self.name!r} must be strictly increasing"
             )
 
@@ -252,7 +261,9 @@ def sens_slope(values: Sequence[float], spacing_hours: float = 1.0) -> float:
     """Median pairwise slope of a regularly spaced series, per hour.
 
     Denominators are index distances ``j - i``; ``spacing_hours`` rescales
-    the result into per-hour units.
+    the result into per-hour units.  The n(n-1)/2 pair slopes live in one
+    buffer of 8 bytes per pair, filled row by row and partitioned in place
+    for the median, so no second copy of them is ever made.
     """
     x = np.asarray(values, dtype=float)
     n = int(x.size)
@@ -261,12 +272,16 @@ def sens_slope(values: Sequence[float], spacing_hours: float = 1.0) -> float:
     if spacing_hours <= 0:
         raise ValueError("spacing_hours must be positive")
 
-    chunks = []
+    slopes = np.empty(n * (n - 1) // 2)
+    lags = np.arange(1, n, dtype=float)
+    start = 0
     for i in range(n - 1):
-        diff = x[i + 1 :] - x[i]
-        lag = np.arange(1, len(diff) + 1, dtype=float)
-        chunks.append(diff / lag)
-    slope = float(np.median(np.concatenate(chunks)))
+        stop = start + n - 1 - i
+        row = slopes[start:stop]
+        np.subtract(x[i + 1 :], x[i], out=row)
+        np.divide(row, lags[: n - 1 - i], out=row)
+        start = stop
+    slope = float(np.median(slopes, overwrite_input=True))
     return slope / spacing_hours
 
 
@@ -284,22 +299,29 @@ def bin_hourly(
     or past the second, post-rejuvenation.  ``exclude_windows`` marks
     additional stress-side bins (e.g. an idle wait window) that trend
     tests must skip.
+
+    Bins are found by sorting the samples' hour indices, so memory grows
+    with the number of samples, never with the span of hours they cover.
     """
-    if not series.samples:
+    samples = series.samples
+    if not samples:
         raise EmptySeriesError(f"series {series.name!r} has no samples")
     boundaries = list(phase_boundaries)
     if boundaries != sorted(boundaries):
         raise ValueError("phase_boundaries must be sorted ascending")
 
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for t, v in series.samples:
-        h = int(t // SECONDS_PER_HOUR)
-        sums[h] = sums.get(h, 0.0) + v
-        counts[h] = counts.get(h, 0) + 1
-
-    hours = tuple(sorted(sums))
-    means = tuple(sums[h] / counts[h] for h in hours)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(samples), float, 2 * len(samples)
+    )
+    with np.errstate(invalid="ignore"):
+        floors = np.floor_divide(flat[0::2], SECONDS_PER_HOUR)
+    bins, index = np.unique(floors, return_inverse=True)
+    # bincount adds each bin's values left to right in sample order
+    sums = np.bincount(index, weights=flat[1::2])
+    counts = np.bincount(index)
+    # int() raises on a NaN or infinite timestamp's bin
+    hours = tuple(int(h) for h in bins.tolist())
+    means = tuple((sums / counts).tolist())
 
     rejuvenation = []
     post = []
@@ -414,5 +436,5 @@ def rebased(series: IndicatorSeries, t0: float | None = None) -> IndicatorSeries
     return IndicatorSeries(
         name=series.name,
         unit=series.unit,
-        samples=tuple((t - t0, v) for t, v in series.samples),
+        samples=[(t - t0, v) for t, v in series.samples],
     )

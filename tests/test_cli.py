@@ -100,8 +100,24 @@ class TestRunCommand:
             ({"resources": {"cache_image_gb": -0.04}}, "cache_image_gb must not be negative"),
             ({"timing": {"failed_launch_seconds": 0}}, "failed_launch_seconds must be positive"),
             ({"timing": {"failed_launch_seconds": -2}}, "failed_launch_seconds must be positive"),
+            ({"sample_interval_seconds": 1e-9}, "sample interval must lie in [1, 3600]"),
+            ({"sample_interval_seconds": 0.5}, "sample interval must lie in [1, 3600]"),
+            ({"sample_interval_seconds": 3601}, "sample interval must lie in [1, 3600]"),
+            ({"resources": {"swap_capacity_gb": -1}}, "swap_capacity_gb must not be negative"),
+            ({"resources": {"swap_threshold_gb": -0.5}}, "swap_threshold_gb must not be negative"),
         ],
-        ids=["disk-negative", "disk-zero", "cache-image-negative", "launch-zero", "launch-negative"],
+        ids=[
+            "disk-negative",
+            "disk-zero",
+            "cache-image-negative",
+            "launch-zero",
+            "launch-negative",
+            "interval-nanosecond",
+            "interval-half-second",
+            "interval-over-an-hour",
+            "swap-capacity-negative",
+            "swap-threshold-negative",
+        ],
     )
     def test_out_of_range_config_value_is_exit_2(self, tmp_path, capsys, fields, message):
         path = write_json(
@@ -336,6 +352,33 @@ class TestAnalyzeCommand:
         text = (out_dir / "analysis.json").read_text(encoding="utf-8")
         document = json.loads(text, parse_constant=reject)
         assert "workload-duration" in document["indicators"]
+
+    def test_non_string_error_in_workload_report_is_a_skipped_record(
+        self, tmp_path, capsys
+    ):
+        csv_path = ramp_csv(tmp_path)
+        report_path = write_json(
+            tmp_path / "wl.json",
+            {"workloads": [{"start": 0, "end": 5, "status": "success", "error": ["x"]}]},
+        )
+        assert main(["analyze", csv_path, "--workload-report", report_path]) == 0
+        assert "1 malformed records skipped" in capsys.readouterr().err
+
+    def test_timestamps_collapsed_by_rebasing_are_exit_2(self, tmp_path, capsys):
+        """Rebasing onto -1e300 maps both of b's timestamps to 1e300."""
+        path = tmp_path / "far.csv"
+        path.write_text(
+            "timestamp,metric,value\n"
+            "-1e300,a,1\n"
+            "0,a,2\n"
+            "100000000000000000,b,1\n"
+            "100000000000000016,b,2\n",
+            encoding="utf-8",
+        )
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "strictly increasing" in err
 
     def test_duplicate_metric_across_files_is_exit_2(self, tmp_path, capsys):
         first = ramp_csv(tmp_path)

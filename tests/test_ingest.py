@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from agesim.errors import DuplicateTimestampError, EmptyFileError, ParseError
 from agesim.ingest import (
@@ -145,6 +147,89 @@ class TestIngest:
         assert binned.means == (10.0, 30.0)
 
 
+# A generated data row is a (kind, metric, timestamp cell, value cell)
+# template; a good row's timestamp is its own line number, written in one of
+# several numeric spellings, so no two good rows share a timestamp.
+TS_SPELLINGS = ("{}", "{}.0", " {} ", "{}e0", "+{}.000")
+BAD_NUMBERS = ("nan", "inf", "-inf", "", "abc", "1e400", "--1", "0x10")
+METRICS = ("a", " b ", "c\t")
+
+good_rows = st.tuples(
+    st.just("good"),
+    st.sampled_from(METRICS),
+    st.sampled_from(TS_SPELLINGS),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+bad_timestamp_rows = st.tuples(
+    st.just("fault"),
+    st.sampled_from(METRICS),
+    st.sampled_from(BAD_NUMBERS + ("2024-01-01T00:00:00Z", "2024-13-01")),
+    st.just("1.0"),
+)
+bad_value_rows = st.tuples(
+    st.just("fault"), st.sampled_from(METRICS), st.just("{}"), st.sampled_from(BAD_NUMBERS)
+)
+other_rows = st.sampled_from(
+    [
+        ("fault", " ", "{}", "1.0"),  # empty metric
+        ("fault", None, "{},a", ""),  # two columns
+        ("fault", None, "{},a,1,2", ""),  # four columns
+        ("blank", None, "", ""),
+        ("blank", None, "  ", ""),
+        ("dup", "a", "2", "5.0"),  # the first row's timestamp again
+    ]
+)
+
+
+def render_row(template, line_no):
+    kind, metric, ts_cell, value_cell = template
+    ts_cell = ts_cell.format(line_no)
+    if metric is None:
+        return ts_cell
+    return f"{ts_cell},{metric},{value_cell}"
+
+
+@given(
+    rows=st.lists(
+        st.one_of(good_rows, good_rows, bad_timestamp_rows, bad_value_rows, other_rows),
+        max_size=30,
+    )
+)
+def test_ingest_parses_or_names_the_first_bad_line(rows):
+    """Each generated file parses, or fails with the first bad row's line number."""
+    rows = [("good", "a", "{}", "1.5"), *rows]
+    lines = ["timestamp,metric,value"]
+    expected: dict[str, list] = {}
+    first_fault = None
+    duplicate = False
+    for line_no, template in enumerate(rows, start=2):
+        lines.append(render_row(template, line_no))
+        kind, metric = template[0], template[1]
+        if kind == "fault" and first_fault is None:
+            first_fault = line_no
+        elif kind == "dup":
+            duplicate = True
+        elif kind == "good":
+            expected.setdefault(metric.strip(), []).append(
+                (float(line_no), float(template[3]))
+            )
+    text = "\n".join(lines) + "\n"
+
+    if first_fault is not None:
+        with pytest.raises(ParseError) as err:
+            series_of(text)
+        assert err.value.line == first_fault
+        assert str(err.value).startswith(f"line {first_fault}: ")
+    elif duplicate:
+        with pytest.raises(DuplicateTimestampError):
+            series_of(text)
+    else:
+        series = series_of(text)
+        assert {m: s.samples for m, s in series.items()} == {
+            m: tuple(samples) for m, samples in expected.items()
+        }
+
+
 class TestSerializeRoundTrip:
     def test_simple_round_trip(self):
         original = {
@@ -250,6 +335,23 @@ class TestWorkloadReport:
         )
         assert data.rejected_records == 3
         assert data.status_counts["success"] == 1
+
+    def test_non_string_error_or_status_is_rejected(self):
+        data = ingest_workload_report(
+            self.doc(
+                [
+                    {"start": 0.0, "end": 5.0, "status": "success", "error": ["x"]},
+                    {"start": 0.0, "end": 5.0, "status": "success", "error": {"a": 1}},
+                    {"start": 0.0, "end": 5.0, "status": "success", "error": 7},
+                    {"start": 0.0, "end": 5.0, "status": ["success"]},
+                    {"start": 1.0, "end": 2.0, "status": "ageing-failure", "error": "e"},
+                    {"start": 2.0, "end": 3.0, "status": "success", "error": None},
+                ]
+            )
+        )
+        assert data.rejected_records == 4
+        assert data.status_counts["success"] == 1
+        assert data.error_tally == {"e": 1}
 
     def test_duplicate_start_times_are_nudged(self):
         data = ingest_workload_report(

@@ -5,15 +5,22 @@ implementations against independent brute-force oracles written out
 directly from the textbook definitions.
 """
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.stats import theilslopes
 
 from agesim.errors import (
+    AgesimError,
     EmptySeriesError,
     InsufficientDataError,
+    InvalidSeriesError,
     MissingPhaseBinError,
+    ParseError,
 )
 from agesim.trendstats import (
     AgeingSummary,
@@ -453,3 +460,121 @@ class TestIndicatorSeries:
         assert shifted.samples[0][0] == 0.0
         assert shifted.samples[1][0] == 60.0
         assert [v for _, v in shifted.samples] == [1.0, 2.0]
+
+    def test_invalid_series_error_is_parse_and_value_error(self):
+        """Broken series are input errors for the CLI and ValueErrors for callers."""
+        with pytest.raises(InvalidSeriesError) as excinfo:
+            series_of([(10.0, 1.0), (5.0, 2.0)])
+        assert isinstance(excinfo.value, ParseError)
+        assert isinstance(excinfo.value, AgesimError)
+        assert isinstance(excinfo.value, ValueError)
+        with pytest.raises(InvalidSeriesError):
+            IndicatorSeries(name="m", unit="", samples=())
+
+    def test_nan_timestamp_is_not_rejected_by_the_order_check(self):
+        """``b <= a`` is false against NaN, so a NaN stamp gets past the check."""
+        series = series_of([(0.0, 1.0), (math.nan, 2.0), (10.0, 3.0)])
+        assert len(series) == 3
+
+
+# ── Property tests against independent oracles ───────────────────────────
+
+
+def dict_loop_bins(samples):
+    """Hourly sums and counts in a dict, one sample at a time in order."""
+    sums = {}
+    counts = {}
+    for t, v in samples:
+        h = int(t // 3600.0)
+        sums[h] = sums.get(h, 0.0) + v
+        counts[h] = counts.get(h, 0) + 1
+    hours = tuple(sorted(sums))
+    return hours, tuple(sums[h] / counts[h] for h in hours)
+
+
+def concatenated_sens_slope(values):
+    """Sen's slope from per-row chunks, concatenated, then ``np.median``."""
+    x = np.asarray(values, dtype=float)
+    chunks = []
+    for i in range(x.size - 1):
+        diff = x[i + 1 :] - x[i]
+        lag = np.arange(1, len(diff) + 1, dtype=float)
+        chunks.append(diff / lag)
+    return float(np.median(np.concatenate(chunks)))
+
+
+def bits(values):
+    """Exact bit patterns, so -0.0 and 0.0 differ."""
+    return [float(v).hex() for v in values]
+
+
+timestamps = st.one_of(
+    st.floats(-1e5, 1e5),
+    st.sampled_from([0.0, 3599.999, 3600.0, -3600.0, 1e12, -1e12, 1.7e9]),
+    st.floats(-1e13, 1e13),
+)
+sample_values = st.one_of(
+    st.floats(-1e9, 1e9),
+    st.integers(-5, 5).map(float),
+    st.sampled_from([0.0, -0.0, 0.1, 1e-300]),
+)
+tied_values = st.one_of(st.integers(0, 4).map(float), st.floats(-1e6, 1e6))
+
+
+@given(
+    stamps=st.lists(timestamps, min_size=1, max_size=80, unique=True),
+    values=st.lists(sample_values, min_size=80, max_size=80),
+)
+def test_bin_hourly_matches_dict_loop_bit_exact(stamps, values):
+    """Hours and means equal the dict loop's, bit for bit, at any hour span."""
+    samples = list(zip(sorted(stamps), values))
+    binned = bin_hourly(series_of(samples))
+    hours, means = dict_loop_bins(samples)
+    assert binned.hours == hours
+    assert bits(binned.means) == bits(means)
+
+
+def test_bin_hourly_far_apart_hours():
+    """Two samples 1e12 s apart make two bins, not 2.8e8 empty ones."""
+    binned = bin_hourly(series_of([(0.0, 1.0), (1e12, 3.0), (1e12 + 1.0, 4.0)]))
+    assert binned.hours == (0, int(1e12 // 3600.0))
+    assert binned.means == (1.0, 3.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_bin_hourly_non_finite_timestamp_raises_value_error(bad):
+    with pytest.raises(ValueError):
+        bin_hourly(series_of([(0.0, 1.0), (bad, 2.0)]))
+
+
+@given(values=st.lists(tied_values, min_size=2, max_size=60))
+def test_sens_slope_matches_concatenated_median_bit_exact(values):
+    assert sens_slope(values).hex() == concatenated_sens_slope(values).hex()
+
+
+@given(values=st.lists(tied_values, min_size=2, max_size=60))
+def test_sens_slope_matches_scipy_theilslopes(values):
+    """Theil-Sen over indices, as SciPy computes it (Sen 1968)."""
+    expected = theilslopes(values, np.arange(len(values), dtype=float)).slope
+    assert sens_slope(values) == expected
+
+
+@given(values=st.lists(tied_values, min_size=0, max_size=60))
+def test_mann_kendall_s_matches_double_sum(values):
+    expected_s, expected_var = brute_mann_kendall(values)
+    result = mann_kendall(values)
+    assert result.s_statistic == expected_s
+    assert result.variance == expected_var
+
+
+@given(
+    values=st.lists(st.integers(-1000, 1000), min_size=0, max_size=40),
+    scale=st.integers(1, 100),
+    shift=st.integers(-1000, 1000),
+)
+def test_mann_kendall_s_under_affine_maps(values, scale, shift):
+    """S is unchanged by a positive affine map and flips sign under negation."""
+    s = mann_kendall([float(v) for v in values]).s_statistic
+    mapped = [float(scale * v + shift) for v in values]
+    assert mann_kendall(mapped).s_statistic == s
+    assert mann_kendall([float(-v) for v in values]).s_statistic == -s
