@@ -151,11 +151,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_json(path: str):
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -229,13 +232,17 @@ def _analysis_line(name: str, analysis) -> str:
     return line
 
 
+def _add_series(series: dict[str, IndicatorSeries], parsed: IndicatorSeries) -> None:
+    if parsed.name in series:
+        raise ParseError(f"metric {parsed.name!r} appears in more than one input")
+    series[parsed.name] = parsed
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     series: dict[str, IndicatorSeries] = {}
     for path in args.csvs:
-        for name, parsed in ingest(path, unit=args.unit).items():
-            if name in series:
-                raise ParseError(f"metric {name!r} appears in more than one input")
-            series[name] = parsed
+        for parsed in ingest(path, unit=args.unit).values():
+            _add_series(series, parsed)
     if args.workload_report is not None:
         data = ingest_workload_report(args.workload_report)
         if data.rejected_records:
@@ -244,11 +251,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         if data.durations is not None:
-            if data.durations.name in series:
-                raise ParseError(
-                    f"metric {data.durations.name!r} appears in more than one input"
-                )
-            series[data.durations.name] = data.durations
+            _add_series(series, data.durations)
 
     if args.rejuvenation_end is not None and args.stress_end is None:
         raise ConfigError("--rejuvenation-end requires --stress-end")

@@ -266,6 +266,12 @@ class FaultModel:
             if slots:
                 self._per_step[step_name] = slots
 
+    def draws_for(self, step_name: str) -> bool:
+        """Whether ``draw`` does anything for this step: consume a uniform
+        (the step has configured probabilities) or raise (the name is
+        unknown).  For any other step ``draw`` returns None at no cost."""
+        return step_name in self._per_step or step_name not in self.known_steps
+
     def draw(self, step_name: str) -> ErrorSpec | None:
         """Sample the error, if any, striking this step attempt."""
         if step_name not in self.known_steps:

@@ -53,7 +53,9 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
 
     Samples are sorted by timestamp per metric; a duplicate timestamp
     within one metric is an error.  The file must use one timestamp
-    style throughout, numeric seconds or ISO-8601.
+    style throughout, numeric seconds or ISO-8601.  A bad row's error
+    names the physical line it ends on (``reader.line_num``), which a
+    quoted cell spanning lines moves past the record count.
     """
     from .trendstats import IndicatorSeries
 
@@ -74,17 +76,17 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
         by_metric: dict[str, list[tuple[float, float]]] = {}
         get_samples = by_metric.get
         isfinite = math.isfinite
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if len(row) != 3:
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
-                raise ParseError(f"expected 3 columns, got {len(row)}", line=line_no)
+                raise ParseError(f"expected 3 columns, got {len(row)}", line=reader.line_num)
             raw_ts, metric, raw_value = row
             raw_ts = raw_ts.strip()
             metric = metric.strip()
             raw_value = raw_value.strip()
             if not metric:
-                raise ParseError("empty metric name", line=line_no)
+                raise ParseError("empty metric name", line=reader.line_num)
 
             # nan and inf are not readable data, in either column
             try:
@@ -97,12 +99,12 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
                 ts = _parse_iso(raw_ts)
                 row_style = "iso-8601"
                 if ts is None:
-                    raise ParseError(f"unreadable timestamp {raw_ts!r}", line=line_no)
+                    raise ParseError(f"unreadable timestamp {raw_ts!r}", line=reader.line_num)
             if style != row_style:
                 if style is not None:
                     raise ParseError(
                         f"mixed timestamp styles: file uses {style}, row uses {row_style}",
-                        line=line_no,
+                        line=reader.line_num,
                     )
                 style = row_style
 
@@ -111,7 +113,7 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
             except ValueError:
                 value = math.nan
             if not isfinite(value):
-                raise ParseError(f"unreadable value {raw_value!r}", line=line_no)
+                raise ParseError(f"unreadable value {raw_value!r}", line=reader.line_num)
             samples = get_samples(metric)
             if samples is None:
                 samples = by_metric[metric] = []
@@ -119,6 +121,8 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
 
         if not by_metric:
             raise EmptyFileError("series file has no data rows")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"series file is not UTF-8 text: {exc.reason}") from None
     finally:
         if owned:
             handle.close()
@@ -179,9 +183,10 @@ def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
 
     Records missing fields, with a status that is not a known string,
     with a start or end that is not a finite number, ending before they
-    start, or with an ``error`` that is neither a string nor null are
-    counted as rejected and skipped.  Durations of successful workloads
-    become an indicator series timestamped at each workload's start.
+    start, lasting longer than a float can hold, or with an ``error``
+    that is neither a string nor null are counted as rejected and
+    skipped.  Durations of successful workloads become an indicator
+    series timestamped at each workload's start.
     """
     from .trendstats import IndicatorSeries, nudge_ties
 
@@ -191,6 +196,10 @@ def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
             document = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"workload report is not UTF-8 text: {exc.reason}") from None
+        except RecursionError:
+            raise ParseError("workload report is nested too deeply") from None
     finally:
         if owned:
             handle.close()
@@ -219,6 +228,7 @@ def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
             or status not in statuses
             or not (math.isfinite(start) and math.isfinite(end))
             or end < start
+            or math.isinf(end - start)
             or not (error is None or isinstance(error, str))
         ):
             rejected += 1
@@ -231,10 +241,13 @@ def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
 
     durations = None
     if samples:
+        nudged = nudge_ties(samples)
+        if math.isinf(nudged[-1][0]):
+            raise ParseError("workload start times tie at the largest float")
         durations = IndicatorSeries(
             name="workload-duration",
             unit="seconds",
-            samples=tuple(nudge_ties(samples)),
+            samples=tuple(nudged),
         )
     return WorkloadReportData(
         durations=durations,

@@ -276,12 +276,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         return None
 
     def result_hook(result) -> None:
+        status = result.status.value
         hour = int(result.started_at // SECONDS_PER_HOUR)
-        bucket = hourly.setdefault(
-            hour, {status.value: 0 for status in WorkloadStatus}
-        )
-        bucket[result.status.value] += 1
-        totals[result.status.value] += 1
+        bucket = hourly.get(hour)
+        if bucket is None:
+            bucket = hourly[hour] = {s.value: 0 for s in WorkloadStatus}
+        bucket[status] += 1
+        totals[status] += 1
         if result.status is WorkloadStatus.SUCCESS:
             durations.append((result.started_at, result.duration))
 

@@ -433,8 +433,14 @@ def rebased(series: IndicatorSeries, t0: float | None = None) -> IndicatorSeries
         return series
     if t0 is None:
         t0 = series.samples[0][0]
+    samples = [(t - t0, v) for t, v in series.samples]
+    # the timestamps are increasing, so an overflow shows at an end
+    if math.isinf(samples[0][0]) or math.isinf(samples[-1][0]):
+        raise InvalidSeriesError(
+            f"timestamps of series {series.name!r} overflow when rebased"
+        )
     return IndicatorSeries(
         name=series.name,
         unit=series.unit,
-        samples=[(t - t0, v) for t, v in series.samples],
+        samples=samples,
     )

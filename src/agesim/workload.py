@@ -38,7 +38,6 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 from .cloud import (
@@ -50,6 +49,7 @@ from .cloud import (
     WorkloadStepCompleted,
     apply_resource_effects,
     check_failed,
+    quota_error_name,
 )
 from .errors import ConfigError
 
@@ -284,15 +284,6 @@ class WorkloadDefinition:
         if any(a <= b for a, b in zip(targets, targets[1:])):
             raise ConfigError("cleanup steps do not reverse acquisitions in LIFO order")
 
-    @cached_property
-    def by_name(self) -> dict[str, StepSpec]:
-        return {s.name: s for s in self.steps}
-
-    @cached_property
-    def undo_name(self) -> dict[str, str]:
-        """Map from a step's name to the name of the step that undoes it."""
-        return {s.undo_of: s.name for s in self.steps if s.undo_of is not None}
-
     @classmethod
     def default(cls) -> "WorkloadDefinition":
         return cls(steps=DEFAULT_STEPS)
@@ -322,6 +313,14 @@ class WorkloadResult:
         return self.ended_at - self.started_at
 
 
+def _contended(base_seconds: float, cloud: CloudState, gate_count: int) -> float:
+    """``base_seconds * ageing_multiplier * max(1, gate_count / contention_capacity)``."""
+    contention = gate_count / cloud.params.contention_capacity
+    if contention < 1.0:
+        contention = 1.0
+    return base_seconds * cloud.ageing_multiplier() * contention
+
+
 def service_time(
     step_name: str,
     cloud: CloudState,
@@ -330,18 +329,91 @@ def service_time(
 ) -> float:
     """Duration of one step under the current ageing and contention."""
     timing = timing or TimingParams()
-    contention = max(1.0, gate_count / cloud.params.contention_capacity)
-    return timing.base_for(step_name) * cloud.ageing_multiplier() * contention
+    return _contended(timing.base_for(step_name), cloud, gate_count)
+
+
+class _PlanStep:
+    """One workload step resolved against a run's cloud, timing and faults.
+
+    ``kind`` is the entity kind the step creates, deletes or operates on;
+    ``undo`` is the record of the step that undoes this one, and
+    ``holds`` the kind of entity an undo-stack entry of this step keeps
+    alive (what the step it undoes created, if anything).  ``draws`` is
+    False where the fault model would neither draw nor raise.
+    """
+
+    __slots__ = (
+        "spec",
+        "name",
+        "action",
+        "kind",
+        "gated",
+        "base_seconds",
+        "deposits_cache",
+        "draws",
+        "undo",
+        "holds",
+        "quota_error",
+    )
+
+    def __init__(
+        self,
+        spec: StepSpec,
+        cloud: CloudState,
+        timing: TimingParams,
+        faults: FaultModel | None,
+    ):
+        self.spec = spec
+        self.name = spec.name
+        self.action = spec.action
+        if spec.action is StepAction.CREATE:
+            self.kind = spec.creates
+        elif spec.action is StepAction.DELETE:
+            self.kind = spec.deletes
+        else:
+            self.kind = spec.operates_on
+        self.gated = self.kind in cloud.quotas
+        self.base_seconds = timing.base_for(spec.name)
+        self.deposits_cache = spec.name in cloud.params.cache_depositing_steps
+        self.draws = faults is not None and faults.draws_for(spec.name)
+        self.undo: _PlanStep | None = None
+        self.holds: EntityKind | None = None
+        self.quota_error = quota_error_name(self.kind) if self.gated else None
+
+
+def _plan(
+    defn: WorkloadDefinition,
+    cloud: CloudState,
+    timing: TimingParams,
+    faults: FaultModel | None,
+) -> tuple[_PlanStep, ...]:
+    """Resolve every step of ``defn`` once for a run on ``cloud``."""
+    by_name: dict[str, _PlanStep] = {}
+    for spec in defn.steps:
+        step = _PlanStep(spec, cloud, timing, faults)
+        if spec.undo_of is not None:  # validated to name an earlier step
+            done = by_name[spec.undo_of]
+            done.undo = step
+            step.holds = done.spec.creates
+        by_name[spec.name] = step
+    return tuple(by_name.values())
 
 
 class _Execution:
-    """State machine advancing one workload step by step."""
+    """State machine advancing one workload through a step plan.
+
+    ``plan`` is the tuple of ``_PlanStep`` records that ``_plan`` built
+    once for the whole run, so a step reads its entity kind, quota gate,
+    base time, cache deposit, fault draw and undo step from its record.
+    The undo stack holds the records of the steps that will undo what the
+    workload has done so far, most recent last; an abort turns it into
+    ``pending_undos``, which the unwind pops.
+    """
 
     __slots__ = (
-        "defn",
+        "plan",
         "cloud",
         "faults",
-        "timing",
         "started_at",
         "index",
         "stack",
@@ -359,26 +431,25 @@ class _Execution:
 
     def __init__(
         self,
-        defn: WorkloadDefinition,
+        plan: tuple[_PlanStep, ...],
         cloud: CloudState,
         faults: FaultModel | None,
-        timing: TimingParams,
         started_at: float,
         slot: int = 0,
     ):
-        self.defn = defn
+        self.plan = plan
         self.cloud = cloud
         self.faults = faults
-        self.timing = timing
         self.started_at = started_at
         self.slot = slot
         self.index = 0
-        # Undo stack entries: (undo step name, entity kind or None).
-        self.stack: list[tuple[str, EntityKind | None]] = []
-        self.pending_undos: list[tuple[str, EntityKind | None]] | None = None
+        self.stack: list[_PlanStep] = []
+        self.pending_undos: list[_PlanStep] | None = None
         self.error: str | None = None
         self.failed_step: str | None = None
         self.steps_executed = 0
+        # Live quota-limited entities held; the workload holds the gate
+        # while this is positive.
         self.gated_live = 0
         self.gated_creates = 0
         self.completed_creates = 0
@@ -386,12 +457,6 @@ class _Execution:
         self.last_step = LAUNCH_STEP
 
     # -- helpers ------------------------------------------------------------
-
-    def holds_gate(self) -> bool:
-        return self.gated_live > 0
-
-    def _is_gated(self, kind: EntityKind) -> bool:
-        return kind in self.cloud.quotas
 
     def _record_error(self, step_name: str, error_name: str) -> None:
         if self.error is None:
@@ -412,19 +477,19 @@ class _Execution:
         if entry_index is not None:
             del self.stack[entry_index]
         self.cloud.add_leftover(kind, from_live=True)
-        if self._is_gated(kind):
+        if kind in self.cloud.quotas:
             self.gated_live -= 1
         self.leftover_kinds.append(kind.value)
 
     def _topmost_entry(self, kind: EntityKind | None) -> tuple[int, EntityKind] | None:
         """Most recent stack entry holding an entity, optionally of one kind."""
         for i in range(len(self.stack) - 1, -1, -1):
-            entry_kind = self.stack[i][1]
+            entry_kind = self.stack[i].holds
             if entry_kind is not None and (kind is None or entry_kind is kind):
                 return i, entry_kind
         return None
 
-    def _apply_fault(self, step: StepSpec, spec) -> bool:
+    def _apply_fault(self, step: _PlanStep, spec) -> bool:
         """Resolve an injected error; returns True if a leftover was stranded.
 
         Delete steps are handled by the caller (the delete target itself
@@ -448,31 +513,31 @@ class _Execution:
                 # The interrupted creation strands the entity it was
                 # making, unless the workload had provisioned nothing
                 # yet, in which case the call never reached the node.
-                own = self._topmost_entry(step.creates)
+                own = self._topmost_entry(step.kind)
                 if self.completed_creates > 0 and own is not None:
-                    self._strand(step.creates, own[0])
+                    self._strand(step.kind, own[0])
                     return True
                 if own is not None:
-                    self._roll_back_create(step.creates, own[0])
+                    self._roll_back_create(step.kind, own[0])
                 return False
-            if step.operates_on is not None:
-                found = self._topmost_entry(step.operates_on)
+            if step.kind is not None:
+                found = self._topmost_entry(step.kind)
                 if found is not None:
-                    self._strand(step.operates_on, found[0])
+                    self._strand(step.kind, found[0])
                     return True
             return False
         if spec.rule is AgeingRule.NON_AGEING and step.action is StepAction.CREATE:
             # The creation failed outright; roll it back.
-            own = self._topmost_entry(step.creates)
+            own = self._topmost_entry(step.kind)
             if own is not None:
-                self._roll_back_create(step.creates, own[0])
+                self._roll_back_create(step.kind, own[0])
         return False
 
     def _roll_back_create(self, kind: EntityKind, entry_index: int) -> None:
         """Undo a just-made creation that the injected error voided."""
         del self.stack[entry_index]
         self.cloud.try_delete(kind)
-        if self._is_gated(kind):
+        if kind in self.cloud.quotas:
             self.gated_live -= 1
             self.gated_creates -= 1
 
@@ -487,38 +552,36 @@ class _Execution:
         gate if it holds one once the step has resolved.
         """
         if self.pending_undos is not None:
-            step = self.defn.by_name[self.pending_undos.pop()[0]]
+            step = self.pending_undos.pop()
             event = self._run_unwind_step(step)
         else:
-            step = self.defn.steps[self.index]
+            step = self.plan[self.index]
             self.index += 1
             event = self._run_forward_step(step)
         self.steps_executed += 1
         self.last_step = step.name
-        if event is None and step.name in self.cloud.params.cache_depositing_steps:
+        if event is None and step.deposits_cache:
             apply_resource_effects(self.cloud, WorkloadStepCompleted(step.name))
-        gate = ambient_gate_count + (1 if self.holds_gate() else 0)
-        duration = service_time(step.name, self.cloud, gate, self.timing)
-        finished = (
-            self.pending_undos is not None and not self.pending_undos
-        ) or (self.pending_undos is None and self.index >= len(self.defn.steps))
-        return duration, event, finished
+        if self.gated_live > 0:
+            ambient_gate_count += 1
+        duration = _contended(step.base_seconds, self.cloud, ambient_gate_count)
+        pending = self.pending_undos
+        if pending is None:
+            return duration, event, self.index >= len(self.plan)
+        return duration, event, not pending
 
-    def _draw(self, step_name: str):
-        return self.faults.draw(step_name) if self.faults is not None else None
-
-    def _run_forward_step(self, step: StepSpec) -> tuple[str, str, bool] | None:
-        if step.action is StepAction.CREATE:
-            rejected = self.cloud.try_create(step.creates)
-            if rejected is not None:
-                self._record_error(step.name, rejected.error_name)
+    def _run_forward_step(self, step: _PlanStep) -> tuple[str, str, bool] | None:
+        action = step.action
+        if action is StepAction.CREATE:
+            if self.cloud.try_create(step.kind) is not None:
+                self._record_error(step.name, step.quota_error)
                 self._abort()
-                return (step.name, rejected.error_name, False)
-            self.stack.append((self.defn.undo_name[step.name], step.creates))
-            if self._is_gated(step.creates):
+                return (step.name, step.quota_error, False)
+            self.stack.append(step.undo)
+            if step.gated:
                 self.gated_live += 1
                 self.gated_creates += 1
-            spec = self._draw(step.name)
+            spec = self.faults.draw(step.name) if step.draws else None
             if spec is not None:
                 stranded = self._apply_fault(step, spec)
                 self._abort()
@@ -526,45 +589,45 @@ class _Execution:
             self.completed_creates += 1
             return None
 
-        if step.action is StepAction.OPERATE:
-            if step.undo_of is not None:
+        if action is StepAction.OPERATE:
+            if step.spec.undo_of is not None:
                 entry = self.stack.pop()
-                assert entry[0] == step.name, "cleanup order diverged from the stack"
-            spec = self._draw(step.name)
+                assert entry is step, "cleanup order diverged from the stack"
+            spec = self.faults.draw(step.name) if step.draws else None
             if spec is not None:
                 stranded = self._apply_fault(step, spec)
                 self._abort()
                 return (step.name, spec.name, stranded)
-            if step.name in self.defn.undo_name:
-                self.stack.append((self.defn.undo_name[step.name], None))
+            if step.undo is not None:
+                self.stack.append(step.undo)
             return None
 
         # Delete step in the normal flow.
         entry = self.stack.pop()
-        assert entry[0] == step.name, "cleanup order diverged from the stack"
+        assert entry is step, "cleanup order diverged from the stack"
         return self._delete_with_faults(step)
 
-    def _run_unwind_step(self, step: StepSpec) -> tuple[str, str, bool] | None:
+    def _run_unwind_step(self, step: _PlanStep) -> tuple[str, str, bool] | None:
         if step.action is StepAction.DELETE:
             return self._delete_with_faults(step)
         # Undo of an operate step (role revoke, detach, unpause): a fault
         # here is recorded but strands nothing, and unwinding continues.
-        spec = self._draw(step.name)
+        spec = self.faults.draw(step.name) if step.draws else None
         if spec is not None:
             self._record_error(step.name, spec.name)
             return (step.name, spec.name, False)
         return None
 
-    def _delete_with_faults(self, step: StepSpec) -> tuple[str, str, bool] | None:
+    def _delete_with_faults(self, step: _PlanStep) -> tuple[str, str, bool] | None:
         """Run a delete step; any fault strands the delete target."""
-        spec = self._draw(step.name)
+        spec = self.faults.draw(step.name) if step.draws else None
         if spec is not None:
             self._record_error(step.name, spec.name)
-            self._strand(step.deletes, None)
+            self._strand(step.kind, None)
             self._abort()
             return (step.name, spec.name, True)
-        self.cloud.try_delete(step.deletes)
-        if self._is_gated(step.deletes):
+        self.cloud.try_delete(step.kind)
+        if step.gated:
             self.gated_live -= 1
         return None
 
@@ -579,9 +642,9 @@ class _Execution:
 
     def _next_step_name(self) -> str:
         if self.pending_undos:
-            return self.pending_undos[-1][0]
-        if self.pending_undos is None and self.index < len(self.defn.steps):
-            return self.defn.steps[self.index].name
+            return self.pending_undos[-1].name
+        if self.pending_undos is None and self.index < len(self.plan):
+            return self.plan[self.index].name
         return self.last_step
 
     def finalize(self, ended_at: float) -> WorkloadResult:
@@ -634,7 +697,7 @@ def run_workload(
             leftover_kinds=(),
             steps_executed=0,
         )
-    execution = _Execution(defn, cloud, faults, timing, started_at=start)
+    execution = _Execution(_plan(defn, cloud, timing, faults), cloud, faults, start)
     t = start
     while True:
         cloud.clock = t
@@ -678,10 +741,13 @@ def run_stream(
     flight at the deadline are discarded unrecorded, and a failed cloud
     parks its slots instead of spawning launch-failure records.
 
-    Clock events are scheduled lazily: the k-th tick fires at
-    ``t0 + k * tick_seconds`` and the k-th hour mark at
-    ``t0 + k * hour_seconds``, and each pushes its successor as it
-    fires, so the event heap holds O(concurrency) entries.
+    The definition is resolved once into a step plan (``_plan``) shared
+    by every workload of the call, so a step costs a read of its
+    precomputed record rather than lookups by name.  Clock events are
+    scheduled lazily: the k-th tick fires at ``t0 + k * tick_seconds``
+    and the k-th hour mark at ``t0 + k * hour_seconds``, and each pushes
+    its successor as it fires, so the event heap holds O(concurrency)
+    entries.
     """
     if concurrency < 1:
         raise ConfigError("concurrency must be at least 1")
@@ -690,29 +756,21 @@ def run_stream(
     if until < t0:
         raise ConfigError("stream deadline precedes the cloud clock")
 
+    plan = _plan(defn, cloud, timing, faults)
     results: list[WorkloadResult] = []
     heap: list[tuple[float, int, int, str, object]] = []
-    seq = itertools.count()
+    # Bound per call rather than at import, so a patched heapq is seen.
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    seq = itertools.count().__next__
     PRIO_WORK, PRIO_TICK, PRIO_HOUR = 0, 1, 2
 
     gate_count = 0
 
-    def push(t: float, prio: int, kind: str, payload: object) -> None:
-        heapq.heappush(heap, (t, prio, next(seq), kind, payload))
-
     def push_clock(k: int, interval: float, prio: int, kind: str) -> None:
         # A clock event carries its index k, so its successor is k + 1.
         if (t := t0 + k * interval) < until:
-            push(t, prio, kind, k)
-
-    for slot in range(concurrency):
-        t_launch = t0 + slot * launch_stagger
-        if t_launch < until:
-            push(t_launch, PRIO_WORK, "launch", slot)
-    if tick_seconds:
-        push_clock(0, tick_seconds, PRIO_TICK, "tick")
-    if hour_hook is not None:
-        push_clock(1, hour_seconds, PRIO_HOUR, "hour")
+            heappush(heap, (t, prio, seq(), kind, k))
 
     def record(result: WorkloadResult) -> None:
         if collect:
@@ -720,42 +778,56 @@ def run_stream(
         if result_hook is not None:
             result_hook(result)
 
-    def advance(execution: _Execution, t: float) -> None:
-        nonlocal gate_count
-        ambient = gate_count - (1 if execution.holds_gate() else 0)
-        duration, event, finished = execution.run_one(ambient)
-        gate_count = ambient + (1 if execution.holds_gate() else 0)
-        if event is not None and error_hook is not None:
-            error_hook(t, *event)
-        check_failed(cloud)
-        push(t + duration, PRIO_WORK, "finish" if finished else "step", execution)
+    for slot in range(concurrency):
+        t_launch = t0 + slot * launch_stagger
+        if t_launch < until:
+            heappush(heap, (t_launch, PRIO_WORK, seq(), "launch", slot))
+    if tick_seconds:
+        push_clock(0, tick_seconds, PRIO_TICK, "tick")
+    if hour_hook is not None:
+        push_clock(1, hour_seconds, PRIO_HOUR, "hour")
 
-    stopped = False
-    while heap and not stopped:
-        t, _prio, _seq, kind, payload = heapq.heappop(heap)
+    while heap:
+        t, _prio, _seq, kind, payload = heappop(heap)
         if t >= until:
             break
         cloud.clock = t
-        if kind == "launch":
-            if not cloud.failed:
-                advance(_Execution(defn, cloud, faults, timing, t, payload), t)
-        elif kind == "step":
-            execution = payload
-            if cloud.failed:
-                gate_count -= 1 if execution.holds_gate() else 0
-                fresh_error = execution.error is None
-                execution.abort_unavailable()
-                if fresh_error and error_hook is not None:
-                    error_hook(t, execution.failed_step, execution.error, False)
-                record(execution.finalize(t))
+        if kind == "step" or kind == "launch":
+            if kind == "launch":
+                if cloud.failed:
+                    continue
+                execution = _Execution(plan, cloud, faults, t, payload)
             else:
-                advance(execution, t)
+                execution = payload
+                if cloud.failed:
+                    if execution.gated_live > 0:
+                        gate_count -= 1
+                    fresh_error = execution.error is None
+                    execution.abort_unavailable()
+                    if fresh_error and error_hook is not None:
+                        error_hook(t, execution.failed_step, execution.error, False)
+                    record(execution.finalize(t))
+                    continue
+            # One step: the gate count excludes this workload while it runs.
+            if execution.gated_live > 0:
+                gate_count -= 1
+            duration, event, finished = execution.run_one(gate_count)
+            if execution.gated_live > 0:
+                gate_count += 1
+            if event is not None and error_hook is not None:
+                error_hook(t, *event)
+            check_failed(cloud)
+            heappush(
+                heap,
+                (t + duration, PRIO_WORK, seq(), "finish" if finished else "step", execution),
+            )
         elif kind == "finish":
             execution = payload
-            gate_count -= 1 if execution.holds_gate() else 0
+            if execution.gated_live > 0:
+                gate_count -= 1
             record(execution.finalize(t))
             if not cloud.failed:
-                push(t, PRIO_WORK, "launch", execution.slot)
+                heappush(heap, (t, PRIO_WORK, seq(), "launch", execution.slot))
         elif kind == "tick":
             gauges = apply_resource_effects(cloud, IntervalElapsed(tick_seconds))
             if tick_hook is not None:
@@ -763,8 +835,7 @@ def run_stream(
             push_clock(payload + 1, tick_seconds, PRIO_TICK, "tick")
         else:  # hour
             if hour_hook(t) is STOP_STREAM:
-                stopped = True
-            else:
-                push_clock(payload + 1, hour_seconds, PRIO_HOUR, "hour")
-    cloud.clock = cloud.clock if stopped else until
+                return results
+            push_clock(payload + 1, hour_seconds, PRIO_HOUR, "hour")
+    cloud.clock = until
     return results

@@ -66,6 +66,18 @@ class TestRunCommand:
         assert main(["run", str(bad)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_is_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"scenario_id": "\xff"}')
+        assert main(["run", str(bad)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_deeply_nested_config_is_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        assert main(["run", str(bad)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
     def test_unknown_config_field_is_exit_2(self, tmp_path, capsys):
         path = write_json(
             tmp_path / "cfg.json", {"scenario_id": "x", "swank_factor": 9}
@@ -423,6 +435,60 @@ class TestAnalyzeCommand:
 
     def test_missing_csv_is_exit_3(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "ghost.csv")]) == 3
+
+    def test_error_line_counts_lines_of_a_quoted_multiline_cell(self, tmp_path, capsys):
+        """The bad row is on line 4: the quoted cell above it spans two lines."""
+        path = tmp_path / "multiline.csv"
+        path.write_text('timestamp,metric,value\n0,"a\nb",1\n10,a,x\n', encoding="utf-8")
+        assert main(["analyze", str(path)]) == 2
+        assert "error: line 4: unreadable value 'x'" in capsys.readouterr().err
+
+    def test_csv_that_is_not_utf8_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"timestamp,metric,value\n0,a,1\n\xff,a,2\n")
+        assert main(["analyze", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_workload_report_that_is_not_utf8_is_exit_2(self, tmp_path, capsys):
+        report = tmp_path / "wl.json"
+        report.write_bytes(b'{"workloads": ["\xff"]}')
+        code = main(["analyze", ramp_csv(tmp_path), "--workload-report", str(report)])
+        assert code == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_workload_span_past_the_float_range_is_a_skipped_record(
+        self, tmp_path, capsys
+    ):
+        top = 1.7976931348623157e308
+        report_path = write_json(
+            tmp_path / "wl.json",
+            {"workloads": [{"start": -top, "end": top, "status": "success"}]},
+        )
+        assert main(["analyze", ramp_csv(tmp_path), "--workload-report", report_path]) == 0
+        assert "1 malformed records skipped" in capsys.readouterr().err
+
+    def test_workload_starts_tied_at_the_largest_float_are_exit_2(self, tmp_path, capsys):
+        top = 1.7976931348623157e308
+        record = {"start": top, "end": top, "status": "success"}
+        report_path = write_json(tmp_path / "wl.json", {"workloads": [record, record]})
+        assert main(["analyze", ramp_csv(tmp_path), "--workload-report", report_path]) == 2
+        assert "largest float" in capsys.readouterr().err
+
+    def test_timestamps_overflowing_when_rebased_are_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "far.csv"
+        path.write_text(
+            "timestamp,metric,value\n-1.7e308,a,1\n0,a,2\n1.7e308,b,1\n",
+            encoding="utf-8",
+        )
+        assert main(["analyze", str(path)]) == 2
+        assert "overflow when rebased" in capsys.readouterr().err
+
+    def test_deeply_nested_workload_report_is_exit_2(self, tmp_path, capsys):
+        report = tmp_path / "wl.json"
+        report.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code = main(["analyze", ramp_csv(tmp_path), "--workload-report", str(report)])
+        assert code == 2
+        assert "nested too deeply" in capsys.readouterr().err
 
     def test_malformed_csv_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

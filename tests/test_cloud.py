@@ -170,6 +170,24 @@ class TestFaultModel:
         with pytest.raises(ConfigError):
             model.draw("launch rocket")
 
+    def test_draws_for_marks_the_steps_draw_acts_on(self):
+        """draws_for is true exactly where draw consumes a uniform or raises."""
+        probs = {
+            "boot server": {"server-error-status": 0.5},
+            "create user": {"rebuild-error": 0.0},
+        }
+        model = FaultModel(probs, seed=1)
+        twin = FaultModel(probs, seed=1)
+        assert model.draws_for("boot server")
+        assert not model.draws_for("create user")  # only zero probabilities
+        assert not model.draws_for("delete user")
+        assert model.draws_for("launch rocket")
+        # Steps without draws_for leave the stream where it was.
+        assert model.draw("create user") is None
+        assert model.draw("delete user") is None
+        seq = [getattr(model.draw("boot server"), "name", None) for _ in range(50)]
+        assert seq == [getattr(twin.draw("boot server"), "name", None) for _ in range(50)]
+
     def test_unknown_step_in_probabilities_rejected(self):
         with pytest.raises(ConfigError):
             FaultModel({"launch rocket": {"server-error-status": 0.5}})

@@ -2,10 +2,11 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from agesim.errors import DuplicateTimestampError, EmptyFileError, ParseError
@@ -383,3 +384,66 @@ class TestWorkloadReport:
     def test_missing_workloads_key_rejected(self):
         with pytest.raises(ParseError):
             ingest_workload_report(io.StringIO("{}"))
+
+
+# Any JSON value as a workload report: scalars and containers at the top,
+# and documents whose records mix well-formed fields with arbitrary values.
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+times = st.one_of(
+    st.floats(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.sampled_from(["0", "1e3", "inf", "-inf", "nan", "x"]),
+    json_values,
+)
+records = st.one_of(
+    json_values,
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "start": times,
+            "end": times,
+            "status": st.one_of(
+                st.sampled_from(["success", "ageing-failure", "non-ageing-failure", "?"]),
+                json_values,
+            ),
+            "error": st.one_of(st.none(), st.text(max_size=6), json_values),
+        },
+    ),
+)
+reports = st.one_of(
+    json_values,
+    st.fixed_dictionaries({"workloads": st.lists(records, max_size=12)}),
+    st.fixed_dictionaries({"workloads": json_values}),
+)
+
+
+TOP = 1.7976931348623157e308
+
+
+@given(document=reports)
+@example(document={"workloads": [{"start": TOP, "end": TOP, "status": "success"}] * 2})
+@example(document={"workloads": [{"start": -TOP, "end": TOP, "status": "success"}]})
+def test_any_json_workload_report_parses_or_raises_parse_error(document):
+    """Every JSON document either parses, accounting for each record as
+    counted or rejected with finite durations, or raises ParseError."""
+    try:
+        data = ingest_workload_report(io.StringIO(json.dumps(document)))
+    except ParseError:
+        return
+    records = document["workloads"]
+    assert sum(data.status_counts.values()) + data.rejected_records == len(records)
+    assert all(isinstance(error, str) for error in data.error_tally)
+    if data.durations is not None:
+        assert all(
+            math.isfinite(t) and math.isfinite(d) and d >= 0
+            for t, d in data.durations.samples
+        )
