@@ -265,12 +265,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     # align all metrics on a shared clock starting at the earliest sample
     t0 = min(s.samples[0][0] for s in series.values())
-    analyses = {}
-    for name in sorted(series):
-        analyses[name] = evaluate_indicator(
-            rebased(series[name], t0), phase_boundaries=boundaries
-        )
-        print(_analysis_line(name, analyses[name]))
+    # evaluate every metric before printing any, so a bad one leaves no partial output
+    analyses = {
+        name: evaluate_indicator(rebased(series[name], t0), phase_boundaries=boundaries)
+        for name in sorted(series)
+    }
+    for name, analysis in analyses.items():
+        print(_analysis_line(name, analysis))
 
     if args.out:
         out = Path(args.out)

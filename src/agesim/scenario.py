@@ -26,6 +26,7 @@ from typing import Mapping
 
 from .cloud import (
     OVERLOAD_INDICATOR_ERRORS,
+    SECONDS_PER_HOUR,
     CloudState,
     EntityKind,
     FaultModel,
@@ -44,14 +45,13 @@ from .trendstats import (
     nudge_ties,
 )
 from .workload import (
+    DEFAULT_STEP_NAMES,
     STOP_STREAM,
     TimingParams,
     WorkloadDefinition,
     WorkloadStatus,
     run_stream,
 )
-
-SECONDS_PER_HOUR = 3600.0
 
 
 class EarlyFailurePolicy(Enum):
@@ -92,6 +92,18 @@ class ScenarioConfig:
         if not 0.0 <= self.deploy_failure_probability <= 1.0:
             raise ConfigError("deploy failure probability must lie in [0, 1]")
         Topology.named(self.topology)
+        steps = (
+            DEFAULT_STEP_NAMES
+            if self.workload is None
+            else [s.name for s in self.workload.steps]
+        )
+        for path, named in (
+            ("timing.step_seconds", self.timing.step_seconds),
+            ("resources.cache_depositing_steps", self.resources.cache_depositing_steps),
+        ):
+            for name in named:
+                if name not in steps:
+                    raise ConfigError(f"{path} names unknown step {name!r}")
 
     def to_document(self) -> dict:
         return _encode(self)
@@ -305,7 +317,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         hour_hook=hour_hook,
         error_hook=error_hook,
         result_hook=result_hook,
-        collect=False,
     )
 
     # Stress phase.

@@ -5,7 +5,7 @@ them and delete them again.  The default definition is a 29-step tour
 through identity, network, image, compute and volume services whose
 cleanup tail undoes every acquisition in strict reverse (LIFO) order.
 
-Execution semantics, shared by the single-run and streaming drivers:
+Execution semantics of the engine, whose one driver is ``run_stream``:
 
 * Create steps check quota first; a quota rejection is a domain error
   recorded without consuming a fault draw.
@@ -41,6 +41,7 @@ from enum import Enum
 from typing import Callable, Iterable, Mapping
 
 from .cloud import (
+    SECONDS_PER_HOUR,
     AgeingRule,
     CloudState,
     EntityKind,
@@ -53,14 +54,14 @@ from .cloud import (
 )
 from .errors import ConfigError
 
-#: Error name recorded when the cloud is unusable at or during a run.
+#: Error name recorded for a workload cut short by a cloud failing under it.
 CLOUD_UNAVAILABLE = "cloud-unavailable"
-
-#: Pseudo step name for failures that precede the first real step.
-LAUNCH_STEP = "launch"
 
 #: Sentinel an hour hook may return to stop a stream at that hour mark.
 STOP_STREAM = object()
+
+#: Virtual seconds between the launches of successive stream slots.
+LAUNCH_STAGGER_SECONDS = 0.001
 
 
 class StepAction(Enum):
@@ -219,15 +220,13 @@ class TimingParams:
     """Base service times in seconds.
 
     Most control-plane calls share one base time; the slow paths (server
-    boot, volume creation) carry overrides.  ``failed_launch_seconds``
-    is the time burned learning that a failed cloud will not take work.
+    boot, volume creation) carry overrides.
     """
 
     default_seconds: float = 2.0
     step_seconds: Mapping[str, float] = field(
         default_factory=lambda: {"boot server": 10.0, "create volume": 5.0}
     )
-    failed_launch_seconds: float = 2.0
 
     def __post_init__(self):
         if self.default_seconds <= 0:
@@ -235,8 +234,6 @@ class TimingParams:
         for name, seconds in self.step_seconds.items():
             if seconds <= 0:
                 raise ConfigError(f"step time for {name!r} must be positive")
-        if not self.failed_launch_seconds > 0:
-            raise ConfigError("failed_launch_seconds must be positive")
 
     def base_for(self, step_name: str) -> float:
         return self.step_seconds.get(step_name, self.default_seconds)
@@ -319,17 +316,6 @@ def _contended(base_seconds: float, cloud: CloudState, gate_count: int) -> float
     if contention < 1.0:
         contention = 1.0
     return base_seconds * cloud.ageing_multiplier() * contention
-
-
-def service_time(
-    step_name: str,
-    cloud: CloudState,
-    gate_count: int = 0,
-    timing: TimingParams | None = None,
-) -> float:
-    """Duration of one step under the current ageing and contention."""
-    timing = timing or TimingParams()
-    return _contended(timing.base_for(step_name), cloud, gate_count)
 
 
 class _PlanStep:
@@ -454,7 +440,7 @@ class _Execution:
         self.gated_creates = 0
         self.completed_creates = 0
         self.leftover_kinds: list[str] = []
-        self.last_step = LAUNCH_STEP
+        self.last_step: str | None = None
 
     # -- helpers ------------------------------------------------------------
 
@@ -633,9 +619,9 @@ class _Execution:
 
     # -- completion ------------------------------------------------------------
 
-    def abort_unavailable(self, step_name: str | None = None) -> None:
+    def abort_unavailable(self) -> None:
         """The cloud failed under this workload; cut it short."""
-        self._record_error(step_name or self._next_step_name(), CLOUD_UNAVAILABLE)
+        self._record_error(self._next_step_name(), CLOUD_UNAVAILABLE)
         self.pending_undos = []
         self.stack = []
         self.gated_live = 0
@@ -675,44 +661,6 @@ class _Execution:
         )
 
 
-def run_workload(
-    defn: WorkloadDefinition,
-    cloud: CloudState,
-    faults: FaultModel | None = None,
-    timing: TimingParams | None = None,
-) -> WorkloadResult:
-    """Run one workload to completion, advancing the cloud's clock."""
-    timing = timing or TimingParams()
-    start = cloud.clock
-    if cloud.failed:
-        end = start + timing.failed_launch_seconds
-        cloud.clock = end
-        return WorkloadResult(
-            started_at=start,
-            ended_at=end,
-            status=WorkloadStatus.NON_AGEING_FAILURE,
-            error=CLOUD_UNAVAILABLE,
-            failed_step=LAUNCH_STEP,
-            leftovers_created=0,
-            leftover_kinds=(),
-            steps_executed=0,
-        )
-    execution = _Execution(_plan(defn, cloud, timing, faults), cloud, faults, start)
-    t = start
-    while True:
-        cloud.clock = t
-        duration, _event, finished = execution.run_one(0)
-        check_failed(cloud)
-        t += duration
-        if finished:
-            break
-        if cloud.failed:
-            execution.abort_unavailable()
-            break
-    cloud.clock = t
-    return execution.finalize(t)
-
-
 def run_stream(
     defn: WorkloadDefinition,
     cloud: CloudState,
@@ -723,13 +671,10 @@ def run_stream(
     timing: TimingParams | None = None,
     tick_seconds: float | None = None,
     tick_hook: Callable[[float, dict], None] | None = None,
-    hour_seconds: float = 3600.0,
     hour_hook: Callable[[float], object] | None = None,
     error_hook: Callable[[float, str, str, bool], None] | None = None,
     result_hook: Callable[[WorkloadResult], None] | None = None,
-    collect: bool = True,
-    launch_stagger: float = 0.001,
-) -> list[WorkloadResult]:
+) -> None:
     """Run back-to-back workloads on ``concurrency`` slots until a deadline.
 
     Events are processed in virtual-time order; at equal times workload
@@ -737,17 +682,18 @@ def run_stream(
     samples and hooks observe completed state.  ``tick_hook`` receives
     (time, gauges) for every elapsed sampling interval; ``hour_hook``
     runs at whole-hour marks and may return ``STOP_STREAM`` to end the
-    run early (policy decisions live in the caller).  Workloads still in
-    flight at the deadline are discarded unrecorded, and a failed cloud
-    parks its slots instead of spawning launch-failure records.
+    run early (policy decisions live in the caller).  Each finished
+    workload reaches the caller only through ``result_hook``; workloads
+    still in flight at the deadline are discarded unrecorded, and a
+    failed cloud parks its slots, launching nothing, until the deadline.
 
     The definition is resolved once into a step plan (``_plan``) shared
     by every workload of the call, so a step costs a read of its
     precomputed record rather than lookups by name.  Clock events are
     scheduled lazily: the k-th tick fires at ``t0 + k * tick_seconds``
-    and the k-th hour mark at ``t0 + k * hour_seconds``, and each pushes
+    and the k-th hour mark at ``t0 + k * SECONDS_PER_HOUR``, and each pushes
     its successor as it fires, so the event heap holds O(concurrency)
-    entries.
+    entries.  Slot k launches at ``t0 + k * LAUNCH_STAGGER_SECONDS``.
     """
     if concurrency < 1:
         raise ConfigError("concurrency must be at least 1")
@@ -757,7 +703,6 @@ def run_stream(
         raise ConfigError("stream deadline precedes the cloud clock")
 
     plan = _plan(defn, cloud, timing, faults)
-    results: list[WorkloadResult] = []
     heap: list[tuple[float, int, int, str, object]] = []
     # Bound per call rather than at import, so a patched heapq is seen.
     heappush = heapq.heappush
@@ -772,20 +717,14 @@ def run_stream(
         if (t := t0 + k * interval) < until:
             heappush(heap, (t, prio, seq(), kind, k))
 
-    def record(result: WorkloadResult) -> None:
-        if collect:
-            results.append(result)
-        if result_hook is not None:
-            result_hook(result)
-
     for slot in range(concurrency):
-        t_launch = t0 + slot * launch_stagger
+        t_launch = t0 + slot * LAUNCH_STAGGER_SECONDS
         if t_launch < until:
             heappush(heap, (t_launch, PRIO_WORK, seq(), "launch", slot))
     if tick_seconds:
         push_clock(0, tick_seconds, PRIO_TICK, "tick")
     if hour_hook is not None:
-        push_clock(1, hour_seconds, PRIO_HOUR, "hour")
+        push_clock(1, SECONDS_PER_HOUR, PRIO_HOUR, "hour")
 
     while heap:
         t, _prio, _seq, kind, payload = heappop(heap)
@@ -806,7 +745,9 @@ def run_stream(
                     execution.abort_unavailable()
                     if fresh_error and error_hook is not None:
                         error_hook(t, execution.failed_step, execution.error, False)
-                    record(execution.finalize(t))
+                    result = execution.finalize(t)
+                    if result_hook is not None:
+                        result_hook(result)
                     continue
             # One step: the gate count excludes this workload while it runs.
             if execution.gated_live > 0:
@@ -825,7 +766,9 @@ def run_stream(
             execution = payload
             if execution.gated_live > 0:
                 gate_count -= 1
-            record(execution.finalize(t))
+            result = execution.finalize(t)
+            if result_hook is not None:
+                result_hook(result)
             if not cloud.failed:
                 heappush(heap, (t, PRIO_WORK, seq(), "launch", execution.slot))
         elif kind == "tick":
@@ -835,7 +778,6 @@ def run_stream(
             push_clock(payload + 1, tick_seconds, PRIO_TICK, "tick")
         else:  # hour
             if hour_hook(t) is STOP_STREAM:
-                return results
-            push_clock(payload + 1, hour_seconds, PRIO_HOUR, "hour")
+                return
+            push_clock(payload + 1, SECONDS_PER_HOUR, PRIO_HOUR, "hour")
     cloud.clock = until
-    return results

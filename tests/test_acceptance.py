@@ -35,7 +35,8 @@ from agesim.trendstats import (
     mann_kendall,
     sens_slope,
 )
-from agesim.workload import WorkloadDefinition, WorkloadStatus, run_workload
+from agesim.workload import WorkloadDefinition, WorkloadStatus
+from single_run import run_single
 
 
 def announce(capsys, line: str) -> None:
@@ -223,7 +224,7 @@ def test_c05_fault_at_every_step_position(capsys):
     for step_name, (error_name, stranded, steps) in FAULT_TABLE.items():
         cloud = CloudState(params=params)
         faults = FaultModel({step_name: {error_name: 1.0}}, seed=0)
-        result = run_workload(defn, cloud, faults)
+        result = run_single(defn, cloud, faults)
         assert result.error == error_name, step_name
         assert result.failed_step == step_name
         assert result.steps_executed == steps, step_name
@@ -238,7 +239,7 @@ def test_c05_fault_at_every_step_position(capsys):
 
     # the canonical case: a failed boot strands exactly one server
     cloud = CloudState(params=params)
-    run_workload(defn, cloud, FaultModel({"boot server": {"server-error-status": 1.0}}, seed=0))
+    run_single(defn, cloud, FaultModel({"boot server": {"server-error-status": 1.0}}, seed=0))
     assert cloud.leftovers[EntityKind.SERVER] == 1
     assert sum(cloud.leftovers.values()) == 1
     announce(capsys, "C5 fault injection at all 29 step positions")

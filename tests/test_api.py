@@ -1,9 +1,10 @@
 """The public names other code relies on still resolve.
 
-``agesim.__all__`` is the package's public surface, and the benchmark's
-traced pass wraps the entry points listed in ``perfbench.tracing`` by
-name; a deletion that breaks either should fail here rather than in a
-benchmark run.
+``agesim.__all__`` is the package's public surface, pinned name by name
+so that growing or shrinking it takes a deliberate edit here, and the
+benchmark's traced pass wraps the entry points listed in
+``perfbench.tracing`` by name; a deletion that breaks either should fail
+here rather than in a benchmark run.
 """
 
 import functools
@@ -17,6 +18,90 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
 
 from perfbench.tracing import ENTRY_POINTS  # noqa: E402
+
+
+PUBLIC_NAMES = [
+    # errors
+    "AgesimError",
+    "ConfigError",
+    "DuplicateTimestampError",
+    "EmptyFileError",
+    "EmptySeriesError",
+    "InsufficientDataError",
+    "LedgerUnderflowError",
+    "MissingPhaseBinError",
+    "ParseError",
+    # seeding
+    "STREAM_IDS",
+    "scenario_seed",
+    "stream",
+    # trendstats
+    "AgeingSummary",
+    "HourlySeries",
+    "IndicatorAnalysis",
+    "IndicatorSeries",
+    "PhaseMarks",
+    "TrendTestResult",
+    "TrendVerdict",
+    "ageing_summary",
+    "bin_hourly",
+    "classify_z",
+    "evaluate_indicator",
+    "mann_kendall",
+    "rebased",
+    "sens_slope",
+    # cloud
+    "DEFAULT_ERROR_CATALOG",
+    "DEFAULT_QUOTAS",
+    "OVERLOAD_INDICATOR_ERRORS",
+    "AgeingRule",
+    "CloudState",
+    "EntityKind",
+    "ErrorSpec",
+    "FaultModel",
+    "QuotaExceeded",
+    "ResourceParams",
+    "Topology",
+    # workload
+    "DEFAULT_STEPS",
+    "StepAction",
+    "StepSpec",
+    "TimingParams",
+    "WorkloadDefinition",
+    "WorkloadResult",
+    "WorkloadStatus",
+    "run_stream",
+    # scenario
+    "MATRIX_CONCURRENCIES",
+    "EarlyFailurePolicy",
+    "ErrorEvent",
+    "ScenarioConfig",
+    "ScenarioReport",
+    "SuiteResult",
+    "default_matrix",
+    "run_scenario",
+    "run_suite",
+    # ingest
+    "WorkloadReportData",
+    "ingest",
+    "ingest_workload_report",
+    "serialize_series",
+    "write_series_csv",
+    # report
+    "analysis_document",
+    "error_distribution",
+    "render_tables",
+    "report_document",
+    "suite_trend_table",
+    "verdict_marker",
+    "write_bundle",
+    "write_suite_bundle",
+]
+
+
+def test_public_surface_is_exactly_the_pinned_names():
+    assert len(PUBLIC_NAMES) == 67
+    assert agesim.__all__ == PUBLIC_NAMES
 
 
 def test_every_public_name_resolves():

@@ -11,7 +11,6 @@ from agesim.scenario import ScenarioConfig, run_scenario
 from agesim.workload import (
     CLOUD_UNAVAILABLE,
     DEFAULT_STEP_NAMES,
-    LAUNCH_STEP,
     STOP_STREAM,
     StepAction,
     StepSpec,
@@ -19,10 +18,10 @@ from agesim.workload import (
     WorkloadDefinition,
     WorkloadResult,
     WorkloadStatus,
+    _contended,
     run_stream,
-    run_workload,
-    service_time,
 )
+from single_run import run_single
 
 
 def quiet_cloud(**param_overrides) -> CloudState:
@@ -37,6 +36,13 @@ DEFN = WorkloadDefinition.default()
 #: Sum of base step times for a clean solo run: 27 steps at 2 s plus the
 #: boot (10 s) and volume-create (5 s) overrides.
 CLEAN_BASE_SECONDS = 27 * 2.0 + 10.0 + 5.0
+
+
+def stream_results(cloud: CloudState, **options) -> list[WorkloadResult]:
+    """Every result a ``run_stream`` call hands to its result hook, in order."""
+    results: list[WorkloadResult] = []
+    run_stream(DEFN, cloud, result_hook=results.append, **options)
+    return results
 
 
 # ── Definition structure ─────────────────────────────────────────────────
@@ -125,22 +131,26 @@ class TestDefinition:
 
 
 class TestServiceTime:
+    """A step's duration: ``_contended`` of its base time, the cloud's
+    ageing multiplier and the number of gate holders."""
+
     def test_base_times(self):
         cloud = quiet_cloud()
-        assert service_time("create user", cloud) == 2.0
-        assert service_time("boot server", cloud) == 10.0
-        assert service_time("create volume", cloud) == 5.0
+        timing = TimingParams()
+        assert _contended(timing.base_for("create user"), cloud, 0) == 2.0
+        assert _contended(timing.base_for("boot server"), cloud, 0) == 10.0
+        assert _contended(timing.base_for("create volume"), cloud, 0) == 5.0
 
     def test_contention_scales_linearly(self):
         cloud = quiet_cloud()
-        assert service_time("create user", cloud, gate_count=10) == 20.0
-        values = [service_time("create user", cloud, gate_count=g) for g in range(12)]
+        assert _contended(2.0, cloud, 10) == 20.0
+        values = [_contended(2.0, cloud, g) for g in range(12)]
         assert values == sorted(values)
 
     def test_contention_capacity_divides_the_crowd(self):
         cloud = quiet_cloud(contention_capacity=2.0)
-        assert service_time("create user", cloud, gate_count=10) == 10.0
-        assert service_time("create user", cloud, gate_count=1) == 2.0
+        assert _contended(2.0, cloud, 10) == 10.0
+        assert _contended(2.0, cloud, 1) == 2.0
 
     def test_ageing_multiplier_applies(self):
         params = ResourceParams(
@@ -149,7 +159,7 @@ class TestServiceTime:
         cloud = CloudState(params=params)
         cloud.ageing_units = 1000.0
         cloud._recompute_ageing()
-        assert service_time("create user", cloud) == pytest.approx(4.0)
+        assert _contended(2.0, cloud, 0) == pytest.approx(4.0)
 
     def test_timing_document_round_trip(self):
         timing = TimingParams(default_seconds=1.0, step_seconds={"boot server": 3.0})
@@ -168,7 +178,7 @@ class TestServiceTime:
 class TestCleanRun:
     def test_success_and_full_cleanup(self):
         cloud = quiet_cloud()
-        result = run_workload(DEFN, cloud)
+        result = run_single(DEFN, cloud)
         assert result.status is WorkloadStatus.SUCCESS
         assert result.error is None
         assert result.leftovers_created == 0
@@ -178,18 +188,18 @@ class TestCleanRun:
 
     def test_duration_is_sum_of_base_times(self):
         cloud = quiet_cloud()
-        result = run_workload(DEFN, cloud)
+        result = run_single(DEFN, cloud)
         assert result.duration == pytest.approx(CLEAN_BASE_SECONDS)
         assert cloud.clock == pytest.approx(CLEAN_BASE_SECONDS)
 
     def test_successful_run_ages_the_cloud(self):
         cloud = quiet_cloud()
-        run_workload(DEFN, cloud)
+        run_single(DEFN, cloud)
         assert cloud.ageing_units == 1.0
 
     def test_boot_deposits_one_cache_image(self):
         cloud = quiet_cloud()
-        run_workload(DEFN, cloud)
+        run_single(DEFN, cloud)
         assert cloud.cache_image_count() == 1
 
 
@@ -206,7 +216,7 @@ class TestQuotaRejection:
         cloud = quiet_cloud()
         for _ in range(10):
             cloud.try_create(EntityKind.SECURITY_GROUP)
-        result = run_workload(DEFN, cloud)
+        result = run_single(DEFN, cloud)
         assert result.status is WorkloadStatus.NON_AGEING_FAILURE
         assert result.error == "quota-exceeded-security-group"
         assert result.failed_step == "create security group"
@@ -221,7 +231,7 @@ class TestQuotaRejection:
             cloud.try_create(EntityKind.SECURITY_GROUP)
         before = cloud.memory_available_gb()
         for _ in range(50):
-            run_workload(DEFN, cloud)
+            run_single(DEFN, cloud)
         assert cloud.ageing_units == 0.0
         assert cloud.memory_available_gb() == before
 
@@ -229,7 +239,7 @@ class TestQuotaRejection:
 class TestBootFault:
     def test_server_error_strands_exactly_one_server(self):
         cloud = quiet_cloud()
-        result = run_workload(DEFN, cloud, one_fault_model("boot server", "server-error-status"))
+        result = run_single(DEFN, cloud, one_fault_model("boot server", "server-error-status"))
         assert result.status is WorkloadStatus.AGEING_FAILURE
         assert result.error == "server-error-status"
         assert result.failed_step == "boot server"
@@ -245,21 +255,21 @@ class TestBootFault:
         cloud = CloudState(params=params, quotas={EntityKind.SERVER: 1})
         assert cloud.try_create(EntityKind.SERVER) is None  # another tenant's server
         faults = one_fault_model("create user", "server-error-status")
-        result = run_workload(DEFN, cloud, faults)
+        result = run_single(DEFN, cloud, faults)
         assert result.error == "server-error-status"
         assert result.status is WorkloadStatus.NON_AGEING_FAILURE
         assert cloud.leftovers[EntityKind.SERVER] == 0
         assert not cloud.failed
 
         cloud.try_delete(EntityKind.SERVER)
-        result = run_workload(DEFN, cloud, faults)
+        result = run_single(DEFN, cloud, faults)
         assert result.status is WorkloadStatus.AGEING_FAILURE
         assert result.leftover_kinds == ("server",)
         assert cloud.failed
 
     def test_failed_boot_deposits_no_cache_image(self):
         cloud = quiet_cloud()
-        run_workload(DEFN, cloud, one_fault_model("boot server", "server-error-status"))
+        run_single(DEFN, cloud, one_fault_model("boot server", "server-error-status"))
         assert cloud.cache_image_count() == 0
 
 
@@ -304,7 +314,7 @@ class TestFaultAtEveryPosition:
         """A certain fault at any position yields the expected wreckage."""
         error_name, stranded, steps = FAULT_TABLE[step_name]
         cloud = quiet_cloud()
-        result = run_workload(DEFN, cloud, one_fault_model(step_name, error_name))
+        result = run_single(DEFN, cloud, one_fault_model(step_name, error_name))
         assert result.error == error_name
         assert result.failed_step == step_name
         assert result.steps_executed == steps
@@ -322,7 +332,7 @@ class TestFaultAtEveryPosition:
 
     def test_non_ageing_fault_leaves_no_trace(self):
         cloud = quiet_cloud()
-        result = run_workload(
+        result = run_single(
             DEFN, cloud, one_fault_model("create router", "external-network-unreachable")
         )
         assert result.status is WorkloadStatus.NON_AGEING_FAILURE
@@ -330,34 +340,52 @@ class TestFaultAtEveryPosition:
 
     def test_rebuild_error_is_non_ageing(self):
         cloud = quiet_cloud()
-        result = run_workload(DEFN, cloud, one_fault_model("rebuild server", "rebuild-error"))
+        result = run_single(DEFN, cloud, one_fault_model("rebuild server", "rebuild-error"))
         assert result.status is WorkloadStatus.NON_AGEING_FAILURE
         assert cloud.total_leftovers() == 0
         assert all(count == 0 for count in cloud.live.values())
 
 
 class TestFailedCloud:
-    def test_launch_on_failed_cloud(self):
-        cloud = quiet_cloud()
-        cloud.failed = True
-        result = run_workload(DEFN, cloud)
-        assert result.status is WorkloadStatus.NON_AGEING_FAILURE
-        assert result.error == CLOUD_UNAVAILABLE
-        assert result.failed_step == LAUNCH_STEP
-        assert result.steps_executed == 0
-        assert result.duration == 2.0
-
     def test_own_leftovers_can_fail_the_cloud_mid_run(self):
         """The tenth stranded server flips the cloud to failed."""
         cloud = quiet_cloud()
         for _ in range(9):
             cloud.add_leftover(EntityKind.SERVER)
         faults = one_fault_model("boot server", "server-error-status")
-        result = run_workload(DEFN, cloud, faults)
+        result = run_single(DEFN, cloud, faults)
         assert cloud.failed
         assert result.error == "server-error-status"
         assert result.status is WorkloadStatus.AGEING_FAILURE
         assert result.steps_executed < 29
+
+    def test_cloud_failing_under_another_workload_cuts_it_short(self):
+        """Slot 0 strands the tenth server and fails the cloud; slot 1,
+        a moment behind it, is cut short at its next step with the
+        cloud-unavailable error, and no slot launches again."""
+        cloud = quiet_cloud()
+        for _ in range(9):
+            cloud.add_leftover(EntityKind.SERVER)
+        faults = one_fault_model("boot server", "server-error-status")
+        events = []
+        results = stream_results(
+            cloud,
+            until=3600.0,
+            concurrency=2,
+            faults=faults,
+            error_hook=lambda t, step, error, stranded: events.append((step, error)),
+        )
+        assert cloud.failed
+        # Slot 1's next step comes before slot 0's ten-second boot ends.
+        assert [r.error for r in results] == [CLOUD_UNAVAILABLE, "server-error-status"]
+        cut = results[0]
+        assert cut.status is WorkloadStatus.NON_AGEING_FAILURE
+        assert cut.failed_step == "boot server"
+        assert events == [
+            ("boot server", "server-error-status"),
+            ("boot server", CLOUD_UNAVAILABLE),
+        ]
+        assert cloud.clock == 3600.0
 
 
 # ── Streaming ────────────────────────────────────────────────────────────
@@ -367,20 +395,20 @@ class TestRunStream:
     def test_hourly_throughput(self):
         """One slot completes floor(3600 / 69) clean workloads in an hour."""
         cloud = quiet_cloud()
-        results = run_stream(DEFN, cloud, until=3600.0, concurrency=1)
+        results = stream_results(cloud, until=3600.0, concurrency=1)
         assert len(results) == int(3600.0 // CLEAN_BASE_SECONDS)
         assert all(r.status is WorkloadStatus.SUCCESS for r in results)
         assert cloud.clock == 3600.0
 
     def test_in_flight_workloads_are_discarded(self):
         cloud = quiet_cloud()
-        results = run_stream(DEFN, cloud, until=100.0, concurrency=1)
+        results = stream_results(cloud, until=100.0, concurrency=1)
         assert len(results) == 1
         assert results[0].ended_at == pytest.approx(CLEAN_BASE_SECONDS)
 
     def test_launches_are_staggered(self):
         cloud = quiet_cloud()
-        results = run_stream(DEFN, cloud, until=200.0, concurrency=3)
+        results = stream_results(cloud, until=200.0, concurrency=3)
         starts = sorted(r.started_at for r in results)
         assert starts == pytest.approx([0.0, 0.001, 0.002])
 
@@ -389,7 +417,7 @@ class TestRunStream:
         totals = {}
         for c in (1, 2, 4, 8):
             cloud = quiet_cloud()
-            results = run_stream(DEFN, cloud, until=3600.0, concurrency=c)
+            results = stream_results(cloud, until=3600.0, concurrency=c)
             totals[c] = sum(r.status is WorkloadStatus.SUCCESS for r in results)
         assert totals[1] == int(3600.0 // CLEAN_BASE_SECONDS)
         # Eightfold concurrency buys well under half again as much work.
@@ -400,7 +428,7 @@ class TestRunStream:
         means = {}
         for c in (1, 2, 4):
             cloud = quiet_cloud()
-            results = run_stream(DEFN, cloud, until=3600.0, concurrency=c)
+            results = stream_results(cloud, until=3600.0, concurrency=c)
             means[c] = sum(r.duration for r in results) / len(results)
         assert means[1] == pytest.approx(CLEAN_BASE_SECONDS)
         assert CLEAN_BASE_SECONDS < means[2] <= 2 * CLEAN_BASE_SECONDS
@@ -412,7 +440,7 @@ class TestRunStream:
         for _ in range(10):
             cloud.try_create(EntityKind.SECURITY_GROUP)
         before = cloud.memory_available_gb()
-        results = run_stream(DEFN, cloud, until=600.0, concurrency=4)
+        results = stream_results(cloud, until=600.0, concurrency=4)
         assert results
         assert all(r.error == "quota-exceeded-security-group" for r in results)
         assert all(r.status is WorkloadStatus.NON_AGEING_FAILURE for r in results)
@@ -423,7 +451,7 @@ class TestRunStream:
         cloud = quiet_cloud()
         quotas = {EntityKind.SECURITY_GROUP: 2}
         cloud = CloudState(params=cloud.params, quotas=quotas)
-        results = run_stream(DEFN, cloud, until=2000.0, concurrency=6)
+        results = stream_results(cloud, until=2000.0, concurrency=6)
         statuses = {r.status for r in results}
         assert WorkloadStatus.SUCCESS in statuses
         assert any(r.error == "quota-exceeded-security-group" for r in results)
@@ -431,7 +459,7 @@ class TestRunStream:
     def test_stream_on_failed_cloud_parks_silently(self):
         cloud = quiet_cloud()
         cloud.failed = True
-        results = run_stream(DEFN, cloud, until=600.0, concurrency=3)
+        results = stream_results(cloud, until=600.0, concurrency=3)
         assert results == []
         assert cloud.clock == 600.0
 
@@ -474,7 +502,7 @@ class TestRunStream:
             marks.append(t)
             return STOP_STREAM
 
-        results = run_stream(DEFN, cloud, until=7200.0, concurrency=1, hour_hook=hook)
+        results = stream_results(cloud, until=7200.0, concurrency=1, hour_hook=hook)
         assert marks == [3600.0]
         assert cloud.clock == 3600.0
         assert all(r.ended_at <= 3600.0 for r in results)
@@ -489,7 +517,7 @@ class TestRunStream:
                 },
                 seed=42,
             )
-            results = run_stream(DEFN, cloud, until=2400.0, concurrency=3, faults=faults)
+            results = stream_results(cloud, until=2400.0, concurrency=3, faults=faults)
             return [(r.started_at, r.ended_at, r.status, r.error) for r in results]
 
         assert one_run() == one_run()
@@ -497,7 +525,7 @@ class TestRunStream:
     def test_successive_durations_grow_with_ageing(self):
         params = ResourceParams(warmup_noise_gb=0.0, warmup_alloc_gb=0.0, ageing_rate=0.01)
         cloud = CloudState(params=params)
-        durations = [run_workload(DEFN, cloud).duration for _ in range(5)]
+        durations = [run_single(DEFN, cloud).duration for _ in range(5)]
         assert all(b > a for a, b in zip(durations, durations[1:]))
         assert durations[1] == pytest.approx(CLEAN_BASE_SECONDS * 1.01)
 
@@ -589,7 +617,7 @@ class TestRunStream:
 
     def test_zero_length_stream(self):
         cloud = quiet_cloud()
-        assert run_stream(DEFN, cloud, until=0.0, concurrency=2) == []
+        assert stream_results(cloud, until=0.0, concurrency=2) == []
         assert cloud.clock == 0.0
 
     def test_bad_concurrency_rejected(self):
