@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .errors import AgesimError, ConfigError, ParseError
-from .ingest import ingest, ingest_workload_report
+from .ingest import ingest, ingest_workload_report, load_json
 from .report import (
     analysis_document,
     render_tables,
@@ -150,19 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json(path: str):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
-    except RecursionError:
-        raise ParseError(f"{path}: JSON nested too deeply") from None
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    doc = _load_json(args.config)
+    doc = load_json(args.config, args.config)
     if not isinstance(doc, dict):
         raise ConfigError(f"{args.config}: expected a JSON object")
     config = ScenarioConfig.from_document(doc)
@@ -192,7 +181,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     else:
         docs = []
         for path in args.configs:
-            doc = _load_json(path)
+            doc = load_json(path, path)
             if isinstance(doc, list):
                 docs.extend(doc)
             else:

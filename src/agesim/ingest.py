@@ -38,6 +38,22 @@ def _open_text(source: str | Path | IO[str]) -> tuple[IO[str], bool]:
     return source, False
 
 
+def load_json(source: str | Path | IO[str], label: str):
+    """Parse one JSON document; unreadable text is a ParseError naming ``label``."""
+    handle, owned = _open_text(source)
+    try:
+        return json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{label}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{label}: not UTF-8 text: {exc.reason}") from None
+    except RecursionError:
+        raise ParseError(f"{label}: JSON nested too deeply") from None
+    finally:
+        if owned:
+            handle.close()
+
+
 def _parse_iso(text: str) -> float | None:
     try:
         moment = datetime.fromisoformat(text.replace("Z", "+00:00"))
@@ -190,19 +206,7 @@ def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
     """
     from .trendstats import IndicatorSeries, nudge_ties
 
-    handle, owned = _open_text(source)
-    try:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"workload report is not UTF-8 text: {exc.reason}") from None
-        except RecursionError:
-            raise ParseError("workload report is nested too deeply") from None
-    finally:
-        if owned:
-            handle.close()
+    document = load_json(source, "workload report")
     if not isinstance(document, dict) or "workloads" not in document:
         raise ParseError("workload report needs a top-level 'workloads' list")
     records = document["workloads"]

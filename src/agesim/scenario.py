@@ -104,6 +104,8 @@ class ScenarioConfig:
             for name in named:
                 if name not in steps:
                     raise ConfigError(f"{path} names unknown step {name!r}")
+        if self.faults:
+            FaultModel(self.faults, known_steps=steps)  # raises on a bad table
 
     def to_document(self) -> dict:
         return _encode(self)

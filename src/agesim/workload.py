@@ -391,9 +391,10 @@ class _Execution:
     ``plan`` is the tuple of ``_PlanStep`` records that ``_plan`` built
     once for the whole run, so a step reads its entity kind, quota gate,
     base time, cache deposit, fault draw and undo step from its record.
-    The undo stack holds the records of the steps that will undo what the
-    workload has done so far, most recent last; an abort turns it into
-    ``pending_undos``, which the unwind pops.
+    ``stack`` holds the records of the steps that will undo what the
+    workload has done so far, most recent last.  The first error sets
+    ``aborted``: from then on each step pops ``stack`` and runs as an
+    unwind step, and the workload finishes when the stack is empty.
     """
 
     __slots__ = (
@@ -403,7 +404,7 @@ class _Execution:
         "started_at",
         "index",
         "stack",
-        "pending_undos",
+        "aborted",
         "error",
         "failed_step",
         "steps_executed",
@@ -430,7 +431,7 @@ class _Execution:
         self.slot = slot
         self.index = 0
         self.stack: list[_PlanStep] = []
-        self.pending_undos: list[_PlanStep] | None = None
+        self.aborted = False
         self.error: str | None = None
         self.failed_step: str | None = None
         self.steps_executed = 0
@@ -444,21 +445,21 @@ class _Execution:
 
     # -- helpers ------------------------------------------------------------
 
-    def _record_error(self, step_name: str, error_name: str) -> None:
+    def _fail(self, step_name: str, error_name: str, stranded: bool) -> tuple[str, str, bool]:
+        """Record the workload's first error, abort forward progress and
+        return the error event."""
         if self.error is None:
             self.error = error_name
             self.failed_step = step_name
-
-    def _abort(self) -> None:
-        if self.pending_undos is None:
-            self.pending_undos = self.stack
-            self.stack = []
+        self.aborted = True
+        return (step_name, error_name, stranded)
 
     def _strand(self, kind: EntityKind, entry_index: int | None) -> None:
         """Move a live entity into the leftover ledger.
 
         ``entry_index`` removes the matching undo entry so the unwind
-        will not try to delete what is now stranded.
+        will not try to delete what is now stranded; a delete step, whose
+        entry is already popped, passes None.
         """
         if entry_index is not None:
             del self.stack[entry_index]
@@ -467,65 +468,47 @@ class _Execution:
             self.gated_live -= 1
         self.leftover_kinds.append(kind.value)
 
-    def _topmost_entry(self, kind: EntityKind | None) -> tuple[int, EntityKind] | None:
-        """Most recent stack entry holding an entity, optionally of one kind."""
-        for i in range(len(self.stack) - 1, -1, -1):
-            entry_kind = self.stack[i].holds
-            if entry_kind is not None and (kind is None or entry_kind is kind):
-                return i, entry_kind
-        return None
-
-    def _apply_fault(self, step: _PlanStep, spec) -> bool:
-        """Resolve an injected error; returns True if a leftover was stranded.
-
-        Delete steps are handled by the caller (the delete target itself
-        strands); this covers create and operate steps.
-        """
-        self._record_error(step.name, spec.name)
-        if spec.rule is AgeingRule.AGEING:
-            found = self._topmost_entry(spec.leftover_kind)
-            if found is not None:
-                self._strand(spec.leftover_kind, found[0])
-            else:
-                # No live entity of that kind in hand: the error still
-                # strands a fresh entity in error state, if its quota
-                # has room for one.
-                if self.cloud.add_leftover(spec.leftover_kind) is not None:
-                    return False
-                self.leftover_kinds.append(spec.leftover_kind.value)
-            return True
-        if spec.rule is AgeingRule.PHASE_DEPENDENT:
-            if step.action is StepAction.CREATE:
-                # The interrupted creation strands the entity it was
-                # making, unless the workload had provisioned nothing
-                # yet, in which case the call never reached the node.
-                own = self._topmost_entry(step.kind)
-                if self.completed_creates > 0 and own is not None:
-                    self._strand(step.kind, own[0])
-                    return True
-                if own is not None:
-                    self._roll_back_create(step.kind, own[0])
-                return False
-            if step.kind is not None:
-                found = self._topmost_entry(step.kind)
-                if found is not None:
-                    self._strand(step.kind, found[0])
-                    return True
-            return False
-        if spec.rule is AgeingRule.NON_AGEING and step.action is StepAction.CREATE:
-            # The creation failed outright; roll it back.
-            own = self._topmost_entry(step.kind)
-            if own is not None:
-                self._roll_back_create(step.kind, own[0])
+    def _strand_held(self, kind: EntityKind) -> bool:
+        """Strand the most recent entity of ``kind`` the workload holds, if any."""
+        stack = self.stack
+        for i in range(len(stack) - 1, -1, -1):
+            if stack[i].holds is kind:
+                self._strand(kind, i)
+                return True
         return False
 
-    def _roll_back_create(self, kind: EntityKind, entry_index: int) -> None:
-        """Undo a just-made creation that the injected error voided."""
-        del self.stack[entry_index]
-        self.cloud.try_delete(kind)
-        if kind in self.cloud.quotas:
-            self.gated_live -= 1
-            self.gated_creates -= 1
+    def _apply_fault(self, step: _PlanStep, spec) -> bool:
+        """Resolve an injected error on a forward create or operate step;
+        returns True if a leftover was stranded."""
+        if spec.rule is AgeingRule.AGEING:
+            # With no entity of that kind in hand, the error still strands
+            # a fresh one in error state, if its quota has room for one.
+            kind = spec.leftover_kind
+            if self._strand_held(kind):
+                return True
+            if self.cloud.add_leftover(kind) is not None:
+                return False
+            self.leftover_kinds.append(kind.value)
+            return True
+        if step.action is StepAction.CREATE:
+            # The entity being made is the top of the stack.  A phase-
+            # dependent error strands it once the workload has provisioned
+            # something (before that the call never reached the node);
+            # otherwise the creation is rolled back.
+            if spec.rule is AgeingRule.PHASE_DEPENDENT and self.completed_creates > 0:
+                self._strand(step.kind, -1)
+                return True
+            self.stack.pop()
+            self.cloud.try_delete(step.kind)
+            if step.gated:
+                self.gated_live -= 1
+                self.gated_creates -= 1
+            return False
+        return (
+            spec.rule is AgeingRule.PHASE_DEPENDENT
+            and step.kind is not None
+            and self._strand_held(step.kind)
+        )
 
     # -- one step ------------------------------------------------------------
 
@@ -537,8 +520,8 @@ class _Execution:
         other than this one; the duration includes this workload's own
         gate if it holds one once the step has resolved.
         """
-        if self.pending_undos is not None:
-            step = self.pending_undos.pop()
+        if self.aborted:
+            step = self.stack.pop()
             event = self._run_unwind_step(step)
         else:
             step = self.plan[self.index]
@@ -551,27 +534,22 @@ class _Execution:
         if self.gated_live > 0:
             ambient_gate_count += 1
         duration = _contended(step.base_seconds, self.cloud, ambient_gate_count)
-        pending = self.pending_undos
-        if pending is None:
-            return duration, event, self.index >= len(self.plan)
-        return duration, event, not pending
+        if self.aborted:
+            return duration, event, not self.stack
+        return duration, event, self.index >= len(self.plan)
 
     def _run_forward_step(self, step: _PlanStep) -> tuple[str, str, bool] | None:
         action = step.action
         if action is StepAction.CREATE:
             if self.cloud.try_create(step.kind) is not None:
-                self._record_error(step.name, step.quota_error)
-                self._abort()
-                return (step.name, step.quota_error, False)
+                return self._fail(step.name, step.quota_error, False)
             self.stack.append(step.undo)
             if step.gated:
                 self.gated_live += 1
                 self.gated_creates += 1
             spec = self.faults.draw(step.name) if step.draws else None
             if spec is not None:
-                stranded = self._apply_fault(step, spec)
-                self._abort()
-                return (step.name, spec.name, stranded)
+                return self._fail(step.name, spec.name, self._apply_fault(step, spec))
             self.completed_creates += 1
             return None
 
@@ -581,9 +559,7 @@ class _Execution:
                 assert entry is step, "cleanup order diverged from the stack"
             spec = self.faults.draw(step.name) if step.draws else None
             if spec is not None:
-                stranded = self._apply_fault(step, spec)
-                self._abort()
-                return (step.name, spec.name, stranded)
+                return self._fail(step.name, spec.name, self._apply_fault(step, spec))
             if step.undo is not None:
                 self.stack.append(step.undo)
             return None
@@ -600,18 +576,15 @@ class _Execution:
         # here is recorded but strands nothing, and unwinding continues.
         spec = self.faults.draw(step.name) if step.draws else None
         if spec is not None:
-            self._record_error(step.name, spec.name)
-            return (step.name, spec.name, False)
+            return self._fail(step.name, spec.name, False)
         return None
 
     def _delete_with_faults(self, step: _PlanStep) -> tuple[str, str, bool] | None:
         """Run a delete step; any fault strands the delete target."""
         spec = self.faults.draw(step.name) if step.draws else None
         if spec is not None:
-            self._record_error(step.name, spec.name)
             self._strand(step.kind, None)
-            self._abort()
-            return (step.name, spec.name, True)
+            return self._fail(step.name, spec.name, True)
         self.cloud.try_delete(step.kind)
         if step.gated:
             self.gated_live -= 1
@@ -619,19 +592,12 @@ class _Execution:
 
     # -- completion ------------------------------------------------------------
 
-    def abort_unavailable(self) -> None:
-        """The cloud failed under this workload; cut it short."""
-        self._record_error(self._next_step_name(), CLOUD_UNAVAILABLE)
-        self.pending_undos = []
-        self.stack = []
-        self.gated_live = 0
-
-    def _next_step_name(self) -> str:
-        if self.pending_undos:
-            return self.pending_undos[-1].name
-        if self.pending_undos is None and self.index < len(self.plan):
-            return self.plan[self.index].name
-        return self.last_step
+    def abort_unavailable(self) -> tuple[str, str, bool] | None:
+        """The cloud failed under this workload; cut it short.  Returns the
+        error event, naming the next forward step, unless it had failed."""
+        if self.error is not None:
+            return None
+        return self._fail(self.plan[self.index].name, CLOUD_UNAVAILABLE, False)
 
     def finalize(self, ended_at: float) -> WorkloadResult:
         if self.steps_executed > 0:
@@ -684,8 +650,10 @@ def run_stream(
     runs at whole-hour marks and may return ``STOP_STREAM`` to end the
     run early (policy decisions live in the caller).  Each finished
     workload reaches the caller only through ``result_hook``; workloads
-    still in flight at the deadline are discarded unrecorded, and a
-    failed cloud parks its slots, launching nothing, until the deadline.
+    still in flight at the deadline are discarded unrecorded.  Once the
+    cloud has failed, a workload due to run another step is cut short
+    there with ``CLOUD_UNAVAILABLE``, and every slot parks until the
+    deadline.
 
     The definition is resolved once into a step plan (``_plan``) shared
     by every workload of the call, so a step costs a read of its
@@ -734,50 +702,49 @@ def run_stream(
         if kind == "step" or kind == "launch":
             if kind == "launch":
                 if cloud.failed:
-                    continue
+                    continue  # a failed cloud parks the slot
                 execution = _Execution(plan, cloud, faults, t, payload)
             else:
                 execution = payload
-                if cloud.failed:
-                    if execution.gated_live > 0:
-                        gate_count -= 1
-                    fresh_error = execution.error is None
-                    execution.abort_unavailable()
-                    if fresh_error and error_hook is not None:
-                        error_hook(t, execution.failed_step, execution.error, False)
-                    result = execution.finalize(t)
-                    if result_hook is not None:
-                        result_hook(result)
-                    continue
-            # One step: the gate count excludes this workload while it runs.
-            if execution.gated_live > 0:
-                gate_count -= 1
-            duration, event, finished = execution.run_one(gate_count)
-            if execution.gated_live > 0:
-                gate_count += 1
+            if not cloud.failed:
+                # One step: the gate count excludes this workload while it runs.
+                if execution.gated_live > 0:
+                    gate_count -= 1
+                duration, event, finished = execution.run_one(gate_count)
+                if execution.gated_live > 0:
+                    gate_count += 1
+                if event is not None and error_hook is not None:
+                    error_hook(t, *event)
+                check_failed(cloud)
+                heappush(
+                    heap,
+                    (t + duration, PRIO_WORK, seq(), "finish" if finished else "step", execution),
+                )
+                continue
+            # The cloud failed under this workload: cut it short, and end
+            # it below like a finished one.
+            event = execution.abort_unavailable()
             if event is not None and error_hook is not None:
                 error_hook(t, *event)
-            check_failed(cloud)
-            heappush(
-                heap,
-                (t + duration, PRIO_WORK, seq(), "finish" if finished else "step", execution),
-            )
         elif kind == "finish":
             execution = payload
-            if execution.gated_live > 0:
-                gate_count -= 1
-            result = execution.finalize(t)
-            if result_hook is not None:
-                result_hook(result)
-            if not cloud.failed:
-                heappush(heap, (t, PRIO_WORK, seq(), "launch", execution.slot))
         elif kind == "tick":
             gauges = apply_resource_effects(cloud, IntervalElapsed(tick_seconds))
             if tick_hook is not None:
                 tick_hook(t, gauges)
             push_clock(payload + 1, tick_seconds, PRIO_TICK, "tick")
+            continue
         else:  # hour
             if hour_hook(t) is STOP_STREAM:
                 return
             push_clock(payload + 1, SECONDS_PER_HOUR, PRIO_HOUR, "hour")
+            continue
+        # The workload ends: release its gate, settle it, report it, and
+        # hand the slot to its next launch, which a failed cloud parks.
+        if execution.gated_live > 0:
+            gate_count -= 1
+        result = execution.finalize(t)
+        if result_hook is not None:
+            result_hook(result)
+        heappush(heap, (t, PRIO_WORK, seq(), "launch", execution.slot))
     cloud.clock = until

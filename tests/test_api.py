@@ -4,7 +4,8 @@
 so that growing or shrinking it takes a deliberate edit here, and the
 benchmark's traced pass wraps the entry points listed in
 ``perfbench.tracing`` by name; a deletion that breaks either should fail
-here rather than in a benchmark run.
+here rather than in a benchmark run.  One short scenario also runs under
+the tracer, so an observer that stops counting fails here too.
 """
 
 import functools
@@ -17,7 +18,7 @@ import agesim
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
 
-from perfbench.tracing import ENTRY_POINTS  # noqa: E402
+from perfbench.tracing import ENTRY_POINTS, Tracer  # noqa: E402
 
 
 PUBLIC_NAMES = [
@@ -118,3 +119,38 @@ def test_every_traced_entry_point_resolves_inside_agesim():
         except AttributeError:
             unresolved.append(f"{module_name}:{attr}")
     assert unresolved == []
+
+
+def test_tracer_observes_a_disk_failing_scenario_with_faults():
+    config = agesim.ScenarioConfig(
+        scenario_id="disk",
+        topology="all-in-one",
+        concurrency=4,
+        stress_hours=2,
+        post_rejuvenation_hours=1,
+        sample_interval_seconds=60.0,
+        resources=agesim.ResourceParams(disk_capacity_gb=1.0),
+        quotas={agesim.EntityKind.SERVER: 2},
+        faults={"create network": {"external-network-unreachable": 0.05}},
+    )
+    original = agesim.run_scenario
+    tracer = Tracer()
+    tracer.install()
+    try:
+        report = agesim.run_scenario(config)
+    finally:
+        tracer.uninstall()
+    assert agesim.run_scenario is original
+    observed = (
+        "tick_calls",
+        "step_calls",
+        "fault_draws",
+        "faults_fired",
+        "quota_rejects",
+        "results",
+        "steps",
+    )
+    assert [key for key in observed if tracer.counts.get(key, 0) == 0] == []
+    assert tracer.failed_predicates == ["disk"]
+    assert report.failure_point is not None
+    assert len(tracer.name) > 0

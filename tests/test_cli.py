@@ -4,12 +4,25 @@ import json
 
 import pytest
 
+from agesim import scenario
 from agesim.cli import build_parser, main
 
 
 def write_json(path, document):
     path.write_text(json.dumps(document), encoding="utf-8")
     return str(path)
+
+
+def crash_at_run_time(monkeypatch, scenario_id):
+    """Make the scenario with this id raise while it runs, past every config check."""
+    run_scenario = scenario.run_scenario
+
+    def crashing(config):
+        if config.scenario_id == scenario_id:
+            raise RuntimeError("engine crashed")
+        return run_scenario(config)
+
+    monkeypatch.setattr(scenario, "run_scenario", crashing)
 
 
 @pytest.fixture()
@@ -216,24 +229,18 @@ class TestSuiteCommand:
         assert main(["suite", "--configs", path]) == 2
         assert "unique" in capsys.readouterr().err
 
-    def test_all_scenarios_failing_is_exit_1(self, tmp_path, capsys):
+    def test_all_scenarios_failing_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        crash_at_run_time(monkeypatch, "x")
         path = write_json(
-            tmp_path / "doomed.json",
-            [
-                {
-                    "scenario_id": "x",
-                    "stress_hours": 1,
-                    "seed": 1,
-                    "faults": {"no such step": {"server-error-status": 0.5}},
-                }
-            ],
+            tmp_path / "doomed.json", [{"scenario_id": "x", "stress_hours": 1, "seed": 1}]
         )
         assert main(["suite", "--configs", path]) == 1
         err = capsys.readouterr().err
         assert "scenario x failed" in err
         assert "no scenario completed" in err
 
-    def test_partial_failure_still_reports_survivors(self, tmp_path, capsys):
+    def test_partial_failure_still_reports_survivors(self, tmp_path, capsys, monkeypatch):
+        crash_at_run_time(monkeypatch, "doomed")
         path = write_json(
             tmp_path / "mixed.json",
             [
@@ -243,18 +250,37 @@ class TestSuiteCommand:
                     "post_rejuvenation_hours": 1,
                     "seed": 1,
                 },
-                {
-                    "scenario_id": "doomed",
-                    "stress_hours": 1,
-                    "seed": 2,
-                    "faults": {"no such step": {"server-error-status": 0.5}},
-                },
+                {"scenario_id": "doomed", "stress_hours": 1, "seed": 2},
             ],
         )
         assert main(["suite", "--configs", path]) == 0
         captured = capsys.readouterr()
         assert "scenario doomed failed" in captured.err
         assert "      ok " in captured.out
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            {"boot srever": {"server-error-status": 0.1}},
+            {"boot server": {"no-such-error": 0.1}},
+            {"boot server": {"server-error-status": 1.5}},
+        ],
+        ids=["unknown-step", "unknown-error", "probability-above-1"],
+    )
+    def test_bad_fault_table_is_exit_2_before_any_scenario_runs(
+        self, tmp_path, capsys, table
+    ):
+        path = write_json(
+            tmp_path / "faulty.json",
+            [
+                {"scenario_id": "a", "stress_hours": 1, "seed": 1},
+                {"scenario_id": "c", "stress_hours": 1, "seed": 2, "faults": table},
+            ],
+        )
+        assert main(["suite", "--configs", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_sources_are_mutually_exclusive(self, configs_path):
         with pytest.raises(SystemExit) as excinfo:

@@ -272,6 +272,36 @@ class TestBootFault:
         run_single(DEFN, cloud, one_fault_model("boot server", "server-error-status"))
         assert cloud.cache_image_count() == 0
 
+    @pytest.mark.parametrize("error", ["server-error-status", "node-unreachable"])
+    def test_fault_strands_the_most_recent_entity_of_its_kind(self, error):
+        """With two servers in hand, the fault strands the second; the
+        unwind then deletes the first, so a fault on deleting the second
+        never fires."""
+        create, operate, delete = StepAction.CREATE, StepAction.OPERATE, StepAction.DELETE
+        server = EntityKind.SERVER
+        defn = WorkloadDefinition(
+            steps=(
+                StepSpec("boot a", "compute", create, creates=server),
+                StepSpec("boot b", "compute", create, creates=server),
+                StepSpec("rebuild", "compute", operate, operates_on=server),
+                StepSpec("delete b", "compute", delete, deletes=server, undo_of="boot b"),
+                StepSpec("delete a", "compute", delete, deletes=server, undo_of="boot a"),
+            )
+        )
+        faults = FaultModel(
+            {"rebuild": {error: 1.0}, "delete b": {"node-unreachable": 1.0}},
+            known_steps=[s.name for s in defn.steps],
+        )
+        cloud = quiet_cloud()
+        result = run_single(defn, cloud, faults)
+        assert (result.error, result.leftover_kinds, result.steps_executed) == (
+            error,
+            ("server",),
+            4,
+        )
+        assert cloud.leftovers[server] == 1
+        assert cloud.live[server] == 0
+
 
 #: For a certain fault at each step: (error to inject, expected stranded
 #: kind or None, expected steps executed including the unwind).
@@ -386,6 +416,20 @@ class TestFailedCloud:
             ("boot server", CLOUD_UNAVAILABLE),
         ]
         assert cloud.clock == 3600.0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="finalize hands the last step to apply_resource_effects, so a "
+        "workload cut short right after its boot deposits the boot's cache image "
+        "again; mending it moves the benchmark's pinned output digests",
+    )
+    def test_workload_cut_short_after_its_boot_deposits_one_image(self):
+        """The boot's image fills the disk and fails the cloud, and the
+        workload is cut short at its next step: one boot, one image."""
+        cloud = quiet_cloud(disk_capacity_gb=0.04, cache_image_gb=0.04)
+        results = stream_results(cloud, until=3600.0)
+        assert [(r.steps_executed, r.error) for r in results] == [(11, CLOUD_UNAVAILABLE)]
+        assert cloud.cache_image_count() == 1
 
 
 # ── Streaming ────────────────────────────────────────────────────────────
