@@ -1,9 +1,11 @@
-"""Profile one scenario of the default matrix under cProfile.
+"""Profile one scenario of the default matrix, and its bundle, under cProfile.
 
 Runs one scenario of ``default_matrix`` (scenario 6 by default: the
 multi-node topology at concurrency 64, the heaviest of the twelve) and
-prints the functions that spend the most time in their own code.  Use it
-to find where the engine's time goes before changing it; cProfile adds a
+prints the functions that spend the most time in their own code.  Then
+it does the same for ``write_bundle`` of that scenario's report, written
+to a temporary directory: the bundle is about 15 % of a ``matrix`` pass.
+Use it to find where the time goes before changing it; cProfile adds a
 cost to every Python call, so confirm a candidate with the benchmark
 (``perfbench/run.py``) with profiling off.
 
@@ -17,9 +19,23 @@ The same profile through the command line, for any config file:
 import cProfile
 import pstats
 import sys
+import tempfile
 import time
 
-from agesim import default_matrix, run_scenario
+from agesim import default_matrix, run_scenario, write_bundle
+
+
+def profiled(label: str, call, rows: int):
+    """Time ``call()`` once unprofiled, then profile a second call."""
+    started = time.perf_counter()
+    call()
+    print(f"{label} unprofiled: {time.perf_counter() - started:.2f} s")
+    profiler = cProfile.Profile()
+    profiler.enable()
+    result = call()
+    profiler.disable()
+    pstats.Stats(profiler).sort_stats("tottime").print_stats(rows)
+    return result
 
 
 def main(scenario_id: str = "6", rows: int = 25) -> None:
@@ -29,17 +45,11 @@ def main(scenario_id: str = "6", rows: int = 25) -> None:
         f"scenario {config.scenario_id}: {config.topology}, "
         f"concurrency {config.concurrency}, {config.stress_hours} stress hours"
     )
-
-    started = time.perf_counter()
-    run_scenario(config)
-    print(f"unprofiled: {time.perf_counter() - started:.2f} s")
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    report = run_scenario(config)
-    profiler.disable()
+    report = profiled("run_scenario", lambda: run_scenario(config), rows)
     print(f"workloads simulated: {sum(report.totals.values())}")
-    pstats.Stats(profiler).sort_stats("tottime").print_stats(rows)
+
+    with tempfile.TemporaryDirectory() as out:
+        profiled("write_bundle", lambda: write_bundle(report, out), rows)
 
 
 if __name__ == "__main__":

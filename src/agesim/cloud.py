@@ -64,6 +64,17 @@ def quota_error_name(kind: EntityKind) -> str:
 OVERLOAD_INDICATOR_ERRORS = frozenset({quota_error_name(EntityKind.SECURITY_GROUP)})
 
 
+def quota_table(quotas: Mapping[EntityKind, int] | None) -> dict[EntityKind, int]:
+    """``DEFAULT_QUOTAS`` overridden by ``quotas``; every quota must be >= 1."""
+    table = dict(DEFAULT_QUOTAS)
+    if quotas:
+        table.update(quotas)
+    for kind, quota in table.items():
+        if quota < 1:
+            raise ConfigError(f"quota for {kind.value} must be >= 1, got {quota}")
+    return table
+
+
 @dataclass(frozen=True)
 class Topology:
     """Node layout of the deployment."""
@@ -297,6 +308,15 @@ class CloudState:
     ``deposit_cache_image``, ``cache_cleanup`` and ``rejuvenate``), so
     reading them, and evaluating ``check_failed``, costs O(1).  The quota
     table is fixed at construction.
+
+    ``failure_inputs_changed`` is set whenever an input of the failure
+    predicate may have changed since ``check_failed`` last evaluated it,
+    and cleared by ``check_failed``.  It is set by ``__init__``,
+    ``add_leftover``, ``deposit_cache_image`` when a node's disk becomes
+    full, ``cache_cleanup``, ``rejuvenate``, and ``apply_resource_effects``
+    when it charges a finished workload's leak or a tick's warm-up
+    allocation.  While it is clear the predicate would give the answer it
+    gave last time, so the engine skips the evaluation.
     """
 
     def __init__(
@@ -308,18 +328,14 @@ class CloudState:
     ):
         self.topology = topology or Topology.multi_node()
         self.params = params or ResourceParams()
-        self.quotas = dict(DEFAULT_QUOTAS)
-        if quotas:
-            self.quotas.update(quotas)
-        for kind, quota in self.quotas.items():
-            if quota < 1:
-                raise ConfigError(f"quota for {kind.value} must be >= 1, got {quota}")
+        self.quotas = quota_table(quotas)
 
         self.live: dict[EntityKind, int] = {k: 0 for k in EntityKind}
         self.leftovers: dict[EntityKind, int] = {k: 0 for k in EntityKind}
         self.clock = 0.0
         self.failed = False
         self.failed_at: float | None = None
+        self.failure_inputs_changed = True
         self.rejuvenation_count = 0
         self.ageing_units = 0.0
 
@@ -387,6 +403,7 @@ class CloudState:
         self._consumed_gb += self.params.leftover_retention_gb
         if kind in self.quotas:
             self._recount_capacity()
+        self.failure_inputs_changed = True
         return None
 
     def total_leftovers(self) -> int:
@@ -465,6 +482,7 @@ class CloudState:
         self._cache_total[node] += size
         if self._cache_total[node] >= self.params.disk_capacity_gb:
             self._disk_full = True
+            self.failure_inputs_changed = True
 
 
 # ── Operations on the cloud ──────────────────────────────────────────────
@@ -493,6 +511,7 @@ def apply_resource_effects(
             state.deposit_cache_image()
         if event.workload_finished and event.did_real_work:
             state._consumed_gb += params.leak_per_workload_gb
+            state.failure_inputs_changed = True
             state.ageing_units += 1.0
             state._recompute_ageing()
     elif isinstance(event, IntervalElapsed):
@@ -500,6 +519,7 @@ def apply_resource_effects(
             if state._warmup_alloc_pending:
                 state._consumed_gb += params.warmup_alloc_gb
                 state._warmup_alloc_pending = False
+                state.failure_inputs_changed = True
             amp = params.warmup_noise_gb
             state._noise_gb = float(state._noise_rng.uniform(-amp, amp)) if amp else 0.0
         else:
@@ -520,6 +540,7 @@ def cache_cleanup(state: CloudState) -> float:
         state._cache_total[node] -= size
         freed += size
     state._recount_disk_full()
+    state.failure_inputs_changed = True
     return freed
 
 
@@ -539,7 +560,11 @@ def check_failed(state: CloudState) -> bool:
     non-negative, so their sum is exhausted exactly when no memory is left
     (raw <= 0) and swap has filled (threshold - raw >= swap capacity, with
     both swap parameters non-negative).
+
+    Every call evaluates and clears ``state.failure_inputs_changed``; the
+    engine calls it only while that flag is set.
     """
+    state.failure_inputs_changed = False
     if not state.failed:
         raw = state._raw_available_gb()
         params = state.params
@@ -579,6 +604,7 @@ def rejuvenate(state: CloudState) -> None:
     state._recount_disk_full()
     state._noise_gb = 0.0
     state.failed = False
+    state.failure_inputs_changed = True
     state.clock += params.rejuvenation_seconds
     state.rejuvenation_count += 1
     if params.warmup_after_rejuvenation:

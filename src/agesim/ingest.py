@@ -164,15 +164,29 @@ def format_timestamp(ts: float) -> str:
     return repr(float(ts))
 
 
-def serialize_series(series_by_name: Mapping[str, "IndicatorSeries"]) -> str:
-    """Render series as the ingestable CSV format, full precision."""
+def csv_cell(text: str) -> str:
+    """``text`` as one cell of a multi-column CSV row, quoted exactly as
+    ``csv.writer`` quotes it there."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(HEADER)
+    csv.writer(out, lineterminator="\n").writerow(("", text))
+    return out.getvalue()[1:-1]
+
+
+def serialize_series(series_by_name: Mapping[str, "IndicatorSeries"]) -> str:
+    """Render series as the ingestable CSV format, full precision.
+
+    Timestamps and values never need quoting, so each row is an f-string;
+    a metric's cell is quoted once per series.
+    """
+    rows = [",".join(HEADER)]
+    fmt = format_timestamp
     for name in sorted(series_by_name):
-        for ts, value in series_by_name[name].samples:
-            writer.writerow([format_timestamp(ts), name, repr(float(value))])
-    return out.getvalue()
+        cell = csv_cell(name)
+        rows.extend(
+            f"{fmt(ts)},{cell},{float(value)!r}"
+            for ts, value in series_by_name[name].samples
+        )
+    return "\n".join(rows) + "\n"
 
 
 def write_series_csv(

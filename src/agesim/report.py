@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 
 from .scenario import ScenarioReport, SuiteResult
 from .trendstats import IndicatorAnalysis, TrendVerdict
-from .ingest import format_timestamp, write_series_csv
+from .ingest import csv_cell, format_timestamp, write_series_csv
 
 #: Compact verdict markers used in tables.
 VERDICT_MARKERS = {
@@ -257,10 +257,13 @@ def _write_json(document: Mapping, path: Path) -> None:
 
 
 def write_error_log(report: ScenarioReport, path: Path) -> None:
+    """Write the error log as CSV; step and error names are quoted once each."""
+    log = report.error_log
+    cells = {name: csv_cell(name) for name in {e.step for e in log} | {e.error for e in log}}
     rows = ["time,step,error,ageing,overload"]
-    for event in report.error_log:
+    for event in log:
         rows.append(
-            f"{format_timestamp(event.time)},{event.step},{event.error},"
+            f"{format_timestamp(event.time)},{cells[event.step]},{cells[event.error]},"
             f"{str(event.ageing).lower()},{str(event.overload).lower()}"
         )
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")

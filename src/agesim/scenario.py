@@ -34,6 +34,7 @@ from .cloud import (
     Topology,
     cache_cleanup,
     check_failed,
+    quota_table,
     rejuvenate,
 )
 from .errors import ConfigError
@@ -92,6 +93,7 @@ class ScenarioConfig:
         if not 0.0 <= self.deploy_failure_probability <= 1.0:
             raise ConfigError("deploy failure probability must lie in [0, 1]")
         Topology.named(self.topology)
+        quota_table(self.quotas)  # raises on a quota below 1
         steps = (
             DEFAULT_STEP_NAMES
             if self.workload is None

@@ -310,12 +310,30 @@ class WorkloadResult:
         return self.ended_at - self.started_at
 
 
-def _contended(base_seconds: float, cloud: CloudState, gate_count: int) -> float:
-    """``base_seconds * ageing_multiplier * max(1, gate_count / contention_capacity)``."""
-    contention = gate_count / cloud.params.contention_capacity
-    if contention < 1.0:
-        contention = 1.0
-    return base_seconds * cloud.ageing_multiplier() * contention
+def _new_result(
+    started_at: float,
+    ended_at: float,
+    status: WorkloadStatus,
+    error: str | None,
+    failed_step: str | None,
+    leftover_kinds: list[str],
+    steps_executed: int,
+) -> WorkloadResult:
+    """Build a ``WorkloadResult`` with one dict update instead of the
+    frozen dataclass's per-field ``object.__setattr__``; the result
+    compares, hashes and refuses assignment like any other."""
+    result = object.__new__(WorkloadResult)
+    result.__dict__.update(
+        started_at=started_at,
+        ended_at=ended_at,
+        status=status,
+        error=error,
+        failed_step=failed_step,
+        leftovers_created=len(leftover_kinds),
+        leftover_kinds=tuple(leftover_kinds),
+        steps_executed=steps_executed,
+    )
+    return result
 
 
 class _PlanStep:
@@ -326,6 +344,9 @@ class _PlanStep:
     ``holds`` the kind of entity an undo-stack entry of this step keeps
     alive (what the step it undoes created, if anything).  ``draws`` is
     False where the fault model would neither draw nor raise.
+    ``completed`` is the step's completion event and ``finished`` the
+    pair of events that end a workload on this step, indexed by whether
+    the workload did real work; all three are built once per run.
     """
 
     __slots__ = (
@@ -340,6 +361,8 @@ class _PlanStep:
         "undo",
         "holds",
         "quota_error",
+        "completed",
+        "finished",
     )
 
     def __init__(
@@ -365,6 +388,11 @@ class _PlanStep:
         self.undo: _PlanStep | None = None
         self.holds: EntityKind | None = None
         self.quota_error = quota_error_name(self.kind) if self.gated else None
+        self.completed = WorkloadStepCompleted(spec.name)
+        self.finished = tuple(
+            WorkloadStepCompleted(spec.name, workload_finished=True, did_real_work=real)
+            for real in (False, True)
+        )
 
 
 def _plan(
@@ -395,6 +423,7 @@ class _Execution:
     workload has done so far, most recent last.  The first error sets
     ``aborted``: from then on each step pops ``stack`` and runs as an
     unwind step, and the workload finishes when the stack is empty.
+    ``last_step`` is the record of the step executed most recently.
     """
 
     __slots__ = (
@@ -441,7 +470,7 @@ class _Execution:
         self.gated_creates = 0
         self.completed_creates = 0
         self.leftover_kinds: list[str] = []
-        self.last_step: str | None = None
+        self.last_step: _PlanStep | None = None
 
     # -- helpers ------------------------------------------------------------
 
@@ -528,12 +557,16 @@ class _Execution:
             self.index += 1
             event = self._run_forward_step(step)
         self.steps_executed += 1
-        self.last_step = step.name
+        self.last_step = step
+        cloud = self.cloud
         if event is None and step.deposits_cache:
-            apply_resource_effects(self.cloud, WorkloadStepCompleted(step.name))
+            apply_resource_effects(cloud, step.completed)
         if self.gated_live > 0:
             ambient_gate_count += 1
-        duration = _contended(step.base_seconds, self.cloud, ambient_gate_count)
+        contention = ambient_gate_count / cloud.params.contention_capacity
+        if contention < 1.0:
+            contention = 1.0
+        duration = step.base_seconds * cloud._ageing_multiplier * contention
         if self.aborted:
             return duration, event, not self.stack
         return duration, event, self.index >= len(self.plan)
@@ -601,29 +634,22 @@ class _Execution:
 
     def finalize(self, ended_at: float) -> WorkloadResult:
         if self.steps_executed > 0:
-            apply_resource_effects(
-                self.cloud,
-                WorkloadStepCompleted(
-                    self.last_step,
-                    workload_finished=True,
-                    did_real_work=self.gated_creates > 0,
-                ),
-            )
+            did_real_work = self.gated_creates > 0
+            apply_resource_effects(self.cloud, self.last_step.finished[did_real_work])
         if self.error is None:
             status = WorkloadStatus.SUCCESS
         elif self.leftover_kinds:
             status = WorkloadStatus.AGEING_FAILURE
         else:
             status = WorkloadStatus.NON_AGEING_FAILURE
-        return WorkloadResult(
-            started_at=self.started_at,
-            ended_at=ended_at,
-            status=status,
-            error=self.error,
-            failed_step=self.failed_step,
-            leftovers_created=len(self.leftover_kinds),
-            leftover_kinds=tuple(self.leftover_kinds),
-            steps_executed=self.steps_executed,
+        return _new_result(
+            self.started_at,
+            ended_at,
+            status,
+            self.error,
+            self.failed_step,
+            self.leftover_kinds,
+            self.steps_executed,
         )
 
 
@@ -654,6 +680,14 @@ def run_stream(
     cloud has failed, a workload due to run another step is cut short
     there with ``CLOUD_UNAVAILABLE``, and every slot parks until the
     deadline.
+
+    After a step the failure predicate is evaluated, through
+    ``check_failed``, only while ``cloud.failure_inputs_changed`` is set:
+    by the step itself, or since the last evaluation by a finished
+    workload's leak, a tick's warm-up allocation or a hook (see
+    ``CloudState``).  While the flag is clear an evaluation would change
+    nothing, so ``failed`` and ``failed_at`` come out as if the predicate
+    were evaluated after every step.
 
     The definition is resolved once into a step plan (``_plan``) shared
     by every workload of the call, so a step costs a read of its
@@ -715,7 +749,8 @@ def run_stream(
                     gate_count += 1
                 if event is not None and error_hook is not None:
                     error_hook(t, *event)
-                check_failed(cloud)
+                if cloud.failure_inputs_changed:
+                    check_failed(cloud)
                 heappush(
                     heap,
                     (t + duration, PRIO_WORK, seq(), "finish" if finished else "step", execution),

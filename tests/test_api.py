@@ -4,14 +4,17 @@
 so that growing or shrinking it takes a deliberate edit here, and the
 benchmark's traced pass wraps the entry points listed in
 ``perfbench.tracing`` by name; a deletion that breaks either should fail
-here rather than in a benchmark run.  One short scenario also runs under
-the tracer, so an observer that stops counting fails here too.
+here rather than in a benchmark run.  Short scenarios, one failing on
+each clause of the failure predicate, also run under the tracer, so an
+observer that stops counting fails here too.
 """
 
 import functools
 import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 import agesim
 
@@ -121,17 +124,41 @@ def test_every_traced_entry_point_resolves_inside_agesim():
     assert unresolved == []
 
 
-def test_tracer_observes_a_disk_failing_scenario_with_faults():
+@pytest.mark.parametrize(
+    "clause, resources, faults",
+    [
+        (
+            "capacity",
+            agesim.ResourceParams(),
+            {"boot server": {"server-error-status": 0.1}},
+        ),
+        (
+            "disk",
+            agesim.ResourceParams(disk_capacity_gb=1.0),
+            {"create network": {"external-network-unreachable": 0.05}},
+        ),
+        (
+            "memory",
+            agesim.ResourceParams(leak_per_workload_gb=0.05, swap_capacity_gb=0.2),
+            {"create network": {"external-network-unreachable": 0.05}},
+        ),
+    ],
+    ids=["capacity", "disk", "memory"],
+)
+def test_tracer_observes_a_failing_scenario_with_faults(clause, resources, faults):
+    """Each clause of the failure predicate is seen latching exactly once,
+    although the engine evaluates the predicate only after its inputs
+    change."""
     config = agesim.ScenarioConfig(
-        scenario_id="disk",
+        scenario_id=clause,
         topology="all-in-one",
         concurrency=4,
         stress_hours=2,
         post_rejuvenation_hours=1,
         sample_interval_seconds=60.0,
-        resources=agesim.ResourceParams(disk_capacity_gb=1.0),
+        resources=resources,
         quotas={agesim.EntityKind.SERVER: 2},
-        faults={"create network": {"external-network-unreachable": 0.05}},
+        faults=faults,
     )
     original = agesim.run_scenario
     tracer = Tracer()
@@ -151,6 +178,6 @@ def test_tracer_observes_a_disk_failing_scenario_with_faults():
         "steps",
     )
     assert [key for key in observed if tracer.counts.get(key, 0) == 0] == []
-    assert tracer.failed_predicates == ["disk"]
+    assert tracer.failed_predicates == [clause]
     assert report.failure_point is not None
     assert len(tracer.name) > 0

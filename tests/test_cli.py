@@ -282,6 +282,25 @@ class TestSuiteCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "quotas", [{"server": 0}, {"volume": -3}], ids=["zero", "negative"]
+    )
+    def test_bad_quota_is_exit_2_before_any_scenario_runs(
+        self, tmp_path, capsys, quotas
+    ):
+        path = write_json(
+            tmp_path / "quotas.json",
+            [
+                {"scenario_id": "a", "stress_hours": 1, "seed": 1},
+                {"scenario_id": "c", "stress_hours": 1, "seed": 2, "quotas": quotas},
+            ],
+        )
+        assert main(["suite", "--configs", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "must be >= 1" in captured.err
+
     def test_sources_are_mutually_exclusive(self, configs_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["suite", "--configs", configs_path, "--default-matrix"])

@@ -608,14 +608,22 @@ def apply_operation(state, op):
 @given(state=clouds, ops=operations)
 def test_cached_predicate_matches_recomputation(state, ops):
     """After any sequence of ledger, gauge and clock operations, the cached
-    capacity and failure predicate agree with a from-scratch recount, and
-    the ledgers stay within their bounds."""
+    capacity and failure predicate agree with a from-scratch recount, an
+    operation that leaves ``failure_inputs_changed`` clear leaves the
+    predicate's answer unchanged, and the ledgers stay within their
+    bounds."""
     assert state.capacity() == capacity_from_scratch(state)
     for op in ops:
         leftovers_before = dict(state.leftovers)
         failed_at_before = state.failed_at
         apply_operation(state, op)
 
+        if not state.failure_inputs_changed:
+            # Nothing the predicate reads changed since it was last
+            # evaluated, so the engine may skip evaluating it.
+            polled = copy.deepcopy(state)
+            check_failed(polled)
+            assert (polled.failed, polled.failed_at) == (state.failed, state.failed_at)
         assert state.capacity() == capacity_from_scratch(state)
         # The predicate as it stands now, on a copy whose latch is open.
         probe = copy.copy(state)

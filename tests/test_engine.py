@@ -7,7 +7,9 @@ concurrency 1 and 8, streamed or run one workload at a time.  Each
 digest is the SHA-256 of the result tuples, the error-hook events, the
 gauge samples and the final ledger, so any change to an outcome, an
 event, a random draw or the order of any of them changes it.  The digests were computed with numpy 2.4.6 (the fault,
-noise and warm-up streams come from numpy generators).
+noise and warm-up streams come from numpy generators).  The same
+configurations also run on a cloud that makes the engine evaluate the
+failure predicate after every step, which must change nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from agesim.cloud import (
     FaultModel,
     ResourceParams,
     Topology,
+    check_failed,
     rejuvenate,
 )
 from agesim.errors import ConfigError
@@ -35,6 +38,7 @@ from agesim.workload import (
     WorkloadDefinition,
     run_stream,
 )
+from agesim import workload
 from single_run import run_single
 
 DEFN = WorkloadDefinition.default()
@@ -156,9 +160,11 @@ def _digest(parts: list) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
-def _golden_stream(name: str) -> str:
+def _stream_parts(name: str, cloud_type: type = CloudState) -> list:
+    """Everything one golden ``run_stream`` call produced, on a cloud of
+    ``cloud_type``."""
     topology, concurrency, params, quotas, table, seed, hours = GOLDEN_CASES[name]
-    cloud = CloudState(
+    cloud = cloud_type(
         topology=Topology.named(topology), params=params, quotas=quotas, seed=seed
     )
     faults = FaultModel(table, seed=seed)
@@ -180,9 +186,11 @@ def _golden_stream(name: str) -> str:
     )
     # The position of the fault stream shows how many draws were made.
     next_uniform = faults._rng.random()
-    return _digest(
-        [[_result_tuple(r) for r in results], events, samples, _ledger(cloud), next_uniform]
-    )
+    return [[_result_tuple(r) for r in results], events, samples, _ledger(cloud), next_uniform]
+
+
+def _golden_stream(name: str) -> str:
+    return _digest(_stream_parts(name))
 
 
 def _golden_sequential() -> str:
@@ -219,6 +227,65 @@ class TestGolden:
 
     def test_sequential_digest(self):
         assert _golden_sequential() == GOLDEN_SEQUENTIAL
+
+
+class PollingCloud(CloudState):
+    """A cloud whose failure inputs always read as changed, so the engine
+    evaluates the failure predicate after every step."""
+
+    @property
+    def failure_inputs_changed(self) -> bool:
+        return True
+
+    @failure_inputs_changed.setter
+    def failure_inputs_changed(self, _value: bool) -> None:
+        pass
+
+
+def _failed_clause(name: str, ledger: tuple) -> str | None:
+    """The first clause of the failure predicate that holds on the cloud a
+    golden case ended with, read from its ``_ledger`` tuple."""
+    _, _, failed, _, _, capacity, _, disk_used, available, swap = ledger
+    params = GOLDEN_CASES[name][2]
+    if not failed:
+        return None
+    if capacity == 0:
+        return "capacity"
+    if max(disk_used) >= params.disk_capacity_gb:
+        return "disk"
+    if available == 0.0 and swap >= params.swap_capacity_gb:
+        return "memory"
+    return "unknown"
+
+
+class TestFlaggedPredicate:
+    """The engine evaluates the failure predicate only while
+    ``failure_inputs_changed`` is set, and latches what polling latches."""
+
+    @pytest.mark.parametrize(
+        "name, clause",
+        [
+            ("capacity-multi-c8", "capacity"),
+            ("disk-aio-c1", "disk"),
+            ("memory-multi-c1", "memory"),
+            ("contention-aio-c8", "capacity"),
+        ],
+    )
+    def test_failure_latches_as_when_polled_after_every_step(
+        self, monkeypatch, name, clause
+    ):
+        evaluations = {CloudState: 0, PollingCloud: 0}
+
+        def counted(state):
+            evaluations[type(state)] += 1
+            return check_failed(state)
+
+        monkeypatch.setattr(workload, "check_failed", counted)
+        flagged = _stream_parts(name)
+        polled = _stream_parts(name, PollingCloud)
+        assert flagged == polled
+        assert _failed_clause(name, flagged[3]) == clause
+        assert 0 < evaluations[CloudState] < evaluations[PollingCloud] / 5
 
 
 def test_step_unknown_to_the_fault_model_raises_at_that_step():

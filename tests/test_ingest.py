@@ -1,5 +1,6 @@
 """Tests for series CSV ingestion, serialization, workload reports."""
 
+import csv
 import io
 import json
 import math
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from agesim.errors import DuplicateTimestampError, EmptyFileError, ParseError
 from agesim.ingest import (
+    format_timestamp,
     ingest,
     ingest_workload_report,
     serialize_series,
@@ -283,6 +285,39 @@ class TestSerializeRoundTrip:
         assert set(again) == set(original)
         for name in original:
             assert again[name].samples == original[name].samples
+
+
+def writer_reference(series_by_name) -> str:
+    """The series CSV as ``csv.writer`` renders it, row by row."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("timestamp", "metric", "value"))
+    for name in sorted(series_by_name):
+        for ts, value in series_by_name[name].samples:
+            writer.writerow([format_timestamp(ts), name, repr(float(value))])
+    return out.getvalue()
+
+
+@given(
+    st.dictionaries(
+        st.text(max_size=8),
+        st.lists(
+            st.tuples(st.floats(allow_nan=False), st.floats()), max_size=4
+        ),
+        max_size=4,
+    )
+)
+@example({"": [(0.0, 1.0)], "a,b": [(1.5, -2.0)], 'say "hi"': [(3.0, 0.5)]})
+@example({"two\nlines": [(1e300, float("inf"))], " padded ": [(-0.0, 0.0)]})
+def test_serialize_series_matches_the_csv_writer(samples_by_name):
+    """Every byte, for any metric name and any timestamp and value."""
+    series_by_name = {
+        name: IndicatorSeries(
+            name=name, unit="x", samples=sorted({t: v for t, v in rows}.items())
+        )
+        for name, rows in samples_by_name.items()
+    }
+    assert serialize_series(series_by_name) == writer_reference(series_by_name)
 
 
 class TestWorkloadReport:

@@ -1,10 +1,12 @@
 """Report rendering: documents, tables, disk bundles, determinism."""
 
+import csv
 import filecmp
 import json
 
 import pytest
 
+from agesim.cloud import ResourceParams
 from agesim.ingest import ingest
 from agesim.report import (
     error_distribution,
@@ -22,6 +24,7 @@ from agesim.scenario import (
     run_suite,
 )
 from agesim.trendstats import TrendVerdict
+from agesim.workload import StepAction, StepSpec, TimingParams, WorkloadDefinition
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +214,25 @@ class TestBundle:
         assert rows[0] == "time,step,error,ageing,overload"
         assert len(rows) - 1 == len(overload_report.error_log)
         assert any(",true" in row for row in rows[1:])
+
+    def test_errors_csv_quotes_step_names_holding_commas(self, tmp_path):
+        poke = StepSpec("poke, twice", "test", StepAction.OPERATE)
+        config = ScenarioConfig(
+            scenario_id="poke",
+            stress_hours=1,
+            post_rejuvenation_hours=0,
+            workload=WorkloadDefinition(steps=(poke,)),
+            timing=TimingParams(step_seconds={}),
+            resources=ResourceParams(cache_depositing_steps=()),
+            faults={poke.name: {"rebuild-error": 0.5}},
+        )
+        report = run_scenario(config)
+        out = write_bundle(report, tmp_path / "bundle")
+        with open(out / "errors.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert len(rows) - 1 == len(report.error_log) > 0
+        assert {len(row) for row in rows} == {5}
+        assert {row[1] for row in rows[1:]} == {"poke, twice"}
 
     def test_json_reflects_exclusion_flag(self, overload_report, tmp_path):
         out = write_bundle(overload_report, tmp_path / "kept", exclude_overload=False)

@@ -1,5 +1,6 @@
 """Tests for the workload engine: definitions, fault paths, streaming."""
 
+import dataclasses
 import heapq
 import itertools
 
@@ -18,7 +19,8 @@ from agesim.workload import (
     WorkloadDefinition,
     WorkloadResult,
     WorkloadStatus,
-    _contended,
+    _Execution,
+    _plan,
     run_stream,
 )
 from single_run import run_single
@@ -130,27 +132,38 @@ class TestDefinition:
 # ── Timing ───────────────────────────────────────────────────────────────
 
 
+def step_seconds(cloud: CloudState, gate_count: int, step_name: str = "create user") -> float:
+    """Duration the engine gives one control-plane step named ``step_name``
+    (default timing) while ``gate_count`` other workloads hold the gate."""
+    defn = WorkloadDefinition(steps=(StepSpec(step_name, "test", StepAction.OPERATE),))
+    plan = _plan(defn, cloud, TimingParams(), None)
+    duration, _event, _finished = _Execution(plan, cloud, None, cloud.clock).run_one(
+        gate_count
+    )
+    return duration
+
+
 class TestServiceTime:
-    """A step's duration: ``_contended`` of its base time, the cloud's
-    ageing multiplier and the number of gate holders."""
+    """A step's duration: its base time times the cloud's ageing
+    multiplier and the number of gate holders over the contention
+    capacity, floored at 1."""
 
     def test_base_times(self):
         cloud = quiet_cloud()
-        timing = TimingParams()
-        assert _contended(timing.base_for("create user"), cloud, 0) == 2.0
-        assert _contended(timing.base_for("boot server"), cloud, 0) == 10.0
-        assert _contended(timing.base_for("create volume"), cloud, 0) == 5.0
+        assert step_seconds(cloud, 0, "create user") == 2.0
+        assert step_seconds(cloud, 0, "boot server") == 10.0
+        assert step_seconds(cloud, 0, "create volume") == 5.0
 
     def test_contention_scales_linearly(self):
         cloud = quiet_cloud()
-        assert _contended(2.0, cloud, 10) == 20.0
-        values = [_contended(2.0, cloud, g) for g in range(12)]
+        assert step_seconds(cloud, 10) == 20.0
+        values = [step_seconds(cloud, g) for g in range(12)]
         assert values == sorted(values)
 
     def test_contention_capacity_divides_the_crowd(self):
         cloud = quiet_cloud(contention_capacity=2.0)
-        assert _contended(2.0, cloud, 10) == 10.0
-        assert _contended(2.0, cloud, 1) == 2.0
+        assert step_seconds(cloud, 10) == 10.0
+        assert step_seconds(cloud, 1) == 2.0
 
     def test_ageing_multiplier_applies(self):
         params = ResourceParams(
@@ -159,7 +172,7 @@ class TestServiceTime:
         cloud = CloudState(params=params)
         cloud.ageing_units = 1000.0
         cloud._recompute_ageing()
-        assert _contended(2.0, cloud, 0) == pytest.approx(4.0)
+        assert step_seconds(cloud, 0) == pytest.approx(4.0)
 
     def test_timing_document_round_trip(self):
         timing = TimingParams(default_seconds=1.0, step_seconds={"boot server": 3.0})
@@ -191,6 +204,17 @@ class TestCleanRun:
         result = run_single(DEFN, cloud)
         assert result.duration == pytest.approx(CLEAN_BASE_SECONDS)
         assert cloud.clock == pytest.approx(CLEAN_BASE_SECONDS)
+
+    def test_result_is_a_plain_frozen_result(self):
+        result = run_single(DEFN, quiet_cloud())
+        twin = WorkloadResult(
+            **{f.name: getattr(result, f.name) for f in dataclasses.fields(WorkloadResult)}
+        )
+        assert result == twin
+        assert hash(result) == hash(twin)
+        assert repr(result) == repr(twin)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.steps_executed = 0
 
     def test_successful_run_ages_the_cloud(self):
         cloud = quiet_cloud()
