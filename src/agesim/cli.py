@@ -253,7 +253,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             boundaries = (args.stress_end, args.rejuvenation_end)
 
     # align all metrics on a shared clock starting at the earliest sample
-    t0 = min(s.samples[0][0] for s in series.values())
+    t0 = min(float(s.timestamps[0]) for s in series.values())
     # evaluate every metric before printing any, so a bad one leaves no partial output
     analyses = {
         name: evaluate_indicator(rebased(series[name], t0), phase_boundaries=boundaries)

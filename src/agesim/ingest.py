@@ -21,10 +21,13 @@ import csv
 import io
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Mapping
+
+import numpy as np
 
 from .errors import DuplicateTimestampError, EmptyFileError, ParseError
 from .workload import WorkloadStatus
@@ -68,10 +71,15 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
     """Parse a series CSV into indicator series keyed by metric name.
 
     Samples are sorted by timestamp per metric; a duplicate timestamp
-    within one metric is an error.  The file must use one timestamp
-    style throughout, numeric seconds or ISO-8601.  A bad row's error
-    names the physical line it ends on (``reader.line_num``), which a
-    quoted cell spanning lines moves past the record count.
+    within one metric is an error naming the smallest tied timestamp.
+    The file must use one timestamp style throughout, numeric seconds or
+    ISO-8601.  A bad row's error names the physical line it ends on
+    (``reader.line_num``), which a quoted cell spanning lines moves past
+    the record count.
+
+    Each metric's timestamps and values are read into two ``array('d')``
+    and sorted (stably, by timestamp then value) only when they are not
+    already strictly increasing.
     """
     from .trendstats import IndicatorSeries
 
@@ -89,8 +97,9 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
             )
 
         style: str | None = None
-        by_metric: dict[str, list[tuple[float, float]]] = {}
-        get_samples = by_metric.get
+        by_metric: dict[str, tuple[array, array]] = {}
+        appenders: dict[str, tuple] = {}
+        get_appenders = appenders.get
         isfinite = math.isfinite
         for row in reader:
             if len(row) != 3:
@@ -130,10 +139,13 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
                 value = math.nan
             if not isfinite(value):
                 raise ParseError(f"unreadable value {raw_value!r}", line=reader.line_num)
-            samples = get_samples(metric)
-            if samples is None:
-                samples = by_metric[metric] = []
-            samples.append((ts, value))
+            append = get_appenders(metric)
+            if append is None:
+                stamps, readings = by_metric[metric] = (array("d"), array("d"))
+                append = appenders[metric] = (stamps.append, readings.append)
+            append_ts, append_value = append
+            append_ts(ts)
+            append_value(value)
 
         if not by_metric:
             raise EmptyFileError("series file has no data rows")
@@ -144,16 +156,19 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
             handle.close()
 
     series: dict[str, IndicatorSeries] = {}
-    for metric, samples in by_metric.items():
-        samples.sort()
-        for (t1, _), (t2, _) in zip(samples, samples[1:]):
-            if t1 == t2:
+    for metric, (stamps, readings) in by_metric.items():
+        ts = np.frombuffer(stamps)
+        values = np.frombuffer(readings)
+        if (ts[1:] <= ts[:-1]).any():
+            order = np.lexsort((values, ts))
+            ts = ts[order]
+            values = values[order]
+            tied = np.flatnonzero(ts[1:] == ts[:-1])
+            if tied.size:
                 raise DuplicateTimestampError(
-                    f"metric {metric!r} has two samples at timestamp {t1!r}"
+                    f"metric {metric!r} has two samples at timestamp {float(ts[tied[0]])!r}"
                 )
-        series[metric] = IndicatorSeries(
-            name=metric, unit=unit, samples=tuple(samples)
-        )
+        series[metric] = IndicatorSeries.from_arrays(metric, unit, ts, values)
     return series
 
 
@@ -182,9 +197,11 @@ def serialize_series(series_by_name: Mapping[str, "IndicatorSeries"]) -> str:
     fmt = format_timestamp
     for name in sorted(series_by_name):
         cell = csv_cell(name)
+        series = series_by_name[name]
+        # Python floats: numpy's own float repr is not the CSV's
         rows.extend(
-            f"{fmt(ts)},{cell},{float(value)!r}"
-            for ts, value in series_by_name[name].samples
+            f"{fmt(ts)},{cell},{value!r}"
+            for ts, value in zip(series.timestamps.tolist(), series.values.tolist())
         )
     return "\n".join(rows) + "\n"
 
@@ -230,7 +247,8 @@ def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
     statuses = {status.value for status in WorkloadStatus}
     status_counts = {status.value: 0 for status in WorkloadStatus}
     error_tally: dict[str, int] = {}
-    samples: list[tuple[float, float]] = []
+    starts: list[float] = []
+    durations: list[float] = []
     rejected = 0
     for record in records:
         try:
@@ -255,20 +273,17 @@ def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
         if error:
             error_tally[error] = error_tally.get(error, 0) + 1
         if status == WorkloadStatus.SUCCESS.value:
-            samples.append((start, end - start))
+            starts.append(start)
+            durations.append(end - start)
 
-    durations = None
-    if samples:
-        nudged = nudge_ties(samples)
-        if math.isinf(nudged[-1][0]):
+    series = None
+    if starts:
+        ts, values = nudge_ties(starts, durations)
+        if math.isinf(ts[-1]):
             raise ParseError("workload start times tie at the largest float")
-        durations = IndicatorSeries(
-            name="workload-duration",
-            unit="seconds",
-            samples=tuple(nudged),
-        )
+        series = IndicatorSeries.from_arrays("workload-duration", "seconds", ts, values)
     return WorkloadReportData(
-        durations=durations,
+        durations=series,
         status_counts=status_counts,
         error_tally=error_tally,
         rejected_records=rejected,

@@ -256,16 +256,25 @@ def _write_json(document: Mapping, path: Path) -> None:
     path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
 
 
+#: The ``ageing,overload`` cells of an error-log row, by the two flags.
+_FLAG_CELLS = {
+    (ageing, overload): f"{str(ageing).lower()},{str(overload).lower()}"
+    for ageing in (False, True)
+    for overload in (False, True)
+}
+
+
 def write_error_log(report: ScenarioReport, path: Path) -> None:
     """Write the error log as CSV; step and error names are quoted once each."""
     log = report.error_log
     cells = {name: csv_cell(name) for name in {e.step for e in log} | {e.error for e in log}}
+    flags = _FLAG_CELLS
     rows = ["time,step,error,ageing,overload"]
-    for event in log:
-        rows.append(
-            f"{format_timestamp(event.time)},{cells[event.step]},{cells[event.error]},"
-            f"{str(event.ageing).lower()},{str(event.overload).lower()}"
-        )
+    rows.extend(
+        f"{format_timestamp(event.time)},{cells[event.step]},{cells[event.error]},"
+        f"{flags[event.ageing, event.overload]}"
+        for event in log
+    )
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import types
 import typing
+from array import array
 from collections import abc
 from dataclasses import dataclass, field
 from enum import Enum
@@ -265,24 +266,25 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         known_steps=[s.name for s in defn.steps],
     )
 
-    durations: list[tuple[float, float]] = []
-    gauge_samples: dict[str, list[tuple[float, float]]] = {
-        "memory-available": [],
-        "swap-used": [],
-    }
-    disk_names = {node: f"disk-used-{node}" for node in topology.compute_nodes}
-    for name in disk_names.values():
-        gauge_samples[name] = []
+    # workload starts and durations; tick times and each gauge's readings
+    starts, durations = array("d"), array("d")
+    tick_times = array("d")
+    memory_available, swap_used = array("d"), array("d")
+    gauge_readings = {"memory-available": memory_available, "swap-used": swap_used}
+    disk_readings = {}
+    for node in topology.compute_nodes:
+        disk_readings[node] = gauge_readings[f"disk-used-{node}"] = array("d")
     hourly: dict[int, dict[str, int]] = {}
     totals = {status.value: 0 for status in WorkloadStatus}
     error_log: list[ErrorEvent] = []
 
     def tick_hook(t: float, gauges: dict) -> None:
+        tick_times.append(t)
         control = gauges[topology.control_node]
-        gauge_samples["memory-available"].append((t, control["memory_available"]))
-        gauge_samples["swap-used"].append((t, control["swap_used"]))
-        for node, name in disk_names.items():
-            gauge_samples[name].append((t, gauges[node]["disk_used"]))
+        memory_available.append(control["memory_available"])
+        swap_used.append(control["swap_used"])
+        for node, readings in disk_readings.items():
+            readings.append(gauges[node]["disk_used"])
 
     def hour_hook(t: float):
         cache_cleanup(cloud)
@@ -300,7 +302,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         bucket[status] += 1
         totals[status] += 1
         if result.status is WorkloadStatus.SUCCESS:
-            durations.append((result.started_at, result.duration))
+            starts.append(result.started_at)
+            durations.append(result.duration)
 
     def error_hook(t: float, step: str, error: str, stranded: bool) -> None:
         error_log.append(
@@ -363,15 +366,14 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         )
 
     series: dict[str, IndicatorSeries] = {}
-    ordered_durations = nudge_ties(durations)
-    if ordered_durations:
-        series["workload-duration"] = IndicatorSeries(
-            name="workload-duration", unit="seconds", samples=tuple(ordered_durations)
+    if starts:
+        series["workload-duration"] = IndicatorSeries.from_arrays(
+            "workload-duration", "seconds", *nudge_ties(starts, durations)
         )
-    for name, samples in gauge_samples.items():
-        if samples:
-            series[name] = IndicatorSeries(
-                name=name, unit="GB", samples=tuple(nudge_ties(samples))
+    if tick_times:
+        for name, readings in gauge_readings.items():
+            series[name] = IndicatorSeries.from_arrays(
+                name, "GB", *nudge_ties(tick_times, readings)
             )
 
     boundaries = (rejuvenation_started, rejuvenation_ended)

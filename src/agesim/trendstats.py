@@ -39,12 +39,10 @@ spacing into per-hour units.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -54,6 +52,9 @@ from .errors import (
     InvalidSeriesError,
     MissingPhaseBinError,
 )
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 #: Two-sided critical value at alpha = 0.05.
 Z_CRITICAL = 1.96
@@ -73,49 +74,133 @@ class TrendVerdict(Enum):
     INSUFFICIENT_DATA = "insufficient-data"
 
 
-@dataclass(frozen=True)
 class IndicatorSeries:
-    """A named, unit-carrying sequence of (timestamp, value) samples.
+    """A named, unit-carrying series of (timestamp, value) samples.
 
     Timestamps are seconds since the start of the observation window and
-    must be strictly increasing.
+    must be strictly increasing.  A series holds them and the values as
+    two read-only float64 arrays of equal length, ``timestamps`` and
+    ``values``; ``samples`` renders them as a tuple of ``(timestamp,
+    value)`` float pairs.  ``IndicatorSeries(name, unit, samples)`` builds
+    a series from pairs and ``IndicatorSeries.from_arrays`` from the two
+    arrays, which it copies; both check the series the same way.  Series
+    are immutable, and equal when name, unit and every float compare
+    equal.
     """
+
+    __slots__ = ("name", "unit", "timestamps", "values")
 
     name: str
     unit: str
-    samples: tuple[tuple[float, float], ...]
+    timestamps: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self):
-        if not self.unit:
+    def __init__(self, name: str, unit: str, samples: Iterable[tuple[float, float]]):
+        pairs = np.array(tuple(samples), dtype=np.float64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise InvalidSeriesError(f"samples of series {name!r} must be (timestamp, value) pairs")
+        self._assign(name, unit, pairs[:, 0], pairs[:, 1])
+
+    @classmethod
+    def from_arrays(
+        cls, name: str, unit: str, timestamps: ArrayLike, values: ArrayLike
+    ) -> IndicatorSeries:
+        """Build a series from parallel timestamp and value arrays."""
+        series = object.__new__(cls)
+        series._assign(name, unit, timestamps, values)
+        return series
+
+    def _assign(self, name: str, unit: str, timestamps: ArrayLike, values: ArrayLike) -> None:
+        if not unit:
             raise InvalidSeriesError("IndicatorSeries.unit must be non-empty")
-        samples = tuple(map(tuple, self.samples))
-        object.__setattr__(self, "samples", samples)
-        ts = [t for t, _ in samples]
-        # ``b <= a`` per neighbour pair: a NaN timestamp compares false and passes
-        if any(map(operator.le, ts[1:], ts)):
+        ts = np.array(timestamps, dtype=np.float64)
+        vs = np.array(values, dtype=np.float64)
+        if ts.ndim != 1 or ts.shape != vs.shape:
             raise InvalidSeriesError(
-                f"timestamps of series {self.name!r} must be strictly increasing"
+                f"timestamps and values of series {name!r} must be two arrays of one length"
             )
+        # ``b <= a`` per neighbour pair: a NaN timestamp compares false and passes
+        if (ts[1:] <= ts[:-1]).any():
+            raise InvalidSeriesError(
+                f"timestamps of series {name!r} must be strictly increasing"
+            )
+        ts.flags.writeable = False
+        vs.flags.writeable = False
+        for slot, value in zip(self.__slots__, (name, unit, ts, vs)):
+            object.__setattr__(self, slot, value)
+
+    @property
+    def samples(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.timestamps.tolist(), self.values.tolist()))
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.timestamps)
+
+    def __eq__(self, other):
+        if not isinstance(other, IndicatorSeries):
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.unit == other.unit
+            and np.array_equal(self.timestamps, other.timestamps)
+            and np.array_equal(self.values, other.values)
+        )
+
+    def __hash__(self) -> int:
+        # adding 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash(
+            (
+                self.name,
+                self.unit,
+                (self.timestamps + 0.0).tobytes(),
+                (self.values + 0.0).tobytes(),
+            )
+        )
+
+    def __repr__(self) -> str:
+        return f"IndicatorSeries(name={self.name!r}, unit={self.unit!r}, samples={self.samples!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (
+            IndicatorSeries.from_arrays,
+            (self.name, self.unit, self.timestamps, self.values),
+        )
 
 
-def nudge_ties(samples: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Sort samples and move tied timestamps just past their predecessor.
+def nudge_ties(
+    timestamps: ArrayLike, values: ArrayLike
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sort finite samples and move tied timestamps just past their predecessor.
 
-    A tie advances by a nanosecond, or by one float step where a
-    nanosecond is below the spacing (epoch seconds, for instance), so
-    the result is always strictly increasing.
+    Samples are sorted by timestamp, then value, keeping the input order
+    of full ties.  A tie advances by a nanosecond, or by one float step
+    where a nanosecond is below the spacing (epoch seconds, for
+    instance), so the returned timestamps are always strictly increasing.
     """
-    out: list[tuple[float, float]] = []
-    previous = -math.inf
-    for ts, value in sorted(samples):
-        if ts <= previous:
-            ts = max(previous + 1e-9, math.nextafter(previous, math.inf))
-        out.append((ts, value))
-        previous = ts
-    return out
+    ts = np.asarray(timestamps, dtype=np.float64)
+    vs = np.asarray(values, dtype=np.float64)
+    order = np.lexsort((vs, ts))
+    ts = ts[order]
+    vs = vs[order]
+    ties = np.flatnonzero(ts[1:] <= ts[:-1])
+    if ties.size:
+        # a nudge can push into the next timestamp, so walk on from the first tie
+        stamps = ts.tolist()
+        previous = stamps[ties[0]]
+        for i in range(int(ties[0]) + 1, len(stamps)):
+            if stamps[i] <= previous:
+                stamps[i] = max(previous + 1e-9, math.nextafter(previous, math.inf))
+            previous = stamps[i]
+        ts = np.array(stamps)
+    return ts, vs
 
 
 @dataclass(frozen=True)
@@ -218,6 +303,32 @@ def classify_z(z: float, n: int) -> TrendVerdict:
     return TrendVerdict.NO_TREND
 
 
+def _strict_inversions(ranks: np.ndarray) -> int:
+    """Pairs ``i < j`` with ``ranks[i] > ranks[j]``, by Knight's (1966) merge.
+
+    Level ``w`` of a bottom-up merge sort pairs each block of ``w``
+    indices with the block after it.  Every element of a right block is
+    looked up in the sorted left blocks at once, on keys ``pair * n +
+    rank`` that keep the pairs apart: a right element of pair ``p``
+    sees ``(p + 1) * w`` left elements up to its own pair, minus those
+    of its pair no greater than it.
+    """
+    n = ranks.size
+    index = np.arange(n)
+    inversions = 0
+    width = 1
+    while width < n:
+        pair = index // (2 * width)
+        keys = pair * n + ranks
+        in_left = index % (2 * width) < width
+        left = np.sort(keys[in_left])
+        right_pairs = pair[~in_left]
+        not_greater = np.searchsorted(left, keys[~in_left], side="right")
+        inversions += int(((right_pairs + 1) * width - not_greater).sum())
+        width *= 2
+    return inversions
+
+
 def mann_kendall(values: Sequence[float]) -> TrendTestResult:
     """Run the Mann-Kendall test on an ordered sequence of values.
 
@@ -225,15 +336,23 @@ def mann_kendall(values: Sequence[float]) -> TrendTestResult:
     the continuity-corrected standard score is zero when all values are
     tied.  With fewer than MIN_TREND_SAMPLES values the verdict is
     InsufficientData, S still being reported.
+
+    S is counted in O(n log n) over dense ranks: of the n(n-1)/2 pairs,
+    those tied in value add nothing and each strict inversion turns a +1
+    into a -1, so ``S = pairs - tied pairs - 2 * inversions``.  A NaN, or
+    the same infinity twice, has no sign of difference and raises
+    ValueError.
     """
     x = np.asarray(values, dtype=float)
     n = int(x.size)
+    repeated_infinity = (x == math.inf).sum() > 1 or (x == -math.inf).sum() > 1
+    if n >= 2 and (np.isnan(x).any() or repeated_infinity):
+        raise ValueError("Mann-Kendall values hold a NaN or a repeated infinity")
 
-    s = 0
-    for i in range(n - 1):
-        s += int(np.sign(x[i + 1 :] - x[i]).sum())
+    _, ranks, counts = np.unique(x, return_inverse=True, return_counts=True)
+    tied_pairs = sum(int(t) * (int(t) - 1) // 2 for t in counts if t > 1)
+    s = n * (n - 1) // 2 - tied_pairs - 2 * _strict_inversions(ranks)
 
-    _, counts = np.unique(x, return_counts=True) if n else (None, np.array([], int))
     tie_term = sum(int(t) * (int(t) - 1) * (2 * int(t) + 5) for t in counts if t > 1)
     variance = (n * (n - 1) * (2 * n + 5) - tie_term) / 18.0
 
@@ -302,26 +421,30 @@ def bin_hourly(
 
     Bins are found by sorting the samples' hour indices, so memory grows
     with the number of samples, never with the span of hours they cover.
+    A bin whose mean is not finite (its sum overflowed, say) raises
+    InvalidSeriesError naming the series.
     """
-    samples = series.samples
-    if not samples:
+    if not len(series):
         raise EmptySeriesError(f"series {series.name!r} has no samples")
     boundaries = list(phase_boundaries)
     if boundaries != sorted(boundaries):
         raise ValueError("phase_boundaries must be sorted ascending")
 
-    flat = np.fromiter(
-        itertools.chain.from_iterable(samples), float, 2 * len(samples)
-    )
     with np.errstate(invalid="ignore"):
-        floors = np.floor_divide(flat[0::2], SECONDS_PER_HOUR)
+        floors = np.floor_divide(series.timestamps, SECONDS_PER_HOUR)
     bins, index = np.unique(floors, return_inverse=True)
     # bincount adds each bin's values left to right in sample order
-    sums = np.bincount(index, weights=flat[1::2])
+    sums = np.bincount(index, weights=series.values)
     counts = np.bincount(index)
     # int() raises on a NaN or infinite timestamp's bin
     hours = tuple(int(h) for h in bins.tolist())
-    means = tuple((sums / counts).tolist())
+    means_array = sums / counts
+    overflowed = np.flatnonzero(~np.isfinite(means_array))
+    if overflowed.size:
+        raise InvalidSeriesError(
+            f"series {series.name!r} has a non-finite mean in hour {hours[overflowed[0]]}"
+        )
+    means = tuple(means_array.tolist())
 
     rejuvenation = []
     post = []
@@ -354,6 +477,7 @@ def ageing_summary(binned: HourlySeries) -> AgeingSummary:
     Requires stress hour 0, at least one stress bin for vb (the last
     populated one is used when hour 23 is missing) and one
     post-rejuvenation bin; a missing bin raises MissingPhaseBinError.
+    An A, R or slope that is not finite raises InvalidSeriesError.
     """
     skip = binned.phase_marks.non_stress()
     stress = [(h, m) for h, m in zip(binned.hours, binned.means) if h not in skip]
@@ -375,14 +499,23 @@ def ageing_summary(binned: HourlySeries) -> AgeingSummary:
 
     slope = None
     if len(stress) >= 2:
-        slope = sens_slope([m for _, m in stress], spacing_hours=1.0)
+        # an overflowing slope is reported below, as a non-finite summary
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = sens_slope([m for _, m in stress], spacing_hours=1.0)
 
+    ageing_a = vb - v0
+    rejuvenation_r = vb - vr
+    if not all(map(math.isfinite, (ageing_a, rejuvenation_r, slope or 0.0))):
+        raise InvalidSeriesError(
+            f"series {binned.name!r} has a non-finite ageing summary:"
+            f" A={ageing_a!r} R={rejuvenation_r!r} slope={slope!r}"
+        )
     return AgeingSummary(
         v0=v0,
         vb=vb,
         vr=vr,
-        ageing_a=vb - v0,
-        rejuvenation_r=vb - vr,
+        ageing_a=ageing_a,
+        rejuvenation_r=rejuvenation_r,
         sens_slope=slope,
     )
 
@@ -399,7 +532,7 @@ def evaluate_indicator(
     missing phase bins) degrades to InsufficientData or a recorded
     reason instead of raising.
     """
-    if not series.samples:
+    if not len(series):
         empty = HourlySeries(name=series.name, unit=series.unit, hours=(), means=())
         trend = TrendTestResult(
             n=0,
@@ -428,19 +561,22 @@ def evaluate_indicator(
 
 
 def rebased(series: IndicatorSeries, t0: float | None = None) -> IndicatorSeries:
-    """Shift timestamps so ``t0`` (by default the first sample) sits at t = 0."""
-    if not series.samples:
+    """Shift timestamps so ``t0`` (by default the first sample) sits at t = 0.
+
+    The shift is one vector subtract.  A timestamp that overflows to
+    infinity, or two that round to the same float, raise
+    InvalidSeriesError.
+    """
+    ts = series.timestamps
+    if not ts.size:
         return series
     if t0 is None:
-        t0 = series.samples[0][0]
-    samples = [(t - t0, v) for t, v in series.samples]
+        t0 = ts[0]
+    with np.errstate(over="ignore"):
+        shifted = ts - t0
     # the timestamps are increasing, so an overflow shows at an end
-    if math.isinf(samples[0][0]) or math.isinf(samples[-1][0]):
+    if math.isinf(shifted[0]) or math.isinf(shifted[-1]):
         raise InvalidSeriesError(
             f"timestamps of series {series.name!r} overflow when rebased"
         )
-    return IndicatorSeries(
-        name=series.name,
-        unit=series.unit,
-        samples=samples,
-    )
+    return IndicatorSeries.from_arrays(series.name, series.unit, shifted, series.values)

@@ -1,6 +1,9 @@
 """Command line interface, run in-process through main()."""
 
+import hashlib
 import json
+import random
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -543,6 +546,42 @@ class TestAnalyzeCommand:
         # 'a' analyses cleanly, but the command fails before printing it.
         assert captured.out == ""
 
+    def test_hourly_mean_overflowing_is_exit_2(self, tmp_path, capsys):
+        """Two samples of 1.5e308 in one hour sum past the largest float."""
+        path = tmp_path / "huge.csv"
+        rows = ["timestamp,metric,value"]
+        rows += [f"{h * 3600 + k * 60},huge,1.5e308" for h in range(12) for k in range(2)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: series 'huge' has a non-finite mean")
+        assert captured.out == ""
+
+    def test_ageing_delta_overflowing_is_exit_2(self, tmp_path, capsys):
+        """Hour means of +/-1.5e308 are finite, but A = vb - v0 is not."""
+        path = tmp_path / "swing.csv"
+        rows = ["timestamp,metric,value"]
+        rows += [f"{h * 3600},swing,{1.5e308 if h % 2 == 0 else -1.5e308!r}" for h in range(12)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "analysis"
+        code = main(
+            [
+                "analyze",
+                str(path),
+                "--stress-end",
+                "36000",
+                "--rejuvenation-end",
+                "39600",
+                "--out",
+                str(out_dir),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: series 'swing' has a non-finite ageing summary")
+        assert captured.out == ""
+        assert not (out_dir / "analysis.json").exists()
+
     def test_deeply_nested_workload_report_is_exit_2(self, tmp_path, capsys):
         report = tmp_path / "wl.json"
         report.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
@@ -555,6 +594,86 @@ class TestAnalyzeCommand:
         path.write_text("timestamp,metric,value\nabc,m,1\n", encoding="utf-8")
         assert main(["analyze", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+
+def golden_analyze_inputs(tmp_path):
+    """Two shuffled files: numeric stamps for two metrics, ISO stamps for one.
+
+    Rows come from ``random.Random`` (stable across Python versions) and
+    span 30 stress hours, one rejuvenation hour and three more, at
+    irregular spacing with fractional seconds, so rebasing, sorting,
+    binning and every statistic are exercised.
+    """
+    rng = random.Random(905)
+    epoch = 1_700_000_000
+    numeric = []
+    for metric, level, drift, decimals in (
+        ("disk-used", 40.0, 0.35, 3),
+        ("memory-available", 12.0, -0.08, 1),
+    ):
+        t = float(epoch + rng.randint(0, 30))
+        while t < epoch + 34 * 3600:
+            hour = (t - epoch) / 3600
+            trend = drift * hour if hour < 30 else 0.0
+            value = round(level + trend + rng.random() - 0.5, decimals)
+            numeric.append(f"{t!r},{metric},{value!r}")
+            t += rng.choice((300, 450, 600, 900)) + rng.choice((0.0, 0.25, 0.5))
+    rng.shuffle(numeric)
+
+    iso = []
+    start = datetime.fromtimestamp(epoch, tz=timezone.utc)
+    offset = 0.0
+    while offset < 34 * 3600:
+        moment = start + timedelta(seconds=offset)
+        hour = offset / 3600
+        value = round(0.5 + (0.02 * hour if hour < 30 else 0.0) + 0.1 * rng.random(), 4)
+        style = rng.randint(0, 2)
+        if style == 0:
+            stamp = moment.strftime("%Y-%m-%dT%H:%M:%S.%fZ")
+        elif style == 1:
+            stamp = moment.replace(tzinfo=None).isoformat()
+        else:
+            stamp = moment.astimezone(timezone(timedelta(hours=2))).isoformat()
+        iso.append(f"{stamp},swap-used,{value!r}")
+        offset += rng.choice((600, 1200, 1800)) + rng.choice((0.0, 0.5))
+    rng.shuffle(iso)
+
+    paths = []
+    for name, rows in (("numeric.csv", numeric), ("iso.csv", iso)):
+        path = tmp_path / name
+        path.write_text("timestamp,metric,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+#: SHA-256 of ``analysis.json`` and of stdout (output directory masked) for
+#: the golden inputs, computed before series were stored as arrays.
+GOLDEN_ANALYSIS_SHA256 = "e1af921924a2f952f5bef1eb2e713d9a27ab42df7a792a5807343b5d6466cda3"
+GOLDEN_STDOUT_SHA256 = "05aea32510a63798d267b89832ca9c070739d5ed116efeecda14d49ae108ca2a"
+
+
+def test_analyze_golden_digests(tmp_path, capsys):
+    """Byte-identical analysis of shuffled numeric and ISO inputs."""
+    out_dir = tmp_path / "analysis"
+    code = main(
+        [
+            "analyze",
+            *golden_analyze_inputs(tmp_path),
+            "--unit",
+            "GB",
+            "--stress-end",
+            "108000",
+            "--rejuvenation-end",
+            "111600",
+            "--out",
+            str(out_dir),
+        ]
+    )
+    assert code == 0
+    stdout = capsys.readouterr().out.replace(str(out_dir), "<out>")
+    analysis = (out_dir / "analysis.json").read_bytes()
+    assert hashlib.sha256(analysis).hexdigest() == GOLDEN_ANALYSIS_SHA256
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_STDOUT_SHA256
 
 
 class TestParser:

@@ -93,6 +93,11 @@ class TestIngest:
         with pytest.raises(DuplicateTimestampError):
             series_of("timestamp,metric,value\n0,m,1.0\n0,m,2.0\n")
 
+    def test_duplicate_names_the_tied_timestamp_of_the_smaller_value(self):
+        """Ties sort by value, so the message spells the stamp of the smaller one."""
+        with pytest.raises(DuplicateTimestampError, match="timestamp -0.0$"):
+            series_of("timestamp,metric,value\n0,m,2.0\n-0,m,1.0\n")
+
     def test_duplicate_allowed_across_metrics(self):
         series = series_of("timestamp,metric,value\n0,a,1.0\n0,b,2.0\n")
         assert len(series) == 2
@@ -231,6 +236,57 @@ def test_ingest_parses_or_names_the_first_bad_line(rows):
         assert {m: s.samples for m, s in series.items()} == {
             m: tuple(samples) for m, samples in expected.items()
         }
+
+
+# Rows of (metric, timestamp, value); negative zero is mapped to zero so a
+# tied timestamp has one spelling.
+shuffle_rows = st.lists(
+    st.tuples(
+        st.sampled_from(("a", "b")),
+        st.one_of(st.integers(-20, 20).map(float), st.floats(-1e9, 1e9).map(lambda t: t + 0.0)),
+        st.one_of(st.integers(-3, 3).map(float), st.floats(-1e9, 1e9)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def csv_of_rows(rows):
+    lines = [f"{ts!r},{metric},{value!r}" for metric, ts, value in rows]
+    return "timestamp,metric,value\n" + "\n".join(lines) + "\n"
+
+
+def first_duplicate_message(rows):
+    """The error for the first metric (in file order) holding a tied timestamp."""
+    stamps: dict[str, list[float]] = {}
+    for metric, ts, _ in rows:
+        stamps.setdefault(metric, []).append(ts)
+    for metric, seen in stamps.items():
+        tied = [t for t in seen if seen.count(t) > 1]
+        if tied:
+            return f"metric {metric!r} has two samples at timestamp {min(tied)!r}"
+    return None
+
+
+@given(rows=shuffle_rows, order=st.randoms(use_true_random=False))
+def test_ingest_of_shuffled_rows_equals_ingest_of_sorted_rows(rows, order):
+    """Row order never matters; a duplicate names the smallest tied timestamp."""
+    shuffled = list(rows)
+    order.shuffle(shuffled)
+    in_order = sorted(rows, key=lambda row: row[1])
+    for variant in (shuffled, in_order):
+        message = first_duplicate_message(variant)
+        if message is not None:
+            with pytest.raises(DuplicateTimestampError) as err:
+                series_of(csv_of_rows(variant))
+            assert str(err.value) == message
+    if first_duplicate_message(rows) is None:
+        from_shuffled = series_of(csv_of_rows(shuffled))
+        assert from_shuffled == series_of(csv_of_rows(in_order))
+        for metric, series in from_shuffled.items():
+            assert series.samples == tuple(
+                (ts, value) for m, ts, value in in_order if m == metric
+            )
 
 
 class TestSerializeRoundTrip:
@@ -400,6 +456,28 @@ class TestWorkloadReport:
         )
         t0, t1 = (ts for ts, _ in data.durations.samples)
         assert t0 < t1
+
+    def test_tied_starts_are_ordered_by_duration_and_nudged_in_turn(self):
+        """Ties sort by duration; a nudge can run into the next start, which moves on."""
+        data = ingest_workload_report(
+            self.doc(
+                [
+                    {"start": 100.0, "end": 170.0, "status": "success"},
+                    {"start": 100.0, "end": 160.0, "status": "success"},
+                    {"start": 100.0 + 1e-9, "end": 101.0, "status": "success"},
+                    {"start": 100.0, "end": 165.0, "status": "success"},
+                ]
+            )
+        )
+        t1 = 100.0 + 1e-9
+        t2 = t1 + 1e-9
+        t3 = t2 + 1e-9
+        assert data.durations.samples == (
+            (100.0, 60.0),
+            (t1, 65.0),
+            (t2, 70.0),
+            (t3, 101.0 - t1),
+        )
 
     def test_no_successes_yields_no_series(self):
         data = ingest_workload_report(

@@ -1,6 +1,7 @@
 """Report rendering: documents, tables, disk bundles, determinism."""
 
 import csv
+import dataclasses
 import filecmp
 import json
 
@@ -15,10 +16,12 @@ from agesim.report import (
     suite_trend_table,
     verdict_marker,
     write_bundle,
+    write_error_log,
     write_suite_bundle,
 )
 from agesim.scenario import (
     EarlyFailurePolicy,
+    ErrorEvent,
     ScenarioConfig,
     run_scenario,
     run_suite,
@@ -233,6 +236,23 @@ class TestBundle:
         assert len(rows) - 1 == len(report.error_log) > 0
         assert {len(row) for row in rows} == {5}
         assert {row[1] for row in rows[1:]} == {"poke, twice"}
+
+    def test_errors_csv_writes_both_flags_of_each_event(self, overload_report, tmp_path):
+        events = tuple(
+            ErrorEvent(time=60.0 * i, step="boot server", error="e", ageing=ageing, overload=overload)
+            for i, (ageing, overload) in enumerate(
+                [(False, False), (True, False), (False, True), (True, True)]
+            )
+        )
+        path = tmp_path / "errors.csv"
+        write_error_log(dataclasses.replace(overload_report, error_log=events), path)
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            "time,step,error,ageing,overload",
+            "0,boot server,e,false,false",
+            "60,boot server,e,true,false",
+            "120,boot server,e,false,true",
+            "180,boot server,e,true,true",
+        ]
 
     def test_json_reflects_exclusion_flag(self, overload_report, tmp_path):
         out = write_bundle(overload_report, tmp_path / "kept", exclude_overload=False)

@@ -6,7 +6,9 @@ directly from the textbook definitions.
 """
 
 import math
+import pickle
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -397,6 +399,29 @@ class TestAgeingSummary:
         assert s.vb == s.v0 == 1.0
         assert s.sens_slope is None
 
+    @pytest.mark.parametrize(
+        "stress, vr, shown",
+        [
+            ((-1.5e308, 1.5e308), 1.5e308, "A=inf"),
+            ((0.0, 1.5e308), -1.5e308, "R=inf"),
+            ((-1.5e308, 0.0, 1.5e308, 0.0), 0.0, "slope=inf"),
+        ],
+        ids=["ageing-delta", "rejuvenation-delta", "slope-only"],
+    )
+    def test_non_finite_summary_is_invalid(self, stress, vr, shown):
+        """Finite bin means whose A, R or Sen's slope overflow are an input error."""
+        hours = tuple(range(len(stress))) + (25,)
+        binned = HourlySeries(
+            name="m",
+            unit="gigabytes",
+            hours=hours,
+            means=(*stress, vr),
+            phase_marks=PhaseMarks(post_rejuvenation=(25,)),
+        )
+        with pytest.raises(InvalidSeriesError, match="series 'm' has a non-finite") as err:
+            ageing_summary(binned)
+        assert shown in str(err.value)
+
 
 # ── End-to-end indicator evaluation ──────────────────────────────────────
 
@@ -475,6 +500,45 @@ class TestIndicatorSeries:
         """``b <= a`` is false against NaN, so a NaN stamp gets past the check."""
         series = series_of([(0.0, 1.0), (math.nan, 2.0), (10.0, 3.0)])
         assert len(series) == 3
+
+    def test_samples_round_trip_through_arrays(self):
+        samples = ((0.0, 1.5), (30.0, -2.0), (61.25, 1e-300))
+        series = series_of(samples)
+        assert series.timestamps.dtype == np.float64
+        assert series.timestamps.tolist() == [0.0, 30.0, 61.25]
+        assert series.values.tolist() == [1.5, -2.0, 1e-300]
+        assert series.samples == samples
+        assert all(type(x) is float for pair in series.samples for x in pair)
+        copy = IndicatorSeries.from_arrays("metric", "gigabytes", series.timestamps, series.values)
+        assert copy.samples == samples
+
+    def test_arrays_are_read_only_and_owned(self):
+        stamps = np.array([0.0, 1.0, 2.0])
+        series = IndicatorSeries.from_arrays("m", "GB", stamps, [3.0, 4.0, 5.0])
+        with pytest.raises(ValueError):
+            series.timestamps[0] = 5.0
+        with pytest.raises(ValueError):
+            series.values[1] = 5.0
+        stamps[0] = -1.0  # the caller's array is copied, not shared
+        assert series.timestamps[0] == 0.0
+        with pytest.raises(FrozenInstanceError):
+            series.name = "other"
+        with pytest.raises(FrozenInstanceError):
+            series.timestamps = np.zeros(3)
+
+    def test_from_arrays_checks_like_the_pair_constructor(self):
+        with pytest.raises(InvalidSeriesError, match="strictly increasing"):
+            IndicatorSeries.from_arrays("m", "GB", [1.0, 1.0], [2.0, 3.0])
+        with pytest.raises(InvalidSeriesError, match="unit"):
+            IndicatorSeries.from_arrays("m", "", [1.0], [2.0])
+        with pytest.raises(InvalidSeriesError, match="one length"):
+            IndicatorSeries.from_arrays("m", "GB", [1.0, 2.0], [2.0])
+        with pytest.raises(InvalidSeriesError, match="pairs"):
+            IndicatorSeries("m", "GB", [(1.0, 2.0, 3.0)])
+
+    def test_series_pickles(self):
+        series = series_of([(0.0, 1.0), (5.0, 2.0)])
+        assert pickle.loads(pickle.dumps(series)) == series
 
 
 # ── Property tests against independent oracles ───────────────────────────
@@ -565,6 +629,62 @@ def test_mann_kendall_s_matches_double_sum(values):
     result = mann_kendall(values)
     assert result.s_statistic == expected_s
     assert result.variance == expected_var
+
+
+@given(
+    values=st.integers(0, 300).flatmap(
+        lambda n: st.lists(st.integers(0, 4).map(float), min_size=n, max_size=n)
+    )
+)
+def test_mann_kendall_long_series_with_large_tie_groups_match_double_sum(values):
+    """Up to 300 values from five levels, so tie groups run to dozens of values."""
+    expected_s, expected_var = brute_mann_kendall(values)
+    result = mann_kendall(values)
+    assert result.s_statistic == expected_s
+    assert result.variance == expected_var
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1.0, math.nan], [math.nan, math.nan], [math.inf, 0.0, math.inf], [-math.inf, -math.inf]],
+)
+def test_mann_kendall_raises_where_a_pair_has_no_sign(values):
+    """NaN, or the same infinity twice, leaves a difference without a sign."""
+    with pytest.raises(ValueError):
+        mann_kendall(values)
+
+
+def test_mann_kendall_keeps_opposite_infinities_and_a_lone_nan():
+    assert mann_kendall([-math.inf, 0.0, math.inf]).s_statistic == 3
+    assert mann_kendall([math.nan]).s_statistic == 0
+
+
+pair_floats = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]))
+
+
+@given(
+    samples=st.lists(st.tuples(pair_floats, pair_floats), max_size=20).map(
+        lambda pairs: sorted(dict(pairs).items())
+    ),
+    flip=st.booleans(),
+)
+def test_series_equality_and_hash_agree_across_constructors(samples, flip):
+    """Pairs and arrays give equal series with equal hashes, -0.0 and 0.0 alike."""
+    from_pairs = series_of(samples)
+    signs = -1.0 if flip else 1.0
+    from_arrays = IndicatorSeries.from_arrays(
+        "metric",
+        "gigabytes",
+        [t if t else signs * 0.0 for t, _ in samples],
+        [v if v else signs * 0.0 for _, v in samples],
+    )
+    assert from_pairs == from_arrays
+    assert hash(from_pairs) == hash(from_arrays)
+    if samples:
+        other = IndicatorSeries.from_arrays(
+            "metric", "gigabytes", from_pairs.timestamps, from_pairs.values + 1.0
+        )
+        assert other != from_pairs
 
 
 @given(
