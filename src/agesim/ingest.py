@@ -67,6 +67,19 @@ def _parse_iso(text: str) -> float | None:
     return moment.timestamp()
 
 
+def _float_of_stripped(cell: str) -> float:
+    """The stripped cell as a float, NaN if it is none.
+
+    ``float`` skips surrounding whitespace itself, all but the separators
+    ``\\x1c``-``\\x1f``, which ``str.strip`` removes; so a cell ``float``
+    rejects gets this second reading.
+    """
+    try:
+        return float(cell.strip())
+    except ValueError:
+        return math.nan
+
+
 def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
     """Parse a series CSV into indicator series keyed by metric name.
 
@@ -77,6 +90,8 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
     (``reader.line_num``), which a quoted cell spanning lines moves past
     the record count.
 
+    Timestamp and value cells go to ``float`` as they are, since it
+    skips surrounding whitespace; only a cell it rejects is stripped.
     Each metric's timestamps and values are read into two ``array('d')``
     and sorted (stably, by timestamp then value) only when they are not
     already strictly increasing.
@@ -107,9 +122,7 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
                     continue
                 raise ParseError(f"expected 3 columns, got {len(row)}", line=reader.line_num)
             raw_ts, metric, raw_value = row
-            raw_ts = raw_ts.strip()
             metric = metric.strip()
-            raw_value = raw_value.strip()
             if not metric:
                 raise ParseError("empty metric name", line=reader.line_num)
 
@@ -117,10 +130,11 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
             try:
                 ts = float(raw_ts)
             except ValueError:
-                ts = math.nan
+                ts = _float_of_stripped(raw_ts)
             if isfinite(ts):
                 row_style = "numeric"
             else:
+                raw_ts = raw_ts.strip()
                 ts = _parse_iso(raw_ts)
                 row_style = "iso-8601"
                 if ts is None:
@@ -136,9 +150,9 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
             try:
                 value = float(raw_value)
             except ValueError:
-                value = math.nan
+                value = _float_of_stripped(raw_value)
             if not isfinite(value):
-                raise ParseError(f"unreadable value {raw_value!r}", line=reader.line_num)
+                raise ParseError(f"unreadable value {raw_value.strip()!r}", line=reader.line_num)
             append = get_appenders(metric)
             if append is None:
                 stamps, readings = by_metric[metric] = (array("d"), array("d"))

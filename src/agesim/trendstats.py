@@ -34,7 +34,10 @@ yield InsufficientData.
 Sen's slope is the median of all pairwise slopes ``(x_j - x_i)/(j - i)``
 over index pairs ``i < j``; the index-distance denominator keeps pairs
 with repeated values well-defined, and the result is rescaled by the bin
-spacing into per-hour units.
+spacing into per-hour units.  It is selected exactly without holding the
+n(n-1)/2 slopes: a fixed-seed sample of pairs brackets the median, one
+blocked scan counts the slopes on either side of the bracket and keeps
+those inside, and the median is selected among them.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EmptySeriesError,
@@ -63,6 +67,21 @@ Z_CRITICAL = 1.96
 MIN_TREND_SAMPLES = 10
 
 SECONDS_PER_HOUR = 3600.0
+
+#: Sen's slope scans up to this many pairs with the bracket ``(-inf, inf)``.
+_OPEN_BRACKET_PAIRS = 1 << 16
+
+#: Pairs sampled to bracket the median slope of a longer series.
+_SAMPLE_PAIRS = 1 << 16
+
+#: Seed of the private generator that draws the sample.
+_SAMPLE_SEED = 1968
+
+#: Binomial standard deviations of the sample between each bracket end and the median.
+_BRACKET_SIGMAS = 4.5
+
+#: Slopes computed at once in one block of lags.
+_BLOCK_SLOPES = 1 << 16
 
 
 class TrendVerdict(Enum):
@@ -329,6 +348,13 @@ def _strict_inversions(ranks: np.ndarray) -> int:
     return inversions
 
 
+def _pair_without_sign(x: np.ndarray) -> bool:
+    """Whether some pair's difference is NaN: a NaN, or the same infinity twice."""
+    return bool(
+        np.isnan(x).any() or (x == math.inf).sum() > 1 or (x == -math.inf).sum() > 1
+    )
+
+
 def mann_kendall(values: Sequence[float]) -> TrendTestResult:
     """Run the Mann-Kendall test on an ordered sequence of values.
 
@@ -345,8 +371,7 @@ def mann_kendall(values: Sequence[float]) -> TrendTestResult:
     """
     x = np.asarray(values, dtype=float)
     n = int(x.size)
-    repeated_infinity = (x == math.inf).sum() > 1 or (x == -math.inf).sum() > 1
-    if n >= 2 and (np.isnan(x).any() or repeated_infinity):
+    if n >= 2 and _pair_without_sign(x):
         raise ValueError("Mann-Kendall values hold a NaN or a repeated infinity")
 
     _, ranks, counts = np.unique(x, return_inverse=True, return_counts=True)
@@ -376,32 +401,135 @@ def mann_kendall(values: Sequence[float]) -> TrendTestResult:
     )
 
 
+def _median_bracket(x: np.ndarray, pairs: int, ranks: list[int]) -> tuple[float, float]:
+    """Two pair slopes that, with high probability, enclose the slopes at ``ranks``.
+
+    Up to ``_OPEN_BRACKET_PAIRS`` pairs the bracket is ``(-inf, inf)``.
+    Above, ``_SAMPLE_PAIRS`` uniform pairs come from a private generator
+    with a fixed seed, so a series always gets the same bracket and the
+    global random state is left alone.  Each end lies
+    ``_BRACKET_SIGMAS`` binomial standard deviations of the sample
+    beyond the median ranks; an end past the sample is infinite.
+    """
+    if pairs <= _OPEN_BRACKET_PAIRS:
+        return -math.inf, math.inf
+    n = x.size
+    size = _SAMPLE_PAIRS
+    rng = np.random.default_rng(_SAMPLE_SEED)
+    first = rng.integers(0, n, size)
+    # an offset in 1..n-1 from a uniform index gives a uniform pair i != j
+    last = (first + rng.integers(1, n, size)) % n
+    first, last = np.minimum(first, last), np.maximum(first, last)
+    sample = (x[last] - x[first]) / (last - first).astype(float)
+    margin = _BRACKET_SIGMAS * math.sqrt(size) / 2
+    low = math.floor((ranks[0] + 0.5) * size / pairs - margin)
+    high = math.ceil((ranks[-1] + 0.5) * size / pairs + margin)
+    ends = [k for k in (low, high) if 0 <= k < size]
+    if ends:
+        sample.partition(ends)
+    lo = float(sample[low]) if low >= 0 else -math.inf
+    hi = float(sample[high]) if high < size else math.inf
+    return lo, hi
+
+
+def _scan_slopes(x: np.ndarray, lo: float, hi: float) -> tuple[int, int, np.ndarray, int]:
+    """Count every pair slope against ``[lo, hi]`` and keep those strictly inside.
+
+    Returns ``(below, at_lo, inside, within)``: the number of slopes
+    under ``lo``, the number equal to ``lo``, the slopes strictly
+    between the ends in no particular order, and the number of slopes in
+    ``[lo, hi]``, ties at both ends included.  Slopes are computed in
+    blocks of about ``_BLOCK_SLOPES``, a few lags at a time.  Ties at the
+    ends are only counted, never kept, so the many tied slopes of a flat
+    or quantised series cost no memory.
+    """
+    n = x.size
+    # windows[k, c] = x[k + c], NaN past the end: such a pair fails every comparison
+    windows = sliding_window_view(np.concatenate((x, np.full(n - 1, math.nan))), n - 1)
+    lags = np.arange(1.0, n)[:, None]
+    capacity = max(_BLOCK_SLOPES, n - 1)
+    block = np.empty(capacity)
+    at_least_lo = np.empty(capacity, dtype=bool)
+    at_most_hi = np.empty(capacity, dtype=bool)
+    below = at_lo = within = 0
+    kept = []
+    lag = 1
+    while lag < n:
+        rows = n - lag
+        width = min(rows, max(1, _BLOCK_SLOPES // rows))
+        size = width * rows
+        # slopes[c, i] is the slope of pair (i, i + lag + c)
+        slopes = block[:size].reshape(width, rows)
+        np.subtract(windows[lag : lag + width, :rows], x[:rows], out=slopes)
+        np.divide(slopes, lags[lag - 1 : lag - 1 + width], out=slopes)
+        low_side = np.greater_equal(slopes, lo, out=at_least_lo[:size].reshape(width, rows))
+        # lag + c reaches past the end in the last c rows, a triangle of NaN pairs
+        below += size - width * (width - 1) // 2 - np.count_nonzero(low_side)
+        high_side = np.less_equal(slopes, hi, out=at_most_hi[:size].reshape(width, rows))
+        in_range = slopes[np.logical_and(low_side, high_side, out=low_side)]
+        within += in_range.size
+        at_lo += np.count_nonzero(in_range == lo)
+        kept.append(in_range[(in_range > lo) & (in_range < hi)])
+        lag += width
+    return below, at_lo, np.concatenate(kept), within
+
+
 def sens_slope(values: Sequence[float], spacing_hours: float = 1.0) -> float:
     """Median pairwise slope of a regularly spaced series, per hour.
 
-    Denominators are index distances ``j - i``; ``spacing_hours`` rescales
-    the result into per-hour units.  The n(n-1)/2 pair slopes live in one
-    buffer of 8 bytes per pair, filled row by row and partitioned in place
-    for the median, so no second copy of them is ever made.
+    Denominators are index distances ``j - i``; ``spacing_hours``, which
+    must be positive and finite, rescales the result into per-hour
+    units.  The result is bit for bit ``np.median`` of all n(n-1)/2 slopes
+    ``(x[j] - x[i]) / (j - i)``, but those slopes are never held at once:
+
+    1. a fixed-seed sample of pair slopes brackets the median rank(s)
+       between two sample slopes ``lo`` and ``hi`` (``(-inf, inf)`` for
+       short series, see ``_median_bracket``);
+    2. one scan in blocks of lags counts the slopes below ``lo``, equal
+       to ``lo`` and in ``[lo, hi]``, and keeps only those strictly
+       between: all of them up to ``_OPEN_BRACKET_PAIRS`` pairs, about
+       1.8 % above;
+    3. the median ranks are read off the counts, or selected among the
+       kept slopes with ``np.partition``, and averaged as ``np.median``
+       does.  A bracket that misses the median, which the sample makes
+       unlikely, is opened to an infinity on that side and scanned
+       again, so the result is exact either way.
+
+    Time is O(n^2) vectorised; memory is the series, one block and the
+    kept slopes.  A NaN, or the same infinity twice, makes some slope
+    NaN, and the result is NaN as with ``np.median``.
     """
     x = np.asarray(values, dtype=float)
     n = int(x.size)
     if n < 2:
         raise InsufficientDataError("Sen's slope needs at least two values")
-    if spacing_hours <= 0:
-        raise ValueError("spacing_hours must be positive")
+    if not (spacing_hours > 0 and math.isfinite(spacing_hours)):
+        raise ValueError("spacing_hours must be positive and finite")
+    if _pair_without_sign(x):
+        return math.nan
 
-    slopes = np.empty(n * (n - 1) // 2)
-    lags = np.arange(1, n, dtype=float)
-    start = 0
-    for i in range(n - 1):
-        stop = start + n - 1 - i
-        row = slopes[start:stop]
-        np.subtract(x[i + 1 :], x[i], out=row)
-        np.divide(row, lags[: n - 1 - i], out=row)
-        start = stop
-    slope = float(np.median(slopes, overwrite_input=True))
-    return slope / spacing_hours
+    pairs = n * (n - 1) // 2
+    # the middle rank, or the two middle ranks, that np.median averages
+    ranks = sorted({(pairs - 1) // 2, pairs // 2})
+    lo, hi = _median_bracket(x, pairs, ranks)
+    below, at_lo, inside, within = _scan_slopes(x, lo, hi)
+    missed_low = ranks[0] < below
+    missed_high = ranks[-1] >= below + within
+    if missed_low or missed_high:
+        # nothing lies past an infinite end, so the second scan cannot miss
+        lo = -math.inf if missed_low else lo
+        hi = math.inf if missed_high else hi
+        below, at_lo, inside, within = _scan_slopes(x, lo, hi)
+
+    start = below + at_lo
+    inner = [r - start for r in ranks if start <= r < start + inside.size]
+    if inner:
+        inside.partition(inner)
+    middle = [
+        lo if r < start else hi if r >= start + inside.size else inside[r - start]
+        for r in ranks
+    ]
+    return float(np.median(np.array(middle))) / spacing_hours
 
 
 def bin_hourly(

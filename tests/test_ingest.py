@@ -289,6 +289,52 @@ def test_ingest_of_shuffled_rows_equals_ingest_of_sorted_rows(rows, order):
             )
 
 
+# Padding that ``str.strip`` removes; ``float`` skips all of it except the
+# separators \x1c-\x1f, so those cells take the stripped reading.
+padding = st.text(alphabet=" \t\x0b\x0c\x1c\x1d\x1e\x1f\xa0\u3000", max_size=3)
+stamp_cells = st.sampled_from(["{}", "{}.5", "{}e0", "2024-01-01T00:00:{:02d}Z", "soon{}", "nan"])
+value_cells = st.sampled_from(["1.5", "-0.0", "2e-3", "nan", "inf", "lots"])
+
+
+@given(
+    rows=st.lists(
+        st.tuples(stamp_cells, value_cells, padding, padding, padding, padding),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_padded_cells_parse_or_fail_as_their_stripped_text(rows):
+    """Padded timestamp and value cells read as the stripped cells do: the same
+    samples, or the same error text and line."""
+    padded = ["timestamp,metric,value"]
+    stripped = ["timestamp,metric,value"]
+    for k, (stamp, value, a, b, c, d) in enumerate(rows):
+        ts = stamp.format(k)
+        padded.append(f"{a}{ts}{b},m,{c}{value}{d}")
+        stripped.append(f"{ts},m,{value}")
+    try:
+        expected = series_of("\n".join(stripped) + "\n")
+    except ParseError as exc:
+        with pytest.raises(type(exc)) as err:
+            series_of("\n".join(padded) + "\n")
+        assert str(err.value) == str(exc)
+        assert err.value.line == exc.line
+    else:
+        assert series_of("\n".join(padded) + "\n") == expected
+
+
+@pytest.mark.parametrize("pad", [" ", "\t", "\x1c", "\x1f", " \x1e\t"])
+def test_padded_cells_keep_their_values_and_error_text(pad):
+    series = series_of(f"timestamp,metric,value\n{pad}30{pad},m,{pad}1.5{pad}\n")
+    assert series["m"].samples == ((30.0, 1.5),)
+    with pytest.raises(ParseError) as err:
+        series_of(f"timestamp,metric,value\n{pad}soon{pad},m,1\n")
+    assert str(err.value) == "line 2: unreadable timestamp 'soon'"
+    with pytest.raises(ParseError) as err:
+        series_of(f"timestamp,metric,value\n0,m,1\n30,m,{pad}inf{pad}\n")
+    assert str(err.value) == "line 3: unreadable value 'inf'"
+
+
 class TestSerializeRoundTrip:
     def test_simple_round_trip(self):
         original = {

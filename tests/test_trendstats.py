@@ -7,8 +7,10 @@ directly from the textbook definitions.
 
 import math
 import pickle
+import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import theilslopes
 
+from agesim import trendstats
 from agesim.errors import (
     AgesimError,
     EmptySeriesError,
@@ -614,6 +617,144 @@ def test_bin_hourly_non_finite_timestamp_raises_value_error(bad):
 @given(values=st.lists(tied_values, min_size=2, max_size=60))
 def test_sens_slope_matches_concatenated_median_bit_exact(values):
     assert sens_slope(values).hex() == concatenated_sens_slope(values).hex()
+
+
+def exact_slope_pair(values):
+    """``sens_slope`` and the concatenated median, both as hex."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sens_slope(values).hex(), concatenated_sens_slope(values).hex()
+
+
+extreme_values = st.one_of(
+    tied_values,
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5e308, -1.5e308, math.inf, math.nan]),
+)
+
+
+@given(
+    values=st.lists(extreme_values, min_size=2, max_size=80),
+    sample_pairs=st.integers(1, 64),
+    block_slopes=st.integers(1, 200),
+    sigmas=st.sampled_from([0.0, 1.0, 4.5]),
+)
+def test_bracketed_sens_slope_matches_concatenated_median_bit_exact(
+    values, sample_pairs, block_slopes, sigmas
+):
+    """Constants patched down so that every series takes a sampled bracket;
+    zero sigmas make it miss often."""
+    with mock.patch.multiple(
+        trendstats,
+        _OPEN_BRACKET_PAIRS=0,
+        _SAMPLE_PAIRS=sample_pairs,
+        _BLOCK_SLOPES=block_slopes,
+        _BRACKET_SIGMAS=sigmas,
+    ):
+        got, expected = exact_slope_pair(values)
+    assert got == expected
+
+
+def rounded_walk(n, seed=3):
+    return np.round(np.cumsum(np.random.default_rng(seed).normal(0.0, 0.01, n)), 3)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        pytest.param(np.full(400, 2.5), id="all-tied"),
+        pytest.param(np.repeat([1.0, 2.0], 200), id="two-level-step"),
+        pytest.param(rounded_walk(400), id="rounded-walk-even-pairs"),
+        pytest.param(rounded_walk(402), id="rounded-walk-odd-pairs"),
+        pytest.param(np.random.default_rng(4).normal(size=401), id="noise-even-pairs"),
+        pytest.param(np.random.default_rng(5).normal(size=403), id="noise-odd-pairs"),
+        pytest.param(np.tile([1.5e308, -1.5e308, 0.0], 134), id="overflowing-slopes"),
+        pytest.param(np.r_[np.full(300, -1.5e308), np.full(100, 1.5e308)], id="overflow-median"),
+    ],
+)
+def test_sens_slope_on_long_series_matches_concatenated_median(values):
+    """At the real constants: more pairs than the open bracket takes."""
+    assert values.size * (values.size - 1) // 2 > trendstats._OPEN_BRACKET_PAIRS
+    got, expected = exact_slope_pair(values)
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "values, most_kept",
+    [(np.full(400, 2.5), 0), (np.repeat([1.0, 2.0], 200), 1000), (rounded_walk(400), 4000)],
+)
+def test_tied_slopes_at_the_bracket_ends_are_counted_not_kept(values, most_kept):
+    """A flat series keeps no slope of its 79,800; a step or a quantised walk few."""
+    lo, hi = trendstats._median_bracket(values, 79800, [39899, 39900])
+    below, at_lo, inside, within = trendstats._scan_slopes(values, lo, hi)
+    assert inside.size <= most_kept
+    assert below <= 39899 and 39900 < below + within
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1.0, math.nan],
+        [math.nan, math.nan],
+        [math.inf, 0.0, math.inf],
+        [-math.inf, 2.0, -math.inf],
+        np.r_[np.arange(500.0), math.nan],
+    ],
+)
+def test_sens_slope_is_nan_where_a_pair_has_no_sign(values):
+    assert math.isnan(sens_slope(values))
+
+
+def test_sens_slope_keeps_opposite_infinities():
+    """-inf then +inf is one +inf slope, a median like any other."""
+    assert sens_slope([-math.inf, math.inf]) == math.inf
+    assert sens_slope([math.inf, 0.0, -math.inf]) == -math.inf
+
+
+@pytest.mark.parametrize("side", ["above", "just-above", "below", "just-below"])
+def test_sens_slope_is_exact_when_the_bracket_misses(side):
+    """A bracket wholly above or below the median, even by one slope, is opened
+    on that side and scanned again."""
+    values = np.cumsum(np.random.default_rng(8).normal(0.1, 1.0, 499))
+    rows = [(values[i + 1 :] - values[i]) / np.arange(1.0, 499 - i) for i in range(498)]
+    slopes = np.sort(np.concatenate(rows))
+    r = slopes.size // 2  # an odd pair count: one middle rank
+    missed = {
+        "above": (slopes[r + 100], slopes[r + 200]),
+        "just-above": (slopes[r + 1], slopes[-1]),
+        "below": (slopes[r - 200], slopes[r - 100]),
+        "just-below": (slopes[0], slopes[r - 1]),
+    }[side]
+    scan = mock.Mock(wraps=trendstats._scan_slopes)
+    bracket = mock.Mock(return_value=missed)
+    with mock.patch.multiple(trendstats, _median_bracket=bracket, _scan_slopes=scan):
+        got = sens_slope(values)
+    assert got.hex() == concatenated_sens_slope(values).hex() == slopes[r].hex()
+    assert scan.call_count == 2
+    reopened = (-math.inf, missed[1]) if side.endswith("above") else (missed[0], math.inf)
+    assert scan.call_args_list[1].args[1:] == reopened
+
+
+def test_sens_slope_does_not_touch_the_global_random_state():
+    before = np.random.get_state()[1].copy()
+    sens_slope(np.arange(1000.0))
+    assert np.array_equal(np.random.get_state()[1], before)
+
+
+def test_sens_slope_memory_stays_far_below_the_pair_count():
+    """n = 4,000 has 8M pairs: 64 MB as one buffer."""
+    values = np.cumsum(np.random.default_rng(9).normal(size=4000))
+    tracemalloc.start()
+    try:
+        sens_slope(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("spacing", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_sens_slope_rejects_a_spacing_that_is_not_positive_and_finite(spacing):
+    with pytest.raises(ValueError):
+        sens_slope([1.0, 2.0, 4.0], spacing_hours=spacing)
 
 
 @given(values=st.lists(tied_values, min_size=2, max_size=60))
