@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -242,6 +243,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if data.durations is not None:
             _add_series(series, data.durations)
 
+    for flag, seconds in (
+        ("--stress-end", args.stress_end),
+        ("--rejuvenation-end", args.rejuvenation_end),
+    ):
+        if seconds is not None and not math.isfinite(seconds):
+            raise ConfigError(f"{flag} must be a finite number of seconds, got {seconds!r}")
     if args.rejuvenation_end is not None and args.stress_end is None:
         raise ConfigError("--rejuvenation-end requires --stress-end")
     boundaries: tuple[float, ...] = ()

@@ -7,6 +7,12 @@ the two styles cannot be mixed within a file.  ISO timestamps without a
 zone designator are taken as UTC.  The unit of measure is not part of
 the format, so the caller supplies one for the ingested series.
 
+``ingest`` reads a plain numeric file (ASCII without quotes, underscores
+or carriage returns, numeric timestamps, finite values, three cells a
+row) from a seekable source with numpy's C parser, and every other file
+with a ``csv.reader`` row loop.  Both give the same series and the same
+errors; see ``ingest``.
+
 ``serialize_series`` writes the same format back with full-precision
 values, so a serialize/ingest round trip reproduces a series exactly.
 
@@ -46,10 +52,10 @@ def load_json(source: str | Path | IO[str], label: str):
     handle, owned = _open_text(source)
     try:
         return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{label}: invalid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{label}: not UTF-8 text: {exc.reason}") from None
+    except ValueError as exc:  # bad syntax, or an integer past the digit limit
+        raise ParseError(f"{label}: invalid JSON: {exc}") from None
     except RecursionError:
         raise ParseError(f"{label}: JSON nested too deeply") from None
     finally:
@@ -80,31 +86,118 @@ def _float_of_stripped(cell: str) -> float:
         return math.nan
 
 
-def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
-    """Parse a series CSV into indicator series keyed by metric name.
+#: Size hint, in characters, of the line chunks the numpy path reads.
+_PLAIN_CHUNK = 1 << 16
 
-    Samples are sorted by timestamp per metric; a duplicate timestamp
-    within one metric is an error naming the smallest tied timestamp.
-    The file must use one timestamp style throughout, numeric seconds or
-    ISO-8601.  A bad row's error names the physical line it ends on
-    (``reader.line_num``), which a quoted cell spanning lines moves past
-    the record count.
 
-    Timestamp and value cells go to ``float`` as they are, since it
-    skips surrounding whitespace; only a cell it rejects is stripped.
-    Each metric's timestamps and values are read into two ``array('d')``
-    and sorted (stably, by timestamp then value) only when they are not
-    already strictly increasing.
-    """
-    from .trendstats import IndicatorSeries
+def _is_plain(text: str) -> bool:
+    """Whether ``text`` is ASCII without quotes, underscores or carriage returns."""
+    return text.isascii() and '"' not in text and "_" not in text and "\r" not in text
 
-    handle, owned = _open_text(source)
+
+def _rewind_point(handle: IO[str]) -> int | None:
+    """Where ``handle`` can be rewound to, or None if it cannot seek."""
     try:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFileError("series file is empty") from None
+        return handle.tell() if handle.seekable() else None
+    except (AttributeError, OSError):
+        return None
+
+
+def _load_columns(lines: list[str]) -> np.ndarray | None:
+    """The timestamp and value columns of ``lines`` as a (rows, 2) array,
+    or None where ``np.loadtxt`` refuses them."""
+
+    def load(lines):
+        return np.loadtxt(
+            lines, delimiter=",", usecols=(0, 2), comments=None, dtype=np.float64, ndmin=2
+        )
+
+    try:
+        return load(lines)
+    except ValueError:
+        pass
+    # loadtxt refuses a whitespace-only line, which the row loop skips
+    kept = [line for line in lines if not line.isspace()]
+    try:
+        return load(kept) if len(kept) < len(lines) else None
+    except ValueError:
+        return None
+
+
+def _read_plain(handle: IO[str]) -> dict[str, tuple[np.ndarray, np.ndarray]] | None:
+    """Each metric's timestamps and values in file order, read by numpy's C
+    parser; None for any file this path does not read exactly as the row loop.
+
+    The file qualifies when its header and every chunk of lines are ASCII
+    without quotes, underscores or carriage returns, no line is longer
+    than csv's field size limit, ``np.loadtxt`` reads the timestamp and
+    value columns of each chunk as finite floats, every row holds exactly
+    two commas and no metric name is blank.  On such text ``csv.reader``
+    splits rows at the commas, and ``loadtxt`` gives each cell the float
+    ``float`` gives it.
+    """
+    try:
+        header = handle.readline()
+        if not _is_plain(header) or tuple(
+            h.strip().lower() for h in header.split(",")
+        ) != HEADER:
+            return None
+        code_of_raw: dict[str, int] = {}
+        code_of: dict[str, int] = {}  # stripped name -> code, in order of first appearance
+        blocks: list[np.ndarray] = []
+        code_blocks: list[np.ndarray] = []
+        while lines := handle.readlines(_PLAIN_CHUNK):
+            block = "".join(lines)
+            if not _is_plain(block):
+                return None
+            # a line within csv's field size limit holds no field past it
+            limit = csv.field_size_limit()
+            if len(block) > limit and max(map(len, lines)) > limit:
+                return None
+            if not block.strip():  # blank lines only: the row loop skips them
+                continue
+            cols = _load_columns(lines)
+            if cols is None:
+                return None
+            # usecols lets a fourth column through; the row loop does not
+            if block.count(",") != 2 * len(cols) or not np.isfinite(cols).all():
+                return None
+            raw_names = block.split(",")[1::2]
+            for raw in dict.fromkeys(raw_names):
+                if raw not in code_of_raw:
+                    metric = raw.strip()
+                    if not metric:
+                        return None
+                    code_of_raw[raw] = code_of.setdefault(metric, len(code_of))
+            codes = np.fromiter(
+                map(code_of_raw.__getitem__, raw_names), dtype=np.intp, count=len(raw_names)
+            )
+            blocks.append(cols)
+            code_blocks.append(codes)
+    except UnicodeDecodeError:
+        return None
+    if not blocks:
+        return None
+
+    stamps, readings = np.concatenate(blocks).T
+    codes = np.concatenate(code_blocks)
+    order = np.argsort(codes, kind="stable")
+    ends = np.cumsum(np.bincount(codes)).tolist()
+    by_metric = {}
+    for metric, start, end in zip(code_of, [0, *ends], ends):
+        rows = order[start:end]
+        by_metric[metric] = (stamps[rows], readings[rows])
+    return by_metric
+
+
+def _read_rows(handle: IO[str]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each metric's timestamps and values in file order, read row by row
+    with ``csv.reader``; every ParseError of a series file comes from here."""
+    reader = csv.reader(handle)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise EmptyFileError("series file is empty")
         if tuple(h.strip().lower() for h in header) != HEADER:
             raise ParseError(
                 f"expected header {','.join(HEADER)!r}, got {','.join(header)!r}",
@@ -163,6 +256,49 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
 
         if not by_metric:
             raise EmptyFileError("series file has no data rows")
+        return {
+            metric: (np.frombuffer(stamps), np.frombuffer(readings))
+            for metric, (stamps, readings) in by_metric.items()
+        }
+    except csv.Error as exc:  # a field past csv.field_size_limit(), or a lone \r
+        raise ParseError(f"unreadable CSV row: {exc}", line=reader.line_num) from None
+
+
+def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
+    """Parse a series CSV into indicator series keyed by metric name.
+
+    Samples are sorted by timestamp per metric; a duplicate timestamp
+    within one metric is an error naming the smallest tied timestamp.
+    The file must use one timestamp style throughout, numeric seconds or
+    ISO-8601.  A bad row's error names the physical line it ends on
+    (``reader.line_num``), which a quoted cell spanning lines moves past
+    the record count.
+
+    A plain numeric file is read by numpy's C parser: a seekable source
+    whose text is ASCII without quotes, underscores or carriage returns,
+    with numeric timestamps, finite values and three cells on every
+    non-blank row.  Every other file, and any file a non-seekable handle
+    delivers, goes through the ``csv.reader`` row loop, which reads the
+    whole file again from where the handle stood when the numpy path
+    turns it down.  Results and errors are identical either way: the
+    same floats, bit for bit, and every ParseError, with its text and
+    line, comes from the row loop.
+
+    Timestamp and value cells go to ``float`` as they are, since it
+    skips surrounding whitespace; only a cell it rejects is stripped.
+    Each metric's samples are sorted (stably, by timestamp then value)
+    only when they are not already strictly increasing.
+    """
+    from .trendstats import IndicatorSeries
+
+    handle, owned = _open_text(source)
+    try:
+        start = _rewind_point(handle)
+        by_metric = None if start is None else _read_plain(handle)
+        if by_metric is None:
+            if start is not None:
+                handle.seek(start)
+            by_metric = _read_rows(handle)
     except UnicodeDecodeError as exc:
         raise ParseError(f"series file is not UTF-8 text: {exc.reason}") from None
     finally:
@@ -170,9 +306,7 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
             handle.close()
 
     series: dict[str, IndicatorSeries] = {}
-    for metric, (stamps, readings) in by_metric.items():
-        ts = np.frombuffer(stamps)
-        values = np.frombuffer(readings)
+    for metric, (ts, values) in by_metric.items():
         if (ts[1:] <= ts[:-1]).any():
             order = np.lexsort((values, ts))
             ts = ts[order]

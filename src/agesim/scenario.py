@@ -17,6 +17,7 @@ mark where the failure was detected.
 from __future__ import annotations
 
 import dataclasses
+import math
 import types
 import typing
 from array import array
@@ -136,8 +137,9 @@ def _encode(value):
 def _decode(hint, value, path: str):
     """Build a value of the annotated type ``hint`` from JSON data.
 
-    Every field is checked against its annotation; ``path`` names the
-    value in errors, such as ``scenario.resources.ageing_rate``.
+    Every field is checked against its annotation, and a ``float`` field
+    must hold a finite number; ``path`` names the value in errors, such as
+    ``scenario.resources.ageing_rate``.
     """
     origin = typing.get_origin(hint)
     if origin is typing.Union or origin is types.UnionType:
@@ -178,8 +180,14 @@ def _decode(hint, value, path: str):
             return hint(value)
         except ValueError:
             raise ConfigError(f"{path}: unknown {hint.__name__} {value!r}") from None
-    if hint is float and type(value) is int:
-        return float(value)
+    if hint is float and type(value) in (int, float):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}: integer too large for a float") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        return value
     if type(value) is not hint:
         raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
     return value

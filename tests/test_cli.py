@@ -1,14 +1,20 @@
 """Command line interface, run in-process through main()."""
 
+import dataclasses
 import hashlib
 import json
+import math
 import random
+import sys
+import types
+import typing
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from agesim import scenario
 from agesim.cli import build_parser, main
+from agesim.scenario import ScenarioConfig
 
 
 def write_json(path, document):
@@ -40,6 +46,23 @@ def config_path(tmp_path):
             "seed": 13,
         },
     )
+
+
+def float_field_paths(cls, prefix=()):
+    """The path of every ``float`` field of a config dataclass and of the
+    config dataclasses nested in it."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if typing.get_origin(hint) in (typing.Union, types.UnionType):
+            (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+        if hint is float:
+            yield (*prefix, f.name)
+        elif dataclasses.is_dataclass(hint):
+            yield from float_field_paths(hint, (*prefix, f.name))
+
+
+FLOAT_FIELD_PATHS = list(float_field_paths(ScenarioConfig))
 
 
 class TestRunCommand:
@@ -168,6 +191,50 @@ class TestRunCommand:
         assert captured.err.startswith("error: ")
         assert message in captured.err
         assert "cloud failed" not in captured.out
+
+    @pytest.mark.parametrize("command", [["run"], ["suite", "--configs"]], ids=["run", "suite"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    @pytest.mark.parametrize("field_path", FLOAT_FIELD_PATHS, ids=".".join)
+    def test_non_finite_float_field_is_exit_2(
+        self, tmp_path, capsys, field_path, value, command
+    ):
+        document: dict = {"scenario_id": "x", "stress_hours": 1, "post_rejuvenation_hours": 0}
+        inner = document
+        for name in field_path[:-1]:
+            inner = inner.setdefault(name, {})
+        inner[field_path[-1]] = value
+        path = write_json(tmp_path / "cfg.json", document)
+        assert main([*command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: scenario.{'.'.join(field_path)}: ")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    def test_non_finite_float_in_a_mapping_is_exit_2(self, tmp_path, capsys, value):
+        for fields, named in (
+            ({"timing": {"step_seconds": {"boot server": value}}}, "['boot server']"),
+            (
+                {"faults": {"boot server": {"server-error-status": value}}},
+                "['boot server']['server-error-status']",
+            ),
+        ):
+            path = write_json(tmp_path / "cfg.json", {"scenario_id": "x", **fields})
+            assert main(["suite", "--configs", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert named in captured.err.splitlines()[0]
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    def test_integer_past_the_digit_limit_is_exit_2(self, tmp_path, capsys):
+        """json refuses to convert an integer of more than 4300 digits."""
+        path = tmp_path / "cfg.json"
+        path.write_text('{"scenario_id": "x", "seed": 1' + "0" * 5000 + "}", encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: invalid JSON: Exceeds the limit")
 
     def test_non_object_document_is_exit_2(self, tmp_path):
         path = write_json(tmp_path / "cfg.json", [1, 2, 3])
@@ -463,6 +530,23 @@ class TestAnalyzeCommand:
     def test_rejuvenation_end_requires_stress_end(self, tmp_path, capsys):
         path = ramp_csv(tmp_path)
         assert main(["analyze", path, "--rejuvenation-end", "90000"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--stress-end={}"], ["--stress-end=86400", "--rejuvenation-end={}"]],
+        ids=["stress-end", "rejuvenation-end"],
+    )
+    def test_non_finite_phase_boundary_is_exit_2(self, tmp_path, capsys, flags, value):
+        path = ramp_csv(tmp_path)
+        out_dir = tmp_path / "analysis"
+        argv = ["analyze", path, "--out", str(out_dir), *(f.format(value) for f in flags)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        flag = flags[-1].partition("=")[0]
+        assert captured.err.startswith(f"error: {flag} must be a finite number")
+        assert not out_dir.exists()
 
     def test_boundaries_must_be_ordered(self, tmp_path):
         path = ramp_csv(tmp_path)

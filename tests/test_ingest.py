@@ -1,13 +1,16 @@
 """Tests for series CSV ingestion, serialization, workload reports."""
 
 import csv
+import importlib
 import io
 import json
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agesim.errors import DuplicateTimestampError, EmptyFileError, ParseError
@@ -19,6 +22,9 @@ from agesim.ingest import (
     write_series_csv,
 )
 from agesim.trendstats import IndicatorSeries, bin_hourly
+
+# the package exports the function ``ingest`` under the module's name
+ingest_module = importlib.import_module("agesim.ingest")
 
 
 def series_of(text: str, unit: str = "GB"):
@@ -606,3 +612,223 @@ def test_any_json_workload_report_parses_or_raises_parse_error(document):
             math.isfinite(t) and math.isfinite(d) and d >= 0
             for t, d in data.durations.samples
         )
+
+
+# ── The numpy path against the row loop ──────────────────────────────────
+#
+# ``ingest`` reads a plain numeric file from a seekable handle with numpy's C
+# parser and everything else with the csv row loop.  A handle that cannot
+# seek always takes the row loop, so it is the reference reading.
+
+
+class Unseekable(io.StringIO):
+    """Text that ``ingest`` may only read front to back."""
+
+    def seekable(self):
+        return False
+
+
+def reading(handle):
+    """What ingest makes of a handle: metric -> (timestamp bytes, value
+    bytes) in metric order, or the error's type, text and line."""
+    try:
+        series = ingest(handle, unit="u")
+    except ParseError as exc:
+        return ("error", type(exc), str(exc), exc.line)
+    return [
+        (name, s.timestamps.tobytes(), s.values.tobytes()) for name, s in series.items()
+    ]
+
+
+PLAIN_STAMPS = ("{}", "{}.0", "{}e0", "+{}", " {} ", "\t{}", "\x1c{}", "{}\x0b")
+ODD_STAMPS = (
+    '"{}"',
+    "{}_0",
+    "1_{}",
+    "2024-01-01T00:{:02d}:00Z",
+    "nan",
+    "inf",
+    "1e500",
+    "١{}",
+    " ",
+    "",
+)
+PLAIN_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "-0.0", ".5", "5.", "1E3", "1e-320", "0.1e-400", " 2 ", "\t-3"]),
+)
+ODD_VALUES = st.sampled_from(
+    ["nan", "inf", "-inf", "1e500", "1_000", '"1.5"', "", "lots", "٢", "0x10"]
+)
+PLAIN_METRICS = ("a", "b", " a", "a ", "\ta", "b\x1f", "c-d")
+ODD_METRICS = ("", "  ", '"a"', "x_y", "é", "a,b")
+
+
+def lines_of(stamps, metrics, values):
+    return st.builds(
+        lambda stamp, metric, value: (stamp, f",{metric},{value}"),
+        st.sampled_from(stamps),
+        st.sampled_from(metrics),
+        values,
+    )
+
+
+plain_lines = lines_of(PLAIN_STAMPS, PLAIN_METRICS, PLAIN_VALUES)
+# a line with one odd part
+odd_lines = st.one_of(
+    lines_of(ODD_STAMPS, PLAIN_METRICS, PLAIN_VALUES),
+    lines_of(PLAIN_STAMPS, ODD_METRICS, PLAIN_VALUES),
+    lines_of(PLAIN_STAMPS, PLAIN_METRICS, ODD_VALUES),
+    st.sampled_from(
+        [
+            ("{}", ",a"),  # two columns
+            ("{}", ",a,1,9"),  # four columns
+            ("{}", ",a,1,"),  # four columns, the last one empty
+            ("", ""),  # blank line
+            ("  ", ""),  # whitespace-only line
+            ("\x1c", ""),
+            ("3", ",a,7"),  # a timestamp other rows may also use
+            ("{}", ",a,1\r7,a,2"),  # a carriage return inside a line
+            ("{}", ",a\rb,1"),
+        ]
+    ),
+)
+
+
+@settings(max_examples=500)
+@given(
+    lines=st.lists(plain_lines, max_size=24),
+    odd=st.lists(st.tuples(st.integers(0, 24), odd_lines), max_size=2),
+    newline=st.sampled_from(["\n"] * 4 + ["\r\n"]),
+    header=st.sampled_from(
+        ["timestamp,metric,value"] * 3
+        + ["Timestamp, Metric ,VALUE\x1c", '"timestamp",metric,value']
+    ),
+    chunk=st.sampled_from([1, 40, ingest_module._PLAIN_CHUNK]),
+)
+@example(
+    lines=[("{}", ",a,1"), ("{}", ", a,2"), ("{}", ",b,3")],
+    odd=[(1, ("{}", ',"a",4'))],
+    newline="\n",
+    header="timestamp,metric,value",
+    chunk=1,
+)
+def test_numpy_path_reads_as_the_row_loop(lines, odd, newline, header, chunk):
+    """On any file, the numpy path gives the row loop's series bit for bit,
+    or the row loop's error text and line, at any chunk size."""
+    lines = list(lines)
+    for position, line in odd:
+        lines.insert(position, line)
+    rows = [header] + [stamp.format(k) + rest for k, (stamp, rest) in enumerate(lines, 2)]
+    text = newline.join(rows) + newline
+    with mock.patch.object(ingest_module, "_PLAIN_CHUNK", chunk):
+        assert reading(io.StringIO(text)) == reading(Unseekable(text))
+
+
+def plain_rows(count, metrics=("m", "n")):
+    return [f"{k},{metrics[k % len(metrics)]},{k * 0.25!r}" for k in range(count)]
+
+
+class TestNumpyPath:
+    def test_plain_file_is_read_by_numpy(self):
+        text = "\n".join(["timestamp,metric,value", *plain_rows(50)]) + "\n"
+        with mock.patch.object(ingest_module, "_read_rows", side_effect=AssertionError):
+            series = ingest(io.StringIO(text))
+        assert list(series) == ["m", "n"]
+        assert series["n"].values.tolist() == [k * 0.25 for k in range(1, 50, 2)]
+
+    def test_whitespace_only_lines_stay_on_the_numpy_path(self):
+        rows = ["timestamp,metric,value", *plain_rows(50)]
+        rows[10:10] = ["  ", "\t\x1c", ""]
+        text = "\n".join(rows) + "\n \n"
+        expected = reading(Unseekable(text))
+        with mock.patch.object(ingest_module, "_read_rows", side_effect=AssertionError):
+            assert reading(io.StringIO(text)) == expected
+        assert [name for name, _, _ in expected] == ["m", "n"]
+
+    @pytest.mark.parametrize(
+        "tail, outcome",
+        [
+            ("99999999,m,1_000", None),
+            ("2024-01-01T00:00:00Z,m,1", "line {}: mixed timestamp styles"),
+            ("99999999,m,nan", "line {}: unreadable value 'nan'"),
+            ("99999999,m,1,9", "line {}: expected 3 columns, got 4"),
+        ],
+        ids=["underscore", "iso", "nan", "four-columns"],
+    )
+    def test_file_plain_past_the_first_chunk_rewinds_to_the_row_loop(
+        self, tmp_path, tail, outcome
+    ):
+        rows = ["timestamp,metric,value", *plain_rows(80_000), tail]
+        text = "\n".join(rows) + "\n"
+        assert len(text) > ingest_module._PLAIN_CHUNK
+        path = tmp_path / "long.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = reading(Unseekable(text))
+        assert reading(path) == expected == reading(io.StringIO(text))
+        if outcome is None:
+            assert expected[0][0] == "m"
+            assert np.frombuffer(expected[0][2])[-1] == 1000.0
+        else:
+            assert expected[2].startswith(outcome.format(len(rows)))
+            assert expected[3] == len(rows)
+
+    def test_rewinds_to_where_the_handle_stood(self):
+        text = "preamble\ntimestamp,metric,value\n0,m,1\n10,m,x\n"
+        handle = io.StringIO(text)
+        handle.readline()
+        assert reading(handle) == ("error", ParseError, "line 3: unreadable value 'x'", 3)
+
+    def test_non_seekable_handle_reads_as_a_file(self, tmp_path):
+        text = "\n".join(["timestamp,metric,value", *plain_rows(300)]) + "\n"
+        path = tmp_path / "series.csv"
+        path.write_text(text, encoding="utf-8")
+        read_fd, write_fd = os.pipe()
+        with os.fdopen(write_fd, "w", encoding="utf-8") as pipe:
+            pipe.write(text)
+        with open(read_fd, newline="", encoding="utf-8") as pipe:
+            assert not pipe.seekable()
+            from_pipe = reading(pipe)
+        assert from_pipe == reading(path)
+        assert [name for name, _, _ in from_pipe] == ["m", "n"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "series file is empty"),
+            ("timestamp,metric,value\n", "series file has no data rows"),
+            ("timestamp,metric,value", "series file has no data rows"),
+            ("timestamp,metric,value\n\n  \n", "series file has no data rows"),
+        ],
+        ids=["empty", "header-only", "header-without-newline", "blank-lines"],
+    )
+    def test_empty_and_header_only_files(self, tmp_path, text, message):
+        path = tmp_path / "series.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = ("error", EmptyFileError, message, None)
+        assert reading(path) == reading(Unseekable(text)) == expected
+
+    def test_invalid_utf8_past_the_first_chunk(self, tmp_path):
+        rows = ["timestamp,metric,value", *plain_rows(70_000)]
+        path = tmp_path / "series.csv"
+        path.write_bytes(("\n".join(rows) + "\n").encode() + b"1,m,\xff\n")
+        with pytest.raises(ParseError, match="not UTF-8 text: invalid start byte"):
+            ingest(path)
+
+    def test_field_past_the_csv_size_limit_is_a_parse_error(self, tmp_path):
+        """csv.reader refuses a field longer than csv.field_size_limit(), so
+        the numpy path leaves such a file to the row loop."""
+        long_name = "m" * (csv.field_size_limit() + 1)
+        text = f"timestamp,metric,value\n0,a,1\n10,{long_name},2\n"
+        path = tmp_path / "series.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = reading(Unseekable(text))
+        assert reading(path) == expected
+        assert expected[2].startswith("line 3: unreadable CSV row: field larger than field limit")
+
+    def test_lone_carriage_return_is_a_parse_error(self):
+        """A text handle that splits lines only at \\n hands csv.reader a bare \\r."""
+        text = "timestamp,metric,value\n0,a,1\r7,a,2\n"
+        assert reading(io.StringIO(text)) == reading(Unseekable(text))
+        with pytest.raises(ParseError, match="^line 2: unreadable CSV row: new-line character"):
+            ingest(io.StringIO(text))
