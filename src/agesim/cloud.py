@@ -191,6 +191,11 @@ class QuotaExceeded:
         return quota_error_name(self.kind)
 
 
+#: The one rejection per kind that ``try_create`` and ``add_leftover``
+#: return; the class is frozen and compares by value, so sharing is safe.
+_QUOTA_EXCEEDED = {kind: QuotaExceeded(kind) for kind in EntityKind}
+
+
 # ── Fault catalog and model ──────────────────────────────────────────────
 
 
@@ -371,7 +376,7 @@ class CloudState:
         """
         quota = self.quotas.get(kind)
         if quota is not None and self.live[kind] + self.leftovers[kind] >= quota:
-            return QuotaExceeded(kind)
+            return _QUOTA_EXCEEDED[kind]
         self.live[kind] += 1
         return None
 
@@ -398,7 +403,7 @@ class CloudState:
         else:
             quota = self.quotas.get(kind)
             if quota is not None and self.live[kind] + self.leftovers[kind] >= quota:
-                return QuotaExceeded(kind)
+                return _QUOTA_EXCEEDED[kind]
         self.leftovers[kind] += 1
         self._consumed_gb += self.params.leftover_retention_gb
         if kind in self.quotas:
@@ -416,20 +421,31 @@ class CloudState:
             self.params.initial_memory_gb - self._host_residual_gb - self._consumed_gb
         )
 
+    def _control_memory_gb(self) -> tuple[float, float]:
+        """Available memory and swap in use on the control node, where the
+        model runs; swap grows once raw available memory sinks below the
+        threshold."""
+        params = self.params
+        raw = self._raw_available_gb()
+        overflow = params.swap_threshold_gb - raw
+        return (
+            max(0.0, raw + self._noise_gb),
+            min(max(0.0, overflow), params.swap_capacity_gb),
+        )
+
     def memory_available_gb(self, node: str | None = None) -> float:
         """Available memory on a node; the model runs on the control node."""
         node = node or self.topology.control_node
         if node != self.topology.control_node:
             return self.params.initial_memory_gb
-        return max(0.0, self._raw_available_gb() + self._noise_gb)
+        return self._control_memory_gb()[0]
 
     def swap_used_gb(self, node: str | None = None) -> float:
         """Swap in use; grows once raw available memory sinks below the threshold."""
         node = node or self.topology.control_node
         if node != self.topology.control_node:
             return 0.0
-        overflow = self.params.swap_threshold_gb - self._raw_available_gb()
-        return min(max(0.0, overflow), self.params.swap_capacity_gb)
+        return self._control_memory_gb()[1]
 
     def disk_used_gb(self, node: str) -> float:
         return self._cache_total.get(node, 0.0)
@@ -447,16 +463,35 @@ class CloudState:
         return len(self._cache)
 
     def read_gauges(self) -> dict[str, dict[str, float]]:
-        """Snapshot of every node's gauges at the current clock."""
-        return {
-            node: {
-                "memory_available": self.memory_available_gb(node),
-                "swap_used": self.swap_used_gb(node),
-                "disk_used": self.disk_used_gb(node),
-                "disk_capacity": self.params.disk_capacity_gb,
-            }
-            for node in self.topology.nodes
-        }
+        """Snapshot of every node's gauges at the current clock.
+
+        Each node reads what ``memory_available_gb``, ``swap_used_gb`` and
+        ``disk_used_gb`` give for it; the control node's memory and swap
+        are computed once.  Every call returns a new dict.
+        """
+        params = self.params
+        control = self.topology.control_node
+        memory, swap = self._control_memory_gb()
+        idle_memory = params.initial_memory_gb
+        disk_capacity = params.disk_capacity_gb
+        cache_total = self._cache_total
+        gauges = {}
+        for node in self.topology.nodes:
+            if node == control:
+                gauges[node] = {
+                    "memory_available": memory,
+                    "swap_used": swap,
+                    "disk_used": cache_total.get(node, 0.0),
+                    "disk_capacity": disk_capacity,
+                }
+            else:
+                gauges[node] = {
+                    "memory_available": idle_memory,
+                    "swap_used": 0.0,
+                    "disk_used": cache_total.get(node, 0.0),
+                    "disk_capacity": disk_capacity,
+                }
+        return gauges
 
     # -- ageing bookkeeping ------------------------------------------------------
 

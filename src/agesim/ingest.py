@@ -7,10 +7,10 @@ the two styles cannot be mixed within a file.  ISO timestamps without a
 zone designator are taken as UTC.  The unit of measure is not part of
 the format, so the caller supplies one for the ingested series.
 
-``ingest`` reads a plain numeric file (ASCII without quotes, underscores
-or carriage returns, numeric timestamps, finite values, three cells a
-row) from a seekable source with numpy's C parser, and every other file
-with a ``csv.reader`` row loop.  Both give the same series and the same
+``ingest`` reads a plain numeric file (ASCII without quotes or carriage
+returns, numeric timestamps, finite values, three cells a row) from a
+seekable source with numpy's C parser, and every other file with a
+``csv.reader`` row loop.  Both give the same series and the same
 errors; see ``ingest``.
 
 ``serialize_series`` writes the same format back with full-precision
@@ -91,8 +91,14 @@ _PLAIN_CHUNK = 1 << 16
 
 
 def _is_plain(text: str) -> bool:
-    """Whether ``text`` is ASCII without quotes, underscores or carriage returns."""
-    return text.isascii() and '"' not in text and "_" not in text and "\r" not in text
+    """Whether ``text`` is ASCII without quotes or carriage returns.
+
+    Underscores may pass: numpy's parser refuses a numeric cell holding
+    one (``1_000``), which ``float`` would read, so such a file falls back
+    to the row loop, while a metric name holding one reads the same
+    either way.
+    """
+    return text.isascii() and '"' not in text and "\r" not in text
 
 
 def _rewind_point(handle: IO[str]) -> int | None:
@@ -129,7 +135,7 @@ def _read_plain(handle: IO[str]) -> dict[str, tuple[np.ndarray, np.ndarray]] | N
     parser; None for any file this path does not read exactly as the row loop.
 
     The file qualifies when its header and every chunk of lines are ASCII
-    without quotes, underscores or carriage returns, no line is longer
+    without quotes or carriage returns, no line is longer
     than csv's field size limit, ``np.loadtxt`` reads the timestamp and
     value columns of each chunk as finite floats, every row holds exactly
     two commas and no metric name is blank.  On such text ``csv.reader``
@@ -275,9 +281,9 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
     the record count.
 
     A plain numeric file is read by numpy's C parser: a seekable source
-    whose text is ASCII without quotes, underscores or carriage returns,
-    with numeric timestamps, finite values and three cells on every
-    non-blank row.  Every other file, and any file a non-seekable handle
+    whose text is ASCII without quotes or carriage returns, with numeric
+    timestamps, finite values and three cells on every non-blank row.
+    Every other file, and any file a non-seekable handle
     delivers, goes through the ``csv.reader`` row loop, which reads the
     whole file again from where the handle stood when the numpy path
     turns it down.  Results and errors are identical either way: the
@@ -338,17 +344,17 @@ def csv_cell(text: str) -> str:
 def serialize_series(series_by_name: Mapping[str, "IndicatorSeries"]) -> str:
     """Render series as the ingestable CSV format, full precision.
 
-    Timestamps and values never need quoting, so each row is an f-string;
-    a metric's cell is quoted once per series.
+    Timestamps and values never need quoting, so each row is an f-string
+    that formats its timestamp inline as ``format_timestamp`` does; a
+    metric's cell, with its commas, is built once per series.
     """
     rows = [",".join(HEADER)]
-    fmt = format_timestamp
     for name in sorted(series_by_name):
-        cell = csv_cell(name)
+        cell = f",{csv_cell(name)},"
         series = series_by_name[name]
         # Python floats: numpy's own float repr is not the CSV's
         rows.extend(
-            f"{fmt(ts)},{cell},{value!r}"
+            f"{str(int(ts)) if ts.is_integer() else repr(ts)}{cell}{value!r}"
             for ts, value in zip(series.timestamps.tolist(), series.values.tolist())
         )
     return "\n".join(rows) + "\n"

@@ -282,13 +282,16 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     disk_readings = {}
     for node in topology.compute_nodes:
         disk_readings[node] = gauge_readings[f"disk-used-{node}"] = array("d")
-    hourly: dict[int, dict[str, int]] = {}
-    totals = {status.value: 0 for status in WorkloadStatus}
+    # workload counts per status, keyed by member until the report is built
+    hourly: dict[int, dict[WorkloadStatus, int]] = {}
+    totals = dict.fromkeys(WorkloadStatus, 0)
     error_log: list[ErrorEvent] = []
+
+    control_node = topology.control_node
 
     def tick_hook(t: float, gauges: dict) -> None:
         tick_times.append(t)
-        control = gauges[topology.control_node]
+        control = gauges[control_node]
         memory_available.append(control["memory_available"])
         swap_used.append(control["swap_used"])
         for node, readings in disk_readings.items():
@@ -301,15 +304,17 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             return STOP_STREAM
         return None
 
+    success = WorkloadStatus.SUCCESS
+
     def result_hook(result) -> None:
-        status = result.status.value
+        status = result.status
         hour = int(result.started_at // SECONDS_PER_HOUR)
         bucket = hourly.get(hour)
         if bucket is None:
-            bucket = hourly[hour] = {s.value: 0 for s in WorkloadStatus}
+            bucket = hourly[hour] = dict.fromkeys(WorkloadStatus, 0)
         bucket[status] += 1
         totals[status] += 1
-        if result.status is WorkloadStatus.SUCCESS:
+        if status is success:
             starts.append(result.started_at)
             durations.append(result.duration)
 
@@ -393,7 +398,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     }
 
     counts = tuple(
-        {"hour": hour, **hourly[hour]} for hour in sorted(hourly)
+        {"hour": hour, **_by_value(hourly[hour])} for hour in sorted(hourly)
     )
     return ScenarioReport(
         scenario_id=config.scenario_id,
@@ -411,9 +416,14 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         series=series,
         analyses=analyses,
         hourly_counts=counts,
-        totals=totals,
+        totals=_by_value(totals),
         error_log=tuple(error_log),
     )
+
+
+def _by_value(counts: Mapping[WorkloadStatus, int]) -> dict[str, int]:
+    """Status counts keyed by the statuses' values, in the same order."""
+    return {status.value: n for status, n in counts.items()}
 
 
 @dataclass(frozen=True)

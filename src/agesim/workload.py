@@ -291,6 +291,10 @@ class WorkloadStatus(Enum):
     AGEING_FAILURE = "ageing-failure"
     NON_AGEING_FAILURE = "non-ageing-failure"
 
+    # Members are singletons, so identity hashing is exact; it spares the
+    # scenario layer's per-workload tallies Enum.__hash__.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class WorkloadResult:
@@ -549,13 +553,44 @@ class _Execution:
         other than this one; the duration includes this workload's own
         gate if it holds one once the step has resolved.
         """
+        event = None
         if self.aborted:
             step = self.stack.pop()
-            event = self._run_unwind_step(step)
+            if step.action is StepAction.DELETE:
+                event = self._delete_with_faults(step)
+            elif step.draws and (spec := self.faults.draw(step.name)) is not None:
+                # Undo of an operate step (role revoke, detach, unpause): a
+                # fault here is recorded but strands nothing, and unwinding
+                # continues.
+                event = self._fail(step.name, spec.name, False)
         else:
             step = self.plan[self.index]
             self.index += 1
-            event = self._run_forward_step(step)
+            action = step.action
+            if action is StepAction.CREATE:
+                if self.cloud.try_create(step.kind) is not None:
+                    event = self._fail(step.name, step.quota_error, False)
+                else:
+                    self.stack.append(step.undo)
+                    if step.gated:
+                        self.gated_live += 1
+                        self.gated_creates += 1
+                    if step.draws and (spec := self.faults.draw(step.name)) is not None:
+                        event = self._fail(step.name, spec.name, self._apply_fault(step, spec))
+                    else:
+                        self.completed_creates += 1
+            elif action is StepAction.OPERATE:
+                if step.spec.undo_of is not None:
+                    entry = self.stack.pop()
+                    assert entry is step, "cleanup order diverged from the stack"
+                if step.draws and (spec := self.faults.draw(step.name)) is not None:
+                    event = self._fail(step.name, spec.name, self._apply_fault(step, spec))
+                elif step.undo is not None:
+                    self.stack.append(step.undo)
+            else:  # a delete step in the normal flow
+                entry = self.stack.pop()
+                assert entry is step, "cleanup order diverged from the stack"
+                event = self._delete_with_faults(step)
         self.steps_executed += 1
         self.last_step = step
         cloud = self.cloud
@@ -570,47 +605,6 @@ class _Execution:
         if self.aborted:
             return duration, event, not self.stack
         return duration, event, self.index >= len(self.plan)
-
-    def _run_forward_step(self, step: _PlanStep) -> tuple[str, str, bool] | None:
-        action = step.action
-        if action is StepAction.CREATE:
-            if self.cloud.try_create(step.kind) is not None:
-                return self._fail(step.name, step.quota_error, False)
-            self.stack.append(step.undo)
-            if step.gated:
-                self.gated_live += 1
-                self.gated_creates += 1
-            spec = self.faults.draw(step.name) if step.draws else None
-            if spec is not None:
-                return self._fail(step.name, spec.name, self._apply_fault(step, spec))
-            self.completed_creates += 1
-            return None
-
-        if action is StepAction.OPERATE:
-            if step.spec.undo_of is not None:
-                entry = self.stack.pop()
-                assert entry is step, "cleanup order diverged from the stack"
-            spec = self.faults.draw(step.name) if step.draws else None
-            if spec is not None:
-                return self._fail(step.name, spec.name, self._apply_fault(step, spec))
-            if step.undo is not None:
-                self.stack.append(step.undo)
-            return None
-
-        # Delete step in the normal flow.
-        entry = self.stack.pop()
-        assert entry is step, "cleanup order diverged from the stack"
-        return self._delete_with_faults(step)
-
-    def _run_unwind_step(self, step: _PlanStep) -> tuple[str, str, bool] | None:
-        if step.action is StepAction.DELETE:
-            return self._delete_with_faults(step)
-        # Undo of an operate step (role revoke, detach, unpause): a fault
-        # here is recorded but strands nothing, and unwinding continues.
-        spec = self.faults.draw(step.name) if step.draws else None
-        if spec is not None:
-            return self._fail(step.name, spec.name, False)
-        return None
 
     def _delete_with_faults(self, step: _PlanStep) -> tuple[str, str, bool] | None:
         """Run a delete step; any fault strands the delete target."""
@@ -693,9 +687,22 @@ def run_stream(
     by every workload of the call, so a step costs a read of its
     precomputed record rather than lookups by name.  Clock events are
     scheduled lazily: the k-th tick fires at ``t0 + k * tick_seconds``
-    and the k-th hour mark at ``t0 + k * SECONDS_PER_HOUR``, and each pushes
-    its successor as it fires, so the event heap holds O(concurrency)
-    entries.  Slot k launches at ``t0 + k * LAUNCH_STAGGER_SECONDS``.
+    and the k-th hour mark at ``t0 + k * SECONDS_PER_HOUR``, and each
+    schedules its successor as it fires, so the event heap holds at most
+    ``concurrency + 2`` entries.  Slot k launches at
+    ``t0 + k * LAUNCH_STAGGER_SECONDS``.
+
+    Each event costs one heap operation.  The first event is popped
+    before the loop; an event that schedules a successor (a step, a
+    finished workload's relaunch, a tick or hour mark whose successor
+    falls before ``until``) takes the next event with ``heappushpop``,
+    and one that schedules nothing (a launch parked on a failed cloud, a
+    clock event whose successor would fall at or past ``until``) with
+    ``heappop``.  ``heappushpop`` is "push, then pop the smallest", and
+    events are tuples ordered by (time, priority, sequence number) with
+    unique sequence numbers, so events run in exactly that order.  The
+    loop ends at the first event at or past ``until``, or when the heap
+    is empty.
     """
     if concurrency < 1:
         raise ConfigError("concurrency must be at least 1")
@@ -705,10 +712,12 @@ def run_stream(
         raise ConfigError("stream deadline precedes the cloud clock")
 
     plan = _plan(defn, cloud, timing, faults)
+    tick = IntervalElapsed(tick_seconds) if tick_seconds else None
     heap: list[tuple[float, int, int, str, object]] = []
     # Bound per call rather than at import, so a patched heapq is seen.
     heappush = heapq.heappush
     heappop = heapq.heappop
+    heappushpop = heapq.heappushpop
     seq = itertools.count().__next__
     PRIO_WORK, PRIO_TICK, PRIO_HOUR = 0, 1, 2
 
@@ -728,15 +737,18 @@ def run_stream(
     if hour_hook is not None:
         push_clock(1, SECONDS_PER_HOUR, PRIO_HOUR, "hour")
 
-    while heap:
-        t, _prio, _seq, kind, payload = heappop(heap)
+    event = heappop(heap) if heap else None
+    while event is not None:
+        t, _prio, _seq, kind, payload = event
         if t >= until:
             break
         cloud.clock = t
         if kind == "step" or kind == "launch":
             if kind == "launch":
                 if cloud.failed:
-                    continue  # a failed cloud parks the slot
+                    # A failed cloud parks the slot.
+                    event = heappop(heap) if heap else None
+                    continue
                 execution = _Execution(plan, cloud, faults, t, payload)
             else:
                 execution = payload
@@ -744,35 +756,43 @@ def run_stream(
                 # One step: the gate count excludes this workload while it runs.
                 if execution.gated_live > 0:
                     gate_count -= 1
-                duration, event, finished = execution.run_one(gate_count)
+                duration, error, finished = execution.run_one(gate_count)
                 if execution.gated_live > 0:
                     gate_count += 1
-                if event is not None and error_hook is not None:
-                    error_hook(t, *event)
+                if error is not None and error_hook is not None:
+                    error_hook(t, *error)
                 if cloud.failure_inputs_changed:
                     check_failed(cloud)
-                heappush(
+                event = heappushpop(
                     heap,
                     (t + duration, PRIO_WORK, seq(), "finish" if finished else "step", execution),
                 )
                 continue
             # The cloud failed under this workload: cut it short, and end
             # it below like a finished one.
-            event = execution.abort_unavailable()
-            if event is not None and error_hook is not None:
-                error_hook(t, *event)
+            error = execution.abort_unavailable()
+            if error is not None and error_hook is not None:
+                error_hook(t, *error)
         elif kind == "finish":
             execution = payload
         elif kind == "tick":
-            gauges = apply_resource_effects(cloud, IntervalElapsed(tick_seconds))
+            gauges = apply_resource_effects(cloud, tick)
             if tick_hook is not None:
                 tick_hook(t, gauges)
-            push_clock(payload + 1, tick_seconds, PRIO_TICK, "tick")
+            k = payload + 1
+            if (t_next := t0 + k * tick_seconds) < until:
+                event = heappushpop(heap, (t_next, PRIO_TICK, seq(), "tick", k))
+            else:
+                event = heappop(heap) if heap else None
             continue
         else:  # hour
             if hour_hook(t) is STOP_STREAM:
                 return
-            push_clock(payload + 1, SECONDS_PER_HOUR, PRIO_HOUR, "hour")
+            k = payload + 1
+            if (t_next := t0 + k * SECONDS_PER_HOUR) < until:
+                event = heappushpop(heap, (t_next, PRIO_HOUR, seq(), "hour", k))
+            else:
+                event = heappop(heap) if heap else None
             continue
         # The workload ends: release its gate, settle it, report it, and
         # hand the slot to its next launch, which a failed cloud parks.
@@ -781,5 +801,5 @@ def run_stream(
         result = execution.finalize(t)
         if result_hook is not None:
             result_hook(result)
-        heappush(heap, (t, PRIO_WORK, seq(), "launch", execution.slot))
+        event = heappushpop(heap, (t, PRIO_WORK, seq(), "launch", execution.slot))
     cloud.clock = until

@@ -645,6 +645,38 @@ def test_cached_predicate_matches_recomputation(state, ops):
                 assert state.live[kind] + state.leftovers[kind] <= quota
 
 
+def gauges_from_accessors(state):
+    """The snapshot ``read_gauges`` should give, from the per-node accessors."""
+    return {
+        node: {
+            "memory_available": state.memory_available_gb(node),
+            "swap_used": state.swap_used_gb(node),
+            "disk_used": state.disk_used_gb(node),
+            "disk_capacity": state.params.disk_capacity_gb,
+        }
+        for node in state.topology.nodes
+    }
+
+
+@settings(max_examples=200)
+@given(state=clouds, ops=operations)
+def test_read_gauges_matches_the_per_node_accessors(state, ops):
+    """After any sequence of leaks, leftovers, warm-up ticks (allocation
+    and noise), cache deposits, cleanups and rejuvenations (host
+    residual), on either topology and whether swap is unused, filling or
+    capped, the snapshot holds the accessors' floats bit for bit and in
+    their key order, in a new dict on every call."""
+    for op in [("tick", 0.0), *ops]:
+        apply_operation(state, op)
+        snapshot = state.read_gauges()
+        # repr tells -0.0 from 0.0 and shows key order
+        assert repr(snapshot) == repr(gauges_from_accessors(state))
+        again = state.read_gauges()
+        assert again == snapshot
+        assert again is not snapshot
+        assert all(again[node] is not snapshot[node] for node in snapshot)
+
+
 def test_fresh_leftover_respects_a_full_quota():
     """A fresh leftover is refused when live entities fill the quota."""
     state = CloudState(quotas={EntityKind.SERVER: 2})

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import types
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from agesim.errors import DuplicateTimestampError, EmptyFileError, ParseError
 from agesim.ingest import (
+    csv_cell,
     format_timestamp,
     ingest,
     ingest_workload_report,
@@ -428,6 +430,41 @@ def test_serialize_series_matches_the_csv_writer(samples_by_name):
     assert serialize_series(series_by_name) == writer_reference(series_by_name)
 
 
+#: Timestamps whose rendering has an edge: signed zero, halves, integral
+#: floats past 2**53 and past int64, subnormals and infinities.
+edge_stamps = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1e300, -1e300, 2.0**63, -(2.0**63), math.inf, -math.inf]),
+    st.integers(min_value=-(2**60), max_value=2**60).map(lambda k: k / 2),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.floats(allow_nan=False),
+)
+
+
+@given(
+    st.dictionaries(
+        st.text(max_size=6),
+        st.lists(st.tuples(edge_stamps, st.floats()), max_size=6),
+        max_size=3,
+    )
+)
+def test_serialize_series_rows_format_as_format_timestamp(rows_by_name):
+    """Each row is ``format_timestamp`` of the timestamp, the quoted metric
+    cell and the value's repr, for any float on either side."""
+    series_by_name = {
+        name: types.SimpleNamespace(
+            timestamps=np.array([t for t, _ in rows], dtype=np.float64),
+            values=np.array([v for _, v in rows], dtype=np.float64),
+        )
+        for name, rows in rows_by_name.items()
+    }
+    expected = ["timestamp,metric,value"] + [
+        f"{format_timestamp(t)},{csv_cell(name)},{v!r}"
+        for name in sorted(rows_by_name)
+        for t, v in rows_by_name[name]
+    ]
+    assert serialize_series(series_by_name) == "\n".join(expected) + "\n"
+
+
 class TestWorkloadReport:
     def doc(self, records):
         return io.StringIO(json.dumps({"workloads": records}))
@@ -736,6 +773,27 @@ class TestNumpyPath:
             series = ingest(io.StringIO(text))
         assert list(series) == ["m", "n"]
         assert series["n"].values.tolist() == [k * 0.25 for k in range(1, 50, 2)]
+
+    def test_underscored_metric_names_stay_on_the_numpy_path(self):
+        metrics = ("memory_used", "swap_used_gb")
+        text = "\n".join(["timestamp,metric,value", *plain_rows(50, metrics)]) + "\n"
+        expected = reading(Unseekable(text))
+        with mock.patch.object(ingest_module, "_read_rows", side_effect=AssertionError):
+            assert reading(io.StringIO(text)) == expected
+        assert [name for name, _, _ in expected] == list(metrics)
+
+    @pytest.mark.parametrize("row", ["20,memory_used,1_000", "2_0,memory_used,1000"])
+    def test_underscored_number_reads_as_the_row_loop(self, row):
+        """numpy's parser refuses ``1_000``, which ``float`` reads, so the
+        file goes to the row loop."""
+        text = f"timestamp,metric,value\n0,memory_used,1\n{row}\n"
+        with mock.patch.object(
+            ingest_module, "_read_rows", wraps=ingest_module._read_rows
+        ) as row_loop:
+            series = ingest(io.StringIO(text))
+        assert row_loop.call_count == 1
+        assert series["memory_used"].samples == ((0.0, 1.0), (20.0, 1000.0))
+        assert reading(io.StringIO(text)) == reading(Unseekable(text))
 
     def test_whitespace_only_lines_stay_on_the_numpy_path(self):
         rows = ["timestamp,metric,value", *plain_rows(50)]

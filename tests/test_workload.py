@@ -627,12 +627,18 @@ class TestRunStream:
         pushes none past the stop."""
         pushed = []
         real_push = heapq.heappush
+        real_pushpop = heapq.heappushpop
 
         def push(heap, item):
             pushed.append(item[3])
             real_push(heap, item)
 
+        def pushpop(heap, item):
+            pushed.append(item[3])
+            return real_pushpop(heap, item)
+
         monkeypatch.setattr(heapq, "heappush", push)
+        monkeypatch.setattr(heapq, "heappushpop", pushpop)
         cloud = quiet_cloud()
         ticks, marks = [], []
 
@@ -655,6 +661,85 @@ class TestRunStream:
         assert ticks == [k * 30.0 for k in range(241)]
         assert pushed.count("tick") == len(ticks) + 1
         assert pushed.count("hour") == 2
+
+    def test_events_at_one_instant_run_work_then_tick_then_hour(self):
+        """With every step as long as the sampling interval, steps, workload
+        ends, ticks and hour marks share instants.  At each instant the
+        workload event runs first (the tick then sees the cache image of a
+        boot executed at that instant), then the tick, then the hour mark."""
+        cloud = quiet_cloud()
+        log = []
+
+        def tick_hook(t, gauges):
+            log.append((t, "tick", cloud.cache_image_count()))
+
+        def hour_hook(t):
+            log.append((t, "hour", cloud.cache_image_count()))
+
+        run_stream(
+            DEFN,
+            cloud,
+            until=7300.0,
+            concurrency=1,
+            timing=TimingParams(default_seconds=10.0, step_seconds={}),
+            tick_seconds=10.0,
+            tick_hook=tick_hook,
+            hour_hook=hour_hook,
+            result_hook=lambda r: log.append((r.ended_at, "result", None)),
+        )
+        # A workload is 29 steps of 10 s; its boot, the 11th step, runs at
+        # 100 s past its launch, and the next launch is at its end.
+        workload_seconds = 29 * 10.0
+        rank = {"result": 0, "tick": 1, "hour": 2}
+        assert log == sorted(log, key=lambda entry: (entry[0], rank[entry[1]]))
+        ticks = [(t, images) for t, kind, images in log if kind == "tick"]
+        assert ticks[:12] == [(10.0 * k, int(k >= 10)) for k in range(12)]
+        for t, images in ticks:
+            assert images == sum(
+                1 for k in range(int(t // workload_seconds) + 1)
+                if k * workload_seconds + 100.0 <= t
+            )
+        results = [t for t, kind, _ in log if kind == "result"]
+        assert results == [workload_seconds * k for k in range(1, len(results) + 1)]
+        for t in results:
+            assert log.index((t, "result", None)) < [e[:2] for e in log].index((t, "tick"))
+        hours = [(t, images) for t, kind, images in log if kind == "hour"]
+        assert [t for t, _ in hours] == [3600.0, 7200.0]
+        for t, images in hours:
+            position = log.index((t, "hour", images))
+            assert log[position - 1] == (t, "tick", images)
+
+    def test_heap_holds_at_most_one_event_per_slot_and_clock(self, monkeypatch):
+        """Each slot, the tick and the hour mark keep at most one event
+        queued, so the heap never holds more than concurrency + 2."""
+        sizes = []
+        real_push = heapq.heappush
+        real_pushpop = heapq.heappushpop
+
+        def push(heap, item):
+            real_push(heap, item)
+            sizes.append(len(heap))
+
+        def pushpop(heap, item):
+            sizes.append(len(heap) + 1)
+            return real_pushpop(heap, item)
+
+        monkeypatch.setattr(heapq, "heappush", push)
+        monkeypatch.setattr(heapq, "heappushpop", pushpop)
+        concurrency = 6
+        cloud = quiet_cloud()
+        results = stream_results(
+            cloud,
+            until=3 * 3600.0,
+            concurrency=concurrency,
+            faults=FaultModel({"boot server": {"server-error-status": 0.2}}, seed=1),
+            tick_seconds=7.0,
+            tick_hook=lambda t, gauges: None,
+            hour_hook=lambda t: None,
+        )
+        # Stranded servers fill their quota, so the slots end up parked.
+        assert results and cloud.failed
+        assert max(sizes) == concurrency + 2
 
     def test_capacity_recount_runs_only_on_ledger_mutations(self, monkeypatch):
         """Over a no-fault scenario the from-scratch capacity recount runs
