@@ -180,7 +180,9 @@ def main(hours: int = 4392, rows: int = 25) -> None:
         stdout = io.StringIO()
         started = time.perf_counter()
         with contextlib.redirect_stdout(stdout):
-            agesim_main(argv)
+            code = agesim_main(argv)
+        if code:
+            sys.exit(f"agesim analyze exited {code}")
         print(f"agesim analyze unprofiled: {time.perf_counter() - started:.2f} s")
         print(stdout.getvalue(), end="")
 

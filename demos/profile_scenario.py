@@ -51,9 +51,9 @@ def engine_events(config) -> dict[str, int]:
     run_stream = scenario.run_stream
 
     def counting_run_stream(*args, tick_hook, result_hook, **options):
-        def on_tick(t, gauges):
+        def on_tick(t):
             counts["ticks"] += 1
-            tick_hook(t, gauges)
+            tick_hook(t)
 
         def on_result(result):
             counts["workloads"] += 1

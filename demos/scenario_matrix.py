@@ -2,16 +2,23 @@
 
 Runs the default matrix (concurrencies 1..64 on the multi-node and
 all-in-one topologies), prints the combined verdict table and shows
-how overload drowns the failure counts at high concurrency.
+how overload drowns the failure counts at high concurrency.  An
+argument shortens every stress phase to that many hours (the matrix
+runs 24); below 10 no trend verdict can be reached.
 
-Run with:  python3 demos/scenario_matrix.py
+Run with:  python3 demos/scenario_matrix.py [stress-hours]
 """
+
+import dataclasses
+import sys
 
 from agesim import default_matrix, run_suite, suite_trend_table
 
 
-def main():
+def main(stress_hours: int | None = None):
     configs = default_matrix(base_seed=0)
+    if stress_hours is not None:
+        configs = [dataclasses.replace(c, stress_hours=stress_hours) for c in configs]
     print(f"running {len(configs)} scenarios...")
     suite = run_suite(configs)
     for scenario_id, message in sorted(suite.errors.items()):
@@ -33,4 +40,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(int(sys.argv[1]) if len(sys.argv) > 1 else None)

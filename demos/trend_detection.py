@@ -23,7 +23,7 @@ HOUR = 3600.0
 def leaking_series(rng):
     """Memory that drains 20 MB per hour under 5 MB of sampling noise,
     recovers after a rejuvenation window at hour 24."""
-    samples = []
+    times, values = [], []
     for k in range(26 * 120):  # one sample every 30 s for 26 hours
         t = k * 30.0
         hour = t / HOUR
@@ -33,16 +33,16 @@ def leaking_series(rng):
             level = 1.5  # rejuvenation window, freshly redeployed
         else:
             level = 1.5 - 0.020 * (hour - 25)
-        samples.append((t, level + rng.normal(0.0, 0.005)))
-    return IndicatorSeries(name="memory-available", unit="GB", samples=tuple(samples))
+        times.append(t)
+        values.append(level + rng.normal(0.0, 0.005))
+    return IndicatorSeries("memory-available", "GB", times, values)
 
 
 def flat_series(rng):
     """Pure noise around a constant level; no trend should be claimed."""
-    samples = tuple(
-        (k * 30.0, 0.8 + rng.normal(0.0, 0.01)) for k in range(26 * 120)
-    )
-    return IndicatorSeries(name="steady-gauge", unit="GB", samples=samples)
+    times = [k * 30.0 for k in range(26 * 120)]
+    values = [0.8 + rng.normal(0.0, 0.01) for _ in times]
+    return IndicatorSeries("steady-gauge", "GB", times, values)
 
 
 def main():

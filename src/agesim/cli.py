@@ -11,8 +11,10 @@ Three subcommands:
 ``agesim analyze CSV...``
     Trend-test externally collected indicator series.
 
-Exit codes: 0 success, 1 runtime failure, 2 bad configuration or
-unparseable input, 3 missing input file.
+Exit codes: 0 success, 1 runtime failure, 2 bad configuration,
+unparseable input or a path that cannot be read or written (a directory
+named as an input file, a file where ``--out`` needs a directory), 3
+missing input file.
 """
 
 from __future__ import annotations
@@ -298,6 +300,12 @@ def main(argv: list[str] | None = None) -> int:
         missing = exc.filename if exc.filename else exc
         print(f"error: file not found: {missing}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # a path that exists but cannot serve: a directory named as an
+        # input, a file where --out needs a directory, a denied permission
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
     except AgesimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

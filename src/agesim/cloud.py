@@ -308,6 +308,10 @@ class FaultModel:
 class CloudState:
     """Mutable ledger-and-gauge state of the simulated cloud.
 
+    Gauges are read one at a time: ``memory_available_gb`` and
+    ``swap_used_gb`` per node (the model runs on the control node; every
+    other node reads idle) and ``disk_used_gb`` per node.
+
     Capacity and whether some node's disk is full are kept up to date by
     the mutators that can change them (``add_leftover``,
     ``deposit_cache_image``, ``cache_cleanup`` and ``rejuvenate``), so
@@ -462,37 +466,6 @@ class CloudState:
     def cache_image_count(self) -> int:
         return len(self._cache)
 
-    def read_gauges(self) -> dict[str, dict[str, float]]:
-        """Snapshot of every node's gauges at the current clock.
-
-        Each node reads what ``memory_available_gb``, ``swap_used_gb`` and
-        ``disk_used_gb`` give for it; the control node's memory and swap
-        are computed once.  Every call returns a new dict.
-        """
-        params = self.params
-        control = self.topology.control_node
-        memory, swap = self._control_memory_gb()
-        idle_memory = params.initial_memory_gb
-        disk_capacity = params.disk_capacity_gb
-        cache_total = self._cache_total
-        gauges = {}
-        for node in self.topology.nodes:
-            if node == control:
-                gauges[node] = {
-                    "memory_available": memory,
-                    "swap_used": swap,
-                    "disk_used": cache_total.get(node, 0.0),
-                    "disk_capacity": disk_capacity,
-                }
-            else:
-                gauges[node] = {
-                    "memory_available": idle_memory,
-                    "swap_used": 0.0,
-                    "disk_used": cache_total.get(node, 0.0),
-                    "disk_capacity": disk_capacity,
-                }
-        return gauges
-
     # -- ageing bookkeeping ------------------------------------------------------
 
     def ageing_multiplier(self) -> float:
@@ -525,12 +498,11 @@ class CloudState:
 
 def apply_resource_effects(
     state: CloudState, event: WorkloadStepCompleted | IntervalElapsed
-) -> dict[str, dict[str, float]] | None:
+) -> None:
     """Fold one event into the resource gauges.
 
-    Returns the ``read_gauges()`` snapshot for an interval event, which
-    is what the sampling tick records, and None for a step completion,
-    whose callers never read the gauges.
+    Callers read the gauges afterwards through ``memory_available_gb``,
+    ``swap_used_gb`` and ``disk_used_gb``.
 
     Step completions deposit cache images (for configured steps, server
     boots by default) and, on the final step of a workload that created
@@ -559,10 +531,8 @@ def apply_resource_effects(
             state._noise_gb = float(state._noise_rng.uniform(-amp, amp)) if amp else 0.0
         else:
             state._noise_gb = 0.0
-        return state.read_gauges()
     else:
         raise TypeError(f"unsupported event: {event!r}")
-    return None
 
 
 def cache_cleanup(state: CloudState) -> float:

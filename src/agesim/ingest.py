@@ -322,7 +322,7 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
                 raise DuplicateTimestampError(
                     f"metric {metric!r} has two samples at timestamp {float(ts[tied[0]])!r}"
                 )
-        series[metric] = IndicatorSeries.from_arrays(metric, unit, ts, values)
+        series[metric] = IndicatorSeries(metric, unit, ts, values)
     return series
 
 
@@ -435,7 +435,7 @@ def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
         ts, values = nudge_ties(starts, durations)
         if math.isinf(ts[-1]):
             raise ParseError("workload start times tie at the largest float")
-        series = IndicatorSeries.from_arrays("workload-duration", "seconds", ts, values)
+        series = IndicatorSeries("workload-duration", "seconds", ts, values)
     return WorkloadReportData(
         durations=series,
         status_counts=status_counts,

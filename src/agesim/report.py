@@ -17,12 +17,13 @@ separate line so saturation noise does not drown the ageing signal.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .scenario import ScenarioReport, SuiteResult
-from .trendstats import IndicatorAnalysis, TrendVerdict
+from .trendstats import AgeingSummary, IndicatorAnalysis, TrendVerdict
 from .ingest import csv_cell, format_timestamp, write_series_csv
 
 #: Compact verdict markers used in tables.
@@ -71,14 +72,9 @@ def analysis_document(analysis: IndicatorAnalysis) -> dict:
         "ageing_unavailable": analysis.ageing_unavailable,
     }
     if analysis.ageing is not None:
-        ageing = analysis.ageing
         doc["ageing"] = {
-            "v0": _clean_float(ageing.v0),
-            "vb": _clean_float(ageing.vb),
-            "vr": _clean_float(ageing.vr),
-            "ageing_a": _clean_float(ageing.ageing_a),
-            "rejuvenation_r": _clean_float(ageing.rejuvenation_r),
-            "sens_slope": _clean_float(ageing.sens_slope),
+            f.name: _clean_float(getattr(analysis.ageing, f.name))
+            for f in dataclasses.fields(AgeingSummary)
         }
     return doc
 

@@ -239,15 +239,18 @@ def _deploy_fails(config: ScenarioConfig) -> bool:
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     """Run one scenario and analyse every collected indicator."""
+    identity = dict(
+        scenario_id=config.scenario_id,
+        topology=config.topology,
+        concurrency=config.concurrency,
+        seed=config.seed,
+        policy=config.policy.value,
+        stress_hours=config.stress_hours,
+        post_rejuvenation_hours=config.post_rejuvenation_hours,
+    )
     if _deploy_fails(config):
         return ScenarioReport(
-            scenario_id=config.scenario_id,
-            topology=config.topology,
-            concurrency=config.concurrency,
-            seed=config.seed,
-            policy=config.policy.value,
-            stress_hours=config.stress_hours,
-            post_rejuvenation_hours=config.post_rejuvenation_hours,
+            **identity,
             deploy_failed=True,
             failure_point=None,
             rejuvenation_started=None,
@@ -287,15 +290,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     totals = dict.fromkeys(WorkloadStatus, 0)
     error_log: list[ErrorEvent] = []
 
-    control_node = topology.control_node
-
-    def tick_hook(t: float, gauges: dict) -> None:
+    def tick_hook(t: float) -> None:
         tick_times.append(t)
-        control = gauges[control_node]
-        memory_available.append(control["memory_available"])
-        swap_used.append(control["swap_used"])
+        memory_available.append(cloud.memory_available_gb())
+        swap_used.append(cloud.swap_used_gb())
         for node, readings in disk_readings.items():
-            readings.append(gauges[node]["disk_used"])
+            readings.append(cloud.disk_used_gb(node))
 
     def hour_hook(t: float):
         cache_cleanup(cloud)
@@ -365,7 +365,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     sample_ts = max(
         rejuvenation_started, rejuvenation_ended - config.sample_interval_seconds
     )
-    tick_hook(sample_ts, cloud.read_gauges())
+    tick_hook(sample_ts)
 
     # Post-rejuvenation phase.
     post_end = rejuvenation_ended + config.post_rejuvenation_hours * SECONDS_PER_HOUR
@@ -380,12 +380,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 
     series: dict[str, IndicatorSeries] = {}
     if starts:
-        series["workload-duration"] = IndicatorSeries.from_arrays(
+        series["workload-duration"] = IndicatorSeries(
             "workload-duration", "seconds", *nudge_ties(starts, durations)
         )
     if tick_times:
         for name, readings in gauge_readings.items():
-            series[name] = IndicatorSeries.from_arrays(
+            series[name] = IndicatorSeries(
                 name, "GB", *nudge_ties(tick_times, readings)
             )
 
@@ -401,13 +401,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         {"hour": hour, **_by_value(hourly[hour])} for hour in sorted(hourly)
     )
     return ScenarioReport(
-        scenario_id=config.scenario_id,
-        topology=config.topology,
-        concurrency=config.concurrency,
-        seed=config.seed,
-        policy=config.policy.value,
-        stress_hours=config.stress_hours,
-        post_rejuvenation_hours=config.post_rejuvenation_hours,
+        **identity,
         deploy_failed=False,
         failure_point=cloud.failed_at,
         rejuvenation_started=rejuvenation_started,

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -97,14 +97,13 @@ class IndicatorSeries:
     """A named, unit-carrying series of (timestamp, value) samples.
 
     Timestamps are seconds since the start of the observation window and
-    must be strictly increasing.  A series holds them and the values as
-    two read-only float64 arrays of equal length, ``timestamps`` and
-    ``values``; ``samples`` renders them as a tuple of ``(timestamp,
-    value)`` float pairs.  ``IndicatorSeries(name, unit, samples)`` builds
-    a series from pairs and ``IndicatorSeries.from_arrays`` from the two
-    arrays, which it copies; both check the series the same way.  Series
-    are immutable, and equal when name, unit and every float compare
-    equal.
+    must be strictly increasing.  ``IndicatorSeries(name, unit,
+    timestamps, values)`` copies the two parallel arrays into read-only
+    float64 arrays, ``timestamps`` and ``values``, and checks that the
+    unit is not empty, that both are one-dimensional and of one length,
+    and that the timestamps increase.  ``samples`` renders them as a
+    tuple of ``(timestamp, value)`` float pairs.  Series are immutable,
+    and equal when name, unit and every float compare equal.
     """
 
     __slots__ = ("name", "unit", "timestamps", "values")
@@ -114,24 +113,7 @@ class IndicatorSeries:
     timestamps: np.ndarray
     values: np.ndarray
 
-    def __init__(self, name: str, unit: str, samples: Iterable[tuple[float, float]]):
-        pairs = np.array(tuple(samples), dtype=np.float64)
-        if pairs.size == 0:
-            pairs = pairs.reshape(0, 2)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise InvalidSeriesError(f"samples of series {name!r} must be (timestamp, value) pairs")
-        self._assign(name, unit, pairs[:, 0], pairs[:, 1])
-
-    @classmethod
-    def from_arrays(
-        cls, name: str, unit: str, timestamps: ArrayLike, values: ArrayLike
-    ) -> IndicatorSeries:
-        """Build a series from parallel timestamp and value arrays."""
-        series = object.__new__(cls)
-        series._assign(name, unit, timestamps, values)
-        return series
-
-    def _assign(self, name: str, unit: str, timestamps: ArrayLike, values: ArrayLike) -> None:
+    def __init__(self, name: str, unit: str, timestamps: ArrayLike, values: ArrayLike):
         if not unit:
             raise InvalidSeriesError("IndicatorSeries.unit must be non-empty")
         ts = np.array(timestamps, dtype=np.float64)
@@ -179,7 +161,10 @@ class IndicatorSeries:
         )
 
     def __repr__(self) -> str:
-        return f"IndicatorSeries(name={self.name!r}, unit={self.unit!r}, samples={self.samples!r})"
+        return (
+            f"IndicatorSeries({self.name!r}, {self.unit!r},"
+            f" {self.timestamps.tolist()!r}, {self.values.tolist()!r})"
+        )
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -188,10 +173,7 @@ class IndicatorSeries:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return (
-            IndicatorSeries.from_arrays,
-            (self.name, self.unit, self.timestamps, self.values),
-        )
+        return (IndicatorSeries, (self.name, self.unit, self.timestamps, self.values))
 
 
 def nudge_ties(
@@ -707,4 +689,4 @@ def rebased(series: IndicatorSeries, t0: float | None = None) -> IndicatorSeries
         raise InvalidSeriesError(
             f"timestamps of series {series.name!r} overflow when rebased"
         )
-    return IndicatorSeries.from_arrays(series.name, series.unit, shifted, series.values)
+    return IndicatorSeries(series.name, series.unit, shifted, series.values)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Mapping
@@ -656,7 +657,7 @@ def run_stream(
     faults: FaultModel | None = None,
     timing: TimingParams | None = None,
     tick_seconds: float | None = None,
-    tick_hook: Callable[[float, dict], None] | None = None,
+    tick_hook: Callable[[float], None] | None = None,
     hour_hook: Callable[[float], object] | None = None,
     error_hook: Callable[[float, str, str, bool], None] | None = None,
     result_hook: Callable[[WorkloadResult], None] | None = None,
@@ -665,15 +666,19 @@ def run_stream(
 
     Events are processed in virtual-time order; at equal times workload
     events run before interval ticks, and ticks before hour marks, so
-    samples and hooks observe completed state.  ``tick_hook`` receives
-    (time, gauges) for every elapsed sampling interval; ``hour_hook``
-    runs at whole-hour marks and may return ``STOP_STREAM`` to end the
-    run early (policy decisions live in the caller).  Each finished
-    workload reaches the caller only through ``result_hook``; workloads
-    still in flight at the deadline are discarded unrecorded.  Once the
-    cloud has failed, a workload due to run another step is cut short
-    there with ``CLOUD_UNAVAILABLE``, and every slot parks until the
-    deadline.
+    samples and hooks observe completed state.  With ``tick_seconds``
+    set, each elapsed sampling interval is folded into the gauges and
+    then ``tick_hook(t)`` runs, reading whatever it records from
+    ``cloud``'s gauge accessors.  ``hour_hook`` runs at whole-hour
+    marks and may return ``STOP_STREAM`` to end the run early (policy
+    decisions live in the caller).  Each finished workload reaches the
+    caller only through ``result_hook``; workloads still in flight at
+    the deadline are discarded unrecorded.  Once the cloud has failed, a
+    workload due to run another step is cut short there with
+    ``CLOUD_UNAVAILABLE``, and every slot parks until the deadline.
+    ``until`` must be finite and not before ``cloud.clock``, and
+    ``tick_seconds``, when given, positive and finite; anything else is
+    a ``ConfigError``.
 
     After a step the failure predicate is evaluated, through
     ``check_failed``, only while ``cloud.failure_inputs_changed`` is set:
@@ -706,13 +711,17 @@ def run_stream(
     """
     if concurrency < 1:
         raise ConfigError("concurrency must be at least 1")
+    if tick_seconds is not None and not (0.0 < tick_seconds < math.inf):
+        raise ConfigError(f"tick_seconds must be positive and finite, got {tick_seconds!r}")
+    if not math.isfinite(until):
+        raise ConfigError(f"stream deadline must be finite, got {until!r}")
     timing = timing or TimingParams()
     t0 = cloud.clock
     if until < t0:
         raise ConfigError("stream deadline precedes the cloud clock")
 
     plan = _plan(defn, cloud, timing, faults)
-    tick = IntervalElapsed(tick_seconds) if tick_seconds else None
+    tick = IntervalElapsed(tick_seconds) if tick_seconds is not None else None
     heap: list[tuple[float, int, int, str, object]] = []
     # Bound per call rather than at import, so a patched heapq is seen.
     heappush = heapq.heappush
@@ -732,7 +741,7 @@ def run_stream(
         t_launch = t0 + slot * LAUNCH_STAGGER_SECONDS
         if t_launch < until:
             heappush(heap, (t_launch, PRIO_WORK, seq(), "launch", slot))
-    if tick_seconds:
+    if tick_seconds is not None:
         push_clock(0, tick_seconds, PRIO_TICK, "tick")
     if hour_hook is not None:
         push_clock(1, SECONDS_PER_HOUR, PRIO_HOUR, "hour")
@@ -776,9 +785,9 @@ def run_stream(
         elif kind == "finish":
             execution = payload
         elif kind == "tick":
-            gauges = apply_resource_effects(cloud, tick)
+            apply_resource_effects(cloud, tick)
             if tick_hook is not None:
-                tick_hook(t, gauges)
+                tick_hook(t)
             k = payload + 1
             if (t_next := t0 + k * tick_seconds) < until:
                 event = heappushpop(heap, (t_next, PRIO_TICK, seq(), "tick", k))

@@ -340,7 +340,7 @@ def test_c08_rejuvenation_restores_service(capsys):
 def test_c09_ageing_deltas_exact_on_ramp(capsys):
     """A clean hourly ramp yields A and R by exact subtraction and a Sen
     slope equal to the ramp rate."""
-    samples = []
+    values = []
     for h in range(26):
         if h < 24:
             value = h / 10  # 0.0 rising to 2.3 over the stress day
@@ -348,8 +348,8 @@ def test_c09_ageing_deltas_exact_on_ramp(capsys):
             value = 5.0  # rejuvenation bin, never used for deltas
         else:
             value = 0.1  # post-rejuvenation level
-        samples.append((h * 3600.0, value))
-    series = IndicatorSeries(name="ramp", unit="GB", samples=tuple(samples))
+        values.append(value)
+    series = IndicatorSeries("ramp", "GB", [h * 3600.0 for h in range(26)], values)
     analysis = evaluate_indicator(series, phase_boundaries=(86400.0, 90000.0))
 
     ageing = analysis.ageing
@@ -406,8 +406,7 @@ def test_c11_serialization_round_trips_exactly(capsys):
         values = rng.normal(0.0, 1.0, len(ts)) * scale
         if k % 5 == 0:
             values = np.round(values)  # integral and signed-zero values
-        samples = tuple((float(t), float(v)) for t, v in zip(ts, values))
-        series[name] = IndicatorSeries(name=name, unit="unknown", samples=samples)
+        series[name] = IndicatorSeries(name, "unknown", ts, values)
 
     text = serialize_series(series)
     parsed = ingest(io.StringIO(text))

@@ -9,6 +9,7 @@ import sys
 import types
 import typing
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -758,6 +759,49 @@ def test_analyze_golden_digests(tmp_path, capsys):
     analysis = (out_dir / "analysis.json").read_bytes()
     assert hashlib.sha256(analysis).hexdigest() == GOLDEN_ANALYSIS_SHA256
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_STDOUT_SHA256
+
+
+class TestUnusablePaths:
+    """A path that exists but is of the wrong kind ends in ``error: ...``
+    and exit 2, like any other bad input."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        config = {"scenario_id": "p", "stress_hours": 1, "post_rejuvenation_hours": 0}
+        return {
+            "DIR": str(tmp_path / "dir"),
+            "FILE": str(tmp_path / "file"),
+            "UNDER_FILE": str(tmp_path / "file" / "out"),
+            "CSV": ramp_csv(tmp_path),
+            "CONFIG": write_json(tmp_path / "cfg.json", config),
+        }
+
+    @pytest.mark.parametrize(
+        "argv, named, reason",
+        [
+            (["analyze", "DIR"], "DIR", "Is a directory"),
+            (["analyze", "CSV", "--workload-report", "DIR"], "DIR", "Is a directory"),
+            (["run", "DIR"], "DIR", "Is a directory"),
+            (["suite", "--configs", "DIR"], "DIR", "Is a directory"),
+            (["analyze", "CSV", "--out", "FILE"], "FILE", "File exists"),
+            (["analyze", "CSV", "--out", "UNDER_FILE"], "UNDER_FILE", "Not a directory"),
+            (["run", "CONFIG", "--out", "FILE"], "FILE", "File exists"),
+            (["suite", "--configs", "CONFIG", "--out", "UNDER_FILE"], "UNDER_FILE",
+             "Not a directory"),
+        ],
+    )
+    def test_wrong_kind_of_path_is_exit_2(self, paths, capsys, argv, named, reason):
+        assert main([paths.get(arg, arg) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: {paths[named]}: {reason}\n")
+        assert "Traceback" not in err
+
+    def test_missing_file_stays_exit_3(self, paths, capsys):
+        missing = str(Path(paths["DIR"]) / "ghost.json")
+        assert main(["run", missing]) == 3
+        assert capsys.readouterr().err == f"error: file not found: {missing}\n"
 
 
 class TestParser:

@@ -281,14 +281,14 @@ class TestResourceEffects:
         params = ResourceParams(warmup_noise_gb=0.3, warmup_alloc_gb=0.0)
         state = CloudState(params=params, seed=11)
         state.clock = 100.0
-        gauges = apply_resource_effects(state, IntervalElapsed(30.0))
-        noisy = gauges["control"]["memory_available"]
+        assert apply_resource_effects(state, IntervalElapsed(30.0)) is None
+        noisy = state.memory_available_gb()
         assert noisy != params.initial_memory_gb
         assert abs(noisy - params.initial_memory_gb) <= 0.3
 
         state.clock = 7200.0
-        gauges = apply_resource_effects(state, IntervalElapsed(30.0))
-        assert gauges["control"]["memory_available"] == params.initial_memory_gb
+        apply_resource_effects(state, IntervalElapsed(30.0))
+        assert state.memory_available_gb() == params.initial_memory_gb
 
     def test_warmup_allocation_applied_once(self):
         params = ResourceParams(warmup_noise_gb=0.0, warmup_alloc_gb=0.25)
@@ -645,36 +645,39 @@ def test_cached_predicate_matches_recomputation(state, ops):
                 assert state.live[kind] + state.leftovers[kind] <= quota
 
 
-def gauges_from_accessors(state):
-    """The snapshot ``read_gauges`` should give, from the per-node accessors."""
-    return {
-        node: {
-            "memory_available": state.memory_available_gb(node),
-            "swap_used": state.swap_used_gb(node),
-            "disk_used": state.disk_used_gb(node),
-            "disk_capacity": state.params.disk_capacity_gb,
-        }
-        for node in state.topology.nodes
-    }
+def gauges_from_scratch(state, node):
+    """Memory available, swap used and disk used on ``node``, recomputed
+    from the memory terms and the cache-image ledger."""
+    params = state.params
+    disk = sum(size for _, size, where in state._cache if where == node)
+    if node != state.topology.control_node:
+        return params.initial_memory_gb, 0.0, disk
+    raw = params.initial_memory_gb - state._host_residual_gb - state._consumed_gb
+    memory = max(0.0, raw + state._noise_gb)
+    swap = min(max(0.0, params.swap_threshold_gb - raw), params.swap_capacity_gb)
+    return memory, swap, disk
 
 
 @settings(max_examples=200)
 @given(state=clouds, ops=operations)
-def test_read_gauges_matches_the_per_node_accessors(state, ops):
+def test_gauge_accessors_match_a_recomputation(state, ops):
     """After any sequence of leaks, leftovers, warm-up ticks (allocation
     and noise), cache deposits, cleanups and rejuvenations (host
     residual), on either topology and whether swap is unused, filling or
-    capped, the snapshot holds the accessors' floats bit for bit and in
-    their key order, in a new dict on every call."""
+    capped, every node reads the recomputed memory and swap bit for bit
+    and its cache images' total disk, and the control node reads the
+    same with no node named."""
+    control = state.topology.control_node
     for op in [("tick", 0.0), *ops]:
         apply_operation(state, op)
-        snapshot = state.read_gauges()
-        # repr tells -0.0 from 0.0 and shows key order
-        assert repr(snapshot) == repr(gauges_from_accessors(state))
-        again = state.read_gauges()
-        assert again == snapshot
-        assert again is not snapshot
-        assert all(again[node] is not snapshot[node] for node in snapshot)
+        for node in state.topology.nodes:
+            memory, swap, disk = gauges_from_scratch(state, node)
+            # repr tells -0.0 from 0.0
+            assert repr(state.memory_available_gb(node)) == repr(memory)
+            assert repr(state.swap_used_gb(node)) == repr(swap)
+            assert state.disk_used_gb(node) == pytest.approx(disk, abs=1e-12)
+        assert repr(state.memory_available_gb()) == repr(state.memory_available_gb(control))
+        assert repr(state.swap_used_gb()) == repr(state.swap_used_gb(control))
 
 
 def test_fresh_leftover_respects_a_full_quota():

@@ -160,6 +160,24 @@ def _digest(parts: list) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
+def _gauges(cloud: CloudState) -> list:
+    """Every node's gauge readings, sorted by node, each as a dict of
+    memory available, swap used, disk used and disk capacity, which is
+    how the golden digests record a tick."""
+    return sorted(
+        (
+            node,
+            {
+                "memory_available": cloud.memory_available_gb(node),
+                "swap_used": cloud.swap_used_gb(node),
+                "disk_used": cloud.disk_used_gb(node),
+                "disk_capacity": cloud.params.disk_capacity_gb,
+            },
+        )
+        for node in cloud.topology.nodes
+    )
+
+
 def _stream_parts(name: str, cloud_type: type = CloudState) -> list:
     """Everything one golden ``run_stream`` call produced, on a cloud of
     ``cloud_type``."""
@@ -180,7 +198,7 @@ def _stream_parts(name: str, cloud_type: type = CloudState) -> list:
         faults=faults,
         timing=timing,
         tick_seconds=60.0,
-        tick_hook=lambda t, gauges: samples.append((t, sorted(gauges.items()))),
+        tick_hook=lambda t: samples.append((t, _gauges(cloud))),
         error_hook=lambda *event: events.append(event),
         result_hook=results.append,
     )
@@ -371,7 +389,7 @@ def _run_checked(table, quotas, concurrency, topology, seed):
         concurrency=concurrency,
         faults=faults,
         tick_seconds=60.0,
-        tick_hook=lambda t, gauges: check_ledger(),
+        tick_hook=lambda t: check_ledger(),
         error_hook=error_hook,
         result_hook=result_hook,
     )

@@ -346,36 +346,33 @@ def test_padded_cells_keep_their_values_and_error_text(pad):
 class TestSerializeRoundTrip:
     def test_simple_round_trip(self):
         original = {
-            "m": IndicatorSeries(
-                name="m", unit="GB", samples=((0.0, 1.25), (30.0, 2.5))
-            )
+            "m": IndicatorSeries("m", "GB", [0.0, 30.0], [1.25, 2.5])
         }
         again = ingest(io.StringIO(serialize_series(original)), unit="GB")
         assert again["m"] == original["m"]
 
     def test_round_trip_preserves_awkward_floats(self):
         rng = np.random.Generator(np.random.PCG64(7))
-        samples = []
+        stamps, values = [], []
         ts = 0.0
         for _ in range(200):
             ts += float(rng.uniform(0.001, 100.0))
-            samples.append((ts, float(rng.normal() * 1e-7)))
-        original = {
-            "gauge": IndicatorSeries(name="gauge", unit="GB", samples=tuple(samples))
-        }
+            stamps.append(ts)
+            values.append(float(rng.normal() * 1e-7))
+        original = {"gauge": IndicatorSeries("gauge", "GB", stamps, values)}
         again = ingest(io.StringIO(serialize_series(original)), unit="GB")
         assert again["gauge"].samples == original["gauge"].samples
 
     def test_integral_timestamps_written_as_integers(self):
         text = serialize_series(
-            {"m": IndicatorSeries(name="m", unit="x", samples=((60.0, 1.0),))}
+            {"m": IndicatorSeries("m", "x", [60.0], [1.0])}
         )
         assert "\n60,m," in text
 
     def test_write_to_disk(self, tmp_path):
         path = tmp_path / "out.csv"
         write_series_csv(
-            {"m": IndicatorSeries(name="m", unit="x", samples=((0.0, 1.0),))}, path
+            {"m": IndicatorSeries("m", "x", [0.0], [1.0])}, path
         )
         assert ingest(path)["m"].samples == ((0.0, 1.0),)
 
@@ -386,11 +383,7 @@ class TestSerializeRoundTrip:
             ts = np.cumsum(rng.uniform(0.001, 50.0, size=50))
             values = rng.normal(size=50)
             name = f"metric-{i}"
-            original[name] = IndicatorSeries(
-                name=name,
-                unit="GB",
-                samples=tuple((float(t), float(v)) for t, v in zip(ts, values)),
-            )
+            original[name] = IndicatorSeries(name, "GB", ts, values)
         again = ingest(io.StringIO(serialize_series(original)), unit="GB")
         assert set(again) == set(original)
         for name in original:
@@ -421,12 +414,11 @@ def writer_reference(series_by_name) -> str:
 @example({"two\nlines": [(1e300, float("inf"))], " padded ": [(-0.0, 0.0)]})
 def test_serialize_series_matches_the_csv_writer(samples_by_name):
     """Every byte, for any metric name and any timestamp and value."""
-    series_by_name = {
-        name: IndicatorSeries(
-            name=name, unit="x", samples=sorted({t: v for t, v in rows}.items())
-        )
-        for name, rows in samples_by_name.items()
-    }
+    series_by_name = {}
+    for name, rows in samples_by_name.items():
+        by_stamp = dict(rows)
+        stamps = sorted(by_stamp)
+        series_by_name[name] = IndicatorSeries(name, "x", stamps, [by_stamp[t] for t in stamps])
     assert serialize_series(series_by_name) == writer_reference(series_by_name)
 
 

@@ -76,7 +76,9 @@ def brute_sens_slope(values):
 
 
 def series_of(samples, name="metric", unit="gigabytes"):
-    return IndicatorSeries(name=name, unit=unit, samples=tuple(samples))
+    """A series from ``(timestamp, value)`` pairs."""
+    samples = list(samples)
+    return IndicatorSeries(name, unit, [t for t, _ in samples], [v for _, v in samples])
 
 
 # ── Mann-Kendall ─────────────────────────────────────────────────────────
@@ -480,7 +482,7 @@ class TestIndicatorSeries:
 
     def test_unit_required(self):
         with pytest.raises(ValueError):
-            IndicatorSeries(name="m", unit="", samples=((0.0, 1.0),))
+            IndicatorSeries("m", "", [0.0], [1.0])
 
     def test_rebased_starts_at_zero(self):
         series = series_of([(1000.0, 1.0), (1060.0, 2.0)])
@@ -497,7 +499,7 @@ class TestIndicatorSeries:
         assert isinstance(excinfo.value, AgesimError)
         assert isinstance(excinfo.value, ValueError)
         with pytest.raises(InvalidSeriesError):
-            IndicatorSeries(name="m", unit="", samples=())
+            IndicatorSeries("m", "", [], [])
 
     def test_nan_timestamp_is_not_rejected_by_the_order_check(self):
         """``b <= a`` is false against NaN, so a NaN stamp gets past the check."""
@@ -512,12 +514,12 @@ class TestIndicatorSeries:
         assert series.values.tolist() == [1.5, -2.0, 1e-300]
         assert series.samples == samples
         assert all(type(x) is float for pair in series.samples for x in pair)
-        copy = IndicatorSeries.from_arrays("metric", "gigabytes", series.timestamps, series.values)
+        copy = IndicatorSeries("metric", "gigabytes", series.timestamps, series.values)
         assert copy.samples == samples
 
     def test_arrays_are_read_only_and_owned(self):
         stamps = np.array([0.0, 1.0, 2.0])
-        series = IndicatorSeries.from_arrays("m", "GB", stamps, [3.0, 4.0, 5.0])
+        series = IndicatorSeries("m", "GB", stamps, [3.0, 4.0, 5.0])
         with pytest.raises(ValueError):
             series.timestamps[0] = 5.0
         with pytest.raises(ValueError):
@@ -529,15 +531,17 @@ class TestIndicatorSeries:
         with pytest.raises(FrozenInstanceError):
             series.timestamps = np.zeros(3)
 
-    def test_from_arrays_checks_like_the_pair_constructor(self):
+    def test_constructor_checks_order_unit_and_shape(self):
         with pytest.raises(InvalidSeriesError, match="strictly increasing"):
-            IndicatorSeries.from_arrays("m", "GB", [1.0, 1.0], [2.0, 3.0])
+            IndicatorSeries("m", "GB", [1.0, 1.0], [2.0, 3.0])
         with pytest.raises(InvalidSeriesError, match="unit"):
-            IndicatorSeries.from_arrays("m", "", [1.0], [2.0])
+            IndicatorSeries("m", "", [1.0], [2.0])
         with pytest.raises(InvalidSeriesError, match="one length"):
-            IndicatorSeries.from_arrays("m", "GB", [1.0, 2.0], [2.0])
-        with pytest.raises(InvalidSeriesError, match="pairs"):
-            IndicatorSeries("m", "GB", [(1.0, 2.0, 3.0)])
+            IndicatorSeries("m", "GB", [1.0, 2.0], [2.0])
+        with pytest.raises(InvalidSeriesError, match="one length"):
+            IndicatorSeries("m", "GB", [[1.0, 2.0]], [[2.0, 3.0]])
+        with pytest.raises(InvalidSeriesError, match="one length"):
+            IndicatorSeries("m", "GB", 1.0, 2.0)
 
     def test_series_pickles(self):
         series = series_of([(0.0, 1.0), (5.0, 2.0)])
@@ -809,23 +813,21 @@ pair_floats = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]))
     ),
     flip=st.booleans(),
 )
-def test_series_equality_and_hash_agree_across_constructors(samples, flip):
-    """Pairs and arrays give equal series with equal hashes, -0.0 and 0.0 alike."""
-    from_pairs = series_of(samples)
+def test_series_equality_and_hash_agree_on_signed_zeros(samples, flip):
+    """Series of equal floats are equal with equal hashes, -0.0 and 0.0 alike."""
+    series = series_of(samples)
     signs = -1.0 if flip else 1.0
-    from_arrays = IndicatorSeries.from_arrays(
+    zeros_flipped = IndicatorSeries(
         "metric",
         "gigabytes",
         [t if t else signs * 0.0 for t, _ in samples],
         [v if v else signs * 0.0 for _, v in samples],
     )
-    assert from_pairs == from_arrays
-    assert hash(from_pairs) == hash(from_arrays)
+    assert series == zeros_flipped
+    assert hash(series) == hash(zeros_flipped)
     if samples:
-        other = IndicatorSeries.from_arrays(
-            "metric", "gigabytes", from_pairs.timestamps, from_pairs.values + 1.0
-        )
-        assert other != from_pairs
+        other = IndicatorSeries("metric", "gigabytes", series.timestamps, series.values + 1.0)
+        assert other != series
 
 
 @given(

@@ -3,6 +3,7 @@
 import dataclasses
 import heapq
 import itertools
+import math
 
 import pytest
 
@@ -556,7 +557,7 @@ class TestRunStream:
             until=3600.0,
             concurrency=1,
             tick_seconds=30.0,
-            tick_hook=lambda t, gauges: samples.append(t),
+            tick_hook=lambda t: samples.append(t),
         )
         assert len(samples) == 120
         assert samples[0] == 0.0
@@ -612,7 +613,7 @@ class TestRunStream:
             until=until,
             concurrency=2,
             tick_seconds=7.3,
-            tick_hook=lambda t, gauges: ticks.append(t),
+            tick_hook=lambda t: ticks.append(t),
             hour_hook=marks.append,
         )
         assert ticks == list(
@@ -652,7 +653,7 @@ class TestRunStream:
             until=10 * 86400.0,
             concurrency=1,
             tick_seconds=30.0,
-            tick_hook=lambda t, gauges: ticks.append(t),
+            tick_hook=lambda t: ticks.append(t),
             hour_hook=hour_hook,
         )
         assert marks == [3600.0, 7200.0]
@@ -670,7 +671,7 @@ class TestRunStream:
         cloud = quiet_cloud()
         log = []
 
-        def tick_hook(t, gauges):
+        def tick_hook(t):
             log.append((t, "tick", cloud.cache_image_count()))
 
         def hour_hook(t):
@@ -734,7 +735,7 @@ class TestRunStream:
             concurrency=concurrency,
             faults=FaultModel({"boot server": {"server-error-status": 0.2}}, seed=1),
             tick_seconds=7.0,
-            tick_hook=lambda t, gauges: None,
+            tick_hook=lambda t: None,
             hour_hook=lambda t: None,
         )
         # Stranded servers fill their quota, so the slots end up parked.
@@ -776,3 +777,25 @@ class TestRunStream:
     def test_bad_concurrency_rejected(self):
         with pytest.raises(ConfigError):
             run_stream(DEFN, quiet_cloud(), until=10.0, concurrency=0)
+
+    @pytest.mark.parametrize("tick_seconds", [0.0, -30.0, math.inf, math.nan])
+    def test_tick_interval_must_be_positive_and_finite(self, tick_seconds):
+        """A negative interval would tick backwards forever, and zero,
+        infinity or NaN schedule no sensible tick."""
+
+        def tick_hook(t):
+            raise AssertionError(f"tick at {t} ran")
+
+        cloud = quiet_cloud()
+        with pytest.raises(ConfigError, match="tick_seconds"):
+            run_stream(DEFN, cloud, until=3600.0, tick_seconds=tick_seconds, tick_hook=tick_hook)
+        assert cloud.clock == 0.0
+
+    @pytest.mark.parametrize("until", [math.inf, -math.inf, math.nan])
+    def test_deadline_must_be_finite(self, until):
+        """A NaN deadline would leave the cloud's clock at NaN, and an
+        infinite one moves it to infinity once the stream parks."""
+        cloud = quiet_cloud()
+        with pytest.raises(ConfigError, match="deadline"):
+            run_stream(DEFN, cloud, until=until)
+        assert cloud.clock == 0.0
