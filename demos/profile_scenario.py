@@ -8,6 +8,10 @@ workloads, sampling ticks and workloads, counted through the hooks of a
 third run), and the unprofiled time per step or tick.  Then
 it does the same for ``write_bundle`` of that scenario's report, written
 to a temporary directory: the bundle is about 15 % of a ``matrix`` pass.
+It also prints an unprofiled split of the bundle (the series CSVs,
+``errors.csv``, and ``report.json`` plus ``tables.txt``), with the series
+rows and their distinct values: the CSV writer formats each distinct
+value once.
 Use it to find where the time goes before changing it; cProfile adds a
 cost to every Python call, so confirm a candidate with the benchmark
 (``perfbench/run.py``) with profiling off.
@@ -20,13 +24,25 @@ The same profile through the command line, for any config file:
 """
 
 import cProfile
+import json
 import pstats
 import sys
 import tempfile
 import time
+from pathlib import Path
 
-from agesim import default_matrix, run_scenario, write_bundle
+import numpy as np
+
+from agesim import (
+    default_matrix,
+    render_tables,
+    report_document,
+    run_scenario,
+    write_bundle,
+    write_series_csv,
+)
 from agesim import scenario
+from agesim.report import write_error_log
 
 
 def profiled(label: str, call, rows: int):
@@ -70,6 +86,32 @@ def engine_events(config) -> dict[str, int]:
     return counts
 
 
+def bundle_split(report, out: Path) -> None:
+    """Print the unprofiled time of each part ``write_bundle`` writes, and
+    the series rows beside their distinct values (by bits, per series)."""
+    series = report.series
+
+    def report_and_tables():
+        document = json.dumps(report_document(report), indent=2) + "\n"
+        (out / "report.json").write_text(document, encoding="utf-8")
+        (out / "tables.txt").write_text(render_tables(report), encoding="utf-8")
+
+    parts = {
+        "series CSVs": lambda: [
+            write_series_csv({name: series[name]}, out / f"{name}.csv") for name in series
+        ],
+        "errors.csv": lambda: write_error_log(report, out / "errors.csv"),
+        "report.json + tables.txt": report_and_tables,
+    }
+    for label, call in parts.items():
+        started = time.perf_counter()
+        call()
+        print(f"  {label}: {time.perf_counter() - started:.3f} s unprofiled")
+    rows = sum(len(s) for s in series.values())
+    distinct = sum(len(np.unique(s.values.view(np.int64))) for s in series.values())
+    print(f"  series rows: {rows}, distinct values: {distinct}")
+
+
 def main(scenario_id: str = "6", rows: int = 25) -> None:
     configs = {config.scenario_id: config for config in default_matrix()}
     config = configs[scenario_id]
@@ -89,6 +131,7 @@ def main(scenario_id: str = "6", rows: int = 25) -> None:
 
     with tempfile.TemporaryDirectory() as out:
         profiled("write_bundle", lambda: write_bundle(report, out), rows)
+        bundle_split(report, Path(out))
 
 
 if __name__ == "__main__":

@@ -153,6 +153,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_dir(path: str | None) -> Path | None:
+    """The ``--out`` directory, created before any result is printed, so a
+    path that cannot hold it fails with nothing on stdout."""
+    if not path:
+        return None
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     doc = load_json(args.config, args.config)
     if not isinstance(doc, dict):
@@ -170,10 +180,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             overrides["post_rejuvenation_hours"] = args.phases["post"]
     if overrides:
         config = dataclasses.replace(config, **overrides)
+    out = _out_dir(args.out)
     report = run_scenario(config)
     print(render_tables(report, args.exclude_overload_errors), end="")
-    if args.out:
-        out = write_bundle(report, args.out, args.exclude_overload_errors)
+    if out is not None:
+        write_bundle(report, out, args.exclude_overload_errors)
         print(f"bundle written to {out}")
     return 0
 
@@ -195,6 +206,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
                 dataclasses.replace(c, seed=scenario_seed(args.seed, i + 1))
                 for i, c in enumerate(configs)
             ]
+    out = _out_dir(args.out)
     suite = run_suite(configs)
     for scenario_id, message in sorted(suite.errors.items()):
         print(f"scenario {scenario_id} failed: {message}", file=sys.stderr)
@@ -202,8 +214,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         print("no scenario completed", file=sys.stderr)
         return 1
     print(suite_trend_table(suite.reports), end="")
-    if args.out:
-        out = write_suite_bundle(suite, args.out)
+    if out is not None:
+        write_suite_bundle(suite, out)
         print(f"suite bundle written to {out}")
     return 0
 
@@ -268,12 +280,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         name: evaluate_indicator(rebased(series[name], t0), phase_boundaries=boundaries)
         for name in sorted(series)
     }
+    out = _out_dir(args.out)
     for name, analysis in analyses.items():
         print(_analysis_line(name, analysis))
 
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         document = {
             "rebased_from": t0,
             "phase_boundaries": list(boundaries),

@@ -425,10 +425,10 @@ class CloudState:
             self.params.initial_memory_gb - self._host_residual_gb - self._consumed_gb
         )
 
-    def _control_memory_gb(self) -> tuple[float, float]:
+    def control_memory_gb(self) -> tuple[float, float]:
         """Available memory and swap in use on the control node, where the
-        model runs; swap grows once raw available memory sinks below the
-        threshold."""
+        model runs, from one reading; swap grows once raw available memory
+        sinks below the threshold."""
         params = self.params
         raw = self._raw_available_gb()
         overflow = params.swap_threshold_gb - raw
@@ -442,14 +442,14 @@ class CloudState:
         node = node or self.topology.control_node
         if node != self.topology.control_node:
             return self.params.initial_memory_gb
-        return self._control_memory_gb()[0]
+        return self.control_memory_gb()[0]
 
     def swap_used_gb(self, node: str | None = None) -> float:
         """Swap in use; grows once raw available memory sinks below the threshold."""
         node = node or self.topology.control_node
         if node != self.topology.control_node:
             return 0.0
-        return self._control_memory_gb()[1]
+        return self.control_memory_gb()[1]
 
     def disk_used_gb(self, node: str) -> float:
         return self._cache_total.get(node, 0.0)

@@ -15,6 +15,9 @@ errors; see ``ingest``.
 
 ``serialize_series`` writes the same format back with full-precision
 values, so a serialize/ingest round trip reproduces a series exactly.
+It renders each series a column at a time: one float ``repr`` per
+distinct value and one ``repr`` of an int64 list for the whole-second
+timestamps, with the rows joined once.
 
 Workload reports are JSON documents with a ``workloads`` list of
 records carrying ``start``, ``end`` and ``status``; they yield a
@@ -341,23 +344,61 @@ def csv_cell(text: str) -> str:
     return out.getvalue()[1:-1]
 
 
+def _reprs(numbers: np.ndarray) -> list[str]:
+    """The Python ``repr`` of each element of a non-empty array, from one
+    ``repr`` of its list (numpy's own float repr is not the CSV's)."""
+    return repr(numbers.tolist())[1:-1].split(", ")
+
+
+def _value_cells(values: np.ndarray) -> list[str]:
+    """The ``repr`` of every value, computed once per distinct bit pattern.
+
+    Uniqueness by bits keeps ``-0.0`` apart from ``0.0``; NaNs of any
+    payload all print ``nan``.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(_reprs(bits.view(np.float64)), dtype=object)[inverse].tolist()
+
+
+def _stamp_cells(stamps: np.ndarray) -> list[str]:
+    """Each timestamp as ``format_timestamp`` renders it.
+
+    Finite whole stamps inside the int64 range are printed by one ``repr``
+    of an int64 list; any other stamp goes through ``format_timestamp``.
+    """
+    # NaN fails both comparisons; 2.0**63 is the first float past int64
+    whole = (stamps >= -(2.0**63)) & (stamps < 2.0**63)
+    whole[whole] = np.trunc(stamps[whole]) == stamps[whole]
+    if whole.all():
+        return _reprs(stamps.astype(np.int64))
+    cells = np.empty(len(stamps), dtype=object)
+    cells[~whole] = list(map(format_timestamp, stamps[~whole].tolist()))
+    if whole.any():
+        cells[whole] = _reprs(stamps[whole].astype(np.int64))
+    return cells.tolist()
+
+
 def serialize_series(series_by_name: Mapping[str, "IndicatorSeries"]) -> str:
     """Render series as the ingestable CSV format, full precision.
 
-    Timestamps and values never need quoting, so each row is an f-string
-    that formats its timestamp inline as ``format_timestamp`` does; a
-    metric's cell, with its commas, is built once per series.
+    Each series is rendered as two bulk columns: its values with one float
+    ``repr`` per distinct reading, and its timestamps as ``format_timestamp``
+    renders them, whole seconds in one pass over an int64 list.  Rows are
+    assembled by slice assignment into one list and joined once; a metric's
+    cell, with its commas, is built once per series.  Timestamps and values
+    never need quoting.
     """
-    rows = [",".join(HEADER)]
+    parts = [",".join(HEADER), "\n"]
     for name in sorted(series_by_name):
-        cell = f",{csv_cell(name)},"
         series = series_by_name[name]
-        # Python floats: numpy's own float repr is not the CSV's
-        rows.extend(
-            f"{str(int(ts)) if ts.is_integer() else repr(ts)}{cell}{value!r}"
-            for ts, value in zip(series.timestamps.tolist(), series.values.tolist())
-        )
-    return "\n".join(rows) + "\n"
+        n = len(series.values)
+        if not n:
+            continue
+        rows = [None, f",{csv_cell(name)},", None, "\n"] * n
+        rows[0::4] = _stamp_cells(series.timestamps)
+        rows[2::4] = _value_cells(series.values)
+        parts.append("".join(rows))
+    return "".join(parts)
 
 
 def write_series_csv(

@@ -290,10 +290,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     totals = dict.fromkeys(WorkloadStatus, 0)
     error_log: list[ErrorEvent] = []
 
+    control_memory_gb = cloud.control_memory_gb
+
     def tick_hook(t: float) -> None:
         tick_times.append(t)
-        memory_available.append(cloud.memory_available_gb())
-        swap_used.append(cloud.swap_used_gb())
+        memory, swap = control_memory_gb()
+        memory_available.append(memory)
+        swap_used.append(swap)
         for node, readings in disk_readings.items():
             readings.append(cloud.disk_used_gb(node))
 

@@ -798,6 +798,23 @@ class TestUnusablePaths:
         assert err.endswith(f"error: {paths[named]}: {reason}\n")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, named, reason",
+        [
+            (["run", "CONFIG", "--out", "UNDER_FILE"], "UNDER_FILE", "Not a directory"),
+            (["suite", "--configs", "CONFIG", "--out", "FILE"], "FILE", "File exists"),
+            (["analyze", "CSV", "--out", "FILE"], "FILE", "File exists"),
+        ],
+        ids=["run", "suite", "analyze"],
+    )
+    def test_blocked_out_fails_before_any_result(self, paths, capsys, argv, named, reason):
+        """The ``--out`` directory is made before the first line of results,
+        so a path that cannot be one leaves stdout empty."""
+        assert main([paths.get(arg, arg) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {paths[named]}: {reason}\n"
+
     def test_missing_file_stays_exit_3(self, paths, capsys):
         missing = str(Path(paths["DIR"]) / "ghost.json")
         assert main(["run", missing]) == 3

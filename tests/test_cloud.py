@@ -666,7 +666,7 @@ def test_gauge_accessors_match_a_recomputation(state, ops):
     residual), on either topology and whether swap is unused, filling or
     capped, every node reads the recomputed memory and swap bit for bit
     and its cache images' total disk, and the control node reads the
-    same with no node named."""
+    same with no node named, as does ``control_memory_gb`` in one reading."""
     control = state.topology.control_node
     for op in [("tick", 0.0), *ops]:
         apply_operation(state, op)
@@ -678,6 +678,7 @@ def test_gauge_accessors_match_a_recomputation(state, ops):
             assert state.disk_used_gb(node) == pytest.approx(disk, abs=1e-12)
         assert repr(state.memory_available_gb()) == repr(state.memory_available_gb(control))
         assert repr(state.swap_used_gb()) == repr(state.swap_used_gb(control))
+        assert repr(state.control_memory_gb()) == repr(gauges_from_scratch(state, control)[:2])
 
 
 def test_fresh_leftover_respects_a_full_quota():

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import struct
 import types
 from unittest import mock
 
@@ -455,6 +456,120 @@ def test_serialize_series_rows_format_as_format_timestamp(rows_by_name):
         for t, v in rows_by_name[name]
     ]
     assert serialize_series(series_by_name) == "\n".join(expected) + "\n"
+
+
+def array_reference(series_by_name) -> str:
+    """The series CSV as ``csv.writer`` renders it from each series'
+    ``timestamps`` and ``values`` arrays, one Python float at a time."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("timestamp", "metric", "value"))
+    for name in sorted(series_by_name):
+        series = series_by_name[name]
+        for ts, value in zip(series.timestamps.tolist(), series.values.tolist()):
+            writer.writerow([format_timestamp(ts), name, repr(value)])
+    return out.getvalue()
+
+
+def nan_with_bits(bits: int) -> float:
+    value = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    assert math.isnan(value)
+    return value
+
+
+#: Edges of the bulk columns: each case is (timestamps, values) of one series.
+BULK_COLUMN_CASES = {
+    "signed-zeros": ([0.0, 1.0, 2.0, 3.0, 4.0], [-0.0, 0.0, -0.0, 1.0, 0.0]),
+    "nan-payloads": (
+        [0.0, 5.0, 10.0, 15.0, 20.0, 25.0],
+        [
+            nan_with_bits(0x7FF8000000000000),
+            1.5,
+            nan_with_bits(0x7FF0000000000001),
+            nan_with_bits(0xFFF8000000000000),
+            nan_with_bits(0x7FFFFFFFFFFFFFFF),
+            nan_with_bits(0xFFF0000000000ABC),
+        ],
+    ),
+    "heavy-repeats": (
+        [5.0 * k for k in range(6000)],
+        [(0.1, 3.75, -2.5e-300, 1e22)[(k * k) % 4 if k % 7 else 3] for k in range(6000)],
+    ),
+    "whole-and-fractional-stamps": (
+        [-7.5, -3.0, 0.0, 0.25, 1.0, 2.5, 3.0, 1e15 + 0.5, 1e16],
+        [1.0, 2.0, 1.0, 2.0, 3.0, 1.0, 0.5, 0.5, 0.1],
+    ),
+    "int64-and-float-limits": (
+        [
+            -1e300,
+            -(2.0**63) - 2048,  # the float below -2**63: past int64
+            -(2.0**63),  # int64's minimum
+            -(2.0**53) - 2,
+            -(2.0**53),
+            2.0**53,
+            2.0**53 + 2,
+            2.0**63 - 1024,  # the float below 2**63: int64's largest
+            2.0**63,
+            1e300,
+        ],
+        [float(k) for k in range(10)],
+    ),
+    "empty": ([], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BULK_COLUMN_CASES))
+def test_serialize_series_bulk_columns_match_the_row_reference(case):
+    stamps, values = BULK_COLUMN_CASES[case]
+    series = {
+        case: IndicatorSeries(case, "x", stamps, values),
+        "zz-neighbour": IndicatorSeries("zz-neighbour", "x", [0.5, 2.0], [-0.0, math.nan]),
+    }
+    assert serialize_series(series) == array_reference(series)
+
+
+def test_serialize_series_non_finite_and_unsorted_stamps():
+    """NaN and infinite stamps, which no ``IndicatorSeries`` of a scenario
+    holds, still format as ``format_timestamp`` does, among whole ones."""
+    stamps = [3.0, math.nan, -math.inf, 0.5, nan_with_bits(0xFFF8000000000001), math.inf, 2.0**63]
+    series_by_name = {
+        "m": types.SimpleNamespace(
+            timestamps=np.array(stamps, dtype=np.float64),
+            values=np.arange(len(stamps), dtype=np.float64),
+        )
+    }
+    assert serialize_series(series_by_name) == array_reference(series_by_name)
+    assert serialize_series(series_by_name).splitlines()[1:3] == ["3,m,0.0", "nan,m,1.0"]
+
+
+#: A scenario shaped like the benchmark's ageing-failure suite: faults,
+#: a memory leak that fails the cloud, 5-second gauge sampling.
+AGEING_FAILURE_STYLE = {
+    "scenario_id": "leak",
+    "topology": "multi-node",
+    "concurrency": 8,
+    "stress_hours": 6,
+    "post_rejuvenation_hours": 1,
+    "sample_interval_seconds": 5.0,
+    "policy": "rejuvenate-on-failure",
+    "resources": {"leak_per_workload_gb": 0.05},
+    "faults": {"boot server": {"server-error-status": 0.3}},
+}
+
+
+def test_serialize_ingest_round_trip_of_an_ageing_failure_scenario():
+    from agesim import ScenarioConfig, run_scenario
+
+    report = run_scenario(ScenarioConfig.from_document(AGEING_FAILURE_STYLE))
+    assert report.failure_point is not None
+    assert len(report.series) == 5
+    for name, series in report.series.items():
+        # the gauges are flat between deposits and leaks; durations start mid-second
+        assert len(np.unique(series.values)) < len(series) or name == "workload-duration"
+        again = ingest(io.StringIO(serialize_series({name: series})), unit=series.unit)
+        assert again == {name: series}
+        assert again[name].timestamps.tobytes() == series.timestamps.tobytes()
+        assert again[name].values.tobytes() == series.values.tobytes()
 
 
 class TestWorkloadReport:
