@@ -73,6 +73,17 @@ def _parse_phases(text: str) -> dict[str, int]:
     return result
 
 
+def _parse_seed(text: str) -> int:
+    """A ``--seed`` value: every random stream needs a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must not be negative, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agesim",
@@ -84,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one scenario from a JSON config")
     run_p.add_argument("config", help="path to a scenario config document")
     run_p.add_argument("--out", help="directory to write the report bundle into")
-    run_p.add_argument("--seed", type=int, help="override the config seed")
+    run_p.add_argument("--seed", type=_parse_seed, help="override the config seed")
     run_p.add_argument(
         "--policy",
         choices=[p.value for p in EarlyFailurePolicy],
@@ -120,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite_p.add_argument("--out", help="directory to write scenario bundles into")
     suite_p.add_argument(
         "--seed",
-        type=int,
+        type=_parse_seed,
         help="base seed; each scenario gets a distinct stream derived from it",
     )
     suite_p.set_defaults(handler=_cmd_suite)

@@ -153,6 +153,10 @@ class ResourceParams:
             raise ConfigError("disk_capacity_gb must be positive")
         if not self.cache_image_gb >= 0:
             raise ConfigError("cache_image_gb must not be negative")
+        if not self.cache_max_age_seconds >= 0:
+            raise ConfigError("cache_max_age_seconds must not be negative")
+        if not self.rejuvenation_seconds >= 0:
+            raise ConfigError("rejuvenation_seconds must not be negative")
 
 
 # ── Events consumed by apply_resource_effects ────────────────────────────

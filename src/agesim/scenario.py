@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import types
 import typing
 from array import array
@@ -53,8 +54,14 @@ from .workload import (
     TimingParams,
     WorkloadDefinition,
     WorkloadStatus,
+    check_concurrency,
     run_stream,
 )
+
+
+#: A scenario id names its bundle directory, ``scenario-{id}``, so it may
+#: hold only these characters, and may not be ``.`` or ``..``.
+_SCENARIO_ID = re.compile(r"[A-Za-z0-9._-]+")
 
 
 class EarlyFailurePolicy(Enum):
@@ -84,10 +91,14 @@ class ScenarioConfig:
     deploy_failure_probability: float = 0.0
 
     def __post_init__(self):
-        if not self.scenario_id:
-            raise ConfigError("scenario_id must be non-empty")
-        if self.concurrency < 1:
-            raise ConfigError("concurrency must be at least 1")
+        if not _SCENARIO_ID.fullmatch(self.scenario_id) or self.scenario_id in (".", ".."):
+            raise ConfigError(
+                f"scenario_id must be letters, digits, '.', '_' or '-' (not '.' or '..'),"
+                f" got {self.scenario_id!r}"
+            )
+        if self.seed < 0:
+            raise ConfigError(f"seed must not be negative, got {self.seed}")
+        check_concurrency(self.concurrency)
         if self.stress_hours < 0 or self.post_rejuvenation_hours < 0:
             raise ConfigError("phase lengths cannot be negative")
         if not 1.0 <= self.sample_interval_seconds <= SECONDS_PER_HOUR:

@@ -64,11 +64,24 @@ STOP_STREAM = object()
 #: Virtual seconds between the launches of successive stream slots.
 LAUNCH_STAGGER_SECONDS = 0.001
 
+#: Most slots one stream may run.  ``run_stream`` schedules the launch of
+#: every slot before its first event, so an unbounded count would hang
+#: the run; the default quotas admit ten workloads at a time, and the
+#: default matrix runs at most 64 slots.
+MAX_CONCURRENCY = 10_000
+
 
 class StepAction(Enum):
     CREATE = "create"
     OPERATE = "operate"
     DELETE = "delete"
+
+
+# The engine reads enum members through these module constants, or
+# through locals bound from them: loading a member by attribute from its
+# class costs several times as much as a plain name.
+_CREATE, _OPERATE, _DELETE = StepAction.CREATE, StepAction.OPERATE, StepAction.DELETE
+_AGEING, _PHASE_DEPENDENT = AgeingRule.AGEING, AgeingRule.PHASE_DEPENDENT
 
 
 @dataclass(frozen=True)
@@ -297,6 +310,11 @@ class WorkloadStatus(Enum):
     __hash__ = object.__hash__
 
 
+_SUCCESS = WorkloadStatus.SUCCESS
+_AGEING_FAILURE = WorkloadStatus.AGEING_FAILURE
+_NON_AGEING_FAILURE = WorkloadStatus.NON_AGEING_FAILURE
+
+
 @dataclass(frozen=True)
 class WorkloadResult:
     """Outcome of one workload run."""
@@ -313,6 +331,14 @@ class WorkloadResult:
     @property
     def duration(self) -> float:
         return self.ended_at - self.started_at
+
+
+def check_concurrency(concurrency: int) -> None:
+    """Raise ``ConfigError`` unless ``concurrency`` lies in [1, MAX_CONCURRENCY]."""
+    if not 1 <= concurrency <= MAX_CONCURRENCY:
+        raise ConfigError(
+            f"concurrency must lie in [1, {MAX_CONCURRENCY}], got {concurrency}"
+        )
 
 
 def _new_result(
@@ -345,9 +371,10 @@ class _PlanStep:
     """One workload step resolved against a run's cloud, timing and faults.
 
     ``kind`` is the entity kind the step creates, deletes or operates on;
-    ``undo`` is the record of the step that undoes this one, and
-    ``holds`` the kind of entity an undo-stack entry of this step keeps
-    alive (what the step it undoes created, if anything).  ``draws`` is
+    ``undo`` is the record of the step that undoes this one, ``undoes``
+    whether this step undoes an earlier one, and ``holds`` the kind of
+    entity an undo-stack entry of this step keeps alive (what the step
+    it undoes created, if anything).  ``draws`` is
     False where the fault model would neither draw nor raise.
     ``completed`` is the step's completion event and ``finished`` the
     pair of events that end a workload on this step, indexed by whether
@@ -364,6 +391,7 @@ class _PlanStep:
         "deposits_cache",
         "draws",
         "undo",
+        "undoes",
         "holds",
         "quota_error",
         "completed",
@@ -391,6 +419,7 @@ class _PlanStep:
         self.deposits_cache = spec.name in cloud.params.cache_depositing_steps
         self.draws = faults is not None and faults.draws_for(spec.name)
         self.undo: _PlanStep | None = None
+        self.undoes = spec.undo_of is not None
         self.holds: EntityKind | None = None
         self.quota_error = quota_error_name(self.kind) if self.gated else None
         self.completed = WorkloadStepCompleted(spec.name)
@@ -419,15 +448,24 @@ def _plan(
 
 
 class _Execution:
-    """State machine advancing one workload through a step plan.
+    """The state of one workload advancing through a step plan.
+
+    ``run_stream`` executes the steps itself, inline in its event loop,
+    and reads and writes these fields directly; the methods here are the
+    rare paths it calls into (a fault, a stranded entity, a faulted
+    delete, a cloud failing under the workload) and the settlement of a
+    finished workload.
 
     ``plan`` is the tuple of ``_PlanStep`` records that ``_plan`` built
     once for the whole run, so a step reads its entity kind, quota gate,
     base time, cache deposit, fault draw and undo step from its record.
+    ``index`` is the position of the next forward step in ``plan``.
     ``stack`` holds the records of the steps that will undo what the
     workload has done so far, most recent last.  The first error sets
     ``aborted``: from then on each step pops ``stack`` and runs as an
     unwind step, and the workload finishes when the stack is empty.
+    ``gated_live`` counts the live quota-limited entities the workload
+    holds; it holds the contention gate while that is positive.
     ``last_step`` is the record of the step executed most recently.
     """
 
@@ -469,8 +507,6 @@ class _Execution:
         self.error: str | None = None
         self.failed_step: str | None = None
         self.steps_executed = 0
-        # Live quota-limited entities held; the workload holds the gate
-        # while this is positive.
         self.gated_live = 0
         self.gated_creates = 0
         self.completed_creates = 0
@@ -514,7 +550,7 @@ class _Execution:
     def _apply_fault(self, step: _PlanStep, spec) -> bool:
         """Resolve an injected error on a forward create or operate step;
         returns True if a leftover was stranded."""
-        if spec.rule is AgeingRule.AGEING:
+        if spec.rule is _AGEING:
             # With no entity of that kind in hand, the error still strands
             # a fresh one in error state, if its quota has room for one.
             kind = spec.leftover_kind
@@ -524,12 +560,12 @@ class _Execution:
                 return False
             self.leftover_kinds.append(kind.value)
             return True
-        if step.action is StepAction.CREATE:
+        if step.action is _CREATE:
             # The entity being made is the top of the stack.  A phase-
             # dependent error strands it once the workload has provisioned
             # something (before that the call never reached the node);
             # otherwise the creation is rolled back.
-            if spec.rule is AgeingRule.PHASE_DEPENDENT and self.completed_creates > 0:
+            if spec.rule is _PHASE_DEPENDENT and self.completed_creates > 0:
                 self._strand(step.kind, -1)
                 return True
             self.stack.pop()
@@ -539,77 +575,16 @@ class _Execution:
                 self.gated_creates -= 1
             return False
         return (
-            spec.rule is AgeingRule.PHASE_DEPENDENT
+            spec.rule is _PHASE_DEPENDENT
             and step.kind is not None
             and self._strand_held(step.kind)
         )
 
-    # -- one step ------------------------------------------------------------
-
-    def run_one(self, ambient_gate_count: int) -> tuple[float, tuple[str, str, bool] | None, bool]:
-        """Execute the next step.
-
-        Returns (duration, error event or None, workload finished after
-        this step).  ``ambient_gate_count`` counts gate-holding workloads
-        other than this one; the duration includes this workload's own
-        gate if it holds one once the step has resolved.
-        """
-        event = None
-        if self.aborted:
-            step = self.stack.pop()
-            if step.action is StepAction.DELETE:
-                event = self._delete_with_faults(step)
-            elif step.draws and (spec := self.faults.draw(step.name)) is not None:
-                # Undo of an operate step (role revoke, detach, unpause): a
-                # fault here is recorded but strands nothing, and unwinding
-                # continues.
-                event = self._fail(step.name, spec.name, False)
-        else:
-            step = self.plan[self.index]
-            self.index += 1
-            action = step.action
-            if action is StepAction.CREATE:
-                if self.cloud.try_create(step.kind) is not None:
-                    event = self._fail(step.name, step.quota_error, False)
-                else:
-                    self.stack.append(step.undo)
-                    if step.gated:
-                        self.gated_live += 1
-                        self.gated_creates += 1
-                    if step.draws and (spec := self.faults.draw(step.name)) is not None:
-                        event = self._fail(step.name, spec.name, self._apply_fault(step, spec))
-                    else:
-                        self.completed_creates += 1
-            elif action is StepAction.OPERATE:
-                if step.spec.undo_of is not None:
-                    entry = self.stack.pop()
-                    assert entry is step, "cleanup order diverged from the stack"
-                if step.draws and (spec := self.faults.draw(step.name)) is not None:
-                    event = self._fail(step.name, spec.name, self._apply_fault(step, spec))
-                elif step.undo is not None:
-                    self.stack.append(step.undo)
-            else:  # a delete step in the normal flow
-                entry = self.stack.pop()
-                assert entry is step, "cleanup order diverged from the stack"
-                event = self._delete_with_faults(step)
-        self.steps_executed += 1
-        self.last_step = step
-        cloud = self.cloud
-        if event is None and step.deposits_cache:
-            apply_resource_effects(cloud, step.completed)
-        if self.gated_live > 0:
-            ambient_gate_count += 1
-        contention = ambient_gate_count / cloud.params.contention_capacity
-        if contention < 1.0:
-            contention = 1.0
-        duration = step.base_seconds * cloud._ageing_multiplier * contention
-        if self.aborted:
-            return duration, event, not self.stack
-        return duration, event, self.index >= len(self.plan)
-
     def _delete_with_faults(self, step: _PlanStep) -> tuple[str, str, bool] | None:
-        """Run a delete step; any fault strands the delete target."""
-        spec = self.faults.draw(step.name) if step.draws else None
+        """Run a delete step that draws from the fault model; any fault
+        strands the delete target.  ``run_stream`` deletes without this
+        call when the step draws nothing."""
+        spec = self.faults.draw(step.name)
         if spec is not None:
             self._strand(step.kind, None)
             return self._fail(step.name, spec.name, True)
@@ -632,11 +607,11 @@ class _Execution:
             did_real_work = self.gated_creates > 0
             apply_resource_effects(self.cloud, self.last_step.finished[did_real_work])
         if self.error is None:
-            status = WorkloadStatus.SUCCESS
+            status = _SUCCESS
         elif self.leftover_kinds:
-            status = WorkloadStatus.AGEING_FAILURE
+            status = _AGEING_FAILURE
         else:
-            status = WorkloadStatus.NON_AGEING_FAILURE
+            status = _NON_AGEING_FAILURE
         return _new_result(
             self.started_at,
             ended_at,
@@ -690,7 +665,17 @@ def run_stream(
 
     The definition is resolved once into a step plan (``_plan``) shared
     by every workload of the call, so a step costs a read of its
-    precomputed record rather than lookups by name.  Clock events are
+    precomputed record rather than lookups by name.  Each workload's
+    state is an ``_Execution`` record, but a step runs inline in this
+    loop: it makes no Python call beyond the ledger calls it needs
+    (``try_create``, ``try_delete``), a fault draw where the step has
+    configured probabilities, the rare-path ``_Execution`` methods a
+    fault, a faulted delete or a failed cloud needs, a cache deposit
+    through ``apply_resource_effects``, ``check_failed`` when its inputs
+    changed, and the hooks.  Enum members, the plan, its length, the
+    contention capacity and the two ledger methods are bound once per
+    call.  Concurrency is capped at ``MAX_CONCURRENCY``, checked before
+    any launch is scheduled.  Clock events are
     scheduled lazily: the k-th tick fires at ``t0 + k * tick_seconds``
     and the k-th hour mark at ``t0 + k * SECONDS_PER_HOUR``, and each
     schedules its successor as it fires, so the event heap holds at most
@@ -709,8 +694,7 @@ def run_stream(
     loop ends at the first event at or past ``until``, or when the heap
     is empty.
     """
-    if concurrency < 1:
-        raise ConfigError("concurrency must be at least 1")
+    check_concurrency(concurrency)
     if tick_seconds is not None and not (0.0 < tick_seconds < math.inf):
         raise ConfigError(f"tick_seconds must be positive and finite, got {tick_seconds!r}")
     if not math.isfinite(until):
@@ -728,6 +712,14 @@ def run_stream(
     heappop = heapq.heappop
     heappushpop = heapq.heappushpop
     seq = itertools.count().__next__
+    # Per-step reads, bound once per call.  ``check_failed`` and
+    # ``apply_resource_effects`` are looked up as module globals at each
+    # call instead, so a patched module function is seen.
+    CREATE, OPERATE, DELETE = _CREATE, _OPERATE, _DELETE
+    n_steps = len(plan)
+    contention_capacity = cloud.params.contention_capacity
+    try_create = cloud.try_create
+    try_delete = cloud.try_delete
     PRIO_WORK, PRIO_TICK, PRIO_HOUR = 0, 1, 2
 
     gate_count = 0
@@ -762,12 +754,79 @@ def run_stream(
             else:
                 execution = payload
             if not cloud.failed:
-                # One step: the gate count excludes this workload while it runs.
+                # One step.  The gate count excludes this workload while
+                # the step runs, and counts it again if it holds the gate
+                # once the step has resolved.
                 if execution.gated_live > 0:
                     gate_count -= 1
-                duration, error, finished = execution.run_one(gate_count)
+                error = None
+                stack = execution.stack
+                if execution.aborted:
+                    step = stack.pop()
+                    if step.action is DELETE:
+                        if step.draws:
+                            error = execution._delete_with_faults(step)
+                        else:
+                            try_delete(step.kind)
+                            if step.gated:
+                                execution.gated_live -= 1
+                    elif step.draws and (spec := faults.draw(step.name)) is not None:
+                        # Undo of an operate step (role revoke, detach,
+                        # unpause): a fault here is recorded but strands
+                        # nothing, and unwinding continues.
+                        error = execution._fail(step.name, spec.name, False)
+                    finished = not stack
+                else:
+                    index = execution.index
+                    step = plan[index]
+                    execution.index = index = index + 1
+                    action = step.action
+                    if action is CREATE:
+                        if try_create(step.kind) is not None:
+                            error = execution._fail(step.name, step.quota_error, False)
+                        else:
+                            stack.append(step.undo)
+                            if step.gated:
+                                execution.gated_live += 1
+                                execution.gated_creates += 1
+                            if step.draws and (spec := faults.draw(step.name)) is not None:
+                                error = execution._fail(
+                                    step.name, spec.name, execution._apply_fault(step, spec)
+                                )
+                            else:
+                                execution.completed_creates += 1
+                    elif action is OPERATE:
+                        if step.undoes:
+                            entry = stack.pop()
+                            assert entry is step, "cleanup order diverged from the stack"
+                        if step.draws and (spec := faults.draw(step.name)) is not None:
+                            error = execution._fail(
+                                step.name, spec.name, execution._apply_fault(step, spec)
+                            )
+                        elif step.undo is not None:
+                            stack.append(step.undo)
+                    else:  # a delete step in the normal flow
+                        entry = stack.pop()
+                        assert entry is step, "cleanup order diverged from the stack"
+                        if step.draws:
+                            error = execution._delete_with_faults(step)
+                        else:
+                            try_delete(step.kind)
+                            if step.gated:
+                                execution.gated_live -= 1
+                    # A fault in this step aborts the workload; it then
+                    # finishes once its unwind stack is empty.
+                    finished = not stack if execution.aborted else index >= n_steps
+                execution.steps_executed += 1
+                execution.last_step = step
+                if error is None and step.deposits_cache:
+                    apply_resource_effects(cloud, step.completed)
                 if execution.gated_live > 0:
                     gate_count += 1
+                contention = gate_count / contention_capacity
+                if contention < 1.0:
+                    contention = 1.0
+                duration = step.base_seconds * cloud._ageing_multiplier * contention
                 if error is not None and error_hook is not None:
                     error_hook(t, *error)
                 if cloud.failure_inputs_changed:

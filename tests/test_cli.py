@@ -4,7 +4,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
+import re
+import subprocess
 import sys
 import types
 import typing
@@ -21,6 +24,23 @@ from agesim.scenario import ScenarioConfig
 def write_json(path, document):
     path.write_text(json.dumps(document), encoding="utf-8")
     return str(path)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_in_fresh_process(argv, cwd):
+    """Run the command line in an interpreter of its own, the way the
+    installed ``agesim`` script does, with ``src`` on the import path."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from agesim.cli import main; sys.exit(main())", *argv],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
 
 
 def crash_at_run_time(monkeypatch, scenario_id):
@@ -167,6 +187,16 @@ class TestRunCommand:
             ({"sample_interval_seconds": 3601}, "sample interval must lie in [1, 3600]"),
             ({"resources": {"swap_capacity_gb": -1}}, "swap_capacity_gb must not be negative"),
             ({"resources": {"swap_threshold_gb": -0.5}}, "swap_threshold_gb must not be negative"),
+            ({"seed": -1}, "seed must not be negative"),
+            (
+                {"resources": {"rejuvenation_seconds": -7200}},
+                "rejuvenation_seconds must not be negative",
+            ),
+            (
+                {"resources": {"cache_max_age_seconds": -1}},
+                "cache_max_age_seconds must not be negative",
+            ),
+            ({"scenario_id": "../x"}, "scenario_id must be"),
         ],
         ids=[
             "disk-negative",
@@ -180,6 +210,10 @@ class TestRunCommand:
             "interval-over-an-hour",
             "swap-capacity-negative",
             "swap-threshold-negative",
+            "seed-negative",
+            "rejuvenation-negative",
+            "cache-max-age-negative",
+            "scenario-id-path",
         ],
     )
     def test_out_of_range_config_value_is_exit_2(self, tmp_path, capsys, fields, message):
@@ -371,6 +405,17 @@ class TestSuiteCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "must be >= 1" in captured.err
+
+    def test_scenario_id_cannot_lead_out_of_out(self, tmp_path, capsys):
+        """Each bundle is written to ``scenario-{id}`` under ``--out``."""
+        out = tmp_path / "a" / "b" / "out"
+        path = write_json(
+            tmp_path / "escape.json",
+            [{"scenario_id": "/../../../escapedX", "stress_hours": 0, "post_rejuvenation_hours": 0}],
+        )
+        assert main(["suite", "--configs", path, "--out", str(out)]) == 2
+        assert "scenario_id must be" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["escape.json"]
 
     def test_sources_are_mutually_exclusive(self, configs_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -819,6 +864,31 @@ class TestUnusablePaths:
         missing = str(Path(paths["DIR"]) / "ghost.json")
         assert main(["run", missing]) == 3
         assert capsys.readouterr().err == f"error: file not found: {missing}\n"
+
+
+class TestFreshProcess:
+    """Hostile input given to the command in an interpreter of its own
+    ends in exit 2 and an ``error:`` line, never in a traceback or a hang."""
+
+    @pytest.mark.parametrize(
+        "fields, flags",
+        [
+            ({"seed": -1}, []),
+            ({}, ["--seed", "-1"]),
+            # Both phases are empty, so even an accepted count runs no stream.
+            ({"concurrency": 10**30}, []),
+        ],
+        ids=["config-seed", "seed-flag", "concurrency"],
+    )
+    @pytest.mark.parametrize("command", [["run"], ["suite", "--configs"]], ids=["run", "suite"])
+    def test_exit_2_with_an_error_line(self, tmp_path, command, fields, flags):
+        config = {"scenario_id": "x", "stress_hours": 0, "post_rejuvenation_hours": 0, **fields}
+        path = write_json(tmp_path / "cfg.json", config)
+        done = run_in_fresh_process([*command, path, *flags], tmp_path)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert re.search(r"^(agesim \w+: )?error: ", done.stderr, re.MULTILINE)
+        assert "Traceback" not in done.stderr
 
 
 class TestParser:

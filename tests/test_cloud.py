@@ -366,6 +366,12 @@ class TestCacheCleanup:
         assert cache_cleanup(state) == pytest.approx(0.040)
         assert state.cache_image_count() == 1
 
+    def test_negative_max_age_rejected(self):
+        """A negative age limit would empty the cache at every cleanup."""
+        with pytest.raises(ConfigError, match="cache_max_age_seconds must not be negative"):
+            ResourceParams(cache_max_age_seconds=-1.0)
+        assert ResourceParams(cache_max_age_seconds=0.0).cache_max_age_seconds == 0.0
+
 
 # ── Failure predicate ────────────────────────────────────────────────────
 
@@ -424,6 +430,12 @@ class TestCheckFailed:
 
 
 class TestRejuvenate:
+    def test_negative_duration_rejected(self):
+        """A negative rejuvenation would move the cloud clock backwards."""
+        with pytest.raises(ConfigError, match="rejuvenation_seconds must not be negative"):
+            ResourceParams(rejuvenation_seconds=-7200.0)
+        assert ResourceParams(rejuvenation_seconds=0.0).rejuvenation_seconds == 0.0
+
     def test_capacity_restored(self):
         """Clearing four router leftovers restores capacity to 10."""
         state = CloudState(params=quiet_params())

@@ -15,7 +15,7 @@ from agesim.scenario import (
     run_suite,
 )
 from agesim.trendstats import TrendVerdict
-from agesim.workload import TimingParams, WorkloadDefinition
+from agesim.workload import MAX_CONCURRENCY, TimingParams, WorkloadDefinition
 
 
 def quiet_resources(**overrides) -> ResourceParams:
@@ -318,6 +318,32 @@ class TestConfigDocuments:
             ScenarioConfig(scenario_id="x", topology="ring")
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario_id="x", sample_interval_seconds=0.0)
+
+    def test_concurrency_is_bounded(self):
+        """Built only: a stream schedules every slot's launch up front."""
+        assert ScenarioConfig(scenario_id="x", concurrency=MAX_CONCURRENCY).concurrency
+        for concurrency in (MAX_CONCURRENCY + 1, 10**30):
+            with pytest.raises(ConfigError, match="concurrency must lie in"):
+                ScenarioConfig(scenario_id="x", concurrency=concurrency)
+        with pytest.raises(ConfigError, match="concurrency must lie in"):
+            ScenarioConfig.from_document({"scenario_id": "x", "concurrency": 10**30})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must not be negative"):
+            ScenarioConfig(scenario_id="x", seed=-1)
+        assert ScenarioConfig(scenario_id="x", seed=0).seed == 0
+
+    @pytest.mark.parametrize(
+        "scenario_id", ["", ".", "..", "/../../../escapedX", "a/b", "a b", "x\\y", "c\n"]
+    )
+    def test_unsafe_scenario_id_rejected(self, scenario_id):
+        """An id names the bundle directory ``scenario-{id}``."""
+        with pytest.raises(ConfigError, match="scenario_id must be"):
+            ScenarioConfig(scenario_id=scenario_id)
+
+    @pytest.mark.parametrize("scenario_id", ["1", "memory-multi-node-c8", "a.b_C-9", "..."])
+    def test_safe_scenario_id_accepted(self, scenario_id):
+        assert ScenarioConfig(scenario_id=scenario_id).scenario_id == scenario_id
 
 
 # ── Suites and the default matrix ────────────────────────────────────────

@@ -1,9 +1,11 @@
 """Tests for the workload engine: definitions, fault paths, streaming."""
 
+import copy
 import dataclasses
 import heapq
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -13,6 +15,7 @@ from agesim.scenario import ScenarioConfig, run_scenario
 from agesim.workload import (
     CLOUD_UNAVAILABLE,
     DEFAULT_STEP_NAMES,
+    MAX_CONCURRENCY,
     STOP_STREAM,
     StepAction,
     StepSpec,
@@ -20,8 +23,6 @@ from agesim.workload import (
     WorkloadDefinition,
     WorkloadResult,
     WorkloadStatus,
-    _Execution,
-    _plan,
     run_stream,
 )
 from single_run import run_single
@@ -133,15 +134,56 @@ class TestDefinition:
 # ── Timing ───────────────────────────────────────────────────────────────
 
 
+class _SlotZeroDone(Exception):
+    pass
+
+
 def step_seconds(cloud: CloudState, gate_count: int, step_name: str = "create user") -> float:
     """Duration the engine gives one control-plane step named ``step_name``
-    (default timing) while ``gate_count`` other workloads hold the gate."""
-    defn = WorkloadDefinition(steps=(StepSpec(step_name, "test", StepAction.OPERATE),))
-    plan = _plan(defn, cloud, TimingParams(), None)
-    duration, _event, _finished = _Execution(plan, cloud, None, cloud.clock).run_one(
-        gate_count
+    (default timing) while ``gate_count`` other workloads hold the gate.
+
+    ``run_stream`` runs on a copy of ``cloud`` with ``gate_count + 1``
+    slots, each of which creates a port (a quota-limited kind here, so
+    the port holds the gate) and then runs the measured step on it.  An
+    injected phase-dependent error strands the port there, so the step
+    ends the workload and its own gate does not count.  Slot 0 launches
+    first; its port create lasts long enough for every other slot to
+    create its own, so its measured step runs with ``gate_count``
+    holders.  The step lasts from slot 0's error to slot 0's result.
+    """
+    trial = copy.deepcopy(cloud)
+    trial.quotas[EntityKind.PORT] = 1000  # room for every port stranded before slot 0 ends
+    defn = WorkloadDefinition(
+        steps=(
+            StepSpec("hold", "test", StepAction.CREATE, creates=EntityKind.PORT),
+            StepSpec(step_name, "test", StepAction.OPERATE, operates_on=EntityKind.PORT),
+            StepSpec("release", "test", StepAction.DELETE, deletes=EntityKind.PORT, undo_of="hold"),
+        )
     )
-    return duration
+    faults = FaultModel(
+        {step_name: {"node-unreachable": 1.0}}, known_steps=[s.name for s in defn.steps]
+    )
+    t0 = trial.clock
+    error_times: list[float] = []
+    ends: list[float] = []
+
+    def slot_zero_done(result: WorkloadResult) -> None:
+        if result.started_at == t0:
+            ends.append(result.ended_at)
+            raise _SlotZeroDone
+
+    with pytest.raises(_SlotZeroDone):
+        run_stream(
+            defn,
+            trial,
+            until=sys.float_info.max,
+            concurrency=gate_count + 1,
+            faults=faults,
+            error_hook=lambda t, *_error: error_times.append(t),
+            result_hook=slot_zero_done,
+        )
+    # Slot 0's port create is the shortest, so its step faults first.
+    return ends[0] - error_times[0]
 
 
 class TestServiceTime:
@@ -777,6 +819,14 @@ class TestRunStream:
     def test_bad_concurrency_rejected(self):
         with pytest.raises(ConfigError):
             run_stream(DEFN, quiet_cloud(), until=10.0, concurrency=0)
+
+    def test_concurrency_past_the_bound_rejected_before_any_launch(self, monkeypatch):
+        def push(heap, item):
+            raise AssertionError(f"pushed {item[3]} past the concurrency bound")
+
+        monkeypatch.setattr(heapq, "heappush", push)
+        with pytest.raises(ConfigError, match="concurrency must lie in"):
+            run_stream(DEFN, quiet_cloud(), until=10.0, concurrency=MAX_CONCURRENCY + 1)
 
     @pytest.mark.parametrize("tick_seconds", [0.0, -30.0, math.inf, math.nan])
     def test_tick_interval_must_be_positive_and_finite(self, tick_seconds):
