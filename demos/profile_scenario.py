@@ -10,8 +10,8 @@ it does the same for ``write_bundle`` of that scenario's report, written
 to a temporary directory: the bundle is about 15 % of a ``matrix`` pass.
 It also prints an unprofiled split of the bundle (the series CSVs,
 ``errors.csv``, and ``report.json`` plus ``tables.txt``), with the series
-rows and their distinct values: the CSV writer formats each distinct
-value once.
+rows and their distinct values, and the error rows and their kinds: the
+CSV writers format each distinct value, and each error kind, once.
 Use it to find where the time goes before changing it; cProfile adds a
 cost to every Python call, so confirm a candidate with the benchmark
 (``perfbench/run.py``) with profiling off.
@@ -87,8 +87,9 @@ def engine_events(config) -> dict[str, int]:
 
 
 def bundle_split(report, out: Path) -> None:
-    """Print the unprofiled time of each part ``write_bundle`` writes, and
-    the series rows beside their distinct values (by bits, per series)."""
+    """Print the unprofiled time of each part ``write_bundle`` writes, the
+    series rows beside their distinct values (by bits, per series), and the
+    error rows beside their kinds."""
     series = report.series
 
     def report_and_tables():
@@ -110,6 +111,7 @@ def bundle_split(report, out: Path) -> None:
     rows = sum(len(s) for s in series.values())
     distinct = sum(len(np.unique(s.values.view(np.int64))) for s in series.values())
     print(f"  series rows: {rows}, distinct values: {distinct}")
+    print(f"  error rows: {len(report.error_log)}, kinds: {len(report.error_log.kinds)}")
 
 
 def main(scenario_id: str = "6", rows: int = 25) -> None:

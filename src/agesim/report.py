@@ -22,9 +22,11 @@ import json
 from pathlib import Path
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .scenario import ScenarioReport, SuiteResult
 from .trendstats import AgeingSummary, IndicatorAnalysis, TrendVerdict
-from .ingest import csv_cell, format_timestamp, write_series_csv
+from .ingest import _stamp_cells, csv_cell, write_series_csv
 
 #: Compact verdict markers used in tables.
 VERDICT_MARKERS = {
@@ -83,13 +85,15 @@ def error_distribution(
     report: ScenarioReport, exclude_overload: bool = True
 ) -> tuple[dict[str, int], int]:
     """Tally errors by name; returns (distribution, overload count held out)."""
+    log = report.error_log
+    counts = np.bincount(log.codes, minlength=len(log.kinds)).tolist()
     tally: dict[str, int] = {}
     overload = 0
-    for event in report.error_log:
-        if exclude_overload and event.overload:
-            overload += 1
-            continue
-        tally[event.error] = tally.get(event.error, 0) + 1
+    for (_step, error, _ageing, is_overload), n in zip(log.kinds, counts):
+        if exclude_overload and is_overload:
+            overload += n
+        elif n:
+            tally[error] = tally.get(error, 0) + n
     return dict(sorted(tally.items(), key=lambda kv: (-kv[1], kv[0]))), overload
 
 
@@ -252,26 +256,30 @@ def _write_json(document: Mapping, path: Path) -> None:
     path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
 
 
-#: The ``ageing,overload`` cells of an error-log row, by the two flags.
-_FLAG_CELLS = {
-    (ageing, overload): f"{str(ageing).lower()},{str(overload).lower()}"
-    for ageing in (False, True)
-    for overload in (False, True)
-}
-
-
 def write_error_log(report: ScenarioReport, path: Path) -> None:
-    """Write the error log as CSV; step and error names are quoted once each."""
+    """Write the error log as CSV, a column at a time.
+
+    The times are rendered as ``serialize_series`` renders timestamps, and
+    each kind's ``,step,error,ageing,overload`` cells, names quoted as
+    ``csv.writer`` quotes them, are built once.  Rows are assembled by
+    slice assignment into one list and joined once.
+    """
     log = report.error_log
-    cells = {name: csv_cell(name) for name in {e.step for e in log} | {e.error for e in log}}
-    flags = _FLAG_CELLS
-    rows = ["time,step,error,ageing,overload"]
-    rows.extend(
-        f"{format_timestamp(event.time)},{cells[event.step]},{cells[event.error]},"
-        f"{flags[event.ageing, event.overload]}"
-        for event in log
-    )
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    text = "time,step,error,ageing,overload\n"
+    if len(log):
+        kind_cells = np.array(
+            [
+                f",{csv_cell(step)},{csv_cell(error)},"
+                f"{str(ageing).lower()},{str(overload).lower()}\n"
+                for step, error, ageing, overload in log.kinds
+            ],
+            dtype=object,
+        )
+        rows = [None, None] * len(log)
+        rows[0::2] = _stamp_cells(log.times)
+        rows[1::2] = kind_cells[log.codes].tolist()
+        text += "".join(rows)
+    path.write_text(text, encoding="utf-8")
 
 
 def write_bundle(

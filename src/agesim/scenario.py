@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
+import numpy as np
+
 from .cloud import (
     OVERLOAD_INDICATOR_ERRORS,
     SECONDS_PER_HOUR,
@@ -204,15 +206,54 @@ def _decode(hint, value, path: str):
     return value
 
 
-@dataclass(frozen=True)
-class ErrorEvent:
-    """One recorded workload error with its ageing and overload nature."""
+@dataclass(frozen=True, slots=True, eq=False)
+class ErrorLog:
+    """The workload errors one scenario recorded, kept as columns.
 
-    time: float
-    step: str
-    error: str
-    ageing: bool
-    overload: bool
+    ``times`` holds each error's time and ``codes`` its kind, an index
+    into ``kinds``: the distinct ``(step, error, ageing, overload)``
+    tuples, in the order each was first seen.  ``ErrorLog(times, codes,
+    kinds)`` copies the two columns into read-only float64 and intp
+    arrays, and checks that they are one-dimensional and of one length,
+    that every code indexes ``kinds`` and that no kind is listed twice.
+    Logs are immutable, and equal when both columns and the kinds
+    compare equal.
+    """
+
+    times: np.ndarray
+    codes: np.ndarray
+    kinds: tuple[tuple[str, str, bool, bool], ...]
+
+    def __post_init__(self):
+        ts = np.array(self.times, dtype=np.float64)
+        cs = np.array(self.codes, dtype=np.intp)
+        kinds = tuple(map(tuple, self.kinds))
+        if ts.ndim != 1 or ts.shape != cs.shape:
+            raise ValueError("error log times and codes must be two arrays of one length")
+        if cs.size and not (cs.min() >= 0 and cs.max() < len(kinds)):
+            raise ValueError(f"error log codes must index its {len(kinds)} kinds")
+        if len(set(kinds)) != len(kinds):
+            raise ValueError("error log kinds must be distinct")
+        ts.flags.writeable = False
+        cs.flags.writeable = False
+        for name, value in (("times", ts), ("codes", cs), ("kinds", kinds)):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __eq__(self, other):
+        if not isinstance(other, ErrorLog):
+            return NotImplemented
+        return (
+            self.kinds == other.kinds
+            and np.array_equal(self.times, other.times)
+            and np.array_equal(self.codes, other.codes)
+        )
+
+    def __reduce__(self):
+        # through the constructor, so that a copy's columns are read-only too
+        return (ErrorLog, (self.times, self.codes, self.kinds))
 
 
 @dataclass(frozen=True)
@@ -235,7 +276,7 @@ class ScenarioReport:
     analyses: Mapping[str, IndicatorAnalysis]
     hourly_counts: tuple[dict, ...]
     totals: Mapping[str, int]
-    error_log: tuple[ErrorEvent, ...]
+    error_log: ErrorLog
     #: Hourly bins fed to the trend test: stress-phase bins only; the
     #: rejuvenation and post-rejuvenation bins never enter the test.
     trend_input: str = "stress-bins-only"
@@ -271,7 +312,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             analyses={},
             hourly_counts=(),
             totals={status.value: 0 for status in WorkloadStatus},
-            error_log=(),
+            error_log=ErrorLog((), (), ()),
         )
 
     topology = Topology.named(config.topology)
@@ -299,7 +340,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     # workload counts per status, keyed by member until the report is built
     hourly: dict[int, dict[WorkloadStatus, int]] = {}
     totals = dict.fromkeys(WorkloadStatus, 0)
-    error_log: list[ErrorEvent] = []
+    # error times and kind codes; each kind's code by stranded flag, step and
+    # error, so that looking one up builds no key
+    error_times, error_codes = array("d"), array("q")
+    error_kinds: list[tuple[str, str, bool, bool]] = []
+    kind_codes: tuple[dict, dict] = ({}, {})
 
     control_memory_gb = cloud.control_memory_gb
 
@@ -332,16 +377,16 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             starts.append(result.started_at)
             durations.append(result.duration)
 
+    append_error_time, append_error_code = error_times.append, error_codes.append
+
     def error_hook(t: float, step: str, error: str, stranded: bool) -> None:
-        error_log.append(
-            ErrorEvent(
-                time=t,
-                step=step,
-                error=error,
-                ageing=stranded,
-                overload=error in OVERLOAD_INDICATOR_ERRORS,
-            )
-        )
+        by_error = kind_codes[stranded].get(step)
+        code = None if by_error is None else by_error.get(error)
+        if code is None:
+            code = kind_codes[stranded].setdefault(step, {})[error] = len(error_kinds)
+            error_kinds.append((step, error, stranded, error in OVERLOAD_INDICATOR_ERRORS))
+        append_error_time(t)
+        append_error_code(code)
 
     hooks = dict(
         faults=faults,
@@ -425,7 +470,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         analyses=analyses,
         hourly_counts=counts,
         totals=_by_value(totals),
-        error_log=tuple(error_log),
+        error_log=ErrorLog(error_times, error_codes, error_kinds),
     )
 
 

@@ -234,7 +234,9 @@ class TimingParams:
     """Base service times in seconds.
 
     Most control-plane calls share one base time; the slow paths (server
-    boot, volume creation) carry overrides.
+    boot, volume creation) carry overrides.  No base time may be shorter
+    than ``LAUNCH_STAGGER_SECONDS``: a step so short that ``t + duration
+    == t`` would freeze the virtual clock short of its deadline.
     """
 
     default_seconds: float = 2.0
@@ -243,11 +245,12 @@ class TimingParams:
     )
 
     def __post_init__(self):
-        if self.default_seconds <= 0:
-            raise ConfigError("default_seconds must be positive")
+        floor = LAUNCH_STAGGER_SECONDS
+        if not self.default_seconds >= floor:
+            raise ConfigError(f"default_seconds must be at least {floor} s")
         for name, seconds in self.step_seconds.items():
-            if seconds <= 0:
-                raise ConfigError(f"step time for {name!r} must be positive")
+            if not seconds >= floor:
+                raise ConfigError(f"step time for {name!r} must be at least {floor} s")
 
     def base_for(self, step_name: str) -> float:
         return self.step_seconds.get(step_name, self.default_seconds)

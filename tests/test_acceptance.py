@@ -293,11 +293,10 @@ def test_c07_overload_rejects_ninety_percent(capsys):
     assert completed > 0
     assert report.totals.get("success", 0) > 0
     assert rejected / completed >= 0.90
-    overload_events = [e for e in report.error_log if e.overload]
-    assert overload_events
-    assert all(
-        e.error == "quota-exceeded-security-group" for e in overload_events
-    )
+    log = report.error_log
+    overload_codes = [code for code, kind in enumerate(log.kinds) if kind[3]]
+    assert np.isin(log.codes, overload_codes).any()
+    assert all(log.kinds[code][1] == "quota-exceeded-security-group" for code in overload_codes)
     announce(
         capsys,
         f"C7 overload at concurrency 64: {rejected}/{completed} rejected"

@@ -877,8 +877,24 @@ class TestFreshProcess:
             ({}, ["--seed", "-1"]),
             # Both phases are empty, so even an accepted count runs no stream.
             ({"concurrency": 10**30}, []),
+            # A step so short that t + duration == t froze the clock of a
+            # cloud that never fails: no leak, ageing, warm-up or cache.
+            (
+                {
+                    "stress_hours": 1,
+                    "timing": {"default_seconds": 1e-300, "step_seconds": {}},
+                    "resources": {
+                        "leak_per_workload_gb": 0.0,
+                        "ageing_rate": 0.0,
+                        "warmup_alloc_gb": 0.0,
+                        "warmup_noise_gb": 0.0,
+                        "cache_depositing_steps": [],
+                    },
+                },
+                [],
+            ),
         ],
-        ids=["config-seed", "seed-flag", "concurrency"],
+        ids=["config-seed", "seed-flag", "concurrency", "frozen-clock"],
     )
     @pytest.mark.parametrize("command", [["run"], ["suite", "--configs"]], ids=["run", "suite"])
     def test_exit_2_with_an_error_line(self, tmp_path, command, fields, flags):

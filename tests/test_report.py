@@ -4,11 +4,14 @@ import csv
 import dataclasses
 import filecmp
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from agesim.cloud import ResourceParams
-from agesim.ingest import ingest
+from agesim.ingest import csv_cell, format_timestamp, ingest
 from agesim.report import (
     error_distribution,
     render_tables,
@@ -21,7 +24,7 @@ from agesim.report import (
 )
 from agesim.scenario import (
     EarlyFailurePolicy,
-    ErrorEvent,
+    ErrorLog,
     ScenarioConfig,
     run_scenario,
     run_suite,
@@ -238,14 +241,14 @@ class TestBundle:
         assert {row[1] for row in rows[1:]} == {"poke, twice"}
 
     def test_errors_csv_writes_both_flags_of_each_event(self, overload_report, tmp_path):
-        events = tuple(
-            ErrorEvent(time=60.0 * i, step="boot server", error="e", ageing=ageing, overload=overload)
-            for i, (ageing, overload) in enumerate(
-                [(False, False), (True, False), (False, True), (True, True)]
-            )
+        flags = [(False, False), (True, False), (False, True), (True, True)]
+        log = ErrorLog(
+            [60.0 * i for i in range(4)],
+            range(4),
+            [("boot server", "e", ageing, overload) for ageing, overload in flags],
         )
         path = tmp_path / "errors.csv"
-        write_error_log(dataclasses.replace(overload_report, error_log=events), path)
+        write_error_log(dataclasses.replace(overload_report, error_log=log), path)
         assert path.read_text(encoding="utf-8").splitlines() == [
             "time,step,error,ageing,overload",
             "0,boot server,e,false,false",
@@ -312,6 +315,83 @@ class TestSuiteBundle:
         assert mismatches == []
 
 
+# ── Error log oracle ─────────────────────────────────────────────────────
+
+
+def errors_csv_row_by_row(log: ErrorLog) -> str:
+    """``errors.csv`` rendered one row at a time, as the writer did before
+    the log was kept as columns: the reference for ``write_error_log``."""
+    flag_cells = {
+        (ageing, overload): f"{str(ageing).lower()},{str(overload).lower()}"
+        for ageing in (False, True)
+        for overload in (False, True)
+    }
+    rows = ["time,step,error,ageing,overload"]
+    for t, code in zip(log.times.tolist(), log.codes.tolist()):
+        step, error, ageing, overload = log.kinds[code]
+        rows.append(
+            f"{format_timestamp(t)},{csv_cell(step)},{csv_cell(error)},"
+            f"{flag_cells[ageing, overload]}"
+        )
+    return "\n".join(rows) + "\n"
+
+
+#: Names with the characters CSV must quote, beside plain ones.
+error_names = st.one_of(
+    st.sampled_from(["boot server", "quota-exceeded-security-group", "cloud-unavailable"]),
+    st.text(st.sampled_from('ab ,"\n\r\'é'), max_size=6),
+    st.text(max_size=4),
+)
+error_times = st.one_of(
+    st.integers(-(10**6), 10**6).map(float),  # whole seconds
+    st.floats(-1e6, 1e6).filter(lambda t: not t.is_integer()),  # fractional
+    # negative zero, and whole stamps at the edges of float and int64 precision
+    st.sampled_from([-0.0, 2.0**53, 2.0**63, -(2.0**63), 1e300, -1e300]),
+    st.floats(),  # anything, infinities and NaN included
+)
+
+
+@st.composite
+def error_logs(draw):
+    kind = st.tuples(error_names, error_names, st.booleans(), st.booleans())
+    kinds = draw(st.lists(kind, unique=True, max_size=6))
+    codes = draw(st.lists(st.integers(0, len(kinds) - 1), max_size=40)) if kinds else []
+    times = draw(st.lists(error_times, min_size=len(codes), max_size=len(codes)))
+    return ErrorLog(times, codes, kinds)
+
+
+@pytest.fixture(scope="module")
+def oracle_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("oracle")
+
+
+@settings(max_examples=150)
+@given(log=error_logs())
+@example(log=ErrorLog((), (), ()))
+@example(
+    log=ErrorLog(
+        [0.0, -0.0, 1.5, 2.0**63, 1e300],
+        [0, 1, 2, 3, 0],
+        [("a,b", 'say "hi"', False, False), ("x\ny", "e", True, False),
+         ("s", "quota", False, True), ("s", "quota", True, True)],
+    )
+)
+def test_error_log_writer_and_counts_match_a_row_by_row_oracle(overload_report, oracle_dir, log):
+    report = dataclasses.replace(overload_report, error_log=log)
+    path = oracle_dir / "errors.csv"
+    write_error_log(report, path)
+    assert path.read_bytes() == errors_csv_row_by_row(log).encode("utf-8")
+
+    rows = [log.kinds[code] for code in log.codes.tolist()]
+    for exclude in (True, False):
+        held_out = [error for _s, error, _a, overload in rows if exclude and overload]
+        kept = Counter(error for _s, error, _a, overload in rows if not (exclude and overload))
+        distribution, overload = error_distribution(report, exclude_overload=exclude)
+        assert distribution == kept
+        assert list(distribution) == sorted(kept, key=lambda error: (-kept[error], error))
+        assert overload == len(held_out)
+
+
 class TestDeployFailedRendering:
     def test_short_table(self, failed_report):
         text = render_tables(failed_report)
@@ -322,6 +402,11 @@ class TestDeployFailedRendering:
         doc = report_document(failed_report)
         assert doc["deploy_failed"] is True
         assert doc["indicators"] == {}
+
+    def test_errors_csv_holds_only_the_header(self, failed_report, tmp_path):
+        assert len(failed_report.error_log) == 0
+        out = write_bundle(failed_report, tmp_path / "dead")
+        assert (out / "errors.csv").read_bytes() == b"time,step,error,ageing,overload\n"
 
     def test_bundle_skips_series_dir(self, failed_report, tmp_path):
         out = write_bundle(failed_report, tmp_path / "dead")

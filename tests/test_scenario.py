@@ -1,7 +1,9 @@
 """Tests for the scenario runner: phases, policies, suites, the matrix."""
 
 import dataclasses
+import pickle
 
+import numpy as np
 import pytest
 
 from agesim.cloud import EntityKind, ResourceParams
@@ -9,6 +11,7 @@ from agesim.errors import ConfigError
 from agesim.scenario import (
     MATRIX_CONCURRENCIES,
     EarlyFailurePolicy,
+    ErrorLog,
     ScenarioConfig,
     default_matrix,
     run_scenario,
@@ -40,6 +43,11 @@ def crashy_config(policy: EarlyFailurePolicy, **overrides) -> ScenarioConfig:
     )
     fields.update(overrides)
     return ScenarioConfig(**fields)
+
+
+def errors_by_kind(log: ErrorLog) -> dict[tuple[str, str, bool, bool], int]:
+    """How many errors of each ``(step, error, ageing, overload)`` kind a log holds."""
+    return dict(zip(log.kinds, np.bincount(log.codes, minlength=len(log.kinds)).tolist()))
 
 
 # ── Full default day ─────────────────────────────────────────────────────
@@ -166,16 +174,23 @@ class TestEarlyFailure:
 
     def test_stranding_errors_logged_as_ageing(self):
         report = run_scenario(crashy_config(EarlyFailurePolicy.WAIT))
-        strandings = [e for e in report.error_log if e.error == "server-error-status"]
-        assert len(strandings) >= 10
-        assert all(e.ageing for e in strandings)
-        assert all(not e.overload for e in strandings)
+        strandings = {
+            kind: n
+            for kind, n in errors_by_kind(report.error_log).items()
+            if kind[1] == "server-error-status"
+        }
+        assert sum(strandings.values()) >= 10
+        assert all(ageing and not overload for _s, _e, ageing, overload in strandings)
 
     def test_cloud_unavailable_aborts_are_logged(self):
         report = run_scenario(crashy_config(EarlyFailurePolicy.WAIT))
-        aborted = [e for e in report.error_log if e.error == "cloud-unavailable"]
-        assert aborted
-        assert all(not e.ageing for e in aborted)
+        aborted = {
+            kind: n
+            for kind, n in errors_by_kind(report.error_log).items()
+            if kind[1] == "cloud-unavailable"
+        }
+        assert sum(aborted.values()) > 0
+        assert not any(ageing for _s, _e, ageing, _o in aborted)
 
 
 # ── Overload ─────────────────────────────────────────────────────────────
@@ -191,13 +206,17 @@ class TestOverload:
             resources=quiet_resources(),
         )
         report = run_scenario(config)
-        rejections = [e for e in report.error_log if e.overload]
-        assert rejections
-        assert all(e.error == "quota-exceeded-security-group" for e in rejections)
-        assert all(not e.ageing for e in rejections)
+        rejections = {
+            kind: n for kind, n in errors_by_kind(report.error_log).items() if kind[3]
+        }
+        assert sum(rejections.values()) > 0
+        assert all(
+            error == "quota-exceeded-security-group" and not ageing
+            for _s, error, ageing, _o in rejections
+        )
         # Rejections still unwinding at the deadline are logged but not
         # recorded as results, so the tallies differ by at most the slots.
-        assert 0 <= len(rejections) - report.totals["non-ageing-failure"] <= 16
+        assert 0 <= sum(rejections.values()) - report.totals["non-ageing-failure"] <= 16
         assert report.totals["success"] > 0
         assert report.failure_point is None
 
@@ -232,6 +251,54 @@ class TestDegeneratePhases:
         assert "post-rejuvenation" in memory.ageing_unavailable
 
 
+# ── Error log ────────────────────────────────────────────────────────────
+
+
+class TestErrorLog:
+    @pytest.fixture(scope="class")
+    def log(self):
+        return run_scenario(crashy_config(EarlyFailurePolicy.WAIT, stress_hours=1)).error_log
+
+    def test_two_runs_of_one_config_give_equal_logs(self, log):
+        again = run_scenario(crashy_config(EarlyFailurePolicy.WAIT, stress_hours=1)).error_log
+        assert len(log) > 0
+        assert again == log
+        assert again != ErrorLog(log.times + 1.0, log.codes, log.kinds)
+
+    def test_kinds_are_listed_in_order_of_first_appearance(self, log):
+        _, first_rows = np.unique(log.codes, return_index=True)
+        assert sorted(first_rows.tolist()) == first_rows.tolist()
+        assert len(set(log.codes.tolist())) == len(log.kinds)
+
+    def test_survives_pickle(self, log):
+        copy = pickle.loads(pickle.dumps(log))
+        assert copy == log
+        assert not copy.times.flags.writeable and not copy.codes.flags.writeable
+
+    def test_fields_and_columns_are_read_only(self, log):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            log.times = log.times[:1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del log.kinds
+        with pytest.raises(ValueError):
+            log.codes[0] = 0
+
+    @pytest.mark.parametrize(
+        "times, codes, kinds",
+        [
+            ([1.0, 2.0], [0], [("s", "e", False, False)]),
+            ([1.0], [1], [("s", "e", False, False)]),
+            ([1.0], [-1], [("s", "e", False, False)]),
+            ([1.0], [0], []),
+            ([1.0], [0], [("s", "e", False, False), ("s", "e", False, False)]),
+        ],
+        ids=["lengths-differ", "code-past-kinds", "code-negative", "no-kinds", "kind-repeated"],
+    )
+    def test_constructor_rejects_a_broken_log(self, times, codes, kinds):
+        with pytest.raises(ValueError):
+            ErrorLog(times, codes, kinds)
+
+
 # ── Deploy failures ──────────────────────────────────────────────────────
 
 
@@ -243,7 +310,7 @@ class TestDeployFailure:
         report = run_scenario(config)
         assert report.deploy_failed
         assert report.series == {}
-        assert report.error_log == ()
+        assert len(report.error_log) == 0
         assert sum(report.totals.values()) == 0
 
     def test_zero_probability_never_fails_deploy(self):
