@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import ConfigError, LedgerUnderflowError
 from .seeding import stream
@@ -244,7 +244,8 @@ class FaultModel:
     compared against the cumulative probability slots, so each error
     fires with exactly its configured probability and their per-step sum
     must not exceed 1.  Steps without configured entries consume no
-    random draws at all.
+    random draws at all.  Step names are not checked here but against
+    the workload definition, by ``run_stream`` before its first event.
     """
 
     def __init__(
@@ -252,23 +253,15 @@ class FaultModel:
         probabilities: Mapping[str, Mapping[str, float]] | None = None,
         catalog: Mapping[str, ErrorSpec] | None = None,
         seed: int = 0,
-        known_steps: Iterable[str] | None = None,
     ):
         self.catalog = dict(DEFAULT_ERROR_CATALOG)
         if catalog:
             self.catalog.update(catalog)
-        if known_steps is None:
-            from .workload import DEFAULT_STEP_NAMES  # late import, no cycle
-
-            known_steps = DEFAULT_STEP_NAMES
-        self.known_steps = frozenset(known_steps)
         self.seed = seed
         self._rng = stream(seed, "faults")
 
         self._per_step: dict[str, list[tuple[float, ErrorSpec]]] = {}
         for step_name, entries in (probabilities or {}).items():
-            if step_name not in self.known_steps:
-                raise ConfigError(f"fault probabilities name unknown step {step_name!r}")
             slots: list[tuple[float, ErrorSpec]] = []
             cumulative = 0.0
             for error_name, p in entries.items():
@@ -286,16 +279,8 @@ class FaultModel:
             if slots:
                 self._per_step[step_name] = slots
 
-    def draws_for(self, step_name: str) -> bool:
-        """Whether ``draw`` does anything for this step: consume a uniform
-        (the step has configured probabilities) or raise (the name is
-        unknown).  For any other step ``draw`` returns None at no cost."""
-        return step_name in self._per_step or step_name not in self.known_steps
-
     def draw(self, step_name: str) -> ErrorSpec | None:
         """Sample the error, if any, striking this step attempt."""
-        if step_name not in self.known_steps:
-            raise ConfigError(f"unknown step name {step_name!r}")
         slots = self._per_step.get(step_name)
         if not slots:
             return None

@@ -39,6 +39,7 @@ from typing import IO, Mapping
 import numpy as np
 
 from .errors import DuplicateTimestampError, EmptyFileError, ParseError
+from .trendstats import IndicatorSeries, nudge_ties
 from .workload import WorkloadStatus
 
 HEADER = ("timestamp", "metric", "value")
@@ -298,8 +299,6 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
     Each metric's samples are sorted (stably, by timestamp then value)
     only when they are not already strictly increasing.
     """
-    from .trendstats import IndicatorSeries
-
     handle, owned = _open_text(source)
     try:
         start = _rewind_point(handle)
@@ -345,9 +344,10 @@ def csv_cell(text: str) -> str:
 
 
 def _reprs(numbers: np.ndarray) -> list[str]:
-    """The Python ``repr`` of each element of a non-empty array, from one
-    ``repr`` of its list (numpy's own float repr is not the CSV's)."""
-    return repr(numbers.tolist())[1:-1].split(", ")
+    """The Python ``repr`` of each element of an array, from one ``repr``
+    of its list (numpy's own float repr is not the CSV's)."""
+    text = repr(numbers.tolist())[1:-1]
+    return text.split(", ") if text else []
 
 
 def _value_cells(values: np.ndarray) -> list[str]:
@@ -363,22 +363,25 @@ def _value_cells(values: np.ndarray) -> list[str]:
 def _stamp_cells(stamps: np.ndarray) -> list[str]:
     """Each timestamp as ``format_timestamp`` renders it.
 
-    Finite whole stamps inside the int64 range are printed by one ``repr``
-    of an int64 list; any other stamp goes through ``format_timestamp``.
+    Whole stamps inside the int64 range are printed by one ``repr`` of an
+    int64 list, and stamps that are not whole (NaN and the infinities
+    among them) by one ``repr`` of a float list; only whole stamps past
+    int64 go through ``format_timestamp``.
     """
-    # NaN fails both comparisons; 2.0**63 is the first float past int64
-    whole = (stamps >= -(2.0**63)) & (stamps < 2.0**63)
-    whole[whole] = np.trunc(stamps[whole]) == stamps[whole]
-    if whole.all():
+    whole = np.isfinite(stamps) & (np.trunc(stamps) == stamps)
+    # 2.0**63 is the first float past int64
+    small = whole & (stamps >= -(2.0**63)) & (stamps < 2.0**63)
+    if small.all():
         return _reprs(stamps.astype(np.int64))
     cells = np.empty(len(stamps), dtype=object)
-    cells[~whole] = list(map(format_timestamp, stamps[~whole].tolist()))
-    if whole.any():
-        cells[whole] = _reprs(stamps[whole].astype(np.int64))
+    cells[small] = _reprs(stamps[small].astype(np.int64))
+    cells[~whole] = _reprs(stamps[~whole])
+    big = whole & ~small
+    cells[big] = list(map(format_timestamp, stamps[big].tolist()))
     return cells.tolist()
 
 
-def serialize_series(series_by_name: Mapping[str, "IndicatorSeries"]) -> str:
+def serialize_series(series_by_name: Mapping[str, IndicatorSeries]) -> str:
     """Render series as the ingestable CSV format, full precision.
 
     Each series is rendered as two bulk columns: its values with one float
@@ -391,10 +394,7 @@ def serialize_series(series_by_name: Mapping[str, "IndicatorSeries"]) -> str:
     parts = [",".join(HEADER), "\n"]
     for name in sorted(series_by_name):
         series = series_by_name[name]
-        n = len(series.values)
-        if not n:
-            continue
-        rows = [None, f",{csv_cell(name)},", None, "\n"] * n
+        rows = [None, f",{csv_cell(name)},", None, "\n"] * len(series.values)
         rows[0::4] = _stamp_cells(series.timestamps)
         rows[2::4] = _value_cells(series.values)
         parts.append("".join(rows))
@@ -402,7 +402,7 @@ def serialize_series(series_by_name: Mapping[str, "IndicatorSeries"]) -> str:
 
 
 def write_series_csv(
-    series_by_name: Mapping[str, "IndicatorSeries"], path: str | Path
+    series_by_name: Mapping[str, IndicatorSeries], path: str | Path
 ) -> None:
     Path(path).write_text(serialize_series(series_by_name), encoding="utf-8")
 
@@ -414,7 +414,7 @@ def write_series_csv(
 class WorkloadReportData:
     """Summary of an ingested workload report."""
 
-    durations: "IndicatorSeries | None"
+    durations: IndicatorSeries | None
     status_counts: Mapping[str, int]
     error_tally: Mapping[str, int]
     rejected_records: int
@@ -430,8 +430,6 @@ def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
     skipped.  Durations of successful workloads become an indicator
     series timestamped at each workload's start.
     """
-    from .trendstats import IndicatorSeries, nudge_ties
-
     document = load_json(source, "workload report")
     if not isinstance(document, dict) or "workloads" not in document:
         raise ParseError("workload report needs a top-level 'workloads' list")

@@ -265,21 +265,18 @@ def write_error_log(report: ScenarioReport, path: Path) -> None:
     slice assignment into one list and joined once.
     """
     log = report.error_log
-    text = "time,step,error,ageing,overload\n"
-    if len(log):
-        kind_cells = np.array(
-            [
-                f",{csv_cell(step)},{csv_cell(error)},"
-                f"{str(ageing).lower()},{str(overload).lower()}\n"
-                for step, error, ageing, overload in log.kinds
-            ],
-            dtype=object,
-        )
-        rows = [None, None] * len(log)
-        rows[0::2] = _stamp_cells(log.times)
-        rows[1::2] = kind_cells[log.codes].tolist()
-        text += "".join(rows)
-    path.write_text(text, encoding="utf-8")
+    kind_cells = np.array(
+        [
+            f",{csv_cell(step)},{csv_cell(error)},"
+            f"{str(ageing).lower()},{str(overload).lower()}\n"
+            for step, error, ageing, overload in log.kinds
+        ],
+        dtype=object,
+    )
+    rows = [None, None] * len(log)
+    rows[0::2] = _stamp_cells(log.times)
+    rows[1::2] = kind_cells[log.codes].tolist()
+    path.write_text("time,step,error,ageing,overload\n" + "".join(rows), encoding="utf-8")
 
 
 def write_bundle(

@@ -117,12 +117,13 @@ class ScenarioConfig:
         for path, named in (
             ("timing.step_seconds", self.timing.step_seconds),
             ("resources.cache_depositing_steps", self.resources.cache_depositing_steps),
+            ("faults", self.faults or ()),
         ):
             for name in named:
                 if name not in steps:
                     raise ConfigError(f"{path} names unknown step {name!r}")
         if self.faults:
-            FaultModel(self.faults, known_steps=steps)  # raises on a bad table
+            FaultModel(self.faults)  # raises on a bad error name or probability
 
     def to_document(self) -> dict:
         return _encode(self)
@@ -323,11 +324,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         seed=config.seed,
     )
     defn = config.workload or WorkloadDefinition.default()
-    faults = FaultModel(
-        config.faults,
-        seed=config.seed,
-        known_steps=[s.name for s in defn.steps],
-    )
+    faults = FaultModel(config.faults, seed=config.seed)
 
     # workload starts and durations; tick times and each gauge's readings
     starts, durations = array("d"), array("d")

@@ -80,7 +80,7 @@ class StepAction(Enum):
 # The engine reads enum members through these module constants, or
 # through locals bound from them: loading a member by attribute from its
 # class costs several times as much as a plain name.
-_CREATE, _OPERATE, _DELETE = StepAction.CREATE, StepAction.OPERATE, StepAction.DELETE
+_CREATE, _DELETE = StepAction.CREATE, StepAction.DELETE
 _AGEING, _PHASE_DEPENDENT = AgeingRule.AGEING, AgeingRule.PHASE_DEPENDENT
 
 
@@ -91,7 +91,8 @@ class StepSpec:
     ``creates``/``deletes`` name the entity kind a create or delete step
     touches; ``operates_on`` names the entity an operate step acts upon
     (None for pure control-plane calls such as role grants).  ``undo_of``
-    marks cleanup steps with the step they reverse.
+    marks cleanup steps with the step they reverse; a create step
+    reverses nothing.
     """
 
     name: str
@@ -104,8 +105,11 @@ class StepSpec:
     undo_of: str | None = None
 
     def __post_init__(self):
-        if self.action is StepAction.CREATE and self.creates is None:
-            raise ConfigError(f"create step {self.name!r} names no entity kind")
+        if self.action is StepAction.CREATE:
+            if self.creates is None:
+                raise ConfigError(f"create step {self.name!r} names no entity kind")
+            if self.undo_of is not None:
+                raise ConfigError(f"create step {self.name!r} cannot undo a step")
         if self.action is StepAction.DELETE:
             if self.deletes is None:
                 raise ConfigError(f"delete step {self.name!r} names no entity kind")
@@ -224,8 +228,8 @@ def _steps() -> tuple[StepSpec, ...]:
 
 DEFAULT_STEPS: tuple[StepSpec, ...] = _steps()
 
-#: Step names of the default definition; the fault model validates
-#: configured step names against this list unless told otherwise.
+#: Step names of the default definition, which a scenario config checks
+#: the step names it configures against when it names no workload.
 DEFAULT_STEP_NAMES: tuple[str, ...] = tuple(s.name for s in DEFAULT_STEPS)
 
 
@@ -377,8 +381,8 @@ class _PlanStep:
     ``undo`` is the record of the step that undoes this one, ``undoes``
     whether this step undoes an earlier one, and ``holds`` the kind of
     entity an undo-stack entry of this step keeps alive (what the step
-    it undoes created, if anything).  ``draws`` is
-    False where the fault model would neither draw nor raise.
+    it undoes created, if anything).  ``draws`` is whether the fault
+    model has probabilities for the step, so that a draw is worth a call.
     ``completed`` is the step's completion event and ``finished`` the
     pair of events that end a workload on this step, indexed by whether
     the workload did real work; all three are built once per run.
@@ -420,7 +424,7 @@ class _PlanStep:
         self.gated = self.kind in cloud.quotas
         self.base_seconds = timing.base_for(spec.name)
         self.deposits_cache = spec.name in cloud.params.cache_depositing_steps
-        self.draws = faults is not None and faults.draws_for(spec.name)
+        self.draws = faults is not None and spec.name in faults._per_step
         self.undo: _PlanStep | None = None
         self.undoes = spec.undo_of is not None
         self.holds: EntityKind | None = None
@@ -438,7 +442,8 @@ def _plan(
     timing: TimingParams,
     faults: FaultModel | None,
 ) -> tuple[_PlanStep, ...]:
-    """Resolve every step of ``defn`` once for a run on ``cloud``."""
+    """Resolve every step of ``defn`` once for a run on ``cloud``; a fault
+    table giving probabilities to a step ``defn`` lacks is a ``ConfigError``."""
     by_name: dict[str, _PlanStep] = {}
     for spec in defn.steps:
         step = _PlanStep(spec, cloud, timing, faults)
@@ -447,6 +452,9 @@ def _plan(
             done.undo = step
             step.holds = done.spec.creates
         by_name[spec.name] = step
+    for name in faults._per_step if faults is not None else ():
+        if name not in by_name:
+            raise ConfigError(f"fault probabilities name unknown step {name!r}")
     return tuple(by_name.values())
 
 
@@ -455,9 +463,9 @@ class _Execution:
 
     ``run_stream`` executes the steps itself, inline in its event loop,
     and reads and writes these fields directly; the methods here are the
-    rare paths it calls into (a fault, a stranded entity, a faulted
-    delete, a cloud failing under the workload) and the settlement of a
-    finished workload.
+    rare paths it calls into (an error, a fault, a stranded entity, a
+    cloud failing under the workload) and the settlement of a finished
+    workload.
 
     ``plan`` is the tuple of ``_PlanStep`` records that ``_plan`` built
     once for the whole run, so a step reads its entity kind, quota gate,
@@ -475,7 +483,6 @@ class _Execution:
     __slots__ = (
         "plan",
         "cloud",
-        "faults",
         "started_at",
         "index",
         "stack",
@@ -495,13 +502,11 @@ class _Execution:
         self,
         plan: tuple[_PlanStep, ...],
         cloud: CloudState,
-        faults: FaultModel | None,
         started_at: float,
         slot: int = 0,
     ):
         self.plan = plan
         self.cloud = cloud
-        self.faults = faults
         self.started_at = started_at
         self.slot = slot
         self.index = 0
@@ -531,8 +536,8 @@ class _Execution:
         """Move a live entity into the leftover ledger.
 
         ``entry_index`` removes the matching undo entry so the unwind
-        will not try to delete what is now stranded; a delete step, whose
-        entry is already popped, passes None.
+        will not try to delete what is now stranded; a faulted delete
+        step, whose entry is already popped, passes None.
         """
         if entry_index is not None:
             del self.stack[entry_index]
@@ -582,19 +587,6 @@ class _Execution:
             and step.kind is not None
             and self._strand_held(step.kind)
         )
-
-    def _delete_with_faults(self, step: _PlanStep) -> tuple[str, str, bool] | None:
-        """Run a delete step that draws from the fault model; any fault
-        strands the delete target.  ``run_stream`` deletes without this
-        call when the step draws nothing."""
-        spec = self.faults.draw(step.name)
-        if spec is not None:
-            self._strand(step.kind, None)
-            return self._fail(step.name, spec.name, True)
-        self.cloud.try_delete(step.kind)
-        if step.gated:
-            self.gated_live -= 1
-        return None
 
     # -- completion ------------------------------------------------------------
 
@@ -666,24 +658,26 @@ def run_stream(
     nothing, so ``failed`` and ``failed_at`` come out as if the predicate
     were evaluated after every step.
 
-    The definition is resolved once into a step plan (``_plan``) shared
-    by every workload of the call, so a step costs a read of its
-    precomputed record rather than lookups by name.  Each workload's
-    state is an ``_Execution`` record, but a step runs inline in this
-    loop: it makes no Python call beyond the ledger calls it needs
-    (``try_create``, ``try_delete``), a fault draw where the step has
-    configured probabilities, the rare-path ``_Execution`` methods a
-    fault, a faulted delete or a failed cloud needs, a cache deposit
-    through ``apply_resource_effects``, ``check_failed`` when its inputs
-    changed, and the hooks.  Enum members, the plan, its length, the
-    contention capacity and the two ledger methods are bound once per
-    call.  Concurrency is capped at ``MAX_CONCURRENCY``, checked before
-    any launch is scheduled.  Clock events are
-    scheduled lazily: the k-th tick fires at ``t0 + k * tick_seconds``
-    and the k-th hour mark at ``t0 + k * SECONDS_PER_HOUR``, and each
-    schedules its successor as it fires, so the event heap holds at most
-    ``concurrency + 2`` entries.  Slot k launches at
-    ``t0 + k * LAUNCH_STAGGER_SECONDS``.
+    The definition is resolved once into a step plan (``_plan``, which
+    also checks the fault table's step names) shared by every workload of
+    the call, so a step costs a read of its precomputed record rather
+    than lookups by name.  Each workload's state is an ``_Execution``
+    record, but a step runs inline in this loop, through one body for
+    forward and unwind steps: unwinding picks the step from the undo
+    stack rather than the plan, pushes no undo entry and strands nothing
+    on a faulted operate.  A step makes no Python call beyond the ledger
+    calls it needs (``try_create``, ``try_delete``), a fault draw where
+    the step has configured probabilities, the rare-path ``_Execution``
+    methods an error or a failed cloud needs, a cache deposit through
+    ``apply_resource_effects``, ``check_failed`` when its inputs changed,
+    and the hooks.  Enum members, the plan, its length, the contention
+    capacity and the two ledger methods are bound once per call.
+    Concurrency is capped at ``MAX_CONCURRENCY``, checked before any
+    launch is scheduled.  Clock events are scheduled lazily: the k-th
+    tick fires at ``t0 + k * tick_seconds`` and the k-th hour mark at
+    ``t0 + k * SECONDS_PER_HOUR``, and each schedules its successor as
+    it fires, so the event heap holds at most ``concurrency + 2``
+    entries.  Slot k launches at ``t0 + k * LAUNCH_STAGGER_SECONDS``.
 
     Each event costs one heap operation.  The first event is popped
     before the loop; an event that schedules a successor (a step, a
@@ -718,7 +712,7 @@ def run_stream(
     # Per-step reads, bound once per call.  ``check_failed`` and
     # ``apply_resource_effects`` are looked up as module globals at each
     # call instead, so a patched module function is seen.
-    CREATE, OPERATE, DELETE = _CREATE, _OPERATE, _DELETE
+    CREATE, DELETE = _CREATE, _DELETE
     n_steps = len(plan)
     contention_capacity = cloud.params.contention_capacity
     try_create = cloud.try_create
@@ -743,7 +737,7 @@ def run_stream(
 
     event = heappop(heap) if heap else None
     while event is not None:
-        t, _prio, _seq, kind, payload = event
+        t, prio, _seq, kind, payload = event
         if t >= until:
             break
         cloud.clock = t
@@ -753,7 +747,7 @@ def run_stream(
                     # A failed cloud parks the slot.
                     event = heappop(heap) if heap else None
                     continue
-                execution = _Execution(plan, cloud, faults, t, payload)
+                execution = _Execution(plan, cloud, t, payload)
             else:
                 execution = payload
             if not cloud.failed:
@@ -764,62 +758,51 @@ def run_stream(
                     gate_count -= 1
                 error = None
                 stack = execution.stack
-                if execution.aborted:
+                # An aborted workload unwinds the top of its stack;
+                # otherwise an undo step in the plan pops its own entry.
+                unwinding = execution.aborted
+                if unwinding:
                     step = stack.pop()
-                    if step.action is DELETE:
-                        if step.draws:
-                            error = execution._delete_with_faults(step)
-                        else:
-                            try_delete(step.kind)
-                            if step.gated:
-                                execution.gated_live -= 1
-                    elif step.draws and (spec := faults.draw(step.name)) is not None:
-                        # Undo of an operate step (role revoke, detach,
-                        # unpause): a fault here is recorded but strands
-                        # nothing, and unwinding continues.
-                        error = execution._fail(step.name, spec.name, False)
-                    finished = not stack
                 else:
-                    index = execution.index
-                    step = plan[index]
-                    execution.index = index = index + 1
-                    action = step.action
-                    if action is CREATE:
-                        if try_create(step.kind) is not None:
-                            error = execution._fail(step.name, step.quota_error, False)
-                        else:
-                            stack.append(step.undo)
-                            if step.gated:
-                                execution.gated_live += 1
-                                execution.gated_creates += 1
-                            if step.draws and (spec := faults.draw(step.name)) is not None:
-                                error = execution._fail(
-                                    step.name, spec.name, execution._apply_fault(step, spec)
-                                )
-                            else:
-                                execution.completed_creates += 1
-                    elif action is OPERATE:
-                        if step.undoes:
-                            entry = stack.pop()
-                            assert entry is step, "cleanup order diverged from the stack"
+                    step = plan[execution.index]
+                    execution.index += 1
+                    if step.undoes:
+                        entry = stack.pop()
+                        assert entry is step, "cleanup order diverged from the stack"
+                action = step.action
+                if action is CREATE:  # only ever a forward step
+                    if try_create(step.kind) is not None:
+                        error = execution._fail(step.name, step.quota_error, False)
+                    else:
+                        stack.append(step.undo)
+                        if step.gated:
+                            execution.gated_live += 1
+                            execution.gated_creates += 1
                         if step.draws and (spec := faults.draw(step.name)) is not None:
                             error = execution._fail(
                                 step.name, spec.name, execution._apply_fault(step, spec)
                             )
-                        elif step.undo is not None:
-                            stack.append(step.undo)
-                    else:  # a delete step in the normal flow
-                        entry = stack.pop()
-                        assert entry is step, "cleanup order diverged from the stack"
-                        if step.draws:
-                            error = execution._delete_with_faults(step)
                         else:
-                            try_delete(step.kind)
-                            if step.gated:
-                                execution.gated_live -= 1
-                    # A fault in this step aborts the workload; it then
-                    # finishes once its unwind stack is empty.
-                    finished = not stack if execution.aborted else index >= n_steps
+                            execution.completed_creates += 1
+                elif action is DELETE:
+                    # A fault strands the entity being deleted.
+                    if step.draws and (spec := faults.draw(step.name)) is not None:
+                        execution._strand(step.kind, None)
+                        error = execution._fail(step.name, spec.name, True)
+                    else:
+                        try_delete(step.kind)
+                        if step.gated:
+                            execution.gated_live -= 1
+                elif step.draws and (spec := faults.draw(step.name)) is not None:
+                    # A faulted operate strands nothing when unwinding.
+                    error = execution._fail(
+                        step.name, spec.name, not unwinding and execution._apply_fault(step, spec)
+                    )
+                elif step.undo is not None and not unwinding:
+                    stack.append(step.undo)
+                # A fault in this step aborts the workload; it then
+                # finishes once its unwind stack is empty.
+                finished = not stack if execution.aborted else execution.index >= n_steps
                 execution.steps_executed += 1
                 execution.last_step = step
                 if error is None and step.deposits_cache:
@@ -846,22 +829,21 @@ def run_stream(
                 error_hook(t, *error)
         elif kind == "finish":
             execution = payload
-        elif kind == "tick":
-            apply_resource_effects(cloud, tick)
-            if tick_hook is not None:
-                tick_hook(t)
-            k = payload + 1
-            if (t_next := t0 + k * tick_seconds) < until:
-                event = heappushpop(heap, (t_next, PRIO_TICK, seq(), "tick", k))
-            else:
-                event = heappop(heap) if heap else None
-            continue
-        else:  # hour
-            if hour_hook(t) is STOP_STREAM:
+        else:
+            # A clock event: fold in the elapsed interval or run the hour
+            # hook, then schedule the event's successor, k + 1.
+            if kind == "tick":
+                apply_resource_effects(cloud, tick)
+                if tick_hook is not None:
+                    tick_hook(t)
+                interval = tick_seconds
+            elif hour_hook(t) is STOP_STREAM:
                 return
+            else:
+                interval = SECONDS_PER_HOUR
             k = payload + 1
-            if (t_next := t0 + k * SECONDS_PER_HOUR) < until:
-                event = heappushpop(heap, (t_next, PRIO_HOUR, seq(), "hour", k))
+            if (t_next := t0 + k * interval) < until:
+                event = heappushpop(heap, (t_next, prio, seq(), kind, k))
             else:
                 event = heappop(heap) if heap else None
             continue

@@ -9,6 +9,7 @@ each clause of the failure predicate, also run under the tracer, so an
 observer that stops counting fails here too.
 """
 
+import ast
 import functools
 import importlib
 import sys
@@ -180,3 +181,25 @@ def test_tracer_observes_a_failing_scenario_with_faults(clause, resources, fault
     assert tracer.failed_predicates == [clause]
     assert report.failure_point is not None
     assert len(tracer.name) > 0
+
+
+def test_no_module_imports_a_sibling_inside_a_function():
+    """Every module of the package imports its siblings at module top,
+    so an import cycle fails at import rather than hiding in a late
+    import that runs on some first call."""
+    late = []
+    for path in sorted(Path(agesim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""] if node.level == 0 else ["agesim"]
+                elif isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(name.split(".")[0] == "agesim" for name in modules):
+                    late.append(f"{path.name}:{node.lineno}")
+    assert late == []

@@ -34,6 +34,8 @@ from agesim.cloud import (
 from agesim.errors import ConfigError
 from agesim.workload import (
     DEFAULT_STEP_NAMES,
+    StepAction,
+    StepSpec,
     TimingParams,
     WorkloadDefinition,
     run_stream,
@@ -306,16 +308,50 @@ class TestFlaggedPredicate:
         assert 0 < evaluations[CloudState] < evaluations[PollingCloud] / 5
 
 
-def test_step_unknown_to_the_fault_model_raises_at_that_step():
-    """A step the fault model does not know still reaches ``draw``,
-    which raises after the step's create."""
+def test_fault_step_unknown_to_the_definition_raises_before_any_event():
+    """A fault table giving probabilities to a step the definition lacks
+    is a ``ConfigError`` before the first event: no hook runs, no draw
+    is made, and the clock and every ledger stay where they were."""
     cloud = CloudState(params=_quiet())
-    faults = FaultModel(seed=0, known_steps=DEFAULT_STEP_NAMES[:3])
-    with pytest.raises(ConfigError, match="'create security group'"):
-        run_single(DEFN, cloud, faults)
-    assert cloud.live[EntityKind.USER] == 1
-    assert cloud.live[EntityKind.SECURITY_GROUP] == 1
-    assert cloud.live[EntityKind.FLAVOR] == 0
+    before = _ledger(cloud), _gauges(cloud)
+    table = {"boot server": {"node-unreachable": 0.5}, "launch rocket": {"rebuild-error": 0.5}}
+    faults = FaultModel(table, seed=0)
+    calls: list = []
+    with pytest.raises(ConfigError, match="unknown step 'launch rocket'"):
+        run_stream(
+            DEFN,
+            cloud,
+            until=2 * 3600.0,
+            concurrency=4,
+            faults=faults,
+            tick_seconds=60.0,
+            tick_hook=calls.append,
+            hour_hook=calls.append,
+            error_hook=lambda *event: calls.append(event),
+            result_hook=calls.append,
+        )
+    assert calls == []
+    assert (_ledger(cloud), _gauges(cloud)) == before
+    assert faults._rng.random() == FaultModel(table, seed=0)._rng.random()
+
+
+def test_default_fault_step_missing_from_a_custom_definition_raises():
+    """A table naming a default step that a custom definition does not
+    hold is refused rather than never drawn."""
+    defn = WorkloadDefinition(
+        steps=(
+            StepSpec("hold", "test", StepAction.CREATE, creates=EntityKind.PORT),
+            StepSpec("release", "test", StepAction.DELETE, deletes=EntityKind.PORT, undo_of="hold"),
+        )
+    )
+    cloud = CloudState(params=_quiet())
+    faults = FaultModel({"boot server": {"server-error-status": 1.0}})
+    with pytest.raises(ConfigError, match="unknown step 'boot server'"):
+        run_single(defn, cloud, faults)
+    assert cloud.clock == 0.0
+    assert cloud.live[EntityKind.PORT] == 0
+    # The same table runs on the definition that holds the step.
+    assert run_single(DEFN, cloud, faults).error == "server-error-status"
 
 
 # ── Ledger invariants through the engine ──────────────────────────────────

@@ -17,6 +17,9 @@ from hypothesis import strategies as st
 
 from agesim.errors import DuplicateTimestampError, EmptyFileError, ParseError
 from agesim.ingest import (
+    _reprs,
+    _stamp_cells,
+    _value_cells,
     csv_cell,
     format_timestamp,
     ingest,
@@ -540,6 +543,16 @@ def test_serialize_series_non_finite_and_unsorted_stamps():
     }
     assert serialize_series(series_by_name) == array_reference(series_by_name)
     assert serialize_series(series_by_name).splitlines()[1:3] == ["3,m,0.0", "nan,m,1.0"]
+
+
+def test_empty_columns_render_as_no_cells():
+    """An empty column gives no cells, so neither an empty series nor an
+    empty error log needs a guard of its own."""
+    empty = np.array([], dtype=np.float64)
+    assert _reprs(empty) == []
+    assert _reprs(empty.astype(np.int64)) == []
+    assert _stamp_cells(empty) == []
+    assert _value_cells(empty) == []
 
 
 #: A scenario shaped like the benchmark's ageing-failure suite: faults,

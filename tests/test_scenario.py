@@ -386,6 +386,24 @@ class TestConfigDocuments:
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario_id="x", sample_interval_seconds=0.0)
 
+    def test_fault_table_checked_against_the_workload(self):
+        """Step names under ``faults`` are checked against the scenario's
+        definition: the default one, or the custom one it names."""
+        with pytest.raises(ConfigError, match="faults names unknown step 'launch rocket'"):
+            ScenarioConfig(scenario_id="x", faults={"launch rocket": {"rebuild-error": 0.0}})
+        default = WorkloadDefinition.default().steps
+        custom = {
+            "workload": WorkloadDefinition(steps=default[:2] + default[-2:]),  # user and role
+            "timing": TimingParams(step_seconds={}),
+            "resources": ResourceParams(cache_depositing_steps=()),
+        }
+        with pytest.raises(ConfigError, match="faults names unknown step 'boot server'"):
+            ScenarioConfig(
+                scenario_id="x", faults={"boot server": {"server-error-status": 0.5}}, **custom
+            )
+        table = {"create role": {"rebuild-error": 0.5}}
+        assert ScenarioConfig(scenario_id="x", faults=table, **custom).faults == table
+
     def test_concurrency_is_bounded(self):
         """Built only: a stream schedules every slot's launch up front."""
         assert ScenarioConfig(scenario_id="x", concurrency=MAX_CONCURRENCY).concurrency

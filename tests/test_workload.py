@@ -110,6 +110,14 @@ class TestDefinition:
         with pytest.raises(ConfigError):
             WorkloadDefinition(steps=steps)
 
+    def test_create_step_undoing_a_step_rejected(self):
+        """A create step never sits on a workload's undo stack, so it may
+        not undo an earlier step."""
+        with pytest.raises(ConfigError, match="create step 'create b' cannot undo a step"):
+            StepSpec(
+                "create b", "test", StepAction.CREATE, creates=EntityKind.PORT, undo_of="create a"
+            )
+
     def test_missing_dependency_rejected(self):
         steps = (
             StepSpec(
@@ -160,9 +168,7 @@ def step_seconds(cloud: CloudState, gate_count: int, step_name: str = "create us
             StepSpec("release", "test", StepAction.DELETE, deletes=EntityKind.PORT, undo_of="hold"),
         )
     )
-    faults = FaultModel(
-        {step_name: {"node-unreachable": 1.0}}, known_steps=[s.name for s in defn.steps]
-    )
+    faults = FaultModel({step_name: {"node-unreachable": 1.0}})
     t0 = trial.clock
     error_times: list[float] = []
     ends: list[float] = []
@@ -355,10 +361,7 @@ class TestBootFault:
                 StepSpec("delete a", "compute", delete, deletes=server, undo_of="boot a"),
             )
         )
-        faults = FaultModel(
-            {"rebuild": {error: 1.0}, "delete b": {"node-unreachable": 1.0}},
-            known_steps=[s.name for s in defn.steps],
-        )
+        faults = FaultModel({"rebuild": {error: 1.0}, "delete b": {"node-unreachable": 1.0}})
         cloud = quiet_cloud()
         result = run_single(defn, cloud, faults)
         assert (result.error, result.leftover_kinds, result.steps_executed) == (
