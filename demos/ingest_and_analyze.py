@@ -11,6 +11,8 @@ Run with:  python3 demos/ingest_and_analyze.py
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from agesim import (
     ScenarioConfig,
     evaluate_indicator,
@@ -34,7 +36,8 @@ def main():
 
     # the CSV is exact: every sample survives the round trip bit for bit
     for name, series in report.series.items():
-        assert recovered[name].samples == series.samples
+        assert np.array_equal(recovered[name].timestamps, series.timestamps)
+        assert np.array_equal(recovered[name].values, series.values)
     print("round trip exact for all series")
     print()
 

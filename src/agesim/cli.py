@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -29,6 +28,7 @@ from pathlib import Path
 from .errors import AgesimError, ConfigError, ParseError
 from .ingest import ingest, ingest_workload_report, load_json
 from .report import (
+    _write_json,
     analysis_document,
     render_tables,
     suite_trend_table,
@@ -303,9 +303,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 name: analysis_document(analyses[name]) for name in sorted(analyses)
             },
         }
-        (out / "analysis.json").write_text(
-            json.dumps(document, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_json(document, out / "analysis.json")
         print(f"analysis written to {out / 'analysis.json'}")
     return 0
 

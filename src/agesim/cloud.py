@@ -84,31 +84,23 @@ class Topology:
     control_node: str
     compute_nodes: tuple[str, ...]
 
-    @classmethod
-    def multi_node(cls) -> "Topology":
-        return cls(
-            kind="multi-node",
-            nodes=("control", "monitoring", "compute-1", "compute-2"),
-            control_node="control",
-            compute_nodes=("compute-1", "compute-2"),
-        )
+    @staticmethod
+    def named(kind: str) -> "Topology":
+        if kind not in TOPOLOGIES:
+            raise ConfigError(f"unknown topology: {kind!r}")
+        return TOPOLOGIES[kind]
 
-    @classmethod
-    def all_in_one(cls) -> "Topology":
-        return cls(
-            kind="all-in-one",
-            nodes=("all-in-one",),
-            control_node="all-in-one",
-            compute_nodes=("all-in-one",),
-        )
 
-    @classmethod
-    def named(cls, kind: str) -> "Topology":
-        if kind == "multi-node":
-            return cls.multi_node()
-        if kind == "all-in-one":
-            return cls.all_in_one()
-        raise ConfigError(f"unknown topology: {kind!r}")
+#: The deployments a scenario can name, by kind: nodes, control node, compute nodes.
+TOPOLOGIES = {
+    "multi-node": Topology(
+        "multi-node",
+        ("control", "monitoring", "compute-1", "compute-2"),
+        "control",
+        ("compute-1", "compute-2"),
+    ),
+    "all-in-one": Topology("all-in-one", ("all-in-one",), "all-in-one", ("all-in-one",)),
+}
 
 
 @dataclass(frozen=True)
@@ -304,8 +296,8 @@ class CloudState:
     Capacity and whether some node's disk is full are kept up to date by
     the mutators that can change them (``add_leftover``,
     ``deposit_cache_image``, ``cache_cleanup`` and ``rejuvenate``), so
-    reading them, and evaluating ``check_failed``, costs O(1).  The quota
-    table is fixed at construction.
+    reading them, and evaluating ``check_failed``, costs O(1); so is the
+    ``ageing_multiplier`` attribute.  The quota table is fixed at construction.
 
     ``failure_inputs_changed`` is set whenever an input of the failure
     predicate may have changed since ``check_failed`` last evaluated it,
@@ -324,7 +316,7 @@ class CloudState:
         quotas: Mapping[EntityKind, int] | None = None,
         seed: int = 0,
     ):
-        self.topology = topology or Topology.multi_node()
+        self.topology = topology or TOPOLOGIES["multi-node"]
         self.params = params or ResourceParams()
         self.quotas = quota_table(quotas)
 
@@ -346,7 +338,7 @@ class CloudState:
         self._cache_total: dict[str, float] = {n: 0.0 for n in self.topology.nodes}
         self._next_compute = 0
         self._noise_rng = stream(seed, "noise")
-        self._ageing_multiplier = 1.0
+        self.ageing_multiplier = 1.0
         self._recount_capacity()
         self._recount_disk_full()
 
@@ -457,11 +449,8 @@ class CloudState:
 
     # -- ageing bookkeeping ------------------------------------------------------
 
-    def ageing_multiplier(self) -> float:
-        return self._ageing_multiplier
-
     def _recompute_ageing(self) -> None:
-        self._ageing_multiplier = 1.0 + self.params.ageing_rate * self.ageing_units
+        self.ageing_multiplier = 1.0 + self.params.ageing_rate * self.ageing_units
 
     def _in_warmup_window(self) -> bool:
         return (

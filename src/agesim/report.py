@@ -44,10 +44,6 @@ def _clean_float(value):
     return float(f"{float(value):.10g}")
 
 
-def verdict_marker(verdict: TrendVerdict) -> str:
-    return VERDICT_MARKERS[verdict]
-
-
 def analysis_document(analysis: IndicatorAnalysis) -> dict:
     hourly = analysis.hourly
     trend = analysis.trend
@@ -146,7 +142,7 @@ def _trend_rows(report: ScenarioReport) -> Iterable[str]:
         slope_text = f"{slope:10.3f}" if slope is not None else f"{'-':>10s}"
         yield (
             f"{name:28s} {analysis.hourly.unit:8s} {trend.n:3d} {trend.s_statistic:6d}"
-            f" {trend.z_score:8.2f} {verdict_marker(trend.verdict):8s} {slope_text}"
+            f" {trend.z_score:8.2f} {VERDICT_MARKERS[trend.verdict]:8s} {slope_text}"
         )
 
 
@@ -244,7 +240,7 @@ def suite_trend_table(reports: Iterable[ScenarioReport]) -> str:
                 f"{report.scenario_id:>8s} {report.topology:12s}"
                 f" {report.concurrency:3d} {name:28s}"
                 f" {analysis.trend.z_score:8.2f}"
-                f" {verdict_marker(analysis.trend.verdict):8s} {a_text} {r_text}"
+                f" {VERDICT_MARKERS[analysis.trend.verdict]:8s} {a_text} {r_text}"
             )
     return "\n".join(lines) + "\n"
 

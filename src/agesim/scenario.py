@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import sys
 import types
 import typing
 from array import array
@@ -52,6 +53,7 @@ from .trendstats import (
 )
 from .workload import (
     DEFAULT_STEP_NAMES,
+    DEFAULT_STEPS,
     STOP_STREAM,
     TimingParams,
     WorkloadDefinition,
@@ -103,6 +105,10 @@ class ScenarioConfig:
         check_concurrency(self.concurrency)
         if self.stress_hours < 0 or self.post_rejuvenation_hours < 0:
             raise ConfigError("phase lengths cannot be negative")
+        for name in ("stress_hours", "post_rejuvenation_hours"):
+            # any longer phase overflows a float when counted in seconds
+            if not getattr(self, name) <= sys.float_info.max / SECONDS_PER_HOUR:
+                raise ConfigError(f"{name} is too long to count in seconds")
         if not 1.0 <= self.sample_interval_seconds <= SECONDS_PER_HOUR:
             raise ConfigError("sample interval must lie in [1, 3600] seconds")
         if not 0.0 <= self.deploy_failure_probability <= 1.0:
@@ -323,7 +329,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         quotas=config.quotas,
         seed=config.seed,
     )
-    defn = config.workload or WorkloadDefinition.default()
+    defn = config.workload or WorkloadDefinition(DEFAULT_STEPS)
     faults = FaultModel(config.faults, seed=config.seed)
 
     # workload starts and durations; tick times and each gauge's readings

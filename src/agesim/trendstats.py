@@ -43,7 +43,7 @@ those inside, and the median is selected among them.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
@@ -93,6 +93,7 @@ class TrendVerdict(Enum):
     INSUFFICIENT_DATA = "insufficient-data"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class IndicatorSeries:
     """A named, unit-carrying series of (timestamp, value) samples.
 
@@ -102,35 +103,34 @@ class IndicatorSeries:
     float64 arrays, ``timestamps`` and ``values``, and checks that the
     unit is not empty, that both are one-dimensional and of one length,
     and that the timestamps increase.  ``samples`` renders them as a
-    tuple of ``(timestamp, value)`` float pairs.  Series are immutable,
-    and equal when name, unit and every float compare equal.
+    tuple of ``(timestamp, value)`` float pairs.  Series are frozen
+    dataclasses, and equal when name, unit and every float compare equal.
     """
-
-    __slots__ = ("name", "unit", "timestamps", "values")
 
     name: str
     unit: str
     timestamps: np.ndarray
     values: np.ndarray
 
-    def __init__(self, name: str, unit: str, timestamps: ArrayLike, values: ArrayLike):
-        if not unit:
+    def __post_init__(self):
+        if not self.unit:
             raise InvalidSeriesError("IndicatorSeries.unit must be non-empty")
-        ts = np.array(timestamps, dtype=np.float64)
-        vs = np.array(values, dtype=np.float64)
+        ts = np.array(self.timestamps, dtype=np.float64)
+        vs = np.array(self.values, dtype=np.float64)
         if ts.ndim != 1 or ts.shape != vs.shape:
             raise InvalidSeriesError(
-                f"timestamps and values of series {name!r} must be two arrays of one length"
+                f"timestamps and values of series {self.name!r}"
+                " must be two arrays of one length"
             )
         # ``b <= a`` per neighbour pair: a NaN timestamp compares false and passes
         if (ts[1:] <= ts[:-1]).any():
             raise InvalidSeriesError(
-                f"timestamps of series {name!r} must be strictly increasing"
+                f"timestamps of series {self.name!r} must be strictly increasing"
             )
         ts.flags.writeable = False
         vs.flags.writeable = False
-        for slot, value in zip(self.__slots__, (name, unit, ts, vs)):
-            object.__setattr__(self, slot, value)
+        object.__setattr__(self, "timestamps", ts)
+        object.__setattr__(self, "values", vs)
 
     @property
     def samples(self) -> tuple[tuple[float, float], ...]:
@@ -159,18 +159,6 @@ class IndicatorSeries:
                 (self.values + 0.0).tobytes(),
             )
         )
-
-    def __repr__(self) -> str:
-        return (
-            f"IndicatorSeries({self.name!r}, {self.unit!r},"
-            f" {self.timestamps.tolist()!r}, {self.values.tolist()!r})"
-        )
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return (IndicatorSeries, (self.name, self.unit, self.timestamps, self.values))
@@ -589,14 +577,12 @@ def ageing_summary(binned: HourlySeries) -> AgeingSummary:
     post-rejuvenation bin; a missing bin raises MissingPhaseBinError.
     An A, R or slope that is not finite raises InvalidSeriesError.
     """
-    skip = binned.phase_marks.non_stress()
-    stress = [(h, m) for h, m in zip(binned.hours, binned.means) if h not in skip]
-    if not stress:
+    hours = binned.stress_hours()
+    means = binned.stress_means()
+    if not hours or hours[0] != 0:
         raise MissingPhaseBinError("stress hour 0")
-    if stress[0][0] != 0:
-        raise MissingPhaseBinError("stress hour 0")
-    v0 = stress[0][1]
-    vb = stress[-1][1]
+    v0 = means[0]
+    vb = means[-1]
 
     post = [
         binned.mean_at(h)
@@ -608,10 +594,10 @@ def ageing_summary(binned: HourlySeries) -> AgeingSummary:
     vr = post[0]
 
     slope = None
-    if len(stress) >= 2:
+    if len(means) >= 2:
         # an overflowing slope is reported below, as a non-finite summary
         with np.errstate(over="ignore", invalid="ignore"):
-            slope = sens_slope([m for _, m in stress], spacing_hours=1.0)
+            slope = sens_slope(means, spacing_hours=1.0)
 
     ageing_a = vb - v0
     rejuvenation_r = vb - vr
@@ -640,17 +626,11 @@ def evaluate_indicator(
     The trend test input is the stress-phase bins only; rejuvenation and
     post-rejuvenation bins never enter it.  Any shortfall (empty series,
     missing phase bins) degrades to InsufficientData or a recorded
-    reason instead of raising.
+    reason instead of raising; an empty series is tested as no bins.
     """
     if not len(series):
         empty = HourlySeries(name=series.name, unit=series.unit, hours=(), means=())
-        trend = TrendTestResult(
-            n=0,
-            s_statistic=0,
-            variance=0.0,
-            z_score=0.0,
-            verdict=TrendVerdict.INSUFFICIENT_DATA,
-        )
+        trend = mann_kendall(())
         return IndicatorAnalysis(
             hourly=empty, trend=trend, ageing=None, ageing_unavailable="empty series"
         )

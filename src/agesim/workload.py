@@ -267,6 +267,8 @@ class WorkloadDefinition:
     steps: tuple[StepSpec, ...]
 
     def __post_init__(self):
+        if not self.steps:
+            raise ConfigError("a workload needs at least one step")
         names = [s.name for s in self.steps]
         if len(set(names)) != len(names):
             raise ConfigError("step names must be unique")
@@ -301,10 +303,6 @@ class WorkloadDefinition:
         targets = [index[s.undo_of] for s in self.steps if s.undo_of is not None]
         if any(a <= b for a, b in zip(targets, targets[1:])):
             raise ConfigError("cleanup steps do not reverse acquisitions in LIFO order")
-
-    @classmethod
-    def default(cls) -> "WorkloadDefinition":
-        return cls(steps=DEFAULT_STEPS)
 
 
 class WorkloadStatus(Enum):
@@ -812,7 +810,7 @@ def run_stream(
                 contention = gate_count / contention_capacity
                 if contention < 1.0:
                     contention = 1.0
-                duration = step.base_seconds * cloud._ageing_multiplier * contention
+                duration = step.base_seconds * cloud.ageing_multiplier * contention
                 if error is not None and error_hook is not None:
                     error_hook(t, *error)
                 if cloud.failure_inputs_changed:

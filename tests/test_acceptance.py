@@ -35,7 +35,7 @@ from agesim.trendstats import (
     mann_kendall,
     sens_slope,
 )
-from agesim.workload import WorkloadDefinition, WorkloadStatus
+from agesim.workload import DEFAULT_STEPS, WorkloadDefinition, WorkloadStatus
 from single_run import run_single
 
 
@@ -218,7 +218,7 @@ FAULT_TABLE = {
 def test_c05_fault_at_every_step_position(capsys):
     """A certain fault at each of the 29 positions leaves the expected
     wreckage: correct error, status, step count and stranded entity."""
-    defn = WorkloadDefinition.default()
+    defn = WorkloadDefinition(DEFAULT_STEPS)
     params = ResourceParams(warmup_noise_gb=0.0, warmup_alloc_gb=0.0, ageing_rate=0.0)
     assert set(FAULT_TABLE) == {s.name for s in defn.steps}
     for step_name, (error_name, stranded, steps) in FAULT_TABLE.items():
@@ -249,7 +249,7 @@ def test_c06_disk_leak_fills_capacity(capsys):
     """1123 cached images occupy 44.92 GB; on a 45 GB all-in-one disk the
     leak brings the cloud down before the stress day ends."""
     params = ResourceParams(warmup_noise_gb=0.0, warmup_alloc_gb=0.0, ageing_rate=0.0)
-    state = CloudState(topology=Topology.all_in_one(), params=params)
+    state = CloudState(topology=Topology.named("all-in-one"), params=params)
     for _ in range(1123):
         apply_resource_effects(state, WorkloadStepCompleted("boot server"))
     assert abs(state.cache_disk_usage_gb() - 44.92) < 0.001
@@ -321,10 +321,10 @@ def test_c08_rejuvenation_restores_service(capsys):
     assert report.rejuvenation_started >= report.failure_point
 
     sample_ts = report.rejuvenation_ended - config.sample_interval_seconds
-    swap_at = dict(report.series["swap-used"].samples)
-    assert swap_at[sample_ts] == 0.0
-    memory_at = dict(report.series["memory-available"].samples)
-    assert memory_at[sample_ts] > 1.4
+    swap = report.series["swap-used"]
+    assert swap.values[swap.timestamps.tolist().index(sample_ts)] == 0.0
+    memory = report.series["memory-available"]
+    assert memory.values[memory.timestamps.tolist().index(sample_ts)] > 1.4
 
     post_hour = int(report.rejuvenation_ended // 3600)
     entry = next(e for e in report.hourly_counts if e["hour"] == post_hour)

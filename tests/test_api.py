@@ -97,14 +97,13 @@ PUBLIC_NAMES = [
     "render_tables",
     "report_document",
     "suite_trend_table",
-    "verdict_marker",
     "write_bundle",
     "write_suite_bundle",
 ]
 
 
 def test_public_surface_is_exactly_the_pinned_names():
-    assert len(PUBLIC_NAMES) == 66
+    assert len(PUBLIC_NAMES) == 65
     assert agesim.__all__ == PUBLIC_NAMES
 
 

@@ -275,6 +275,11 @@ class TestRunCommand:
         path = write_json(tmp_path / "cfg.json", [1, 2, 3])
         assert main(["run", path]) == 2
 
+    @pytest.mark.parametrize("phase", ["stress", "post"])
+    def test_phase_overflowing_a_float_in_seconds_is_exit_2(self, config_path, capsys, phase):
+        assert main(["run", config_path, "--phases", f"{phase}:{10**400}"]) == 2
+        assert "is too long to count in seconds" in capsys.readouterr().err
+
     def test_bad_phase_syntax_is_argparse_error(self, config_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", config_path, "--phases", "night:3"])
@@ -893,8 +898,28 @@ class TestFreshProcess:
                 },
                 [],
             ),
+            # An empty plan indexed past its end on the first step.
+            (
+                {
+                    "stress_hours": 1,
+                    "timing": {"step_seconds": {}},
+                    "resources": {"cache_depositing_steps": []},
+                    "workload": {"steps": []},
+                },
+                [],
+            ),
+            ({"stress_hours": 10**400}, []),
+            ({"post_rejuvenation_hours": 10**400}, []),
         ],
-        ids=["config-seed", "seed-flag", "concurrency", "frozen-clock"],
+        ids=[
+            "config-seed",
+            "seed-flag",
+            "concurrency",
+            "frozen-clock",
+            "empty-steps",
+            "stress-overflow",
+            "post-overflow",
+        ],
     )
     @pytest.mark.parametrize("command", [["run"], ["suite", "--configs"]], ids=["run", "suite"])
     def test_exit_2_with_an_error_line(self, tmp_path, command, fields, flags):

@@ -230,7 +230,7 @@ class TestFaultModel:
 class TestResourceEffects:
     def test_cache_deposit_accumulation(self):
         """1123 boot completions at 0.040 GB each fill ~44.92 GB of cache."""
-        state = CloudState(topology=Topology.all_in_one(), params=quiet_params())
+        state = CloudState(topology=Topology.named("all-in-one"), params=quiet_params())
         for _ in range(1123):
             apply_resource_effects(state, WorkloadStepCompleted("boot server"))
         assert state.cache_image_count() == 1123
@@ -353,7 +353,7 @@ class TestCacheCleanup:
         assert cache_cleanup(state) == 0.0
 
     def test_only_old_prefix_removed(self):
-        state = CloudState(topology=Topology.all_in_one(), params=quiet_params())
+        state = CloudState(topology=Topology.named("all-in-one"), params=quiet_params())
         apply_resource_effects(state, WorkloadStepCompleted("boot server"))
         state.clock = 10 * 3600.0
         apply_resource_effects(state, WorkloadStepCompleted("boot server"))
@@ -389,7 +389,7 @@ class TestCheckFailed:
 
     def test_disk_full_fails(self):
         params = quiet_params(disk_capacity_gb=0.1, cache_image_gb=0.05)
-        state = CloudState(topology=Topology.all_in_one(), params=params)
+        state = CloudState(topology=Topology.named("all-in-one"), params=params)
         apply_resource_effects(state, WorkloadStepCompleted("boot server"))
         assert check_failed(state) is False
         apply_resource_effects(state, WorkloadStepCompleted("boot server"))
@@ -495,9 +495,9 @@ class TestRejuvenate:
         finish = WorkloadStepCompleted("x", workload_finished=True, did_real_work=True)
         for _ in range(10):
             apply_resource_effects(state, finish)
-        assert state.ageing_multiplier() == pytest.approx(1.01)
+        assert state.ageing_multiplier == pytest.approx(1.01)
         rejuvenate(state)
-        assert state.ageing_multiplier() == 1.0
+        assert state.ageing_multiplier == 1.0
 
 
 # ── Cached predicate state, as a property ────────────────────────────────
@@ -532,7 +532,7 @@ small = st.floats(min_value=0.0, max_value=0.5)
 
 clouds = st.builds(
     CloudState,
-    topology=st.sampled_from([Topology.all_in_one(), Topology.multi_node()]),
+    topology=st.sampled_from([Topology.named("all-in-one"), Topology.named("multi-node")]),
     params=st.builds(
         ResourceParams,
         initial_memory_gb=st.floats(min_value=0.1, max_value=2.0),

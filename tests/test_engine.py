@@ -34,6 +34,7 @@ from agesim.cloud import (
 from agesim.errors import ConfigError
 from agesim.workload import (
     DEFAULT_STEP_NAMES,
+    DEFAULT_STEPS,
     StepAction,
     StepSpec,
     TimingParams,
@@ -43,7 +44,7 @@ from agesim.workload import (
 from agesim import workload
 from single_run import run_single
 
-DEFN = WorkloadDefinition.default()
+DEFN = WorkloadDefinition(DEFAULT_STEPS)
 
 #: A fault table that fires every catalog error, on create, operate,
 #: delete and undo steps, including the first step (nothing provisioned

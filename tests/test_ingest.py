@@ -46,7 +46,9 @@ class TestIngest:
             "60,memory-available,3.8\n"
         )
         memory = series["memory-available"]
-        assert memory.samples == ((0.0, 4.0), (30.0, 3.9), (60.0, 3.8))
+        assert memory == IndicatorSeries(
+            "memory-available", "GB", [0.0, 30.0, 60.0], [4.0, 3.9, 3.8]
+        )
         assert memory.unit == "GB"
 
     def test_multiple_metrics_in_one_file(self):
@@ -57,7 +59,7 @@ class TestIngest:
             "30,swap-used,0.1\n"
         )
         assert set(series) == {"swap-used", "memory-available"}
-        assert len(series["swap-used"].samples) == 2
+        assert len(series["swap-used"]) == 2
 
     def test_unsorted_rows_are_sorted(self):
         series = series_of(
@@ -66,11 +68,11 @@ class TestIngest:
             "0,m,4.0\n"
             "30,m,3.9\n"
         )
-        assert [ts for ts, _ in series["m"].samples] == [0.0, 30.0, 60.0]
+        assert series["m"].timestamps.tolist() == [0.0, 30.0, 60.0]
 
     def test_decimal_timestamps(self):
         series = series_of("timestamp,metric,value\n0.001,m,1.0\n0.002,m,2.0\n")
-        assert series["m"].samples[0][0] == 0.001
+        assert series["m"].timestamps[0] == 0.001
 
     def test_iso_timestamps_with_zone(self):
         series = series_of(
@@ -78,7 +80,7 @@ class TestIngest:
             "2026-01-01T00:00:00Z,m,1.0\n"
             "2026-01-01T00:00:30+00:00,m,2.0\n"
         )
-        t0, t1 = (ts for ts, _ in series["m"].samples)
+        t0, t1 = series["m"].timestamps
         assert t1 - t0 == 30.0
 
     def test_naive_iso_timestamps_are_utc(self):
@@ -87,7 +89,7 @@ class TestIngest:
             "2026-01-01T00:00:00,m,1.0\n"
             "2026-01-01T01:00:00,m,2.0\n"
         )
-        t0, t1 = (ts for ts, _ in series["m"].samples)
+        t0, t1 = series["m"].timestamps
         assert t1 - t0 == 3600.0
 
     def test_mixed_styles_rejected_with_line(self):
@@ -148,12 +150,12 @@ class TestIngest:
 
     def test_blank_lines_skipped(self):
         series = series_of("timestamp,metric,value\n0,m,1.0\n\n30,m,2.0\n")
-        assert len(series["m"].samples) == 2
+        assert len(series["m"]) == 2
 
     def test_from_file_path(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("timestamp,metric,value\n0,m,1.0\n", encoding="utf-8")
-        assert ingest(path)["m"].samples == ((0.0, 1.0),)
+        assert ingest(path)["m"] == IndicatorSeries("m", "unknown", [0.0], [1.0])
 
     def test_ingested_series_bins_hourly(self):
         """Samples every 30 s for two hours bin into two hourly means."""
@@ -245,8 +247,8 @@ def test_ingest_parses_or_names_the_first_bad_line(rows):
             series_of(text)
     else:
         series = series_of(text)
-        assert {m: s.samples for m, s in series.items()} == {
-            m: tuple(samples) for m, samples in expected.items()
+        assert series == {
+            m: IndicatorSeries(m, "GB", *zip(*samples)) for m, samples in expected.items()
         }
 
 
@@ -296,9 +298,8 @@ def test_ingest_of_shuffled_rows_equals_ingest_of_sorted_rows(rows, order):
         from_shuffled = series_of(csv_of_rows(shuffled))
         assert from_shuffled == series_of(csv_of_rows(in_order))
         for metric, series in from_shuffled.items():
-            assert series.samples == tuple(
-                (ts, value) for m, ts, value in in_order if m == metric
-            )
+            pairs = [(ts, value) for m, ts, value in in_order if m == metric]
+            assert series == IndicatorSeries(metric, "GB", *zip(*pairs))
 
 
 # Padding that ``str.strip`` removes; ``float`` skips all of it except the
@@ -338,7 +339,7 @@ def test_padded_cells_parse_or_fail_as_their_stripped_text(rows):
 @pytest.mark.parametrize("pad", [" ", "\t", "\x1c", "\x1f", " \x1e\t"])
 def test_padded_cells_keep_their_values_and_error_text(pad):
     series = series_of(f"timestamp,metric,value\n{pad}30{pad},m,{pad}1.5{pad}\n")
-    assert series["m"].samples == ((30.0, 1.5),)
+    assert series["m"] == IndicatorSeries("m", "GB", [30.0], [1.5])
     with pytest.raises(ParseError) as err:
         series_of(f"timestamp,metric,value\n{pad}soon{pad},m,1\n")
     assert str(err.value) == "line 2: unreadable timestamp 'soon'"
@@ -378,7 +379,7 @@ class TestSerializeRoundTrip:
         write_series_csv(
             {"m": IndicatorSeries("m", "x", [0.0], [1.0])}, path
         )
-        assert ingest(path)["m"].samples == ((0.0, 1.0),)
+        assert ingest(path)["m"] == IndicatorSeries("m", "unknown", [0.0], [1.0])
 
     def test_many_series_round_trip(self):
         rng = np.random.Generator(np.random.PCG64(21))
@@ -616,7 +617,9 @@ class TestWorkloadReport:
             "ageing-failure": 1,
             "non-ageing-failure": 1,
         }
-        assert data.durations.samples == ((0.0, 69.0), (69.0, 71.0))
+        assert data.durations == IndicatorSeries(
+            "workload-duration", "seconds", [0.0, 69.0], [69.0, 71.0]
+        )
         assert data.error_tally == {
             "server-error-status": 1,
             "quota-exceeded-security-group": 1,
@@ -663,7 +666,7 @@ class TestWorkloadReport:
                 ]
             )
         )
-        t0, t1 = (ts for ts, _ in data.durations.samples)
+        t0, t1 = data.durations.timestamps
         assert t0 < t1
 
     def test_tied_starts_are_ordered_by_duration_and_nudged_in_turn(self):
@@ -681,11 +684,11 @@ class TestWorkloadReport:
         t1 = 100.0 + 1e-9
         t2 = t1 + 1e-9
         t3 = t2 + 1e-9
-        assert data.durations.samples == (
-            (100.0, 60.0),
-            (t1, 65.0),
-            (t2, 70.0),
-            (t3, 101.0 - t1),
+        assert data.durations == IndicatorSeries(
+            "workload-duration",
+            "seconds",
+            [100.0, t1, t2, t3],
+            [60.0, 65.0, 70.0, 101.0 - t1],
         )
 
     def test_no_successes_yields_no_series(self):
@@ -765,10 +768,9 @@ def test_any_json_workload_report_parses_or_raises_parse_error(document):
     assert sum(data.status_counts.values()) + data.rejected_records == len(records)
     assert all(isinstance(error, str) for error in data.error_tally)
     if data.durations is not None:
-        assert all(
-            math.isfinite(t) and math.isfinite(d) and d >= 0
-            for t, d in data.durations.samples
-        )
+        assert np.isfinite(data.durations.timestamps).all()
+        assert np.isfinite(data.durations.values).all()
+        assert (data.durations.values >= 0).all()
 
 
 # ── The numpy path against the row loop ──────────────────────────────────
@@ -912,7 +914,9 @@ class TestNumpyPath:
         ) as row_loop:
             series = ingest(io.StringIO(text))
         assert row_loop.call_count == 1
-        assert series["memory_used"].samples == ((0.0, 1.0), (20.0, 1000.0))
+        assert series["memory_used"] == IndicatorSeries(
+            "memory_used", "unknown", [0.0, 20.0], [1.0, 1000.0]
+        )
         assert reading(io.StringIO(text)) == reading(Unseekable(text))
 
     def test_whitespace_only_lines_stay_on_the_numpy_path(self):

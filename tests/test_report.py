@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from agesim.cloud import ResourceParams
 from agesim.ingest import csv_cell, format_timestamp, ingest
 from agesim.report import (
+    VERDICT_MARKERS,
     error_distribution,
     render_tables,
     report_document,
     suite_trend_table,
-    verdict_marker,
     write_bundle,
     write_error_log,
     write_suite_bundle,
@@ -91,10 +91,10 @@ def failed_report():
 
 class TestVerdictMarkers:
     def test_all_verdicts_have_markers(self):
-        assert verdict_marker(TrendVerdict.UPWARD) == "up"
-        assert verdict_marker(TrendVerdict.DOWNWARD) == "down"
-        assert verdict_marker(TrendVerdict.NO_TREND) == "flat"
-        assert verdict_marker(TrendVerdict.INSUFFICIENT_DATA) == "n/a"
+        assert VERDICT_MARKERS[TrendVerdict.UPWARD] == "up"
+        assert VERDICT_MARKERS[TrendVerdict.DOWNWARD] == "down"
+        assert VERDICT_MARKERS[TrendVerdict.NO_TREND] == "flat"
+        assert VERDICT_MARKERS[TrendVerdict.INSUFFICIENT_DATA] == "n/a"
 
 
 class TestDocument:

@@ -18,7 +18,7 @@ from agesim.scenario import (
     run_suite,
 )
 from agesim.trendstats import TrendVerdict
-from agesim.workload import MAX_CONCURRENCY, TimingParams, WorkloadDefinition
+from agesim.workload import DEFAULT_STEPS, MAX_CONCURRENCY, TimingParams, WorkloadDefinition
 
 
 def quiet_resources(**overrides) -> ResourceParams:
@@ -107,7 +107,7 @@ class TestDefaultDay:
     def test_gauge_series_include_rejuvenation_sample(self, report):
         memory = report.series["memory-available"]
         rejuvenation_ts = 25 * 3600.0 - 30.0
-        assert any(ts == rejuvenation_ts for ts, _ in memory.samples)
+        assert rejuvenation_ts in memory.timestamps
 
     def test_flat_duration_when_ageing_disabled(self):
         config = ScenarioConfig(
@@ -129,8 +129,7 @@ class TestDeterminism:
         b = run_scenario(config)
         assert a.totals == b.totals
         assert a.error_log == b.error_log
-        for name in a.series:
-            assert a.series[name].samples == b.series[name].samples
+        assert a.series == b.series
         for name in a.analyses:
             assert a.analyses[name].trend == b.analyses[name].trend
 
@@ -139,10 +138,7 @@ class TestDeterminism:
         other = dataclasses.replace(base, seed=2)
         a = run_scenario(base)
         b = run_scenario(other)
-        assert (
-            a.series["memory-available"].samples
-            != b.series["memory-available"].samples
-        )
+        assert a.series["memory-available"] != b.series["memory-available"]
 
 
 # ── Early failure policies ───────────────────────────────────────────────
@@ -344,7 +340,7 @@ class TestConfigDocuments:
             timing=TimingParams(default_seconds=1.0, step_seconds={"boot server": 4.0}),
             quotas={EntityKind.SERVER: 5},
             faults={"boot server": {"server-error-status": 0.25}},
-            workload=WorkloadDefinition.default(),
+            workload=WorkloadDefinition(DEFAULT_STEPS),
             sample_interval_seconds=60.0,
             deploy_failure_probability=0.1,
         )
@@ -391,7 +387,7 @@ class TestConfigDocuments:
         definition: the default one, or the custom one it names."""
         with pytest.raises(ConfigError, match="faults names unknown step 'launch rocket'"):
             ScenarioConfig(scenario_id="x", faults={"launch rocket": {"rebuild-error": 0.0}})
-        default = WorkloadDefinition.default().steps
+        default = DEFAULT_STEPS
         custom = {
             "workload": WorkloadDefinition(steps=default[:2] + default[-2:]),  # user and role
             "timing": TimingParams(step_seconds={}),
@@ -412,6 +408,16 @@ class TestConfigDocuments:
                 ScenarioConfig(scenario_id="x", concurrency=concurrency)
         with pytest.raises(ConfigError, match="concurrency must lie in"):
             ScenarioConfig.from_document({"scenario_id": "x", "concurrency": 10**30})
+
+    @pytest.mark.parametrize("field", ["stress_hours", "post_rejuvenation_hours"])
+    def test_phase_overflowing_a_float_in_seconds_rejected(self, field):
+        """Phase seconds are floats; an hour count past them is no long run."""
+        for hours in (10**400, 1e305):
+            with pytest.raises(ConfigError, match=f"{field} is too long"):
+                ScenarioConfig(scenario_id="x", **{field: hours})
+        with pytest.raises(ConfigError, match=f"{field} is too long"):
+            ScenarioConfig.from_document({"scenario_id": "x", field: 10**400})
+        assert getattr(ScenarioConfig(scenario_id="x", **{field: 10**300}), field) == 10**300
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must not be negative"):

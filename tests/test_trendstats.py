@@ -487,9 +487,8 @@ class TestIndicatorSeries:
     def test_rebased_starts_at_zero(self):
         series = series_of([(1000.0, 1.0), (1060.0, 2.0)])
         shifted = rebased(series)
-        assert shifted.samples[0][0] == 0.0
-        assert shifted.samples[1][0] == 60.0
-        assert [v for _, v in shifted.samples] == [1.0, 2.0]
+        assert shifted.timestamps.tolist() == [0.0, 60.0]
+        assert shifted.values.tolist() == [1.0, 2.0]
 
     def test_invalid_series_error_is_parse_and_value_error(self):
         """Broken series are input errors for the CLI and ValueErrors for callers."""

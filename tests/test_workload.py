@@ -15,6 +15,7 @@ from agesim.scenario import ScenarioConfig, run_scenario
 from agesim.workload import (
     CLOUD_UNAVAILABLE,
     DEFAULT_STEP_NAMES,
+    DEFAULT_STEPS,
     MAX_CONCURRENCY,
     STOP_STREAM,
     StepAction,
@@ -35,7 +36,7 @@ def quiet_cloud(**param_overrides) -> CloudState:
     return CloudState(params=params)
 
 
-DEFN = WorkloadDefinition.default()
+DEFN = WorkloadDefinition(DEFAULT_STEPS)
 
 #: Sum of base step times for a clean solo run: 27 steps at 2 s plus the
 #: boot (10 s) and volume-create (5 s) overrides.
@@ -102,6 +103,13 @@ class TestDefinition:
         )
         with pytest.raises(ConfigError):
             WorkloadDefinition(steps=steps)
+
+    def test_empty_step_list_rejected(self):
+        """A workload with no steps would index past the end of its plan."""
+        with pytest.raises(ConfigError, match="at least one step"):
+            WorkloadDefinition(steps=())
+        with pytest.raises(ConfigError, match="at least one step"):
+            ScenarioConfig.from_document({"scenario_id": "x", "workload": {"steps": []}})
 
     def test_unbalanced_create_rejected(self):
         steps = (
