@@ -46,6 +46,28 @@ from .seeding import scenario_seed
 from .trendstats import IndicatorSeries, evaluate_indicator, rebased
 
 
+def _parse_int(text: str, what: str) -> int:
+    """``text`` as an integer, or an argparse error naming ``what``.
+
+    ``int()`` refuses a value of more digits than the interpreter's limit
+    (``sys.get_int_max_str_digits()``, 4,300 by default), and the error
+    says so rather than calling it not an integer.  Either error quotes
+    at most 24 characters of the value, keeping its two ends.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    shown = text if len(text) <= 24 else f"{text[:12]}...{text[-12:]}"
+    digits = text.strip().lstrip("+-").replace("_", "")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits.isdecimal() and len(digits) > limit:
+        raise argparse.ArgumentTypeError(
+            f"{what}: {shown!r} has {len(digits):,} digits, more than the {limit:,} allowed"
+        )
+    raise argparse.ArgumentTypeError(f"{what}: {shown!r} is not an integer")
+
+
 def _parse_phases(text: str) -> dict[str, int]:
     """Parse ``stress:24,post:1`` into phase-hour overrides."""
     result: dict[str, int] = {}
@@ -59,12 +81,7 @@ def _parse_phases(text: str) -> dict[str, int]:
             raise argparse.ArgumentTypeError(
                 f"unknown phase {key!r}; expected stress or post"
             )
-        try:
-            hours = int(value.strip())
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"phase {key}: {value.strip()!r} is not an integer"
-            ) from None
+        hours = _parse_int(value.strip(), f"phase {key}")
         if hours < 0:
             raise argparse.ArgumentTypeError(f"phase {key}: hours must be >= 0")
         result[key] = hours
@@ -75,10 +92,7 @@ def _parse_phases(text: str) -> dict[str, int]:
 
 def _parse_seed(text: str) -> int:
     """A ``--seed`` value: every random stream needs a non-negative integer."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    seed = _parse_int(text, "seed")
     if seed < 0:
         raise argparse.ArgumentTypeError(f"seed must not be negative, got {seed}")
     return seed

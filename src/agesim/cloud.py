@@ -15,10 +15,14 @@ host-level residual.
 
 from __future__ import annotations
 
+import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
+
+import numpy as np
 
 from .errors import ConfigError, LedgerUnderflowError
 from .seeding import stream
@@ -307,6 +311,16 @@ class CloudState:
     when it charges a finished workload's leak or a tick's warm-up
     allocation.  While it is clear the predicate would give the answer it
     gave last time, so the engine skips the evaluation.
+
+    While a stream samples the gauges, ``_journal`` logs every change to
+    them, so that no sampling tick has to stop the engine to read them.
+    Per gauge it holds two ``array("d")`` columns, the clock of each
+    change and the value after it, starting from the value the gauge had
+    when the journal opened, stamped ``-inf``.  The gauges are
+    ``"memory"``, the control node's raw available memory, ``"noise"``,
+    the warm-up noise on its reading, and ``("disk", node)``, each node's
+    cache total; every method that changes one of them logs it.
+    Outside a sampling stream ``_journal`` is None and nothing is logged.
     """
 
     def __init__(
@@ -338,6 +352,7 @@ class CloudState:
         self._cache_total: dict[str, float] = {n: 0.0 for n in self.topology.nodes}
         self._next_compute = 0
         self._noise_rng = stream(seed, "noise")
+        self._journal: dict[object, tuple[array, array]] | None = None
         self.ageing_multiplier = 1.0
         self._recount_capacity()
         self._recount_disk_full()
@@ -390,10 +405,9 @@ class CloudState:
             if quota is not None and self.live[kind] + self.leftovers[kind] >= quota:
                 return _QUOTA_EXCEEDED[kind]
         self.leftovers[kind] += 1
-        self._consumed_gb += self.params.leftover_retention_gb
+        self._consume(self.params.leftover_retention_gb)
         if kind in self.quotas:
             self._recount_capacity()
-        self.failure_inputs_changed = True
         return None
 
     def total_leftovers(self) -> int:
@@ -406,17 +420,32 @@ class CloudState:
             self.params.initial_memory_gb - self._host_residual_gb - self._consumed_gb
         )
 
-    def control_memory_gb(self) -> tuple[float, float]:
-        """Available memory and swap in use on the control node, where the
-        model runs, from one reading; swap grows once raw available memory
-        sinks below the threshold."""
+    def _consume(self, gb: float) -> None:
+        """Take ``gb`` of the control node's memory until rejuvenation."""
+        self._consumed_gb += gb
+        self.failure_inputs_changed = True
+        self._log("memory", self._raw_available_gb())
+
+    def _memory_gauges(self, raw, noise):
+        """Available memory and swap in use on the control node, from raw
+        available memory and warm-up noise (floats, or arrays of readings);
+        swap grows once raw available memory sinks below the threshold.
+        On a tie numpy returns the second argument and ``max``/``min`` the
+        first, so the arguments run in the reverse of the order
+        ``min(max(0.0, overflow), capacity)`` gives them, keeping the sign
+        of a zero as that formula did."""
         params = self.params
-        raw = self._raw_available_gb()
         overflow = params.swap_threshold_gb - raw
         return (
-            max(0.0, raw + self._noise_gb),
-            min(max(0.0, overflow), params.swap_capacity_gb),
+            np.maximum(raw + noise, 0.0),
+            np.minimum(params.swap_capacity_gb, np.maximum(overflow, 0.0)),
         )
+
+    def control_memory_gb(self) -> tuple[float, float]:
+        """Available memory and swap in use on the control node, where the
+        model runs, from one reading."""
+        memory, swap = self._memory_gauges(self._raw_available_gb(), self._noise_gb)
+        return float(memory), float(swap)
 
     def memory_available_gb(self, node: str | None = None) -> float:
         """Available memory on a node; the model runs on the control node."""
@@ -440,6 +469,78 @@ class CloudState:
         self._disk_full = any(
             used >= capacity for used in self._cache_total.values()
         )
+
+    # -- sampling journal --------------------------------------------------------
+
+    def _log(self, gauge: object, value: float) -> None:
+        """Log a gauge's new value at the clock, while a journal is open."""
+        if self._journal is not None:
+            stamps, values = self._journal[gauge]
+            stamps.append(self.clock)
+            values.append(value)
+
+    def _new_journal(self) -> dict[object, tuple[array, array]]:
+        """A journal holding every gauge's current value from any time on."""
+        values = {"memory": self._raw_available_gb(), "noise": self._noise_gb}
+        for node, total in self._cache_total.items():
+            values[("disk", node)] = total
+        return {
+            gauge: (array("d", [-math.inf]), array("d", [value]))
+            for gauge, value in values.items()
+        }
+
+    def _call_after_readings(self, hook, t: float):
+        """Return ``hook(t)``, called as if after the readings at time
+        ``t``: what the journal logs during the call is restamped just
+        past ``t``, so only the readings after ``t`` see it, whatever the
+        hook does to the clock."""
+        if self._journal is None:
+            return hook(t)
+        logs = self._journal.values()
+        logged = [len(stamps) for stamps, _ in logs]
+        result = hook(t)
+        after = math.nextafter(t, math.inf)
+        for (stamps, _), n in zip(logs, logged):
+            stamps[n:] = array("d", [after]) * (len(stamps) - n)
+        return result
+
+    def _readings(
+        self, times: np.ndarray, journal: dict | None = None
+    ) -> dict[str, np.ndarray]:
+        """The gauges at each of ``times``, an ascending float64 array, as
+        float64 arrays: ``time`` itself, the control node's
+        ``memory-available`` and ``swap-used``, and ``disk-used-{node}``
+        for each compute node.  A gauge reads the last value ``journal``
+        logged for it at or before the time; without a journal, the
+        current readings."""
+        if journal is None:
+            journal = self._new_journal()
+
+        def at_times(gauge):
+            stamps, values = journal[gauge]
+            # Each logged value holds from the first time at or after its
+            # stamp until the next value takes over; the first is stamped
+            # -inf, so every time reads one value.
+            holds_from = np.searchsorted(times, np.frombuffer(stamps))
+            return np.repeat(np.frombuffer(values), np.diff(holds_from, append=len(times)))
+
+        memory, swap = self._memory_gauges(at_times("memory"), at_times("noise"))
+        readings = {"time": times, "memory-available": memory, "swap-used": swap}
+        for node in self.topology.compute_nodes:
+            readings[f"disk-used-{node}"] = at_times(("disk", node))
+        return readings
+
+    def _ticks_acting(self) -> tuple[float, float] | None:
+        """The clock span ``[start, end)`` in which an interval tick would
+        change this cloud, or None when no tick would.  While the warm-up
+        noise term is set every tick acts (it redraws or clears the term);
+        otherwise only a tick in the warm-up window does, where it draws
+        the noise and lands a pending allocation."""
+        if self._noise_gb:
+            return (-math.inf, math.inf)
+        if self._warmup_start is None:
+            return None
+        return (self._warmup_start, self._warmup_start + SECONDS_PER_HOUR)
 
     def cache_disk_usage_gb(self) -> float:
         return sum(size for _, size, _ in self._cache)
@@ -466,6 +567,7 @@ class CloudState:
         size = self.params.cache_image_gb
         self._cache.append((self.clock, size, node))
         self._cache_total[node] += size
+        self._log(("disk", node), self._cache_total[node])
         if self._cache_total[node] >= self.params.disk_capacity_gb:
             self._disk_full = True
             self.failure_inputs_changed = True
@@ -480,7 +582,8 @@ def apply_resource_effects(
     """Fold one event into the resource gauges.
 
     Callers read the gauges afterwards through ``memory_available_gb``,
-    ``swap_used_gb`` and ``disk_used_gb``.
+    ``swap_used_gb`` and ``disk_used_gb``; while a journal is open (see
+    ``CloudState``) every change is logged there too.
 
     Step completions deposit cache images (for configured steps, server
     boots by default) and, on the final step of a workload that created
@@ -495,20 +598,19 @@ def apply_resource_effects(
         if event.step_name in params.cache_depositing_steps:
             state.deposit_cache_image()
         if event.workload_finished and event.did_real_work:
-            state._consumed_gb += params.leak_per_workload_gb
-            state.failure_inputs_changed = True
+            state._consume(params.leak_per_workload_gb)
             state.ageing_units += 1.0
             state._recompute_ageing()
     elif isinstance(event, IntervalElapsed):
         if state._in_warmup_window():
             if state._warmup_alloc_pending:
-                state._consumed_gb += params.warmup_alloc_gb
+                state._consume(params.warmup_alloc_gb)
                 state._warmup_alloc_pending = False
-                state.failure_inputs_changed = True
             amp = params.warmup_noise_gb
             state._noise_gb = float(state._noise_rng.uniform(-amp, amp)) if amp else 0.0
         else:
             state._noise_gb = 0.0
+        state._log("noise", state._noise_gb)
     else:
         raise TypeError(f"unsupported event: {event!r}")
 
@@ -521,6 +623,7 @@ def cache_cleanup(state: CloudState) -> float:
     while cache and state.clock - cache[0][0] > max_age:
         _, size, node = cache.popleft()
         state._cache_total[node] -= size
+        state._log(("disk", node), state._cache_total[node])
         freed += size
     state._recount_disk_full()
     state.failure_inputs_changed = True
@@ -583,9 +686,12 @@ def rejuvenate(state: CloudState) -> None:
     state._cache.clear()
     for node in state._cache_total:
         state._cache_total[node] = 0.0
+        state._log(("disk", node), 0.0)
     state._recount_capacity()
     state._recount_disk_full()
     state._noise_gb = 0.0
+    state._log("memory", state._raw_available_gb())
+    state._log("noise", 0.0)
     state.failed = False
     state.failure_inputs_changed = True
     state.clock += params.rejuvenation_seconds

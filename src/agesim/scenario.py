@@ -332,14 +332,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     defn = config.workload or WorkloadDefinition(DEFAULT_STEPS)
     faults = FaultModel(config.faults, seed=config.seed)
 
-    # workload starts and durations; tick times and each gauge's readings
+    # workload starts and durations
     starts, durations = array("d"), array("d")
-    tick_times = array("d")
-    memory_available, swap_used = array("d"), array("d")
-    gauge_readings = {"memory-available": memory_available, "swap-used": swap_used}
-    disk_readings = {}
-    for node in topology.compute_nodes:
-        disk_readings[node] = gauge_readings[f"disk-used-{node}"] = array("d")
+    # the gauge readings of each phase: stress, rejuvenation and post
+    readings: list[dict[str, np.ndarray]] = []
     # workload counts per status, keyed by member until the report is built
     hourly: dict[int, dict[WorkloadStatus, int]] = {}
     totals = dict.fromkeys(WorkloadStatus, 0)
@@ -348,16 +344,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     error_times, error_codes = array("d"), array("q")
     error_kinds: list[tuple[str, str, bool, bool]] = []
     kind_codes: tuple[dict, dict] = ({}, {})
-
-    control_memory_gb = cloud.control_memory_gb
-
-    def tick_hook(t: float) -> None:
-        tick_times.append(t)
-        memory, swap = control_memory_gb()
-        memory_available.append(memory)
-        swap_used.append(swap)
-        for node, readings in disk_readings.items():
-            readings.append(cloud.disk_used_gb(node))
 
     def hour_hook(t: float):
         cache_cleanup(cloud)
@@ -395,7 +381,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         faults=faults,
         timing=config.timing,
         tick_seconds=config.sample_interval_seconds,
-        tick_hook=tick_hook,
         hour_hook=hour_hook,
         error_hook=error_hook,
         result_hook=result_hook,
@@ -405,12 +390,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     stress_end = config.stress_hours * SECONDS_PER_HOUR
     excluded: list[tuple[float, float]] = []
     if config.stress_hours > 0:
-        run_stream(
-            defn,
-            cloud,
-            until=stress_end,
-            concurrency=config.concurrency,
-            **hooks,
+        readings.append(
+            run_stream(defn, cloud, until=stress_end, concurrency=config.concurrency, **hooks)
         )
     if cloud.failed and cloud.clock < stress_end:
         if config.policy is EarlyFailurePolicy.WAIT:
@@ -427,17 +408,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     sample_ts = max(
         rejuvenation_started, rejuvenation_ended - config.sample_interval_seconds
     )
-    tick_hook(sample_ts)
+    readings.append(cloud._readings(np.array([sample_ts])))
 
     # Post-rejuvenation phase.
     post_end = rejuvenation_ended + config.post_rejuvenation_hours * SECONDS_PER_HOUR
     if config.post_rejuvenation_hours > 0:
-        run_stream(
-            defn,
-            cloud,
-            until=post_end,
-            concurrency=config.concurrency,
-            **hooks,
+        readings.append(
+            run_stream(defn, cloud, until=post_end, concurrency=config.concurrency, **hooks)
         )
 
     series: dict[str, IndicatorSeries] = {}
@@ -445,11 +422,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         series["workload-duration"] = IndicatorSeries(
             "workload-duration", "seconds", *nudge_ties(starts, durations)
         )
-    if tick_times:
-        for name, readings in gauge_readings.items():
-            series[name] = IndicatorSeries(
-                name, "GB", *nudge_ties(tick_times, readings)
-            )
+    # Join the phases one gauge at a time, dropping each part once joined,
+    # so that no more than one gauge is held twice.
+    tick_times = np.concatenate([part.pop("time") for part in readings])
+    for name in list(readings[0]):
+        values = np.concatenate([part.pop(name) for part in readings])
+        series[name] = IndicatorSeries(name, "GB", *nudge_ties(tick_times, values))
 
     boundaries = (rejuvenation_started, rejuvenation_ended)
     analyses = {

@@ -41,6 +41,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 from .cloud import (
     SECONDS_PER_HOUR,
     AgeingRule,
@@ -616,6 +618,19 @@ class _Execution:
         )
 
 
+def _first_tick(t0: float, interval: float, t: float) -> int:
+    """The least k >= 0 with ``t0 + k * interval >= t``, in the float
+    arithmetic that places the engine's ticks."""
+    if t <= t0:
+        return 0
+    k = math.ceil((t - t0) / interval)
+    while k > 0 and t0 + (k - 1) * interval >= t:
+        k -= 1
+    while t0 + k * interval < t:
+        k += 1
+    return k
+
+
 def run_stream(
     defn: WorkloadDefinition,
     cloud: CloudState,
@@ -625,28 +640,48 @@ def run_stream(
     faults: FaultModel | None = None,
     timing: TimingParams | None = None,
     tick_seconds: float | None = None,
-    tick_hook: Callable[[float], None] | None = None,
     hour_hook: Callable[[float], object] | None = None,
     error_hook: Callable[[float, str, str, bool], None] | None = None,
     result_hook: Callable[[WorkloadResult], None] | None = None,
-) -> None:
-    """Run back-to-back workloads on ``concurrency`` slots until a deadline.
+) -> dict[str, np.ndarray]:
+    """Run back-to-back workloads on ``concurrency`` slots until a deadline,
+    and return the gauges sampled every ``tick_seconds``.
 
     Events are processed in virtual-time order; at equal times workload
-    events run before interval ticks, and ticks before hour marks, so
-    samples and hooks observe completed state.  With ``tick_seconds``
-    set, each elapsed sampling interval is folded into the gauges and
-    then ``tick_hook(t)`` runs, reading whatever it records from
-    ``cloud``'s gauge accessors.  ``hour_hook`` runs at whole-hour
-    marks and may return ``STOP_STREAM`` to end the run early (policy
-    decisions live in the caller).  Each finished workload reaches the
-    caller only through ``result_hook``; workloads still in flight at
-    the deadline are discarded unrecorded.  Once the cloud has failed, a
+    events run before interval ticks, and ticks before hour marks.  With
+    ``tick_seconds`` set, tick k falls at ``t0 + k * tick_seconds`` for
+    every k that puts it before ``until``, or at or before the hour mark
+    that stopped the stream, and the result holds one reading per tick as
+    float64 arrays: ``time``, then ``memory-available``, ``swap-used``
+    and ``disk-used-{node}`` for each compute node (``CloudState``'s
+    ``_readings``).  A tick reads the gauges as every workload event at
+    or before it left them, and nothing an hour hook did at the same
+    instant.  Without ``tick_seconds`` the result is empty.  ``hour_hook``
+    runs at whole-hour marks and may return ``STOP_STREAM`` to end the
+    run early (policy decisions live in the caller); only the hour hook
+    may rejuvenate the cloud.  Each finished workload reaches the caller
+    only through ``result_hook``; workloads still in flight at the
+    deadline are discarded unrecorded.  Once the cloud has failed, a
     workload due to run another step is cut short there with
     ``CLOUD_UNAVAILABLE``, and every slot parks until the deadline.
     ``until`` must be finite and not before ``cloud.clock``, and
     ``tick_seconds``, when given, positive and finite; anything else is
     a ``ConfigError``.
+
+    A tick is not an event unless it acts on the cloud.  While the stream
+    samples, the cloud logs every change to its gauges in a journal (see
+    ``CloudState``), opened for this call and closed when it returns or
+    raises, and the readings of every tick are gathered from it with
+    numpy after the loop.  A tick runs as an event, folding the elapsed
+    interval into the gauges through ``apply_resource_effects``, only
+    when it is the first tick or ``CloudState._ticks_acting`` says it
+    would change the cloud: each tick in the warm-up window, which lands
+    a pending allocation and draws the noise, and the first tick after
+    it, which clears the noise.  Each such tick queues the next one.  An
+    hour hook may open a window by rejuvenating, so the queued tick is
+    planned again after it; and the changes it logs are restamped just
+    past its hour mark (``CloudState._call_after_readings``), so that a
+    tick at the mark does not see them.
 
     After a step the failure predicate is evaluated, through
     ``check_failed``, only while ``cloud.failure_inputs_changed`` is set:
@@ -660,7 +695,7 @@ def run_stream(
     also checks the fault table's step names) shared by every workload of
     the call, so a step costs a read of its precomputed record rather
     than lookups by name.  Each workload's state is an ``_Execution``
-    record, but a step runs inline in this loop, through one body for
+    record, but a step runs inline in the event loop, through one body for
     forward and unwind steps: unwinding picks the step from the undo
     stack rather than the plan, pushes no undo entry and strands nothing
     on a faulted operate.  A step makes no Python call beyond the ledger
@@ -672,10 +707,10 @@ def run_stream(
     capacity and the two ledger methods are bound once per call.
     Concurrency is capped at ``MAX_CONCURRENCY``, checked before any
     launch is scheduled.  Clock events are scheduled lazily: the k-th
-    tick fires at ``t0 + k * tick_seconds`` and the k-th hour mark at
-    ``t0 + k * SECONDS_PER_HOUR``, and each schedules its successor as
-    it fires, so the event heap holds at most ``concurrency + 2``
-    entries.  Slot k launches at ``t0 + k * LAUNCH_STAGGER_SECONDS``.
+    hour mark falls at ``t0 + k * SECONDS_PER_HOUR``, and each tick or
+    hour mark queues its successor as it fires, so the event heap holds
+    at most ``concurrency + 2`` entries.  Slot k launches at
+    ``t0 + k * LAUNCH_STAGGER_SECONDS``.
 
     Each event costs one heap operation.  The first event is popped
     before the loop; an event that schedules a successor (a step, a
@@ -700,6 +735,34 @@ def run_stream(
         raise ConfigError("stream deadline precedes the cloud clock")
 
     plan = _plan(defn, cloud, timing, faults)
+    journal = cloud._journal = None if tick_seconds is None else cloud._new_journal()
+    try:
+        stopped_at = _run_events(
+            plan, cloud, until, concurrency, faults, tick_seconds, hour_hook, error_hook, result_hook
+        )
+    finally:
+        cloud._journal = None
+    if journal is None:
+        return {}
+    end = until if stopped_at is None else math.nextafter(stopped_at, math.inf)
+    ticks = np.arange(_first_tick(t0, tick_seconds, end))
+    return cloud._readings(t0 + ticks * tick_seconds, journal)
+
+
+def _run_events(
+    plan: tuple[_PlanStep, ...],
+    cloud: CloudState,
+    until: float,
+    concurrency: int,
+    faults: FaultModel | None,
+    tick_seconds: float | None,
+    hour_hook: Callable[[float], object] | None,
+    error_hook: Callable[[float, str, str, bool], None] | None,
+    result_hook: Callable[[WorkloadResult], None] | None,
+) -> float | None:
+    """The event loop of ``run_stream``; returns the hour mark at which the
+    hour hook stopped the stream, or None if it ran to its deadline."""
+    t0 = cloud.clock
     tick = IntervalElapsed(tick_seconds) if tick_seconds is not None else None
     heap: list[tuple[float, int, int, str, object]] = []
     # Bound per call rather than at import, so a patched heapq is seen.
@@ -719,19 +782,29 @@ def run_stream(
 
     gate_count = 0
 
-    def push_clock(k: int, interval: float, prio: int, kind: str) -> None:
-        # A clock event carries its index k, so its successor is k + 1.
-        if (t := t0 + k * interval) < until:
-            heappush(heap, (t, prio, seq(), kind, k))
+    def tick_at(k: int | None) -> tuple | None:
+        # The event of tick k, which carries its index k.
+        return None if k is None else (t0 + k * tick_seconds, PRIO_TICK, seq(), "tick", k)
+
+    def next_acting_tick(j: int) -> int | None:
+        # The first tick from the j-th on that acts on the cloud, if it
+        # falls before the deadline.
+        span = cloud._ticks_acting()
+        if span is None:
+            return None
+        k = max(j, _first_tick(t0, tick_seconds, span[0]))
+        t = t0 + k * tick_seconds
+        return k if t < span[1] and t < until else None
 
     for slot in range(concurrency):
         t_launch = t0 + slot * LAUNCH_STAGGER_SECONDS
         if t_launch < until:
             heappush(heap, (t_launch, PRIO_WORK, seq(), "launch", slot))
-    if tick_seconds is not None:
-        push_clock(0, tick_seconds, PRIO_TICK, "tick")
-    if hour_hook is not None:
-        push_clock(1, SECONDS_PER_HOUR, PRIO_HOUR, "hour")
+    tick_event = tick_at(0) if tick_seconds is not None and t0 < until else None
+    if tick_event is not None:
+        heappush(heap, tick_event)
+    if hour_hook is not None and (t := t0 + SECONDS_PER_HOUR) < until:
+        heappush(heap, (t, PRIO_HOUR, seq(), "hour", 1))
 
     event = heappop(heap) if heap else None
     while event is not None:
@@ -827,20 +900,32 @@ def run_stream(
                 error_hook(t, *error)
         elif kind == "finish":
             execution = payload
-        else:
-            # A clock event: fold in the elapsed interval or run the hour
-            # hook, then schedule the event's successor, k + 1.
-            if kind == "tick":
-                apply_resource_effects(cloud, tick)
-                if tick_hook is not None:
-                    tick_hook(t)
-                interval = tick_seconds
-            elif hour_hook(t) is STOP_STREAM:
-                return
+        elif kind == "tick":
+            # Fold in the elapsed interval, then queue the next tick that
+            # acts on the cloud.
+            apply_resource_effects(cloud, tick)
+            tick_event = tick_at(next_acting_tick(payload + 1))
+            if tick_event is not None:
+                event = heappushpop(heap, tick_event)
             else:
-                interval = SECONDS_PER_HOUR
+                event = heappop(heap) if heap else None
+            continue
+        else:
+            # An hour mark: run the hook after the readings at the mark,
+            # plan the queued tick again, and queue mark k + 1.
+            if cloud._call_after_readings(hour_hook, t) is STOP_STREAM:
+                return t
+            if tick is not None:
+                k = next_acting_tick(_first_tick(t0, tick_seconds, math.nextafter(t, math.inf)))
+                if k != (None if tick_event is None else tick_event[4]):
+                    if tick_event is not None:
+                        heap.remove(tick_event)
+                        heapq.heapify(heap)
+                    tick_event = tick_at(k)
+                    if tick_event is not None:
+                        heappush(heap, tick_event)
             k = payload + 1
-            if (t_next := t0 + k * interval) < until:
+            if (t_next := t0 + k * SECONDS_PER_HOUR) < until:
                 event = heappushpop(heap, (t_next, prio, seq(), kind, k))
             else:
                 event = heappop(heap) if heap else None
@@ -854,3 +939,4 @@ def run_stream(
             result_hook(result)
         event = heappushpop(heap, (t, PRIO_WORK, seq(), "launch", execution.slot))
     cloud.clock = until
+    return None

@@ -931,6 +931,33 @@ class TestFreshProcess:
         assert re.search(r"^(agesim \w+: )?error: ", done.stderr, re.MULTILINE)
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--seed", "9" * 5000),
+            ("--seed", "-" + "9" * 5000),
+            ("--phases", "stress:" + "9" * 5000),
+            ("--seed", "x" * 5000),
+        ],
+        ids=["seed", "negative-seed", "phases", "not-an-integer"],
+    )
+    def test_an_overlong_value_is_named_and_cut_short(self, tmp_path, flag, value):
+        """A value past the interpreter's digit limit is called too long,
+        not "not an integer", and no error line echoes all of a value."""
+        path = write_json(tmp_path / "cfg.json", {"scenario_id": "x"})
+        done = run_in_fresh_process(["run", path, flag, value], tmp_path)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        (line,) = [line for line in done.stderr.splitlines() if "error: " in line]
+        assert len(line) < 200
+        if value[-1] == "9":
+            assert "5,000 digits" in line
+        else:
+            assert "is not an integer" in line
+
 
 class TestParser:
     def test_unknown_command_exits_2(self):

@@ -9,7 +9,11 @@ gauge samples and the final ledger, so any change to an outcome, an
 event, a random draw or the order of any of them changes it.  The digests were computed with numpy 2.4.6 (the fault,
 noise and warm-up streams come from numpy generators).  The same
 configurations also run on a cloud that makes the engine evaluate the
-failure predicate after every step, which must change nothing.
+failure predicate after every step, which must change nothing.  The
+sampling digests pin the gauge readings ``run_stream`` returns over the
+edge cases of the tick grid: ticks on the instants of steps, cleanups
+and hour marks, stops, late or missing warm-up windows and hooks that
+rejuvenate.
 """
 
 from __future__ import annotations
@@ -26,8 +30,11 @@ from agesim.cloud import (
     CloudState,
     EntityKind,
     FaultModel,
+    IntervalElapsed,
     ResourceParams,
     Topology,
+    apply_resource_effects,
+    cache_cleanup,
     check_failed,
     rejuvenate,
 )
@@ -35,6 +42,7 @@ from agesim.errors import ConfigError
 from agesim.workload import (
     DEFAULT_STEP_NAMES,
     DEFAULT_STEPS,
+    STOP_STREAM,
     StepAction,
     StepSpec,
     TimingParams,
@@ -181,6 +189,32 @@ def _gauges(cloud: CloudState) -> list:
     )
 
 
+def _tick_gauges(cloud: CloudState, readings: dict) -> list:
+    """Each tick's time and gauges, as ``_gauges`` reads them, from the
+    readings ``run_stream`` returned: the nodes other than the control
+    node read idle memory and swap, and a node that is not a compute node
+    never holds a cache image."""
+    columns = {name: values.tolist() for name, values in readings.items()}
+    params = cloud.params
+    samples = []
+    for i, t in enumerate(columns["time"]):
+        gauges = []
+        for node in sorted(cloud.topology.nodes):
+            control = node == cloud.topology.control_node
+            disk = columns.get(f"disk-used-{node}")
+            node_readings = {
+                "memory_available": (
+                    columns["memory-available"][i] if control else params.initial_memory_gb
+                ),
+                "swap_used": columns["swap-used"][i] if control else 0.0,
+                "disk_used": 0.0 if disk is None else disk[i],
+                "disk_capacity": params.disk_capacity_gb,
+            }
+            gauges.append((node, node_readings))
+        samples.append((t, gauges))
+    return samples
+
+
 def _stream_parts(name: str, cloud_type: type = CloudState) -> list:
     """Everything one golden ``run_stream`` call produced, on a cloud of
     ``cloud_type``."""
@@ -191,9 +225,8 @@ def _stream_parts(name: str, cloud_type: type = CloudState) -> list:
     faults = FaultModel(table, seed=seed)
     timing = TimingParams(step_seconds={"boot server": 9.0, "create volume": 4.5})
     events: list = []
-    samples: list = []
     results: list = []
-    run_stream(
+    readings = run_stream(
         DEFN,
         cloud,
         until=hours * 3600.0,
@@ -201,10 +234,10 @@ def _stream_parts(name: str, cloud_type: type = CloudState) -> list:
         faults=faults,
         timing=timing,
         tick_seconds=60.0,
-        tick_hook=lambda t: samples.append((t, _gauges(cloud))),
         error_hook=lambda *event: events.append(event),
         result_hook=results.append,
     )
+    samples = _tick_gauges(cloud, readings)
     # The position of the fault stream shows how many draws were made.
     next_uniform = faults._rng.random()
     return [[_result_tuple(r) for r in results], events, samples, _ledger(cloud), next_uniform]
@@ -248,6 +281,296 @@ class TestGolden:
 
     def test_sequential_digest(self):
         assert _golden_sequential() == GOLDEN_SEQUENTIAL
+
+
+# ── Sampling edge cases ──────────────────────────────────────────────────
+
+
+def _sampled_stream(cloud: CloudState, samples: list, **options) -> None:
+    """Run one stream on ``cloud`` and append each tick's time, control
+    memory, swap and compute-node disks to ``samples`` as a float tuple."""
+    readings = run_stream(DEFN, cloud, **options)
+    names = ["time", "memory-available", "swap-used"]
+    names += [f"disk-used-{node}" for node in cloud.topology.compute_nodes]
+    samples.extend(zip(*(readings[name].tolist() for name in names)))
+
+
+def _cleanup_on_ticks(stream):
+    """Hourly cache cleanups on tick instants drop images half an hour old."""
+    cloud = CloudState(params=ResourceParams(cache_max_age_seconds=1800.0), seed=21)
+    faults = FaultModel(_scaled(ALL_ERRORS, 0.5), seed=21)
+    stream(
+        cloud,
+        faults,
+        until=3 * 3600.0,
+        concurrency=4,
+        tick_seconds=60.0,
+        hour_hook=lambda t: cache_cleanup(cloud),
+    )
+    return cloud, faults
+
+
+def _whole_second_steps(stream):
+    """One slot whose whole-second steps land on 5 s ticks until its disk
+    fills; with no ageing every step stays a whole number of seconds."""
+    cloud = CloudState(
+        topology=Topology.named("all-in-one"),
+        params=ResourceParams(ageing_rate=0.0, disk_capacity_gb=0.6),
+        seed=22,
+    )
+    faults = FaultModel(ALL_ERRORS, seed=22)
+    timing = TimingParams(default_seconds=5.0, step_seconds={"boot server": 10.0})
+    stream(cloud, faults, until=2 * 3600.0, timing=timing, tick_seconds=5.0)
+    return cloud, faults
+
+
+def _stop_at_hour_mark(stream):
+    """A stream stopped at its second hour mark, far short of its deadline."""
+    cloud = CloudState(seed=23)
+    faults = FaultModel(_scaled(ALL_ERRORS, 0.5), seed=23)
+    marks: list = []
+
+    def hour_hook(t):
+        marks.append(t)
+        cache_cleanup(cloud)
+        return STOP_STREAM if len(marks) == 2 else None
+
+    stream(
+        cloud, faults, until=1e9 * 3600.0, concurrency=2, tick_seconds=30.0, hour_hook=hour_hook
+    )
+    return cloud, faults
+
+
+def _offset_start(stream):
+    """7.3 s ticks from a start inside the first warm-up window."""
+    cloud = CloudState(topology=Topology.named("all-in-one"), seed=24)
+    cloud.clock = 1234.5
+    faults = FaultModel(_scaled(ALL_ERRORS, 0.5), seed=24)
+    stream(
+        cloud,
+        faults,
+        until=1234.5 + 3 * 3600.0 + 100.0,
+        concurrency=2,
+        tick_seconds=7.3,
+        hour_hook=lambda t: cache_cleanup(cloud),
+    )
+    return cloud, faults
+
+
+def _streams_in_sequence(stream):
+    """Three streams on one cloud without rejuvenation: the first ends
+    inside the warm-up window, the second crosses its end, and the third
+    starts past it."""
+    cloud = CloudState(seed=25)
+    faults = FaultModel(_scaled(ALL_ERRORS, 0.5), seed=25)
+    for until in (1800.0, 5400.0, 9000.0):
+        stream(cloud, faults, until=until, concurrency=3, tick_seconds=30.0)
+    return cloud, faults
+
+
+def _no_warmup_after_rejuvenation(stream):
+    """A rejuvenation between two streams opens no warm-up window."""
+    params = ResourceParams(warmup_after_rejuvenation=False, rejuvenation_seconds=1800.0)
+    cloud = CloudState(params=params, seed=26)
+    faults = FaultModel(_scaled(ALL_ERRORS, 0.5), seed=26)
+    stream(cloud, faults, until=5400.0, concurrency=2, tick_seconds=30.0)
+    rejuvenate(cloud)
+    stream(cloud, faults, until=cloud.clock + 5400.0, concurrency=2, tick_seconds=30.0)
+    return cloud, faults
+
+
+def _window_after_start(stream):
+    """A warm-up window that opens 2,599.75 s after the stream starts."""
+    cloud = CloudState(topology=Topology.named("all-in-one"), seed=27)
+    rejuvenate(cloud)  # the window now opens at 3600 s
+    cloud.clock = 1000.25
+    faults = FaultModel(_scaled(ALL_ERRORS, 0.5), seed=27)
+    stream(cloud, faults, until=3 * 3600.0, concurrency=2, tick_seconds=30.0)
+    return cloud, faults
+
+
+def _failed_without_hook(stream):
+    """A cloud that fails in its first hour with no hour hook: every slot
+    parks, and the ticks go on to the deadline."""
+    cloud = CloudState(quotas=SMALL_QUOTAS, seed=28)
+    faults = FaultModel(_scaled(ALL_ERRORS, 2.0), seed=28)
+    stream(cloud, faults, until=3 * 3600.0, concurrency=4, tick_seconds=60.0)
+    return cloud, faults
+
+
+def _rejuvenating_hook(stream):
+    """An hour hook that rejuvenates the failed cloud once, opening a
+    warm-up window 610.5 s after its hour mark."""
+    params = ResourceParams(
+        leftover_retention_gb=0.2,
+        leak_per_workload_gb=0.02,
+        swap_capacity_gb=0.5,
+        rejuvenation_seconds=610.5,
+    )
+    cloud = CloudState(
+        params=params, quotas={EntityKind.SERVER: 40, EntityKind.VOLUME: 40}, seed=29
+    )
+    faults = FaultModel(ALL_ERRORS, seed=29)
+
+    def hour_hook(t):
+        cache_cleanup(cloud)
+        if check_failed(cloud) and cloud.rejuvenation_count == 0:
+            rejuvenate(cloud)
+
+    stream(
+        cloud, faults, until=5 * 3600.0, concurrency=2, tick_seconds=60.0, hour_hook=hour_hook
+    )
+    return cloud, faults
+
+
+def _rejuvenation_with_a_tick_queued(warmup_after_rejuvenation: bool):
+    """An hour hook that rejuvenates the failed cloud while the tick that
+    clears the warm-up noise is still queued: with 7 s ticks the last one
+    in the first window falls at 3598 s and that tick at 3605 s, past the
+    3600 s mark.  The rejuvenation clears the noise itself, and opens a
+    window at 4210.5 s or none at all."""
+
+    def case(stream):
+        params = ResourceParams(
+            rejuvenation_seconds=610.5, warmup_after_rejuvenation=warmup_after_rejuvenation
+        )
+        cloud = CloudState(params=params, quotas=SMALL_QUOTAS, seed=30)
+        faults = FaultModel(_scaled(ALL_ERRORS, 2.0), seed=30)
+
+        def hour_hook(t):
+            if check_failed(cloud) and cloud.rejuvenation_count == 0:
+                rejuvenate(cloud)
+
+        stream(
+            cloud, faults, until=3 * 3600.0, concurrency=4, tick_seconds=7.0, hour_hook=hour_hook
+        )
+        return cloud, faults
+
+    return case
+
+
+SAMPLING_CASES = {
+    "cleanup-on-ticks": _cleanup_on_ticks,
+    "whole-second-steps": _whole_second_steps,
+    "stop-at-hour-mark": _stop_at_hour_mark,
+    "offset-start": _offset_start,
+    "streams-in-sequence": _streams_in_sequence,
+    "no-warmup-after-rejuvenation": _no_warmup_after_rejuvenation,
+    "window-after-start": _window_after_start,
+    "failed-without-hook": _failed_without_hook,
+    "rejuvenating-hook": _rejuvenating_hook,
+    "rejuvenation-with-a-tick-queued": _rejuvenation_with_a_tick_queued(True),
+    "rejuvenation-without-warmup-with-a-tick-queued": _rejuvenation_with_a_tick_queued(False),
+}
+
+
+def _sampling_parts(name: str) -> list:
+    """Everything a sampling case produced: results, error events, every
+    tick's readings, the final ledger, and the next uniform of the fault
+    and noise streams, which show how many draws each made."""
+    samples: list = []
+    events: list = []
+    results: list = []
+
+    def stream(cloud, faults, **options):
+        _sampled_stream(
+            cloud,
+            samples,
+            faults=faults,
+            error_hook=lambda *event: events.append(event),
+            result_hook=results.append,
+            **options,
+        )
+
+    cloud, faults = SAMPLING_CASES[name](stream)
+    return [
+        [_result_tuple(r) for r in results],
+        events,
+        samples,
+        _ledger(cloud),
+        faults._rng.random(),
+        cloud._noise_rng.random(),
+    ]
+
+
+#: Pinned on the engine that ran every tick as an event and read the
+#: gauges from a per-tick hook (numpy 2.4.6).
+SAMPLING_DIGESTS = {
+    "cleanup-on-ticks": "31b47e02155192a650029a946a7f52ccc4ea76ad65b078172f85685c73942ddd",
+    "failed-without-hook": "b407cf22a989791517a6be8969cdf1a8958dda34269ec313b8257273c6b53618",
+    "no-warmup-after-rejuvenation": "c191ba4c611d19f42ab8d560bfb9fbcf6583c9008f826f97daa630b26c86afaf",
+    "offset-start": "e2a8615f5c692422b6548564b69703bf0096e429847f926865efba9a8323c111",
+    "rejuvenating-hook": "d2ea159f1be2cc93558334b9ce37dcb9873478f328a38a2c6a3320813ec9167e",
+    "rejuvenation-with-a-tick-queued": (
+        "87331a640134c86845cc46f395404ad3cd5805d3e563dc62d45e8e7991a3e462"
+    ),
+    "rejuvenation-without-warmup-with-a-tick-queued": (
+        "c437d40b9f4c1861dfab5b879195062c72f7dc8189c45aedbc92737c29685969"
+    ),
+    "stop-at-hour-mark": "e044d70792a7666c7f8878b6d786907014b5e959d64a61b1de23bb36bb01732f",
+    "streams-in-sequence": "c0acdbdc1eb6bbf3aaa1e04b6a7d49ca34df616a808edebd60f6eccec5a3425f",
+    "whole-second-steps": "a9c335c075e17cdca704a7f117a9213df4af0161553928ee3dc0f9d21e2d1246",
+    "window-after-start": "921553c9626259cfcb06f2c5ff0febbb6bc984b1e48c110cebeb35aee2ca1fa6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLING_CASES))
+def test_sampling_digest(name):
+    assert _digest(_sampling_parts(name)) == SAMPLING_DIGESTS[name]
+
+
+def test_only_ticks_that_act_on_the_cloud_are_events(monkeypatch):
+    """In the rejuvenating-hook case the ticks that run as events are the
+    first, those of each warm-up window and the first after each: 0 s to
+    3600 s, then, after the rejuvenation at the 3600 s mark opened a
+    window at 4210.5 s, 4260 s to 7860 s.  A repeat runs the same ticks."""
+    ticks = []
+
+    def counted(state, event):
+        if isinstance(event, IntervalElapsed):
+            ticks.append(state.clock)
+        apply_resource_effects(state, event)
+
+    monkeypatch.setattr(workload, "apply_resource_effects", counted)
+    first = _sampling_parts("rejuvenating-hook")
+    expected = [60.0 * k for k in range(61)] + [60.0 * k for k in range(71, 132)]
+    assert ticks == expected
+    ticks.clear()
+    assert _sampling_parts("rejuvenating-hook") == first
+    assert ticks == expected
+    assert len(first[2]) == 300
+
+
+def test_readings_end_at_the_mark_that_stopped_the_stream():
+    """A stream stopped at its first hour mark samples that mark's tick and
+    no later one, however far off its deadline."""
+    cloud = CloudState(seed=3)
+    readings = run_stream(
+        DEFN,
+        cloud,
+        until=1e9 * 3600.0,
+        tick_seconds=30.0,
+        hour_hook=lambda t: STOP_STREAM,
+    )
+    assert readings["time"].tolist() == [30.0 * k for k in range(121)]
+    assert {len(values) for values in readings.values()} == {121}
+    assert cloud._journal is None
+
+
+def test_journal_closes_when_a_hook_raises():
+    """The journal lives only as long as the ``run_stream`` call, which a
+    raising hook ends; the next call starts a journal of its own."""
+    cloud = CloudState(seed=4)
+
+    def result_hook(result):
+        raise RuntimeError("stop")
+
+    with pytest.raises(RuntimeError, match="stop"):
+        run_stream(DEFN, cloud, until=3600.0, tick_seconds=30.0, result_hook=result_hook)
+    assert cloud._journal is None
+    readings = run_stream(DEFN, cloud, until=cloud.clock + 60.0, tick_seconds=30.0)
+    assert len(readings["time"]) == 2
+    assert cloud._journal is None
 
 
 class PollingCloud(CloudState):
@@ -326,7 +649,6 @@ def test_fault_step_unknown_to_the_definition_raises_before_any_event():
             concurrency=4,
             faults=faults,
             tick_seconds=60.0,
-            tick_hook=calls.append,
             hour_hook=calls.append,
             error_hook=lambda *event: calls.append(event),
             result_hook=calls.append,
@@ -381,8 +703,9 @@ quota_tables = st.builds(
 
 
 def _run_checked(table, quotas, concurrency, topology, seed):
-    """Two stream phases around a rejuvenation, checking the ledger in
-    every hook; returns everything the run produced."""
+    """Two stream phases around a rejuvenation, checking the ledger at
+    every error and result and at the end of each phase; returns
+    everything the run produced."""
     cloud = CloudState(
         topology=Topology.named(topology), params=_quiet(), quotas=quotas, seed=seed
     )
@@ -426,7 +749,6 @@ def _run_checked(table, quotas, concurrency, topology, seed):
         concurrency=concurrency,
         faults=faults,
         tick_seconds=60.0,
-        tick_hook=lambda t: check_ledger(),
         error_hook=error_hook,
         result_hook=result_hook,
     )

@@ -603,15 +603,9 @@ class TestRunStream:
 
     def test_tick_hook_counts_intervals(self):
         cloud = quiet_cloud()
-        samples = []
-        run_stream(
-            DEFN,
-            cloud,
-            until=3600.0,
-            concurrency=1,
-            tick_seconds=30.0,
-            tick_hook=lambda t: samples.append(t),
-        )
+        readings = run_stream(DEFN, cloud, until=3600.0, concurrency=1, tick_seconds=30.0)
+        samples = readings["time"].tolist()
+        assert all(len(values) == 120 for values in readings.values())
         assert len(samples) == 120
         assert samples[0] == 0.0
         assert samples[-1] == 3570.0
@@ -659,16 +653,16 @@ class TestRunStream:
         t0 = 1234.5
         cloud.clock = t0
         until = t0 + 3 * 3600.0 + 100.0
-        ticks, marks = [], []
-        run_stream(
+        marks = []
+        readings = run_stream(
             DEFN,
             cloud,
             until=until,
             concurrency=2,
             tick_seconds=7.3,
-            tick_hook=lambda t: ticks.append(t),
             hour_hook=marks.append,
         )
+        ticks = readings["time"].tolist()
         assert ticks == list(
             itertools.takewhile(
                 lambda t: t < until, (t0 + k * 7.3 for k in itertools.count())
@@ -677,8 +671,10 @@ class TestRunStream:
         assert marks == [t0 + k * 3600.0 for k in (1, 2, 3)]
 
     def test_stop_at_hour_two_schedules_no_later_tick(self, monkeypatch):
-        """Each tick pushes only its successor, and a stopped stream
-        pushes none past the stop."""
+        """Only the ticks that act on the cloud are events, each pushing
+        the next one, and a stopped stream samples no tick past the stop.
+        On a cloud without warm-up noise those are the ticks of the
+        warm-up window."""
         pushed = []
         real_push = heapq.heappush
         real_pushpop = heapq.heappushpop
@@ -694,59 +690,58 @@ class TestRunStream:
         monkeypatch.setattr(heapq, "heappush", push)
         monkeypatch.setattr(heapq, "heappushpop", pushpop)
         cloud = quiet_cloud()
-        ticks, marks = [], []
+        marks = []
 
         def hour_hook(t):
             marks.append(t)
             return STOP_STREAM if len(marks) == 2 else None
 
-        run_stream(
+        readings = run_stream(
             DEFN,
             cloud,
             until=10 * 86400.0,
             concurrency=1,
             tick_seconds=30.0,
-            tick_hook=lambda t: ticks.append(t),
             hour_hook=hour_hook,
         )
         assert marks == [3600.0, 7200.0]
         assert cloud.clock == 7200.0
-        # Ticks at the stop mark itself still run: ticks precede hour marks.
-        assert ticks == [k * 30.0 for k in range(241)]
-        assert pushed.count("tick") == len(ticks) + 1
+        # The tick at the stop mark itself is sampled: ticks precede hour marks.
+        assert readings["time"].tolist() == [k * 30.0 for k in range(241)]
+        assert pushed.count("tick") == 3600.0 / 30.0
         assert pushed.count("hour") == 2
 
     def test_events_at_one_instant_run_work_then_tick_then_hour(self):
         """With every step as long as the sampling interval, steps, workload
         ends, ticks and hour marks share instants.  At each instant the
         workload event runs first (the tick then sees the cache image of a
-        boot executed at that instant), then the tick, then the hour mark."""
+        boot executed at that instant, and the leak of a workload ended at
+        it), then the tick, then the hour mark."""
         cloud = quiet_cloud()
         log = []
-
-        def tick_hook(t):
-            log.append((t, "tick", cloud.cache_image_count()))
 
         def hour_hook(t):
             log.append((t, "hour", cloud.cache_image_count()))
 
-        run_stream(
+        readings = run_stream(
             DEFN,
             cloud,
             until=7300.0,
             concurrency=1,
             timing=TimingParams(default_seconds=10.0, step_seconds={}),
             tick_seconds=10.0,
-            tick_hook=tick_hook,
             hour_hook=hour_hook,
             result_hook=lambda r: log.append((r.ended_at, "result", None)),
         )
         # A workload is 29 steps of 10 s; its boot, the 11th step, runs at
         # 100 s past its launch, and the next launch is at its end.
         workload_seconds = 29 * 10.0
-        rank = {"result": 0, "tick": 1, "hour": 2}
+        rank = {"result": 0, "hour": 2}
         assert log == sorted(log, key=lambda entry: (entry[0], rank[entry[1]]))
-        ticks = [(t, images) for t, kind, images in log if kind == "tick"]
+        columns = {name: values.tolist() for name, values in readings.items()}
+        disks = zip(columns["disk-used-compute-1"], columns["disk-used-compute-2"])
+        image_gb = cloud.params.cache_image_gb
+        ticks = [(t, round((a + b) / image_gb)) for t, (a, b) in zip(columns["time"], disks)]
         assert ticks[:12] == [(10.0 * k, int(k >= 10)) for k in range(12)]
         for t, images in ticks:
             assert images == sum(
@@ -755,13 +750,15 @@ class TestRunStream:
             )
         results = [t for t, kind, _ in log if kind == "result"]
         assert results == [workload_seconds * k for k in range(1, len(results) + 1)]
-        for t in results:
-            assert log.index((t, "result", None)) < [e[:2] for e in log].index((t, "tick"))
+        # Memory falls only by each finished workload's leak, and the tick
+        # at the instant a workload ends already reads it.
+        memory = columns["memory-available"]
+        drops = [t for t, a, b in zip(columns["time"][1:], memory, memory[1:]) if b < a]
+        assert drops == results
         hours = [(t, images) for t, kind, images in log if kind == "hour"]
         assert [t for t, _ in hours] == [3600.0, 7200.0]
         for t, images in hours:
-            position = log.index((t, "hour", images))
-            assert log[position - 1] == (t, "tick", images)
+            assert (t, images) in ticks
 
     def test_heap_holds_at_most_one_event_per_slot_and_clock(self, monkeypatch):
         """Each slot, the tick and the hour mark keep at most one event
@@ -788,7 +785,6 @@ class TestRunStream:
             concurrency=concurrency,
             faults=FaultModel({"boot server": {"server-error-status": 0.2}}, seed=1),
             tick_seconds=7.0,
-            tick_hook=lambda t: None,
             hour_hook=lambda t: None,
         )
         # Stranded servers fill their quota, so the slots end up parked.
@@ -843,14 +839,11 @@ class TestRunStream:
     def test_tick_interval_must_be_positive_and_finite(self, tick_seconds):
         """A negative interval would tick backwards forever, and zero,
         infinity or NaN schedule no sensible tick."""
-
-        def tick_hook(t):
-            raise AssertionError(f"tick at {t} ran")
-
         cloud = quiet_cloud()
         with pytest.raises(ConfigError, match="tick_seconds"):
-            run_stream(DEFN, cloud, until=3600.0, tick_seconds=tick_seconds, tick_hook=tick_hook)
+            run_stream(DEFN, cloud, until=3600.0, tick_seconds=tick_seconds)
         assert cloud.clock == 0.0
+        assert cloud._journal is None
 
     @pytest.mark.parametrize("until", [math.inf, -math.inf, math.nan])
     def test_deadline_must_be_finite(self, until):
