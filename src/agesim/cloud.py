@@ -538,9 +538,7 @@ class CloudState:
         the noise and lands a pending allocation."""
         if self._noise_gb:
             return (-math.inf, math.inf)
-        if self._warmup_start is None:
-            return None
-        return (self._warmup_start, self._warmup_start + SECONDS_PER_HOUR)
+        return self._warmup_window()
 
     def cache_disk_usage_gb(self) -> float:
         return sum(size for _, size, _ in self._cache)
@@ -553,11 +551,15 @@ class CloudState:
     def _recompute_ageing(self) -> None:
         self.ageing_multiplier = 1.0 + self.params.ageing_rate * self.ageing_units
 
+    def _warmup_window(self) -> tuple[float, float] | None:
+        """The clock span ``[start, end)`` of the warm-up window, if any."""
+        if self._warmup_start is None:
+            return None
+        return (self._warmup_start, self._warmup_start + SECONDS_PER_HOUR)
+
     def _in_warmup_window(self) -> bool:
-        return (
-            self._warmup_start is not None
-            and self._warmup_start <= self.clock < self._warmup_start + SECONDS_PER_HOUR
-        )
+        window = self._warmup_window()
+        return window is not None and window[0] <= self.clock < window[1]
 
     def deposit_cache_image(self) -> None:
         """One boot completed: place a cache image on the next compute node."""
