@@ -10,9 +10,12 @@ return), and the unprofiled time per step.  Then
 it does the same for ``write_bundle`` of that scenario's report, written
 to a temporary directory: the bundle is about 15 % of a ``matrix`` pass.
 It also prints an unprofiled split of the bundle (the series CSVs,
-``errors.csv``, and ``report.json`` plus ``tables.txt``), with the series
-rows and their distinct values, and the error rows and their kinds: the
-CSV writers format each distinct value, and each error kind, once.
+written as ``write_bundle`` writes them, ``errors.csv``, and
+``report.json`` plus ``tables.txt``), with the series rows beside their
+runs of equal values and their distinct values, and the error rows
+beside their kinds: the series writer formats each run of equal values
+once, and a timestamp column once for the series that share it; the
+error writer formats each error kind once.
 Use it to find where the time goes before changing it; cProfile adds a
 cost to every Python call, so confirm a candidate with the benchmark
 (``perfbench/run.py``) with profiling off.
@@ -40,9 +43,9 @@ from agesim import (
     report_document,
     run_scenario,
     write_bundle,
-    write_series_csv,
 )
 from agesim import scenario
+from agesim.ingest import _HEADER_ROW, _render_series
 from agesim.report import write_error_log
 
 
@@ -87,9 +90,14 @@ def engine_events(config) -> dict[str, int]:
 
 def bundle_split(report, out: Path) -> None:
     """Print the unprofiled time of each part ``write_bundle`` writes, the
-    series rows beside their distinct values (by bits, per series), and the
-    error rows beside their kinds."""
+    series rows beside their runs of equal values and their distinct values
+    (by bits, per series), and the error rows beside their kinds."""
     series = report.series
+
+    def series_csvs():
+        for name, rows in _render_series(series):
+            with open(out / f"{name}.csv", "w", encoding="utf-8") as csv_file:
+                csv_file.writelines((_HEADER_ROW, rows))
 
     def report_and_tables():
         document = json.dumps(report_document(report), indent=2) + "\n"
@@ -97,9 +105,7 @@ def bundle_split(report, out: Path) -> None:
         (out / "tables.txt").write_text(render_tables(report), encoding="utf-8")
 
     parts = {
-        "series CSVs": lambda: [
-            write_series_csv({name: series[name]}, out / f"{name}.csv") for name in series
-        ],
+        "series CSVs": series_csvs,
         "errors.csv": lambda: write_error_log(report, out / "errors.csv"),
         "report.json + tables.txt": report_and_tables,
     }
@@ -108,8 +114,10 @@ def bundle_split(report, out: Path) -> None:
         call()
         print(f"  {label}: {time.perf_counter() - started:.3f} s unprofiled")
     rows = sum(len(s) for s in series.values())
-    distinct = sum(len(np.unique(s.values.view(np.int64))) for s in series.values())
-    print(f"  series rows: {rows}, distinct values: {distinct}")
+    bits = [s.values.view(np.int64) for s in series.values()]
+    runs = sum(int(np.count_nonzero(b[1:] != b[:-1])) + (len(b) > 0) for b in bits)
+    distinct = sum(len(np.unique(b)) for b in bits)
+    print(f"  series rows: {rows}, value runs: {runs}, distinct values: {distinct}")
     print(f"  error rows: {len(report.error_log)}, kinds: {len(report.error_log.kinds)}")
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Mapping
 
@@ -114,7 +114,10 @@ class ResourceParams:
     The physical rates are simulation parameters, not measurements; they
     are chosen so that a day-long stress run shows the expected gauge
     shapes (memory decline, late swap growth, cache-driven disk fill)
-    and every one of them can be swept through configuration.
+    and every one of them can be swept through configuration.  No float
+    field may be negative: a negative leak, retention or warm-up
+    allocation would free memory under load, a negative noise amplitude
+    cannot be drawn, and a negative ageing rate would run the clock back.
     """
 
     initial_memory_gb: float = 1.5
@@ -137,22 +140,15 @@ class ResourceParams:
     def __post_init__(self):
         if self.initial_memory_gb <= 0:
             raise ConfigError("initial_memory_gb must be positive")
-        if not self.swap_threshold_gb >= 0:
-            raise ConfigError("swap_threshold_gb must not be negative")
-        if not self.swap_capacity_gb >= 0:
-            raise ConfigError("swap_capacity_gb must not be negative")
         if not 0.0 <= self.retention_fraction <= 1.0:
             raise ConfigError("retention_fraction must lie in [0, 1]")
         if self.contention_capacity <= 0:
             raise ConfigError("contention_capacity must be positive")
         if not self.disk_capacity_gb > 0:
             raise ConfigError("disk_capacity_gb must be positive")
-        if not self.cache_image_gb >= 0:
-            raise ConfigError("cache_image_gb must not be negative")
-        if not self.cache_max_age_seconds >= 0:
-            raise ConfigError("cache_max_age_seconds must not be negative")
-        if not self.rejuvenation_seconds >= 0:
-            raise ConfigError("rejuvenation_seconds must not be negative")
+        for spec in fields(self):
+            if spec.type == "float" and not getattr(self, spec.name) >= 0:
+                raise ConfigError(f"{spec.name} must not be negative")
 
 
 # ── Events consumed by apply_resource_effects ────────────────────────────

@@ -15,9 +15,9 @@ errors; see ``ingest``.
 
 ``serialize_series`` writes the same format back with full-precision
 values, so a serialize/ingest round trip reproduces a series exactly.
-It renders each series a column at a time: one float ``repr`` per
-distinct value and one ``repr`` of an int64 list for the whole-second
-timestamps, with the rows joined once.
+Its renderer, which ``report.write_bundle`` shares, makes one cell per
+run of equal values, and renders a timestamp column once for every
+following series with the same timestamps.
 
 Workload reports are JSON documents with a ``workloads`` list of
 records carrying ``start``, ``end`` and ``status``; they yield a
@@ -34,7 +34,7 @@ from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Mapping
+from typing import IO, Iterator, Mapping
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .trendstats import IndicatorSeries, nudge_ties
 from .workload import WorkloadStatus
 
 HEADER = ("timestamp", "metric", "value")
+_HEADER_ROW = ",".join(HEADER) + "\n"
 
 
 def _open_text(source: str | Path | IO[str]) -> tuple[IO[str], bool]:
@@ -350,16 +351,6 @@ def _reprs(numbers: np.ndarray) -> list[str]:
     return text.split(", ") if text else []
 
 
-def _value_cells(values: np.ndarray) -> list[str]:
-    """The ``repr`` of every value, computed once per distinct bit pattern.
-
-    Uniqueness by bits keeps ``-0.0`` apart from ``0.0``; NaNs of any
-    payload all print ``nan``.
-    """
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array(_reprs(bits.view(np.float64)), dtype=object)[inverse].tolist()
-
-
 def _stamp_cells(stamps: np.ndarray) -> list[str]:
     """Each timestamp as ``format_timestamp`` renders it.
 
@@ -381,24 +372,34 @@ def _stamp_cells(stamps: np.ndarray) -> list[str]:
     return cells.tolist()
 
 
-def serialize_series(series_by_name: Mapping[str, IndicatorSeries]) -> str:
-    """Render series as the ingestable CSV format, full precision.
+def _render_series(series_by_name: Mapping[str, IndicatorSeries]) -> Iterator[tuple[str, str]]:
+    """Each series' CSV rows, header left out, in sorted name order.
 
-    Each series is rendered as two bulk columns: its values with one float
-    ``repr`` per distinct reading, and its timestamps as ``format_timestamp``
-    renders them, whole seconds in one pass over an int64 list.  Rows are
-    assembled by slice assignment into one list and joined once; a metric's
-    cell, with its commas, is built once per series.  Timestamps and values
-    never need quoting.
+    A timestamp column is rendered once and reused while the timestamps
+    stay equal.  Each run of equal value bits (``-0.0`` apart from ``0.0``)
+    gets one ``,metric,value`` cell, repeated over the run.  A row is these
+    two pieces, and a series' rows are joined once.
     """
-    parts = [",".join(HEADER), "\n"]
-    for name in sorted(series_by_name):
-        series = series_by_name[name]
-        rows = [None, f",{csv_cell(name)},", None, "\n"] * len(series.values)
-        rows[0::4] = _stamp_cells(series.timestamps)
-        rows[2::4] = _value_cells(series.values)
-        parts.append("".join(rows))
-    return "".join(parts)
+    rendered = stamp_cells = None
+    for name, series in sorted(series_by_name.items()):
+        stamps, values = series.timestamps, series.values
+        if rendered is None or not np.array_equal(stamps, rendered):
+            rendered, stamp_cells = stamps, _stamp_cells(stamps)
+        bits = values.view(np.int64)
+        starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]][: len(bits)])
+        metric = csv_cell(name)
+        cells = np.array([f",{metric},{text}\n" for text in _reprs(values[starts])], dtype=object)
+        rows = [None, None] * len(values)
+        rows[0::2] = stamp_cells
+        rows[1::2] = np.repeat(cells, np.diff(starts, append=len(values))).tolist()
+        yield name, "".join(rows)
+
+
+def serialize_series(series_by_name: Mapping[str, IndicatorSeries]) -> str:
+    """Render series as the ingestable CSV format, full precision, a column
+    at a time (see ``_render_series``).  Timestamps and values never need
+    quoting; a metric name is quoted as ``csv.writer`` quotes it."""
+    return "".join([_HEADER_ROW, *(rows for _name, rows in _render_series(series_by_name))])
 
 
 def write_series_csv(

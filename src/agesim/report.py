@@ -26,7 +26,7 @@ import numpy as np
 
 from .scenario import ScenarioReport, SuiteResult
 from .trendstats import AgeingSummary, IndicatorAnalysis, TrendVerdict
-from .ingest import _stamp_cells, csv_cell, write_series_csv
+from .ingest import _HEADER_ROW, _render_series, _stamp_cells, csv_cell
 
 #: Compact verdict markers used in tables.
 VERDICT_MARKERS = {
@@ -278,7 +278,9 @@ def write_error_log(report: ScenarioReport, path: Path) -> None:
 def write_bundle(
     report: ScenarioReport, out_dir: str | Path, exclude_overload: bool = True
 ) -> Path:
-    """Write one scenario's report bundle; returns the bundle directory."""
+    """Write one scenario's report bundle; returns the bundle directory.
+    Series files are rendered as ``serialize_series`` renders them: one value
+    cell per run, one timestamp column for series with equal timestamps."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(report_document(report, exclude_overload), out / "report.json")
@@ -289,8 +291,9 @@ def write_bundle(
     if report.series:
         series_dir = out / "series"
         series_dir.mkdir(exist_ok=True)
-        for name in sorted(report.series):
-            write_series_csv({name: report.series[name]}, series_dir / f"{name}.csv")
+        for name, rows in _render_series(report.series):
+            with open(series_dir / f"{name}.csv", "w", encoding="utf-8") as csv_file:
+                csv_file.writelines((_HEADER_ROW, rows))  # header + rows would copy the text
     return out
 
 

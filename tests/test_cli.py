@@ -871,6 +871,16 @@ class TestUnusablePaths:
         assert capsys.readouterr().err == f"error: file not found: {missing}\n"
 
 
+#: One negative value for each resource parameter that had no lower bound.
+NEGATIVE_RESOURCES = (
+    ("ageing_rate", -0.01),
+    ("warmup_noise_gb", -0.3),
+    ("leak_per_workload_gb", -0.01),
+    ("leftover_retention_gb", -0.01),
+    ("warmup_alloc_gb", -0.25),
+)
+
+
 class TestFreshProcess:
     """Hostile input given to the command in an interpreter of its own
     ends in exit 2 and an ``error:`` line, never in a traceback or a hang."""
@@ -910,6 +920,13 @@ class TestFreshProcess:
             ),
             ({"stress_hours": 10**400}, []),
             ({"post_rejuvenation_hours": 10**400}, []),
+            # Negative resource parameters: the ageing multiplier passed 0 and
+            # ran the clock backwards, the noise could not be drawn, or the
+            # run exited 0 with memory that grew under load.
+            *(
+                ({"stress_hours": 2, "concurrency": 4, "resources": {field: value}}, [])
+                for field, value in NEGATIVE_RESOURCES
+            ),
         ],
         ids=[
             "config-seed",
@@ -919,6 +936,7 @@ class TestFreshProcess:
             "empty-steps",
             "stress-overflow",
             "post-overflow",
+            *(f"negative-{field}" for field, _value in NEGATIVE_RESOURCES),
         ],
     )
     @pytest.mark.parametrize("command", [["run"], ["suite", "--configs"]], ids=["run", "suite"])

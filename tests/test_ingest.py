@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from agesim.errors import DuplicateTimestampError, EmptyFileError, ParseError
 from agesim.ingest import (
+    _render_series,
     _reprs,
     _stamp_cells,
-    _value_cells,
     csv_cell,
     format_timestamp,
     ingest,
@@ -519,6 +519,20 @@ BULK_COLUMN_CASES = {
         [float(k) for k in range(10)],
     ),
     "empty": ([], []),
+    "one-run": ([30.0 * k for k in range(40)], [2.75] * 40),
+    "alternating-signed-zeros": ([float(k) for k in range(9)], [-0.0, 0.0] * 4 + [-0.0]),
+    "long-run-then-nan-payloads": (
+        [0.5 * k for k in range(506)],
+        [0.125] * 500
+        + [
+            nan_with_bits(0x7FF8000000000000),
+            nan_with_bits(0x7FF8000000000000),
+            nan_with_bits(0xFFF8000000000000),
+            nan_with_bits(0x7FF0000000000001),
+            nan_with_bits(0x7FF8000000000000),
+            0.125,
+        ],
+    ),
 }
 
 
@@ -553,7 +567,7 @@ def test_empty_columns_render_as_no_cells():
     assert _reprs(empty) == []
     assert _reprs(empty.astype(np.int64)) == []
     assert _stamp_cells(empty) == []
-    assert _value_cells(empty) == []
+    assert list(_render_series({"m": IndicatorSeries("m", "x", empty, empty)})) == [("m", "")]
 
 
 #: A scenario shaped like the benchmark's ageing-failure suite: faults,
@@ -571,10 +585,15 @@ AGEING_FAILURE_STYLE = {
 }
 
 
-def test_serialize_ingest_round_trip_of_an_ageing_failure_scenario():
+@pytest.fixture(scope="module")
+def ageing_failure_report():
     from agesim import ScenarioConfig, run_scenario
 
-    report = run_scenario(ScenarioConfig.from_document(AGEING_FAILURE_STYLE))
+    return run_scenario(ScenarioConfig.from_document(AGEING_FAILURE_STYLE))
+
+
+def test_serialize_ingest_round_trip_of_an_ageing_failure_scenario(ageing_failure_report):
+    report = ageing_failure_report
     assert report.failure_point is not None
     assert len(report.series) == 5
     for name, series in report.series.items():
@@ -584,6 +603,46 @@ def test_serialize_ingest_round_trip_of_an_ageing_failure_scenario():
         assert again == {name: series}
         assert again[name].timestamps.tobytes() == series.timestamps.tobytes()
         assert again[name].values.tobytes() == series.values.tobytes()
+
+
+def bundle_series_match_the_row_reference(report, out_dir) -> None:
+    from agesim import write_bundle
+
+    write_bundle(report, out_dir)
+    written = sorted(path.stem for path in (out_dir / "series").glob("*.csv"))
+    assert written == sorted(report.series)
+    for name, series in report.series.items():
+        text = (out_dir / "series" / f"{name}.csv").read_text(encoding="utf-8")
+        assert text == array_reference({name: series})
+
+
+def test_bundle_series_files_match_the_row_reference(ageing_failure_report, tmp_path):
+    """The gauges share their timestamps, and the rendered stamp column with
+    them; each file still holds its own series' rows, byte for byte."""
+    gauges = [s for s in ageing_failure_report.series.values() if s.name != "workload-duration"]
+    assert len(gauges) == 4
+    assert all(np.array_equal(s.timestamps, gauges[0].timestamps) for s in gauges)
+    bundle_series_match_the_row_reference(ageing_failure_report, tmp_path)
+
+
+def test_bundle_series_files_with_equal_length_but_different_stamps(
+    ageing_failure_report, tmp_path
+):
+    """A series whose stamps differ from the last ones rendered, in one stamp
+    or in all, gets its own stamp column; the next series with the first
+    stamps gets theirs back."""
+    import dataclasses
+
+    series = dict(ageing_failure_report.series)
+    stamps = series["disk-used-compute-1"].timestamps
+    last_moved = stamps.copy()
+    last_moved[-1] += 0.5
+    shifted = {"disk-used-compute-2": last_moved, "memory-available": stamps + 0.25}
+    for name, moved in shifted.items():
+        assert len(moved) == len(stamps) and not np.array_equal(moved, stamps)
+        series[name] = IndicatorSeries(name, series[name].unit, moved, series[name].values)
+    report = dataclasses.replace(ageing_failure_report, series=series)
+    bundle_series_match_the_row_reference(report, tmp_path)
 
 
 class TestWorkloadReport:
