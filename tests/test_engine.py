@@ -51,6 +51,7 @@ from agesim.workload import (
     run_stream,
 )
 from agesim import workload
+import reference_engine
 from single_run import run_single
 
 DEFN = WorkloadDefinition(DEFAULT_STEPS)
@@ -216,9 +217,9 @@ def _tick_gauges(cloud: CloudState, readings: dict) -> list:
     return samples
 
 
-def _stream_parts(name: str, cloud_type: type = CloudState) -> list:
+def _stream_parts(name: str, cloud_type: type = CloudState, engine=run_stream) -> list:
     """Everything one golden ``run_stream`` call produced, on a cloud of
-    ``cloud_type``."""
+    ``cloud_type``, run by ``engine``."""
     topology, concurrency, params, quotas, table, seed, hours = GOLDEN_CASES[name]
     cloud = cloud_type(
         topology=Topology.named(topology), params=params, quotas=quotas, seed=seed
@@ -227,7 +228,7 @@ def _stream_parts(name: str, cloud_type: type = CloudState) -> list:
     timing = TimingParams(step_seconds={"boot server": 9.0, "create volume": 4.5})
     events: list = []
     results: list = []
-    readings = run_stream(
+    readings = engine(
         DEFN,
         cloud,
         until=hours * 3600.0,
@@ -287,10 +288,11 @@ class TestGolden:
 # ── Sampling edge cases ──────────────────────────────────────────────────
 
 
-def _sampled_stream(cloud: CloudState, samples: list, **options) -> None:
-    """Run one stream on ``cloud`` and append each tick's time, control
-    memory, swap and compute-node disks to ``samples`` as a float tuple."""
-    readings = run_stream(DEFN, cloud, **options)
+def _sampled_stream(cloud: CloudState, samples: list, engine, **options) -> None:
+    """Run one stream on ``cloud`` with ``engine`` and append each tick's
+    time, control memory, swap and compute-node disks to ``samples`` as a
+    float tuple."""
+    readings = engine(DEFN, cloud, **options)
     names = ["time", "memory-available", "swap-used"]
     names += [f"disk-used-{node}" for node in cloud.topology.compute_nodes]
     samples.extend(zip(*(readings[name].tolist() for name in names)))
@@ -465,10 +467,11 @@ SAMPLING_CASES = {
 }
 
 
-def _sampling_parts(name: str) -> list:
-    """Everything a sampling case produced: results, error events, every
-    tick's readings, the final ledger, and the next uniform of the fault
-    and noise streams, which show how many draws each made."""
+def _sampling_parts(name: str, engine=run_stream) -> list:
+    """Everything a sampling case run by ``engine`` produced: results,
+    error events, every tick's readings, the final ledger, and the next
+    uniform of the fault and noise streams, which show how many draws
+    each made."""
     samples: list = []
     events: list = []
     results: list = []
@@ -477,6 +480,7 @@ def _sampling_parts(name: str) -> list:
         _sampled_stream(
             cloud,
             samples,
+            engine,
             faults=faults,
             error_hook=lambda *event: events.append(event),
             result_hook=results.append,
@@ -518,6 +522,19 @@ SAMPLING_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(SAMPLING_CASES))
 def test_sampling_digest(name):
     assert _digest(_sampling_parts(name)) == SAMPLING_DIGESTS[name]
+
+
+def test_reference_engine_reproduces_the_pinned_digests():
+    """The reference engine (tests/reference_engine.py) gives every golden
+    stream and sampling case the digest pinned on the engine, so it is an
+    oracle on its own and not only an echo of the engine."""
+    run = reference_engine.run_stream
+    assert {name: _digest(_stream_parts(name, engine=run)) for name in GOLDEN_CASES} == (
+        GOLDEN_DIGESTS
+    )
+    assert {name: _digest(_sampling_parts(name, run)) for name in SAMPLING_CASES} == (
+        SAMPLING_DIGESTS
+    )
 
 
 def test_only_ticks_that_act_on_the_cloud_are_events(monkeypatch):
@@ -781,13 +798,23 @@ def test_engine_keeps_the_ledger_invariants(table, quotas, concurrency, topology
     assert _run_checked(table, quotas, concurrency, topology, seed) == first
 
 
-# ── Samples against a reading at every tick ──────────────────────────────
+# ── Samples against the reference engine ─────────────────────────────────
 
 
-def _sampled_run(config: dict, every_tick: bool) -> dict:
-    """One stream over ``config``; with ``every_tick``, every tick runs as
-    an event, as on the engine before the gauge journal, and the gauges
-    are also read live right after each tick folds in its interval."""
+#: Step timings: the default, whole seconds that land on whole-second
+#: ticks, and base times that differ step by step.
+_TIMINGS = {
+    "default": TimingParams(),
+    "whole-seconds": TimingParams(default_seconds=5.0, step_seconds={"boot server": 10.0}),
+    "uneven": TimingParams(
+        default_seconds=1.5, step_seconds={"boot server": 9.25, "rebuild server": 0.75}
+    ),
+}
+
+
+def _sampled_run(config: dict, engine) -> dict:
+    """One stream over ``config`` run by ``engine``, the engine's
+    ``run_stream`` or the reference's, and everything it produced."""
     # A fragile cloud runs out of memory and swap within minutes.
     fragile = (
         dict(leftover_retention_gb=0.2, leak_per_workload_gb=0.05, swap_capacity_gb=0.5)
@@ -798,6 +825,8 @@ def _sampled_run(config: dict, every_tick: bool) -> dict:
         cache_max_age_seconds=1800.0,
         rejuvenation_seconds=config["rejuvenation_seconds"],
         warmup_after_rejuvenation=config["warmup_after_rejuvenation"],
+        contention_capacity=config["contention_capacity"],
+        cache_depositing_steps=config["cache_depositing_steps"],
         **fragile,
     )
     cloud = CloudState(
@@ -808,7 +837,7 @@ def _sampled_run(config: dict, every_tick: bool) -> dict:
     )
     cloud.clock = config["start"]
     faults = FaultModel(config["table"], seed=config["seed"])
-    marks, events, results, live = [], [], [], []
+    marks, events, results = [], [], []
 
     def hour_hook(t):
         marks.append(t)
@@ -825,41 +854,32 @@ def _sampled_run(config: dict, every_tick: bool) -> dict:
             rejuvenate(cloud)
         return None
 
-    def read_after(state, event):
-        apply_resource_effects(state, event)
-        if isinstance(event, IntervalElapsed):
-            disks = (state.disk_used_gb(n) for n in state.topology.compute_nodes)
-            live.append((state.clock, *state.control_memory_gb(), *disks))
-
-    with pytest.MonkeyPatch.context() as patch:
-        if every_tick:
-            patch.setattr(CloudState, "_ticks_acting", lambda self: (-math.inf, math.inf))
-            patch.setattr(workload, "apply_resource_effects", read_after)
-        readings = run_stream(
-            DEFN,
-            cloud,
-            until=config["start"] + config["hours"] * 3600.0,
-            concurrency=config["concurrency"],
-            faults=faults,
-            tick_seconds=config["interval"],
-            hour_hook=hour_hook if config["hook"] != "none" else None,
-            error_hook=lambda *event: events.append(event),
-            result_hook=lambda r: results.append(_result_tuple(r)),
-        )
+    readings = engine(
+        DEFN,
+        cloud,
+        until=config["start"] + config["hours"] * 3600.0,
+        concurrency=config["concurrency"],
+        faults=faults,
+        timing=_TIMINGS[config["timing"]],
+        tick_seconds=config["interval"],
+        hour_hook=hour_hook if config["hook"] != "none" else None,
+        error_hook=lambda *event: events.append(event),
+        result_hook=lambda r: results.append(_result_tuple(r)),
+    )
+    # through repr, which tells -0.0 from 0.0
     return {
         "results": results,
         "events": events,
-        "readings": {name: values.tobytes() for name, values in readings.items()},
-        "columns": readings,
-        "live": live,
-        "ledger": _ledger(cloud),
+        "readings": repr({name: values.tolist() for name, values in readings.items()}),
+        "dtypes": {values.dtype for values in readings.values()},
+        "ledger": repr(_ledger(cloud)),
         "draws": (faults._rng.random(), cloud._noise_rng.random()),
     }
 
 
 #: The failing cloud rejuvenated at the first hour mark: once with no
-#: tick queued, and once while the tick at 3605 s that would clear the
-#: warm-up noise is queued past the mark.
+#: tick in the warm-up window past the mark, and once with 7 s ticks, the
+#: last of the first window at 3598 s and the next at 3605 s.
 _REJUVENATING = dict(
     table={},
     quotas=dict(DEFAULT_QUOTAS),
@@ -870,6 +890,9 @@ _REJUVENATING = dict(
     hook="rejuvenate",
     warmup_after_rejuvenation=True,
     fragile=True,
+    timing="default",
+    contention_capacity=1.0,
+    cache_depositing_steps=("boot server",),
     seed=1,
 )
 
@@ -889,19 +912,15 @@ _REJUVENATING = dict(
     rejuvenation_seconds=st.sampled_from([0.0, 610.5, 3600.0]),
     warmup_after_rejuvenation=st.booleans(),
     fragile=st.booleans(),
+    timing=st.sampled_from(sorted(_TIMINGS)),
+    contention_capacity=st.sampled_from([1.0, 2.0, 0.5]),
+    cache_depositing_steps=st.sampled_from([("boot server",), ("boot server", "create volume")]),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_samples_equal_a_reading_at_every_tick(**config):
-    """The readings ``run_stream`` gathers from the journal, with only the
-    ticks that act on the cloud run as events, are bit for bit the gauges
-    read live after every tick of a run where every tick is an event; the
-    results, errors, ledger and random streams come out the same too."""
-    sampled = _sampled_run(config, every_tick=False)
-    reference = _sampled_run(config, every_tick=True)
-    columns = reference.pop("columns")
-    sampled.pop("columns")
-    live = reference.pop("live")
-    assert sampled.pop("live") == []
-    assert sampled == reference
-    # compared through repr, which tells -0.0 from 0.0
-    assert repr(list(zip(*(values.tolist() for values in columns.values())))) == repr(live)
+    """The engine's results, error events, readings, final ledger and next
+    fault and noise draws are bit for bit those of the reference engine
+    (tests/reference_engine.py), where every tick is an event that reads
+    the gauges live, every step evaluates the failure predicate and every
+    draw is a scalar call."""
+    assert _sampled_run(config, run_stream) == _sampled_run(config, reference_engine.run_stream)
