@@ -170,7 +170,8 @@ class WorkloadStepCompleted:
 
 @dataclass(frozen=True)
 class IntervalElapsed:
-    """A sampling interval elapsed; carries the interval length."""
+    """A sampling tick that may land the warm-up allocation; carries the
+    sampling interval."""
 
     interval_seconds: float = SECONDS_PER_HOUR
 
@@ -304,19 +305,17 @@ class CloudState:
     and cleared by ``check_failed``.  It is set by ``__init__``,
     ``add_leftover``, ``deposit_cache_image`` when a node's disk becomes
     full, ``cache_cleanup``, ``rejuvenate``, and ``apply_resource_effects``
-    when it charges a finished workload's leak or a tick's warm-up
-    allocation.  While it is clear the predicate would give the answer it
-    gave last time, so the engine skips the evaluation.
+    when it charges a finished workload's leak or the warm-up allocation.
+    While it is clear the predicate would give the answer it gave last
+    time, so the engine skips the evaluation.
 
-    While a stream samples the gauges, ``_journal`` logs every change to
-    them, so that no sampling tick has to stop the engine to read them.
-    Per gauge it holds two ``array("d")`` columns, the clock of each
-    change and the value after it, starting from the value the gauge had
-    when the journal opened, stamped ``-inf``.  The gauges are
-    ``"memory"``, the control node's raw available memory, ``"noise"``,
-    the warm-up noise on its reading, and ``("disk", node)``, each node's
-    cache total; every method that changes one of them logs it.
-    Outside a sampling stream ``_journal`` is None and nothing is logged.
+    While a stream samples, ``_journal`` logs every change to what its
+    readings depend on, so that no tick stops the engine: per gauge, two
+    ``array("d")`` columns of clocks and values, the first value the one
+    at opening, stamped ``-inf``.  The gauges are ``"memory"`` (the
+    control node's raw available memory), ``("disk", node)`` (each cache
+    total) and ``"window"`` (the warm-up window's start, NaN for none).
+    Outside a stream ``_journal`` is None and nothing is logged.
     """
 
     def __init__(
@@ -342,7 +341,7 @@ class CloudState:
         self._consumed_gb = 0.0
         self._host_residual_gb = 0.0
         self._noise_gb = 0.0
-        self._warmup_start: float | None = 0.0
+        self._warmup_start = 0.0
         self._warmup_alloc_pending = True
         self._cache: deque[tuple[float, float, str]] = deque()
         self._cache_total: dict[str, float] = {n: 0.0 for n in self.topology.nodes}
@@ -477,7 +476,7 @@ class CloudState:
 
     def _new_journal(self) -> dict[object, tuple[array, array]]:
         """A journal holding every gauge's current value from any time on."""
-        values = {"memory": self._raw_available_gb(), "noise": self._noise_gb}
+        values = {"memory": self._raw_available_gb(), "window": self._warmup_start}
         for node, total in self._cache_total.items():
             values[("disk", node)] = total
         return {
@@ -500,17 +499,16 @@ class CloudState:
             stamps[n:] = array("d", [after]) * (len(stamps) - n)
         return result
 
-    def _readings(
-        self, times: np.ndarray, journal: dict | None = None
-    ) -> dict[str, np.ndarray]:
+    def _readings(self, times: np.ndarray, journal: dict) -> dict[str, np.ndarray]:
         """The gauges at each of ``times``, an ascending float64 array, as
         float64 arrays: ``time`` itself, the control node's
         ``memory-available`` and ``swap-used``, and ``disk-used-{node}``
         for each compute node.  A gauge reads the last value ``journal``
-        logged for it at or before the time; without a journal, the
-        current readings."""
-        if journal is None:
-            journal = self._new_journal()
+        logged for it at or before the time.  The memory reading carries
+        the warm-up noise at the times inside the window open at them,
+        drawn in one block in time order, and none elsewhere; the live
+        noise term is left at the last time's, unless a rejuvenation
+        cleared it after that time."""
 
         def at_times(gauge):
             stamps, values = journal[gauge]
@@ -520,21 +518,19 @@ class CloudState:
             holds_from = np.searchsorted(times, np.frombuffer(stamps))
             return np.repeat(np.frombuffer(values), np.diff(holds_from, append=len(times)))
 
-        memory, swap = self._memory_gauges(at_times("memory"), at_times("noise"))
+        warming = _in_warmup_window(at_times("window"), times)
+        noise = np.zeros(len(times))
+        amp = self.params.warmup_noise_gb
+        if amp:
+            noise[warming] = self._noise_rng.uniform(-amp, amp, size=np.count_nonzero(warming))
+        # A rejuvenation after the last time has cleared the term already.
+        if len(times) and journal["window"][0][-1] <= times[-1]:
+            self._noise_gb = float(noise[-1])
+        memory, swap = self._memory_gauges(at_times("memory"), noise)
         readings = {"time": times, "memory-available": memory, "swap-used": swap}
         for node in self.topology.compute_nodes:
             readings[f"disk-used-{node}"] = at_times(("disk", node))
         return readings
-
-    def _ticks_acting(self) -> tuple[float, float] | None:
-        """The clock span ``[start, end)`` in which an interval tick would
-        change this cloud, or None when no tick would.  While the warm-up
-        noise term is set every tick acts (it redraws or clears the term);
-        otherwise only a tick in the warm-up window does, where it draws
-        the noise and lands a pending allocation."""
-        if self._noise_gb:
-            return (-math.inf, math.inf)
-        return self._warmup_window()
 
     def cache_disk_usage_gb(self) -> float:
         return sum(size for _, size, _ in self._cache)
@@ -546,16 +542,6 @@ class CloudState:
 
     def _recompute_ageing(self) -> None:
         self.ageing_multiplier = 1.0 + self.params.ageing_rate * self.ageing_units
-
-    def _warmup_window(self) -> tuple[float, float] | None:
-        """The clock span ``[start, end)`` of the warm-up window, if any."""
-        if self._warmup_start is None:
-            return None
-        return (self._warmup_start, self._warmup_start + SECONDS_PER_HOUR)
-
-    def _in_warmup_window(self) -> bool:
-        window = self._warmup_window()
-        return window is not None and window[0] <= self.clock < window[1]
 
     def deposit_cache_image(self) -> None:
         """One boot completed: place a cache image on the next compute node."""
@@ -574,6 +560,12 @@ class CloudState:
 # ── Operations on the cloud ──────────────────────────────────────────────
 
 
+def _in_warmup_window(start, t):
+    """Whether ``t`` (a float or an array) lies in the warm-up window that
+    opened at ``start``, the hour from it; a NaN start opens none."""
+    return (start <= t) & (t < start + SECONDS_PER_HOUR)
+
+
 def apply_resource_effects(
     state: CloudState, event: WorkloadStepCompleted | IntervalElapsed
 ) -> None:
@@ -586,10 +578,9 @@ def apply_resource_effects(
     Step completions deposit cache images (for configured steps, server
     boots by default) and, on the final step of a workload that created
     entities, charge the per-workload memory leak and one ageing unit.
-    Interval events refresh the warm-up behaviour: during the first hour
-    of a deployment (and of a post-rejuvenation window, when enabled) a
-    one-time allocation lands and the memory reading carries seeded
-    noise; outside warm-up the noise term is zero and no draws happen.
+    An interval event, the first sampling tick in a warm-up window, lands
+    the window's one-time allocation if it is pending; the seeded noise
+    on the window's memory readings is drawn with them (``_readings``).
     """
     params = state.params
     if isinstance(event, WorkloadStepCompleted):
@@ -600,15 +591,9 @@ def apply_resource_effects(
             state.ageing_units += 1.0
             state._recompute_ageing()
     elif isinstance(event, IntervalElapsed):
-        if state._in_warmup_window():
-            if state._warmup_alloc_pending:
-                state._consume(params.warmup_alloc_gb)
-                state._warmup_alloc_pending = False
-            amp = params.warmup_noise_gb
-            state._noise_gb = float(state._noise_rng.uniform(-amp, amp)) if amp else 0.0
-        else:
-            state._noise_gb = 0.0
-        state._log("noise", state._noise_gb)
+        if state._warmup_alloc_pending and _in_warmup_window(state._warmup_start, state.clock):
+            state._consume(params.warmup_alloc_gb)
+            state._warmup_alloc_pending = False
     else:
         raise TypeError(f"unsupported event: {event!r}")
 
@@ -689,13 +674,10 @@ def rejuvenate(state: CloudState) -> None:
     state._recount_disk_full()
     state._noise_gb = 0.0
     state._log("memory", state._raw_available_gb())
-    state._log("noise", 0.0)
     state.failed = False
     state.failure_inputs_changed = True
     state.clock += params.rejuvenation_seconds
     state.rejuvenation_count += 1
-    if params.warmup_after_rejuvenation:
-        state._warmup_start = state.clock
-        state._warmup_alloc_pending = True
-    else:
-        state._warmup_start = None
+    state._warmup_start = state.clock if params.warmup_after_rejuvenation else math.nan
+    state._warmup_alloc_pending = params.warmup_after_rejuvenation
+    state._log("window", state._warmup_start)

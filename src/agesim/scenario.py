@@ -408,7 +408,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     sample_ts = max(
         rejuvenation_started, rejuvenation_ended - config.sample_interval_seconds
     )
-    readings.append(cloud._readings(np.array([sample_ts])))
+    memory, swap = cloud.control_memory_gb()
+    sample = {"time": sample_ts, "memory-available": memory, "swap-used": swap}
+    for node in topology.compute_nodes:
+        sample[f"disk-used-{node}"] = cloud.disk_used_gb(node)
+    readings.append({name: np.array([value]) for name, value in sample.items()})
 
     # Post-rejuvenation phase.
     post_end = rejuvenation_ended + config.post_rejuvenation_hours * SECONDS_PER_HOUR

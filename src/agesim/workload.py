@@ -51,6 +51,7 @@ from .cloud import (
     FaultModel,
     IntervalElapsed,
     WorkloadStepCompleted,
+    _in_warmup_window,
     apply_resource_effects,
     check_failed,
     quota_error_name,
@@ -665,28 +666,26 @@ def run_stream(
     workload due to run another step is cut short there with
     ``CLOUD_UNAVAILABLE``, and every slot parks until the deadline.
     ``until`` must be finite and not before ``cloud.clock``, and
-    ``tick_seconds``, when given, positive and finite; anything else is
-    a ``ConfigError``.
+    ``tick_seconds``, when given, positive and finite.  A deadline so late
+    that the shortest step base time is below the clock's resolution
+    there (``math.ulp(until)``) would freeze the clock short of it.  Each
+    of these is a ``ConfigError``.
 
-    A tick is not an event unless it acts on the cloud.  While the stream
-    samples, the cloud logs every change to its gauges in a journal (see
+    A tick is a timestamp, not an event.  While the stream samples, the
+    cloud logs every change to its gauges in a journal (see
     ``CloudState``), opened for this call and closed when it returns or
-    raises, and the readings of every tick are gathered from it with
-    numpy after the loop.  A tick runs as an event, folding the elapsed
-    interval into the gauges through ``apply_resource_effects``, only
-    when it is the first tick or ``CloudState._ticks_acting`` says it
-    would change the cloud: each tick in the warm-up window, which lands
-    a pending allocation and draws the noise, and the first tick after
-    it, which clears the noise.  Each such tick queues the next one.  An
-    hour hook may open a window by rejuvenating, so the queued tick is
-    planned again after it; and the changes it logs are restamped just
-    past its hour mark (``CloudState._call_after_readings``), so that a
-    tick at the mark does not see them.
+    raises, and every tick's readings, warm-up noise included, are
+    gathered from it after the loop.  The one tick per warm-up window
+    that lands the pending allocation is an event, through
+    ``apply_resource_effects``: it is queued at the start, and again
+    after an hour hook that rejuvenated.  What an hour hook logs is
+    restamped just past its mark (``CloudState._call_after_readings``),
+    so that a tick at the mark does not see it.
 
     After a step the failure predicate is evaluated, through
     ``check_failed``, only while ``cloud.failure_inputs_changed`` is set:
     by the step itself, or since the last evaluation by a finished
-    workload's leak, a tick's warm-up allocation or a hook (see
+    workload's leak, the warm-up allocation or a hook (see
     ``CloudState``).  While the flag is clear an evaluation would change
     nothing, so ``failed`` and ``failed_at`` come out as if the predicate
     were evaluated after every step.
@@ -706,23 +705,21 @@ def run_stream(
     and the hooks.  Enum members, the plan, its length, the contention
     capacity and the two ledger methods are bound once per call.
     Concurrency is capped at ``MAX_CONCURRENCY``, checked before any
-    launch is scheduled.  Clock events are scheduled lazily: the k-th
-    hour mark falls at ``t0 + k * SECONDS_PER_HOUR``, and each tick or
-    hour mark queues its successor as it fires, so the event heap holds
-    at most ``concurrency + 2`` entries.  Slot k launches at
-    ``t0 + k * LAUNCH_STAGGER_SECONDS``.
+    launch is scheduled.  Hour marks are scheduled lazily: the k-th falls
+    at ``t0 + k * SECONDS_PER_HOUR``, and each queues its successor as it
+    fires.  Slot k launches at ``t0 + k * LAUNCH_STAGGER_SECONDS``.
 
     Each event costs one heap operation.  The first event is popped
     before the loop; an event that schedules a successor (a step, a
-    finished workload's relaunch, a tick or hour mark whose successor
-    falls before ``until``) takes the next event with ``heappushpop``,
-    and one that schedules nothing (a launch parked on a failed cloud, a
-    clock event whose successor would fall at or past ``until``) with
-    ``heappop``.  ``heappushpop`` is "push, then pop the smallest", and
-    events are tuples ordered by (time, priority, sequence number) with
-    unique sequence numbers, so events run in exactly that order.  The
-    loop ends at the first event at or past ``until``, or when the heap
-    is empty.
+    finished workload's relaunch, an hour mark whose successor falls
+    before ``until``) takes the next event with ``heappushpop``, and one
+    that schedules nothing (a launch parked on a failed cloud, an
+    allocation tick, an hour mark whose successor would fall at or past
+    ``until``) with ``heappop``.  ``heappushpop`` is "push, then pop the
+    smallest", and events are tuples ordered by (time, priority,
+    sequence number) with unique sequence numbers, so events run in
+    exactly that order.  The loop ends at the first event at or past
+    ``until``, or when the heap is empty.
     """
     check_concurrency(concurrency)
     if tick_seconds is not None and not (0.0 < tick_seconds < math.inf):
@@ -735,6 +732,12 @@ def run_stream(
         raise ConfigError("stream deadline precedes the cloud clock")
 
     plan = _plan(defn, cloud, timing, faults)
+    shortest = min(step.base_seconds for step in plan)
+    if t0 < until and shortest < math.ulp(until):
+        raise ConfigError(
+            f"a {shortest} s step cannot advance a clock at {until} s: "
+            f"its resolution there is {math.ulp(until)} s"
+        )
     journal = cloud._journal = None if tick_seconds is None else cloud._new_journal()
     try:
         stopped_at = _run_events(
@@ -782,27 +785,21 @@ def _run_events(
 
     gate_count = 0
 
-    def tick_at(k: int | None) -> tuple | None:
-        # The event of tick k, which carries its index k.
-        return None if k is None else (t0 + k * tick_seconds, PRIO_TICK, seq(), "tick", k)
-
-    def next_acting_tick(j: int) -> int | None:
-        # The first tick from the j-th on that acts on the cloud, if it
-        # falls before the deadline.
-        span = cloud._ticks_acting()
-        if span is None:
-            return None
-        k = max(j, _first_tick(t0, tick_seconds, span[0]))
-        t = t0 + k * tick_seconds
-        return k if t < span[1] and t < until else None
+    def queue_allocation(t: float) -> None:
+        # Queue the first tick at or after t that lands a pending warm-up
+        # allocation, if one falls in the window and before the deadline.
+        if tick is None or not cloud._warmup_alloc_pending:
+            return
+        start = cloud._warmup_start
+        t = t0 + _first_tick(t0, tick_seconds, max(t, start)) * tick_seconds
+        if t < until and _in_warmup_window(start, t):
+            heappush(heap, (t, PRIO_TICK, seq(), "tick", None))
 
     for slot in range(concurrency):
         t_launch = t0 + slot * LAUNCH_STAGGER_SECONDS
         if t_launch < until:
             heappush(heap, (t_launch, PRIO_WORK, seq(), "launch", slot))
-    tick_event = tick_at(0) if tick_seconds is not None and t0 < until else None
-    if tick_event is not None:
-        heappush(heap, tick_event)
+    queue_allocation(t0)
     if hour_hook is not None and (t := t0 + SECONDS_PER_HOUR) < until:
         heappush(heap, (t, PRIO_HOUR, seq(), "hour", 1))
 
@@ -901,29 +898,17 @@ def _run_events(
         elif kind == "finish":
             execution = payload
         elif kind == "tick":
-            # Fold in the elapsed interval, then queue the next tick that
-            # acts on the cloud.
             apply_resource_effects(cloud, tick)
-            tick_event = tick_at(next_acting_tick(payload + 1))
-            if tick_event is not None:
-                event = heappushpop(heap, tick_event)
-            else:
-                event = heappop(heap) if heap else None
+            event = heappop(heap) if heap else None
             continue
         else:
             # An hour mark: run the hook after the readings at the mark,
-            # plan the queued tick again, and queue mark k + 1.
+            # queue the allocation of a window it opened, and queue mark k + 1.
+            rejuvenations = cloud.rejuvenation_count
             if cloud._call_after_readings(hour_hook, t) is STOP_STREAM:
                 return t
-            if tick is not None:
-                k = next_acting_tick(_first_tick(t0, tick_seconds, math.nextafter(t, math.inf)))
-                if k != (None if tick_event is None else tick_event[4]):
-                    if tick_event is not None:
-                        heap.remove(tick_event)
-                        heapq.heapify(heap)
-                    tick_event = tick_at(k)
-                    if tick_event is not None:
-                        heappush(heap, tick_event)
+            if cloud.rejuvenation_count != rejuvenations:
+                queue_allocation(math.nextafter(t, math.inf))
             k = payload + 1
             if (t_next := t0 + k * SECONDS_PER_HOUR) < until:
                 event = heappushpop(heap, (t_next, prio, seq(), kind, k))

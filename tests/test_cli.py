@@ -949,6 +949,36 @@ class TestFreshProcess:
         assert re.search(r"^(agesim \w+: )?error: ", done.stderr, re.MULTILINE)
         assert "Traceback" not in done.stderr
 
+    def test_a_step_too_short_for_a_late_clock_is_refused(self, tmp_path):
+        """A rejuvenation of 1e17 s starts the post phase where the clock
+        resolves only 16 s, so a 2 s step leaves ``t + duration == t`` and
+        the stream never reached its deadline; it is refused before its
+        first event."""
+        steps = [
+            {"name": "create user", "service": "identity", "action": "create", "creates": "user"},
+            {
+                "name": "delete user",
+                "service": "identity",
+                "action": "delete",
+                "deletes": "user",
+                "undo_of": "create user",
+            },
+        ]
+        config = {
+            "scenario_id": "x",
+            "stress_hours": 0,
+            "post_rejuvenation_hours": 1,
+            "resources": {"rejuvenation_seconds": 1e17, "cache_depositing_steps": []},
+            "timing": {"step_seconds": {}},
+            "workload": {"steps": steps},
+        }
+        path = write_json(tmp_path / "cfg.json", config)
+        done = run_in_fresh_process(["run", path], tmp_path)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        (line,) = [line for line in done.stderr.splitlines() if "error: " in line]
+        assert "cannot advance a clock at 1.000000000000036e+17 s" in line
+
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
     )

@@ -2,6 +2,7 @@
 
 import copy
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from agesim.cloud import (
     rejuvenate,
 )
 from agesim.errors import ConfigError, LedgerUnderflowError
+from agesim.seeding import stream
 
 
 def quiet_params(**overrides):
@@ -272,28 +274,34 @@ class TestResourceEffects:
         assert state.ageing_units == 0.0
 
     def test_warmup_noise_only_in_first_hour(self):
-        """Interval events perturb memory during hour 0 and not afterwards."""
+        """Readings carry seeded noise during hour 0 and not afterwards;
+        the live reading keeps the last one's."""
         params = ResourceParams(warmup_noise_gb=0.3, warmup_alloc_gb=0.0)
         state = CloudState(params=params, seed=11)
-        state.clock = 100.0
-        assert apply_resource_effects(state, IntervalElapsed(30.0)) is None
-        noisy = state.memory_available_gb()
-        assert noisy != params.initial_memory_gb
-        assert abs(noisy - params.initial_memory_gb) <= 0.3
-
-        state.clock = 7200.0
-        apply_resource_effects(state, IntervalElapsed(30.0))
+        times = np.array([100.0, 3599.0, 3600.0, 7200.0])
+        memory = state._readings(times, state._new_journal())["memory-available"]
+        draws = stream(11, "noise").uniform(-0.3, 0.3, size=2)
+        assert memory.tolist() == (params.initial_memory_gb + draws).tolist() + [1.5, 1.5]
         assert state.memory_available_gb() == params.initial_memory_gb
 
+        memory = state._readings(times[:2], state._new_journal())["memory-available"]
+        assert memory[1] != params.initial_memory_gb
+        assert state.memory_available_gb() == memory[1]
+
     def test_warmup_allocation_applied_once(self):
+        """The first tick in the window lands the allocation; the readings
+        of every tick show it, and with no noise nothing is drawn."""
         params = ResourceParams(warmup_noise_gb=0.0, warmup_alloc_gb=0.25)
-        state = CloudState(params=params)
+        state = CloudState(params=params, seed=12)
+        journal = state._journal = state._new_journal()
         for clock in (0.0, 30.0, 60.0):
             state.clock = clock
-            apply_resource_effects(state, IntervalElapsed(30.0))
-        assert state.memory_available_gb() == pytest.approx(
-            params.initial_memory_gb - 0.25
-        )
+            assert apply_resource_effects(state, IntervalElapsed(30.0)) is None
+        state._journal = None
+        readings = state._readings(np.array([0.0, 30.0, 60.0]), journal)
+        assert readings["memory-available"].tolist() == [params.initial_memory_gb - 0.25] * 3
+        assert state.memory_available_gb() == params.initial_memory_gb - 0.25
+        assert state._noise_rng.random() == stream(12, "noise").random()
 
     def test_swap_grows_below_threshold(self):
         """Once raw available memory sinks under the threshold, swap holds the overflow."""
@@ -325,6 +333,21 @@ class TestResourceEffects:
             state.add_leftover(EntityKind.SERVER)
         drop = params.initial_memory_gb - state.memory_available_gb()
         assert drop == pytest.approx(0.05)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11, 2**16, 123_456_789])
+@pytest.mark.parametrize("amplitude", [0.3, 0.1, 1e-9, 5.0])
+def test_a_block_of_noise_draws_equals_scalar_draws(seed, amplitude):
+    """The readings draw a stream's warm-up noise as one block, where a
+    reading at every tick would draw it one value at a time: on the
+    installed numpy the two give the same bits, in the same order, and
+    leave the noise stream at the same place.  A numpy release that
+    breaks this changes every reading in a warm-up window."""
+    scalar, block = stream(seed, "noise"), stream(seed, "noise")
+    one_by_one = [scalar.uniform(-amplitude, amplitude) for _ in range(1000)]
+    at_once = block.uniform(-amplitude, amplitude, size=1000)
+    assert np.array(one_by_one).tobytes() == at_once.tobytes()
+    assert scalar.random(8).tobytes() == block.random(8).tobytes()
 
 
 # ── Cache cleanup ────────────────────────────────────────────────────────
@@ -668,12 +691,12 @@ def gauges_from_scratch(state, node):
 @settings(max_examples=200)
 @given(state=clouds, ops=operations)
 def test_gauge_accessors_match_a_recomputation(state, ops):
-    """After any sequence of leaks, leftovers, warm-up ticks (allocation
-    and noise), cache deposits, cleanups and rejuvenations (host
-    residual), on either topology and whether swap is unused, filling or
-    capped, every node reads the recomputed memory and swap bit for bit
-    and its cache images' total disk, and the control node reads the
-    same with no node named, as does ``control_memory_gb`` in one reading."""
+    """After any sequence of leaks, leftovers, warm-up allocations, cache
+    deposits, cleanups and rejuvenations (host residual), on either
+    topology and whether swap is unused, filling or capped, every node
+    reads the recomputed memory and swap bit for bit and its cache
+    images' total disk, and the control node reads the same with no node
+    named, as does ``control_memory_gb`` in one reading."""
     control = state.topology.control_node
     for op in [("tick", 0.0), *ops]:
         apply_operation(state, op)

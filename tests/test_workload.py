@@ -5,7 +5,6 @@ import dataclasses
 import heapq
 import itertools
 import math
-import sys
 
 import pytest
 
@@ -190,7 +189,7 @@ def step_seconds(cloud: CloudState, gate_count: int, step_name: str = "create us
         run_stream(
             defn,
             trial,
-            until=sys.float_info.max,
+            until=t0 + 1e9,  # far past slot 0's end, and fine enough to resolve a step
             concurrency=gate_count + 1,
             faults=faults,
             error_hook=lambda t, *_error: error_times.append(t),
@@ -671,10 +670,8 @@ class TestRunStream:
         assert marks == [t0 + k * 3600.0 for k in (1, 2, 3)]
 
     def test_stop_at_hour_two_schedules_no_later_tick(self, monkeypatch):
-        """Only the ticks that act on the cloud are events, each pushing
-        the next one, and a stopped stream samples no tick past the stop.
-        On a cloud without warm-up noise those are the ticks of the
-        warm-up window."""
+        """Only the tick that lands the warm-up allocation is an event, and
+        a stopped stream samples no tick past the stop."""
         pushed = []
         real_push = heapq.heappush
         real_pushpop = heapq.heappushpop
@@ -708,7 +705,7 @@ class TestRunStream:
         assert cloud.clock == 7200.0
         # The tick at the stop mark itself is sampled: ticks precede hour marks.
         assert readings["time"].tolist() == [k * 30.0 for k in range(241)]
-        assert pushed.count("tick") == 3600.0 / 30.0
+        assert pushed.count("tick") == 1
         assert pushed.count("hour") == 2
 
     def test_events_at_one_instant_run_work_then_tick_then_hour(self):
@@ -844,6 +841,21 @@ class TestRunStream:
             run_stream(DEFN, cloud, until=3600.0, tick_seconds=tick_seconds)
         assert cloud.clock == 0.0
         assert cloud._journal is None
+
+    def test_a_step_below_the_clock_resolution_is_refused(self):
+        """From 2**55 s on the clock resolves 8 s, so a 2 s step would leave
+        ``t + duration == t`` and the clock would never reach the
+        deadline: the stream is refused before its first event.  Steps as
+        long as the resolution run."""
+        cloud = quiet_cloud()
+        t0 = cloud.clock = 2.0**55
+        with pytest.raises(ConfigError, match="cannot advance a clock"):
+            run_stream(DEFN, cloud, until=t0 + 3600.0, tick_seconds=30.0)
+        assert cloud.clock == t0
+        assert cloud._journal is None
+        timing = TimingParams(default_seconds=8.0, step_seconds={})
+        results = stream_results(cloud, until=t0 + 3600.0, timing=timing)
+        assert [r.ended_at - r.started_at for r in results] == [29 * 8.0] * 15
 
     @pytest.mark.parametrize("until", [math.inf, -math.inf, math.nan])
     def test_deadline_must_be_finite(self, until):
