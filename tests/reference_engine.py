@@ -110,9 +110,6 @@ def run_stream(
     def draw(name):
         return faults.draw(name) if faults is not None else None
 
-    def kind_of(spec):
-        return spec.creates or spec.deletes or spec.operates_on
-
     def fail(w, name, error, stranded):
         if w.error is None:
             w.error, w.failed_step = error, name
@@ -172,7 +169,7 @@ def run_stream(
             if steps[name].undo_of is not None:
                 assert w.undo.pop() == name
         spec = steps[name]
-        kind = kind_of(spec)
+        kind = spec.creates or spec.deletes or spec.operates_on
         error = None
         if spec.action is StepAction.CREATE:
             if cloud.try_create(kind) is not None:
