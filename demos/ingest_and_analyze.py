@@ -18,7 +18,7 @@ from agesim import (
     evaluate_indicator,
     ingest,
     run_scenario,
-    write_series_csv,
+    serialize_series,
 )
 
 
@@ -28,7 +28,7 @@ def main():
 
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = Path(tmp) / "gauges.csv"
-        write_series_csv(report.series, csv_path)
+        csv_path.write_text(serialize_series(report.series), encoding="utf-8")
         size_kb = csv_path.stat().st_size / 1024
         print(f"wrote {len(report.series)} series to {csv_path.name} ({size_kb:.0f} KiB)")
 

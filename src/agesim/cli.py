@@ -68,8 +68,12 @@ def _parse_int(text: str, what: str) -> int:
     raise argparse.ArgumentTypeError(f"{what}: {shown!r} is not an integer")
 
 
+#: The ``ScenarioConfig`` field each ``--phases`` key sets.
+_PHASE_FIELDS = {"stress": "stress_hours", "post": "post_rejuvenation_hours"}
+
+
 def _parse_phases(text: str) -> dict[str, int]:
-    """Parse ``stress:24,post:1`` into phase-hour overrides."""
+    """Parse ``stress:24,post:1`` into ``ScenarioConfig`` phase-hour overrides."""
     result: dict[str, int] = {}
     for part in text.split(","):
         part = part.strip()
@@ -77,14 +81,14 @@ def _parse_phases(text: str) -> dict[str, int]:
             continue
         key, _, value = part.partition(":")
         key = key.strip()
-        if key not in ("stress", "post"):
+        if key not in _PHASE_FIELDS:
             raise argparse.ArgumentTypeError(
                 f"unknown phase {key!r}; expected stress or post"
             )
         hours = _parse_int(value.strip(), f"phase {key}")
         if hours < 0:
             raise argparse.ArgumentTypeError(f"phase {key}: hours must be >= 0")
-        result[key] = hours
+        result[_PHASE_FIELDS[key]] = hours
     if not result:
         raise argparse.ArgumentTypeError("empty phase list")
     return result
@@ -199,10 +203,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.policy is not None:
         overrides["policy"] = EarlyFailurePolicy(args.policy)
     if args.phases is not None:
-        if "stress" in args.phases:
-            overrides["stress_hours"] = args.phases["stress"]
-        if "post" in args.phases:
-            overrides["post_rejuvenation_hours"] = args.phases["post"]
+        overrides.update(args.phases)
     if overrides:
         config = dataclasses.replace(config, **overrides)
     out = _out_dir(args.out)

@@ -402,12 +402,6 @@ def serialize_series(series_by_name: Mapping[str, IndicatorSeries]) -> str:
     return "".join([_HEADER_ROW, *(rows for _name, rows in _render_series(series_by_name))])
 
 
-def write_series_csv(
-    series_by_name: Mapping[str, IndicatorSeries], path: str | Path
-) -> None:
-    Path(path).write_text(serialize_series(series_by_name), encoding="utf-8")
-
-
 # ── Workload reports ─────────────────────────────────────────────────────
 
 

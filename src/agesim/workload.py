@@ -349,32 +349,7 @@ def check_concurrency(concurrency: int) -> None:
         )
 
 
-def _new_result(
-    started_at: float,
-    ended_at: float,
-    status: WorkloadStatus,
-    error: str | None,
-    failed_step: str | None,
-    leftover_kinds: list[str],
-    steps_executed: int,
-) -> WorkloadResult:
-    """Build a ``WorkloadResult`` with one dict update instead of the
-    frozen dataclass's per-field ``object.__setattr__``; the result
-    compares, hashes and refuses assignment like any other."""
-    result = object.__new__(WorkloadResult)
-    result.__dict__.update(
-        started_at=started_at,
-        ended_at=ended_at,
-        status=status,
-        error=error,
-        failed_step=failed_step,
-        leftovers_created=len(leftover_kinds),
-        leftover_kinds=tuple(leftover_kinds),
-        steps_executed=steps_executed,
-    )
-    return result
-
-
+@dataclass(slots=True, eq=False)
 class _PlanStep:
     """One workload step resolved against a run's cloud, timing and faults.
 
@@ -389,52 +364,19 @@ class _PlanStep:
     the workload did real work; all three are built once per run.
     """
 
-    __slots__ = (
-        "spec",
-        "name",
-        "action",
-        "kind",
-        "gated",
-        "base_seconds",
-        "deposits_cache",
-        "draws",
-        "undo",
-        "undoes",
-        "holds",
-        "quota_error",
-        "completed",
-        "finished",
-    )
-
-    def __init__(
-        self,
-        spec: StepSpec,
-        cloud: CloudState,
-        timing: TimingParams,
-        faults: FaultModel | None,
-    ):
-        self.spec = spec
-        self.name = spec.name
-        self.action = spec.action
-        if spec.action is StepAction.CREATE:
-            self.kind = spec.creates
-        elif spec.action is StepAction.DELETE:
-            self.kind = spec.deletes
-        else:
-            self.kind = spec.operates_on
-        self.gated = self.kind in cloud.quotas
-        self.base_seconds = timing.base_for(spec.name)
-        self.deposits_cache = spec.name in cloud.params.cache_depositing_steps
-        self.draws = faults is not None and spec.name in faults._per_step
-        self.undo: _PlanStep | None = None
-        self.undoes = spec.undo_of is not None
-        self.holds: EntityKind | None = None
-        self.quota_error = quota_error_name(self.kind) if self.gated else None
-        self.completed = WorkloadStepCompleted(spec.name)
-        self.finished = tuple(
-            WorkloadStepCompleted(spec.name, workload_finished=True, did_real_work=real)
-            for real in (False, True)
-        )
+    name: str
+    action: StepAction
+    kind: EntityKind | None
+    gated: bool
+    base_seconds: float
+    deposits_cache: bool
+    draws: bool
+    undoes: bool
+    holds: EntityKind | None
+    quota_error: str | None
+    completed: WorkloadStepCompleted
+    finished: tuple[WorkloadStepCompleted, WorkloadStepCompleted]
+    undo: _PlanStep | None = None
 
 
 def _plan(
@@ -445,82 +387,78 @@ def _plan(
 ) -> tuple[_PlanStep, ...]:
     """Resolve every step of ``defn`` once for a run on ``cloud``; a fault
     table giving probabilities to a step ``defn`` lacks is a ``ConfigError``."""
+    per_step = faults._per_step if faults is not None else {}
     by_name: dict[str, _PlanStep] = {}
     for spec in defn.steps:
-        step = _PlanStep(spec, cloud, timing, faults)
-        if spec.undo_of is not None:  # validated to name an earlier step
-            done = by_name[spec.undo_of]
+        name, action = spec.name, spec.action
+        if action is _CREATE:
+            kind = spec.creates
+        elif action is _DELETE:
+            kind = spec.deletes
+        else:
+            kind = spec.operates_on
+        gated = kind in cloud.quotas
+        # An undo step names an earlier step (``WorkloadDefinition``
+        # checks it), so that step's record already exists.
+        done = by_name[spec.undo_of] if spec.undo_of is not None else None
+        step = by_name[name] = _PlanStep(
+            name=name,
+            action=action,
+            kind=kind,
+            gated=gated,
+            base_seconds=timing.base_for(name),
+            deposits_cache=name in cloud.params.cache_depositing_steps,
+            draws=name in per_step,
+            undoes=done is not None,
+            holds=done.kind if done is not None and done.action is _CREATE else None,
+            quota_error=quota_error_name(kind) if gated else None,
+            completed=WorkloadStepCompleted(name),
+            finished=tuple(
+                WorkloadStepCompleted(name, workload_finished=True, did_real_work=real)
+                for real in (False, True)
+            ),
+        )
+        if done is not None:
             done.undo = step
-            step.holds = done.spec.creates
-        by_name[spec.name] = step
-    for name in faults._per_step if faults is not None else ():
+    for name in per_step:
         if name not in by_name:
             raise ConfigError(f"fault probabilities name unknown step {name!r}")
     return tuple(by_name.values())
 
 
+@dataclass(slots=True, eq=False)
 class _Execution:
-    """The state of one workload advancing through a step plan.
+    """The state of one workload advancing through a run's step plan.
 
     ``run_stream`` executes the steps itself, inline in its event loop,
     and reads and writes these fields directly; the methods here are the
-    rare paths it calls into (an error, a fault, a stranded entity, a
-    cloud failing under the workload) and the settlement of a finished
-    workload.
+    rare paths it calls into (an error, a fault, a stranded entity) and
+    the settlement of a finished workload.
 
-    ``plan`` is the tuple of ``_PlanStep`` records that ``_plan`` built
-    once for the whole run, so a step reads its entity kind, quota gate,
-    base time, cache deposit, fault draw and undo step from its record.
-    ``index`` is the position of the next forward step in ``plan``.
-    ``stack`` holds the records of the steps that will undo what the
-    workload has done so far, most recent last.  The first error sets
-    ``aborted``: from then on each step pops ``stack`` and runs as an
+    ``index`` is the position of the next forward step in the plan.
+    ``stack`` holds the ``_PlanStep`` records of the steps that will undo
+    what the workload has done so far, most recent last.  The first error
+    sets ``aborted``: from then on each step pops ``stack`` and runs as an
     unwind step, and the workload finishes when the stack is empty.
     ``gated_live`` counts the live quota-limited entities the workload
     holds; it holds the contention gate while that is positive.
     ``last_step`` is the record of the step executed most recently.
     """
 
-    __slots__ = (
-        "plan",
-        "cloud",
-        "started_at",
-        "index",
-        "stack",
-        "aborted",
-        "error",
-        "failed_step",
-        "steps_executed",
-        "gated_live",
-        "gated_creates",
-        "completed_creates",
-        "leftover_kinds",
-        "last_step",
-        "slot",
-    )
-
-    def __init__(
-        self,
-        plan: tuple[_PlanStep, ...],
-        cloud: CloudState,
-        started_at: float,
-        slot: int = 0,
-    ):
-        self.plan = plan
-        self.cloud = cloud
-        self.started_at = started_at
-        self.slot = slot
-        self.index = 0
-        self.stack: list[_PlanStep] = []
-        self.aborted = False
-        self.error: str | None = None
-        self.failed_step: str | None = None
-        self.steps_executed = 0
-        self.gated_live = 0
-        self.gated_creates = 0
-        self.completed_creates = 0
-        self.leftover_kinds: list[str] = []
-        self.last_step: _PlanStep | None = None
+    cloud: CloudState
+    started_at: float
+    slot: int
+    index: int = field(default=0, init=False)
+    stack: list[_PlanStep] = field(default_factory=list, init=False)
+    aborted: bool = field(default=False, init=False)
+    error: str | None = field(default=None, init=False)
+    failed_step: str | None = field(default=None, init=False)
+    steps_executed: int = field(default=0, init=False)
+    gated_live: int = field(default=0, init=False)
+    gated_creates: int = field(default=0, init=False)
+    completed_creates: int = field(default=0, init=False)
+    leftover_kinds: list[str] = field(default_factory=list, init=False)
+    last_step: _PlanStep | None = field(default=None, init=False)
 
     # -- helpers ------------------------------------------------------------
 
@@ -591,14 +529,10 @@ class _Execution:
 
     # -- completion ------------------------------------------------------------
 
-    def abort_unavailable(self) -> tuple[str, str, bool] | None:
-        """The cloud failed under this workload; cut it short.  Returns the
-        error event, naming the next forward step, unless it had failed."""
-        if self.error is not None:
-            return None
-        return self._fail(self.plan[self.index].name, CLOUD_UNAVAILABLE, False)
-
     def finalize(self, ended_at: float) -> WorkloadResult:
+        """Land the workload's last completion event and return its result,
+        built with one dict update, not the frozen dataclass's per-field
+        ``object.__setattr__``; it compares, hashes and stays frozen alike."""
         if self.steps_executed > 0:
             did_real_work = self.gated_creates > 0
             apply_resource_effects(self.cloud, self.last_step.finished[did_real_work])
@@ -608,15 +542,18 @@ class _Execution:
             status = _AGEING_FAILURE
         else:
             status = _NON_AGEING_FAILURE
-        return _new_result(
-            self.started_at,
-            ended_at,
-            status,
-            self.error,
-            self.failed_step,
-            self.leftover_kinds,
-            self.steps_executed,
+        result = object.__new__(WorkloadResult)
+        result.__dict__.update(
+            started_at=self.started_at,
+            ended_at=ended_at,
+            status=status,
+            error=self.error,
+            failed_step=self.failed_step,
+            leftovers_created=len(self.leftover_kinds),
+            leftover_kinds=tuple(self.leftover_kinds),
+            steps_executed=self.steps_executed,
         )
+        return result
 
 
 def _first_tick(t0: float, interval: float, t: float) -> int:
@@ -693,17 +630,17 @@ def run_stream(
     The definition is resolved once into a step plan (``_plan``, which
     also checks the fault table's step names) shared by every workload of
     the call, so a step costs a read of its precomputed record rather
-    than lookups by name.  Each workload's state is an ``_Execution``
-    record, but a step runs inline in the event loop, through one body for
-    forward and unwind steps: unwinding picks the step from the undo
-    stack rather than the plan, pushes no undo entry and strands nothing
-    on a faulted operate.  A step makes no Python call beyond the ledger
-    calls it needs (``try_create``, ``try_delete``), a fault draw where
-    the step has configured probabilities, the rare-path ``_Execution``
-    methods an error or a failed cloud needs, a cache deposit through
-    ``apply_resource_effects``, ``check_failed`` when its inputs changed,
-    and the hooks.  Enum members, the plan, its length, the contention
-    capacity and the two ledger methods are bound once per call.
+    than lookups by name.  Each workload's state is an ``_Execution``,
+    but a step runs inline in the event loop, through one body for forward
+    and unwind steps: unwinding picks the step from the undo stack rather
+    than the plan, pushes no undo entry and strands nothing on a faulted
+    operate.  A step makes no Python call beyond the ledger calls it needs
+    (``try_create``, ``try_delete``), a fault draw where the step has
+    configured probabilities, ``_Execution._fail`` on an error or a failed
+    cloud (and ``_apply_fault`` or ``_strand`` on a fault), a cache
+    deposit through ``apply_resource_effects``, ``check_failed`` when its
+    inputs changed, and the hooks.  Enum members, the plan, its length,
+    the contention capacity and the two ledger methods are bound once.
     Concurrency is capped at ``MAX_CONCURRENCY``, checked before any
     launch is scheduled.  Hour marks are scheduled lazily: the k-th falls
     at ``t0 + k * SECONDS_PER_HOUR``, and each queues its successor as it
@@ -815,7 +752,7 @@ def _run_events(
                     # A failed cloud parks the slot.
                     event = heappop(heap) if heap else None
                     continue
-                execution = _Execution(plan, cloud, t, payload)
+                execution = _Execution(cloud, t, payload)
             else:
                 execution = payload
             if not cloud.failed:
@@ -890,11 +827,13 @@ def _run_events(
                     (t + duration, PRIO_WORK, seq(), "finish" if finished else "step", execution),
                 )
                 continue
-            # The cloud failed under this workload: cut it short, and end
-            # it below like a finished one.
-            error = execution.abort_unavailable()
-            if error is not None and error_hook is not None:
-                error_hook(t, *error)
+            # The cloud failed under this workload: cut it short, naming
+            # its next forward step unless it had failed, and end it below
+            # like a finished one.
+            if execution.error is None:
+                error = execution._fail(plan[execution.index].name, CLOUD_UNAVAILABLE, False)
+                if error_hook is not None:
+                    error_hook(t, *error)
         elif kind == "finish":
             execution = payload
         elif kind == "tick":

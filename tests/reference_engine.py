@@ -245,7 +245,7 @@ def run_stream(
         # The warm-up window: a pending allocation lands at its first
         # tick, and every tick in it draws the noise on the memory reading.
         start = cloud._warmup_start
-        if start is not None and start <= t < start + SECONDS_PER_HOUR:
+        if start <= t < start + SECONDS_PER_HOUR:
             if cloud._warmup_alloc_pending:
                 cloud._consume(params.warmup_alloc_gb)
                 cloud._warmup_alloc_pending = False

@@ -90,7 +90,6 @@ PUBLIC_NAMES = [
     "ingest",
     "ingest_workload_report",
     "serialize_series",
-    "write_series_csv",
     # report
     "analysis_document",
     "error_distribution",
@@ -103,7 +102,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_surface_is_exactly_the_pinned_names():
-    assert len(PUBLIC_NAMES) == 65
+    assert len(PUBLIC_NAMES) == 64
     assert agesim.__all__ == PUBLIC_NAMES
 
 
@@ -202,3 +201,25 @@ def test_no_module_imports_a_sibling_inside_a_function():
                 if any(name.split(".")[0] == "agesim" for name in modules):
                     late.append(f"{path.name}:{node.lineno}")
     assert late == []
+
+
+def test_no_class_lists_its_slots_by_hand():
+    """A slotted class of the package declares its fields once, through
+    ``@dataclass(slots=True)``, rather than in a ``__slots__`` tuple that
+    must be kept in step with its ``__init__``."""
+    by_hand = []
+    for path in sorted(Path(agesim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
+                    by_hand.append(f"{path.name}:{node.lineno}")
+    assert by_hand == []

@@ -897,9 +897,35 @@ _REJUVENATING = dict(
 )
 
 
+#: A calm two-hour stream: no faults, default quotas, 60 s ticks.
+_CALM = dict(
+    table={},
+    quotas=dict(DEFAULT_QUOTAS),
+    topology="multi-node",
+    concurrency=2,
+    interval=60.0,
+    start=0.0,
+    hours=2,
+    hook="none",
+    rejuvenation_seconds=0.0,
+    warmup_after_rejuvenation=False,
+    fragile=False,
+    timing="default",
+    contention_capacity=1.0,
+    cache_depositing_steps=("boot server",),
+    seed=1,
+)
+
+
 @settings(max_examples=50, deadline=None)
 @example(**_REJUVENATING, interval=60.0, rejuvenation_seconds=0.0)
 @example(**_REJUVENATING, interval=7.0, rejuvenation_seconds=610.5)
+# The cleanup at 3600 s drops the images deposited before 1800 s.
+@example(**{**_CALM, "hook": "cleanup"})
+# The stream stops at the 7200 s mark, which is also a tick.
+@example(**{**_CALM, "hook": "stop", "hours": 3})
+# A faulted delete strands the server it was deleting.
+@example(**{**_CALM, "table": {"delete server": {"rebuild-error": 0.3}}})
 @given(
     table=fault_tables,
     quotas=quota_tables,

@@ -25,7 +25,6 @@ from agesim.ingest import (
     ingest,
     ingest_workload_report,
     serialize_series,
-    write_series_csv,
 )
 from agesim.trendstats import IndicatorSeries, bin_hourly
 
@@ -376,8 +375,8 @@ class TestSerializeRoundTrip:
 
     def test_write_to_disk(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_series_csv(
-            {"m": IndicatorSeries("m", "x", [0.0], [1.0])}, path
+        path.write_text(
+            serialize_series({"m": IndicatorSeries("m", "x", [0.0], [1.0])}), encoding="utf-8"
         )
         assert ingest(path)["m"] == IndicatorSeries("m", "unknown", [0.0], [1.0])
 

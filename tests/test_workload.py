@@ -23,6 +23,8 @@ from agesim.workload import (
     WorkloadDefinition,
     WorkloadResult,
     WorkloadStatus,
+    _Execution,
+    _plan,
     run_stream,
 )
 from single_run import run_single
@@ -144,6 +146,18 @@ class TestDefinition:
         )
         with pytest.raises(ConfigError):
             WorkloadDefinition(steps=steps)
+
+
+def test_engine_records_refuse_a_misspelt_field():
+    """A plan step and a workload's state are slotted records: they have
+    no ``__dict__``, so a field the class does not declare cannot be set."""
+    cloud = quiet_cloud()
+    step = _plan(DEFN, cloud, TimingParams(), None)[0]
+    execution = _Execution(cloud, 0.0, 0)
+    for record in (step, execution):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.nmae = "create user"
 
 
 # ── Timing ───────────────────────────────────────────────────────────────
