@@ -15,9 +15,10 @@ errors; see ``ingest``.
 
 ``serialize_series`` writes the same format back with full-precision
 values, so a serialize/ingest round trip reproduces a series exactly.
-Its renderer, which ``report.write_bundle`` shares, makes one cell per
-run of equal values, and renders a timestamp column once for every
-following series with the same timestamps.
+Its renderer, which ``report.write_bundle`` shares, yields each series'
+rows a chunk at a time, makes one cell per run of equal values within a
+chunk, and renders a timestamp column once for every following series
+with the same timestamps.
 
 Workload reports are JSON documents with a ``workloads`` list of
 records carrying ``start``, ``end`` and ``status``; they yield a
@@ -372,33 +373,50 @@ def _stamp_cells(stamps: np.ndarray) -> list[str]:
     return cells.tolist()
 
 
+#: Rows a bundle CSV is rendered and written in at a time.
+_CHUNK_ROWS = 4096
+
+
+def _join_rows(stamp_cells: list[str], tails: list[str]) -> str:
+    """Rows of one stamp cell and one tail cell each, joined once."""
+    rows = [None, None] * len(stamp_cells)
+    rows[0::2] = stamp_cells
+    rows[1::2] = tails
+    return "".join(rows)
+
+
 def _render_series(series_by_name: Mapping[str, IndicatorSeries]) -> Iterator[tuple[str, str]]:
-    """Each series' CSV rows, header left out, in sorted name order.
+    """Each series' CSV rows, header left out, in sorted name order, as
+    ``(name, chunk)`` pairs of up to ``_CHUNK_ROWS`` rows each; an empty
+    series gives one empty chunk, so that it still gets a file.
 
     A timestamp column is rendered once and reused while the timestamps
-    stay equal.  Each run of equal value bits (``-0.0`` apart from ``0.0``)
-    gets one ``,metric,value`` cell, repeated over the run.  A row is these
-    two pieces, and a series' rows are joined once.
+    stay equal.  Within a chunk, each run of equal value bits (``-0.0``
+    apart from ``0.0``) gets one ``,metric,value`` cell, repeated over the
+    run.  A row is these two pieces, and a chunk's rows are joined once.
     """
     rendered = stamp_cells = None
     for name, series in sorted(series_by_name.items()):
         stamps, values = series.timestamps, series.values
         if rendered is None or not np.array_equal(stamps, rendered):
             rendered, stamp_cells = stamps, _stamp_cells(stamps)
-        bits = values.view(np.int64)
-        starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]][: len(bits)])
         metric = csv_cell(name)
-        cells = np.array([f",{metric},{text}\n" for text in _reprs(values[starts])], dtype=object)
-        rows = [None, None] * len(values)
-        rows[0::2] = stamp_cells
-        rows[1::2] = np.repeat(cells, np.diff(starts, append=len(values))).tolist()
-        yield name, "".join(rows)
+        for lo in range(0, len(values) or 1, _CHUNK_ROWS):
+            chunk = values[lo : lo + _CHUNK_ROWS]
+            bits = chunk.view(np.int64)
+            starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]][: len(bits)])
+            cells = np.array(
+                [f",{metric},{text}\n" for text in _reprs(chunk[starts])], dtype=object
+            )
+            tails = np.repeat(cells, np.diff(starts, append=len(chunk))).tolist()
+            yield name, _join_rows(stamp_cells[lo : lo + _CHUNK_ROWS], tails)
 
 
 def serialize_series(series_by_name: Mapping[str, IndicatorSeries]) -> str:
     """Render series as the ingestable CSV format, full precision, a column
-    at a time (see ``_render_series``).  Timestamps and values never need
-    quoting; a metric name is quoted as ``csv.writer`` quotes it."""
+    at a time (see ``_render_series``), and join the chunks into one
+    string.  Timestamps and values never need quoting; a metric name is
+    quoted as ``csv.writer`` quotes it."""
     return "".join([_HEADER_ROW, *(rows for _name, rows in _render_series(series_by_name))])
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -26,7 +28,14 @@ import numpy as np
 
 from .scenario import ScenarioReport, SuiteResult
 from .trendstats import AgeingSummary, IndicatorAnalysis, TrendVerdict
-from .ingest import _HEADER_ROW, _render_series, _stamp_cells, csv_cell
+from .ingest import (
+    _CHUNK_ROWS,
+    _HEADER_ROW,
+    _join_rows,
+    _render_series,
+    _stamp_cells,
+    csv_cell,
+)
 
 #: Compact verdict markers used in tables.
 VERDICT_MARKERS = {
@@ -249,16 +258,24 @@ def suite_trend_table(reports: Iterable[ScenarioReport]) -> str:
 
 
 def _write_json(document: Mapping, path: Path) -> None:
-    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines((json.dumps(document, indent=2), "\n"))
+
+
+def _write_rows(path: Path, header: str, chunks: Iterable[str]) -> None:
+    """Write ``header``, then each chunk of rows as it comes."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(header)
+        out.writelines(chunks)
 
 
 def write_error_log(report: ScenarioReport, path: Path) -> None:
-    """Write the error log as CSV, a column at a time.
+    """Write the error log as CSV, ``_CHUNK_ROWS`` rows at a time.
 
     The times are rendered as ``serialize_series`` renders timestamps, and
     each kind's ``,step,error,ageing,overload`` cells, names quoted as
-    ``csv.writer`` quotes them, are built once.  Rows are assembled by
-    slice assignment into one list and joined once.
+    ``csv.writer`` quotes them, are built once.  Each chunk's rows are
+    joined and written on their own, so the whole file is never held.
     """
     log = report.error_log
     kind_cells = np.array(
@@ -269,18 +286,25 @@ def write_error_log(report: ScenarioReport, path: Path) -> None:
         ],
         dtype=object,
     )
-    rows = [None, None] * len(log)
-    rows[0::2] = _stamp_cells(log.times)
-    rows[1::2] = kind_cells[log.codes].tolist()
-    path.write_text("time,step,error,ageing,overload\n" + "".join(rows), encoding="utf-8")
+    chunks = (
+        _join_rows(
+            _stamp_cells(log.times[lo : lo + _CHUNK_ROWS]),
+            kind_cells[log.codes[lo : lo + _CHUNK_ROWS]].tolist(),
+        )
+        for lo in range(0, len(log), _CHUNK_ROWS)
+    )
+    _write_rows(path, "time,step,error,ageing,overload\n", chunks)
 
 
 def write_bundle(
     report: ScenarioReport, out_dir: str | Path, exclude_overload: bool = True
 ) -> Path:
     """Write one scenario's report bundle; returns the bundle directory.
-    Series files are rendered as ``serialize_series`` renders them: one value
-    cell per run, one timestamp column for series with equal timestamps."""
+
+    Series files are rendered as ``serialize_series`` renders them: one
+    value cell per run, one timestamp column for series with equal
+    timestamps.  Series files and ``errors.csv`` are written a chunk of
+    rows at a time, so writing a bundle holds one chunk, not a file."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(report_document(report, exclude_overload), out / "report.json")
@@ -291,9 +315,10 @@ def write_bundle(
     if report.series:
         series_dir = out / "series"
         series_dir.mkdir(exist_ok=True)
-        for name, rows in _render_series(report.series):
-            with open(series_dir / f"{name}.csv", "w", encoding="utf-8") as csv_file:
-                csv_file.writelines((_HEADER_ROW, rows))  # header + rows would copy the text
+        for name, chunks in groupby(_render_series(report.series), key=itemgetter(0)):
+            _write_rows(
+                series_dir / f"{name}.csv", _HEADER_ROW, (rows for _name, rows in chunks)
+            )
     return out
 
 

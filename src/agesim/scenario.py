@@ -59,6 +59,7 @@ from .workload import (
     WorkloadDefinition,
     WorkloadStatus,
     check_concurrency,
+    check_deadline,
     run_stream,
 )
 
@@ -73,6 +74,13 @@ class EarlyFailurePolicy(Enum):
 
     WAIT = "wait-for-schedule"
     REJUVENATE = "rejuvenate-on-failure"
+
+
+def _step_names(config: ScenarioConfig) -> tuple[str, ...]:
+    """The step names of the workload ``config`` runs."""
+    if config.workload is None:
+        return DEFAULT_STEP_NAMES
+    return tuple(s.name for s in config.workload.steps)
 
 
 @dataclass(frozen=True)
@@ -115,11 +123,7 @@ class ScenarioConfig:
             raise ConfigError("deploy failure probability must lie in [0, 1]")
         Topology.named(self.topology)
         quota_table(self.quotas)  # raises on a quota below 1
-        steps = (
-            DEFAULT_STEP_NAMES
-            if self.workload is None
-            else [s.name for s in self.workload.steps]
-        )
+        steps = _step_names(self)
         for path, named in (
             ("timing.step_seconds", self.timing.step_seconds),
             ("resources.cache_depositing_steps", self.resources.cache_depositing_steps),
@@ -472,11 +476,31 @@ class SuiteResult:
     errors: Mapping[str, str]
 
 
+def _check_deadlines(config: ScenarioConfig) -> None:
+    """Raise ``ConfigError`` where ``run_scenario`` would give a stream a
+    deadline it cannot reach (``check_deadline``), on a cloud that does
+    not fail early: the stress phase runs to its end, rejuvenation adds
+    ``rejuvenation_seconds``, then the post phase runs."""
+    shortest = min(map(config.timing.base_for, _step_names(config)))
+    stress_end = config.stress_hours * SECONDS_PER_HOUR
+    if config.stress_hours > 0:
+        check_deadline(0.0, stress_end, shortest)
+    if config.post_rejuvenation_hours > 0:
+        start = stress_end + config.resources.rejuvenation_seconds
+        check_deadline(start, start + config.post_rejuvenation_hours * SECONDS_PER_HOUR, shortest)
+
+
 def run_suite(configs: list[ScenarioConfig]) -> SuiteResult:
-    """Run scenarios in order, isolating failures per scenario."""
+    """Run scenarios in order, isolating failures per scenario.
+
+    A config that repeats a scenario id, or whose streams could not reach
+    their deadlines, is refused with ``ConfigError`` before any scenario
+    runs."""
     ids = [c.scenario_id for c in configs]
     if len(set(ids)) != len(ids):
         raise ConfigError("scenario ids must be unique")
+    for config in configs:
+        _check_deadlines(config)
     reports = []
     errors: dict[str, str] = {}
     for config in configs:

@@ -349,6 +349,25 @@ def check_concurrency(concurrency: int) -> None:
         )
 
 
+def check_deadline(start: float, until: float, shortest_step: float) -> None:
+    """Raise ``ConfigError`` unless a stream from ``start`` can reach ``until``.
+
+    The deadline must be finite and not before ``start``, and a step of
+    ``shortest_step`` seconds must be no shorter than the clock's
+    resolution at the deadline (``math.ulp(until)``): a shorter one gives
+    ``t + duration == t`` and freezes the clock short of it.
+    """
+    if not math.isfinite(until):
+        raise ConfigError(f"stream deadline must be finite, got {until!r}")
+    if until < start:
+        raise ConfigError("stream deadline precedes the cloud clock")
+    if start < until and shortest_step < math.ulp(until):
+        raise ConfigError(
+            f"a {shortest_step} s step cannot advance a clock at {until} s: "
+            f"its resolution there is {math.ulp(until)} s"
+        )
+
+
 @dataclass(slots=True, eq=False)
 class _PlanStep:
     """One workload step resolved against a run's cloud, timing and faults.
@@ -606,7 +625,7 @@ def run_stream(
     ``tick_seconds``, when given, positive and finite.  A deadline so late
     that the shortest step base time is below the clock's resolution
     there (``math.ulp(until)``) would freeze the clock short of it.  Each
-    of these is a ``ConfigError``.
+    of these is a ``ConfigError`` (see ``check_deadline``).
 
     A tick is a timestamp, not an event.  While the stream samples, the
     cloud logs every change to its gauges in a journal (see
@@ -661,20 +680,11 @@ def run_stream(
     check_concurrency(concurrency)
     if tick_seconds is not None and not (0.0 < tick_seconds < math.inf):
         raise ConfigError(f"tick_seconds must be positive and finite, got {tick_seconds!r}")
-    if not math.isfinite(until):
-        raise ConfigError(f"stream deadline must be finite, got {until!r}")
     timing = timing or TimingParams()
     t0 = cloud.clock
-    if until < t0:
-        raise ConfigError("stream deadline precedes the cloud clock")
+    check_deadline(t0, until, min(timing.base_for(step.name) for step in defn.steps))
 
     plan = _plan(defn, cloud, timing, faults)
-    shortest = min(step.base_seconds for step in plan)
-    if t0 < until and shortest < math.ulp(until):
-        raise ConfigError(
-            f"a {shortest} s step cannot advance a clock at {until} s: "
-            f"its resolution there is {math.ulp(until)} s"
-        )
     journal = cloud._journal = None if tick_seconds is None else cloud._new_journal()
     try:
         stopped_at = _run_events(

@@ -979,6 +979,30 @@ class TestFreshProcess:
         (line,) = [line for line in done.stderr.splitlines() if "error: " in line]
         assert "cannot advance a clock at 1.000000000000036e+17 s" in line
 
+    def test_suite_refuses_a_late_clock_as_run_does(self, tmp_path):
+        """``suite`` refuses a config whose post phase starts where the
+        clock resolves only 16 s with the ``error:`` line ``run`` prints,
+        and exit 2, before any scenario runs."""
+        config = {
+            "scenario_id": "frozen",
+            "seed": 1,
+            "stress_hours": 1,
+            "post_rejuvenation_hours": 1,
+            "resources": {"rejuvenation_seconds": 1e17},
+        }
+        path = write_json(tmp_path / "cfg.json", config)
+        lines = []
+        for command in (["run"], ["suite", "--configs"]):
+            done = run_in_fresh_process([*command, path], tmp_path)
+            assert done.returncode == 2
+            assert done.stdout == ""
+            assert "Traceback" not in done.stderr
+            (line,) = [line for line in done.stderr.splitlines() if "error: " in line]
+            lines.append(line)
+        run_line, suite_line = lines
+        assert "cannot advance a clock at 1.000000000000072e+17 s" in suite_line
+        assert suite_line == run_line
+
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
     )

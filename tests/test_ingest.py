@@ -27,6 +27,7 @@ from agesim.ingest import (
     serialize_series,
 )
 from agesim.trendstats import IndicatorSeries, bin_hourly
+from chunk_edges import CHUNK_EDGE_ROWS, chunk_edge_series, chunk_sizes
 
 # the package exports the function ``ingest`` under the module's name
 ingest_module = importlib.import_module("agesim.ingest")
@@ -567,6 +568,24 @@ def test_empty_columns_render_as_no_cells():
     assert _reprs(empty.astype(np.int64)) == []
     assert _stamp_cells(empty) == []
     assert list(_render_series({"m": IndicatorSeries("m", "x", empty, empty)})) == [("m", "")]
+
+
+@pytest.mark.parametrize("n", CHUNK_EDGE_ROWS)
+def test_serialize_series_across_chunk_edges(n):
+    """Series of n rows render as the row reference at every chunk edge,
+    in chunks of at most ``_CHUNK_ROWS`` rows.  A stamp column is rendered
+    once for ``a`` and ``b``; one holding a NaN stamp never equals itself,
+    so it is rendered again for ``c2``."""
+    series_by_name = chunk_edge_series(n)
+    with mock.patch.object(
+        ingest_module, "_stamp_cells", wraps=ingest_module._stamp_cells
+    ) as stamp_cells:
+        chunks = list(_render_series(series_by_name))
+    assert stamp_cells.call_count == (3 if n else 1)
+    assert [(name, chunk.count("\n")) for name, chunk in chunks] == [
+        (name, size) for name in sorted(series_by_name) for size in chunk_sizes(n)
+    ]
+    assert serialize_series(series_by_name) == array_reference(series_by_name)
 
 
 #: A scenario shaped like the benchmark's ageing-failure suite: faults,

@@ -4,14 +4,16 @@ import csv
 import dataclasses
 import filecmp
 import json
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agesim.cloud import ResourceParams
-from agesim.ingest import csv_cell, format_timestamp, ingest
+from agesim.ingest import csv_cell, format_timestamp, ingest, serialize_series
 from agesim.report import (
     VERDICT_MARKERS,
     error_distribution,
@@ -31,6 +33,7 @@ from agesim.scenario import (
 )
 from agesim.trendstats import TrendVerdict
 from agesim.workload import StepAction, StepSpec, TimingParams, WorkloadDefinition
+from chunk_edges import CHUNK_EDGE_ROWS, chunk_edge_series
 
 
 @pytest.fixture(scope="module")
@@ -390,6 +393,44 @@ def test_error_log_writer_and_counts_match_a_row_by_row_oracle(overload_report, 
         assert distribution == kept
         assert list(distribution) == sorted(kept, key=lambda error: (-kept[error], error))
         assert overload == len(held_out)
+
+
+@pytest.mark.parametrize("n", CHUNK_EDGE_ROWS)
+def test_bundle_csvs_across_chunk_edges(overload_report, tmp_path, n):
+    """At every chunk edge, ``errors.csv`` matches the row-by-row oracle
+    and each series file matches ``serialize_series`` of that series alone,
+    while ``a`` and ``b`` share one stamp column and ``c1`` and ``c2`` one
+    holding a NaN stamp."""
+    k = np.arange(n)
+    kinds = [("boot server", "e", False, False), ("a,b", 'say "hi"', True, True)]
+    log = ErrorLog(0.5 * k + 0.25 * (k % 3 == 0), k % 2, kinds)
+    series = chunk_edge_series(n)
+    report = dataclasses.replace(overload_report, error_log=log, series=series)
+    out = write_bundle(report, tmp_path / "bundle")
+    assert (out / "errors.csv").read_bytes() == errors_csv_row_by_row(log).encode("utf-8")
+    for name in series:
+        assert (out / "series" / f"{name}.csv").read_text(encoding="utf-8") == serialize_series(
+            {name: series[name]}
+        )
+
+
+def test_error_log_writer_holds_a_chunk_not_the_file(overload_report, tmp_path):
+    """A 200,000-row log of fractional times is written in traced memory
+    below a quarter of the file's size: the rows are written a chunk at a
+    time, never joined, concatenated or encoded as one file."""
+    n = 200_000
+    k = np.arange(n)
+    kinds = [("boot server", "server-error-status", True, False), ("create user", "e", False, True)]
+    log = ErrorLog(0.37 * k + 1 / 3, k % 2, kinds)
+    report = dataclasses.replace(overload_report, error_log=log)
+    path = tmp_path / "errors.csv"
+    tracemalloc.start()
+    try:
+        write_error_log(report, path)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
 
 
 class TestDeployFailedRendering:

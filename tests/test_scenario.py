@@ -1,11 +1,15 @@
 """Tests for the scenario runner: phases, policies, suites, the matrix."""
 
+import contextlib
 import dataclasses
+import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 
+from agesim import scenario
 from agesim.cloud import EntityKind, ResourceParams
 from agesim.errors import ConfigError
 from agesim.scenario import (
@@ -464,6 +468,44 @@ class TestSuite:
         result = run_suite([])
         assert result.reports == ()
         assert result.errors == {}
+
+    @pytest.mark.parametrize(
+        "stress_hours, post_hours, rejuvenation_seconds, refused",
+        [
+            (0, 1, 1e17, True),  # the post phase runs where the clock resolves 16 s
+            (1, 1, 1e17, True),
+            (1, 0, 1e17, False),  # no stream runs after the rejuvenation
+            (0, 1, 2.0**53, False),  # the clock resolves 2 s, which a 2 s step advances
+            (0, 1, 2.0**54, True),
+            (0, 1, math.inf, True),
+            (10**300, 1, 0.0, True),  # the stress phase cannot reach its end
+        ],
+    )
+    def test_refuses_before_any_run_what_run_scenario_refuses(
+        self, monkeypatch, stress_hours, post_hours, rejuvenation_seconds, refused
+    ):
+        """A config whose streams ``run_scenario`` refuses, for a deadline
+        the clock cannot reach or resolve, is refused by ``run_suite`` with
+        the same message before any scenario runs; any other config runs."""
+        late = ScenarioConfig(
+            scenario_id="late",
+            stress_hours=stress_hours,
+            post_rejuvenation_hours=post_hours,
+            resources=quiet_resources(rejuvenation_seconds=rejuvenation_seconds),
+        )
+        if refused:
+            with pytest.raises(ConfigError) as at_run:
+                run_scenario(late)
+            in_suite = pytest.raises(ConfigError, match=f"^{re.escape(str(at_run.value))}$")
+        else:
+            run_scenario(late)
+            in_suite = contextlib.nullcontext()
+        ran = []
+        monkeypatch.setattr(scenario, "run_scenario", lambda c: ran.append(c.scenario_id))
+        first = ScenarioConfig(scenario_id="first", stress_hours=0, post_rejuvenation_hours=0)
+        with in_suite:
+            run_suite([first, late])
+        assert ran == ([] if refused else ["first", "late"])
 
 
 class TestDefaultMatrix:
