@@ -28,14 +28,7 @@ import numpy as np
 
 from .scenario import ScenarioReport, SuiteResult
 from .trendstats import AgeingSummary, IndicatorAnalysis, TrendVerdict
-from .ingest import (
-    _CHUNK_ROWS,
-    _HEADER_ROW,
-    _join_rows,
-    _render_series,
-    _stamp_cells,
-    csv_cell,
-)
+from .ingest import _CHUNK_ROWS, _HEADER_ROW, _join_rows, _render_series, _stamp_cells, csv_cell
 
 #: Compact verdict markers used in tables.
 VERDICT_MARKERS = {
