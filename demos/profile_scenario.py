@@ -10,7 +10,7 @@ return), and the unprofiled time per step.  Then
 it does the same for ``write_bundle`` of that scenario's report, written
 to a temporary directory: the bundle is about 15 % of a ``matrix`` pass.
 It also prints an unprofiled split of the bundle (the series CSVs,
-written as ``write_bundle`` writes them, ``errors.csv``, and
+through ``write_bundle``'s own series writer, ``errors.csv``, and
 ``report.json`` plus ``tables.txt``), with the series rows beside their
 runs of equal values and their distinct values, and the error rows
 beside their kinds: the series writer formats each run of equal values
@@ -45,8 +45,7 @@ from agesim import (
     write_bundle,
 )
 from agesim import scenario
-from agesim.ingest import _HEADER_ROW, _render_series
-from agesim.report import write_error_log
+from agesim.report import _write_series, write_error_log
 
 
 def profiled(label: str, call, rows: int):
@@ -94,18 +93,13 @@ def bundle_split(report, out: Path) -> None:
     (by bits, per series), and the error rows beside their kinds."""
     series = report.series
 
-    def series_csvs():
-        for name, rows in _render_series(series):
-            with open(out / f"{name}.csv", "w", encoding="utf-8") as csv_file:
-                csv_file.writelines((_HEADER_ROW, rows))
-
     def report_and_tables():
         document = json.dumps(report_document(report), indent=2) + "\n"
         (out / "report.json").write_text(document, encoding="utf-8")
         (out / "tables.txt").write_text(render_tables(report), encoding="utf-8")
 
     parts = {
-        "series CSVs": series_csvs,
+        "series CSVs": lambda: _write_series(series, out / "series"),
         "errors.csv": lambda: write_error_log(report, out / "errors.csv"),
         "report.json + tables.txt": report_and_tables,
     }

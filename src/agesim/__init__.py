@@ -4,7 +4,11 @@ The package splits into a statistics layer (Mann-Kendall trend tests,
 Sen's slope, hourly binning, ageing/rejuvenation deltas), a simulated
 quota-limited cloud with leak and fault injection, a workload engine
 that drives it, scenario orchestration, and reporting/ingest glue.
+The import block below is the public surface: ``__all__`` lists every
+name it binds, in import order.
 """
+
+import types
 
 from .errors import (
     AgesimError,
@@ -86,68 +90,7 @@ from .report import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgesimError",
-    "ConfigError",
-    "DuplicateTimestampError",
-    "EmptyFileError",
-    "EmptySeriesError",
-    "InsufficientDataError",
-    "LedgerUnderflowError",
-    "MissingPhaseBinError",
-    "ParseError",
-    "STREAM_IDS",
-    "scenario_seed",
-    "stream",
-    "AgeingSummary",
-    "HourlySeries",
-    "IndicatorAnalysis",
-    "IndicatorSeries",
-    "PhaseMarks",
-    "TrendTestResult",
-    "TrendVerdict",
-    "ageing_summary",
-    "bin_hourly",
-    "classify_z",
-    "evaluate_indicator",
-    "mann_kendall",
-    "rebased",
-    "sens_slope",
-    "DEFAULT_ERROR_CATALOG",
-    "DEFAULT_QUOTAS",
-    "OVERLOAD_INDICATOR_ERRORS",
-    "AgeingRule",
-    "CloudState",
-    "EntityKind",
-    "ErrorSpec",
-    "FaultModel",
-    "QuotaExceeded",
-    "ResourceParams",
-    "Topology",
-    "DEFAULT_STEPS",
-    "StepAction",
-    "StepSpec",
-    "TimingParams",
-    "WorkloadDefinition",
-    "WorkloadResult",
-    "WorkloadStatus",
-    "run_stream",
-    "MATRIX_CONCURRENCIES",
-    "EarlyFailurePolicy",
-    "ScenarioConfig",
-    "ScenarioReport",
-    "SuiteResult",
-    "default_matrix",
-    "run_scenario",
-    "run_suite",
-    "WorkloadReportData",
-    "ingest",
-    "ingest_workload_report",
-    "serialize_series",
-    "analysis_document",
-    "error_distribution",
-    "render_tables",
-    "report_document",
-    "suite_trend_table",
-    "write_bundle",
-    "write_suite_bundle",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
 ]

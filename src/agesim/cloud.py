@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, LedgerUnderflowError
 from .seeding import stream
-
-SECONDS_PER_HOUR = 3600.0
+from .trendstats import SECONDS_PER_HOUR
 
 
 class EntityKind(Enum):
@@ -170,10 +169,7 @@ class WorkloadStepCompleted:
 
 @dataclass(frozen=True)
 class IntervalElapsed:
-    """A sampling tick that may land the warm-up allocation; carries the
-    sampling interval."""
-
-    interval_seconds: float = SECONDS_PER_HOUR
+    """A sampling tick that may land the warm-up allocation."""
 
 
 # ── Quota rejection ──────────────────────────────────────────────────────
@@ -239,6 +235,8 @@ class FaultModel:
     must not exceed 1.  Steps without configured entries consume no
     random draws at all.  Step names are not checked here but against
     the workload definition, by ``run_stream`` before its first event.
+    ``catalog`` extends ``DEFAULT_ERROR_CATALOG`` to resolve error names
+    and ``seed`` picks the ``"faults"`` stream; neither is kept.
     """
 
     def __init__(
@@ -247,10 +245,7 @@ class FaultModel:
         catalog: Mapping[str, ErrorSpec] | None = None,
         seed: int = 0,
     ):
-        self.catalog = dict(DEFAULT_ERROR_CATALOG)
-        if catalog:
-            self.catalog.update(catalog)
-        self.seed = seed
+        catalog = {**DEFAULT_ERROR_CATALOG, **(catalog or {})}
         self._rng = stream(seed, "faults")
 
         self._per_step: dict[str, list[tuple[float, ErrorSpec]]] = {}
@@ -258,13 +253,13 @@ class FaultModel:
             slots: list[tuple[float, ErrorSpec]] = []
             cumulative = 0.0
             for error_name, p in entries.items():
-                if error_name not in self.catalog:
+                if error_name not in catalog:
                     raise ConfigError(f"unknown error name {error_name!r}")
                 if not 0.0 <= p <= 1.0:
                     raise ConfigError(f"probability {p} for {error_name!r} not in [0, 1]")
                 cumulative += p
                 if p > 0.0:
-                    slots.append((cumulative, self.catalog[error_name]))
+                    slots.append((cumulative, catalog[error_name]))
             if cumulative > 1.0 + 1e-12:
                 raise ConfigError(
                     f"per-step probabilities for {step_name!r} sum to {cumulative} > 1"

@@ -22,7 +22,6 @@ class MissingPhaseBinError(AgesimError):
 
     def __init__(self, bin_name: str):
         super().__init__(f"required bin missing: {bin_name}")
-        self.bin_name = bin_name
 
 
 class LedgerUnderflowError(AgesimError):

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .scenario import ScenarioReport, SuiteResult
-from .trendstats import AgeingSummary, IndicatorAnalysis, TrendVerdict
+from .trendstats import AgeingSummary, IndicatorAnalysis, IndicatorSeries, TrendVerdict
 from .ingest import _CHUNK_ROWS, _HEADER_ROW, _join_rows, _render_series, _stamp_cells, csv_cell
 
 #: Compact verdict markers used in tables.
@@ -289,6 +289,13 @@ def write_error_log(report: ScenarioReport, path: Path) -> None:
     _write_rows(path, "time,step,error,ageing,overload\n", chunks)
 
 
+def _write_series(series: Mapping[str, IndicatorSeries], series_dir: Path) -> None:
+    """Write each series to ``series_dir/<name>.csv``, a chunk of rows at a time."""
+    series_dir.mkdir(exist_ok=True)
+    for name, chunks in groupby(_render_series(series), key=itemgetter(0)):
+        _write_rows(series_dir / f"{name}.csv", _HEADER_ROW, (rows for _name, rows in chunks))
+
+
 def write_bundle(
     report: ScenarioReport, out_dir: str | Path, exclude_overload: bool = True
 ) -> Path:
@@ -306,23 +313,16 @@ def write_bundle(
     )
     write_error_log(report, out / "errors.csv")
     if report.series:
-        series_dir = out / "series"
-        series_dir.mkdir(exist_ok=True)
-        for name, chunks in groupby(_render_series(report.series), key=itemgetter(0)):
-            _write_rows(
-                series_dir / f"{name}.csv", _HEADER_ROW, (rows for _name, rows in chunks)
-            )
+        _write_series(report.series, out / "series")
     return out
 
 
-def write_suite_bundle(
-    suite: SuiteResult, out_dir: str | Path, exclude_overload: bool = True
-) -> Path:
-    """Write bundles for every scenario plus the combined suite files."""
+def write_suite_bundle(suite: SuiteResult, out_dir: str | Path) -> Path:
+    """Write every scenario's bundle, overload held out, and the suite files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for report in suite.reports:
-        write_bundle(report, out / f"scenario-{report.scenario_id}", exclude_overload)
+        write_bundle(report, out / f"scenario-{report.scenario_id}")
     (out / "trend_table.txt").write_text(
         suite_trend_table(suite.reports), encoding="utf-8"
     )

@@ -32,7 +32,6 @@ import numpy as np
 
 from .cloud import (
     OVERLOAD_INDICATOR_ERRORS,
-    SECONDS_PER_HOUR,
     CloudState,
     EntityKind,
     FaultModel,
@@ -46,6 +45,7 @@ from .cloud import (
 from .errors import ConfigError
 from .seeding import scenario_seed, stream
 from .trendstats import (
+    SECONDS_PER_HOUR,
     IndicatorAnalysis,
     IndicatorSeries,
     evaluate_indicator,
@@ -301,7 +301,10 @@ def _deploy_fails(config: ScenarioConfig) -> bool:
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
-    """Run one scenario and analyse every collected indicator."""
+    """Run one scenario and analyse every collected indicator.  A config
+    ``_check_deadlines`` refuses raises ``ConfigError`` before anything runs,
+    even where ``rejuvenate-on-failure`` could bring the post deadline in reach."""
+    _check_deadlines(config)
     identity = dict(
         scenario_id=config.scenario_id,
         topology=config.topology,

@@ -39,12 +39,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .cloud import (
-    SECONDS_PER_HOUR,
     AgeingRule,
     CloudState,
     EntityKind,
@@ -57,6 +56,7 @@ from .cloud import (
     quota_error_name,
 )
 from .errors import ConfigError
+from .trendstats import SECONDS_PER_HOUR
 
 #: Error name recorded for a workload cut short by a cloud failing under it.
 CLOUD_UNAVAILABLE = "cloud-unavailable"
@@ -713,7 +713,6 @@ def _run_events(
     """The event loop of ``run_stream``; returns the hour mark at which the
     hour hook stopped the stream, or None if it ran to its deadline."""
     t0 = cloud.clock
-    tick = IntervalElapsed(tick_seconds) if tick_seconds is not None else None
     heap: list[tuple[float, int, int, str, object]] = []
     # Bound per call rather than at import, so a patched heapq is seen.
     heappush = heapq.heappush
@@ -735,7 +734,7 @@ def _run_events(
     def queue_allocation(t: float) -> None:
         # Queue the first tick at or after t that lands a pending warm-up
         # allocation, if one falls in the window and before the deadline.
-        if tick is None or not cloud._warmup_alloc_pending:
+        if tick_seconds is None or not cloud._warmup_alloc_pending:
             return
         start = cloud._warmup_start
         t = t0 + _first_tick(t0, tick_seconds, max(t, start)) * tick_seconds
@@ -847,7 +846,7 @@ def _run_events(
         elif kind == "finish":
             execution = payload
         elif kind == "tick":
-            apply_resource_effects(cloud, tick)
+            apply_resource_effects(cloud, IntervalElapsed())
             event = heappop(heap) if heap else None
             continue
         else:

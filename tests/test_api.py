@@ -85,9 +85,9 @@ PUBLIC_NAMES = [
     "default_matrix",
     "run_scenario",
     "run_suite",
-    # ingest
-    "WorkloadReportData",
+    # ingest; importing the submodule binds "ingest" first
     "ingest",
+    "WorkloadReportData",
     "ingest_workload_report",
     "serialize_series",
     # report
@@ -223,3 +223,28 @@ def test_no_class_lists_its_slots_by_hand():
                 if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
                     by_hand.append(f"{path.name}:{node.lineno}")
     assert by_hand == []
+
+
+def test_no_module_level_name_is_defined_in_two_modules():
+    """A module-level ``def``, ``class`` or assignment lives in one module
+    of the package; another module that needs the name imports it."""
+    defined: dict[str, list[str]] = {}
+    for path in sorted(Path(agesim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [
+                    n.id
+                    for t in node.targets
+                    for n in ast.walk(t)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                ]
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                names = [node.target.id] if isinstance(node.target, ast.Name) else []
+            else:
+                continue
+            for name in names:
+                defined.setdefault(name, []).append(f"{path.name}:{node.lineno}")
+    assert {name: where for name, where in defined.items() if len(where) > 1} == {}

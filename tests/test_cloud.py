@@ -296,7 +296,7 @@ class TestResourceEffects:
         journal = state._journal = state._new_journal()
         for clock in (0.0, 30.0, 60.0):
             state.clock = clock
-            assert apply_resource_effects(state, IntervalElapsed(30.0)) is None
+            assert apply_resource_effects(state, IntervalElapsed()) is None
         state._journal = None
         readings = state._readings(np.array([0.0, 30.0, 60.0]), journal)
         assert readings["memory-available"].tolist() == [params.initial_memory_gb - 0.25] * 3
@@ -626,7 +626,7 @@ def apply_operation(state, op):
         )
     elif name == "tick":
         state.clock += op[1]
-        apply_resource_effects(state, IntervalElapsed(30.0))
+        apply_resource_effects(state, IntervalElapsed())
     elif name == "cleanup":
         state.clock += op[1]
         cache_cleanup(state)

@@ -250,6 +250,18 @@ class TestDegeneratePhases:
         assert memory.ageing is None
         assert "post-rejuvenation" in memory.ageing_unavailable
 
+    def test_unreachable_post_deadline_refused_before_the_stress_phase(self, monkeypatch):
+        """A post phase the clock cannot reach is refused before any
+        stream runs, not after a simulated stress day."""
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("run_stream called")
+
+        monkeypatch.setattr(scenario, "run_stream", no_stream)
+        late = ScenarioConfig(scenario_id="late", concurrency=64, post_rejuvenation_hours=10**300)
+        with pytest.raises(ConfigError, match="cannot advance a clock"):
+            run_scenario(late)
+
 
 # ── Error log ────────────────────────────────────────────────────────────
 
