@@ -183,8 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(path: str | None) -> Path | None:
-    """The ``--out`` directory, created before any result is printed, so a
-    path that cannot hold it fails with nothing on stdout."""
+    """The ``--out`` directory, created once the run has succeeded and
+    before any result is printed, so a refused config leaves no directory
+    and a path that cannot hold one fails with nothing on stdout."""
     if not path:
         return None
     out = Path(path)
@@ -206,8 +207,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides.update(args.phases)
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    out = _out_dir(args.out)
     report = run_scenario(config)
+    out = _out_dir(args.out)
     print(render_tables(report, args.exclude_overload_errors), end="")
     if out is not None:
         write_bundle(report, out, args.exclude_overload_errors)
@@ -232,8 +233,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
                 dataclasses.replace(c, seed=scenario_seed(args.seed, i + 1))
                 for i, c in enumerate(configs)
             ]
-    out = _out_dir(args.out)
     suite = run_suite(configs)
+    out = _out_dir(args.out) if suite.reports else None
     for scenario_id, message in sorted(suite.errors.items()):
         print(f"scenario {scenario_id} failed: {message}", file=sys.stderr)
     if not suite.reports:

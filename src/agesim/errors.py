@@ -21,7 +21,11 @@ class MissingPhaseBinError(AgesimError):
     """A required phase bin (first stress, last stress, post-rejuvenation) is absent."""
 
     def __init__(self, bin_name: str):
-        super().__init__(f"required bin missing: {bin_name}")
+        # the bin name alone is the argument, so that unpickling rebuilds the same text
+        super().__init__(bin_name)
+
+    def __str__(self) -> str:
+        return f"required bin missing: {self.args[0]}"
 
 
 class LedgerUnderflowError(AgesimError):

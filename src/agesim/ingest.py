@@ -17,8 +17,9 @@ errors; see ``ingest``.
 values, so a serialize/ingest round trip reproduces a series exactly.
 Its renderer, which ``report.write_bundle`` shares, yields each series'
 rows a chunk at a time, makes one cell per run of equal values within a
-chunk, and renders a timestamp column once for every following series
-with the same timestamps.
+chunk, and renders each chunk of a timestamp column once for the
+neighbouring series with the same timestamps, whose chunks it yields
+side by side.
 
 Workload reports are JSON documents with a ``workloads`` list of
 records carrying ``start``, ``end`` and ``status``; they yield a
@@ -34,6 +35,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterator, Mapping
 
@@ -269,7 +271,7 @@ def _read_rows(handle: IO[str]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         if not by_metric:
             raise EmptyFileError("series file has no data rows")
         return {
-            metric: (np.frombuffer(stamps), np.frombuffer(readings))
+            metric: (np.array(stamps), np.array(readings))
             for metric, (stamps, readings) in by_metric.items()
         }
     except csv.Error as exc:  # a field past csv.field_size_limit(), or a lone \r
@@ -326,6 +328,9 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
                 raise DuplicateTimestampError(
                     f"metric {metric!r} has two samples at timestamp {float(ts[tied[0]])!r}"
                 )
+        # each metric's arrays are its own, so the series holds them as they are
+        ts.flags.writeable = False
+        values.flags.writeable = False
         series[metric] = IndicatorSeries(metric, unit, ts, values)
     return series
 
@@ -385,39 +390,64 @@ def _join_rows(stamp_cells: list[str], tails: list[str]) -> str:
     return "".join(rows)
 
 
-def _render_series(series_by_name: Mapping[str, IndicatorSeries]) -> Iterator[tuple[str, str]]:
-    """Each series' CSV rows, header left out, in sorted name order, as
-    ``(name, chunk)`` pairs of up to ``_CHUNK_ROWS`` rows each; an empty
-    series gives one empty chunk, so that it still gets a file.
-
-    A timestamp column is rendered once and reused while the timestamps
-    stay equal.  Within a chunk, each run of equal value bits (``-0.0``
-    apart from ``0.0``) gets one ``,metric,value`` cell, repeated over the
-    run.  A row is these two pieces, and a chunk's rows are joined once.
-    """
-    rendered = stamp_cells = None
+def _clock_groups(
+    series_by_name: Mapping[str, IndicatorSeries],
+) -> Iterator[list[tuple[str, IndicatorSeries]]]:
+    """The ``(name, series)`` items in sorted name order, in runs of
+    neighbours whose timestamps are equal: the series that share a clock."""
+    group: list[tuple[str, IndicatorSeries]] = []
     for name, series in sorted(series_by_name.items()):
-        stamps, values = series.timestamps, series.values
-        if rendered is None or not np.array_equal(stamps, rendered):
-            rendered, stamp_cells = stamps, _stamp_cells(stamps)
-        metric = csv_cell(name)
-        for lo in range(0, len(values) or 1, _CHUNK_ROWS):
-            chunk = values[lo : lo + _CHUNK_ROWS]
+        if group and not np.array_equal(series.timestamps, group[0][1].timestamps):
+            yield group
+            group = []
+        group.append((name, series))
+    if group:
+        yield group
+
+
+def _render_group(group: list[tuple[str, IndicatorSeries]]) -> Iterator[tuple[str, str]]:
+    """The CSV rows, header left out, of series that share a clock, as
+    ``(name, chunk)`` pairs of up to ``_CHUNK_ROWS`` rows each, side by
+    side: one chunk of every series in turn, then the next chunk.  Empty
+    series give one empty chunk each, so that they still get a file.
+
+    Each chunk of the timestamp column is rendered once for the whole
+    group, so no more than one chunk of stamp cells is held.  Within a
+    chunk, each run of equal value bits (``-0.0`` apart from ``0.0``) gets
+    one ``,metric,value`` cell, repeated over the run.  A row is these two
+    pieces, and a chunk's rows are joined once.
+    """
+    stamps = group[0][1].timestamps
+    metrics = [csv_cell(name) for name, _series in group]
+    for lo in range(0, len(stamps) or 1, _CHUNK_ROWS):
+        stamp_cells = _stamp_cells(stamps[lo : lo + _CHUNK_ROWS])
+        for (name, series), metric in zip(group, metrics):
+            chunk = series.values[lo : lo + _CHUNK_ROWS]
             bits = chunk.view(np.int64)
             starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]][: len(bits)])
             cells = np.array(
                 [f",{metric},{text}\n" for text in _reprs(chunk[starts])], dtype=object
             )
             tails = np.repeat(cells, np.diff(starts, append=len(chunk))).tolist()
-            yield name, _join_rows(stamp_cells[lo : lo + _CHUNK_ROWS], tails)
+            yield name, _join_rows(stamp_cells, tails)
+
+
+def _render_series(series_by_name: Mapping[str, IndicatorSeries]) -> Iterator[tuple[str, str]]:
+    """Every series' ``(name, chunk)`` pairs (see ``_render_group``), one
+    group of series that share a clock after another, in sorted name order."""
+    for group in _clock_groups(series_by_name):
+        yield from _render_group(group)
 
 
 def serialize_series(series_by_name: Mapping[str, IndicatorSeries]) -> str:
     """Render series as the ingestable CSV format, full precision, a column
-    at a time (see ``_render_series``), and join the chunks into one
-    string.  Timestamps and values never need quoting; a metric name is
-    quoted as ``csv.writer`` quotes it."""
-    return "".join([_HEADER_ROW, *(rows for _name, rows in _render_series(series_by_name))])
+    at a time (see ``_render_group``), and join each series' chunks, in
+    sorted name order, into one string.  Timestamps and values never need
+    quoting; a metric name is quoted as ``csv.writer`` quotes it."""
+    chunks: dict[str, list[str]] = {name: [] for name in sorted(series_by_name)}
+    for name, rows in _render_series(series_by_name):
+        chunks[name].append(rows)
+    return "".join([_HEADER_ROW, *chain.from_iterable(chunks.values())])
 
 
 # ── Workload reports ─────────────────────────────────────────────────────

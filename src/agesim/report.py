@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from itertools import groupby
-from operator import itemgetter
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -28,7 +27,15 @@ import numpy as np
 
 from .scenario import ScenarioReport, SuiteResult
 from .trendstats import AgeingSummary, IndicatorAnalysis, IndicatorSeries, TrendVerdict
-from .ingest import _CHUNK_ROWS, _HEADER_ROW, _join_rows, _render_series, _stamp_cells, csv_cell
+from .ingest import (
+    _CHUNK_ROWS,
+    _HEADER_ROW,
+    _clock_groups,
+    _join_rows,
+    _render_group,
+    _stamp_cells,
+    csv_cell,
+)
 
 #: Compact verdict markers used in tables.
 VERDICT_MARKERS = {
@@ -290,10 +297,20 @@ def write_error_log(report: ScenarioReport, path: Path) -> None:
 
 
 def _write_series(series: Mapping[str, IndicatorSeries], series_dir: Path) -> None:
-    """Write each series to ``series_dir/<name>.csv``, a chunk of rows at a time."""
+    """Write each series to ``series_dir/<name>.csv``, a chunk of rows at a
+    time; the files of series that share a clock are open together and
+    written side by side, a chunk of each in turn."""
     series_dir.mkdir(exist_ok=True)
-    for name, chunks in groupby(_render_series(series), key=itemgetter(0)):
-        _write_rows(series_dir / f"{name}.csv", _HEADER_ROW, (rows for _name, rows in chunks))
+    for group in _clock_groups(series):
+        with ExitStack() as files:
+            outs = {}
+            for name, _series in group:
+                out = outs[name] = files.enter_context(
+                    open(series_dir / f"{name}.csv", "w", encoding="utf-8")
+                )
+                out.write(_HEADER_ROW)
+            for name, rows in _render_group(group):
+                outs[name].write(rows)
 
 
 def write_bundle(
@@ -302,9 +319,10 @@ def write_bundle(
     """Write one scenario's report bundle; returns the bundle directory.
 
     Series files are rendered as ``serialize_series`` renders them: one
-    value cell per run, one timestamp column for series with equal
-    timestamps.  Series files and ``errors.csv`` are written a chunk of
-    rows at a time, so writing a bundle holds one chunk, not a file."""
+    value cell per run, and each chunk of a timestamp column rendered once
+    for the series that share it, whose files are written side by side.
+    Series files and ``errors.csv`` are written a chunk of rows at a time,
+    so writing a bundle holds one chunk, not a file or a column."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(report_document(report, exclude_overload), out / "report.json")

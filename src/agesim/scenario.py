@@ -303,7 +303,11 @@ def _deploy_fails(config: ScenarioConfig) -> bool:
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     """Run one scenario and analyse every collected indicator.  A config
     ``_check_deadlines`` refuses raises ``ConfigError`` before anything runs,
-    even where ``rejuvenate-on-failure`` could bring the post deadline in reach."""
+    even where ``rejuvenate-on-failure`` could bring the post deadline in reach.
+
+    The gauge series of the report share one read-only ``timestamps``
+    array, the tick clock of all three phases, which the bundle writer
+    renders once for all of them."""
     _check_deadlines(config)
     identity = dict(
         scenario_id=config.scenario_id,
@@ -434,11 +438,15 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             "workload-duration", "seconds", *nudge_ties(starts, durations)
         )
     # Join the phases one gauge at a time, dropping each part once joined,
-    # so that no more than one gauge is held twice.
+    # so that no more than one gauge is held twice.  Every gauge holds one
+    # read-only clock: nudged stamps depend on the stamps alone.
     tick_times = np.concatenate([part.pop("time") for part in readings])
+    clock, _ = nudge_ties(tick_times, tick_times)
+    clock.flags.writeable = False
     for name in list(readings[0]):
-        values = np.concatenate([part.pop(name) for part in readings])
-        series[name] = IndicatorSeries(name, "GB", *nudge_ties(tick_times, values))
+        _, values = nudge_ties(tick_times, np.concatenate([part.pop(name) for part in readings]))
+        values.flags.writeable = False
+        series[name] = IndicatorSeries(name, "GB", clock, values)
 
     boundaries = (rejuvenation_started, rejuvenation_ended)
     analyses = {

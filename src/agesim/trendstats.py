@@ -99,12 +99,16 @@ class IndicatorSeries:
 
     Timestamps are seconds since the start of the observation window and
     must be strictly increasing.  ``IndicatorSeries(name, unit,
-    timestamps, values)`` copies the two parallel arrays into read-only
+    timestamps, values)`` holds the two parallel arrays as read-only
     float64 arrays, ``timestamps`` and ``values``, and checks that the
     unit is not empty, that both are one-dimensional and of one length,
-    and that the timestamps increase.  ``samples`` renders them as a
-    tuple of ``(timestamp, value)`` float pairs.  Series are frozen
-    dataclasses, and equal when name, unit and every float compare equal.
+    and that the timestamps increase.  An argument that is already a
+    1-D, read-only float64 ndarray owning its data is held as that same
+    object, so series may share one clock; anything else (a list, a
+    writeable array, a read-only view of a writeable base) is copied
+    into a new read-only array.  ``samples`` renders them as a tuple of
+    ``(timestamp, value)`` float pairs.  Series are frozen dataclasses,
+    and equal when name, unit and every float compare equal.
     """
 
     name: str
@@ -115,8 +119,8 @@ class IndicatorSeries:
     def __post_init__(self):
         if not self.unit:
             raise InvalidSeriesError("IndicatorSeries.unit must be non-empty")
-        ts = np.array(self.timestamps, dtype=np.float64)
-        vs = np.array(self.values, dtype=np.float64)
+        ts = _frozen(self.timestamps)
+        vs = _frozen(self.values)
         if ts.ndim != 1 or ts.shape != vs.shape:
             raise InvalidSeriesError(
                 f"timestamps and values of series {self.name!r}"
@@ -127,8 +131,6 @@ class IndicatorSeries:
             raise InvalidSeriesError(
                 f"timestamps of series {self.name!r} must be strictly increasing"
             )
-        ts.flags.writeable = False
-        vs.flags.writeable = False
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "values", vs)
 
@@ -164,6 +166,22 @@ class IndicatorSeries:
         return (IndicatorSeries, (self.name, self.unit, self.timestamps, self.values))
 
 
+def _frozen(array: ArrayLike) -> np.ndarray:
+    """``array`` itself if it is a 1-D, read-only float64 ndarray that owns
+    its data, which no one can write through a view; else a read-only copy."""
+    if (
+        type(array) is np.ndarray
+        and array.dtype == np.float64
+        and array.ndim == 1
+        and array.base is None
+        and not array.flags.writeable
+    ):
+        return array
+    held = np.array(array, dtype=np.float64)
+    held.flags.writeable = False
+    return held
+
+
 def nudge_ties(
     timestamps: ArrayLike, values: ArrayLike
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -173,9 +191,15 @@ def nudge_ties(
     of full ties.  A tie advances by a nanosecond, or by one float step
     where a nanosecond is below the spacing (epoch seconds, for
     instance), so the returned timestamps are always strictly increasing.
+    Strictly increasing timestamps are already in that order: the two
+    arrays come back as ``np.asarray`` gives them, unsorted and uncopied.
+    The nudged timestamps depend on the timestamps alone, so series
+    sampled on one clock get equal timestamps even where values differ.
     """
     ts = np.asarray(timestamps, dtype=np.float64)
     vs = np.asarray(values, dtype=np.float64)
+    if ts.ndim == 1 and ts.shape == vs.shape and (ts[1:] > ts[:-1]).all():
+        return ts, vs
     order = np.lexsort((vs, ts))
     ts = ts[order]
     vs = vs[order]
@@ -460,9 +484,10 @@ def sens_slope(values: Sequence[float], spacing_hours: float = 1.0) -> float:
        between: all of them up to ``_OPEN_BRACKET_PAIRS`` pairs, about
        1.8 % above;
     3. the median ranks are read off the counts, or selected among the
-       kept slopes with ``np.partition``, and averaged as ``np.median``
-       does.  A bracket that misses the median, which the sample makes
-       unlikely, is opened to an infinity on that side and scanned
+       kept slopes with ``np.partition``, and averaged by ``np.mean`` as
+       ``np.median`` averages them (without its NaN check, which imports
+       ``numpy.ma``).  A bracket that misses the median, which the sample
+       makes unlikely, is opened to an infinity on that side and scanned
        again, so the result is exact either way.
 
     Time is O(n^2) vectorised; memory is the series, one block and the
@@ -499,7 +524,7 @@ def sens_slope(values: Sequence[float], spacing_hours: float = 1.0) -> float:
         lo if r < start else hi if r >= start + inside.size else inside[r - start]
         for r in ranks
     ]
-    return float(np.median(np.array(middle))) / spacing_hours
+    return float(np.mean(np.array(middle))) / spacing_hours
 
 
 def bin_hourly(
@@ -653,7 +678,8 @@ def evaluate_indicator(
 def rebased(series: IndicatorSeries, t0: float | None = None) -> IndicatorSeries:
     """Shift timestamps so ``t0`` (by default the first sample) sits at t = 0.
 
-    The shift is one vector subtract.  A timestamp that overflows to
+    The shift is one vector subtract, which the new series holds without a
+    copy, as it holds the values it shares.  A timestamp that overflows to
     infinity, or two that round to the same float, raise
     InvalidSeriesError.
     """
@@ -669,4 +695,5 @@ def rebased(series: IndicatorSeries, t0: float | None = None) -> IndicatorSeries
         raise InvalidSeriesError(
             f"timestamps of series {series.name!r} overflow when rebased"
         )
+    shifted.flags.writeable = False
     return IndicatorSeries(series.name, series.unit, shifted, series.values)

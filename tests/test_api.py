@@ -12,12 +12,14 @@ observer that stops counting fails here too.
 import ast
 import functools
 import importlib
+import pickle
 import sys
 from pathlib import Path
 
 import pytest
 
 import agesim
+from agesim.errors import AgesimError, ParseError
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
@@ -248,3 +250,26 @@ def test_no_module_level_name_is_defined_in_two_modules():
             for name in names:
                 defined.setdefault(name, []).append(f"{path.name}:{node.lineno}")
     assert {name: where for name, where in defined.items() if len(where) > 1} == {}
+
+
+def _error_types(base=AgesimError):
+    yield base
+    for sub in base.__subclasses__():
+        yield from _error_types(sub)
+
+
+@pytest.mark.parametrize(
+    "error_type", sorted(set(_error_types()), key=lambda t: t.__name__), ids=lambda t: t.__name__
+)
+def test_every_error_survives_a_pickle_round_trip(error_type):
+    """A worker process can send any of the package's errors back whole:
+    the same type, text, arguments and attributes."""
+    errors = [error_type("post-rejuvenation hour")]
+    if issubclass(error_type, ParseError):
+        errors.append(error_type("unreadable value 'x'", line=3))
+    for error in errors:
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is error_type
+        assert str(copy) == str(error)
+        assert copy.args == error.args
+        assert vars(copy) == vars(error)

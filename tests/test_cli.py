@@ -811,6 +811,45 @@ def test_analyze_golden_digests(tmp_path, capsys):
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_STDOUT_SHA256
 
 
+@pytest.mark.parametrize("command", [["run"], ["suite", "--configs"]], ids=["run", "suite"])
+def test_a_refused_config_leaves_no_out_directory(tmp_path, capsys, command):
+    """A post phase this long has an unreachable deadline, so the config is
+    refused before anything runs; ``--out`` is made only after a run."""
+    config = {"scenario_id": "late", "concurrency": 64, "post_rejuvenation_hours": 10**300}
+    path = write_json(tmp_path / "cfg.json", config)
+    out = tmp_path / "out" / "bundle"
+    assert main([*command, path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_no_pass_loads_numpy_ma(tmp_path):
+    """``np.median`` imports ``numpy.ma`` for its NaN check; neither a
+    scenario nor ``analyze``, both of which take Sen's slopes, loads it."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys\n"
+        "from agesim import ScenarioConfig, run_scenario\n"
+        "from agesim.cli import main\n"
+        "run_scenario(ScenarioConfig(scenario_id='s', stress_hours=2))\n"
+        f"assert main(['analyze', {ramp_csv(tmp_path)!r}, '--stress-end', '86400',"
+        " '--rejuvenation-end', '90000']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 class TestUnusablePaths:
     """A path that exists but is of the wrong kind ends in ``error: ...``
     and exit 2, like any other bad input."""

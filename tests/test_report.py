@@ -16,6 +16,7 @@ from agesim.cloud import ResourceParams
 from agesim.ingest import csv_cell, format_timestamp, ingest, serialize_series
 from agesim.report import (
     VERDICT_MARKERS,
+    _write_series,
     error_distribution,
     render_tables,
     report_document,
@@ -31,7 +32,7 @@ from agesim.scenario import (
     run_scenario,
     run_suite,
 )
-from agesim.trendstats import TrendVerdict
+from agesim.trendstats import IndicatorSeries, TrendVerdict
 from agesim.workload import StepAction, StepSpec, TimingParams, WorkloadDefinition
 from chunk_edges import CHUNK_EDGE_ROWS, chunk_edge_series
 
@@ -431,6 +432,25 @@ def test_error_log_writer_holds_a_chunk_not_the_file(overload_report, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size / 4
+
+
+def test_series_writer_holds_a_chunk_not_a_column(tmp_path):
+    """Two 200,000-row series on one clock of fractional stamps are written
+    in traced memory below a quarter of one file's size: each chunk of
+    stamp cells is rendered once and written to both files side by side."""
+    n = 200_000
+    k = np.arange(n, dtype=np.float64)
+    clock = 0.37 * k + 1 / 3
+    clock.flags.writeable = False
+    series = {name: IndicatorSeries(name, "GB", clock, k // 1000) for name in ("a", "b")}
+    tracemalloc.start()
+    try:
+        _write_series(series, tmp_path)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "a.csv").read_text(encoding="utf-8") == serialize_series({"a": series["a"]})
+    assert peak < (tmp_path / "b.csv").stat().st_size / 4
 
 
 class TestDeployFailedRendering:

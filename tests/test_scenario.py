@@ -12,6 +12,7 @@ import pytest
 from agesim import scenario
 from agesim.cloud import EntityKind, ResourceParams
 from agesim.errors import ConfigError
+from agesim.report import render_tables, report_document
 from agesim.scenario import (
     MATRIX_CONCURRENCIES,
     EarlyFailurePolicy,
@@ -191,6 +192,43 @@ class TestEarlyFailure:
         }
         assert sum(aborted.values()) > 0
         assert not any(ageing for _s, _e, ageing, _o in aborted)
+
+
+class TestSharedClock:
+    """The gauge series of a report hold one read-only clock."""
+
+    @pytest.mark.parametrize("tie", [False, True], ids=["plain", "tied-rejuvenation-sample"])
+    def test_every_gauge_holds_one_timestamps_object(self, tie):
+        """With a rejuvenation shorter than the sample interval, the
+        rejuvenation sample lands on the detection hour's tick and is
+        nudged past it; the gauges still share the nudged clock."""
+        rejuvenation = 30.0 if tie else 3600.0
+        report = run_scenario(
+            crashy_config(
+                EarlyFailurePolicy.REJUVENATE,
+                resources=quiet_resources(rejuvenation_seconds=rejuvenation),
+            )
+        )
+        gauges = [s for name, s in report.series.items() if name != "workload-duration"]
+        assert len(gauges) == 4
+        clock = gauges[0].timestamps
+        assert all(s.timestamps is clock for s in gauges)
+        assert not clock.flags.writeable
+        assert (3600.0 + 1e-9 in clock.tolist()) is tie
+
+    def test_report_survives_pickle(self):
+        report = run_scenario(
+            crashy_config(
+                EarlyFailurePolicy.REJUVENATE, resources=quiet_resources(rejuvenation_seconds=30.0)
+            )
+        )
+        copy = pickle.loads(pickle.dumps(report))
+        assert copy == report
+        for f in dataclasses.fields(report):
+            assert getattr(copy, f.name) == getattr(report, f.name), f.name
+        assert repr(copy) == repr(report)
+        assert render_tables(copy) == render_tables(report)
+        assert report_document(copy) == report_document(report)
 
 
 # ── Overload ─────────────────────────────────────────────────────────────

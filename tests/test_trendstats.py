@@ -38,6 +38,7 @@ from agesim.trendstats import (
     classify_z,
     evaluate_indicator,
     mann_kendall,
+    nudge_ties,
     rebased,
     sens_slope,
 )
@@ -530,6 +531,36 @@ class TestIndicatorSeries:
         with pytest.raises(FrozenInstanceError):
             series.timestamps = np.zeros(3)
 
+    def test_an_owned_read_only_array_is_held_as_it_is(self):
+        stamps = np.array([0.0, 1.0, 2.0])
+        values = np.array([3.0, 4.0, 5.0])
+        stamps.flags.writeable = values.flags.writeable = False
+        series = IndicatorSeries("m", "GB", stamps, values)
+        assert series.timestamps is stamps
+        assert series.values is values
+
+    def test_a_read_only_view_of_a_writeable_base_is_copied(self):
+        base = np.array([0.0, 1.0, 2.0])
+        view = base[:]
+        view.flags.writeable = False
+        series = IndicatorSeries("m", "GB", view, view)
+        assert series.timestamps is not view
+        base[0] = -1.0
+        assert series.timestamps[0] == 0.0
+        assert series.values[0] == 0.0
+        assert not series.timestamps.flags.writeable
+        assert not series.values.flags.writeable
+
+    def test_other_read_only_arrays_are_copied_as_float64(self):
+        single = np.array([0.0, 1.0], dtype=np.float32)
+        swapped = np.array([0.0, 1.0], dtype=">f8")
+        for array in (single, swapped):
+            array.flags.writeable = False
+            series = IndicatorSeries("m", "GB", array, array)
+            assert series.timestamps is not array
+            assert series.timestamps.dtype == np.dtype(np.float64)
+            assert series.timestamps.tolist() == [0.0, 1.0]
+
     def test_constructor_checks_order_unit_and_shape(self):
         with pytest.raises(InvalidSeriesError, match="strictly increasing"):
             IndicatorSeries("m", "GB", [1.0, 1.0], [2.0, 3.0])
@@ -545,6 +576,34 @@ class TestIndicatorSeries:
     def test_series_pickles(self):
         series = series_of([(0.0, 1.0), (5.0, 2.0)])
         assert pickle.loads(pickle.dumps(series)) == series
+
+
+# ── Tie nudging ──────────────────────────────────────────────────────────
+
+
+def test_nudge_ties_returns_increasing_stamps_unsorted():
+    """Strictly increasing stamps come back as they are: no sort, no copy."""
+    stamps = np.array([0.0, 5.0, 10.0])
+    values = np.array([3.0, 1.0, 2.0])
+    with mock.patch.object(np, "lexsort", side_effect=AssertionError("sorted")):
+        ts, vs = nudge_ties(stamps, values)
+    assert ts is stamps
+    assert vs is values
+    assert ts.tolist() == [0.0, 5.0, 10.0]
+    assert vs.tolist() == [3.0, 1.0, 2.0]
+
+
+def test_nudge_ties_sorts_and_nudges_ties_from_the_stamps_alone():
+    ts, vs = nudge_ties([5.0, 0.0, 0.0], [9.0, 2.0, 1.0])
+    assert ts.tolist() == [0.0, 1e-9, 5.0]
+    assert vs.tolist() == [1.0, 2.0, 9.0]
+    # other values on the same stamps: the same nudged stamps
+    again, _ = nudge_ties([5.0, 0.0, 0.0], [0.0, 1.0, 2.0])
+    assert again.tolist() == ts.tolist()
+    # a NaN stamp is not increasing, so it is still sorted to the end
+    ts, vs = nudge_ties([math.nan, 1.0], [1.0, 2.0])
+    assert ts[0] == 1.0 and math.isnan(ts[1])
+    assert vs.tolist() == [2.0, 1.0]
 
 
 # ── Property tests against independent oracles ───────────────────────────
