@@ -115,8 +115,9 @@ class ResourceParams:
     shapes (memory decline, late swap growth, cache-driven disk fill)
     and every one of them can be swept through configuration.  No float
     field may be negative: a negative leak, retention or warm-up
-    allocation would free memory under load, a negative noise amplitude
-    cannot be drawn, and a negative ageing rate would run the clock back.
+    allocation would free memory under load, a negative noise amplitude,
+    or one whose range is too wide for a float, cannot be drawn, and a
+    negative ageing rate would run the clock back.
     """
 
     initial_memory_gb: float = 1.5
@@ -148,6 +149,8 @@ class ResourceParams:
         for spec in fields(self):
             if spec.type == "float" and not getattr(self, spec.name) >= 0:
                 raise ConfigError(f"{spec.name} must not be negative")
+        if not math.isfinite(2 * self.warmup_noise_gb):
+            raise ConfigError("warmup_noise_gb is too large to draw noise from")
 
 
 # ── Events consumed by apply_resource_effects ────────────────────────────

@@ -432,21 +432,15 @@ def _render_group(group: list[tuple[str, IndicatorSeries]]) -> Iterator[tuple[st
             yield name, _join_rows(stamp_cells, tails)
 
 
-def _render_series(series_by_name: Mapping[str, IndicatorSeries]) -> Iterator[tuple[str, str]]:
-    """Every series' ``(name, chunk)`` pairs (see ``_render_group``), one
-    group of series that share a clock after another, in sorted name order."""
-    for group in _clock_groups(series_by_name):
-        yield from _render_group(group)
-
-
 def serialize_series(series_by_name: Mapping[str, IndicatorSeries]) -> str:
-    """Render series as the ingestable CSV format, full precision, a column
-    at a time (see ``_render_group``), and join each series' chunks, in
-    sorted name order, into one string.  Timestamps and values never need
-    quoting; a metric name is quoted as ``csv.writer`` quotes it."""
+    """Render series as the ingestable CSV format, full precision, one
+    clock group at a time (see ``_render_group``), and join each series'
+    chunks, in sorted name order, into one string.  Timestamps and values
+    never need quoting; a metric name is quoted as ``csv.writer`` quotes it."""
     chunks: dict[str, list[str]] = {name: [] for name in sorted(series_by_name)}
-    for name, rows in _render_series(series_by_name):
-        chunks[name].append(rows)
+    for group in _clock_groups(series_by_name):
+        for name, rows in _render_group(group):
+            chunks[name].append(rows)
     return "".join([_HEADER_ROW, *chain.from_iterable(chunks.values())])
 
 

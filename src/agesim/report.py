@@ -262,13 +262,6 @@ def _write_json(document: Mapping, path: Path) -> None:
         out.writelines((json.dumps(document, indent=2), "\n"))
 
 
-def _write_rows(path: Path, header: str, chunks: Iterable[str]) -> None:
-    """Write ``header``, then each chunk of rows as it comes."""
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(header)
-        out.writelines(chunks)
-
-
 def write_error_log(report: ScenarioReport, path: Path) -> None:
     """Write the error log as CSV, ``_CHUNK_ROWS`` rows at a time.
 
@@ -293,7 +286,9 @@ def write_error_log(report: ScenarioReport, path: Path) -> None:
         )
         for lo in range(0, len(log), _CHUNK_ROWS)
     )
-    _write_rows(path, "time,step,error,ageing,overload\n", chunks)
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("time,step,error,ageing,overload\n")
+        out.writelines(chunks)
 
 
 def _write_series(series: Mapping[str, IndicatorSeries], series_dir: Path) -> None:

@@ -102,11 +102,11 @@ class IndicatorSeries:
     timestamps, values)`` holds the two parallel arrays as read-only
     float64 arrays, ``timestamps`` and ``values``, and checks that the
     unit is not empty, that both are one-dimensional and of one length,
-    and that the timestamps increase.  An argument that is already a
-    1-D, read-only float64 ndarray owning its data is held as that same
-    object, so series may share one clock; anything else (a list, a
-    writeable array, a read-only view of a writeable base) is copied
-    into a new read-only array.  ``samples`` renders them as a tuple of
+    and that the timestamps increase.  A 1-D, read-only float64 ndarray
+    that owns its data or views a ``bytes`` is held as that same object,
+    so series may share one clock; anything else (a list, a writeable
+    array, a read-only view of a writeable base) is copied into a new
+    read-only array.  ``samples`` renders them as a tuple of
     ``(timestamp, value)`` float pairs.  Series are frozen dataclasses,
     and equal when name, unit and every float compare equal.
     """
@@ -163,18 +163,25 @@ class IndicatorSeries:
         )
 
     def __reduce__(self):
-        return (IndicatorSeries, (self.name, self.unit, self.timestamps, self.values))
+        return (_unpickled_series, (self.name, self.unit, self.timestamps, self.values))
+
+
+def _unpickled_series(name, unit, timestamps, values) -> IndicatorSeries:
+    """A series around the arrays the unpickler built, frozen in place, so
+    series pickled with one clock share the one array the pickle memo keeps."""
+    timestamps.flags.writeable = values.flags.writeable = False
+    return IndicatorSeries(name, unit, timestamps, values)
 
 
 def _frozen(array: ArrayLike) -> np.ndarray:
-    """``array`` itself if it is a 1-D, read-only float64 ndarray that owns
-    its data, which no one can write through a view; else a read-only copy."""
+    """``array`` itself if it is a 1-D, read-only float64 ndarray that owns its
+    data or views a ``bytes``, which no one can write; else a read-only copy."""
     if (
         type(array) is np.ndarray
         and array.dtype == np.float64
         and array.ndim == 1
-        and array.base is None
         and not array.flags.writeable
+        and (array.base is None or type(getattr(array.base, "base", array.base)) is bytes)
     ):
         return array
     held = np.array(array, dtype=np.float64)

@@ -280,6 +280,19 @@ class TestRunCommand:
         assert main(["run", config_path, "--phases", f"{phase}:{10**400}"]) == 2
         assert "is too long to count in seconds" in capsys.readouterr().err
 
+    def test_a_deposit_near_the_float_limit_is_exit_2_after_the_run(self, tmp_path, capsys):
+        """A 1e308 GB image is a valid config; the disk gauge overflows to
+        inf, and the series error, a ``ParseError``, is reported as exit 2.
+        Pinned as it stands: no field has a cap below the float limit."""
+        config = {"scenario_id": "x", "stress_hours": 1, "concurrency": 4}
+        path = write_json(tmp_path / "cfg.json", {**config, "resources": {"cache_image_gb": 1e308}})
+        assert main(["run", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: series 'disk-used-compute-1' has a non-finite mean in hour 0\n"
+        )
+
     def test_bad_phase_syntax_is_argparse_error(self, config_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", config_path, "--phases", "night:3"])
@@ -966,6 +979,8 @@ class TestFreshProcess:
                 ({"stress_hours": 2, "concurrency": 4, "resources": {field: value}}, [])
                 for field, value in NEGATIVE_RESOURCES
             ),
+            # A noise range of 2e308 overflowed numpy's uniform draw.
+            ({"stress_hours": 1, "resources": {"warmup_noise_gb": 1e308}}, []),
         ],
         ids=[
             "config-seed",
@@ -976,6 +991,7 @@ class TestFreshProcess:
             "stress-overflow",
             "post-overflow",
             *(f"negative-{field}" for field, _value in NEGATIVE_RESOURCES),
+            "noise-overflow",
         ],
     )
     @pytest.mark.parametrize("command", [["run"], ["suite", "--configs"]], ids=["run", "suite"])

@@ -2,19 +2,19 @@
 arguments and ends without an error, so a change to the API the demos
 use cannot break them unnoticed."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 
 #: Each demo's command-line arguments that make its run the shortest.
 QUICKEST_ARGUMENTS = {
     "ingest_and_analyze.py": [],
-    "profile_analyze.py": ["13", "1"],  # 13 hours, the fewest with a stress phase
-    "profile_scenario.py": ["1", "1"],  # scenario 1: concurrency 1
     "profile_sens_slope.py": ["10"],
     "scenario_matrix.py": ["1"],  # one stress hour per scenario
     "single_scenario.py": [],
@@ -24,6 +24,14 @@ QUICKEST_ARGUMENTS = {
 
 def test_every_demo_is_covered():
     assert sorted(path.name for path in DEMOS.glob("*.py")) == sorted(QUICKEST_ARGUMENTS)
+
+
+def test_readme_names_every_demo_and_no_other():
+    """The README's ``python3 demos/<name>.py`` commands name exactly the
+    scripts in ``demos/``, so adding or deleting a demo cannot leave it stale."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = re.findall(r"python3 demos/([\w.-]+\.py)", readme)
+    assert sorted(set(named)) == sorted(path.name for path in DEMOS.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", sorted(QUICKEST_ARGUMENTS))

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from agesim.errors import DuplicateTimestampError, EmptyFileError, ParseError
 from agesim.ingest import (
-    _render_series,
+    _clock_groups,
+    _render_group,
     _reprs,
     _stamp_cells,
     csv_cell,
@@ -567,7 +568,7 @@ def test_empty_columns_render_as_no_cells():
     assert _reprs(empty) == []
     assert _reprs(empty.astype(np.int64)) == []
     assert _stamp_cells(empty) == []
-    assert list(_render_series({"m": IndicatorSeries("m", "x", empty, empty)})) == [("m", "")]
+    assert list(_render_group([("m", IndicatorSeries("m", "x", empty, empty))])) == [("m", "")]
 
 
 @pytest.mark.parametrize("n", CHUNK_EDGE_ROWS)
@@ -580,7 +581,7 @@ def test_serialize_series_across_chunk_edges(n):
     with mock.patch.object(
         ingest_module, "_stamp_cells", wraps=ingest_module._stamp_cells
     ) as stamp_cells:
-        chunks = list(_render_series(series_by_name))
+        chunks = [pair for group in _clock_groups(series_by_name) for pair in _render_group(group)]
     assert stamp_cells.call_count == (3 if n else 1) * len(chunk_sizes(n))
     groups = [("a", "b"), ("c1",), ("c2",)] if n else [("a", "b", "c1", "c2")]
     assert [(name, chunk.count("\n")) for name, chunk in chunks] == [

@@ -1,6 +1,7 @@
 """Tests for the scenario runner: phases, policies, suites, the matrix."""
 
 import contextlib
+import copy
 import dataclasses
 import math
 import pickle
@@ -8,16 +9,19 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from agesim import scenario
 from agesim.cloud import EntityKind, ResourceParams
-from agesim.errors import ConfigError
+from agesim.errors import AgesimError, ConfigError, InvalidSeriesError
 from agesim.report import render_tables, report_document
 from agesim.scenario import (
     MATRIX_CONCURRENCIES,
     EarlyFailurePolicy,
     ErrorLog,
     ScenarioConfig,
+    ScenarioReport,
     default_matrix,
     run_scenario,
     run_suite,
@@ -229,6 +233,18 @@ class TestSharedClock:
         assert repr(copy) == repr(report)
         assert render_tables(copy) == render_tables(report)
         assert report_document(copy) == report_document(report)
+
+    @pytest.mark.parametrize("protocol", [4, 5])
+    def test_a_pickled_report_keeps_one_clock(self, protocol):
+        """The pickle memo keeps one timestamps array for all the gauges;
+        unpickling hands that one array to every gauge series again."""
+        report = run_scenario(ScenarioConfig(scenario_id="x", stress_hours=2))
+        copy = pickle.loads(pickle.dumps(report, protocol=protocol))
+        assert copy == report
+        gauges = [s for name, s in copy.series.items() if name != "workload-duration"]
+        assert len(gauges) == 4
+        assert len({id(s.timestamps) for s in gauges}) == 1
+        assert not gauges[0].timestamps.flags.writeable
 
 
 # ── Overload ─────────────────────────────────────────────────────────────
@@ -489,6 +505,105 @@ class TestConfigDocuments:
     @pytest.mark.parametrize("scenario_id", ["1", "memory-multi-node-c8", "a.b_C-9", "..."])
     def test_safe_scenario_id_accepted(self, scenario_id):
         assert ScenarioConfig(scenario_id=scenario_id).scenario_id == scenario_id
+
+
+# ── Hostile config documents ─────────────────────────────────────────────
+
+
+#: Valid documents whose every field the fuzzer may spoil: the default
+#: workload with a quota and a fault table, and a user-and-role workload
+#: that spells out its steps.
+FUZZ_BASES = (
+    ScenarioConfig(
+        scenario_id="fuzz",
+        concurrency=4,
+        stress_hours=1,
+        seed=1,
+        quotas={EntityKind.SERVER: 5},
+        faults={"boot server": {"server-error-status": 0.25}},
+    ).to_document(),
+    ScenarioConfig(
+        scenario_id="fuzz",
+        concurrency=2,
+        stress_hours=1,
+        policy=EarlyFailurePolicy.REJUVENATE,
+        resources=ResourceParams(cache_depositing_steps=()),
+        timing=TimingParams(step_seconds={}),
+        faults={"create role": {"rebuild-error": 0.5}},
+        workload=WorkloadDefinition(steps=DEFAULT_STEPS[:2] + DEFAULT_STEPS[-2:]),
+    ).to_document(),
+)
+
+#: Type swaps, zero, negatives, huge numbers and a null.
+HOSTILE_VALUES = (None, "text", [], {}, True, 1.5, 0, 0.0, -1, -1.5, 2**63, 10**30, 10**400, 1e308)
+HOSTILE_IDS = ("a/b", "/", "..", "../x", "x/..", ".")
+
+
+def node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def document_paths(node, path=()):
+    """The key path of ``node`` and of every object, list and value in it."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from document_paths(child, (*path, key))
+
+
+def spoiled(doc, path, value):
+    """A copy of ``doc`` with ``value`` in place of what ``path`` names."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node_at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+@st.composite
+def hostile_documents(draw):
+    """A base document with one change: a hostile value in place of any
+    field, object or list, an unknown key in any object, or an id that
+    is a path."""
+    doc = draw(st.sampled_from(FUZZ_BASES))
+    kind = draw(st.sampled_from(["value", "unknown-key", "id"]))
+    if kind == "id":
+        return {**doc, "scenario_id": draw(st.sampled_from(HOSTILE_IDS))}
+    paths = list(document_paths(doc))
+    if kind == "unknown-key":
+        path = draw(st.sampled_from([p for p in paths if isinstance(node_at(doc, p), dict)]))
+        return spoiled(doc, path, {**node_at(doc, path), "unknown": 1})
+    return spoiled(doc, draw(st.sampled_from(paths)), draw(st.sampled_from(HOSTILE_VALUES)))
+
+
+@settings(max_examples=400)
+@given(doc=hostile_documents())
+# a noise range of 2e308 overflowed the draw with an OverflowError
+@example(doc=spoiled(FUZZ_BASES[0], ("resources", "warmup_noise_gb"), 1e308))
+def test_a_hostile_config_ends_in_a_report_or_an_agesim_error(doc):
+    """A config with one spoiled field is refused with an ``AgesimError``,
+    or it runs to a report or to an ``AgesimError``; no other exception
+    escapes.  It runs only within one stress and one post hour at up to
+    256 slots."""
+    try:
+        config = ScenarioConfig.from_document(doc)
+        hours = max(config.stress_hours, config.post_rejuvenation_hours)
+        if hours <= 1 and config.concurrency <= 256:
+            assert isinstance(run_scenario(config), ScenarioReport)
+    except AgesimError:
+        pass
+
+
+@pytest.mark.parametrize("field", ["cache_image_gb", "leak_per_workload_gb"])
+def test_a_deposit_near_the_float_limit_fails_the_analysis(field):
+    """A deposit of 1e308 GB is a valid config, but the gauge it feeds
+    overflows to inf, and the hourly binning refuses the non-finite mean.
+    Pinned as it stands: no field has a cap below the float limit."""
+    config = spoiled(FUZZ_BASES[0], ("resources", field), 1e308)
+    with pytest.raises(InvalidSeriesError, match="non-finite mean"):
+        run_scenario(ScenarioConfig.from_document(config))
 
 
 # ── Suites and the default matrix ────────────────────────────────────────

@@ -551,6 +551,18 @@ class TestIndicatorSeries:
         assert not series.timestamps.flags.writeable
         assert not series.values.flags.writeable
 
+    def test_a_read_only_view_of_bytes_is_held_as_it_is(self):
+        """No one can write a ``bytes``, so an array over one, as protocol 5
+        unpickles it, is held without a copy; one over a ``bytearray`` is not."""
+        stamps = np.frombuffer(np.array([0.0, 1.0, 2.0]).tobytes())
+        view = stamps[:]
+        series = IndicatorSeries("m", "GB", view, stamps)
+        assert series.timestamps is view
+        assert series.values is stamps
+        buffer = np.frombuffer(bytearray(np.array([0.0, 1.0]).tobytes()))
+        buffer.flags.writeable = False
+        assert IndicatorSeries("m", "GB", buffer, buffer).timestamps is not buffer
+
     def test_other_read_only_arrays_are_copied_as_float64(self):
         single = np.array([0.0, 1.0], dtype=np.float32)
         swapped = np.array([0.0, 1.0], dtype=">f8")
