@@ -27,7 +27,6 @@ from .trendstats import (
     HourlySeries,
     IndicatorAnalysis,
     IndicatorSeries,
-    PhaseMarks,
     TrendTestResult,
     TrendVerdict,
     ageing_summary,

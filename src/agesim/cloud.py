@@ -161,8 +161,11 @@ class WorkloadStepCompleted:
     """A workload step finished successfully.
 
     ``workload_finished`` marks the last executed step of a workload;
-    ``did_real_work`` is set when the workload created at least one
-    entity, which is what makes it count toward memory leak and ageing.
+    ``did_real_work`` is set when the workload created a quota-limited
+    entity that no fault on its create step rolled back, which is what
+    makes it count toward memory leak and ageing.  A workload rejected at
+    a quota after creating only unlimited kinds (a user and a role, say)
+    does not count.
     """
 
     step_name: str
@@ -574,8 +577,8 @@ def apply_resource_effects(
     ``CloudState``) every change is logged there too.
 
     Step completions deposit cache images (for configured steps, server
-    boots by default) and, on the final step of a workload that created
-    entities, charge the per-workload memory leak and one ageing unit.
+    boots by default) and, on the final step of a workload that did real
+    work, charge the per-workload memory leak and one ageing unit.
     An interval event, the first sampling tick in a warm-up window, lands
     the window's one-time allocation if it is pending; the seeded noise
     on the window's memory readings is drawn with them (``_readings``).

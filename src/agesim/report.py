@@ -62,9 +62,9 @@ def analysis_document(analysis: IndicatorAnalysis) -> dict:
             "hours": list(hourly.hours),
             "means": [_clean_float(m) for m in hourly.means],
             "phases": {
-                "rejuvenation": list(hourly.phase_marks.rejuvenation),
-                "post_rejuvenation": list(hourly.phase_marks.post_rejuvenation),
-                "excluded": list(hourly.phase_marks.excluded),
+                "rejuvenation": list(hourly.rejuvenation),
+                "post_rejuvenation": list(hourly.post_rejuvenation),
+                "excluded": list(hourly.excluded),
             },
         },
         "trend": {

@@ -400,10 +400,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     # Stress phase.
     stress_end = config.stress_hours * SECONDS_PER_HOUR
     excluded: list[tuple[float, float]] = []
-    if config.stress_hours > 0:
-        readings.append(
-            run_stream(defn, cloud, until=stress_end, concurrency=config.concurrency, **hooks)
-        )
+    readings.append(
+        run_stream(defn, cloud, until=stress_end, concurrency=config.concurrency, **hooks)
+    )
     if cloud.failed and cloud.clock < stress_end:
         if config.policy is EarlyFailurePolicy.WAIT:
             excluded.append((cloud.clock, stress_end))
@@ -427,10 +426,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 
     # Post-rejuvenation phase.
     post_end = rejuvenation_ended + config.post_rejuvenation_hours * SECONDS_PER_HOUR
-    if config.post_rejuvenation_hours > 0:
-        readings.append(
-            run_stream(defn, cloud, until=post_end, concurrency=config.concurrency, **hooks)
-        )
+    readings.append(
+        run_stream(defn, cloud, until=post_end, concurrency=config.concurrency, **hooks)
+    )
 
     series: dict[str, IndicatorSeries] = {}
     if starts:
@@ -494,11 +492,9 @@ def _check_deadlines(config: ScenarioConfig) -> None:
     ``rejuvenation_seconds``, then the post phase runs."""
     shortest = min(map(config.timing.base_for, _step_names(config)))
     stress_end = config.stress_hours * SECONDS_PER_HOUR
-    if config.stress_hours > 0:
-        check_deadline(0.0, stress_end, shortest)
-    if config.post_rejuvenation_hours > 0:
-        start = stress_end + config.resources.rejuvenation_seconds
-        check_deadline(start, start + config.post_rejuvenation_hours * SECONDS_PER_HOUR, shortest)
+    check_deadline(0.0, stress_end, shortest)
+    start = stress_end + config.resources.rejuvenation_seconds
+    check_deadline(start, start + config.post_rejuvenation_hours * SECONDS_PER_HOUR, shortest)
 
 
 def run_suite(configs: list[ScenarioConfig]) -> SuiteResult:

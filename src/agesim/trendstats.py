@@ -43,7 +43,7 @@ those inside, and the median is selected among them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
@@ -224,32 +224,23 @@ def nudge_ties(
 
 
 @dataclass(frozen=True)
-class PhaseMarks:
-    """Hour indices that do not belong to the stress phase."""
-
-    rejuvenation: tuple[int, ...] = ()
-    post_rejuvenation: tuple[int, ...] = ()
-    excluded: tuple[int, ...] = ()
-
-    def non_stress(self) -> frozenset[int]:
-        return frozenset(self.rejuvenation + self.post_rejuvenation + self.excluded)
-
-
-@dataclass(frozen=True)
 class HourlySeries:
     """Hourly bin means of an indicator series.
 
     ``hours`` holds the populated bin indices in increasing order; hours
-    without samples are simply absent.  ``phase_marks`` flags the bins
-    that fall outside the stress phase so that trend tests can restrict
-    themselves to stress bins.
+    without samples are simply absent.  ``rejuvenation``,
+    ``post_rejuvenation`` and ``excluded`` hold the populated hours that
+    fall outside the stress phase; ``stress_bins`` gives the rest, the
+    input of the trend tests.
     """
 
     name: str
     unit: str
     hours: tuple[int, ...]
     means: tuple[float, ...]
-    phase_marks: PhaseMarks = field(default_factory=PhaseMarks)
+    rejuvenation: tuple[int, ...] = ()
+    post_rejuvenation: tuple[int, ...] = ()
+    excluded: tuple[int, ...] = ()
 
     def __post_init__(self):
         if len(self.hours) != len(self.means):
@@ -257,19 +248,11 @@ class HourlySeries:
         if any(b <= a for a, b in zip(self.hours, self.hours[1:])):
             raise ValueError("hours must be strictly increasing")
 
-    def stress_hours(self) -> tuple[int, ...]:
-        skip = self.phase_marks.non_stress()
-        return tuple(h for h in self.hours if h not in skip)
-
-    def stress_means(self) -> tuple[float, ...]:
-        skip = self.phase_marks.non_stress()
-        return tuple(m for h, m in zip(self.hours, self.means) if h not in skip)
-
-    def mean_at(self, hour: int) -> float:
-        try:
-            return self.means[self.hours.index(hour)]
-        except ValueError:
-            raise KeyError(f"hour {hour} has no samples") from None
+    def stress_bins(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """The stress-phase hours and their means, as two parallel tuples."""
+        skip = {*self.rejuvenation, *self.post_rejuvenation, *self.excluded}
+        kept = [(h, m) for h, m in zip(self.hours, self.means) if h not in skip]
+        return tuple(zip(*kept)) if kept else ((), ())
 
 
 @dataclass(frozen=True)
@@ -544,10 +527,11 @@ def bin_hourly(
     Bins without samples are absent from the result, never zero-filled.
     ``phase_boundaries`` holds up to two sorted timestamps: the end of the
     stress phase and the end of the rejuvenation window.  A bin whose
-    start lies at or past the first boundary is marked rejuvenation; at
-    or past the second, post-rejuvenation.  ``exclude_windows`` marks
-    additional stress-side bins (e.g. an idle wait window) that trend
-    tests must skip.
+    start lies at or past the first boundary goes to the result's
+    ``rejuvenation`` hours; at or past the second, to
+    ``post_rejuvenation``.  ``exclude_windows`` sends further stress-side
+    bins (e.g. an idle wait window) to ``excluded``, which trend tests
+    skip.
 
     Bins are found by sorting the samples' hour indices, so memory grows
     with the number of samples, never with the span of hours they cover.
@@ -593,11 +577,9 @@ def bin_hourly(
         unit=series.unit,
         hours=hours,
         means=means,
-        phase_marks=PhaseMarks(
-            rejuvenation=tuple(rejuvenation),
-            post_rejuvenation=tuple(post),
-            excluded=tuple(excluded),
-        ),
+        rejuvenation=tuple(rejuvenation),
+        post_rejuvenation=tuple(post),
+        excluded=tuple(excluded),
     )
 
 
@@ -605,25 +587,21 @@ def ageing_summary(binned: HourlySeries) -> AgeingSummary:
     """Compute v0, vb, vr and the A/R deltas from a binned series.
 
     Requires stress hour 0, at least one stress bin for vb (the last
-    populated one is used when hour 23 is missing) and one
-    post-rejuvenation bin; a missing bin raises MissingPhaseBinError.
+    populated one is used when hour 23 is missing) and a populated
+    post-rejuvenation bin, the first of which gives vr; a missing bin
+    raises MissingPhaseBinError.
     An A, R or slope that is not finite raises InvalidSeriesError.
     """
-    hours = binned.stress_hours()
-    means = binned.stress_means()
+    hours, means = binned.stress_bins()
     if not hours or hours[0] != 0:
         raise MissingPhaseBinError("stress hour 0")
     v0 = means[0]
     vb = means[-1]
 
-    post = [
-        binned.mean_at(h)
-        for h in binned.phase_marks.post_rejuvenation
-        if h in binned.hours
-    ]
-    if not post:
+    post = set(binned.post_rejuvenation)
+    vr = next((m for h, m in zip(binned.hours, binned.means) if h in post), None)
+    if vr is None:
         raise MissingPhaseBinError("post-rejuvenation hour")
-    vr = post[0]
 
     slope = None
     if len(means) >= 2:
@@ -668,7 +646,7 @@ def evaluate_indicator(
         )
 
     hourly = bin_hourly(series, phase_boundaries, exclude_windows)
-    trend = mann_kendall(hourly.stress_means())
+    trend = mann_kendall(hourly.stress_bins()[1])
 
     ageing = None
     reason = None

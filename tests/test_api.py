@@ -47,7 +47,6 @@ PUBLIC_NAMES = [
     "HourlySeries",
     "IndicatorAnalysis",
     "IndicatorSeries",
-    "PhaseMarks",
     "TrendTestResult",
     "TrendVerdict",
     "ageing_summary",
@@ -104,7 +103,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_surface_is_exactly_the_pinned_names():
-    assert len(PUBLIC_NAMES) == 64
+    assert len(PUBLIC_NAMES) == 63
     assert agesim.__all__ == PUBLIC_NAMES
 
 

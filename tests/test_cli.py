@@ -942,7 +942,7 @@ class TestFreshProcess:
         [
             ({"seed": -1}, []),
             ({}, ["--seed", "-1"]),
-            # Both phases are empty, so even an accepted count runs no stream.
+            # Refused with the config, though both phases are empty.
             ({"concurrency": 10**30}, []),
             # A step so short that t + duration == t froze the clock of a
             # cloud that never fails: no leak, ageing, warm-up or cache.

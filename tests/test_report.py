@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import filecmp
+import hashlib
 import json
 import tracemalloc
 from collections import Counter
@@ -317,6 +318,63 @@ class TestSuiteBundle:
 
         collect(comparison)
         assert mismatches == []
+
+
+# ── Pinned bundle bytes ──────────────────────────────────────────────────
+
+
+#: Fault mix that strands servers and fails the cloud inside the first hour.
+_FAILING_FAULTS = {"boot server": {"server-error-status": 0.5}}
+
+#: Short scenarios whose whole bundle tree is pinned: an early failure left
+#: down until the scheduled rejuvenation (an excluded window), the same
+#: failure rejuvenated at once, and a run with no stress phase.
+BUNDLE_CASES = {
+    "wait": ScenarioConfig(
+        scenario_id="wait",
+        concurrency=8,
+        stress_hours=2,
+        seed=3,
+        policy=EarlyFailurePolicy.WAIT,
+        faults=_FAILING_FAULTS,
+    ),
+    "rejuvenate": ScenarioConfig(
+        scenario_id="rejuvenate",
+        concurrency=8,
+        stress_hours=2,
+        seed=3,
+        policy=EarlyFailurePolicy.REJUVENATE,
+        faults=_FAILING_FAULTS,
+    ),
+    "no-stress": ScenarioConfig(scenario_id="no-stress", concurrency=4, stress_hours=0, seed=5),
+}
+
+#: SHA-256 over the bundle tree of each case: every file's relative path,
+#: byte length and bytes, in sorted path order.
+BUNDLE_DIGESTS = {
+    "wait": "57b7fa4d0e095875b0c74f984a1dde30c62f12b488d31ca269add2983c776c25",
+    "rejuvenate": "9d487da02724588fa7cd0810c8b4e2e0b8b62a7907ad09e58b0fb38ac7b19a33",
+    "no-stress": "63badc7606ad3b923619416b7a5914723871783eb8cfc8dd1958975bb0094bee",
+}
+
+
+def _tree_digest(root) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", BUNDLE_CASES)
+def test_bundle_tree_digest(name, tmp_path):
+    """``report.json``, ``tables.txt``, ``errors.csv`` and ``series/`` of
+    each case are byte for byte the pinned ones."""
+    report = run_scenario(BUNDLE_CASES[name])
+    assert bool(report.excluded_windows) == (name == "wait")
+    assert (report.failure_point is not None) == (name != "no-stress")
+    assert _tree_digest(write_bundle(report, tmp_path / name)) == BUNDLE_DIGESTS[name]
 
 
 # ── Error log oracle ─────────────────────────────────────────────────────

@@ -643,6 +643,7 @@ class TestSuite:
             (0, 1, 2.0**53, False),  # the clock resolves 2 s, which a 2 s step advances
             (0, 1, 2.0**54, True),
             (0, 1, math.inf, True),
+            (1, 0, math.inf, True),  # the empty post phase would start at infinity
             (10**300, 1, 0.0, True),  # the stress phase cannot reach its end
         ],
     )

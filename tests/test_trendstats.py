@@ -31,7 +31,6 @@ from agesim.trendstats import (
     AgeingSummary,
     HourlySeries,
     IndicatorSeries,
-    PhaseMarks,
     TrendVerdict,
     ageing_summary,
     bin_hourly,
@@ -288,13 +287,13 @@ class TestBinHourly:
         with pytest.raises(EmptySeriesError):
             bin_hourly(series_of([]))
 
-    def test_phase_marks_from_boundaries(self):
-        """Bins at or past the boundaries are marked rejuvenation then post."""
-        samples = [(h * 3600.0 + 10.0, 1.0) for h in range(27)]
+    def test_phase_hours_from_boundaries(self):
+        """Bins at or past the boundaries are rejuvenation then post hours."""
+        samples = [(h * 3600.0 + 10.0, float(h)) for h in range(27)]
         binned = bin_hourly(series_of(samples), phase_boundaries=(86400.0, 90000.0))
-        assert binned.phase_marks.rejuvenation == (24,)
-        assert binned.phase_marks.post_rejuvenation == (25, 26)
-        assert binned.stress_hours() == tuple(range(24))
+        assert binned.rejuvenation == (24,)
+        assert binned.post_rejuvenation == (25, 26)
+        assert binned.stress_bins() == (tuple(range(24)), tuple(map(float, range(24))))
 
     def test_exclude_windows_mark_bins(self):
         """Bins inside an excluded window drop out of the stress set."""
@@ -304,8 +303,14 @@ class TestBinHourly:
             phase_boundaries=(),
             exclude_windows=((7200.0, 14400.0),),
         )
-        assert binned.phase_marks.excluded == (2, 3)
-        assert binned.stress_hours() == (0, 1, 4, 5)
+        assert binned.excluded == (2, 3)
+        assert binned.stress_bins() == ((0, 1, 4, 5), (0.0, 1.0, 4.0, 5.0))
+
+    def test_no_stress_bins(self):
+        binned = HourlySeries(
+            "m", "GB", hours=(24, 25), means=(1.0, 2.0), rejuvenation=(24,), post_rejuvenation=(25,)
+        )
+        assert binned.stress_bins() == ((), ())
 
     def test_unsorted_boundaries_rejected(self):
         with pytest.raises(ValueError):
@@ -324,7 +329,8 @@ def ramp_hourly(vr=0.1):
         unit="gigabytes",
         hours=hours,
         means=means,
-        phase_marks=PhaseMarks(rejuvenation=(24,), post_rejuvenation=(25,)),
+        rejuvenation=(24,),
+        post_rejuvenation=(25,),
     )
 
 
@@ -346,7 +352,7 @@ class TestAgeingSummary:
             unit="gigabytes",
             hours=(0, 23, 25),
             means=(1.234567891, 7.77777777, 3.3333333),
-            phase_marks=PhaseMarks(post_rejuvenation=(25,)),
+            post_rejuvenation=(25,),
         )
         s = ageing_summary(binned)
         assert s.ageing_a == 7.77777777 - 1.234567891
@@ -364,7 +370,7 @@ class TestAgeingSummary:
             unit="gigabytes",
             hours=(0, 1, 17, 25),
             means=(1.0, 2.0, 9.0, 4.0),
-            phase_marks=PhaseMarks(post_rejuvenation=(25,)),
+            post_rejuvenation=(25,),
         )
         s = ageing_summary(binned)
         assert s.vb == 9.0
@@ -376,7 +382,7 @@ class TestAgeingSummary:
             unit="gigabytes",
             hours=(3, 4, 25),
             means=(1.0, 2.0, 3.0),
-            phase_marks=PhaseMarks(post_rejuvenation=(25,)),
+            post_rejuvenation=(25,),
         )
         with pytest.raises(MissingPhaseBinError) as exc:
             ageing_summary(binned)
@@ -399,7 +405,7 @@ class TestAgeingSummary:
             unit="gigabytes",
             hours=(0, 25),
             means=(1.0, 0.5),
-            phase_marks=PhaseMarks(post_rejuvenation=(25,)),
+            post_rejuvenation=(25,),
         )
         s = ageing_summary(binned)
         assert s.vb == s.v0 == 1.0
@@ -422,7 +428,7 @@ class TestAgeingSummary:
             unit="gigabytes",
             hours=hours,
             means=(*stress, vr),
-            phase_marks=PhaseMarks(post_rejuvenation=(25,)),
+            post_rejuvenation=(25,),
         )
         with pytest.raises(InvalidSeriesError, match="series 'm' has a non-finite") as err:
             ageing_summary(binned)
@@ -453,7 +459,7 @@ class TestEvaluateIndicator:
         series = series_of(samples)
         analysis = evaluate_indicator(series, phase_boundaries=(86400.0, 90000.0))
         assert analysis.trend.n == 24
-        assert analysis.hourly.phase_marks.rejuvenation == (24,)
+        assert analysis.hourly.rejuvenation == (24,)
 
     def test_empty_series_is_well_formed(self):
         """An empty series reports InsufficientData instead of raising."""
