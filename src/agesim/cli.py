@@ -270,20 +270,7 @@ def _add_series(series: dict[str, IndicatorSeries], parsed: IndicatorSeries) -> 
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    series: dict[str, IndicatorSeries] = {}
-    for path in args.csvs:
-        for parsed in ingest(path, unit=args.unit).values():
-            _add_series(series, parsed)
-    if args.workload_report is not None:
-        data = ingest_workload_report(args.workload_report)
-        if data.rejected_records:
-            print(
-                f"workload report: {data.rejected_records} malformed records skipped",
-                file=sys.stderr,
-            )
-        if data.durations is not None:
-            _add_series(series, data.durations)
-
+    # a bad phase flag is refused before any input is read, whatever the inputs
     for flag, seconds in (
         ("--stress-end", args.stress_end),
         ("--rejuvenation-end", args.rejuvenation_end),
@@ -299,6 +286,20 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             if args.rejuvenation_end <= args.stress_end:
                 raise ConfigError("--rejuvenation-end must be after --stress-end")
             boundaries = (args.stress_end, args.rejuvenation_end)
+
+    series: dict[str, IndicatorSeries] = {}
+    for path in args.csvs:
+        for parsed in ingest(path, unit=args.unit).values():
+            _add_series(series, parsed)
+    if args.workload_report is not None:
+        data = ingest_workload_report(args.workload_report)
+        if data.rejected_records:
+            print(
+                f"workload report: {data.rejected_records} malformed records skipped",
+                file=sys.stderr,
+            )
+        if data.durations is not None:
+            _add_series(series, data.durations)
 
     # align all metrics on a shared clock starting at the earliest sample
     t0 = min(float(s.timestamps[0]) for s in series.values())

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .scenario import ScenarioReport, SuiteResult
-from .trendstats import AgeingSummary, IndicatorAnalysis, IndicatorSeries, TrendVerdict
+from .trendstats import AgeingSummary, IndicatorAnalysis, TrendVerdict
 from .ingest import (
     _CHUNK_ROWS,
     _HEADER_ROW,
@@ -291,23 +291,6 @@ def write_error_log(report: ScenarioReport, path: Path) -> None:
         out.writelines(chunks)
 
 
-def _write_series(series: Mapping[str, IndicatorSeries], series_dir: Path) -> None:
-    """Write each series to ``series_dir/<name>.csv``, a chunk of rows at a
-    time; the files of series that share a clock are open together and
-    written side by side, a chunk of each in turn."""
-    series_dir.mkdir(exist_ok=True)
-    for group in _clock_groups(series):
-        with ExitStack() as files:
-            outs = {}
-            for name, _series in group:
-                out = outs[name] = files.enter_context(
-                    open(series_dir / f"{name}.csv", "w", encoding="utf-8")
-                )
-                out.write(_HEADER_ROW)
-            for name, rows in _render_group(group):
-                outs[name].write(rows)
-
-
 def write_bundle(
     report: ScenarioReport, out_dir: str | Path, exclude_overload: bool = True
 ) -> Path:
@@ -325,8 +308,19 @@ def write_bundle(
         render_tables(report, exclude_overload), encoding="utf-8"
     )
     write_error_log(report, out / "errors.csv")
+    series_dir = out / "series"
     if report.series:
-        _write_series(report.series, out / "series")
+        series_dir.mkdir(exist_ok=True)
+    for group in _clock_groups(report.series):
+        with ExitStack() as files:
+            outs = {}
+            for name, _series in group:
+                outs[name] = files.enter_context(
+                    open(series_dir / f"{name}.csv", "w", encoding="utf-8")
+                )
+                outs[name].write(_HEADER_ROW)
+            for name, rows in _render_group(group):
+                outs[name].write(rows)
     return out
 
 

@@ -347,14 +347,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     starts, durations = array("d"), array("d")
     # the gauge readings of each phase: stress, rejuvenation and post
     readings: list[dict[str, np.ndarray]] = []
-    # workload counts per status, keyed by member until the report is built
-    hourly: dict[int, dict[WorkloadStatus, int]] = {}
-    totals = dict.fromkeys(WorkloadStatus, 0)
-    # error times and kind codes; each kind's code by stranded flag, step and
-    # error, so that looking one up builds no key
+    # workload counts per hour, keyed by status value as the report holds them
+    hourly: dict[int, dict[str, int]] = {}
+    # error times and kind codes; each kind's code by step, error and
+    # stranded flag, numbered in the order first seen
     error_times, error_codes = array("d"), array("q")
-    error_kinds: list[tuple[str, str, bool, bool]] = []
-    kind_codes: tuple[dict, dict] = ({}, {})
+    kind_codes: dict[tuple[str, str, bool], int] = {}
 
     def hour_hook(t: float):
         cache_cleanup(cloud)
@@ -364,15 +362,15 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         return None
 
     success = WorkloadStatus.SUCCESS
+    value_of = {status: status.value for status in WorkloadStatus}
 
     def result_hook(result) -> None:
         status = result.status
         hour = int(result.started_at // SECONDS_PER_HOUR)
         bucket = hourly.get(hour)
         if bucket is None:
-            bucket = hourly[hour] = dict.fromkeys(WorkloadStatus, 0)
-        bucket[status] += 1
-        totals[status] += 1
+            bucket = hourly[hour] = dict.fromkeys(value_of.values(), 0)
+        bucket[value_of[status]] += 1
         if status is success:
             starts.append(result.started_at)
             durations.append(result.duration)
@@ -380,13 +378,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     append_error_time, append_error_code = error_times.append, error_codes.append
 
     def error_hook(t: float, step: str, error: str, stranded: bool) -> None:
-        by_error = kind_codes[stranded].get(step)
-        code = None if by_error is None else by_error.get(error)
-        if code is None:
-            code = kind_codes[stranded].setdefault(step, {})[error] = len(error_kinds)
-            error_kinds.append((step, error, stranded, error in OVERLOAD_INDICATOR_ERRORS))
         append_error_time(t)
-        append_error_code(code)
+        append_error_code(kind_codes.setdefault((step, error, stranded), len(kind_codes)))
 
     hooks = dict(
         faults=faults,
@@ -454,9 +447,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         for name, s in series.items()
     }
 
-    counts = tuple(
-        {"hour": hour, **_by_value(hourly[hour])} for hour in sorted(hourly)
-    )
+    counts = tuple({"hour": hour, **hourly[hour]} for hour in sorted(hourly))
+    kinds = [
+        (step, error, stranded, error in OVERLOAD_INDICATOR_ERRORS)
+        for step, error, stranded in kind_codes
+    ]
     return ScenarioReport(
         **identity,
         deploy_failed=False,
@@ -467,14 +462,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         series=series,
         analyses=analyses,
         hourly_counts=counts,
-        totals=_by_value(totals),
-        error_log=ErrorLog(error_times, error_codes, error_kinds),
+        totals={value: sum(c[value] for c in counts) for value in value_of.values()},
+        error_log=ErrorLog(error_times, error_codes, kinds),
     )
-
-
-def _by_value(counts: Mapping[WorkloadStatus, int]) -> dict[str, int]:
-    """Status counts keyed by the statuses' values, in the same order."""
-    return {status.value: n for status, n in counts.items()}
 
 
 @dataclass(frozen=True)

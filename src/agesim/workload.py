@@ -461,7 +461,9 @@ class _Execution:
     unwind step, and the workload finishes when the stack is empty.
     ``gated_live`` counts the live quota-limited entities the workload
     holds; it holds the contention gate while that is positive.
-    ``last_step`` is the record of the step executed most recently.
+    ``last_step`` is the record of the step executed most recently; a
+    workload runs its first step in the event that launches it, so
+    ``finalize`` always finds one.
     """
 
     cloud: CloudState
@@ -552,9 +554,7 @@ class _Execution:
         """Land the workload's last completion event and return its result,
         built with one dict update, not the frozen dataclass's per-field
         ``object.__setattr__``; it compares, hashes and stays frozen alike."""
-        if self.steps_executed > 0:
-            did_real_work = self.gated_creates > 0
-            apply_resource_effects(self.cloud, self.last_step.finished[did_real_work])
+        apply_resource_effects(self.cloud, self.last_step.finished[self.gated_creates > 0])
         if self.error is None:
             status = _SUCCESS
         elif self.leftover_kinds:

@@ -612,6 +612,14 @@ class TestAnalyzeCommand:
         assert captured.err.startswith(f"error: {flag} must be a finite number")
         assert not out_dir.exists()
 
+    def test_phase_flags_are_checked_before_any_input_is_read(self, tmp_path, capsys):
+        """A bad flag is a usage error (exit 2), even where an input is
+        missing (which alone would be exit 3)."""
+        assert main(["analyze", str(tmp_path / "missing.csv"), "--stress-end", "nan"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --stress-end must be a finite number"
+        )
+
     def test_boundaries_must_be_ordered(self, tmp_path):
         path = ramp_csv(tmp_path)
         code = main(

@@ -43,3 +43,20 @@ def test_demo_runs_cleanly(name, monkeypatch, capsys):
     except SystemExit as exc:
         assert exc.code in (None, 0), exc.code
     assert capsys.readouterr().out
+
+
+def test_readme_python_blocks_run_and_the_quick_start_verdict_holds(capsys):
+    """README's ``python`` blocks run in order in one namespace, as a reader
+    would paste them, and the quick start's commented verdict is the one the
+    run gives."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.S | re.M)
+    assert blocks
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out
+    (commented,) = re.findall(r'print\(duration\.trend\.verdict\.value\)\s*# "(\w+)"', readme)
+    duration = namespace["duration"]
+    assert duration.trend.verdict.value == commented == "upward"
+    assert duration.ageing.sens_slope > 0

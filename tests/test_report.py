@@ -17,7 +17,6 @@ from agesim.cloud import ResourceParams
 from agesim.ingest import csv_cell, format_timestamp, ingest, serialize_series
 from agesim.report import (
     VERDICT_MARKERS,
-    _write_series,
     error_distribution,
     render_tables,
     report_document,
@@ -305,6 +304,36 @@ class TestSuiteBundle:
                 suite.reports[0].analyses
             ) or set(entry["verdicts"])
 
+    def test_failed_deployment_in_the_suite_outputs(self, tmp_path):
+        """A scenario whose deployment failed gets one table row and a
+        suite.json entry with no failure point, zero totals and no verdicts,
+        beside a scenario that ran."""
+        suite = run_suite(
+            [
+                ScenarioConfig(scenario_id="dead", seed=5, deploy_failure_probability=1.0),
+                ScenarioConfig(
+                    scenario_id="s1", stress_hours=1, post_rejuvenation_hours=1, seed=1
+                ),
+            ]
+        )
+        out = write_suite_bundle(suite, tmp_path / "suite")
+        lines = (out / "trend_table.txt").read_text(encoding="utf-8").splitlines()
+        assert lines[1] == "    dead multi-node     1 deployment failed"
+        assert all(line.lstrip().startswith("s1") for line in lines[2:])
+        dead, ran = json.loads((out / "suite.json").read_text())["scenarios"]
+        assert dead == {
+            "id": "dead",
+            "topology": "multi-node",
+            "concurrency": 1,
+            "deploy_failed": True,
+            "failure_point": None,
+            "totals": {"success": 0, "ageing-failure": 0, "non-ageing-failure": 0},
+            "verdicts": {},
+        }
+        assert ran["deploy_failed"] is False
+        assert ran["verdicts"]
+        assert not (out / "scenario-dead" / "series").exists()
+
     def test_suite_bundle_deterministic(self, suite, tmp_path):
         a = write_suite_bundle(suite, tmp_path / "a")
         b = write_suite_bundle(suite, tmp_path / "b")
@@ -492,10 +521,11 @@ def test_error_log_writer_holds_a_chunk_not_the_file(overload_report, tmp_path):
     assert peak < path.stat().st_size / 4
 
 
-def test_series_writer_holds_a_chunk_not_a_column(tmp_path):
-    """Two 200,000-row series on one clock of fractional stamps are written
-    in traced memory below a quarter of one file's size: each chunk of
-    stamp cells is rendered once and written to both files side by side."""
+def test_series_writer_holds_a_chunk_not_a_column(failed_report, tmp_path):
+    """A bundle's two 200,000-row series on one clock of fractional stamps
+    are written in traced memory below a quarter of one file's size: each
+    chunk of stamp cells is rendered once and written to both files side
+    by side."""
     n = 200_000
     k = np.arange(n, dtype=np.float64)
     clock = 0.37 * k + 1 / 3
@@ -503,12 +533,15 @@ def test_series_writer_holds_a_chunk_not_a_column(tmp_path):
     series = {name: IndicatorSeries(name, "GB", clock, k // 1000) for name in ("a", "b")}
     tracemalloc.start()
     try:
-        _write_series(series, tmp_path)
+        write_bundle(dataclasses.replace(failed_report, series=series), tmp_path)
         _now, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (tmp_path / "a.csv").read_text(encoding="utf-8") == serialize_series({"a": series["a"]})
-    assert peak < (tmp_path / "b.csv").stat().st_size / 4
+    series_dir = tmp_path / "series"
+    assert (series_dir / "a.csv").read_text(encoding="utf-8") == serialize_series(
+        {"a": series["a"]}
+    )
+    assert peak < (series_dir / "b.csv").stat().st_size / 4
 
 
 class TestDeployFailedRendering:

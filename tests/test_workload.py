@@ -7,6 +7,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from agesim.cloud import CloudState, EntityKind, FaultModel, ResourceParams, check_failed
 from agesim.errors import ConfigError
@@ -24,6 +26,7 @@ from agesim.workload import (
     WorkloadResult,
     WorkloadStatus,
     _Execution,
+    _first_tick,
     _plan,
     run_stream,
 )
@@ -161,6 +164,22 @@ def test_engine_records_refuse_a_misspelt_field():
 
 
 # ── Timing ───────────────────────────────────────────────────────────────
+
+
+@given(
+    t0=st.floats(-1e7, 1e7),
+    interval=st.floats(1e-3, 1e5),
+    t=st.floats(-1e7, 1e7),
+)
+@example(162000.0, 1 / 3, 165017.33333333334)  # ceil overshoots: k steps down
+@example(2197.0, 7 / 3, 28972.000000000004)  # ceil falls short: k steps up
+def test_first_tick_is_the_least_tick_at_or_after_t(t0, interval, t):
+    """``_first_tick`` is the least k >= 0 with ``t0 + k * interval >= t``,
+    in the float arithmetic that places the ticks."""
+    k = _first_tick(t0, interval, t)
+    assert k >= 0
+    assert t0 + k * interval >= t
+    assert k == 0 or t0 + (k - 1) * interval < t
 
 
 class _SlotZeroDone(Exception):
