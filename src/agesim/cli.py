@@ -223,10 +223,9 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         docs = []
         for path in args.configs:
             doc = load_json(path, path)
-            if isinstance(doc, list):
-                docs.extend(doc)
-            else:
-                docs.append(doc)
+            docs.extend(doc if isinstance(doc, list) else [doc])
+        if not docs:
+            raise ConfigError("--configs holds no scenario document")
         configs = [ScenarioConfig.from_document(d) for d in docs]
         if args.seed is not None:
             configs = [
@@ -270,7 +269,7 @@ def _add_series(series: dict[str, IndicatorSeries], parsed: IndicatorSeries) -> 
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    # a bad phase flag is refused before any input is read, whatever the inputs
+    # a bad flag is refused before any input is read, whatever the inputs
     for flag, seconds in (
         ("--stress-end", args.stress_end),
         ("--rejuvenation-end", args.rejuvenation_end),
@@ -279,6 +278,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             raise ConfigError(f"{flag} must be a finite number of seconds, got {seconds!r}")
     if args.rejuvenation_end is not None and args.stress_end is None:
         raise ConfigError("--rejuvenation-end requires --stress-end")
+    if not args.unit:
+        raise ConfigError("--unit must be non-empty")
     boundaries: tuple[float, ...] = ()
     if args.stress_end is not None:
         boundaries = (args.stress_end,)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Mapping
 
@@ -297,15 +297,15 @@ class CloudState:
 
     Capacity and whether some node's disk is full are kept up to date by
     the mutators that can change them (``add_leftover``,
-    ``deposit_cache_image``, ``cache_cleanup`` and ``rejuvenate``), so
+    ``deposit_cache_image``, ``cache_cleanup`` and ``_deploy``), so
     reading them, and evaluating ``check_failed``, costs O(1); so is the
     ``ageing_multiplier`` attribute.  The quota table is fixed at construction.
 
     ``failure_inputs_changed`` is set whenever an input of the failure
     predicate may have changed since ``check_failed`` last evaluated it,
-    and cleared by ``check_failed``.  It is set by ``__init__``,
+    and cleared by ``check_failed``.  It is set by ``_deploy``,
     ``add_leftover``, ``deposit_cache_image`` when a node's disk becomes
-    full, ``cache_cleanup``, ``rejuvenate``, and ``apply_resource_effects``
+    full, ``cache_cleanup``, and ``apply_resource_effects``
     when it charges a finished workload's leak or the warm-up allocation.
     While it is clear the predicate would give the answer it gave last
     time, so the engine skips the evaluation.
@@ -330,28 +330,37 @@ class CloudState:
         self.params = params or ResourceParams()
         self.quotas = quota_table(quotas)
 
-        self.live: dict[EntityKind, int] = {k: 0 for k in EntityKind}
-        self.leftovers: dict[EntityKind, int] = {k: 0 for k in EntityKind}
         self.clock = 0.0
-        self.failed = False
         self.failed_at: float | None = None
-        self.failure_inputs_changed = True
         self.rejuvenation_count = 0
         self.ageing_units = 0.0
-
-        self._consumed_gb = 0.0
+        self.ageing_multiplier = 1.0
         self._host_residual_gb = 0.0
-        self._noise_gb = 0.0
-        self._warmup_start = 0.0
-        self._warmup_alloc_pending = True
-        self._cache: deque[tuple[float, float, str]] = deque()
-        self._cache_total: dict[str, float] = {n: 0.0 for n in self.topology.nodes}
         self._next_compute = 0
         self._noise_rng = stream(seed, "noise")
         self._journal: dict[object, tuple[array, array]] | None = None
-        self.ageing_multiplier = 1.0
+        self._deploy(True)
+
+    def _deploy(self, warmup: bool) -> None:
+        """Deploy the cloud afresh at the clock, with a warm-up window opening
+        now if ``warmup``, and log every gauge's fresh value.  A redeploy
+        carries over what this leaves alone: the clock, ``failed_at``, the
+        rejuvenation count, ageing, the host residual, the placement
+        rotation and the noise stream."""
+        self.live: dict[EntityKind, int] = dict.fromkeys(EntityKind, 0)
+        self.leftovers: dict[EntityKind, int] = dict.fromkeys(EntityKind, 0)
+        self._cache: deque[tuple[float, float, str]] = deque()
+        self._cache_total: dict[str, float] = dict.fromkeys(self.topology.nodes, 0.0)
+        self._consumed_gb = 0.0
+        self._noise_gb = 0.0
+        self.failed = False
+        self.failure_inputs_changed = True
         self._recount_capacity()
         self._recount_disk_full()
+        self._warmup_start = self.clock if warmup else math.nan
+        self._warmup_alloc_pending = warmup
+        for gauge, value in self._gauge_values().items():
+            self._log(gauge, value)
 
     # -- capacity and ledgers ------------------------------------------------
 
@@ -475,14 +484,16 @@ class CloudState:
             stamps.append(self.clock)
             values.append(value)
 
+    def _gauge_values(self) -> dict[object, float]:
+        """Every journal gauge's current value."""
+        disks = {("disk", node): total for node, total in self._cache_total.items()}
+        return {"memory": self._raw_available_gb(), "window": self._warmup_start, **disks}
+
     def _new_journal(self) -> dict[object, tuple[array, array]]:
         """A journal holding every gauge's current value from any time on."""
-        values = {"memory": self._raw_available_gb(), "window": self._warmup_start}
-        for node, total in self._cache_total.items():
-            values[("disk", node)] = total
         return {
             gauge: (array("d", [-math.inf]), array("d", [value]))
-            for gauge, value in values.items()
+            for gauge, value in self._gauge_values().items()
         }
 
     def _call_after_readings(self, hook, t: float):
@@ -623,9 +634,9 @@ def check_failed(state: CloudState) -> bool:
     predicate turns true the virtual time is latched into ``failed_at``.
 
     The first two clauses read state that ``CloudState`` caches: the
-    capacity, recounted by ``add_leftover`` and ``rejuvenate``, and the
+    capacity, recounted by ``add_leftover`` and ``_deploy``, and the
     disk-full flag, updated by ``deposit_cache_image``, ``cache_cleanup``
-    and ``rejuvenate``.  The memory clause is O(1) arithmetic on the raw
+    and ``_deploy``.  The memory clause is O(1) arithmetic on the raw
     available memory: available memory and swap headroom are both
     non-negative, so their sum is exhausted exactly when no memory is left
     (raw <= 0) and swap has filled (threshold - raw >= swap capacity, with
@@ -652,33 +663,18 @@ def check_failed(state: CloudState) -> bool:
 
 
 def rejuvenate(state: CloudState) -> None:
-    """Redeploy the cloud: reset ledgers, caches and swap; restore memory.
+    """Redeploy the cloud: after the configured rejuvenation duration it
+    is freshly deployed (``CloudState._deploy``), with the warm-up window
+    ``warmup_after_rejuvenation`` asks for.
 
     A configured fraction of the accumulated cloud-level ageing survives
     as a host-level residual (memory restored to initial minus residual,
-    ageing units scaled by the same fraction).  The virtual clock
-    advances by the configured rejuvenation duration.
+    ageing units scaled by the same fraction).
     """
     params = state.params
     state._host_residual_gb += params.retention_fraction * state._consumed_gb
     state.ageing_units *= params.retention_fraction
     state._recompute_ageing()
-    state._consumed_gb = 0.0
-    for kind in EntityKind:
-        state.live[kind] = 0
-        state.leftovers[kind] = 0
-    state._cache.clear()
-    for node in state._cache_total:
-        state._cache_total[node] = 0.0
-        state._log(("disk", node), 0.0)
-    state._recount_capacity()
-    state._recount_disk_full()
-    state._noise_gb = 0.0
-    state._log("memory", state._raw_available_gb())
-    state.failed = False
-    state.failure_inputs_changed = True
     state.clock += params.rejuvenation_seconds
     state.rejuvenation_count += 1
-    state._warmup_start = state.clock if params.warmup_after_rejuvenation else math.nan
-    state._warmup_alloc_pending = params.warmup_after_rejuvenation
-    state._log("window", state._warmup_start)
+    state._deploy(params.warmup_after_rejuvenation)

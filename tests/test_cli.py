@@ -352,6 +352,15 @@ class TestSuiteCommand:
         assert main(["suite", "--configs", path]) == 2
         assert "unique" in capsys.readouterr().err
 
+    def test_configs_without_a_document_are_refused(self, tmp_path, capsys):
+        """Files that hold no config document are bad input (exit 2), not a
+        suite in which no scenario completed (exit 1)."""
+        empty = write_json(tmp_path / "empty.json", [])
+        assert main(["suite", "--configs", empty, empty]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --configs holds no scenario document\n"
+
     def test_all_scenarios_failing_is_exit_1(self, tmp_path, capsys, monkeypatch):
         crash_at_run_time(monkeypatch, "x")
         path = write_json(
@@ -619,6 +628,12 @@ class TestAnalyzeCommand:
         assert capsys.readouterr().err.startswith(
             "error: --stress-end must be a finite number"
         )
+
+    def test_an_empty_unit_is_refused_before_any_input_is_read(self, tmp_path, capsys):
+        """An empty ``--unit`` is a usage error (exit 2) named by its flag,
+        even where an input is missing."""
+        assert main(["analyze", str(tmp_path / "missing.csv"), "--unit", ""]) == 2
+        assert capsys.readouterr().err == "error: --unit must be non-empty\n"
 
     def test_boundaries_must_be_ordered(self, tmp_path):
         path = ramp_csv(tmp_path)
@@ -989,6 +1004,27 @@ class TestFreshProcess:
             ),
             # A noise range of 2e308 overflowed numpy's uniform draw.
             ({"stress_hours": 1, "resources": {"warmup_noise_gb": 1e308}}, []),
+            # Two cleanup steps undo one create step.
+            (
+                {
+                    "workload": {
+                        "steps": [
+                            {"name": "a", "service": "s", "action": "create", "creates": "port"},
+                            *(
+                                {
+                                    "name": name,
+                                    "service": "s",
+                                    "action": "delete",
+                                    "deletes": "port",
+                                    "undo_of": "a",
+                                }
+                                for name in ("b", "c")
+                            ),
+                        ]
+                    }
+                },
+                [],
+            ),
         ],
         ids=[
             "config-seed",
@@ -1000,6 +1036,7 @@ class TestFreshProcess:
             "post-overflow",
             *(f"negative-{field}" for field, _value in NEGATIVE_RESOURCES),
             "noise-overflow",
+            "undone-twice",
         ],
     )
     @pytest.mark.parametrize("command", [["run"], ["suite", "--configs"]], ids=["run", "suite"])

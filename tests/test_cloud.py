@@ -214,6 +214,15 @@ class TestFaultModel:
         hits = sum(model.draw("boot server") is not None for _ in range(4000))
         assert 0.20 < hits / 4000 < 0.30
 
+    def test_an_ageing_error_needs_a_leftover_kind(self):
+        message = "error 'disk-jam': ageing errors need a leftover kind"
+        with pytest.raises(ConfigError, match=message):
+            ErrorSpec("disk-jam", AgeingRule.AGEING)
+
+    def test_an_unknown_stream_is_refused(self):
+        with pytest.raises(ValueError, match="unknown random stream: 'fault'"):
+            stream(0, "fault")
+
     def test_custom_catalog_entry(self):
         extra = ErrorSpec("disk-jam", AgeingRule.AGEING, EntityKind.VOLUME)
         model = FaultModel(
@@ -511,6 +520,33 @@ class TestRejuvenate:
         rejuvenate(state)
         assert state.failed is False
         assert check_failed(state) is False
+
+    def test_a_redeploy_without_retention_is_a_fresh_cloud(self):
+        """Without retention a rejuvenated cloud equals a new one in all
+        but what a redeploy carries over, and its warm-up window opens
+        as the redeploy ends."""
+        params = quiet_params(leak_per_workload_gb=0.2, ageing_rate=0.01)
+        state = CloudState(params=params)
+        state.try_create(EntityKind.PORT)
+        state.add_leftover(EntityKind.SERVER)
+        apply_resource_effects(state, WorkloadStepCompleted("boot server"))
+        apply_resource_effects(
+            state, WorkloadStepCompleted("x", workload_finished=True, did_real_work=True)
+        )
+        apply_resource_effects(state, IntervalElapsed())
+        state._noise_gb = 0.1
+        state.clock = 500.0
+        check_failed(state)
+        rejuvenate(state)
+        carried = {"clock", "failed_at", "rejuvenation_count", "_next_compute", "_noise_rng"}
+
+        def deployed(cloud):
+            fields = {k: v for k, v in vars(cloud).items() if k not in carried}
+            fields["_warmup_start"] -= cloud.clock
+            return fields
+
+        assert deployed(state) == deployed(CloudState(params=params))
+        assert state._next_compute == 1
 
     def test_ageing_units_scaled_by_retention(self):
         params = quiet_params(ageing_rate=0.001, retention_fraction=0.0)

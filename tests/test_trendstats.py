@@ -312,6 +312,18 @@ class TestBinHourly:
         )
         assert binned.stress_bins() == ((), ())
 
+    @pytest.mark.parametrize(
+        "hours, means, message",
+        [
+            ((0, 1), (1.0,), "hours and means must be parallel"),
+            ((1, 1), (1.0, 2.0), "hours must be strictly increasing"),
+            ((2, 1), (1.0, 2.0), "hours must be strictly increasing"),
+        ],
+    )
+    def test_malformed_bins_rejected(self, hours, means, message):
+        with pytest.raises(ValueError, match=message):
+            HourlySeries("m", "GB", hours=hours, means=means)
+
     def test_unsorted_boundaries_rejected(self):
         with pytest.raises(ValueError):
             bin_hourly(series_of([(0.0, 1.0)]), phase_boundaries=(90000.0, 86400.0))

@@ -5,6 +5,7 @@ import dataclasses
 import heapq
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import example, given
@@ -149,6 +150,62 @@ class TestDefinition:
         )
         with pytest.raises(ConfigError):
             WorkloadDefinition(steps=steps)
+
+
+def _step(name, action, **fields):
+    return {"name": name, "service": "test", "action": action, **fields}
+
+
+CREATE_PORT = _step("create port", "create", creates="port")
+DELETE_PORT = _step("delete port", "delete", deletes="port", undo_of="create port")
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ([_step("create port", "create")], "create step 'create port' names no entity kind"),
+        (
+            [CREATE_PORT, _step("delete port", "delete", undo_of="create port")],
+            "delete step 'delete port' names no entity kind",
+        ),
+        (
+            [CREATE_PORT, _step("delete port", "delete", deletes="port")],
+            "delete step 'delete port' must undo a create step",
+        ),
+        ([_step("grant", "operate", creates="role")], "step 'grant' cannot create entities"),
+        ([_step("grant", "operate", deletes="role")], "step 'grant' cannot delete entities"),
+        ([CREATE_PORT, CREATE_PORT, DELETE_PORT], "step names must be unique"),
+        (
+            [DELETE_PORT, CREATE_PORT],
+            "step 'delete port' undoes 'create port' which does not precede it",
+        ),
+        (
+            [CREATE_PORT, DELETE_PORT, {**DELETE_PORT, "name": "delete port again"}],
+            "step 'create port' is undone twice",
+        ),
+        (
+            [CREATE_PORT, {**DELETE_PORT, "deletes": "volume"}],
+            "step 'delete port' deletes EntityKind.VOLUME but 'create port' creates"
+            " EntityKind.PORT",
+        ),
+    ],
+    ids=[
+        "create-without-kind",
+        "delete-without-kind",
+        "delete-undoing-nothing",
+        "operate-creating",
+        "operate-deleting",
+        "duplicate-names",
+        "undo-before-its-target",
+        "undone-twice",
+        "kind-mismatch",
+    ],
+)
+def test_a_malformed_workload_document_is_refused(steps, message):
+    """Each rule a step list breaks is refused with a message that names it."""
+    document = {"scenario_id": "x", "workload": {"steps": steps}}
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ScenarioConfig.from_document(document)
 
 
 def test_engine_records_refuse_a_misspelt_field():
@@ -889,6 +946,14 @@ class TestRunStream:
         timing = TimingParams(default_seconds=8.0, step_seconds={})
         results = stream_results(cloud, until=t0 + 3600.0, timing=timing)
         assert [r.ended_at - r.started_at for r in results] == [29 * 8.0] * 15
+
+    def test_a_deadline_before_the_clock_is_refused(self):
+        cloud = quiet_cloud()
+        cloud.clock = 7200.0
+        with pytest.raises(ConfigError, match="stream deadline precedes the cloud clock"):
+            run_stream(DEFN, cloud, until=3600.0, tick_seconds=30.0)
+        assert cloud.clock == 7200.0
+        assert cloud._journal is None
 
     @pytest.mark.parametrize("until", [math.inf, -math.inf, math.nan])
     def test_deadline_must_be_finite(self, until):
