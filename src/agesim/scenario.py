@@ -479,12 +479,20 @@ def _check_deadlines(config: ScenarioConfig) -> None:
     """Raise ``ConfigError`` where ``run_scenario`` would give a stream a
     deadline it cannot reach (``check_deadline``), on a cloud that does
     not fail early: the stress phase runs to its end, rejuvenation adds
-    ``rejuvenation_seconds``, then the post phase runs."""
+    ``rejuvenation_seconds``, then the post phase runs.  A post phase
+    whose end rounds onto its start would run nothing, and is refused
+    too."""
     shortest = min(map(config.timing.base_for, _step_names(config)))
     stress_end = config.stress_hours * SECONDS_PER_HOUR
     check_deadline(0.0, stress_end, shortest)
     start = stress_end + config.resources.rejuvenation_seconds
-    check_deadline(start, start + config.post_rejuvenation_hours * SECONDS_PER_HOUR, shortest)
+    post = config.post_rejuvenation_hours * SECONDS_PER_HOUR
+    check_deadline(start, start + post, shortest)
+    if post > 0 and start + post == start:
+        raise ConfigError(
+            f"a {post} s post-rejuvenation phase cannot advance a clock at {start} s: "
+            f"its resolution there is {math.ulp(start)} s"
+        )
 
 
 def run_suite(configs: list[ScenarioConfig]) -> SuiteResult:

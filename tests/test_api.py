@@ -1,18 +1,22 @@
 """The public names other code relies on still resolve.
 
-``agesim.__all__`` is the package's public surface, pinned name by name
-so that growing or shrinking it takes a deliberate edit here, and the
-benchmark's traced pass wraps the entry points listed in
-``perfbench.tracing`` by name; a deletion that breaks either should fail
-here rather than in a benchmark run.  Short scenarios, one failing on
-each clause of the failure predicate, also run under the tracer, so an
-observer that stops counting fails here too.
+``agesim.__all__`` is the package's public surface: the 22 names the
+README's "Public API" section lists, pinned name by name so that growing
+or shrinking it takes a deliberate edit here and there.  Every other
+name is imported from its module.  The benchmark and the demos take
+names from the package top level, and the benchmark's traced pass wraps
+the entry points listed in ``perfbench.tracing`` by name; a cut that
+breaks either should fail here rather than in a benchmark run.  Short
+scenarios, one failing on each clause of the failure predicate, also
+run under the tracer, so an observer that stops counting fails here too.
 """
 
 import ast
 import functools
 import importlib
 import pickle
+import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -31,80 +35,132 @@ PUBLIC_NAMES = [
     # errors
     "AgesimError",
     "ConfigError",
-    "DuplicateTimestampError",
-    "EmptyFileError",
-    "EmptySeriesError",
-    "InsufficientDataError",
-    "LedgerUnderflowError",
-    "MissingPhaseBinError",
     "ParseError",
     # seeding
-    "STREAM_IDS",
     "scenario_seed",
-    "stream",
     # trendstats
-    "AgeingSummary",
-    "HourlySeries",
-    "IndicatorAnalysis",
     "IndicatorSeries",
-    "TrendTestResult",
     "TrendVerdict",
-    "ageing_summary",
-    "bin_hourly",
-    "classify_z",
     "evaluate_indicator",
     "mann_kendall",
-    "rebased",
     "sens_slope",
     # cloud
-    "DEFAULT_ERROR_CATALOG",
-    "DEFAULT_QUOTAS",
-    "OVERLOAD_INDICATOR_ERRORS",
-    "AgeingRule",
-    "CloudState",
     "EntityKind",
-    "ErrorSpec",
-    "FaultModel",
-    "QuotaExceeded",
     "ResourceParams",
-    "Topology",
     # workload
-    "DEFAULT_STEPS",
-    "StepAction",
-    "StepSpec",
     "TimingParams",
-    "WorkloadDefinition",
-    "WorkloadResult",
-    "WorkloadStatus",
-    "run_stream",
     # scenario
-    "MATRIX_CONCURRENCIES",
     "EarlyFailurePolicy",
     "ScenarioConfig",
-    "ScenarioReport",
-    "SuiteResult",
     "default_matrix",
     "run_scenario",
     "run_suite",
-    # ingest; importing the submodule binds "ingest" first
+    # ingest
     "ingest",
-    "WorkloadReportData",
-    "ingest_workload_report",
     "serialize_series",
     # report
-    "analysis_document",
-    "error_distribution",
     "render_tables",
-    "report_document",
     "suite_trend_table",
-    "write_bundle",
     "write_suite_bundle",
 ]
 
+#: Names that left the package top level, each still defined by its module.
+MODULE_NAMES = {
+    "errors": [
+        "DuplicateTimestampError",
+        "EmptyFileError",
+        "EmptySeriesError",
+        "InsufficientDataError",
+        "LedgerUnderflowError",
+        "MissingPhaseBinError",
+    ],
+    "seeding": ["STREAM_IDS", "stream"],
+    "trendstats": [
+        "AgeingSummary",
+        "HourlySeries",
+        "IndicatorAnalysis",
+        "TrendTestResult",
+        "ageing_summary",
+        "bin_hourly",
+        "classify_z",
+        "rebased",
+    ],
+    "cloud": [
+        "DEFAULT_ERROR_CATALOG",
+        "DEFAULT_QUOTAS",
+        "OVERLOAD_INDICATOR_ERRORS",
+        "AgeingRule",
+        "CloudState",
+        "ErrorSpec",
+        "FaultModel",
+        "QuotaExceeded",
+        "Topology",
+    ],
+    "workload": [
+        "DEFAULT_STEPS",
+        "StepAction",
+        "StepSpec",
+        "WorkloadDefinition",
+        "WorkloadResult",
+        "WorkloadStatus",
+        "run_stream",
+    ],
+    "scenario": ["MATRIX_CONCURRENCIES", "ScenarioReport", "SuiteResult"],
+    "ingest": ["WorkloadReportData", "ingest_workload_report"],
+    "report": ["analysis_document", "error_distribution", "report_document", "write_bundle"],
+}
+
 
 def test_public_surface_is_exactly_the_pinned_names():
-    assert len(PUBLIC_NAMES) == 63
+    assert len(PUBLIC_NAMES) == 22
     assert agesim.__all__ == PUBLIC_NAMES
+
+
+def test_every_name_off_the_surface_resolves_on_its_module():
+    dropped = [name for names in MODULE_NAMES.values() for name in names]
+    assert len(dropped) == 41
+    assert set(dropped).isdisjoint(PUBLIC_NAMES)
+    unresolved = [
+        f"agesim.{module}.{name}"
+        for module, names in MODULE_NAMES.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"agesim.{module}"), name)
+    ]
+    assert unresolved == []
+
+
+def test_readme_public_api_section_lists_exactly_the_surface():
+    """The README's "Public API" section is the one statement of the API:
+    its job bullets name each exported name once."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## Public API\n(.*?)(?=^## )", readme, re.M | re.S)
+    assert section is not None
+    bullets = re.findall(r"^- \*\*\w+:\*\* (.*)$", section.group(1), re.M)
+    assert len(bullets) == 4
+    listed = [name for line in bullets for name in re.findall(r"`(\w+)`", line)]
+    assert sorted(listed) == sorted(agesim.__all__)
+
+
+def test_benchmark_and_demos_take_only_public_names_from_the_top_level():
+    """``perfbench/workloads.py`` and the demos import from the package top
+    level only names on the surface or submodules, so a cut that drops one
+    they use fails here rather than in a benchmark run."""
+    submodules = {info.name for info in pkgutil.iter_modules(agesim.__path__)}
+    paths = [ROOT / "perfbench" / "workloads.py", *sorted((ROOT / "demos").glob("*.py"))]
+    taken = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "agesim":
+                taken.update((path.name, alias.name) for alias in node.names)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "agesim"
+            ):
+                taken.add((path.name, node.attr))
+    assert {name for _, name in taken} >= {"run_suite", "scenario_seed", "ScenarioConfig"}
+    allowed = set(agesim.__all__) | submodules
+    assert sorted(f"{file}: {name}" for file, name in taken if name not in allowed) == []
 
 
 def test_every_public_name_resolves():

@@ -626,7 +626,7 @@ def test_serialize_ingest_round_trip_of_an_ageing_failure_scenario(ageing_failur
 
 
 def bundle_series_match_the_row_reference(report, out_dir) -> None:
-    from agesim import write_bundle
+    from agesim.report import write_bundle
 
     write_bundle(report, out_dir)
     written = sorted(path.stem for path in (out_dir / "series").glob("*.csv"))

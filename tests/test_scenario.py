@@ -642,6 +642,8 @@ class TestSuite:
             (1, 0, 1e17, False),  # no stream runs after the rejuvenation
             (0, 1, 2.0**53, False),  # the clock resolves 2 s, which a 2 s step advances
             (0, 1, 2.0**54, True),
+            (0, 1, 1e20, True),  # the post phase's end rounds onto its start
+            (1, 1, 1e308, True),
             (0, 1, math.inf, True),
             (1, 0, math.inf, True),  # the empty post phase would start at infinity
             (10**300, 1, 0.0, True),  # the stress phase cannot reach its end
