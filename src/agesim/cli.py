@@ -28,10 +28,9 @@ from pathlib import Path
 from .errors import AgesimError, ConfigError, ParseError
 from .ingest import ingest, ingest_workload_report, load_json
 from .report import (
-    _write_json,
-    analysis_document,
     render_tables,
     suite_trend_table,
+    write_analysis,
     write_bundle,
     write_suite_bundle,
 )
@@ -85,6 +84,8 @@ def _parse_phases(text: str) -> dict[str, int]:
             raise argparse.ArgumentTypeError(
                 f"unknown phase {key!r}; expected stress or post"
             )
+        if _PHASE_FIELDS[key] in result:
+            raise argparse.ArgumentTypeError(f"phase {key} is given more than once")
         hours = _parse_int(value.strip(), f"phase {key}")
         if hours < 0:
             raise argparse.ArgumentTypeError(f"phase {key}: hours must be >= 0")
@@ -314,14 +315,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(_analysis_line(name, analysis))
 
     if out is not None:
-        document = {
-            "rebased_from": t0,
-            "phase_boundaries": list(boundaries),
-            "indicators": {
-                name: analysis_document(analyses[name]) for name in sorted(analyses)
-            },
-        }
-        _write_json(document, out / "analysis.json")
+        write_analysis(analyses, t0, boundaries, out / "analysis.json")
         print(f"analysis written to {out / 'analysis.json'}")
     return 0
 

@@ -241,17 +241,15 @@ class FaultModel:
     must not exceed 1.  Steps without configured entries consume no
     random draws at all.  Step names are not checked here but against
     the workload definition, by ``run_stream`` before its first event.
-    ``catalog`` extends ``DEFAULT_ERROR_CATALOG`` to resolve error names
-    and ``seed`` picks the ``"faults"`` stream; neither is kept.
+    Error names resolve against ``DEFAULT_ERROR_CATALOG``; ``seed`` picks
+    the ``"faults"`` stream and is not kept.
     """
 
     def __init__(
         self,
         probabilities: Mapping[str, Mapping[str, float]] | None = None,
-        catalog: Mapping[str, ErrorSpec] | None = None,
         seed: int = 0,
     ):
-        catalog = {**DEFAULT_ERROR_CATALOG, **(catalog or {})}
         self._rng = stream(seed, "faults")
 
         self._per_step: dict[str, list[tuple[float, ErrorSpec]]] = {}
@@ -259,13 +257,14 @@ class FaultModel:
             slots: list[tuple[float, ErrorSpec]] = []
             cumulative = 0.0
             for error_name, p in entries.items():
-                if error_name not in catalog:
+                spec = DEFAULT_ERROR_CATALOG.get(error_name)
+                if spec is None:
                     raise ConfigError(f"unknown error name {error_name!r}")
                 if not 0.0 <= p <= 1.0:
                     raise ConfigError(f"probability {p} for {error_name!r} not in [0, 1]")
                 cumulative += p
                 if p > 0.0:
-                    slots.append((cumulative, catalog[error_name]))
+                    slots.append((cumulative, spec))
             if cumulative > 1.0 + 1e-12:
                 raise ConfigError(
                     f"per-step probabilities for {step_name!r} sum to {cumulative} > 1"
@@ -291,9 +290,10 @@ class FaultModel:
 class CloudState:
     """Mutable ledger-and-gauge state of the simulated cloud.
 
-    Gauges are read one at a time: ``memory_available_gb`` and
-    ``swap_used_gb`` per node (the model runs on the control node; every
-    other node reads idle) and ``disk_used_gb`` per node.
+    The memory model runs on the control node: ``control_memory_gb``
+    reads its available memory and swap in use together, and
+    ``swap_used_gb`` its swap alone.  ``disk_used_gb`` reads one node's
+    cache images.
 
     Capacity and whether some node's disk is full are kept up to date by
     the mutators that can change them (``add_leftover``,
@@ -415,9 +415,6 @@ class CloudState:
             self._recount_capacity()
         return None
 
-    def total_leftovers(self) -> int:
-        return sum(self.leftovers.values())
-
     # -- gauges ----------------------------------------------------------------
 
     def _raw_available_gb(self) -> float:
@@ -452,18 +449,9 @@ class CloudState:
         memory, swap = self._memory_gauges(self._raw_available_gb(), self._noise_gb)
         return float(memory), float(swap)
 
-    def memory_available_gb(self, node: str | None = None) -> float:
-        """Available memory on a node; the model runs on the control node."""
-        node = node or self.topology.control_node
-        if node != self.topology.control_node:
-            return self.params.initial_memory_gb
-        return self.control_memory_gb()[0]
-
-    def swap_used_gb(self, node: str | None = None) -> float:
-        """Swap in use; grows once raw available memory sinks below the threshold."""
-        node = node or self.topology.control_node
-        if node != self.topology.control_node:
-            return 0.0
+    def swap_used_gb(self) -> float:
+        """Swap in use on the control node; grows once raw available memory
+        sinks below the threshold."""
         return self.control_memory_gb()[1]
 
     def disk_used_gb(self, node: str) -> float:
@@ -530,7 +518,7 @@ class CloudState:
             holds_from = np.searchsorted(times, np.frombuffer(stamps))
             return np.repeat(np.frombuffer(values), np.diff(holds_from, append=len(times)))
 
-        warming = _in_warmup_window(at_times("window"), times)
+        warming = in_warmup_window(at_times("window"), times)
         noise = np.zeros(len(times))
         amp = self.params.warmup_noise_gb
         if amp:
@@ -543,9 +531,6 @@ class CloudState:
         for node in self.topology.compute_nodes:
             readings[f"disk-used-{node}"] = at_times(("disk", node))
         return readings
-
-    def cache_disk_usage_gb(self) -> float:
-        return sum(size for _, size, _ in self._cache)
 
     def cache_image_count(self) -> int:
         return len(self._cache)
@@ -572,7 +557,7 @@ class CloudState:
 # ── Operations on the cloud ──────────────────────────────────────────────
 
 
-def _in_warmup_window(start, t):
+def in_warmup_window(start, t):
     """Whether ``t`` (a float or an array) lies in the warm-up window that
     opened at ``start``, the hour from it; a NaN start opens none."""
     return (start <= t) & (t < start + SECONDS_PER_HOUR)
@@ -583,8 +568,8 @@ def apply_resource_effects(
 ) -> None:
     """Fold one event into the resource gauges.
 
-    Callers read the gauges afterwards through ``memory_available_gb``,
-    ``swap_used_gb`` and ``disk_used_gb``; while a journal is open (see
+    Callers read the gauges afterwards through ``control_memory_gb`` and
+    ``disk_used_gb``; while a journal is open (see
     ``CloudState``) every change is logged there too.
 
     Step completions deposit cache images (for configured steps, server
@@ -603,26 +588,23 @@ def apply_resource_effects(
             state.ageing_units += 1.0
             state._recompute_ageing()
     elif isinstance(event, IntervalElapsed):
-        if state._warmup_alloc_pending and _in_warmup_window(state._warmup_start, state.clock):
+        if state._warmup_alloc_pending and in_warmup_window(state._warmup_start, state.clock):
             state._consume(params.warmup_alloc_gb)
             state._warmup_alloc_pending = False
     else:
         raise TypeError(f"unsupported event: {event!r}")
 
 
-def cache_cleanup(state: CloudState) -> float:
-    """Drop cache images older than the configured age; return GB freed."""
+def cache_cleanup(state: CloudState) -> None:
+    """Drop cache images older than the configured age."""
     max_age = state.params.cache_max_age_seconds
-    freed = 0.0
     cache = state._cache
     while cache and state.clock - cache[0][0] > max_age:
         _, size, node = cache.popleft()
         state._cache_total[node] -= size
         state._log(("disk", node), state._cache_total[node])
-        freed += size
     state._recount_disk_full()
     state.failure_inputs_changed = True
-    return freed
 
 
 def check_failed(state: CloudState) -> bool:

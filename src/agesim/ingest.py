@@ -15,11 +15,14 @@ errors; see ``ingest``.
 
 ``serialize_series`` writes the same format back with full-precision
 values, so a serialize/ingest round trip reproduces a series exactly.
-Its renderer, which ``report.write_bundle`` shares, yields each series'
-rows a chunk at a time, makes one cell per run of equal values within a
-chunk, and renders each chunk of a timestamp column once for the
-neighbouring series with the same timestamps, whose chunks it yields
-side by side.
+Its renderer yields each series' rows a chunk at a time, makes one cell
+per run of equal values within a chunk, and renders each chunk of a
+timestamp column once for the neighbouring series with the same
+timestamps, whose chunks it yields side by side.
+
+This module owns the CSV files of a report bundle: ``write_series_files``
+writes one file of that format per series through the same renderer,
+and ``write_error_log`` writes a scenario's error log.
 
 Workload reports are JSON documents with a ``workloads`` list of
 records carrying ``start``, ``end`` and ``status``; they yield a
@@ -33,17 +36,21 @@ import io
 import json
 import math
 from array import array
+from contextlib import ExitStack
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
-from typing import IO, Iterator, Mapping
+from typing import IO, TYPE_CHECKING, Iterator, Mapping
 
 import numpy as np
 
 from .errors import DuplicateTimestampError, EmptyFileError, ParseError
 from .trendstats import IndicatorSeries, nudge_ties
 from .workload import WorkloadStatus
+
+if TYPE_CHECKING:
+    from .scenario import ErrorLog
 
 HEADER = ("timestamp", "metric", "value")
 _HEADER_ROW = ",".join(HEADER) + "\n"
@@ -442,6 +449,53 @@ def serialize_series(series_by_name: Mapping[str, IndicatorSeries]) -> str:
         for name, rows in _render_group(group):
             chunks[name].append(rows)
     return "".join([_HEADER_ROW, *chain.from_iterable(chunks.values())])
+
+
+def write_series_files(series_by_name: Mapping[str, IndicatorSeries], directory: Path) -> None:
+    """Write each series to ``directory/<name>.csv``, created if there is a
+    series to write, with the bytes ``serialize_series`` gives for that
+    series alone.  The files of a clock group are written side by side, a
+    chunk of rows at a time, so no more than one chunk is held."""
+    if series_by_name:
+        directory.mkdir(exist_ok=True)
+    for group in _clock_groups(series_by_name):
+        with ExitStack() as files:
+            outs = {}
+            for name, _series in group:
+                outs[name] = files.enter_context(
+                    open(directory / f"{name}.csv", "w", encoding="utf-8")
+                )
+                outs[name].write(_HEADER_ROW)
+            for name, rows in _render_group(group):
+                outs[name].write(rows)
+
+
+def write_error_log(log: ErrorLog, path: Path) -> None:
+    """Write a scenario's error log as CSV, ``_CHUNK_ROWS`` rows at a time.
+
+    The times are rendered as ``serialize_series`` renders timestamps, and
+    each kind's ``,step,error,ageing,overload`` cells, names quoted as
+    ``csv.writer`` quotes them, are built once.  Each chunk's rows are
+    joined and written on their own, so the whole file is never held.
+    """
+    kind_cells = np.array(
+        [
+            f",{csv_cell(step)},{csv_cell(error)},"
+            f"{str(ageing).lower()},{str(overload).lower()}\n"
+            for step, error, ageing, overload in log.kinds
+        ],
+        dtype=object,
+    )
+    chunks = (
+        _join_rows(
+            _stamp_cells(log.times[lo : lo + _CHUNK_ROWS]),
+            kind_cells[log.codes[lo : lo + _CHUNK_ROWS]].tolist(),
+        )
+        for lo in range(0, len(log), _CHUNK_ROWS)
+    )
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("time,step,error,ageing,overload\n")
+        out.writelines(chunks)
 
 
 # ── Workload reports ─────────────────────────────────────────────────────

@@ -19,23 +19,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from contextlib import ExitStack
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .scenario import ScenarioReport, SuiteResult
 from .trendstats import AgeingSummary, IndicatorAnalysis, TrendVerdict
-from .ingest import (
-    _CHUNK_ROWS,
-    _HEADER_ROW,
-    _clock_groups,
-    _join_rows,
-    _render_group,
-    _stamp_cells,
-    csv_cell,
-)
+from .ingest import write_error_log, write_series_files
 
 #: Compact verdict markers used in tables.
 VERDICT_MARKERS = {
@@ -262,33 +253,21 @@ def _write_json(document: Mapping, path: Path) -> None:
         out.writelines((json.dumps(document, indent=2), "\n"))
 
 
-def write_error_log(report: ScenarioReport, path: Path) -> None:
-    """Write the error log as CSV, ``_CHUNK_ROWS`` rows at a time.
-
-    The times are rendered as ``serialize_series`` renders timestamps, and
-    each kind's ``,step,error,ageing,overload`` cells, names quoted as
-    ``csv.writer`` quotes them, are built once.  Each chunk's rows are
-    joined and written on their own, so the whole file is never held.
-    """
-    log = report.error_log
-    kind_cells = np.array(
-        [
-            f",{csv_cell(step)},{csv_cell(error)},"
-            f"{str(ageing).lower()},{str(overload).lower()}\n"
-            for step, error, ageing, overload in log.kinds
-        ],
-        dtype=object,
-    )
-    chunks = (
-        _join_rows(
-            _stamp_cells(log.times[lo : lo + _CHUNK_ROWS]),
-            kind_cells[log.codes[lo : lo + _CHUNK_ROWS]].tolist(),
-        )
-        for lo in range(0, len(log), _CHUNK_ROWS)
-    )
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("time,step,error,ageing,overload\n")
-        out.writelines(chunks)
+def write_analysis(
+    analyses: Mapping[str, IndicatorAnalysis],
+    rebased_from: float,
+    phase_boundaries: Sequence[float],
+    path: Path,
+) -> None:
+    """Write the ``analysis.json`` document of ``agesim analyze``: the
+    time the series were rebased from, the phase boundaries and each
+    indicator's analysis, in sorted name order."""
+    document = {
+        "rebased_from": rebased_from,
+        "phase_boundaries": list(phase_boundaries),
+        "indicators": {name: analysis_document(analyses[name]) for name in sorted(analyses)},
+    }
+    _write_json(document, path)
 
 
 def write_bundle(
@@ -296,31 +275,19 @@ def write_bundle(
 ) -> Path:
     """Write one scenario's report bundle; returns the bundle directory.
 
-    Series files are rendered as ``serialize_series`` renders them: one
-    value cell per run, and each chunk of a timestamp column rendered once
-    for the series that share it, whose files are written side by side.
-    Series files and ``errors.csv`` are written a chunk of rows at a time,
-    so writing a bundle holds one chunk, not a file or a column."""
+    The JSON report and the tables are rendered here; the CSV files are
+    written by ``agesim.ingest``, which owns their format: the series
+    files by ``write_series_files`` and ``errors.csv`` by
+    ``write_error_log``, each a chunk of rows at a time, so writing a
+    bundle holds one chunk, not a file or a column."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(report_document(report, exclude_overload), out / "report.json")
     (out / "tables.txt").write_text(
         render_tables(report, exclude_overload), encoding="utf-8"
     )
-    write_error_log(report, out / "errors.csv")
-    series_dir = out / "series"
-    if report.series:
-        series_dir.mkdir(exist_ok=True)
-    for group in _clock_groups(report.series):
-        with ExitStack() as files:
-            outs = {}
-            for name, _series in group:
-                outs[name] = files.enter_context(
-                    open(series_dir / f"{name}.csv", "w", encoding="utf-8")
-                )
-                outs[name].write(_HEADER_ROW)
-            for name, rows in _render_group(group):
-                outs[name].write(rows)
+    write_error_log(report.error_log, out / "errors.csv")
+    write_series_files(report.series, out / "series")
     return out
 
 

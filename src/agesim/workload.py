@@ -50,9 +50,9 @@ from .cloud import (
     FaultModel,
     IntervalElapsed,
     WorkloadStepCompleted,
-    _in_warmup_window,
     apply_resource_effects,
     check_failed,
+    in_warmup_window,
     quota_error_name,
 )
 from .errors import ConfigError
@@ -104,7 +104,6 @@ class StepSpec:
     creates: EntityKind | None = None
     deletes: EntityKind | None = None
     operates_on: EntityKind | None = None
-    depends_on: tuple[str, ...] = ()
     undo_of: str | None = None
 
     def __post_init__(self):
@@ -132,81 +131,24 @@ def _steps() -> tuple[StepSpec, ...]:
     return (
         StepSpec("create user", "identity", create, creates=K.USER),
         StepSpec("create role", "identity", create, creates=K.ROLE),
-        StepSpec(
-            "add role",
-            "identity",
-            operate,
-            depends_on=("create user", "create role"),
-        ),
+        StepSpec("add role", "identity", operate),
         StepSpec("create security group", "network", create, creates=K.SECURITY_GROUP),
         StepSpec("create flavor", "compute", create, creates=K.FLAVOR),
         StepSpec("create image", "image", create, creates=K.IMAGE),
         StepSpec("create network", "network", create, creates=K.NETWORK),
-        StepSpec(
-            "create subnet",
-            "network",
-            create,
-            creates=K.SUBNET,
-            depends_on=("create network",),
-        ),
-        StepSpec(
-            "create port",
-            "network",
-            create,
-            creates=K.PORT,
-            depends_on=("create network", "create subnet"),
-        ),
-        StepSpec(
-            "create router",
-            "network",
-            create,
-            creates=K.ROUTER,
-            depends_on=("create network", "create subnet"),
-        ),
-        StepSpec(
-            "boot server",
-            "compute",
-            create,
-            creates=K.SERVER,
-            depends_on=("create flavor", "create image", "create network"),
-        ),
+        StepSpec("create subnet", "network", create, creates=K.SUBNET),
+        StepSpec("create port", "network", create, creates=K.PORT),
+        StepSpec("create router", "network", create, creates=K.ROUTER),
+        StepSpec("boot server", "compute", create, creates=K.SERVER),
         StepSpec("create volume", "volume", create, creates=K.VOLUME),
+        StepSpec("attach volume", "volume", operate, operates_on=K.VOLUME),
+        StepSpec("rebuild server", "compute", operate, operates_on=K.SERVER),
+        StepSpec("pause server", "compute", operate, operates_on=K.SERVER),
         StepSpec(
-            "attach volume",
-            "volume",
-            operate,
-            operates_on=K.VOLUME,
-            depends_on=("boot server", "create volume"),
+            "unpause server", "compute", operate, operates_on=K.SERVER, undo_of="pause server"
         ),
         StepSpec(
-            "rebuild server",
-            "compute",
-            operate,
-            operates_on=K.SERVER,
-            depends_on=("boot server", "create image"),
-        ),
-        StepSpec(
-            "pause server",
-            "compute",
-            operate,
-            operates_on=K.SERVER,
-            depends_on=("boot server",),
-        ),
-        StepSpec(
-            "unpause server",
-            "compute",
-            operate,
-            operates_on=K.SERVER,
-            depends_on=("pause server",),
-            undo_of="pause server",
-        ),
-        StepSpec(
-            "detach volume",
-            "volume",
-            operate,
-            operates_on=K.VOLUME,
-            depends_on=("attach volume",),
-            undo_of="attach volume",
+            "detach volume", "volume", operate, operates_on=K.VOLUME, undo_of="attach volume"
         ),
         StepSpec("delete volume", "volume", delete, deletes=K.VOLUME, undo_of="create volume"),
         StepSpec("delete server", "compute", delete, deletes=K.SERVER, undo_of="boot server"),
@@ -278,11 +220,6 @@ class WorkloadDefinition:
         index = {name: i for i, name in enumerate(names)}
         undone: dict[str, int] = {}
         for i, step in enumerate(self.steps):
-            for dep in step.depends_on:
-                if index.get(dep, i) >= i:
-                    raise ConfigError(
-                        f"step {step.name!r} depends on {dep!r} which does not precede it"
-                    )
             if step.undo_of is not None:
                 target = index.get(step.undo_of)
                 if target is None or target >= i:
@@ -738,7 +675,7 @@ def _run_events(
             return
         start = cloud._warmup_start
         t = t0 + _first_tick(t0, tick_seconds, max(t, start)) * tick_seconds
-        if t < until and _in_warmup_window(start, t):
+        if t < until and in_warmup_window(start, t):
             heappush(heap, (t, PRIO_TICK, seq(), "tick", None))
 
     for slot in range(concurrency):

@@ -252,7 +252,6 @@ def test_c06_disk_leak_fills_capacity(capsys):
     state = CloudState(topology=Topology.named("all-in-one"), params=params)
     for _ in range(1123):
         apply_resource_effects(state, WorkloadStepCompleted("boot server"))
-    assert abs(state.cache_disk_usage_gb() - 44.92) < 0.001
     assert abs(state.disk_used_gb("all-in-one") - 44.92) < 0.001
 
     config = ScenarioConfig(

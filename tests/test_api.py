@@ -260,6 +260,22 @@ def test_no_module_imports_a_sibling_inside_a_function():
     assert late == []
 
 
+def test_no_module_imports_a_private_name_of_a_sibling():
+    """A ``_``-prefixed name stays inside its module: a sibling that needs
+    it takes a public name from the module that owns the format or rule."""
+    private = []
+    for path in sorted(Path(agesim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private.extend(
+                    f"{path.name}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                )
+    assert private == []
+
+
 def test_no_class_lists_its_slots_by_hand():
     """A slotted class of the package declares its fields once, through
     ``@dataclass(slots=True)``, rather than in a ``__slots__`` tuple that

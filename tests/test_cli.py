@@ -298,6 +298,15 @@ class TestRunCommand:
             main(["run", config_path, "--phases", "night:3"])
         assert excinfo.value.code == 2
 
+    def test_a_repeated_phase_is_an_argparse_error(self, config_path, capsys):
+        """A phase given twice is refused, not settled by its last value."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", config_path, "--phases", "stress:1,stress:0,post:0"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "phase stress is given more than once" in captured.err
+
 
 class TestSuiteCommand:
     @pytest.fixture()

@@ -223,13 +223,6 @@ class TestFaultModel:
         with pytest.raises(ValueError, match="unknown random stream: 'fault'"):
             stream(0, "fault")
 
-    def test_custom_catalog_entry(self):
-        extra = ErrorSpec("disk-jam", AgeingRule.AGEING, EntityKind.VOLUME)
-        model = FaultModel(
-            {"create volume": {"disk-jam": 1.0}}, catalog={"disk-jam": extra}, seed=2
-        )
-        assert model.draw("create volume").name == "disk-jam"
-
     def test_overload_indicator_names(self):
         assert quota_error_name(EntityKind.SECURITY_GROUP) in OVERLOAD_INDICATOR_ERRORS
         assert quota_error_name(EntityKind.SERVER) not in OVERLOAD_INDICATOR_ERRORS
@@ -245,7 +238,6 @@ class TestResourceEffects:
         for _ in range(1123):
             apply_resource_effects(state, WorkloadStepCompleted("boot server"))
         assert state.cache_image_count() == 1123
-        assert abs(state.cache_disk_usage_gb() - 44.92) < 0.001
         assert abs(state.disk_used_gb("all-in-one") - 44.92) < 0.001
 
     def test_cache_spreads_over_compute_nodes(self):
@@ -261,7 +253,7 @@ class TestResourceEffects:
         """100 finished workloads at 0.001 GB leak cost exactly 0.1 GB."""
         params = quiet_params(initial_memory_gb=8.0, leak_per_workload_gb=0.001)
         state = CloudState(params=params)
-        before = state.memory_available_gb()
+        before = state.control_memory_gb()[0]
         for _ in range(100):
             apply_resource_effects(
                 state,
@@ -269,7 +261,7 @@ class TestResourceEffects:
                     "delete user", workload_finished=True, did_real_work=True
                 ),
             )
-        assert before - state.memory_available_gb() == pytest.approx(0.1)
+        assert before - state.control_memory_gb()[0] == pytest.approx(0.1)
         assert state.swap_used_gb() == 0.0
 
     def test_idle_workloads_do_not_leak(self):
@@ -279,7 +271,7 @@ class TestResourceEffects:
             state,
             WorkloadStepCompleted("delete user", workload_finished=True),
         )
-        assert state.memory_available_gb() == state.params.initial_memory_gb
+        assert state.control_memory_gb()[0] == state.params.initial_memory_gb
         assert state.ageing_units == 0.0
 
     def test_warmup_noise_only_in_first_hour(self):
@@ -291,11 +283,11 @@ class TestResourceEffects:
         memory = state._readings(times, state._new_journal())["memory-available"]
         draws = stream(11, "noise").uniform(-0.3, 0.3, size=2)
         assert memory.tolist() == (params.initial_memory_gb + draws).tolist() + [1.5, 1.5]
-        assert state.memory_available_gb() == params.initial_memory_gb
+        assert state.control_memory_gb()[0] == params.initial_memory_gb
 
         memory = state._readings(times[:2], state._new_journal())["memory-available"]
         assert memory[1] != params.initial_memory_gb
-        assert state.memory_available_gb() == memory[1]
+        assert state.control_memory_gb()[0] == memory[1]
 
     def test_warmup_allocation_applied_once(self):
         """The first tick in the window lands the allocation; the readings
@@ -309,7 +301,7 @@ class TestResourceEffects:
         state._journal = None
         readings = state._readings(np.array([0.0, 30.0, 60.0]), journal)
         assert readings["memory-available"].tolist() == [params.initial_memory_gb - 0.25] * 3
-        assert state.memory_available_gb() == params.initial_memory_gb - 0.25
+        assert state.control_memory_gb()[0] == params.initial_memory_gb - 0.25
         assert state._noise_rng.random() == stream(12, "noise").random()
 
     def test_swap_grows_below_threshold(self):
@@ -325,7 +317,7 @@ class TestResourceEffects:
         assert state.swap_used_gb() == 0.0
         apply_resource_effects(state, finish)  # consumed 1.5, raw 0.5
         assert state.swap_used_gb() == pytest.approx(0.5)
-        assert state.memory_available_gb() == pytest.approx(0.5)
+        assert state.control_memory_gb()[0] == pytest.approx(0.5)
 
     def test_memory_never_negative(self):
         params = quiet_params(initial_memory_gb=1.0, leak_per_workload_gb=1.0)
@@ -333,14 +325,14 @@ class TestResourceEffects:
         finish = WorkloadStepCompleted("x", workload_finished=True, did_real_work=True)
         for _ in range(5):
             apply_resource_effects(state, finish)
-        assert state.memory_available_gb() == 0.0
+        assert state.control_memory_gb()[0] == 0.0
 
     def test_leftover_retention_charges_memory(self):
         params = quiet_params(leftover_retention_gb=0.01)
         state = CloudState(params=params)
         for _ in range(5):
             state.add_leftover(EntityKind.SERVER)
-        drop = params.initial_memory_gb - state.memory_available_gb()
+        drop = params.initial_memory_gb - state.control_memory_gb()[0]
         assert drop == pytest.approx(0.05)
 
 
@@ -367,22 +359,24 @@ class TestCacheCleanup:
         state = CloudState(params=quiet_params())
         apply_resource_effects(state, WorkloadStepCompleted("boot server"))
         state.clock = 3600.0
-        assert cache_cleanup(state) == 0.0
+        cache_cleanup(state)
         assert state.cache_image_count() == 1
+        assert state.disk_used_gb("compute-1") == pytest.approx(0.040)
 
     def test_expired_image_removed(self):
         """An image a full day old is reclaimed."""
         state = CloudState(params=quiet_params())
         apply_resource_effects(state, WorkloadStepCompleted("boot server"))
         state.clock = 25 * 3600.0
-        freed = cache_cleanup(state)
-        assert freed == pytest.approx(0.040)
+        cache_cleanup(state)
         assert state.cache_image_count() == 0
-        assert state.cache_disk_usage_gb() == 0.0
+        assert state.disk_used_gb("compute-1") == 0.0
 
     def test_empty_cache_is_a_noop(self):
         state = CloudState()
-        assert cache_cleanup(state) == 0.0
+        cache_cleanup(state)
+        assert state.cache_image_count() == 0
+        assert [state.disk_used_gb(n) for n in state.topology.nodes] == [0.0] * 4
 
     def test_only_old_prefix_removed(self):
         state = CloudState(topology=Topology.named("all-in-one"), params=quiet_params())
@@ -390,8 +384,9 @@ class TestCacheCleanup:
         state.clock = 10 * 3600.0
         apply_resource_effects(state, WorkloadStepCompleted("boot server"))
         state.clock = 25 * 3600.0
-        assert cache_cleanup(state) == pytest.approx(0.040)
+        cache_cleanup(state)
         assert state.cache_image_count() == 1
+        assert state.disk_used_gb("all-in-one") == pytest.approx(0.040)
 
     def test_negative_max_age_rejected(self):
         """A negative age limit would empty the cache at every cleanup."""
@@ -471,7 +466,7 @@ class TestRejuvenate:
         assert state.capacity() == 6
         rejuvenate(state)
         assert state.capacity() == 10
-        assert state.total_leftovers() == 0
+        assert sum(state.leftovers.values()) == 0
 
     def test_swap_reset(self):
         params = quiet_params(initial_memory_gb=2.0, leak_per_workload_gb=1.5)
@@ -490,7 +485,7 @@ class TestRejuvenate:
         for _ in range(3):
             apply_resource_effects(state, finish)
         rejuvenate(state)
-        assert state.memory_available_gb() == params.initial_memory_gb
+        assert state.control_memory_gb()[0] == params.initial_memory_gb
 
     def test_retention_fraction_leaves_residual(self):
         params = quiet_params(leak_per_workload_gb=0.2, retention_fraction=0.5)
@@ -499,7 +494,7 @@ class TestRejuvenate:
         for _ in range(3):
             apply_resource_effects(state, finish)  # consumed 0.6
         rejuvenate(state)
-        assert state.memory_available_gb() == pytest.approx(
+        assert state.control_memory_gb()[0] == pytest.approx(
             params.initial_memory_gb - 0.3
         )
 
@@ -711,17 +706,19 @@ def test_cached_predicate_matches_recomputation(state, ops):
                 assert state.live[kind] + state.leftovers[kind] <= quota
 
 
-def gauges_from_scratch(state, node):
-    """Memory available, swap used and disk used on ``node``, recomputed
-    from the memory terms and the cache-image ledger."""
+def memory_from_scratch(state):
+    """Memory available and swap used on the control node, recomputed from
+    the memory terms."""
     params = state.params
-    disk = sum(size for _, size, where in state._cache if where == node)
-    if node != state.topology.control_node:
-        return params.initial_memory_gb, 0.0, disk
     raw = params.initial_memory_gb - state._host_residual_gb - state._consumed_gb
     memory = max(0.0, raw + state._noise_gb)
     swap = min(max(0.0, params.swap_threshold_gb - raw), params.swap_capacity_gb)
-    return memory, swap, disk
+    return memory, swap
+
+
+def disk_from_scratch(state, node):
+    """Disk used on ``node``, recomputed from the cache-image ledger."""
+    return sum(size for _, size, where in state._cache if where == node)
 
 
 @settings(max_examples=200)
@@ -729,22 +726,20 @@ def gauges_from_scratch(state, node):
 def test_gauge_accessors_match_a_recomputation(state, ops):
     """After any sequence of leaks, leftovers, warm-up allocations, cache
     deposits, cleanups and rejuvenations (host residual), on either
-    topology and whether swap is unused, filling or capped, every node
-    reads the recomputed memory and swap bit for bit and its cache
-    images' total disk, and the control node reads the same with no node
-    named, as does ``control_memory_gb`` in one reading."""
-    control = state.topology.control_node
+    topology and whether swap is unused, filling or capped, the control
+    node reads the recomputed memory and swap bit for bit, through
+    ``control_memory_gb`` in one reading and through ``swap_used_gb``, and
+    every node reads its cache images' total disk."""
     for op in [("tick", 0.0), *ops]:
         apply_operation(state, op)
+        memory, swap = memory_from_scratch(state)
+        # repr tells -0.0 from 0.0
+        assert repr(state.control_memory_gb()) == repr((memory, swap))
+        assert repr(state.swap_used_gb()) == repr(swap)
         for node in state.topology.nodes:
-            memory, swap, disk = gauges_from_scratch(state, node)
-            # repr tells -0.0 from 0.0
-            assert repr(state.memory_available_gb(node)) == repr(memory)
-            assert repr(state.swap_used_gb(node)) == repr(swap)
-            assert state.disk_used_gb(node) == pytest.approx(disk, abs=1e-12)
-        assert repr(state.memory_available_gb()) == repr(state.memory_available_gb(control))
-        assert repr(state.swap_used_gb()) == repr(state.swap_used_gb(control))
-        assert repr(state.control_memory_gb()) == repr(gauges_from_scratch(state, control)[:2])
+            assert state.disk_used_gb(node) == pytest.approx(
+                disk_from_scratch(state, node), abs=1e-12
+            )
 
 
 def test_fresh_leftover_respects_a_full_quota():

@@ -150,8 +150,7 @@ def _ledger(cloud: CloudState) -> tuple:
         cloud.capacity(),
         cloud.cache_image_count(),
         tuple(cloud.disk_used_gb(n) for n in cloud.topology.nodes),
-        cloud.memory_available_gb(),
-        cloud.swap_used_gb(),
+        *cloud.control_memory_gb(),
     )
 
 
@@ -175,19 +174,24 @@ def _digest(parts: list) -> str:
 def _gauges(cloud: CloudState) -> list:
     """Every node's gauge readings, sorted by node, each as a dict of
     memory available, swap used, disk used and disk capacity, which is
-    how the golden digests record a tick."""
-    return sorted(
-        (
-            node,
-            {
-                "memory_available": cloud.memory_available_gb(node),
-                "swap_used": cloud.swap_used_gb(node),
-                "disk_used": cloud.disk_used_gb(node),
-                "disk_capacity": cloud.params.disk_capacity_gb,
-            },
+    how the golden digests record a tick.  The model runs on the control
+    node; the others read idle memory and swap, as in ``_tick_gauges``."""
+    idle = (cloud.params.initial_memory_gb, 0.0)
+    gauges = []
+    for node in cloud.topology.nodes:
+        memory, swap = cloud.control_memory_gb() if node == cloud.topology.control_node else idle
+        gauges.append(
+            (
+                node,
+                {
+                    "memory_available": memory,
+                    "swap_used": swap,
+                    "disk_used": cloud.disk_used_gb(node),
+                    "disk_capacity": cloud.params.disk_capacity_gb,
+                },
+            )
         )
-        for node in cloud.topology.nodes
-    )
+    return sorted(gauges)
 
 
 def _tick_gauges(cloud: CloudState, readings: dict) -> list:
@@ -742,7 +746,7 @@ def _run_checked(table, quotas, concurrency, topology, seed):
             assert cloud.live[kind] + cloud.leftovers[kind] <= quota
         previous.update(cloud.leftovers)
         # Every leftover comes from exactly one stranding error event.
-        assert cloud.total_leftovers() == counts["stranded"]
+        assert sum(cloud.leftovers.values()) == counts["stranded"]
 
     def error_hook(t, step, error, stranded):
         events.append((t, step, error, stranded))
@@ -773,7 +777,7 @@ def _run_checked(table, quotas, concurrency, topology, seed):
     run_stream(DEFN, cloud, until=1800.0, **hooks)
     check_ledger()
     rejuvenate(cloud)
-    assert cloud.total_leftovers() == 0
+    assert sum(cloud.leftovers.values()) == 0
     previous.update(cloud.leftovers)
     counts.update(stranded=0, recorded=0)
     recorded_kinds.clear()

@@ -14,7 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agesim.cloud import ResourceParams
-from agesim.ingest import csv_cell, format_timestamp, ingest, serialize_series
+from agesim.ingest import (
+    csv_cell,
+    format_timestamp,
+    ingest,
+    serialize_series,
+    write_error_log,
+)
 from agesim.report import (
     VERDICT_MARKERS,
     error_distribution,
@@ -22,7 +28,6 @@ from agesim.report import (
     report_document,
     suite_trend_table,
     write_bundle,
-    write_error_log,
     write_suite_bundle,
 )
 from agesim.scenario import (
@@ -244,7 +249,7 @@ class TestBundle:
         assert {len(row) for row in rows} == {5}
         assert {row[1] for row in rows[1:]} == {"poke, twice"}
 
-    def test_errors_csv_writes_both_flags_of_each_event(self, overload_report, tmp_path):
+    def test_errors_csv_writes_both_flags_of_each_event(self, tmp_path):
         flags = [(False, False), (True, False), (False, True), (True, True)]
         log = ErrorLog(
             [60.0 * i for i in range(4)],
@@ -252,7 +257,7 @@ class TestBundle:
             [("boot server", "e", ageing, overload) for ageing, overload in flags],
         )
         path = tmp_path / "errors.csv"
-        write_error_log(dataclasses.replace(overload_report, error_log=log), path)
+        write_error_log(log, path)
         assert path.read_text(encoding="utf-8").splitlines() == [
             "time,step,error,ageing,overload",
             "0,boot server,e,false,false",
@@ -470,7 +475,7 @@ def oracle_dir(tmp_path_factory):
 def test_error_log_writer_and_counts_match_a_row_by_row_oracle(overload_report, oracle_dir, log):
     report = dataclasses.replace(overload_report, error_log=log)
     path = oracle_dir / "errors.csv"
-    write_error_log(report, path)
+    write_error_log(log, path)
     assert path.read_bytes() == errors_csv_row_by_row(log).encode("utf-8")
 
     rows = [log.kinds[code] for code in log.codes.tolist()]
@@ -502,7 +507,7 @@ def test_bundle_csvs_across_chunk_edges(overload_report, tmp_path, n):
         )
 
 
-def test_error_log_writer_holds_a_chunk_not_the_file(overload_report, tmp_path):
+def test_error_log_writer_holds_a_chunk_not_the_file(tmp_path):
     """A 200,000-row log of fractional times is written in traced memory
     below a quarter of the file's size: the rows are written a chunk at a
     time, never joined, concatenated or encoded as one file."""
@@ -510,11 +515,10 @@ def test_error_log_writer_holds_a_chunk_not_the_file(overload_report, tmp_path):
     k = np.arange(n)
     kinds = [("boot server", "server-error-status", True, False), ("create user", "e", False, True)]
     log = ErrorLog(0.37 * k + 1 / 3, k % 2, kinds)
-    report = dataclasses.replace(overload_report, error_log=log)
     path = tmp_path / "errors.csv"
     tracemalloc.start()
     try:
-        write_error_log(report, path)
+        write_error_log(log, path)
         _now, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
