@@ -175,7 +175,7 @@ def _read_plain(handle: IO[str]) -> dict[str, tuple[np.ndarray, np.ndarray]] | N
             limit = csv.field_size_limit()
             if len(block) > limit and max(map(len, lines)) > limit:
                 return None
-            if not block.strip():  # blank lines only: the row loop skips them
+            if block.isspace():  # blank lines only: the row loop skips them
                 continue
             cols = _load_columns(lines)
             if cols is None:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -37,11 +39,23 @@ VERDICT_MARKERS = {
 }
 
 
+def _clean_floats(values: Sequence[float]) -> list[float]:
+    """Round-trip floats through a short repr for compact documents.
+
+    Each value is rounded to 10 significant digits, formatted and parsed
+    back by one ``map`` each, unless that rounds it past the largest
+    float: then it is kept as it is, so a finite value never becomes an
+    infinity (and ``Infinity`` in a JSON document).
+    """
+    rounded = list(map(float, map(format, values, repeat(".10g"))))
+    if math.inf in rounded or -math.inf in rounded:
+        return [float(v) if math.isinf(r) else r for v, r in zip(values, rounded)]
+    return rounded
+
+
 def _clean_float(value):
-    """Round-trip a float through a short repr for compact documents."""
-    if value is None:
-        return None
-    return float(f"{float(value):.10g}")
+    """``_clean_floats`` of one value, or None for None."""
+    return None if value is None else _clean_floats((float(value),))[0]
 
 
 def analysis_document(analysis: IndicatorAnalysis) -> dict:
@@ -51,7 +65,7 @@ def analysis_document(analysis: IndicatorAnalysis) -> dict:
         "unit": hourly.unit,
         "hourly": {
             "hours": list(hourly.hours),
-            "means": [_clean_float(m) for m in hourly.means],
+            "means": _clean_floats(hourly.means),
             "phases": {
                 "rejuvenation": list(hourly.rejuvenation),
                 "post_rejuvenation": list(hourly.post_rejuvenation),
@@ -248,9 +262,37 @@ def suite_trend_table(reports: Iterable[ScenarioReport]) -> str:
 # ── Disk bundles ─────────────────────────────────────────────────────────
 
 
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)`` of a value nested at indent ``pad``.
+
+    A dict with string keys is laid out as ``json`` lays it out, around
+    its values rendered here.  A non-empty list of plain numbers (ints
+    and finite floats) is a column: its items are rendered by one
+    ``repr`` of the list, split onto lines by one ``replace``, which is
+    how ``json`` renders each of them.  Any other value is
+    rendered by ``json.dumps`` and shifted by ``pad``, as a JSON text
+    holds no raw newline inside a string.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict) and value and all(type(k) is str for k in value):
+        items = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)) and value and set(map(type, value)) <= {int, float}:
+        items = repr(list(value))[1:-1]
+        # only nan and the infinities hold an "n", and json spells them otherwise
+        if "n" not in items:
+            return f"[\n{inner}" + items.replace(", ", f",\n{inner}") + f"\n{pad}]"
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)  # a scalar, which no indent changes
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
 def _write_json(document: Mapping, path: Path) -> None:
+    """Write ``document`` as ``json.dumps(document, indent=2)`` renders it,
+    plus a newline, with each list of plain numbers (the hourly columns
+    of an analysis, say) rendered as one column; see ``_json_text``."""
     with open(path, "w", encoding="utf-8") as out:
-        out.writelines((json.dumps(document, indent=2), "\n"))
+        out.writelines((_json_text(document), "\n"))
 
 
 def write_analysis(

@@ -35,14 +35,16 @@ Sen's slope is the median of all pairwise slopes ``(x_j - x_i)/(j - i)``
 over index pairs ``i < j``; the index-distance denominator keeps pairs
 with repeated values well-defined, and the result is rescaled by the bin
 spacing into per-hour units.  It is selected exactly without holding the
-n(n-1)/2 slopes: a fixed-seed sample of pairs brackets the median, one
-blocked scan counts the slopes on either side of the bracket and keeps
-those inside, and the median is selected among them.
+n(n-1)/2 slopes: a fixed sample of pairs, drawn from a counter hash
+rather than a random generator, brackets the median, one blocked scan
+counts the slopes on either side of the bracket and keeps those inside,
+and the median is selected among them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
@@ -74,7 +76,8 @@ _OPEN_BRACKET_PAIRS = 1 << 16
 #: Pairs sampled to bracket the median slope of a longer series.
 _SAMPLE_PAIRS = 1 << 16
 
-#: Seed of the private generator that draws the sample.
+#: Key of the SplitMix64 counter hash that draws the sample: pair ``k`` comes
+#: from the hashes of counters ``k`` and ``k + _SAMPLE_PAIRS`` under this key.
 _SAMPLE_SEED = 1968
 
 #: Binomial standard deviations of the sample between each bracket end and the median.
@@ -245,7 +248,7 @@ class HourlySeries:
     def __post_init__(self):
         if len(self.hours) != len(self.means):
             raise ValueError("hours and means must be parallel")
-        if any(b <= a for a, b in zip(self.hours, self.hours[1:])):
+        if any(map(operator.le, self.hours[1:], self.hours)):
             raise ValueError("hours must be strictly increasing")
 
     def stress_bins(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -359,10 +362,12 @@ def mann_kendall(values: Sequence[float]) -> TrendTestResult:
         raise ValueError("Mann-Kendall values hold a NaN or a repeated infinity")
 
     _, ranks, counts = np.unique(x, return_inverse=True, return_counts=True)
-    tied_pairs = sum(int(t) * (int(t) - 1) // 2 for t in counts if t > 1)
+    # Python ints, summed over the tie groups only: exact at any size
+    ties = counts[counts > 1].tolist()
+    tied_pairs = sum(t * (t - 1) // 2 for t in ties)
     s = n * (n - 1) // 2 - tied_pairs - 2 * _strict_inversions(ranks)
 
-    tie_term = sum(int(t) * (int(t) - 1) * (2 * int(t) + 5) for t in counts if t > 1)
+    tie_term = sum(t * (t - 1) * (2 * t + 5) for t in ties)
     variance = (n * (n - 1) * (2 * n + 5) - tie_term) / 18.0
 
     if variance == 0.0:
@@ -385,13 +390,29 @@ def mann_kendall(values: Sequence[float]) -> TrendTestResult:
     )
 
 
+def _splitmix64(counters: np.ndarray) -> np.ndarray:
+    """SplitMix64 outputs for ``counters``, keyed by ``_SAMPLE_SEED``.
+
+    Counter ``k`` is the generator state after ``k + 1`` golden-ratio
+    steps from the key, and its output is that state through SplitMix64's
+    finaliser; uint64 arithmetic wraps as the algorithm needs.
+    """
+    z = np.uint64(_SAMPLE_SEED) + (counters + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def _median_bracket(x: np.ndarray, pairs: int, ranks: list[int]) -> tuple[float, float]:
     """Two pair slopes that, with high probability, enclose the slopes at ``ranks``.
 
     Up to ``_OPEN_BRACKET_PAIRS`` pairs the bracket is ``(-inf, inf)``.
-    Above, ``_SAMPLE_PAIRS`` uniform pairs come from a private generator
-    with a fixed seed, so a series always gets the same bracket and the
-    global random state is left alone.  Each end lies
+    Above, ``_SAMPLE_PAIRS`` pairs are drawn from a SplitMix64 counter
+    hash keyed by ``_SAMPLE_SEED``: one vector hash of fixed counters,
+    so a series always gets the same bracket, no random generator is
+    built (nor ``numpy.random`` imported) and the global random state is
+    left alone.  The hashes are uniform up to a bias of ``n / 2**64``,
+    and ``sens_slope`` is exact whatever the bracket.  Each end lies
     ``_BRACKET_SIGMAS`` binomial standard deviations of the sample
     beyond the median ranks; an end past the sample is infinite.
     """
@@ -399,10 +420,10 @@ def _median_bracket(x: np.ndarray, pairs: int, ranks: list[int]) -> tuple[float,
         return -math.inf, math.inf
     n = x.size
     size = _SAMPLE_PAIRS
-    rng = np.random.default_rng(_SAMPLE_SEED)
-    first = rng.integers(0, n, size)
+    hashes = _splitmix64(np.arange(2 * size, dtype=np.uint64))
+    first = (hashes[:size] % np.uint64(n)).astype(np.intp)
     # an offset in 1..n-1 from a uniform index gives a uniform pair i != j
-    last = (first + rng.integers(1, n, size)) % n
+    last = (first + 1 + (hashes[size:] % np.uint64(n - 1)).astype(np.intp)) % n
     first, last = np.minimum(first, last), np.maximum(first, last)
     sample = (x[last] - x[first]) / (last - first).astype(float)
     margin = _BRACKET_SIGMAS * math.sqrt(size) / 2
@@ -466,9 +487,9 @@ def sens_slope(values: Sequence[float], spacing_hours: float = 1.0) -> float:
     units.  The result is bit for bit ``np.median`` of all n(n-1)/2 slopes
     ``(x[j] - x[i]) / (j - i)``, but those slopes are never held at once:
 
-    1. a fixed-seed sample of pair slopes brackets the median rank(s)
-       between two sample slopes ``lo`` and ``hi`` (``(-inf, inf)`` for
-       short series, see ``_median_bracket``);
+    1. a fixed sample of pair slopes, drawn by a counter hash, brackets
+       the median rank(s) between two sample slopes ``lo`` and ``hi``
+       (``(-inf, inf)`` for short series, see ``_median_bracket``);
     2. one scan in blocks of lags counts the slopes below ``lo``, equal
        to ``lo`` and in ``[lo, hi]``, and keeps only those strictly
        between: all of them up to ``_OPEN_BRACKET_PAIRS`` pairs, about
@@ -517,6 +538,19 @@ def sens_slope(values: Sequence[float], spacing_hours: float = 1.0) -> float:
     return float(np.mean(np.array(middle))) / spacing_hours
 
 
+def _hour_bins(floors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bins of non-decreasing hour floors and each sample's bin index.
+
+    This is ``np.unique(floors, return_inverse=True)`` for the floors of
+    increasing timestamps, found without a sort: each hour's samples are
+    one run of its floor, and the index counts the runs opened so far.
+    """
+    opens_bin = np.empty(floors.size, dtype=bool)
+    opens_bin[:1] = True
+    np.not_equal(floors[1:], floors[:-1], out=opens_bin[1:])
+    return floors[opens_bin], np.cumsum(opens_bin, dtype=np.intp) - 1
+
+
 def bin_hourly(
     series: IndicatorSeries,
     phase_boundaries: Sequence[float] = (),
@@ -533,10 +567,13 @@ def bin_hourly(
     bins (e.g. an idle wait window) to ``excluded``, which trend tests
     skip.
 
-    Bins are found by sorting the samples' hour indices, so memory grows
-    with the number of samples, never with the span of hours they cover.
-    A bin whose mean is not finite (its sum overflowed, say) raises
-    InvalidSeriesError naming the series.
+    Bins are the runs of equal hour floors along the increasing
+    timestamps, found in one pass with no sort, so memory grows with the
+    number of samples, never with the span of hours they cover.  Hours
+    are Python ints at any size: one past int64 (a timestamp near 1e300,
+    say) is still exact.  A NaN or infinite timestamp raises
+    InvalidSeriesError, and so does a bin whose mean is not finite (its
+    sum overflowed, say), naming the series.
     """
     if not len(series):
         raise EmptySeriesError(f"series {series.name!r} has no samples")
@@ -546,12 +583,13 @@ def bin_hourly(
 
     with np.errstate(invalid="ignore"):
         floors = np.floor_divide(series.timestamps, SECONDS_PER_HOUR)
-    bins, index = np.unique(floors, return_inverse=True)
+    if not np.isfinite(floors).all():
+        raise InvalidSeriesError(f"series {series.name!r} has a non-finite timestamp")
+    bins, index = _hour_bins(floors)
     # bincount adds each bin's values left to right in sample order
     sums = np.bincount(index, weights=series.values)
     counts = np.bincount(index)
-    # int() raises on a NaN or infinite timestamp's bin
-    hours = tuple(int(h) for h in bins.tolist())
+    hours = tuple(map(int, bins.tolist()))
     means_array = sums / counts
     overflowed = np.flatnonzero(~np.isfinite(means_array))
     if overflowed.size:
@@ -560,26 +598,27 @@ def bin_hourly(
         )
     means = tuple(means_array.tolist())
 
-    rejuvenation = []
-    post = []
-    excluded = []
-    for h in hours:
-        start = h * SECONDS_PER_HOUR
-        if len(boundaries) >= 2 and start >= boundaries[1]:
-            post.append(h)
-        elif boundaries and start >= boundaries[0]:
-            rejuvenation.append(h)
-        elif any(ws <= start < we for ws, we in exclude_windows):
-            excluded.append(h)
+    # each bin's start, h * 3600.0 as Python computes it for the int hour h
+    starts = bins * SECONDS_PER_HOUR
+    no_bin = np.zeros(bins.size, dtype=bool)
+    post = starts >= boundaries[1] if len(boundaries) >= 2 else no_bin
+    rejuvenation = ~post & (starts >= boundaries[0]) if boundaries else no_bin
+    excluded = no_bin.copy()
+    for window_start, window_end in exclude_windows:
+        excluded |= (starts >= window_start) & (starts < window_end)
+    excluded &= ~(post | rejuvenation)
+
+    def hours_where(mask: np.ndarray) -> tuple[int, ...]:
+        return tuple(hours[i] for i in np.flatnonzero(mask).tolist())
 
     return HourlySeries(
         name=series.name,
         unit=series.unit,
         hours=hours,
         means=means,
-        rejuvenation=tuple(rejuvenation),
-        post_rejuvenation=tuple(post),
-        excluded=tuple(excluded),
+        rejuvenation=hours_where(rejuvenation),
+        post_rejuvenation=hours_where(post),
+        excluded=hours_where(excluded),
     )
 
 
@@ -592,7 +631,13 @@ def ageing_summary(binned: HourlySeries) -> AgeingSummary:
     raises MissingPhaseBinError.
     An A, R or slope that is not finite raises InvalidSeriesError.
     """
-    hours, means = binned.stress_bins()
+    return _summary(binned, *binned.stress_bins())
+
+
+def _summary(
+    binned: HourlySeries, hours: tuple[int, ...], means: tuple[float, ...]
+) -> AgeingSummary:
+    """``ageing_summary`` of ``binned``, whose stress bins are ``hours`` and ``means``."""
     if not hours or hours[0] != 0:
         raise MissingPhaseBinError("stress hour 0")
     v0 = means[0]
@@ -646,12 +691,13 @@ def evaluate_indicator(
         )
 
     hourly = bin_hourly(series, phase_boundaries, exclude_windows)
-    trend = mann_kendall(hourly.stress_bins()[1])
+    stress_hours, stress_means = hourly.stress_bins()
+    trend = mann_kendall(stress_means)
 
     ageing = None
     reason = None
     try:
-        ageing = ageing_summary(hourly)
+        ageing = _summary(hourly, stress_hours, stress_means)
     except MissingPhaseBinError as exc:
         reason = str(exc)
 

@@ -673,6 +673,23 @@ class TestAnalyzeCommand:
         entry = document["indicators"]["memory-available"]
         assert entry["trend"]["verdict"] == "downward"
 
+    def test_a_max_float_mean_is_written_as_standard_json(self, tmp_path, capsys):
+        """Rounded to 10 digits, the largest float would pass it: it is kept as it is."""
+        path = tmp_path / "huge.csv"
+        path.write_text(
+            "timestamp,metric,value\n0,m,1.7976931348623157e308\n3600,m,1\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "analysis"
+        assert main(["analyze", str(path), "--out", str(out_dir)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (out_dir / "analysis.json").read_text(encoding="utf-8")
+        document = json.loads(text, parse_constant=reject)
+        assert document["indicators"]["m"]["hourly"]["means"] == [1.7976931348623157e308, 1.0]
+
     def test_missing_csv_is_exit_3(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "ghost.csv")]) == 3
 
@@ -892,6 +909,34 @@ def test_no_pass_loads_numpy_ma(tmp_path):
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_analyze_does_not_load_numpy_random(tmp_path):
+    """400 stress bins hold 79,800 pairs, more than the open bracket takes,
+    so Sen's slope draws its bracket sample: from a hash, not ``numpy.random``."""
+    rows = ["timestamp,metric,value"]
+    rows += [f"{h * 3600},m,{(h * 7919) % 1009 + (h if h < 400 else 0)}" for h in range(403)]
+    csv_path = tmp_path / "long.csv"
+    csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys\n"
+        "from agesim.cli import main\n"
+        f"assert main(['analyze', {str(csv_path)!r}, '--stress-end', '1440000',"
+        " '--rejuvenation-end', '1443600']) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "m: n=400 " in done.stdout and " slope=" in done.stdout
     assert done.stdout.splitlines()[-1] == "False"
 
 

@@ -1034,6 +1034,17 @@ class TestNumpyPath:
             assert expected[2].startswith(outcome.format(len(rows)))
             assert expected[3] == len(rows)
 
+    def test_more_than_65536_metrics_group_as_the_row_loop(self):
+        """Codes past 65,535, one per name, group the rows as the row loop does."""
+        names = [f"m{k}" for k in range(2**16 + 1)]
+        rows = ["timestamp,metric,value", *(f"0,{n},{k}" for k, n in enumerate(names))]
+        rows += [f"1,{names[-1]},7", f"1,{names[0]},8"]
+        text = "\n".join(rows) + "\n"
+        expected = reading(Unseekable(text))
+        with mock.patch.object(ingest_module, "_read_rows", side_effect=AssertionError):
+            assert reading(io.StringIO(text)) == expected
+        assert len(expected) == len(names)
+
     def test_rewinds_to_where_the_handle_stood(self):
         text = "preamble\ntimestamp,metric,value\n0,m,1\n10,m,x\n"
         handle = io.StringIO(text)

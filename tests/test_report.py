@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from agesim import report as report_module
 from agesim.cloud import ResourceParams
 from agesim.ingest import (
     csv_cell,
@@ -568,3 +569,68 @@ class TestDeployFailedRendering:
         out = write_bundle(failed_report, tmp_path / "dead")
         assert not (out / "series").exists()
         assert (out / "report.json").is_file()
+
+
+# ── JSON rendering ───────────────────────────────────────────────────────
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.text(max_size=4),
+)
+plain_numbers = st.one_of(
+    st.integers(-(2**70), 2**70), st.floats(allow_nan=False, allow_infinity=False)
+)
+#: Lists of plain numbers, empty ones among them, some ending in a nan,
+#: an infinity or a bool, which are not plain numbers.
+number_lists = st.tuples(
+    st.lists(plain_numbers, max_size=80),
+    st.lists(st.one_of(st.floats(), st.booleans()), max_size=1),
+).map(lambda parts: parts[0] + parts[1])
+json_documents = st.recursive(
+    st.one_of(json_scalars, number_lists, number_lists.map(tuple)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=3), children, max_size=3),
+        st.dictionaries(st.one_of(st.integers(), st.none()), children, max_size=2),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300)
+@given(document=json_documents)
+@example(document={"a": [0.5] * 70 + [float("nan")]})
+@example(document=[[1] * 70 + [float("-inf")]])
+@example(document=(True,) * 70)
+@example(document={"a": [], "b": [[]], "c": [7], "d": (0.5,)})
+def test_json_text_matches_json_dumps_byte_for_byte(document):
+    assert report_module._json_text(document) == json.dumps(document, indent=2)
+
+
+def test_analysis_columns_are_rendered_as_json_renders_them(tmp_path):
+    hours = list(range(100))
+    means = [h / 7 for h in hours]
+    document = {"indicators": {"m": {"hourly": {"hours": hours, "means": means}}}}
+    path = tmp_path / "doc.json"
+    report_module._write_json(document, path)
+    assert path.read_text(encoding="utf-8") == json.dumps(document, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value, cleaned",
+    [
+        (1.7976931348623157e308, 1.7976931348623157e308),
+        (-1.7976931348623157e308, -1.7976931348623157e308),
+        (1.7976931348e308, 1.7976931348e308),
+        (1 / 3, 0.3333333333),
+        (float("inf"), float("inf")),
+        (None, None),
+    ],
+)
+def test_clean_float_never_rounds_a_finite_value_to_infinity(value, cleaned):
+    assert report_module._clean_float(value) == cleaned
+    if value is not None:
+        assert report_module._clean_floats([value, 2.0]) == [cleaned, 2.0]

@@ -706,6 +706,92 @@ def test_bin_hourly_non_finite_timestamp_raises_value_error(bad):
         bin_hourly(series_of([(0.0, 1.0), (bad, 2.0)]))
 
 
+# ── Vector binning against the per-hour loop it replaced ────────────────
+
+
+def loop_phase_split(hours, boundaries, windows):
+    """Rejuvenation, post-rejuvenation and excluded hours, one hour at a time."""
+    rejuvenation, post, excluded = [], [], []
+    for h in hours:
+        start = h * 3600.0
+        if len(boundaries) >= 2 and start >= boundaries[1]:
+            post.append(h)
+        elif boundaries and start >= boundaries[0]:
+            rejuvenation.append(h)
+        elif any(ws <= start < we for ws, we in windows):
+            excluded.append(h)
+    return tuple(rejuvenation), tuple(post), tuple(excluded)
+
+
+#: Timestamps from seconds to far past int64 hours (2**63 h is about 3.3e22 s).
+wide_timestamps = st.one_of(
+    timestamps,
+    st.floats(-1e300, 1e300),
+    st.sampled_from([3.3e22, -3.3e22, 3.4e22, 1e300, -1e300, -0.0, 1e-300]),
+)
+phase_seconds = st.one_of(
+    st.floats(-2e4, 2e4),
+    st.integers(-5, 5).map(lambda h: h * 3600.0),
+    st.sampled_from([-1e300, 3.3e22, 1e300]),
+)
+
+
+@given(
+    stamps=st.lists(wide_timestamps, min_size=1, max_size=60, unique=True),
+    boundaries=st.lists(phase_seconds, max_size=2).map(sorted),
+    windows=st.lists(st.tuples(phase_seconds, phase_seconds), max_size=3),
+)
+def test_phase_split_matches_the_per_hour_loop(stamps, boundaries, windows):
+    stamps = sorted(stamps)
+    binned = bin_hourly(series_of((t, 1.0) for t in stamps), boundaries, windows)
+    assert binned.hours == tuple(sorted({int(t // 3600.0) for t in stamps}))
+    assert all(type(h) is int for h in binned.hours)
+    phases = (binned.rejuvenation, binned.post_rejuvenation, binned.excluded)
+    assert phases == loop_phase_split(binned.hours, boundaries, windows)
+
+
+@given(stamps=st.lists(wide_timestamps, min_size=1, max_size=60, unique=True))
+def test_hour_bins_equal_np_unique_on_increasing_stamps(stamps):
+    floors = np.floor_divide(np.sort(np.array(stamps)), 3600.0)
+    bins, index = trendstats._hour_bins(floors)
+    expected_bins, expected_index = np.unique(floors, return_inverse=True)
+    assert np.array_equal(bins, expected_bins)
+    assert index.tolist() == expected_index.tolist()
+
+
+def test_bin_hourly_hours_past_int64_are_exact_ints():
+    binned = bin_hourly(series_of([(-1e300, 1.0), (0.0, 2.0), (1e300, 3.0)]))
+    assert binned.hours == (int(-1e300 // 3600.0), 0, int(1e300 // 3600.0))
+
+
+def test_bin_hourly_names_the_series_of_a_non_finite_timestamp():
+    with pytest.raises(InvalidSeriesError, match="'metric' has a non-finite timestamp"):
+        bin_hourly(series_of([(0.0, 1.0), (math.inf, 2.0)]))
+
+
+def pure_splitmix64(seed, count):
+    """SplitMix64 outputs from ``seed`` in Python ints (Steele, Lea and Flood 2014)."""
+    mask = 2**64 - 1
+    out = []
+    state = seed
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1968, 2**64 - 1])
+def test_bracket_hash_is_splitmix64(seed):
+    with mock.patch.object(trendstats, "_SAMPLE_SEED", seed):
+        got = trendstats._splitmix64(np.arange(1000, dtype=np.uint64)).tolist()
+    assert got == pure_splitmix64(seed, 1000)
+    if seed == 0:
+        assert got[:3] == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
 @given(values=st.lists(tied_values, min_size=2, max_size=60))
 def test_sens_slope_matches_concatenated_median_bit_exact(values):
     assert sens_slope(values).hex() == concatenated_sens_slope(values).hex()
