@@ -82,7 +82,6 @@ def quota_table(quotas: Mapping[EntityKind, int] | None) -> dict[EntityKind, int
 class Topology:
     """Node layout of the deployment."""
 
-    kind: str
     nodes: tuple[str, ...]
     control_node: str
     compute_nodes: tuple[str, ...]
@@ -97,12 +96,9 @@ class Topology:
 #: The deployments a scenario can name, by kind: nodes, control node, compute nodes.
 TOPOLOGIES = {
     "multi-node": Topology(
-        "multi-node",
-        ("control", "monitoring", "compute-1", "compute-2"),
-        "control",
-        ("compute-1", "compute-2"),
+        ("control", "monitoring", "compute-1", "compute-2"), "control", ("compute-1", "compute-2")
     ),
-    "all-in-one": Topology("all-in-one", ("all-in-one",), "all-in-one", ("all-in-one",)),
+    "all-in-one": Topology(("all-in-one",), "all-in-one", ("all-in-one",)),
 }
 
 
@@ -184,10 +180,6 @@ class IntervalElapsed:
 @dataclass(frozen=True)
 class QuotaExceeded:
     kind: EntityKind
-
-    @property
-    def error_name(self) -> str:
-        return quota_error_name(self.kind)
 
 
 #: The one rejection per kind that ``try_create`` and ``add_leftover``

@@ -515,10 +515,11 @@ def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
     """Parse a workload-report JSON document.
 
     Records missing fields, with a status that is not a known string,
-    with a start or end that is not a finite number, ending before they
-    start, lasting longer than a float can hold, or with an ``error``
-    that is neither a string nor null are counted as rejected and
-    skipped.  Durations of successful workloads become an indicator
+    with a start or end that is not a finite JSON number (a string or a
+    boolean is not one, nor an integer too large for a float), ending
+    before they start, lasting longer than a float can hold, or with an
+    ``error`` that is neither a string nor null are counted as rejected
+    and skipped.  Durations of successful workloads become an indicator
     series timestamped at each workload's start.
     """
     document = load_json(source, "workload report")
@@ -536,10 +537,12 @@ def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
     rejected = 0
     for record in records:
         try:
-            start = float(record["start"])
-            end = float(record["end"])
-            status = record["status"]
-        except (KeyError, TypeError, ValueError, OverflowError):
+            start, end, status = record["start"], record["end"], record["status"]
+            # bool is a subclass of int, so the types are compared exactly
+            if type(start) not in (int, float) or type(end) not in (int, float):
+                raise TypeError("start and end must be JSON numbers")
+            start, end = float(start), float(end)
+        except (KeyError, TypeError, OverflowError):
             rejected += 1
             continue
         error = record.get("error")

@@ -269,7 +269,8 @@ class ErrorLog:
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    """Everything a scenario run produced."""
+    """Everything a scenario run produced; the defaults describe a
+    deployment that never ran."""
 
     scenario_id: str
     topology: str
@@ -278,26 +279,21 @@ class ScenarioReport:
     policy: str
     stress_hours: int
     post_rejuvenation_hours: int
-    deploy_failed: bool
-    failure_point: float | None
-    rejuvenation_started: float | None
-    rejuvenation_ended: float | None
-    excluded_windows: tuple[tuple[float, float], ...]
-    series: Mapping[str, IndicatorSeries]
-    analyses: Mapping[str, IndicatorAnalysis]
-    hourly_counts: tuple[dict, ...]
-    totals: Mapping[str, int]
-    error_log: ErrorLog
+    deploy_failed: bool = False
+    failure_point: float | None = None
+    rejuvenation_started: float | None = None
+    rejuvenation_ended: float | None = None
+    excluded_windows: tuple[tuple[float, float], ...] = ()
+    series: Mapping[str, IndicatorSeries] = field(default_factory=dict)
+    analyses: Mapping[str, IndicatorAnalysis] = field(default_factory=dict)
+    hourly_counts: tuple[dict, ...] = ()
+    totals: Mapping[str, int] = field(
+        default_factory=lambda: {status.value: 0 for status in WorkloadStatus}
+    )
+    error_log: ErrorLog = field(default_factory=lambda: ErrorLog((), (), ()))
     #: Hourly bins fed to the trend test: stress-phase bins only; the
     #: rejuvenation and post-rejuvenation bins never enter the test.
     trend_input: str = "stress-bins-only"
-
-
-def _deploy_fails(config: ScenarioConfig) -> bool:
-    if config.deploy_failure_probability <= 0.0:
-        return False
-    rng = stream(config.seed, "deploy")
-    return bool(rng.random() < config.deploy_failure_probability)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
@@ -318,20 +314,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         stress_hours=config.stress_hours,
         post_rejuvenation_hours=config.post_rejuvenation_hours,
     )
-    if _deploy_fails(config):
-        return ScenarioReport(
-            **identity,
-            deploy_failed=True,
-            failure_point=None,
-            rejuvenation_started=None,
-            rejuvenation_ended=None,
-            excluded_windows=(),
-            series={},
-            analyses={},
-            hourly_counts=(),
-            totals={status.value: 0 for status in WorkloadStatus},
-            error_log=ErrorLog((), (), ()),
-        )
+    p_deploy_fails = config.deploy_failure_probability
+    if p_deploy_fails > 0.0 and stream(config.seed, "deploy").random() < p_deploy_fails:
+        return ScenarioReport(**identity, deploy_failed=True)
 
     topology = Topology.named(config.topology)
     cloud = CloudState(

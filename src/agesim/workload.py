@@ -39,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -260,8 +260,7 @@ _AGEING_FAILURE = WorkloadStatus.AGEING_FAILURE
 _NON_AGEING_FAILURE = WorkloadStatus.NON_AGEING_FAILURE
 
 
-@dataclass(frozen=True)
-class WorkloadResult:
+class WorkloadResult(NamedTuple):
     """Outcome of one workload run."""
 
     started_at: float
@@ -488,9 +487,7 @@ class _Execution:
     # -- completion ------------------------------------------------------------
 
     def finalize(self, ended_at: float) -> WorkloadResult:
-        """Land the workload's last completion event and return its result,
-        built with one dict update, not the frozen dataclass's per-field
-        ``object.__setattr__``; it compares, hashes and stays frozen alike."""
+        """Land the workload's last completion event and return its result."""
         apply_resource_effects(self.cloud, self.last_step.finished[self.gated_creates > 0])
         if self.error is None:
             status = _SUCCESS
@@ -498,18 +495,16 @@ class _Execution:
             status = _AGEING_FAILURE
         else:
             status = _NON_AGEING_FAILURE
-        result = object.__new__(WorkloadResult)
-        result.__dict__.update(
-            started_at=self.started_at,
-            ended_at=ended_at,
-            status=status,
-            error=self.error,
-            failed_step=self.failed_step,
-            leftovers_created=len(self.leftover_kinds),
-            leftover_kinds=tuple(self.leftover_kinds),
-            steps_executed=self.steps_executed,
+        return WorkloadResult(
+            self.started_at,
+            ended_at,
+            status,
+            self.error,
+            self.failed_step,
+            len(self.leftover_kinds),
+            tuple(self.leftover_kinds),
+            self.steps_executed,
         )
-        return result
 
 
 def _first_tick(t0: float, interval: float, t: float) -> int:
@@ -612,7 +607,9 @@ def run_stream(
     smallest", and events are tuples ordered by (time, priority,
     sequence number) with unique sequence numbers, so events run in
     exactly that order.  The loop ends at the first event at or past
-    ``until``, or when the heap is empty.
+    ``until``, when the heap is empty, or at an hour mark whose hook
+    returned ``STOP_STREAM``; only that last exit leaves ``cloud.clock``
+    short of ``until``.
     """
     check_concurrency(concurrency)
     if tick_seconds is not None and not (0.0 < tick_seconds < math.inf):
@@ -624,9 +621,167 @@ def run_stream(
     plan = _plan(defn, cloud, timing, faults)
     journal = cloud._journal = None if tick_seconds is None else cloud._new_journal()
     try:
-        stopped_at = _run_events(
-            plan, cloud, until, concurrency, faults, tick_seconds, hour_hook, error_hook, result_hook
-        )
+        heap: list[tuple[float, int, int, str, object]] = []
+        # Bound per call rather than at import, so a patched heapq is seen.
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        heappushpop = heapq.heappushpop
+        seq = itertools.count().__next__
+        # Per-step reads, bound once per call.  ``check_failed`` and
+        # ``apply_resource_effects`` are looked up as module globals at each
+        # call instead, so a patched module function is seen.
+        CREATE, DELETE = _CREATE, _DELETE
+        n_steps = len(plan)
+        contention_capacity = cloud.params.contention_capacity
+        try_create = cloud.try_create
+        try_delete = cloud.try_delete
+        PRIO_WORK, PRIO_TICK, PRIO_HOUR = 0, 1, 2
+
+        gate_count = 0
+
+        def queue_allocation(t: float) -> None:
+            # Queue the first tick at or after t that lands a pending warm-up
+            # allocation, if one falls in the window and before the deadline.
+            if tick_seconds is None or not cloud._warmup_alloc_pending:
+                return
+            start = cloud._warmup_start
+            t = t0 + _first_tick(t0, tick_seconds, max(t, start)) * tick_seconds
+            if t < until and in_warmup_window(start, t):
+                heappush(heap, (t, PRIO_TICK, seq(), "tick", None))
+
+        for slot in range(concurrency):
+            t_launch = t0 + slot * LAUNCH_STAGGER_SECONDS
+            if t_launch < until:
+                heappush(heap, (t_launch, PRIO_WORK, seq(), "launch", slot))
+        queue_allocation(t0)
+        if hour_hook is not None and (t := t0 + SECONDS_PER_HOUR) < until:
+            heappush(heap, (t, PRIO_HOUR, seq(), "hour", 1))
+
+        stopped_at = None
+        event = heappop(heap) if heap else None
+        while event is not None:
+            t, prio, _seq, kind, payload = event
+            if t >= until:
+                break
+            cloud.clock = t
+            if kind == "step" or kind == "launch":
+                if kind == "launch":
+                    if cloud.failed:
+                        # A failed cloud parks the slot.
+                        event = heappop(heap) if heap else None
+                        continue
+                    execution = _Execution(cloud, t, payload)
+                else:
+                    execution = payload
+                if not cloud.failed:
+                    # One step.  The gate count excludes this workload while
+                    # the step runs, and counts it again if it holds the gate
+                    # once the step has resolved.
+                    if execution.gated_live > 0:
+                        gate_count -= 1
+                    error = None
+                    stack = execution.stack
+                    # An aborted workload unwinds the top of its stack;
+                    # otherwise an undo step in the plan pops its own entry.
+                    unwinding = execution.aborted
+                    if unwinding:
+                        step = stack.pop()
+                    else:
+                        step = plan[execution.index]
+                        execution.index += 1
+                        if step.undoes:
+                            entry = stack.pop()
+                            assert entry is step, "cleanup order diverged from the stack"
+                    action = step.action
+                    if action is CREATE:  # only ever a forward step
+                        if try_create(step.kind) is not None:
+                            error = execution._fail(step.name, step.quota_error, False)
+                        else:
+                            stack.append(step.undo)
+                            if step.gated:
+                                execution.gated_live += 1
+                                execution.gated_creates += 1
+                            if step.draws and (spec := faults.draw(step.name)) is not None:
+                                error = execution._fail(
+                                    step.name, spec.name, execution._apply_fault(step, spec)
+                                )
+                            else:
+                                execution.completed_creates += 1
+                    elif action is DELETE:
+                        # A fault strands the entity being deleted.
+                        if step.draws and (spec := faults.draw(step.name)) is not None:
+                            execution._strand(step.kind, None)
+                            error = execution._fail(step.name, spec.name, True)
+                        else:
+                            try_delete(step.kind)
+                            if step.gated:
+                                execution.gated_live -= 1
+                    elif step.draws and (spec := faults.draw(step.name)) is not None:
+                        # A faulted operate strands nothing when unwinding.
+                        stranded = not unwinding and execution._apply_fault(step, spec)
+                        error = execution._fail(step.name, spec.name, stranded)
+                    elif step.undo is not None and not unwinding:
+                        stack.append(step.undo)
+                    # A fault in this step aborts the workload; it then
+                    # finishes once its unwind stack is empty.
+                    finished = not stack if execution.aborted else execution.index >= n_steps
+                    execution.steps_executed += 1
+                    execution.last_step = step
+                    if error is None and step.deposits_cache:
+                        apply_resource_effects(cloud, step.completed)
+                    if execution.gated_live > 0:
+                        gate_count += 1
+                    contention = gate_count / contention_capacity
+                    if contention < 1.0:
+                        contention = 1.0
+                    duration = step.base_seconds * cloud.ageing_multiplier * contention
+                    if error is not None and error_hook is not None:
+                        error_hook(t, *error)
+                    if cloud.failure_inputs_changed:
+                        check_failed(cloud)
+                    next_kind = "finish" if finished else "step"
+                    event = heappushpop(
+                        heap, (t + duration, PRIO_WORK, seq(), next_kind, execution)
+                    )
+                    continue
+                # The cloud failed under this workload: cut it short, naming
+                # its next forward step unless it had failed, and end it below
+                # like a finished one.
+                if execution.error is None:
+                    error = execution._fail(plan[execution.index].name, CLOUD_UNAVAILABLE, False)
+                    if error_hook is not None:
+                        error_hook(t, *error)
+            elif kind == "finish":
+                execution = payload
+            elif kind == "tick":
+                apply_resource_effects(cloud, IntervalElapsed())
+                event = heappop(heap) if heap else None
+                continue
+            else:
+                # An hour mark: run the hook after the readings at the mark,
+                # queue the allocation of a window it opened, and queue mark k + 1.
+                rejuvenations = cloud.rejuvenation_count
+                if cloud._call_after_readings(hour_hook, t) is STOP_STREAM:
+                    stopped_at = t
+                    break
+                if cloud.rejuvenation_count != rejuvenations:
+                    queue_allocation(math.nextafter(t, math.inf))
+                k = payload + 1
+                if (t_next := t0 + k * SECONDS_PER_HOUR) < until:
+                    event = heappushpop(heap, (t_next, prio, seq(), kind, k))
+                else:
+                    event = heappop(heap) if heap else None
+                continue
+            # The workload ends: release its gate, settle it, report it, and
+            # hand the slot to its next launch, which a failed cloud parks.
+            if execution.gated_live > 0:
+                gate_count -= 1
+            result = execution.finalize(t)
+            if result_hook is not None:
+                result_hook(result)
+            event = heappushpop(heap, (t, PRIO_WORK, seq(), "launch", execution.slot))
+        if stopped_at is None:
+            cloud.clock = until
     finally:
         cloud._journal = None
     if journal is None:
@@ -634,179 +789,3 @@ def run_stream(
     end = until if stopped_at is None else math.nextafter(stopped_at, math.inf)
     ticks = np.arange(_first_tick(t0, tick_seconds, end))
     return cloud._readings(t0 + ticks * tick_seconds, journal)
-
-
-def _run_events(
-    plan: tuple[_PlanStep, ...],
-    cloud: CloudState,
-    until: float,
-    concurrency: int,
-    faults: FaultModel | None,
-    tick_seconds: float | None,
-    hour_hook: Callable[[float], object] | None,
-    error_hook: Callable[[float, str, str, bool], None] | None,
-    result_hook: Callable[[WorkloadResult], None] | None,
-) -> float | None:
-    """The event loop of ``run_stream``; returns the hour mark at which the
-    hour hook stopped the stream, or None if it ran to its deadline."""
-    t0 = cloud.clock
-    heap: list[tuple[float, int, int, str, object]] = []
-    # Bound per call rather than at import, so a patched heapq is seen.
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    heappushpop = heapq.heappushpop
-    seq = itertools.count().__next__
-    # Per-step reads, bound once per call.  ``check_failed`` and
-    # ``apply_resource_effects`` are looked up as module globals at each
-    # call instead, so a patched module function is seen.
-    CREATE, DELETE = _CREATE, _DELETE
-    n_steps = len(plan)
-    contention_capacity = cloud.params.contention_capacity
-    try_create = cloud.try_create
-    try_delete = cloud.try_delete
-    PRIO_WORK, PRIO_TICK, PRIO_HOUR = 0, 1, 2
-
-    gate_count = 0
-
-    def queue_allocation(t: float) -> None:
-        # Queue the first tick at or after t that lands a pending warm-up
-        # allocation, if one falls in the window and before the deadline.
-        if tick_seconds is None or not cloud._warmup_alloc_pending:
-            return
-        start = cloud._warmup_start
-        t = t0 + _first_tick(t0, tick_seconds, max(t, start)) * tick_seconds
-        if t < until and in_warmup_window(start, t):
-            heappush(heap, (t, PRIO_TICK, seq(), "tick", None))
-
-    for slot in range(concurrency):
-        t_launch = t0 + slot * LAUNCH_STAGGER_SECONDS
-        if t_launch < until:
-            heappush(heap, (t_launch, PRIO_WORK, seq(), "launch", slot))
-    queue_allocation(t0)
-    if hour_hook is not None and (t := t0 + SECONDS_PER_HOUR) < until:
-        heappush(heap, (t, PRIO_HOUR, seq(), "hour", 1))
-
-    event = heappop(heap) if heap else None
-    while event is not None:
-        t, prio, _seq, kind, payload = event
-        if t >= until:
-            break
-        cloud.clock = t
-        if kind == "step" or kind == "launch":
-            if kind == "launch":
-                if cloud.failed:
-                    # A failed cloud parks the slot.
-                    event = heappop(heap) if heap else None
-                    continue
-                execution = _Execution(cloud, t, payload)
-            else:
-                execution = payload
-            if not cloud.failed:
-                # One step.  The gate count excludes this workload while
-                # the step runs, and counts it again if it holds the gate
-                # once the step has resolved.
-                if execution.gated_live > 0:
-                    gate_count -= 1
-                error = None
-                stack = execution.stack
-                # An aborted workload unwinds the top of its stack;
-                # otherwise an undo step in the plan pops its own entry.
-                unwinding = execution.aborted
-                if unwinding:
-                    step = stack.pop()
-                else:
-                    step = plan[execution.index]
-                    execution.index += 1
-                    if step.undoes:
-                        entry = stack.pop()
-                        assert entry is step, "cleanup order diverged from the stack"
-                action = step.action
-                if action is CREATE:  # only ever a forward step
-                    if try_create(step.kind) is not None:
-                        error = execution._fail(step.name, step.quota_error, False)
-                    else:
-                        stack.append(step.undo)
-                        if step.gated:
-                            execution.gated_live += 1
-                            execution.gated_creates += 1
-                        if step.draws and (spec := faults.draw(step.name)) is not None:
-                            error = execution._fail(
-                                step.name, spec.name, execution._apply_fault(step, spec)
-                            )
-                        else:
-                            execution.completed_creates += 1
-                elif action is DELETE:
-                    # A fault strands the entity being deleted.
-                    if step.draws and (spec := faults.draw(step.name)) is not None:
-                        execution._strand(step.kind, None)
-                        error = execution._fail(step.name, spec.name, True)
-                    else:
-                        try_delete(step.kind)
-                        if step.gated:
-                            execution.gated_live -= 1
-                elif step.draws and (spec := faults.draw(step.name)) is not None:
-                    # A faulted operate strands nothing when unwinding.
-                    error = execution._fail(
-                        step.name, spec.name, not unwinding and execution._apply_fault(step, spec)
-                    )
-                elif step.undo is not None and not unwinding:
-                    stack.append(step.undo)
-                # A fault in this step aborts the workload; it then
-                # finishes once its unwind stack is empty.
-                finished = not stack if execution.aborted else execution.index >= n_steps
-                execution.steps_executed += 1
-                execution.last_step = step
-                if error is None and step.deposits_cache:
-                    apply_resource_effects(cloud, step.completed)
-                if execution.gated_live > 0:
-                    gate_count += 1
-                contention = gate_count / contention_capacity
-                if contention < 1.0:
-                    contention = 1.0
-                duration = step.base_seconds * cloud.ageing_multiplier * contention
-                if error is not None and error_hook is not None:
-                    error_hook(t, *error)
-                if cloud.failure_inputs_changed:
-                    check_failed(cloud)
-                event = heappushpop(
-                    heap,
-                    (t + duration, PRIO_WORK, seq(), "finish" if finished else "step", execution),
-                )
-                continue
-            # The cloud failed under this workload: cut it short, naming
-            # its next forward step unless it had failed, and end it below
-            # like a finished one.
-            if execution.error is None:
-                error = execution._fail(plan[execution.index].name, CLOUD_UNAVAILABLE, False)
-                if error_hook is not None:
-                    error_hook(t, *error)
-        elif kind == "finish":
-            execution = payload
-        elif kind == "tick":
-            apply_resource_effects(cloud, IntervalElapsed())
-            event = heappop(heap) if heap else None
-            continue
-        else:
-            # An hour mark: run the hook after the readings at the mark,
-            # queue the allocation of a window it opened, and queue mark k + 1.
-            rejuvenations = cloud.rejuvenation_count
-            if cloud._call_after_readings(hour_hook, t) is STOP_STREAM:
-                return t
-            if cloud.rejuvenation_count != rejuvenations:
-                queue_allocation(math.nextafter(t, math.inf))
-            k = payload + 1
-            if (t_next := t0 + k * SECONDS_PER_HOUR) < until:
-                event = heappushpop(heap, (t_next, prio, seq(), kind, k))
-            else:
-                event = heappop(heap) if heap else None
-            continue
-        # The workload ends: release its gate, settle it, report it, and
-        # hand the slot to its next launch, which a failed cloud parks.
-        if execution.gated_live > 0:
-            gate_count -= 1
-        result = execution.finalize(t)
-        if result_hook is not None:
-            result_hook(result)
-        event = heappushpop(heap, (t, PRIO_WORK, seq(), "launch", execution.slot))
-    cloud.clock = until
-    return None

@@ -97,7 +97,7 @@ class TestLedger:
         outcome = state.try_create(EntityKind.SECURITY_GROUP)
         assert isinstance(outcome, QuotaExceeded)
         assert outcome.kind is EntityKind.SECURITY_GROUP
-        assert outcome.error_name == "quota-exceeded-security-group"
+        assert quota_error_name(outcome.kind) == "quota-exceeded-security-group"
 
     def test_unlimited_kinds_always_create(self):
         state = CloudState()

@@ -776,6 +776,23 @@ class TestWorkloadReport:
         )
         assert data.durations is None
 
+    def test_times_that_are_not_json_numbers_are_rejected(self):
+        """A boolean or a numeric string is not a JSON number, so none of
+        these records is counted, though ``float()`` reads each of them."""
+        data = ingest_workload_report(
+            self.doc(
+                [
+                    {"start": True, "end": 5, "status": "success"},
+                    {"start": "12.5", "end": "20", "status": "success"},
+                    {"start": " 3 ", "end": 8, "status": "success"},
+                    {"start": 1, "end": 2.5, "status": "success"},
+                ]
+            )
+        )
+        assert data.rejected_records == 3
+        assert data.status_counts["success"] == 1
+        assert data.durations == IndicatorSeries("workload-duration", "seconds", [1.0], [1.5])
+
     def test_empty_report(self):
         data = ingest_workload_report(self.doc([]))
         assert data.durations is None
@@ -836,15 +853,24 @@ TOP = 1.7976931348623157e308
 @given(document=reports)
 @example(document={"workloads": [{"start": TOP, "end": TOP, "status": "success"}] * 2})
 @example(document={"workloads": [{"start": -TOP, "end": TOP, "status": "success"}]})
+@example(document={"workloads": [{"start": True, "end": 5, "status": "success"}]})
+@example(document={"workloads": [{"start": 0, "end": "1e3", "status": "success"}]})
 def test_any_json_workload_report_parses_or_raises_parse_error(document):
     """Every JSON document either parses, accounting for each record as
-    counted or rejected with finite durations, or raises ParseError."""
+    counted or rejected with finite durations, or raises ParseError.  No
+    record whose start or end is a string or a boolean is counted."""
     try:
         data = ingest_workload_report(io.StringIO(json.dumps(document)))
     except ParseError:
         return
     records = document["workloads"]
     assert sum(data.status_counts.values()) + data.rejected_records == len(records)
+    mistyped = sum(
+        isinstance(record, dict)
+        and any(isinstance(record.get(key), (str, bool)) for key in ("start", "end"))
+        for record in records
+    )
+    assert data.rejected_records >= mistyped
     assert all(isinstance(error, str) for error in data.error_tally)
     if data.durations is not None:
         assert np.isfinite(data.durations.timestamps).all()

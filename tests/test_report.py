@@ -363,7 +363,8 @@ _FAILING_FAULTS = {"boot server": {"server-error-status": 0.5}}
 
 #: Short scenarios whose whole bundle tree is pinned: an early failure left
 #: down until the scheduled rejuvenation (an excluded window), the same
-#: failure rejuvenated at once, and a run with no stress phase.
+#: failure rejuvenated at once, a run with no stress phase, and a
+#: deployment that failed before anything ran.
 BUNDLE_CASES = {
     "wait": ScenarioConfig(
         scenario_id="wait",
@@ -382,6 +383,7 @@ BUNDLE_CASES = {
         faults=_FAILING_FAULTS,
     ),
     "no-stress": ScenarioConfig(scenario_id="no-stress", concurrency=4, stress_hours=0, seed=5),
+    "dead": ScenarioConfig(scenario_id="dead", seed=5, deploy_failure_probability=1.0),
 }
 
 #: SHA-256 over the bundle tree of each case: every file's relative path,
@@ -390,6 +392,7 @@ BUNDLE_DIGESTS = {
     "wait": "57b7fa4d0e095875b0c74f984a1dde30c62f12b488d31ca269add2983c776c25",
     "rejuvenate": "9d487da02724588fa7cd0810c8b4e2e0b8b62a7907ad09e58b0fb38ac7b19a33",
     "no-stress": "63badc7606ad3b923619416b7a5914723871783eb8cfc8dd1958975bb0094bee",
+    "dead": "2381652e409ec0836fb16b71441dbf7eebfc9b1de63d3f7cd12f13e25ed389a5",
 }
 
 
@@ -408,7 +411,8 @@ def test_bundle_tree_digest(name, tmp_path):
     each case are byte for byte the pinned ones."""
     report = run_scenario(BUNDLE_CASES[name])
     assert bool(report.excluded_windows) == (name == "wait")
-    assert (report.failure_point is not None) == (name != "no-stress")
+    assert (report.failure_point is not None) == (name not in ("no-stress", "dead"))
+    assert report.deploy_failed == (name == "dead")
     assert _tree_digest(write_bundle(report, tmp_path / name)) == BUNDLE_DIGESTS[name]
 
 

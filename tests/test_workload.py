@@ -1,10 +1,10 @@
 """Tests for the workload engine: definitions, fault paths, streaming."""
 
 import copy
-import dataclasses
 import heapq
 import itertools
 import math
+import pickle
 import re
 
 import pytest
@@ -332,13 +332,16 @@ class TestCleanRun:
 
     def test_result_is_a_plain_frozen_result(self):
         result = run_single(DEFN, quiet_cloud())
-        twin = WorkloadResult(
-            **{f.name: getattr(result, f.name) for f in dataclasses.fields(WorkloadResult)}
-        )
+        twin = WorkloadResult(**result._asdict())
         assert result == twin
         assert hash(result) == hash(twin)
         assert repr(result) == repr(twin)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        assert WorkloadResult(*twin) == twin
+        restored = pickle.loads(pickle.dumps(result))
+        assert type(restored) is WorkloadResult
+        assert restored == result
+        assert restored.duration == result.duration
+        with pytest.raises(AttributeError):
             result.steps_executed = 0
 
     def test_successful_run_ages_the_cloud(self):
