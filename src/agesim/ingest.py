@@ -7,11 +7,12 @@ the two styles cannot be mixed within a file.  ISO timestamps without a
 zone designator are taken as UTC.  The unit of measure is not part of
 the format, so the caller supplies one for the ingested series.
 
-``ingest`` reads a plain numeric file (ASCII without quotes or carriage
-returns, numeric timestamps, finite values, three cells a row) from a
-seekable source with numpy's C parser, and every other file with a
-``csv.reader`` row loop.  Both give the same series and the same
-errors; see ``ingest``.
+``ingest`` reads a plain numeric file (ASCII without quotes, carriage
+returns or NULs, numeric timestamps, finite values, names shorter than
+``_NAME_CAP`` bytes, three cells a row) from a seekable source with
+numpy's C parser, a chunk of lines at a time into records of stamp,
+name and value, and every other file with a ``csv.reader`` row loop.
+Both give the same series and the same errors; see ``ingest``.
 
 ``serialize_series`` writes the same format back with full-precision
 values, so a serialize/ingest round trip reproduces a series exactly.
@@ -101,19 +102,32 @@ def _float_of_stripped(cell: str) -> float:
         return math.nan
 
 
-#: Size hint, in characters, of the line chunks the numpy path reads.
+#: Characters the numpy path reads at a time.  Each read is cut at its last
+#: newline and the whole lines before it are parsed as one chunk of
+#: records, so the path holds one chunk's names (at most ``_NAME_CAP``
+#: bytes a row), never a file's.
 _PLAIN_CHUNK = 1 << 16
+
+#: Byte widths of the name field of the numpy path's records.  The field
+#: starts at ``_NAME_WIDTH`` and doubles while a name fills its last byte;
+#: a name that fills ``_NAME_CAP`` bytes leaves the file to the row loop.
+_NAME_WIDTH = 32
+_NAME_CAP = 256
+
+#: Odd multiplier that folds a name's 8-byte words into one hash.
+_NAME_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _is_plain(text: str) -> bool:
-    """Whether ``text`` is ASCII without quotes or carriage returns.
+    """Whether ``text`` is ASCII without quotes, carriage returns or NULs.
 
     Underscores may pass: numpy's parser refuses a numeric cell holding
     one (``1_000``), which ``float`` would read, so such a file falls back
     to the row loop, while a metric name holding one reads the same
-    either way.
+    either way.  A NUL may not: a bytes field drops trailing NULs, which
+    would merge ``a\\x00`` with ``a``.
     """
-    return text.isascii() and '"' not in text and "\r" not in text
+    return text.isascii() and '"' not in text and "\r" not in text and "\0" not in text
 
 
 def _rewind_point(handle: IO[str]) -> int | None:
@@ -124,25 +138,60 @@ def _rewind_point(handle: IO[str]) -> int | None:
         return None
 
 
-def _load_columns(lines: list[str]) -> np.ndarray | None:
-    """The timestamp and value columns of ``lines`` as a (rows, 2) array,
-    or None where ``np.loadtxt`` refuses them."""
+def _line_chunks(handle: IO[str]) -> Iterator[str]:
+    """The rest of ``handle`` as chunks of whole lines, read
+    ``_PLAIN_CHUNK`` characters at a time; only the last chunk may lack
+    its closing newline."""
+    rest = ""
+    while text := handle.read(_PLAIN_CHUNK):
+        text = rest + text
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield text[:cut]
+        rest = text[cut:]
+    if rest:
+        yield rest
 
-    def load(lines):
-        return np.loadtxt(
-            lines, delimiter=",", usecols=(0, 2), comments=None, dtype=np.float64, ndmin=2
-        )
 
-    try:
-        return load(lines)
-    except ValueError:
-        pass
-    # loadtxt refuses a whitespace-only line, which the row loop skips
-    kept = [line for line in lines if not line.isspace()]
-    try:
-        return load(kept) if len(kept) < len(lines) else None
-    except ValueError:
-        return None
+def _load_records(chunk: str, width: int) -> np.ndarray | None:
+    """The rows of ``chunk`` as records of a float64 ``stamp``, a bytes
+    ``name`` and a float64 ``value``; None where ``np.loadtxt`` refuses
+    them (a row of other than three cells among them) or a name fills
+    ``_NAME_CAP`` bytes.
+
+    The name field is ``width`` bytes wide, doubled while a name fills its
+    last byte, since such a name may have been cut short.
+    """
+    while width <= _NAME_CAP:
+        # the name field starts at byte 8
+        dtype = np.dtype([("stamp", np.float64), ("name", f"S{width}"), ("value", np.float64)])
+        try:
+            records = np.loadtxt(
+                io.StringIO(chunk), delimiter=",", comments=None, dtype=dtype, ndmin=1
+            )
+        except ValueError:
+            # loadtxt refuses a whitespace-only line, which the row loop skips
+            kept = "\n".join(line for line in chunk.split("\n") if not line.isspace())
+            if len(kept) == len(chunk):
+                return None
+            chunk = kept
+            continue
+        if not records.view(np.uint8)[8 + width - 1 :: dtype.itemsize].any():
+            return records
+        width *= 2
+    return None
+
+
+def _name_hashes(records: np.ndarray) -> np.ndarray:
+    """One uint64 hash of each record's name, folded from its 8-byte words
+    last to first, so that the NUL words past a name leave its hash the
+    same at every width."""
+    words = records.view(np.uint64).reshape(len(records), -1)[:, 1:-1]
+    hashes = np.zeros(len(records), dtype=np.uint64)
+    for k in reversed(range(words.shape[1])):
+        hashes *= _NAME_MIX
+        hashes ^= words[:, k]
+    return hashes
 
 
 def _read_plain(handle: IO[str]) -> dict[str, tuple[np.ndarray, np.ndarray]] | None:
@@ -150,12 +199,18 @@ def _read_plain(handle: IO[str]) -> dict[str, tuple[np.ndarray, np.ndarray]] | N
     parser; None for any file this path does not read exactly as the row loop.
 
     The file qualifies when its header and every chunk of lines are ASCII
-    without quotes or carriage returns, no line is longer
-    than csv's field size limit, ``np.loadtxt`` reads the timestamp and
-    value columns of each chunk as finite floats, every row holds exactly
-    two commas and no metric name is blank.  On such text ``csv.reader``
-    splits rows at the commas, and ``loadtxt`` gives each cell the float
-    ``float`` gives it.
+    without quotes, carriage returns or NULs, no line is longer than csv's
+    field size limit, ``np.loadtxt`` parses each chunk into records of
+    three cells (a float timestamp, a name of fewer than ``_NAME_CAP``
+    bytes and a float value), the floats are finite and no metric name is
+    blank.  On such text ``csv.reader`` splits rows at the commas, and
+    ``loadtxt`` gives each cell the float ``float`` gives it and each name
+    its bytes.
+
+    Names are coded a chunk at a time: one hash per row, ``np.unique``
+    over the hashes, and a byte-for-byte check of every row against the
+    file's table of raw names, so a hash collision leaves the file to the
+    row loop.  Metrics are numbered in order of first appearance.
     """
     try:
         header = handle.readline()
@@ -163,38 +218,45 @@ def _read_plain(handle: IO[str]) -> dict[str, tuple[np.ndarray, np.ndarray]] | N
             h.strip().lower() for h in header.split(",")
         ) != HEADER:
             return None
-        code_of_raw: dict[str, int] = {}
+        width = _NAME_WIDTH
+        known: dict[int, tuple[bytes, int]] = {}  # name hash -> raw name, metric code
         code_of: dict[str, int] = {}  # stripped name -> code, in order of first appearance
         blocks: list[np.ndarray] = []
         code_blocks: list[np.ndarray] = []
-        while lines := handle.readlines(_PLAIN_CHUNK):
-            block = "".join(lines)
-            if not _is_plain(block):
+        for chunk in _line_chunks(handle):
+            if not _is_plain(chunk):
                 return None
             # a line within csv's field size limit holds no field past it
             limit = csv.field_size_limit()
-            if len(block) > limit and max(map(len, lines)) > limit:
+            if len(chunk) > limit and max(map(len, chunk.split("\n"))) > limit:
                 return None
-            if block.isspace():  # blank lines only: the row loop skips them
+            if chunk.isspace():  # blank lines only: the row loop skips them
                 continue
-            cols = _load_columns(lines)
-            if cols is None:
+            records = _load_records(chunk, width)
+            if records is None:
                 return None
-            # usecols lets a fourth column through; the row loop does not
-            if block.count(",") != 2 * len(cols) or not np.isfinite(cols).all():
+            stamps, names, readings = records["stamp"], records["name"], records["value"]
+            width = names.itemsize
+            if not (np.isfinite(stamps).all() and np.isfinite(readings).all()):
                 return None
-            raw_names = block.split(",")[1::2]
-            for raw in dict.fromkeys(raw_names):
-                if raw not in code_of_raw:
-                    metric = raw.strip()
-                    if not metric:
-                        return None
-                    code_of_raw[raw] = code_of.setdefault(metric, len(code_of))
-            codes = np.fromiter(
-                map(code_of_raw.__getitem__, raw_names), dtype=np.intp, count=len(raw_names)
+
+            row_hashes = _name_hashes(records)
+            hashes, first, inverse = np.unique(
+                row_hashes, return_index=True, return_inverse=True
             )
-            blocks.append(cols)
-            code_blocks.append(codes)
+            hashes = hashes.tolist()
+            # the rows where new names first appear, in file order, not in hash order
+            new = np.sort(first[[h not in known for h in hashes]])
+            for h, raw in zip(row_hashes[new].tolist(), names[new].tolist()):
+                metric = raw.decode().strip()
+                if not metric:
+                    return None
+                known[h] = (raw, code_of.setdefault(metric, len(code_of)))
+            raws, codes = zip(*map(known.__getitem__, hashes))
+            if not (np.array(raws, dtype=names.dtype)[inverse] == names).all():
+                return None
+            blocks.append(np.stack((stamps, readings), axis=1))
+            code_blocks.append(np.array(codes, dtype=np.intp)[inverse])
     except UnicodeDecodeError:
         return None
     if not blocks:
@@ -202,6 +264,7 @@ def _read_plain(handle: IO[str]) -> dict[str, tuple[np.ndarray, np.ndarray]] | N
 
     stamps, readings = np.concatenate(blocks).T
     codes = np.concatenate(code_blocks)
+    del blocks, code_blocks  # before the grouping copies every row
     order = np.argsort(codes, kind="stable")
     ends = np.cumsum(np.bincount(codes)).tolist()
     by_metric = {}
@@ -296,14 +359,17 @@ def ingest(source: str | Path | IO[str], unit: str = "unknown") -> dict:
     the record count.
 
     A plain numeric file is read by numpy's C parser: a seekable source
-    whose text is ASCII without quotes or carriage returns, with numeric
-    timestamps, finite values and three cells on every non-blank row.
-    Every other file, and any file a non-seekable handle
+    whose text is ASCII without quotes, carriage returns or NULs, with
+    numeric timestamps, finite values, metric names shorter than
+    ``_NAME_CAP`` bytes and three cells on every non-blank row, which
+    the parse into three-field records checks itself.  Every other file,
+    and any file a non-seekable handle
     delivers, goes through the ``csv.reader`` row loop, which reads the
     whole file again from where the handle stood when the numpy path
     turns it down.  Results and errors are identical either way: the
-    same floats, bit for bit, and every ParseError, with its text and
-    line, comes from the row loop.
+    same floats, bit for bit, the same metrics in order of first
+    appearance, and every ParseError, with its text and line, comes from
+    the row loop.
 
     Timestamp and value cells go to ``float`` as they are, since it
     skips surrounding whitespace; only a cell it rejects is stripped.

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 import types
 from unittest import mock
 
@@ -924,8 +925,13 @@ PLAIN_VALUES = st.one_of(
 ODD_VALUES = st.sampled_from(
     ["nan", "inf", "-inf", "1e500", "1_000", '"1.5"', "", "lots", "٢", "0x10"]
 )
-PLAIN_METRICS = ("a", "b", " a", "a ", "\ta", "b\x1f", "c-d")
-ODD_METRICS = ("", "  ", '"a"', "x_y", "é", "a,b")
+# past the first name width; two names alike in their first 32 bytes
+WIDE_NAME = "w" * 40
+TWIN_NAMES = ("t" * 32 + "1", "t" * 32 + "2")
+# a name past the width cap, and names a bytes field would cut at the NUL
+CAPPED_NAME = "c" * (ingest_module._NAME_CAP + 1)
+PLAIN_METRICS = ("a", "b", " a", "a ", "\ta", "b\x1f", "c-d", WIDE_NAME, *TWIN_NAMES)
+ODD_METRICS = ("", "  ", '"a"', "x_y", "é", "a,b", CAPPED_NAME, "a\x00", "\x00")
 
 
 def lines_of(stamps, metrics, values):
@@ -976,6 +982,41 @@ odd_lines = st.one_of(
     newline="\n",
     header="timestamp,metric,value",
     chunk=1,
+)
+@example(  # a wide name in a later chunk than the short ones
+    lines=[("{}", ",a,1"), ("{}", ",b,2"), ("{}", f",{WIDE_NAME},3"), ("{}", ",a,4")],
+    odd=[],
+    newline="\n",
+    header="timestamp,metric,value",
+    chunk=40,
+)
+@example(
+    lines=[("{}", f",{TWIN_NAMES[0]},1"), ("{}", f",{TWIN_NAMES[1]},2"), ("{}", ",a,3")],
+    odd=[],
+    newline="\n",
+    header="timestamp,metric,value",
+    chunk=ingest_module._PLAIN_CHUNK,
+)
+@example(
+    lines=[("{}", ",a,1"), ("{}", f",{WIDE_NAME},2")],
+    odd=[(1, ("{}", f",{CAPPED_NAME},3"))],
+    newline="\n",
+    header="timestamp,metric,value",
+    chunk=ingest_module._PLAIN_CHUNK,
+)
+@example(
+    lines=[("{}", ",a,1"), ("{}", ",a,2")],
+    odd=[(1, ("{}", ",a\x00,3"))],
+    newline="\n",
+    header="timestamp,metric,value",
+    chunk=ingest_module._PLAIN_CHUNK,
+)
+@example(
+    lines=[("{}", ",a,1")],
+    odd=[(1, ("{}", ",\x00,2"))],
+    newline="\n",
+    header="timestamp,metric,value",
+    chunk=ingest_module._PLAIN_CHUNK,
 )
 def test_numpy_path_reads_as_the_row_loop(lines, odd, newline, header, chunk):
     """On any file, the numpy path gives the row loop's series bit for bit,
@@ -1071,6 +1112,54 @@ class TestNumpyPath:
             assert reading(io.StringIO(text)) == expected
         assert len(expected) == len(names)
 
+    def test_names_wider_than_the_first_field_stay_on_the_numpy_path(self):
+        """The name field widens for a long name, in a later chunk too, and
+        tells apart names that agree on their first 32 bytes."""
+        longest = "l" * (ingest_module._NAME_CAP - 1)
+        metrics = ("m", "n", WIDE_NAME, *TWIN_NAMES, longest)
+        rows = plain_rows(6000, metrics[:2])[:5000] + plain_rows(6000, metrics)[5000:]
+        text = "\n".join(["timestamp,metric,value", *rows]) + "\n"
+        assert text.index(WIDE_NAME) > ingest_module._PLAIN_CHUNK
+        expected = reading(Unseekable(text))
+        with mock.patch.object(ingest_module, "_read_rows", side_effect=AssertionError):
+            assert reading(io.StringIO(text)) == expected
+        assert [name for name, _, _ in expected] == list(metrics)
+
+    @pytest.mark.parametrize(
+        "name", [CAPPED_NAME[:-1], "a\x00", "\x00"], ids=["at-the-cap", "trailing-nul", "nul"]
+    )
+    def test_names_a_bytes_field_cannot_hold_go_to_the_row_loop(self, name):
+        """A name that fills the widest field, or any NUL, which a bytes
+        field drops from a name's end, leaves the file to the row loop;
+        ``a\\x00`` stays a metric of its own."""
+        text = f"timestamp,metric,value\n0,a,1\n10,{name},2\n20,a,3\n"
+        with mock.patch.object(
+            ingest_module, "_read_rows", wraps=ingest_module._read_rows
+        ) as row_loop:
+            series = ingest(io.StringIO(text))
+        assert row_loop.call_count == 1
+        assert list(series) == ["a", name]
+        assert reading(io.StringIO(text)) == reading(Unseekable(text))
+
+    @pytest.mark.parametrize("chunk", [40, ingest_module._PLAIN_CHUNK])
+    def test_a_hash_collision_reads_as_the_row_loop(self, chunk):
+        """With every name hashed alike, the byte-for-byte check turns the
+        file over to the row loop, whether the two names first meet within
+        a chunk or across chunks."""
+        rows = plain_rows(40, ("m",))[:20] + plain_rows(40, ("m", "n"))[20:]
+        text = "\n".join(["timestamp,metric,value", *rows]) + "\n"
+        expected = reading(Unseekable(text))
+        with (
+            mock.patch.object(ingest_module, "_PLAIN_CHUNK", chunk),
+            mock.patch.object(
+                ingest_module,
+                "_name_hashes",
+                lambda records: np.zeros(len(records), dtype=np.uint64),
+            ),
+        ):
+            assert reading(io.StringIO(text)) == expected
+        assert [name for name, _, _ in expected] == ["m", "n"]
+
     def test_rewinds_to_where_the_handle_stood(self):
         text = "preamble\ntimestamp,metric,value\n0,m,1\n10,m,x\n"
         handle = io.StringIO(text)
@@ -1130,3 +1219,43 @@ class TestNumpyPath:
         assert reading(io.StringIO(text)) == reading(Unseekable(text))
         with pytest.raises(ParseError, match="^line 2: unreadable CSV row: new-line character"):
             ingest(io.StringIO(text))
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_numpy_path_holds_a_chunk_of_records_not_the_file(tmp_path):
+    """Ingesting a 200,000-row plain file of four metrics peaks in traced
+    memory below four times its output arrays (16 bytes a row): records,
+    names and hashes live a chunk at a time."""
+    n = 200_000
+    metrics = ("memory-available", "swap-used", "disk-used", "inodes-free")
+    path = tmp_path / "series.csv"
+    path.write_text(
+        "\n".join(["timestamp,metric,value", *plain_rows(n, metrics)]) + "\n", encoding="utf-8"
+    )
+    peak = traced_peak(lambda: ingest(path))
+    assert peak < 4 * 16 * n
+
+
+def test_one_long_name_costs_no_field_that_wide_on_every_row(tmp_path):
+    """A 10,000-row file with one name of 100,000 characters reads as the
+    row loop does, in traced memory far below 10,000 names of that width."""
+    n, long_name = 10_000, "x" * 100_000
+    rows = plain_rows(n)
+    rows[n // 2] = f"{n // 2},{long_name},1.5"
+    text = "\n".join(["timestamp,metric,value", *rows]) + "\n"
+    path = tmp_path / "series.csv"
+    path.write_text(text, encoding="utf-8")
+    expected = reading(Unseekable(text))
+    assert [name for name, _, _ in expected] == ["m", "n", long_name]
+    assert reading(path) == expected
+    peak = traced_peak(lambda: ingest(path))
+    assert peak < n * len(long_name) / 100
