@@ -285,7 +285,8 @@ class CloudState:
     The memory model runs on the control node: ``control_memory_gb``
     reads its available memory and swap in use together, and
     ``swap_used_gb`` its swap alone.  ``disk_used_gb`` reads one node's
-    cache images.
+    cache images, which land on compute nodes only, so any other node
+    reads 0.
 
     Capacity and whether some node's disk is full are kept up to date by
     the mutators that can change them (``add_leftover``,
@@ -306,9 +307,10 @@ class CloudState:
     readings depend on, so that no tick stops the engine: per gauge, two
     ``array("d")`` columns of clocks and values, the first value the one
     at opening, stamped ``-inf``.  The gauges are ``"memory"`` (the
-    control node's raw available memory), ``("disk", node)`` (each cache
-    total) and ``"window"`` (the warm-up window's start, NaN for none).
-    Outside a stream ``_journal`` is None and nothing is logged.
+    control node's raw available memory), ``("disk", node)`` (each
+    compute node's cache total) and ``"window"`` (the warm-up window's
+    start, NaN for none).  Outside a stream ``_journal`` is None and
+    nothing is logged.
     """
 
     def __init__(
@@ -342,7 +344,7 @@ class CloudState:
         self.live: dict[EntityKind, int] = dict.fromkeys(EntityKind, 0)
         self.leftovers: dict[EntityKind, int] = dict.fromkeys(EntityKind, 0)
         self._cache: deque[tuple[float, float, str]] = deque()
-        self._cache_total: dict[str, float] = dict.fromkeys(self.topology.nodes, 0.0)
+        self._cache_total: dict[str, float] = dict.fromkeys(self.topology.compute_nodes, 0.0)
         self._consumed_gb = 0.0
         self._noise_gb = 0.0
         self.failed = False

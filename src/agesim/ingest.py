@@ -209,8 +209,10 @@ def _read_plain(handle: IO[str]) -> dict[str, tuple[np.ndarray, np.ndarray]] | N
 
     Names are coded a chunk at a time: one hash per row, ``np.unique``
     over the hashes, and a byte-for-byte check of every row against the
-    file's table of raw names, so a hash collision leaves the file to the
-    row loop.  Metrics are numbered in order of first appearance.
+    first row of the chunk with its hash, so a hash collision within a
+    chunk leaves the file to the row loop.  Codes are keyed by the
+    stripped name, so names that hash alike in different chunks keep
+    codes of their own.  Metrics are numbered in order of first appearance.
     """
     try:
         header = handle.readline()
@@ -219,7 +221,6 @@ def _read_plain(handle: IO[str]) -> dict[str, tuple[np.ndarray, np.ndarray]] | N
         ) != HEADER:
             return None
         width = _NAME_WIDTH
-        known: dict[int, tuple[bytes, int]] = {}  # name hash -> raw name, metric code
         code_of: dict[str, int] = {}  # stripped name -> code, in order of first appearance
         blocks: list[np.ndarray] = []
         code_blocks: list[np.ndarray] = []
@@ -240,23 +241,20 @@ def _read_plain(handle: IO[str]) -> dict[str, tuple[np.ndarray, np.ndarray]] | N
             if not (np.isfinite(stamps).all() and np.isfinite(readings).all()):
                 return None
 
-            row_hashes = _name_hashes(records)
-            hashes, first, inverse = np.unique(
-                row_hashes, return_index=True, return_inverse=True
+            _, first, inverse = np.unique(
+                _name_hashes(records), return_index=True, return_inverse=True
             )
-            hashes = hashes.tolist()
-            # the rows where new names first appear, in file order, not in hash order
-            new = np.sort(first[[h not in known for h in hashes]])
-            for h, raw in zip(row_hashes[new].tolist(), names[new].tolist()):
-                metric = raw.decode().strip()
-                if not metric:
-                    return None
-                known[h] = (raw, code_of.setdefault(metric, len(code_of)))
-            raws, codes = zip(*map(known.__getitem__, hashes))
-            if not (np.array(raws, dtype=names.dtype)[inverse] == names).all():
+            if not (names[first][inverse] == names).all():
                 return None
+            # the distinct names in file order, not in hash order
+            in_order = np.argsort(first)
+            metrics = [raw.decode().strip() for raw in names[first[in_order]].tolist()]
+            if not all(metrics):
+                return None
+            codes = np.empty(len(first), dtype=np.intp)
+            codes[in_order] = [code_of.setdefault(m, len(code_of)) for m in metrics]
             blocks.append(np.stack((stamps, readings), axis=1))
-            code_blocks.append(np.array(codes, dtype=np.intp)[inverse])
+            code_blocks.append(codes[inverse])
     except UnicodeDecodeError:
         return None
     if not blocks:

@@ -76,16 +76,11 @@ class EarlyFailurePolicy(Enum):
     REJUVENATE = "rejuvenate-on-failure"
 
 
-def _step_names(config: ScenarioConfig) -> tuple[str, ...]:
-    """The step names of the workload ``config`` runs."""
-    if config.workload is None:
-        return DEFAULT_STEP_NAMES
-    return tuple(s.name for s in config.workload.steps)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to run one scenario deterministically."""
+    """Everything needed to run one scenario deterministically.  A config
+    that exists can run: each stream ``run_scenario`` starts on a cloud
+    that does not fail early can reach its deadline (``check_deadline``)."""
 
     scenario_id: str
     topology: str = "multi-node"
@@ -123,7 +118,10 @@ class ScenarioConfig:
             raise ConfigError("deploy failure probability must lie in [0, 1]")
         Topology.named(self.topology)
         quota_table(self.quotas)  # raises on a quota below 1
-        steps = _step_names(self)
+        if self.workload is None:
+            steps = DEFAULT_STEP_NAMES
+        else:
+            steps = tuple(s.name for s in self.workload.steps)
         for path, named in (
             ("timing.step_seconds", self.timing.step_seconds),
             ("resources.cache_depositing_steps", self.resources.cache_depositing_steps),
@@ -134,6 +132,19 @@ class ScenarioConfig:
                     raise ConfigError(f"{path} names unknown step {name!r}")
         if self.faults:
             FaultModel(self.faults)  # raises on a bad error name or probability
+        # the stress phase runs to its end, then rejuvenation, then the post
+        # phase, whose end may not round onto its start
+        shortest = min(map(self.timing.base_for, steps))
+        stress_end = self.stress_hours * SECONDS_PER_HOUR
+        check_deadline(0.0, stress_end, shortest)
+        start = stress_end + self.resources.rejuvenation_seconds
+        post = self.post_rejuvenation_hours * SECONDS_PER_HOUR
+        check_deadline(start, start + post, shortest)
+        if post > 0 and start + post == start:
+            raise ConfigError(
+                f"a {post} s post-rejuvenation phase cannot advance a clock at {start} s: "
+                f"its resolution there is {math.ulp(start)} s"
+            )
 
     def to_document(self) -> dict:
         return _encode(self)
@@ -297,14 +308,11 @@ class ScenarioReport:
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
-    """Run one scenario and analyse every collected indicator.  A config
-    ``_check_deadlines`` refuses raises ``ConfigError`` before anything runs,
-    even where ``rejuvenate-on-failure`` could bring the post deadline in reach.
+    """Run one scenario and analyse every collected indicator.
 
     The gauge series of the report share one read-only ``timestamps``
     array, the tick clock of all three phases, which the bundle writer
     renders once for all of them."""
-    _check_deadlines(config)
     identity = dict(
         scenario_id=config.scenario_id,
         topology=config.topology,
@@ -460,37 +468,14 @@ class SuiteResult:
     errors: Mapping[str, str]
 
 
-def _check_deadlines(config: ScenarioConfig) -> None:
-    """Raise ``ConfigError`` where ``run_scenario`` would give a stream a
-    deadline it cannot reach (``check_deadline``), on a cloud that does
-    not fail early: the stress phase runs to its end, rejuvenation adds
-    ``rejuvenation_seconds``, then the post phase runs.  A post phase
-    whose end rounds onto its start would run nothing, and is refused
-    too."""
-    shortest = min(map(config.timing.base_for, _step_names(config)))
-    stress_end = config.stress_hours * SECONDS_PER_HOUR
-    check_deadline(0.0, stress_end, shortest)
-    start = stress_end + config.resources.rejuvenation_seconds
-    post = config.post_rejuvenation_hours * SECONDS_PER_HOUR
-    check_deadline(start, start + post, shortest)
-    if post > 0 and start + post == start:
-        raise ConfigError(
-            f"a {post} s post-rejuvenation phase cannot advance a clock at {start} s: "
-            f"its resolution there is {math.ulp(start)} s"
-        )
-
-
 def run_suite(configs: list[ScenarioConfig]) -> SuiteResult:
     """Run scenarios in order, isolating failures per scenario.
 
-    A config that repeats a scenario id, or whose streams could not reach
-    their deadlines, is refused with ``ConfigError`` before any scenario
-    runs."""
+    A suite that repeats a scenario id is refused with ``ConfigError``
+    before any scenario runs."""
     ids = [c.scenario_id for c in configs]
     if len(set(ids)) != len(ids):
         raise ConfigError("scenario ids must be unique")
-    for config in configs:
-        _check_deadlines(config)
     reports = []
     errors: dict[str, str] = {}
     for config in configs:

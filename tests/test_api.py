@@ -419,6 +419,20 @@ def test_no_module_level_name_is_defined_in_two_modules():
     assert {name: where for name, where in defined.items() if len(where) > 1} == {}
 
 
+def test_every_module_parses_at_the_declared_python_floor():
+    """The package and the benchmark use no syntax newer than the
+    ``requires-python`` floor of ``pyproject.toml``, which is read with a
+    regex because ``tomllib`` itself is newer than the floor."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    ((major, minor),) = re.findall(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M)
+    package = sorted(Path(agesim.__file__).parent.glob("*.py"))
+    benchmark = sorted((ROOT / "perfbench").rglob("*.py"))
+    assert package and benchmark
+    for path in package + benchmark:
+        source = path.read_text(encoding="utf-8")
+        ast.parse(source, str(path), feature_version=(int(major), int(minor)))
+
+
 def _error_types(base=AgesimError):
     yield base
     for sub in base.__subclasses__():

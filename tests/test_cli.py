@@ -280,6 +280,19 @@ class TestRunCommand:
         assert main(["run", config_path, "--phases", f"{phase}:{10**400}"]) == 2
         assert "is too long to count in seconds" in capsys.readouterr().err
 
+    def test_a_document_that_cannot_run_is_refused_whatever_its_phases_become(
+        self, tmp_path, capsys
+    ):
+        """The document must be a config that can run, like under every
+        other config rule, so a post phase the clock cannot resolve is
+        refused even where ``--phases`` would leave no post phase."""
+        config = {"scenario_id": "x", "stress_hours": 0, "resources": {"rejuvenation_seconds": 1e17}}
+        path = write_json(tmp_path / "cfg.json", config)
+        assert main(["run", path, "--phases", "post:0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot advance a clock at 1.000000000000036e+17 s" in captured.err
+
     def test_a_deposit_near_the_float_limit_is_exit_2_after_the_run(self, tmp_path, capsys):
         """A 1e308 GB image is a valid config; the disk gauge overflows to
         inf, and the series error, a ``ParseError``, is reported as exit 2.

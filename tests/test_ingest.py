@@ -1141,11 +1141,12 @@ class TestNumpyPath:
         assert list(series) == ["a", name]
         assert reading(io.StringIO(text)) == reading(Unseekable(text))
 
-    @pytest.mark.parametrize("chunk", [40, ingest_module._PLAIN_CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 40, ingest_module._PLAIN_CHUNK])
     def test_a_hash_collision_reads_as_the_row_loop(self, chunk):
         """With every name hashed alike, the byte-for-byte check turns the
-        file over to the row loop, whether the two names first meet within
-        a chunk or across chunks."""
+        file over to the row loop where two names meet within a chunk.  At
+        one line a chunk they meet only across chunks, where codes keyed
+        by a name's text keep them apart on the numpy path."""
         rows = plain_rows(40, ("m",))[:20] + plain_rows(40, ("m", "n"))[20:]
         text = "\n".join(["timestamp,metric,value", *rows]) + "\n"
         expected = reading(Unseekable(text))
@@ -1156,8 +1157,12 @@ class TestNumpyPath:
                 "_name_hashes",
                 lambda records: np.zeros(len(records), dtype=np.uint64),
             ),
+            mock.patch.object(
+                ingest_module, "_read_rows", wraps=ingest_module._read_rows
+            ) as row_loop,
         ):
             assert reading(io.StringIO(text)) == expected
+        assert row_loop.call_count == (chunk > 1)
         assert [name for name, _, _ in expected] == ["m", "n"]
 
     def test_rewinds_to_where_the_handle_stood(self):

@@ -1,6 +1,5 @@
 """Tests for the scenario runner: phases, policies, suites, the matrix."""
 
-import contextlib
 import copy
 import dataclasses
 import math
@@ -12,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agesim import scenario
 from agesim.cloud import EntityKind, ResourceParams
 from agesim.errors import AgesimError, ConfigError, InvalidSeriesError
 from agesim.report import render_tables, report_document
@@ -304,17 +302,18 @@ class TestDegeneratePhases:
         assert memory.ageing is None
         assert "post-rejuvenation" in memory.ageing_unavailable
 
-    def test_unreachable_post_deadline_refused_before_the_stress_phase(self, monkeypatch):
-        """A post phase the clock cannot reach is refused before any
-        stream runs, not after a simulated stress day."""
-
-        def no_stream(*args, **kwargs):
-            raise AssertionError("run_stream called")
-
-        monkeypatch.setattr(scenario, "run_stream", no_stream)
-        late = ScenarioConfig(scenario_id="late", concurrency=64, post_rejuvenation_hours=10**300)
+    def test_unreachable_post_deadline_refused_before_the_stress_phase(self):
+        """A post phase the clock cannot reach is refused when the config is
+        built, not after a simulated stress day: by the constructor, by
+        ``from_document`` and by ``dataclasses.replace``, the ``--phases``
+        path of ``agesim run``."""
+        fields = dict(scenario_id="late", concurrency=64)
         with pytest.raises(ConfigError, match="cannot advance a clock"):
-            run_scenario(late)
+            ScenarioConfig(**fields, post_rejuvenation_hours=10**300)
+        with pytest.raises(ConfigError, match="cannot advance a clock"):
+            ScenarioConfig.from_document({**fields, "post_rejuvenation_hours": 10**300})
+        with pytest.raises(ConfigError, match="cannot advance a clock"):
+            dataclasses.replace(ScenarioConfig(**fields), post_rejuvenation_hours=10**300)
 
 
 # ── Error log ────────────────────────────────────────────────────────────
@@ -487,7 +486,9 @@ class TestConfigDocuments:
                 ScenarioConfig(scenario_id="x", **{field: hours})
         with pytest.raises(ConfigError, match=f"{field} is too long"):
             ScenarioConfig.from_document({"scenario_id": "x", field: 10**400})
-        assert getattr(ScenarioConfig(scenario_id="x", **{field: 10**300}), field) == 10**300
+        # 10**300 hours count in seconds, where no step can advance the clock
+        with pytest.raises(ConfigError, match="cannot advance a clock"):
+            ScenarioConfig(scenario_id="x", **{field: 10**300})
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must not be negative"):
@@ -635,45 +636,75 @@ class TestSuite:
         assert result.errors == {}
 
     @pytest.mark.parametrize(
-        "stress_hours, post_hours, rejuvenation_seconds, refused",
+        "stress_hours, post_hours, rejuvenation_seconds, refusal",
         [
-            (0, 1, 1e17, True),  # the post phase runs where the clock resolves 16 s
-            (1, 1, 1e17, True),
-            (1, 0, 1e17, False),  # no stream runs after the rejuvenation
-            (0, 1, 2.0**53, False),  # the clock resolves 2 s, which a 2 s step advances
-            (0, 1, 2.0**54, True),
-            (0, 1, 1e20, True),  # the post phase's end rounds onto its start
-            (1, 1, 1e308, True),
-            (0, 1, math.inf, True),
-            (1, 0, math.inf, True),  # the empty post phase would start at infinity
-            (10**300, 1, 0.0, True),  # the stress phase cannot reach its end
+            # the post phase runs where the clock resolves 16 s
+            (
+                *(0, 1, 1e17),
+                "a 2.0 s step cannot advance a clock at 1.000000000000036e+17 s:"
+                " its resolution there is 16.0 s",
+            ),
+            (
+                *(1, 1, 1e17),
+                "a 2.0 s step cannot advance a clock at 1.000000000000072e+17 s:"
+                " its resolution there is 16.0 s",
+            ),
+            (1, 0, 1e17, None),  # no stream runs after the rejuvenation
+            (0, 1, 2.0**53, None),  # the clock resolves 2 s, which a 2 s step advances
+            (
+                *(0, 1, 2.0**54),
+                "a 2.0 s step cannot advance a clock at 1.8014398509485584e+16 s:"
+                " its resolution there is 4.0 s",
+            ),
+            # the post phase's end rounds onto its start
+            (
+                *(0, 1, 1e20),
+                "a 3600.0 s post-rejuvenation phase cannot advance a clock at 1e+20 s:"
+                " its resolution there is 16384.0 s",
+            ),
+            (
+                *(1, 1, 1e308),
+                "a 3600.0 s post-rejuvenation phase cannot advance a clock at 1e+308 s:"
+                " its resolution there is 1.99584030953472e+292 s",
+            ),
+            (0, 1, math.inf, "stream deadline must be finite, got inf"),
+            # the empty post phase would start at infinity
+            (1, 0, math.inf, "stream deadline must be finite, got inf"),
+            # the stress phase cannot reach its end
+            (
+                *(10**300, 1, 0.0),
+                "a 2.0 s step cannot advance a clock at 3.6e+303 s:"
+                " its resolution there is 6.090821257125e+287 s",
+            ),
         ],
     )
     def test_refuses_before_any_run_what_run_scenario_refuses(
-        self, monkeypatch, stress_hours, post_hours, rejuvenation_seconds, refused
+        self, stress_hours, post_hours, rejuvenation_seconds, refusal
     ):
-        """A config whose streams ``run_scenario`` refuses, for a deadline
-        the clock cannot reach or resolve, is refused by ``run_suite`` with
-        the same message before any scenario runs; any other config runs."""
-        late = ScenarioConfig(
-            scenario_id="late",
-            stress_hours=stress_hours,
-            post_rejuvenation_hours=post_hours,
-            resources=quiet_resources(rejuvenation_seconds=rejuvenation_seconds),
+        """A config whose streams could not reach or resolve a deadline
+        cannot be built, from fields or from a document, and the refusal
+        keeps the text ``run_scenario`` gave while it checked deadlines
+        itself; any other config runs in ``run_suite``."""
+        fields = dict(
+            scenario_id="late", stress_hours=stress_hours, post_rejuvenation_hours=post_hours
         )
-        if refused:
-            with pytest.raises(ConfigError) as at_run:
-                run_scenario(late)
-            in_suite = pytest.raises(ConfigError, match=f"^{re.escape(str(at_run.value))}$")
-        else:
-            run_scenario(late)
-            in_suite = contextlib.nullcontext()
-        ran = []
-        monkeypatch.setattr(scenario, "run_scenario", lambda c: ran.append(c.scenario_id))
+        resources = dict(warmup_noise_gb=0.0, warmup_alloc_gb=0.0, ageing_rate=0.0)
+        resources["rejuvenation_seconds"] = rejuvenation_seconds
+        if refusal is not None:
+            exact = f"^{re.escape(refusal)}$"
+            with pytest.raises(ConfigError, match=exact):
+                ScenarioConfig(**fields, resources=ResourceParams(**resources))
+            # a document holds finite numbers only, so refuses inf as its own error
+            if math.isfinite(rejuvenation_seconds):
+                with pytest.raises(ConfigError, match=exact):
+                    ScenarioConfig.from_document({**fields, "resources": resources})
+            return
+        late = ScenarioConfig(**fields, resources=ResourceParams(**resources))
+        assert ScenarioConfig.from_document({**fields, "resources": resources}) == late
         first = ScenarioConfig(scenario_id="first", stress_hours=0, post_rejuvenation_hours=0)
-        with in_suite:
-            run_suite([first, late])
-        assert ran == ([] if refused else ["first", "late"])
+        result = run_suite([first, late])
+        assert [r.scenario_id for r in result.reports] == ["first", "late"]
+        assert result.errors == {}
 
 
 class TestDefaultMatrix:
