@@ -591,25 +591,32 @@ def run_stream(
     cloud (and ``_apply_fault`` or ``_strand`` on a fault), a cache
     deposit through ``apply_resource_effects``, ``check_failed`` when its
     inputs changed, and the hooks.  Enum members, the plan, its length,
-    the contention capacity and the two ledger methods are bound once.
+    the two ledger methods and a table of the contention factor by gate
+    count (the formula above, so the same bits) are bound once.
     Concurrency is capped at ``MAX_CONCURRENCY``, checked before any
     launch is scheduled.  Hour marks are scheduled lazily: the k-th falls
     at ``t0 + k * SECONDS_PER_HOUR``, and each queues its successor as it
     fires.  Slot k launches at ``t0 + k * LAUNCH_STAGGER_SECONDS``.
 
-    Each event costs one heap operation.  The first event is popped
-    before the loop; an event that schedules a successor (a step, a
-    finished workload's relaunch, an hour mark whose successor falls
-    before ``until``) takes the next event with ``heappushpop``, and one
-    that schedules nothing (a launch parked on a failed cloud, an
-    allocation tick, an hour mark whose successor would fall at or past
-    ``until``) with ``heappop``.  ``heappushpop`` is "push, then pop the
-    smallest", and events are tuples ordered by (time, priority,
-    sequence number) with unique sequence numbers, so events run in
-    exactly that order.  The loop ends at the first event at or past
-    ``until``, when the heap is empty, or at an hour mark whose hook
-    returned ``STOP_STREAM``; only that last exit leaves ``cloud.clock``
-    short of ``until``.
+    Events are a slot's ``launch``, a workload's next ``step``, its
+    ``finish`` when its last step ends, an allocation ``tick`` and an
+    ``hour`` mark.  A finish hands the slot on in the same event by
+    running the next workload's first step, unless a work event already
+    waits at that instant: a launch pushed then would run after it, so
+    the launch is queued behind it.  A failed cloud parks the slot.  Each
+    event costs one heap operation.  The first event is popped before
+    the loop; an event that schedules a successor (a step, a finish's
+    in-place launch, a launch queued behind a tie, an hour mark whose
+    successor falls before ``until``) takes the next event with
+    ``heappushpop``, and one that schedules nothing (a launch or finish
+    on a failed cloud, an allocation tick, an hour mark whose successor
+    would fall at or past ``until``) with ``heappop``.  ``heappushpop``
+    is "push, then pop the smallest", and events are tuples ordered by
+    (time, priority, sequence number) with unique sequence numbers, so
+    events run in exactly that order.  The loop ends at the first event
+    at or past ``until``, when the heap is empty, or at an hour mark
+    whose hook returned ``STOP_STREAM``; only that last exit leaves
+    ``cloud.clock`` short of ``until``.
     """
     check_concurrency(concurrency)
     if tick_seconds is not None and not (0.0 < tick_seconds < math.inf):
@@ -632,7 +639,8 @@ def run_stream(
         # call instead, so a patched module function is seen.
         CREATE, DELETE = _CREATE, _DELETE
         n_steps = len(plan)
-        contention_capacity = cloud.params.contention_capacity
+        capacity = cloud.params.contention_capacity
+        contention_of = [max(g / capacity, 1.0) for g in range(concurrency + 1)]
         try_create = cloud.try_create
         try_delete = cloud.try_delete
         PRIO_WORK, PRIO_TICK, PRIO_HOUR = 0, 1, 2
@@ -664,122 +672,121 @@ def run_stream(
             if t >= until:
                 break
             cloud.clock = t
-            if kind == "step" or kind == "launch":
+            execution = payload
+            if kind != "step" or cloud.failed:
+                if kind == "tick":
+                    apply_resource_effects(cloud, IntervalElapsed())
+                    event = heappop(heap) if heap else None
+                    continue
+                if kind == "hour":
+                    # Run the hook after the readings at the mark, queue the
+                    # allocation of a window it opened, and queue mark k + 1.
+                    rejuvenations = cloud.rejuvenation_count
+                    if cloud._call_after_readings(hour_hook, t) is STOP_STREAM:
+                        stopped_at = t
+                        break
+                    if cloud.rejuvenation_count != rejuvenations:
+                        queue_allocation(math.nextafter(t, math.inf))
+                    k = payload + 1
+                    if (t_next := t0 + k * SECONDS_PER_HOUR) < until:
+                        event = heappushpop(heap, (t_next, prio, seq(), kind, k))
+                    else:
+                        event = heappop(heap) if heap else None
+                    continue
                 if kind == "launch":
                     if cloud.failed:
                         # A failed cloud parks the slot.
                         event = heappop(heap) if heap else None
                         continue
-                    execution = _Execution(cloud, t, payload)
                 else:
-                    execution = payload
-                if not cloud.failed:
-                    # One step.  The gate count excludes this workload while
-                    # the step runs, and counts it again if it holds the gate
-                    # once the step has resolved.
+                    # The workload ends (cut short at its next forward step,
+                    # unless it had failed, if the cloud failed under it):
+                    # release its gate, settle it, report it, and hand its
+                    # slot on, behind any work event waiting at this instant.
+                    if kind == "step" and execution.error is None:
+                        name = plan[execution.index].name
+                        error = execution._fail(name, CLOUD_UNAVAILABLE, False)
+                        if error_hook is not None:
+                            error_hook(t, *error)
                     if execution.gated_live > 0:
                         gate_count -= 1
-                    error = None
-                    stack = execution.stack
-                    # An aborted workload unwinds the top of its stack;
-                    # otherwise an undo step in the plan pops its own entry.
-                    unwinding = execution.aborted
-                    if unwinding:
-                        step = stack.pop()
-                    else:
-                        step = plan[execution.index]
-                        execution.index += 1
-                        if step.undoes:
-                            entry = stack.pop()
-                            assert entry is step, "cleanup order diverged from the stack"
-                    action = step.action
-                    if action is CREATE:  # only ever a forward step
-                        if try_create(step.kind) is not None:
-                            error = execution._fail(step.name, step.quota_error, False)
-                        else:
-                            stack.append(step.undo)
-                            if step.gated:
-                                execution.gated_live += 1
-                                execution.gated_creates += 1
-                            if step.draws and (spec := faults.draw(step.name)) is not None:
-                                error = execution._fail(
-                                    step.name, spec.name, execution._apply_fault(step, spec)
-                                )
-                            else:
-                                execution.completed_creates += 1
-                    elif action is DELETE:
-                        # A fault strands the entity being deleted.
-                        if step.draws and (spec := faults.draw(step.name)) is not None:
-                            execution._strand(step.kind, None)
-                            error = execution._fail(step.name, spec.name, True)
-                        else:
-                            try_delete(step.kind)
-                            if step.gated:
-                                execution.gated_live -= 1
-                    elif step.draws and (spec := faults.draw(step.name)) is not None:
-                        # A faulted operate strands nothing when unwinding.
-                        stranded = not unwinding and execution._apply_fault(step, spec)
-                        error = execution._fail(step.name, spec.name, stranded)
-                    elif step.undo is not None and not unwinding:
-                        stack.append(step.undo)
-                    # A fault in this step aborts the workload; it then
-                    # finishes once its unwind stack is empty.
-                    finished = not stack if execution.aborted else execution.index >= n_steps
-                    execution.steps_executed += 1
-                    execution.last_step = step
-                    if error is None and step.deposits_cache:
-                        apply_resource_effects(cloud, step.completed)
-                    if execution.gated_live > 0:
-                        gate_count += 1
-                    contention = gate_count / contention_capacity
-                    if contention < 1.0:
-                        contention = 1.0
-                    duration = step.base_seconds * cloud.ageing_multiplier * contention
-                    if error is not None and error_hook is not None:
-                        error_hook(t, *error)
-                    if cloud.failure_inputs_changed:
-                        check_failed(cloud)
-                    next_kind = "finish" if finished else "step"
-                    event = heappushpop(
-                        heap, (t + duration, PRIO_WORK, seq(), next_kind, execution)
-                    )
-                    continue
-                # The cloud failed under this workload: cut it short, naming
-                # its next forward step unless it had failed, and end it below
-                # like a finished one.
-                if execution.error is None:
-                    error = execution._fail(plan[execution.index].name, CLOUD_UNAVAILABLE, False)
-                    if error_hook is not None:
-                        error_hook(t, *error)
-            elif kind == "finish":
-                execution = payload
-            elif kind == "tick":
-                apply_resource_effects(cloud, IntervalElapsed())
-                event = heappop(heap) if heap else None
-                continue
-            else:
-                # An hour mark: run the hook after the readings at the mark,
-                # queue the allocation of a window it opened, and queue mark k + 1.
-                rejuvenations = cloud.rejuvenation_count
-                if cloud._call_after_readings(hour_hook, t) is STOP_STREAM:
-                    stopped_at = t
-                    break
-                if cloud.rejuvenation_count != rejuvenations:
-                    queue_allocation(math.nextafter(t, math.inf))
-                k = payload + 1
-                if (t_next := t0 + k * SECONDS_PER_HOUR) < until:
-                    event = heappushpop(heap, (t_next, prio, seq(), kind, k))
-                else:
-                    event = heappop(heap) if heap else None
-                continue
-            # The workload ends: release its gate, settle it, report it, and
-            # hand the slot to its next launch, which a failed cloud parks.
+                    result = execution.finalize(t)
+                    if result_hook is not None:
+                        result_hook(result)
+                    if cloud.failed:
+                        event = heappop(heap) if heap else None
+                        continue
+                    payload = execution.slot
+                    # Only a work event at t sorts below (t, PRIO_TICK).
+                    if heap and heap[0] < (t, PRIO_TICK):
+                        event = heappushpop(heap, (t, PRIO_WORK, seq(), "launch", payload))
+                        continue
+                execution = _Execution(cloud, t, payload)
+            # One step.  The gate count excludes this workload while the
+            # step runs, and counts it again if it holds the gate once the
+            # step has resolved.
             if execution.gated_live > 0:
                 gate_count -= 1
-            result = execution.finalize(t)
-            if result_hook is not None:
-                result_hook(result)
-            event = heappushpop(heap, (t, PRIO_WORK, seq(), "launch", execution.slot))
+            error = None
+            stack = execution.stack
+            # An aborted workload unwinds the top of its stack; otherwise an
+            # undo step in the plan pops its own entry.
+            unwinding = execution.aborted
+            if unwinding:
+                step = stack.pop()
+            else:
+                step = plan[execution.index]
+                execution.index += 1
+                if step.undoes:
+                    entry = stack.pop()
+                    assert entry is step, "cleanup order diverged from the stack"
+            action = step.action
+            if action is CREATE:  # only ever a forward step
+                if try_create(step.kind) is not None:
+                    error = execution._fail(step.name, step.quota_error, False)
+                else:
+                    stack.append(step.undo)
+                    if step.gated:
+                        execution.gated_live += 1
+                        execution.gated_creates += 1
+                    if step.draws and (spec := faults.draw(step.name)) is not None:
+                        error = execution._fail(
+                            step.name, spec.name, execution._apply_fault(step, spec)
+                        )
+                    else:
+                        execution.completed_creates += 1
+            elif action is DELETE:
+                # A fault strands the entity being deleted.
+                if step.draws and (spec := faults.draw(step.name)) is not None:
+                    execution._strand(step.kind, None)
+                    error = execution._fail(step.name, spec.name, True)
+                else:
+                    try_delete(step.kind)
+                    if step.gated:
+                        execution.gated_live -= 1
+            elif step.draws and (spec := faults.draw(step.name)) is not None:
+                # A faulted operate strands nothing when unwinding.
+                stranded = not unwinding and execution._apply_fault(step, spec)
+                error = execution._fail(step.name, spec.name, stranded)
+            elif step.undo is not None and not unwinding:
+                stack.append(step.undo)
+            # A fault in this step aborts the workload; it then finishes
+            # once its unwind stack is empty.
+            finished = not stack if execution.aborted else execution.index >= n_steps
+            execution.steps_executed += 1
+            execution.last_step = step
+            if error is None and step.deposits_cache:
+                apply_resource_effects(cloud, step.completed)
+            if execution.gated_live > 0:
+                gate_count += 1
+            duration = step.base_seconds * cloud.ageing_multiplier * contention_of[gate_count]
+            if error is not None and error_hook is not None:
+                error_hook(t, *error)
+            if cloud.failure_inputs_changed:
+                check_failed(cloud)
+            event = heappushpop(
+                heap, (t + duration, PRIO_WORK, seq(), "finish" if finished else "step", execution)
+            )
         if stopped_at is None:
             cloud.clock = until
     finally:

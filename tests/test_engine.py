@@ -930,20 +930,25 @@ _CALM = dict(
 @example(**{**_CALM, "hook": "stop", "hours": 3})
 # A faulted delete strands the server it was deleting.
 @example(**{**_CALM, "table": {"delete server": {"rebuild-error": 0.3}}})
+# At 2**44 s the launch stagger rounds away, so slots share instants: a
+# finished workload's launch waits behind work queued at its instant.
+@example(**{**_CALM, "start": 2.0**44, "concurrency": 8, "contention_capacity": 3.0})
+# A workload finishes on a failed cloud and hands its slot to no launch.
+@example(**{**_CALM, "fragile": True, "concurrency": 4})
 @given(
     table=fault_tables,
     quotas=quota_tables,
     topology=st.sampled_from(["multi-node", "all-in-one"]),
-    concurrency=st.integers(min_value=1, max_value=6),
+    concurrency=st.integers(min_value=1, max_value=12),
     interval=st.sampled_from([5.0, 7.0, 7.3, 60.0, 1234.5]),
-    start=st.sampled_from([0.0, 1234.5]),
+    start=st.sampled_from([0.0, 1234.5, 2.0**44]),
     hours=st.integers(min_value=2, max_value=3),  # an hour mark falls before the deadline
     hook=st.sampled_from(["none", "cleanup", "rejuvenate", "stop"]),
     rejuvenation_seconds=st.sampled_from([0.0, 610.5, 3600.0]),
     warmup_after_rejuvenation=st.booleans(),
     fragile=st.booleans(),
     timing=st.sampled_from(sorted(_TIMINGS)),
-    contention_capacity=st.sampled_from([1.0, 2.0, 0.5]),
+    contention_capacity=st.sampled_from([1.0, 2.0, 0.5, 3.0, 0.7]),
     cache_depositing_steps=st.sampled_from([("boot server",), ("boot server", "create volume")]),
     seed=st.integers(min_value=0, max_value=2**16),
 )

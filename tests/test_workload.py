@@ -1,5 +1,6 @@
 """Tests for the workload engine: definitions, fault paths, streaming."""
 
+import collections
 import copy
 import heapq
 import itertools
@@ -222,9 +223,12 @@ class _SlotZeroDone(Exception):
     pass
 
 
-def step_seconds(cloud: CloudState, gate_count: int, step_name: str = "create user") -> float:
-    """Duration the engine gives one control-plane step named ``step_name``
-    (default timing) while ``gate_count`` other workloads hold the gate.
+def step_span(
+    cloud: CloudState, gate_count: int, step_name: str = "create user"
+) -> tuple[float, float]:
+    """Start and end the engine gives one control-plane step named
+    ``step_name`` (default timing) while ``gate_count`` other workloads
+    hold the gate.
 
     ``run_stream`` runs on a copy of ``cloud`` with ``gate_count + 1``
     slots, each of which creates a port (a quota-limited kind here, so
@@ -265,7 +269,13 @@ def step_seconds(cloud: CloudState, gate_count: int, step_name: str = "create us
             result_hook=slot_zero_done,
         )
     # Slot 0's port create is the shortest, so its step faults first.
-    return ends[0] - error_times[0]
+    return error_times[0], ends[0]
+
+
+def step_seconds(cloud: CloudState, gate_count: int, step_name: str = "create user") -> float:
+    """Duration of the step ``step_span`` runs."""
+    start, end = step_span(cloud, gate_count, step_name)
+    return end - start
 
 
 class TestServiceTime:
@@ -289,6 +299,16 @@ class TestServiceTime:
         cloud = quiet_cloud(contention_capacity=2.0)
         assert step_seconds(cloud, 10) == 10.0
         assert step_seconds(cloud, 1) == 2.0
+
+    def test_contention_is_the_formula_to_the_bit(self):
+        """A rounded quotient comes out as the formula gives it, and a crowd
+        below the capacity leaves the base time."""
+        cloud = quiet_cloud(contention_capacity=3.0)
+        start, end = step_span(cloud, 10)
+        assert end == start + 2.0 * (10 / 3.0)
+        # The quotient taken as a product with 1 / 3.0 ends a bit earlier.
+        assert end != start + 2.0 * (10 * (1 / 3.0))
+        assert step_seconds(cloud, 2) == 2.0
 
     def test_ageing_multiplier_applies(self):
         params = ResourceParams(
@@ -859,6 +879,66 @@ class TestRunStream:
         # Stranded servers fill their quota, so the slots end up parked.
         assert results and cloud.failed
         assert max(sizes) == concurrency + 2
+
+    @pytest.mark.parametrize(
+        ("start", "workloads", "steps", "ties"),
+        [
+            (0.0, 390, 5275, 0),
+            # At 2**44 s the 0.001 s launch stagger rounds away, so slots
+            # finish at shared instants.
+            (2.0**44, 376, 5190, 171),
+        ],
+    )
+    def test_a_finished_workload_hands_its_slot_on_in_one_event(
+        self, monkeypatch, start, workloads, steps, ties
+    ):
+        """A finish runs its slot's next launch in place: after the initial
+        stagger a launch is queued only behind a work event waiting at its
+        instant.  The heap traffic of a saturated two-hour stream is pinned
+        by kind, so one more event per workload fails here."""
+        ops = collections.Counter()
+        tied = []
+        real_push, real_pushpop, real_pop = heapq.heappush, heapq.heappushpop, heapq.heappop
+
+        def push(heap, item):
+            ops["push", item[3]] += 1
+            real_push(heap, item)
+
+        def pushpop(heap, item):
+            ops["pushpop", item[3]] += 1
+            if item[3] == "launch":
+                tied.append(heap[0][:2] == (item[0], 0))
+            return real_pushpop(heap, item)
+
+        def pop(heap):
+            item = real_pop(heap)
+            ops["pop", item[3]] += 1
+            return item
+
+        monkeypatch.setattr(heapq, "heappush", push)
+        monkeypatch.setattr(heapq, "heappushpop", pushpop)
+        monkeypatch.setattr(heapq, "heappop", pop)
+        cloud = quiet_cloud()
+        cloud.clock = start
+        results = stream_results(
+            cloud, until=start + 2 * 3600.0, concurrency=16, hour_hook=lambda t: None
+        )
+        # The security-group quota turns most workloads away.
+        rejected = sum(r.error == "quota-exceeded-security-group" for r in results)
+        assert rejected > len(results) / 2
+        # The 16 staggered launches are the only ones pushed with heappush;
+        # every later one queues behind a work event at its own instant.
+        assert tied == [True] * ties
+        assert len(results) == workloads
+        assert ops == collections.Counter({
+            ("push", "launch"): 16,
+            ("push", "hour"): 1,
+            ("pop", "launch"): 1,
+            ("pop", "step"): 1,
+            ("pushpop", "step"): steps,
+            ("pushpop", "finish"): workloads,
+            ("pushpop", "launch"): ties,
+        })
 
     def test_capacity_recount_runs_only_on_ledger_mutations(self, monkeypatch):
         """Over a no-fault scenario the from-scratch capacity recount runs
