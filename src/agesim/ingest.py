@@ -27,7 +27,7 @@ and ``write_error_log`` writes a scenario's error log.
 
 Workload reports are JSON documents with a ``workloads`` list of
 records carrying ``start``, ``end`` and ``status``; they yield a
-duration series plus status and error tallies.
+duration series and a count of rejected records.
 """
 
 from __future__ import annotations
@@ -570,13 +570,12 @@ class WorkloadReportData:
     """Summary of an ingested workload report."""
 
     durations: IndicatorSeries | None
-    status_counts: Mapping[str, int]
-    error_tally: Mapping[str, int]
     rejected_records: int
 
 
 def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
-    """Parse a workload-report JSON document.
+    """Parse a workload-report JSON document into a duration series and a
+    count of rejected records.
 
     Records missing fields, with a status that is not a known string,
     with a start or end that is not a finite JSON number (a string or a
@@ -594,8 +593,6 @@ def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
         raise ParseError("'workloads' must be a list")
 
     statuses = {status.value for status in WorkloadStatus}
-    status_counts = {status.value: 0 for status in WorkloadStatus}
-    error_tally: dict[str, int] = {}
     starts: list[float] = []
     durations: list[float] = []
     rejected = 0
@@ -620,9 +617,6 @@ def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
         ):
             rejected += 1
             continue
-        status_counts[status] += 1
-        if error:
-            error_tally[error] = error_tally.get(error, 0) + 1
         if status == WorkloadStatus.SUCCESS.value:
             starts.append(start)
             durations.append(end - start)
@@ -633,9 +627,4 @@ def ingest_workload_report(source: str | Path | IO[str]) -> WorkloadReportData:
         if math.isinf(ts[-1]):
             raise ParseError("workload start times tie at the largest float")
         series = IndicatorSeries("workload-duration", "seconds", ts, values)
-    return WorkloadReportData(
-        durations=series,
-        status_counts=status_counts,
-        error_tally=error_tally,
-        rejected_records=rejected,
-    )
+    return WorkloadReportData(durations=series, rejected_records=rejected)

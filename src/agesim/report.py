@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .scenario import ScenarioReport, SuiteResult
-from .trendstats import AgeingSummary, IndicatorAnalysis, TrendVerdict
+from .trendstats import ALPHA, TREND_INPUT, AgeingSummary, IndicatorAnalysis, TrendVerdict
 from .ingest import write_error_log, write_series_files
 
 #: Compact verdict markers used in tables.
@@ -78,7 +78,7 @@ def analysis_document(analysis: IndicatorAnalysis) -> dict:
             "variance": _clean_float(trend.variance),
             "z_score": _clean_float(trend.z_score),
             "verdict": trend.verdict.value,
-            "alpha": trend.alpha,
+            "alpha": ALPHA,
         },
         "ageing": None,
         "ageing_unavailable": analysis.ageing_unavailable,
@@ -129,7 +129,7 @@ def report_document(report: ScenarioReport, exclude_overload: bool = True) -> di
         "excluded_windows": [
             [_clean_float(a), _clean_float(b)] for a, b in report.excluded_windows
         ],
-        "trend_input": report.trend_input,
+        "trend_input": TREND_INPUT,
         "totals": dict(report.totals),
         "hourly_counts": [dict(entry) for entry in report.hourly_counts],
         "indicators": {
@@ -207,7 +207,7 @@ def render_tables(report: ScenarioReport, exclude_overload: bool = True) -> str:
         f" to {report.rejuvenation_ended:.0f} s"
     )
     lines.append("")
-    lines.append(f"trend over stress-phase hourly means ({report.trend_input})")
+    lines.append(f"trend over stress-phase hourly means ({TREND_INPUT})")
     lines.extend(_trend_rows(report))
     lines.append("")
     lines.append("ageing delta A = vb - v0, rejuvenation delta R = vb - vr")

@@ -302,9 +302,6 @@ class ScenarioReport:
         default_factory=lambda: {status.value: 0 for status in WorkloadStatus}
     )
     error_log: ErrorLog = field(default_factory=lambda: ErrorLog((), (), ()))
-    #: Hourly bins fed to the trend test: stress-phase bins only; the
-    #: rejuvenation and post-rejuvenation bins never enter the test.
-    trend_input: str = "stress-bins-only"
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:

@@ -62,8 +62,15 @@ from .errors import (
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
 
-#: Two-sided critical value at alpha = 0.05.
+#: Significance level of the two-sided Mann-Kendall test.
+ALPHA = 0.05
+
+#: Two-sided critical value at ``ALPHA``.
 Z_CRITICAL = 1.96
+
+#: The bins ``evaluate_indicator`` feeds the trend test: the stress phase's
+#: only; rejuvenation and post-rejuvenation bins never enter it.
+TREND_INPUT = "stress-bins-only"
 
 #: Minimum number of bins for a trend verdict.
 MIN_TREND_SAMPLES = 10
@@ -267,7 +274,6 @@ class TrendTestResult:
     variance: float
     z_score: float
     verdict: TrendVerdict
-    alpha: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -678,10 +684,11 @@ def evaluate_indicator(
 ) -> IndicatorAnalysis:
     """Bin a series, test the stress bins for trend and summarise ageing.
 
-    The trend test input is the stress-phase bins only; rejuvenation and
-    post-rejuvenation bins never enter it.  Any shortfall (empty series,
-    missing phase bins) degrades to InsufficientData or a recorded
-    reason instead of raising; an empty series is tested as no bins.
+    The trend test input is the stress-phase bins only (``TREND_INPUT``);
+    rejuvenation and post-rejuvenation bins never enter it.  Any
+    shortfall (empty series, missing phase bins) degrades to
+    InsufficientData or a recorded reason instead of raising; an empty
+    series is tested as no bins.
     """
     if not len(series):
         empty = HourlySeries(name=series.name, unit=series.unit, hours=(), means=())
@@ -706,8 +713,8 @@ def evaluate_indicator(
     )
 
 
-def rebased(series: IndicatorSeries, t0: float | None = None) -> IndicatorSeries:
-    """Shift timestamps so ``t0`` (by default the first sample) sits at t = 0.
+def rebased(series: IndicatorSeries, t0: float) -> IndicatorSeries:
+    """Shift timestamps so ``t0`` sits at t = 0.
 
     The shift is one vector subtract, which the new series holds without a
     copy, as it holds the values it shares.  A timestamp that overflows to
@@ -717,8 +724,6 @@ def rebased(series: IndicatorSeries, t0: float | None = None) -> IndicatorSeries
     ts = series.timestamps
     if not ts.size:
         return series
-    if t0 is None:
-        t0 = ts[0]
     with np.errstate(over="ignore"):
         shifted = ts - t0
     # the timestamps are increasing, so an overflow shows at an end

@@ -99,7 +99,6 @@ class StepSpec:
     """
 
     name: str
-    service: str
     action: StepAction
     creates: EntityKind | None = None
     deletes: EntityKind | None = None
@@ -129,45 +128,40 @@ def _steps() -> tuple[StepSpec, ...]:
     delete = StepAction.DELETE
     K = EntityKind
     return (
-        StepSpec("create user", "identity", create, creates=K.USER),
-        StepSpec("create role", "identity", create, creates=K.ROLE),
-        StepSpec("add role", "identity", operate),
-        StepSpec("create security group", "network", create, creates=K.SECURITY_GROUP),
-        StepSpec("create flavor", "compute", create, creates=K.FLAVOR),
-        StepSpec("create image", "image", create, creates=K.IMAGE),
-        StepSpec("create network", "network", create, creates=K.NETWORK),
-        StepSpec("create subnet", "network", create, creates=K.SUBNET),
-        StepSpec("create port", "network", create, creates=K.PORT),
-        StepSpec("create router", "network", create, creates=K.ROUTER),
-        StepSpec("boot server", "compute", create, creates=K.SERVER),
-        StepSpec("create volume", "volume", create, creates=K.VOLUME),
-        StepSpec("attach volume", "volume", operate, operates_on=K.VOLUME),
-        StepSpec("rebuild server", "compute", operate, operates_on=K.SERVER),
-        StepSpec("pause server", "compute", operate, operates_on=K.SERVER),
-        StepSpec(
-            "unpause server", "compute", operate, operates_on=K.SERVER, undo_of="pause server"
-        ),
-        StepSpec(
-            "detach volume", "volume", operate, operates_on=K.VOLUME, undo_of="attach volume"
-        ),
-        StepSpec("delete volume", "volume", delete, deletes=K.VOLUME, undo_of="create volume"),
-        StepSpec("delete server", "compute", delete, deletes=K.SERVER, undo_of="boot server"),
-        StepSpec("delete router", "network", delete, deletes=K.ROUTER, undo_of="create router"),
-        StepSpec("delete port", "network", delete, deletes=K.PORT, undo_of="create port"),
-        StepSpec("delete subnet", "network", delete, deletes=K.SUBNET, undo_of="create subnet"),
-        StepSpec("delete network", "network", delete, deletes=K.NETWORK, undo_of="create network"),
-        StepSpec("delete image", "image", delete, deletes=K.IMAGE, undo_of="create image"),
-        StepSpec("delete flavor", "compute", delete, deletes=K.FLAVOR, undo_of="create flavor"),
+        StepSpec("create user", create, creates=K.USER),
+        StepSpec("create role", create, creates=K.ROLE),
+        StepSpec("add role", operate),
+        StepSpec("create security group", create, creates=K.SECURITY_GROUP),
+        StepSpec("create flavor", create, creates=K.FLAVOR),
+        StepSpec("create image", create, creates=K.IMAGE),
+        StepSpec("create network", create, creates=K.NETWORK),
+        StepSpec("create subnet", create, creates=K.SUBNET),
+        StepSpec("create port", create, creates=K.PORT),
+        StepSpec("create router", create, creates=K.ROUTER),
+        StepSpec("boot server", create, creates=K.SERVER),
+        StepSpec("create volume", create, creates=K.VOLUME),
+        StepSpec("attach volume", operate, operates_on=K.VOLUME),
+        StepSpec("rebuild server", operate, operates_on=K.SERVER),
+        StepSpec("pause server", operate, operates_on=K.SERVER),
+        StepSpec("unpause server", operate, operates_on=K.SERVER, undo_of="pause server"),
+        StepSpec("detach volume", operate, operates_on=K.VOLUME, undo_of="attach volume"),
+        StepSpec("delete volume", delete, deletes=K.VOLUME, undo_of="create volume"),
+        StepSpec("delete server", delete, deletes=K.SERVER, undo_of="boot server"),
+        StepSpec("delete router", delete, deletes=K.ROUTER, undo_of="create router"),
+        StepSpec("delete port", delete, deletes=K.PORT, undo_of="create port"),
+        StepSpec("delete subnet", delete, deletes=K.SUBNET, undo_of="create subnet"),
+        StepSpec("delete network", delete, deletes=K.NETWORK, undo_of="create network"),
+        StepSpec("delete image", delete, deletes=K.IMAGE, undo_of="create image"),
+        StepSpec("delete flavor", delete, deletes=K.FLAVOR, undo_of="create flavor"),
         StepSpec(
             "delete security group",
-            "network",
             delete,
             deletes=K.SECURITY_GROUP,
             undo_of="create security group",
         ),
-        StepSpec("revoke role", "identity", operate, undo_of="add role"),
-        StepSpec("delete role", "identity", delete, deletes=K.ROLE, undo_of="create role"),
-        StepSpec("delete user", "identity", delete, deletes=K.USER, undo_of="create user"),
+        StepSpec("revoke role", operate, undo_of="add role"),
+        StepSpec("delete role", delete, deletes=K.ROLE, undo_of="create role"),
+        StepSpec("delete user", delete, deletes=K.USER, undo_of="create user"),
     )
 
 

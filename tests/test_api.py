@@ -12,12 +12,14 @@ run under the tracer, so an observer that stops counting fails here too.
 """
 
 import ast
+import dataclasses
 import functools
 import importlib
 import pickle
 import pkgutil
 import re
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -417,6 +419,45 @@ def test_no_module_level_name_is_defined_in_two_modules():
             for name in names:
                 defined.setdefault(name, []).append(f"{path.name}:{node.lineno}")
     assert {name: where for name, where in defined.items() if len(where) > 1} == {}
+
+
+def _config_classes(hint=agesim.ScenarioConfig, seen=None):
+    """The dataclasses a ``ScenarioConfig`` document can reach, found by
+    walking the type hints of its fields and of theirs in turn."""
+    seen = {} if seen is None else seen
+    if dataclasses.is_dataclass(hint):
+        if hint not in seen:
+            seen[hint] = None
+            hints = typing.get_type_hints(hint)
+            for f in dataclasses.fields(hint):
+                _config_classes(hints[f.name], seen)
+    else:
+        for arg in typing.get_args(hint):
+            _config_classes(arg, seen)
+    return list(seen)
+
+
+def test_every_config_field_is_read():
+    """A setting a config document accepts is read by the program: each
+    field of a dataclass reachable from ``ScenarioConfig`` is named by an
+    attribute load somewhere in the package."""
+    classes = _config_classes()
+    assert {"ResourceParams", "TimingParams", "WorkloadDefinition", "StepSpec"} <= {
+        cls.__name__ for cls in classes
+    }
+    loaded = {
+        node.attr
+        for path in sorted(Path(agesim.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{cls.__name__}.{f.name}"
+        for cls in classes
+        for f in dataclasses.fields(cls)
+        if f.name not in loaded
+    ]
+    assert unread == []
 
 
 def test_every_module_parses_at_the_declared_python_floor():

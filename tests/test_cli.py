@@ -1076,11 +1076,10 @@ class TestFreshProcess:
                 {
                     "workload": {
                         "steps": [
-                            {"name": "a", "service": "s", "action": "create", "creates": "port"},
+                            {"name": "a", "action": "create", "creates": "port"},
                             *(
                                 {
                                     "name": name,
-                                    "service": "s",
                                     "action": "delete",
                                     "deletes": "port",
                                     "undo_of": "a",
@@ -1122,10 +1121,9 @@ class TestFreshProcess:
         the stream never reached its deadline; it is refused before its
         first event."""
         steps = [
-            {"name": "create user", "service": "identity", "action": "create", "creates": "user"},
+            {"name": "create user", "action": "create", "creates": "user"},
             {
                 "name": "delete user",
-                "service": "identity",
                 "action": "delete",
                 "deletes": "user",
                 "undo_of": "create user",

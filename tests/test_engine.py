@@ -685,8 +685,8 @@ def test_default_fault_step_missing_from_a_custom_definition_raises():
     hold is refused rather than never drawn."""
     defn = WorkloadDefinition(
         steps=(
-            StepSpec("hold", "test", StepAction.CREATE, creates=EntityKind.PORT),
-            StepSpec("release", "test", StepAction.DELETE, deletes=EntityKind.PORT, undo_of="hold"),
+            StepSpec("hold", StepAction.CREATE, creates=EntityKind.PORT),
+            StepSpec("release", StepAction.DELETE, deletes=EntityKind.PORT, undo_of="hold"),
         )
     )
     cloud = CloudState(params=_quiet())

@@ -232,7 +232,7 @@ class TestBundle:
         assert any(",true" in row for row in rows[1:])
 
     def test_errors_csv_quotes_step_names_holding_commas(self, tmp_path):
-        poke = StepSpec("poke, twice", "test", StepAction.OPERATE)
+        poke = StepSpec("poke, twice", StepAction.OPERATE)
         config = ScenarioConfig(
             scenario_id="poke",
             stress_hours=1,

@@ -24,7 +24,7 @@ from agesim.scenario import (
     run_scenario,
     run_suite,
 )
-from agesim.trendstats import TrendVerdict
+from agesim.trendstats import TREND_INPUT, TrendVerdict
 from agesim.workload import DEFAULT_STEPS, MAX_CONCURRENCY, TimingParams, WorkloadDefinition
 
 
@@ -89,7 +89,7 @@ class TestDefaultDay:
     def test_trend_uses_24_stress_bins(self, report):
         for analysis in report.analyses.values():
             assert analysis.trend.n == 24
-        assert report.trend_input == "stress-bins-only"
+        assert report_document(report)["trend_input"] == TREND_INPUT == "stress-bins-only"
 
     def test_ageing_summaries_present(self, report):
         for name, analysis in report.analyses.items():

@@ -7,6 +7,7 @@ directly from the textbook definitions.
 
 import math
 import pickle
+import statistics
 import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError
@@ -27,7 +28,10 @@ from agesim.errors import (
     MissingPhaseBinError,
     ParseError,
 )
+from agesim.report import analysis_document
 from agesim.trendstats import (
+    ALPHA,
+    Z_CRITICAL,
     AgeingSummary,
     HourlySeries,
     IndicatorSeries,
@@ -184,8 +188,9 @@ class TestMannKendall:
         assert scaled.verdict is base.verdict
 
     def test_alpha_recorded(self):
-        """The significance level used for the verdict is stored."""
-        assert mann_kendall(list(range(12))).alpha == 0.05
+        """An analysis document records the significance level of its verdict."""
+        analysis = evaluate_indicator(series_of((h * 3600.0, float(h)) for h in range(12)))
+        assert analysis_document(analysis)["trend"]["alpha"] == ALPHA
 
 
 class TestClassifyZ:
@@ -200,6 +205,11 @@ class TestClassifyZ:
 
     def test_small_n_wins_over_large_z(self):
         assert classify_z(8.0, 9) is TrendVerdict.INSUFFICIENT_DATA
+
+    def test_critical_value_is_the_two_sided_quantile_of_alpha(self):
+        """The verdict's critical value and the recorded significance level
+        are one decision: neither constant may change without the other."""
+        assert round(statistics.NormalDist().inv_cdf(1 - ALPHA / 2), 2) == Z_CRITICAL
 
 
 # ── Sen's slope ──────────────────────────────────────────────────────────
@@ -505,7 +515,7 @@ class TestIndicatorSeries:
 
     def test_rebased_starts_at_zero(self):
         series = series_of([(1000.0, 1.0), (1060.0, 2.0)])
-        shifted = rebased(series)
+        shifted = rebased(series, 1000.0)
         assert shifted.timestamps.tolist() == [0.0, 60.0]
         assert shifted.values.tolist() == [1.0, 2.0]
 

@@ -84,18 +84,16 @@ class TestDefinition:
 
     def test_out_of_order_cleanup_rejected(self):
         steps = (
-            StepSpec("create network", "network", StepAction.CREATE, creates=EntityKind.NETWORK),
-            StepSpec("create volume", "volume", StepAction.CREATE, creates=EntityKind.VOLUME),
+            StepSpec("create network", StepAction.CREATE, creates=EntityKind.NETWORK),
+            StepSpec("create volume", StepAction.CREATE, creates=EntityKind.VOLUME),
             StepSpec(
                 "delete network",
-                "network",
                 StepAction.DELETE,
                 deletes=EntityKind.NETWORK,
                 undo_of="create network",
             ),
             StepSpec(
                 "delete volume",
-                "volume",
                 StepAction.DELETE,
                 deletes=EntityKind.VOLUME,
                 undo_of="create volume",
@@ -112,9 +110,7 @@ class TestDefinition:
             ScenarioConfig.from_document({"scenario_id": "x", "workload": {"steps": []}})
 
     def test_unbalanced_create_rejected(self):
-        steps = (
-            StepSpec("create network", "network", StepAction.CREATE, creates=EntityKind.NETWORK),
-        )
+        steps = (StepSpec("create network", StepAction.CREATE, creates=EntityKind.NETWORK),)
         with pytest.raises(ConfigError):
             WorkloadDefinition(steps=steps)
 
@@ -122,13 +118,11 @@ class TestDefinition:
         """A create step never sits on a workload's undo stack, so it may
         not undo an earlier step."""
         with pytest.raises(ConfigError, match="create step 'create b' cannot undo a step"):
-            StepSpec(
-                "create b", "test", StepAction.CREATE, creates=EntityKind.PORT, undo_of="create a"
-            )
+            StepSpec("create b", StepAction.CREATE, creates=EntityKind.PORT, undo_of="create a")
 
 
 def _step(name, action, **fields):
-    return {"name": name, "service": "test", "action": action, **fields}
+    return {"name": name, "action": action, **fields}
 
 
 CREATE_PORT = _step("create port", "create", creates="port")
@@ -167,6 +161,10 @@ DELETE_PORT = _step("delete port", "delete", deletes="port", undo_of="create por
             [{**CREATE_PORT, "depends_on": ["create network"]}, DELETE_PORT],
             "scenario.workload.steps[0].depends_on: unknown field",
         ),
+        (
+            [CREATE_PORT, {**DELETE_PORT, "service": "network"}],
+            "scenario.workload.steps[1].service: unknown field",
+        ),
     ],
     ids=[
         "create-without-kind",
@@ -179,6 +177,7 @@ DELETE_PORT = _step("delete port", "delete", deletes="port", undo_of="create por
         "undone-twice",
         "kind-mismatch",
         "depends-on",
+        "service",
     ],
 )
 def test_a_malformed_workload_document_is_refused(steps, message):
@@ -243,9 +242,9 @@ def step_span(
     trial.quotas[EntityKind.PORT] = 1000  # room for every port stranded before slot 0 ends
     defn = WorkloadDefinition(
         steps=(
-            StepSpec("hold", "test", StepAction.CREATE, creates=EntityKind.PORT),
-            StepSpec(step_name, "test", StepAction.OPERATE, operates_on=EntityKind.PORT),
-            StepSpec("release", "test", StepAction.DELETE, deletes=EntityKind.PORT, undo_of="hold"),
+            StepSpec("hold", StepAction.CREATE, creates=EntityKind.PORT),
+            StepSpec(step_name, StepAction.OPERATE, operates_on=EntityKind.PORT),
+            StepSpec("release", StepAction.DELETE, deletes=EntityKind.PORT, undo_of="hold"),
         )
     )
     faults = FaultModel({step_name: {"node-unreachable": 1.0}})
@@ -453,11 +452,11 @@ class TestBootFault:
         server = EntityKind.SERVER
         defn = WorkloadDefinition(
             steps=(
-                StepSpec("boot a", "compute", create, creates=server),
-                StepSpec("boot b", "compute", create, creates=server),
-                StepSpec("rebuild", "compute", operate, operates_on=server),
-                StepSpec("delete b", "compute", delete, deletes=server, undo_of="boot b"),
-                StepSpec("delete a", "compute", delete, deletes=server, undo_of="boot a"),
+                StepSpec("boot a", create, creates=server),
+                StepSpec("boot b", create, creates=server),
+                StepSpec("rebuild", operate, operates_on=server),
+                StepSpec("delete b", delete, deletes=server, undo_of="boot b"),
+                StepSpec("delete a", delete, deletes=server, undo_of="boot a"),
             )
         )
         faults = FaultModel({"rebuild": {error: 1.0}, "delete b": {"node-unreachable": 1.0}})
