@@ -126,12 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="stress:H,post:H",
         help="override phase lengths in hours",
     )
-    run_p.add_argument(
-        "--exclude-overload-errors",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="hold quota-rejection noise out of the error table",
-    )
     run_p.set_defaults(handler=_cmd_run)
 
     suite_p = sub.add_parser("suite", help="run a batch of scenarios")
@@ -210,9 +204,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, **overrides)
     report = run_scenario(config)
     out = _out_dir(args.out)
-    print(render_tables(report, args.exclude_overload_errors), end="")
+    print(render_tables(report), end="")
     if out is not None:
-        write_bundle(report, out, args.exclude_overload_errors)
+        write_bundle(report, out)
         print(f"bundle written to {out}")
     return 0
 

@@ -10,9 +10,10 @@ A scenario bundle on disk looks like::
 A suite bundle nests one scenario bundle per scenario and adds a
 combined ``trend_table.txt`` plus a ``suite.json`` summary.
 
-Error distributions exclude overload indicators (quota rejections of
-the always-contended kind) by default, reporting their count on a
-separate line so saturation noise does not drown the ageing signal.
+Error distributions always hold the overload indicators (quota
+rejections of the always-contended kind) out of the table and count
+them beside it, so saturation noise does not drown the ageing signal;
+``errors.csv`` flags each of their rows in its ``overload`` column.
 """
 
 from __future__ import annotations
@@ -91,25 +92,25 @@ def analysis_document(analysis: IndicatorAnalysis) -> dict:
     return doc
 
 
-def error_distribution(
-    report: ScenarioReport, exclude_overload: bool = True
-) -> tuple[dict[str, int], int]:
-    """Tally errors by name; returns (distribution, overload count held out)."""
+def error_distribution(report: ScenarioReport) -> tuple[dict[str, int], int]:
+    """Tally errors by name, overload indicators held out; returns
+    (distribution, overload count held out).  The count added back to
+    its error's entry gives the tally of every error by name."""
     log = report.error_log
     counts = np.bincount(log.codes, minlength=len(log.kinds)).tolist()
     tally: dict[str, int] = {}
     overload = 0
     for (_step, error, _ageing, is_overload), n in zip(log.kinds, counts):
-        if exclude_overload and is_overload:
+        if is_overload:
             overload += n
         elif n:
             tally[error] = tally.get(error, 0) + n
     return dict(sorted(tally.items(), key=lambda kv: (-kv[1], kv[0]))), overload
 
 
-def report_document(report: ScenarioReport, exclude_overload: bool = True) -> dict:
+def report_document(report: ScenarioReport) -> dict:
     """Machine-readable document for one scenario run."""
-    distribution, overload = error_distribution(report, exclude_overload)
+    distribution, overload = error_distribution(report)
     return {
         "scenario": {
             "id": report.scenario_id,
@@ -187,8 +188,9 @@ def _count_rows(report: ScenarioReport) -> Iterable[str]:
         )
 
 
-def render_tables(report: ScenarioReport, exclude_overload: bool = True) -> str:
-    """All human-readable tables for one scenario."""
+def render_tables(report: ScenarioReport) -> str:
+    """All human-readable tables for one scenario; the error table holds
+    the overload indicators out and counts them on a line below it."""
     lines = [
         f"scenario {report.scenario_id}  topology {report.topology}"
         f"  concurrency {report.concurrency}  seed {report.seed}"
@@ -216,11 +218,8 @@ def render_tables(report: ScenarioReport, exclude_overload: bool = True) -> str:
     lines.append("workloads per hour")
     lines.extend(_count_rows(report))
     lines.append("")
-    distribution, overload = error_distribution(report, exclude_overload)
-    title = "error distribution"
-    if exclude_overload:
-        title += " (overload indicators excluded)"
-    lines.append(title)
+    distribution, overload = error_distribution(report)
+    lines.append("error distribution (overload indicators excluded)")
     if distribution:
         lines.append(f"{'error':40s} {'count':>7s}")
         for error, count in distribution.items():
@@ -312,22 +311,20 @@ def write_analysis(
     _write_json(document, path)
 
 
-def write_bundle(
-    report: ScenarioReport, out_dir: str | Path, exclude_overload: bool = True
-) -> Path:
+def write_bundle(report: ScenarioReport, out_dir: str | Path) -> Path:
     """Write one scenario's report bundle; returns the bundle directory.
 
-    The JSON report and the tables are rendered here; the CSV files are
+    The JSON report and the tables are rendered here, each holding the
+    overload indicators out of its error table and counting them beside
+    it; ``errors.csv`` flags their rows.  The CSV files are
     written by ``agesim.ingest``, which owns their format: the series
     files by ``write_series_files`` and ``errors.csv`` by
     ``write_error_log``, each a chunk of rows at a time, so writing a
     bundle holds one chunk, not a file or a column."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(report_document(report, exclude_overload), out / "report.json")
-    (out / "tables.txt").write_text(
-        render_tables(report, exclude_overload), encoding="utf-8"
-    )
+    _write_json(report_document(report), out / "report.json")
+    (out / "tables.txt").write_text(render_tables(report), encoding="utf-8")
     write_error_log(report.error_log, out / "errors.csv")
     write_series_files(report.series, out / "series")
     return out

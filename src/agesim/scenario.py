@@ -298,10 +298,12 @@ class ScenarioReport:
     series: Mapping[str, IndicatorSeries] = field(default_factory=dict)
     analyses: Mapping[str, IndicatorAnalysis] = field(default_factory=dict)
     hourly_counts: tuple[dict, ...] = ()
-    totals: Mapping[str, int] = field(
-        default_factory=lambda: {status.value: 0 for status in WorkloadStatus}
-    )
     error_log: ErrorLog = field(default_factory=lambda: ErrorLog((), (), ()))
+
+    @property
+    def totals(self) -> dict[str, int]:
+        """Workloads per status over the run, summed from ``hourly_counts``."""
+        return {s.value: sum(c[s.value] for c in self.hourly_counts) for s in WorkloadStatus}
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
@@ -437,7 +439,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         for name, s in series.items()
     }
 
-    counts = tuple({"hour": hour, **hourly[hour]} for hour in sorted(hourly))
     kinds = [
         (step, error, stranded, error in OVERLOAD_INDICATOR_ERRORS)
         for step, error, stranded in kind_codes
@@ -451,8 +452,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         excluded_windows=tuple(excluded),
         series=series,
         analyses=analyses,
-        hourly_counts=counts,
-        totals={value: sum(c[value] for c in counts) for value in value_of.values()},
+        hourly_counts=tuple({"hour": hour, **hourly[hour]} for hour in sorted(hourly)),
         error_log=ErrorLog(error_times, error_codes, kinds),
     )
 

@@ -47,6 +47,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -259,10 +260,14 @@ class HourlySeries:
             raise ValueError("hours must be strictly increasing")
 
     def stress_bins(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """The stress-phase hours and their means, as two parallel tuples."""
+        """The stress-phase hours and their means, as two parallel tuples.
+
+        The bins are picked by a mask of bools, not gathered as pairs: a
+        pair per bin is thousands of objects for the garbage collector to
+        count on a long series, enough to set off a full collection."""
         skip = {*self.rejuvenation, *self.post_rejuvenation, *self.excluded}
-        kept = [(h, m) for h, m in zip(self.hours, self.means) if h not in skip]
-        return tuple(zip(*kept)) if kept else ((), ())
+        kept = [h not in skip for h in self.hours]
+        return tuple(compress(self.hours, kept)), tuple(compress(self.means, kept))
 
 
 @dataclass(frozen=True)
@@ -637,13 +642,7 @@ def ageing_summary(binned: HourlySeries) -> AgeingSummary:
     raises MissingPhaseBinError.
     An A, R or slope that is not finite raises InvalidSeriesError.
     """
-    return _summary(binned, *binned.stress_bins())
-
-
-def _summary(
-    binned: HourlySeries, hours: tuple[int, ...], means: tuple[float, ...]
-) -> AgeingSummary:
-    """``ageing_summary`` of ``binned``, whose stress bins are ``hours`` and ``means``."""
+    hours, means = binned.stress_bins()
     if not hours or hours[0] != 0:
         raise MissingPhaseBinError("stress hour 0")
     v0 = means[0]
@@ -698,13 +697,12 @@ def evaluate_indicator(
         )
 
     hourly = bin_hourly(series, phase_boundaries, exclude_windows)
-    stress_hours, stress_means = hourly.stress_bins()
-    trend = mann_kendall(stress_means)
+    trend = mann_kendall(hourly.stress_bins()[1])
 
     ageing = None
     reason = None
     try:
-        ageing = _summary(hourly, stress_hours, stress_means)
+        ageing = ageing_summary(hourly)
     except MissingPhaseBinError as exc:
         reason = str(exc)
 

@@ -1025,17 +1025,19 @@ NEGATIVE_RESOURCES = (
 
 class TestFreshProcess:
     """Hostile input given to the command in an interpreter of its own
-    ends in exit 2 and an ``error:`` line, never in a traceback or a hang."""
+    ends in exit 2 and an ``error:`` line that names the refusal, never
+    in a traceback or a hang."""
 
     @pytest.mark.parametrize(
-        "fields, flags",
+        "fields, flags, fragment",
         [
-            ({"seed": -1}, []),
-            ({}, ["--seed", "-1"]),
+            ({"seed": -1}, [], "seed must not be negative, got -1"),
+            ({}, ["--seed", "-1"], "argument --seed: seed must not be negative"),
             # Refused with the config, though both phases are empty.
-            ({"concurrency": 10**30}, []),
-            # A step so short that t + duration == t froze the clock of a
-            # cloud that never fails: no leak, ageing, warm-up or cache.
+            ({"concurrency": 10**30}, [], "concurrency must lie in [1, 10000]"),
+            # A step so short that t + duration == t, in a cloud that never
+            # fails (no leak, ageing, warm-up or cache), is refused by the
+            # floor on step times.
             (
                 {
                     "stress_hours": 1,
@@ -1049,6 +1051,7 @@ class TestFreshProcess:
                     },
                 },
                 [],
+                "default_seconds must be at least 0.001 s",
             ),
             # An empty plan indexed past its end on the first step.
             (
@@ -1059,18 +1062,31 @@ class TestFreshProcess:
                     "workload": {"steps": []},
                 },
                 [],
+                "a workload needs at least one step",
             ),
-            ({"stress_hours": 10**400}, []),
-            ({"post_rejuvenation_hours": 10**400}, []),
+            ({"stress_hours": 10**400}, [], "stress_hours is too long to count in seconds"),
+            (
+                {"post_rejuvenation_hours": 10**400},
+                [],
+                "post_rejuvenation_hours is too long to count in seconds",
+            ),
             # Negative resource parameters: the ageing multiplier passed 0 and
             # ran the clock backwards, the noise could not be drawn, or the
             # run exited 0 with memory that grew under load.
             *(
-                ({"stress_hours": 2, "concurrency": 4, "resources": {field: value}}, [])
+                (
+                    {"stress_hours": 2, "concurrency": 4, "resources": {field: value}},
+                    [],
+                    f"{field} must not be negative",
+                )
                 for field, value in NEGATIVE_RESOURCES
             ),
             # A noise range of 2e308 overflowed numpy's uniform draw.
-            ({"stress_hours": 1, "resources": {"warmup_noise_gb": 1e308}}, []),
+            (
+                {"stress_hours": 1, "resources": {"warmup_noise_gb": 1e308}},
+                [],
+                "warmup_noise_gb is too large to draw noise from",
+            ),
             # Two cleanup steps undo one create step.
             (
                 {
@@ -1090,6 +1106,7 @@ class TestFreshProcess:
                     }
                 },
                 [],
+                "step 'a' is undone twice",
             ),
         ],
         ids=[
@@ -1106,13 +1123,14 @@ class TestFreshProcess:
         ],
     )
     @pytest.mark.parametrize("command", [["run"], ["suite", "--configs"]], ids=["run", "suite"])
-    def test_exit_2_with_an_error_line(self, tmp_path, command, fields, flags):
+    def test_exit_2_with_an_error_line(self, tmp_path, command, fields, flags, fragment):
         config = {"scenario_id": "x", "stress_hours": 0, "post_rejuvenation_hours": 0, **fields}
         path = write_json(tmp_path / "cfg.json", config)
         done = run_in_fresh_process([*command, path, *flags], tmp_path)
         assert done.returncode == 2
         assert done.stdout == ""
-        assert re.search(r"^(agesim \w+: )?error: ", done.stderr, re.MULTILINE)
+        (line,) = re.findall(r"^(?:agesim \w+: )?error: .*$", done.stderr, re.MULTILINE)
+        assert fragment in line
         assert "Traceback" not in done.stderr
 
     def test_a_step_too_short_for_a_late_clock_is_refused(self, tmp_path):
@@ -1202,9 +1220,10 @@ class TestParser:
             main(["explode"])
         assert excinfo.value.code == 2
 
-    def test_exclude_overload_default_and_negation(self):
-        parser = build_parser()
-        args = parser.parse_args(["run", "cfg.json"])
-        assert args.exclude_overload_errors is True
-        args = parser.parse_args(["run", "cfg.json", "--no-exclude-overload-errors"])
-        assert args.exclude_overload_errors is False
+    def test_overload_flag_is_unrecognised(self, capsys):
+        """The error table always holds the overload indicator out, so
+        ``run`` takes no flag that keeps it in."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["run", "cfg.json", "--no-exclude-overload-errors"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --no-exclude-overload-errors" in capsys.readouterr().err

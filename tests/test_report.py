@@ -154,12 +154,18 @@ class TestErrorDistribution:
         assert overload > 0
         assert "quota-exceeded-security-group" not in distribution
 
-    def test_overload_included_on_request(self, overload_report):
-        distribution, overload = error_distribution(
-            overload_report, exclude_overload=False
-        )
-        assert overload == 0
-        assert distribution["quota-exceeded-security-group"] > 0
+    def test_held_out_count_completes_the_tally_by_name(self, overload_report):
+        """The distribution plus the held-out count is the tally by name
+        that the README's ``np.bincount`` recipe gives."""
+        log = overload_report.error_log
+        by_name = Counter()
+        counts = np.bincount(log.codes, minlength=len(log.kinds))
+        for (_step, error, _ageing, _overload), n in zip(log.kinds, counts.tolist()):
+            by_name[error] += n
+        distribution, overload = error_distribution(overload_report)
+        assert overload > 0
+        held_out = Counter({"quota-exceeded-security-group": overload})
+        assert Counter(distribution) + held_out == by_name
 
     def test_counts_cover_whole_log(self, overload_report):
         distribution, overload = error_distribution(overload_report)
@@ -203,9 +209,6 @@ class TestTables:
     def test_overload_note(self, overload_report):
         text = render_tables(overload_report)
         assert "overload rejections excluded from the table" in text
-        without = render_tables(overload_report, exclude_overload=False)
-        assert "overload rejections excluded" not in without
-        assert "quota-exceeded-security-group" in without
 
 
 class TestBundle:
@@ -267,11 +270,12 @@ class TestBundle:
             "180,boot server,e,true,true",
         ]
 
-    def test_json_reflects_exclusion_flag(self, overload_report, tmp_path):
-        out = write_bundle(overload_report, tmp_path / "kept", exclude_overload=False)
+    def test_json_counts_the_rows_flagged_overload(self, overload_report, tmp_path):
+        out = write_bundle(overload_report, tmp_path / "bundle")
         doc = json.loads((out / "report.json").read_text())
-        assert doc["overload_errors_excluded"] == 0
-        assert doc["error_distribution"]["quota-exceeded-security-group"] > 0
+        with open(out / "errors.csv", newline="", encoding="utf-8") as handle:
+            flagged = sum(row["overload"] == "true" for row in csv.DictReader(handle))
+        assert doc["overload_errors_excluded"] == flagged > 0
 
     def test_bundle_is_byte_deterministic(self, report, tmp_path):
         first = write_bundle(report, tmp_path / "a")
@@ -484,13 +488,12 @@ def test_error_log_writer_and_counts_match_a_row_by_row_oracle(overload_report, 
     assert path.read_bytes() == errors_csv_row_by_row(log).encode("utf-8")
 
     rows = [log.kinds[code] for code in log.codes.tolist()]
-    for exclude in (True, False):
-        held_out = [error for _s, error, _a, overload in rows if exclude and overload]
-        kept = Counter(error for _s, error, _a, overload in rows if not (exclude and overload))
-        distribution, overload = error_distribution(report, exclude_overload=exclude)
-        assert distribution == kept
-        assert list(distribution) == sorted(kept, key=lambda error: (-kept[error], error))
-        assert overload == len(held_out)
+    held_out = [error for _s, error, _a, overload in rows if overload]
+    kept = Counter(error for _s, error, _a, overload in rows if not overload)
+    distribution, overload = error_distribution(report)
+    assert distribution == kept
+    assert list(distribution) == sorted(kept, key=lambda error: (-kept[error], error))
+    assert overload == len(held_out)
 
 
 @pytest.mark.parametrize("n", CHUNK_EDGE_ROWS)

@@ -25,7 +25,13 @@ from agesim.scenario import (
     run_suite,
 )
 from agesim.trendstats import TREND_INPUT, TrendVerdict
-from agesim.workload import DEFAULT_STEPS, MAX_CONCURRENCY, TimingParams, WorkloadDefinition
+from agesim.workload import (
+    DEFAULT_STEPS,
+    MAX_CONCURRENCY,
+    TimingParams,
+    WorkloadDefinition,
+    WorkloadStatus,
+)
 
 
 def quiet_resources(**overrides) -> ResourceParams:
@@ -103,13 +109,21 @@ class TestDefaultDay:
         assert duration.rejuvenation_r == pytest.approx(duration.ageing_a, rel=0.05)
 
     def test_hourly_counts_cover_stress_and_post(self, report):
+        """The counts cover hours 0-23 and 25.  ``totals`` is no field a
+        caller could set apart from them: it sums them per status, in
+        ``WorkloadStatus`` order, and no hourly counts total zero each."""
         hours = [entry["hour"] for entry in report.hourly_counts]
         assert hours == list(range(24)) + [25]
-        total = sum(
-            entry["success"] + entry["ageing-failure"] + entry["non-ageing-failure"]
-            for entry in report.hourly_counts
-        )
-        assert total == sum(report.totals.values())
+        assert "totals" not in {f.name for f in dataclasses.fields(ScenarioReport)}
+        assert list(report.totals.items()) == [
+            (status.value, sum(entry[status.value] for entry in report.hourly_counts))
+            for status in WorkloadStatus
+        ]
+        assert dataclasses.replace(report, hourly_counts=()).totals == {
+            "success": 0,
+            "ageing-failure": 0,
+            "non-ageing-failure": 0,
+        }
 
     def test_gauge_series_include_rejuvenation_sample(self, report):
         memory = report.series["memory-available"]
@@ -229,6 +243,7 @@ class TestSharedClock:
         for f in dataclasses.fields(report):
             assert getattr(copy, f.name) == getattr(report, f.name), f.name
         assert repr(copy) == repr(report)
+        assert copy.totals == report.totals
         assert render_tables(copy) == render_tables(report)
         assert report_document(copy) == report_document(report)
 
