@@ -307,10 +307,10 @@ class CloudState:
     readings depend on, so that no tick stops the engine: per gauge, two
     ``array("d")`` columns of clocks and values, the first value the one
     at opening, stamped ``-inf``.  The gauges are ``"memory"`` (the
-    control node's raw available memory), ``("disk", node)`` (each
-    compute node's cache total) and ``"window"`` (the warm-up window's
-    start, NaN for none).  Outside a stream ``_journal`` is None and
-    nothing is logged.
+    control node's raw available memory) and ``("disk", node)`` (each
+    compute node's cache total).  A stream samples one deployment:
+    ``rejuvenate`` is refused while a journal is open.  Outside a stream
+    ``_journal`` is None and nothing is logged.
     """
 
     def __init__(
@@ -326,7 +326,6 @@ class CloudState:
 
         self.clock = 0.0
         self.failed_at: float | None = None
-        self.rejuvenation_count = 0
         self.ageing_units = 0.0
         self.ageing_multiplier = 1.0
         self._host_residual_gb = 0.0
@@ -337,10 +336,10 @@ class CloudState:
 
     def _deploy(self, warmup: bool) -> None:
         """Deploy the cloud afresh at the clock, with a warm-up window opening
-        now if ``warmup``, and log every gauge's fresh value.  A redeploy
-        carries over what this leaves alone: the clock, ``failed_at``, the
-        rejuvenation count, ageing, the host residual, the placement
-        rotation and the noise stream."""
+        now if ``warmup``.  No journal is open (see ``rejuvenate``), so
+        nothing is logged.  A redeploy carries over what this leaves
+        alone: the clock, ``failed_at``, ageing, the host residual, the
+        placement rotation and the noise stream."""
         self.live: dict[EntityKind, int] = dict.fromkeys(EntityKind, 0)
         self.leftovers: dict[EntityKind, int] = dict.fromkeys(EntityKind, 0)
         self._cache: deque[tuple[float, float, str]] = deque()
@@ -353,8 +352,6 @@ class CloudState:
         self._recount_disk_full()
         self._warmup_start = self.clock if warmup else math.nan
         self._warmup_alloc_pending = warmup
-        for gauge, value in self._gauge_values().items():
-            self._log(gauge, value)
 
     # -- capacity and ledgers ------------------------------------------------
 
@@ -466,23 +463,18 @@ class CloudState:
             stamps.append(self.clock)
             values.append(value)
 
-    def _gauge_values(self) -> dict[object, float]:
-        """Every journal gauge's current value."""
-        disks = {("disk", node): total for node, total in self._cache_total.items()}
-        return {"memory": self._raw_available_gb(), "window": self._warmup_start, **disks}
-
     def _new_journal(self) -> dict[object, tuple[array, array]]:
         """A journal holding every gauge's current value from any time on."""
+        disks = {("disk", node): total for node, total in self._cache_total.items()}
         return {
             gauge: (array("d", [-math.inf]), array("d", [value]))
-            for gauge, value in self._gauge_values().items()
+            for gauge, value in {"memory": self._raw_available_gb(), **disks}.items()
         }
 
     def _call_after_readings(self, hook, t: float):
         """Return ``hook(t)``, called as if after the readings at time
         ``t``: what the journal logs during the call is restamped just
-        past ``t``, so only the readings after ``t`` see it, whatever the
-        hook does to the clock."""
+        past ``t``, so only the readings after ``t`` see it."""
         if self._journal is None:
             return hook(t)
         logs = self._journal.values()
@@ -498,11 +490,10 @@ class CloudState:
         float64 arrays: ``time`` itself, the control node's
         ``memory-available`` and ``swap-used``, and ``disk-used-{node}``
         for each compute node.  A gauge reads the last value ``journal``
-        logged for it at or before the time.  The memory reading carries
-        the warm-up noise at the times inside the window open at them,
-        drawn in one block in time order, and none elsewhere; the live
-        noise term is left at the last time's, unless a rejuvenation
-        cleared it after that time."""
+        logged for it at or before the time.  The journal samples one
+        deployment, so the memory reading carries the warm-up noise at the
+        times inside its window, drawn in one block in time order, and
+        none elsewhere; the live noise term is left at the last time's."""
 
         def at_times(gauge):
             stamps, values = journal[gauge]
@@ -512,13 +503,12 @@ class CloudState:
             holds_from = np.searchsorted(times, np.frombuffer(stamps))
             return np.repeat(np.frombuffer(values), np.diff(holds_from, append=len(times)))
 
-        warming = in_warmup_window(at_times("window"), times)
+        warming = in_warmup_window(self._warmup_start, times)
         noise = np.zeros(len(times))
         amp = self.params.warmup_noise_gb
         if amp:
             noise[warming] = self._noise_rng.uniform(-amp, amp, size=np.count_nonzero(warming))
-        # A rejuvenation after the last time has cleared the term already.
-        if len(times) and journal["window"][0][-1] <= times[-1]:
+        if len(times):
             self._noise_gb = float(noise[-1])
         memory, swap = self._memory_gauges(at_times("memory"), noise)
         readings = {"time": times, "memory-available": memory, "swap-used": swap}
@@ -646,11 +636,16 @@ def rejuvenate(state: CloudState) -> None:
     A configured fraction of the accumulated cloud-level ageing survives
     as a host-level residual (memory restored to initial minus residual,
     ageing units scaled by the same fraction).
+
+    A stream samples one deployment, so a redeploy while one samples (a
+    hook of a ``run_stream`` call with ``tick_seconds`` set) is refused
+    with ``RuntimeError`` before anything changes.
     """
+    if state._journal is not None:
+        raise RuntimeError("cannot rejuvenate a cloud while a stream samples it")
     params = state.params
     state._host_residual_gb += params.retention_fraction * state._consumed_gb
     state.ageing_units *= params.retention_fraction
     state._recompute_ageing()
     state.clock += params.rejuvenation_seconds
-    state.rejuvenation_count += 1
     state._deploy(params.warmup_after_rejuvenation)

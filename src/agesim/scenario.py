@@ -348,10 +348,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 
     def hour_hook(t: float):
         cache_cleanup(cloud)
-        check_failed(cloud)
-        if cloud.failed:
-            return STOP_STREAM
-        return None
+        return STOP_STREAM if check_failed(cloud) else None
 
     success = WorkloadStatus.SUCCESS
     value_of = {status: status.value for status in WorkloadStatus}

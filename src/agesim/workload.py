@@ -541,8 +541,9 @@ def run_stream(
     or before it left them, and nothing an hour hook did at the same
     instant.  Without ``tick_seconds`` the result is empty.  ``hour_hook``
     runs at whole-hour marks and may return ``STOP_STREAM`` to end the
-    run early (policy decisions live in the caller); only the hour hook
-    may rejuvenate the cloud.  Each finished workload reaches the caller
+    run early (policy decisions live in the caller).  A sampled stream
+    reads one deployment: ``rejuvenate`` refuses while it samples, so no
+    hook may redeploy the cloud.  Each finished workload reaches the caller
     only through ``result_hook``; workloads still in flight at the
     deadline are discarded unrecorded.  Once the cloud has failed, a
     workload due to run another step is cut short there with
@@ -557,12 +558,12 @@ def run_stream(
     cloud logs every change to its gauges in a journal (see
     ``CloudState``), opened for this call and closed when it returns or
     raises, and every tick's readings, warm-up noise included, are
-    gathered from it after the loop.  The one tick per warm-up window
-    that lands the pending allocation is an event, through
-    ``apply_resource_effects``: it is queued at the start, and again
-    after an hour hook that rejuvenated.  What an hour hook logs is
-    restamped just past its mark (``CloudState._call_after_readings``),
-    so that a tick at the mark does not see it.
+    gathered from it after the loop.  The one tick that lands a pending
+    warm-up allocation, the first in the window, is an event, through
+    ``apply_resource_effects``, queued once at the start.  What an hour
+    hook logs is restamped just past its mark
+    (``CloudState._call_after_readings``), so that a tick at the mark
+    does not see it.
 
     After a step the failure predicate is evaluated, through
     ``check_failed``, only while ``cloud.failure_inputs_changed`` is set:
@@ -641,21 +642,17 @@ def run_stream(
 
         gate_count = 0
 
-        def queue_allocation(t: float) -> None:
-            # Queue the first tick at or after t that lands a pending warm-up
-            # allocation, if one falls in the window and before the deadline.
-            if tick_seconds is None or not cloud._warmup_alloc_pending:
-                return
-            start = cloud._warmup_start
-            t = t0 + _first_tick(t0, tick_seconds, max(t, start)) * tick_seconds
-            if t < until and in_warmup_window(start, t):
-                heappush(heap, (t, PRIO_TICK, seq(), "tick", None))
-
         for slot in range(concurrency):
             t_launch = t0 + slot * LAUNCH_STAGGER_SECONDS
             if t_launch < until:
                 heappush(heap, (t_launch, PRIO_WORK, seq(), "launch", slot))
-        queue_allocation(t0)
+        # The first tick in the warm-up window lands its pending allocation,
+        # if that tick falls before the deadline.
+        if tick_seconds is not None and cloud._warmup_alloc_pending:
+            start = cloud._warmup_start
+            t = t0 + _first_tick(t0, tick_seconds, start) * tick_seconds
+            if t < until and in_warmup_window(start, t):
+                heappush(heap, (t, PRIO_TICK, seq(), "tick", None))
         if hour_hook is not None and (t := t0 + SECONDS_PER_HOUR) < until:
             heappush(heap, (t, PRIO_HOUR, seq(), "hour", 1))
 
@@ -673,14 +670,10 @@ def run_stream(
                     event = heappop(heap) if heap else None
                     continue
                 if kind == "hour":
-                    # Run the hook after the readings at the mark, queue the
-                    # allocation of a window it opened, and queue mark k + 1.
-                    rejuvenations = cloud.rejuvenation_count
+                    # Run the hook after the readings at the mark; queue mark k + 1.
                     if cloud._call_after_readings(hour_hook, t) is STOP_STREAM:
                         stopped_at = t
                         break
-                    if cloud.rejuvenation_count != rejuvenations:
-                        queue_allocation(math.nextafter(t, math.inf))
                     k = payload + 1
                     if (t_next := t0 + k * SECONDS_PER_HOUR) < until:
                         event = heappushpop(heap, (t_next, prio, seq(), kind, k))

@@ -505,7 +505,6 @@ class TestRejuvenate:
         rejuvenate(state)
         assert state.clock == 1000.0 + state.params.rejuvenation_seconds
         assert state.cache_image_count() == 0
-        assert state.rejuvenation_count == 1
 
     def test_failed_flag_cleared(self):
         state = CloudState()
@@ -533,7 +532,7 @@ class TestRejuvenate:
         state.clock = 500.0
         check_failed(state)
         rejuvenate(state)
-        carried = {"clock", "failed_at", "rejuvenation_count", "_next_compute", "_noise_rng"}
+        carried = {"clock", "failed_at", "_next_compute", "_noise_rng"}
 
         def deployed(cloud):
             fields = {k: v for k, v in vars(cloud).items() if k not in carried}

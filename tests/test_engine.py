@@ -12,8 +12,8 @@ configurations also run on a cloud that makes the engine evaluate the
 failure predicate after every step, which must change nothing.  The
 sampling digests pin the gauge readings ``run_stream`` returns over the
 edge cases of the tick grid: ticks on the instants of steps, cleanups
-and hour marks, stops, late or missing warm-up windows and hooks that
-rejuvenate.
+and hour marks, stops, late or missing warm-up windows and rejuvenations
+between streams.
 """
 
 from __future__ import annotations
@@ -404,55 +404,15 @@ def _failed_without_hook(stream):
     return cloud, faults
 
 
-def _rejuvenating_hook(stream):
-    """An hour hook that rejuvenates the failed cloud once, opening a
-    warm-up window 610.5 s after its hour mark."""
-    params = ResourceParams(
-        leftover_retention_gb=0.2,
-        leak_per_workload_gb=0.02,
-        swap_capacity_gb=0.5,
-        rejuvenation_seconds=610.5,
-    )
-    cloud = CloudState(
-        params=params, quotas={EntityKind.SERVER: 40, EntityKind.VOLUME: 40}, seed=29
-    )
-    faults = FaultModel(ALL_ERRORS, seed=29)
-
-    def hour_hook(t):
-        cache_cleanup(cloud)
-        if check_failed(cloud) and cloud.rejuvenation_count == 0:
-            rejuvenate(cloud)
-
-    stream(
-        cloud, faults, until=5 * 3600.0, concurrency=2, tick_seconds=60.0, hour_hook=hour_hook
-    )
+def _warmup_after_rejuvenation(stream):
+    """A rejuvenation between two streams opens a warm-up window 610.5 s
+    after the first stream's deadline, at the second stream's start."""
+    cloud = CloudState(params=ResourceParams(rejuvenation_seconds=610.5), seed=31)
+    faults = FaultModel(_scaled(ALL_ERRORS, 0.5), seed=31)
+    stream(cloud, faults, until=5400.0, concurrency=2, tick_seconds=30.0)
+    rejuvenate(cloud)
+    stream(cloud, faults, until=cloud.clock + 5400.0, concurrency=2, tick_seconds=30.0)
     return cloud, faults
-
-
-def _rejuvenation_with_a_tick_queued(warmup_after_rejuvenation: bool):
-    """An hour hook that rejuvenates the failed cloud while the tick that
-    clears the warm-up noise is still queued: with 7 s ticks the last one
-    in the first window falls at 3598 s and that tick at 3605 s, past the
-    3600 s mark.  The rejuvenation clears the noise itself, and opens a
-    window at 4210.5 s or none at all."""
-
-    def case(stream):
-        params = ResourceParams(
-            rejuvenation_seconds=610.5, warmup_after_rejuvenation=warmup_after_rejuvenation
-        )
-        cloud = CloudState(params=params, quotas=SMALL_QUOTAS, seed=30)
-        faults = FaultModel(_scaled(ALL_ERRORS, 2.0), seed=30)
-
-        def hour_hook(t):
-            if check_failed(cloud) and cloud.rejuvenation_count == 0:
-                rejuvenate(cloud)
-
-        stream(
-            cloud, faults, until=3 * 3600.0, concurrency=4, tick_seconds=7.0, hour_hook=hour_hook
-        )
-        return cloud, faults
-
-    return case
 
 
 SAMPLING_CASES = {
@@ -464,9 +424,7 @@ SAMPLING_CASES = {
     "no-warmup-after-rejuvenation": _no_warmup_after_rejuvenation,
     "window-after-start": _window_after_start,
     "failed-without-hook": _failed_without_hook,
-    "rejuvenating-hook": _rejuvenating_hook,
-    "rejuvenation-with-a-tick-queued": _rejuvenation_with_a_tick_queued(True),
-    "rejuvenation-without-warmup-with-a-tick-queued": _rejuvenation_with_a_tick_queued(False),
+    "warmup-after-rejuvenation": _warmup_after_rejuvenation,
 }
 
 
@@ -508,15 +466,11 @@ SAMPLING_DIGESTS = {
     "failed-without-hook": "b407cf22a989791517a6be8969cdf1a8958dda34269ec313b8257273c6b53618",
     "no-warmup-after-rejuvenation": "c191ba4c611d19f42ab8d560bfb9fbcf6583c9008f826f97daa630b26c86afaf",
     "offset-start": "e2a8615f5c692422b6548564b69703bf0096e429847f926865efba9a8323c111",
-    "rejuvenating-hook": "d2ea159f1be2cc93558334b9ce37dcb9873478f328a38a2c6a3320813ec9167e",
-    "rejuvenation-with-a-tick-queued": (
-        "87331a640134c86845cc46f395404ad3cd5805d3e563dc62d45e8e7991a3e462"
-    ),
-    "rejuvenation-without-warmup-with-a-tick-queued": (
-        "c437d40b9f4c1861dfab5b879195062c72f7dc8189c45aedbc92737c29685969"
-    ),
     "stop-at-hour-mark": "e044d70792a7666c7f8878b6d786907014b5e959d64a61b1de23bb36bb01732f",
     "streams-in-sequence": "c0acdbdc1eb6bbf3aaa1e04b6a7d49ca34df616a808edebd60f6eccec5a3425f",
+    "warmup-after-rejuvenation": (
+        "ff21ee9e12004e37d769261467a01c0eb71bcf782fe1adb34510eb8f672db3fd"
+    ),
     "whole-second-steps": "a9c335c075e17cdca704a7f117a9213df4af0161553928ee3dc0f9d21e2d1246",
     "window-after-start": "921553c9626259cfcb06f2c5ff0febbb6bc984b1e48c110cebeb35aee2ca1fa6",
 }
@@ -542,10 +496,10 @@ def test_reference_engine_reproduces_the_pinned_digests():
 
 def test_only_ticks_that_act_on_the_cloud_are_events(monkeypatch):
     """Only the tick that lands a window's warm-up allocation is an event.
-    In the rejuvenating-hook case that is the first tick, at 0 s, and,
-    after the rejuvenation at the 3600 s mark opened a window at
-    4210.5 s, the first tick in it, at 4260 s.  A repeat runs the same
-    ticks and reads the same 300 samples."""
+    In the warmup-after-rejuvenation case that is the first tick of each
+    stream: at 0 s, and at 6010.5 s, where the rejuvenation between the
+    streams opened a window.  A repeat runs the same ticks and reads the
+    same 360 samples."""
     ticks = []
 
     def counted(state, event):
@@ -554,13 +508,13 @@ def test_only_ticks_that_act_on_the_cloud_are_events(monkeypatch):
         apply_resource_effects(state, event)
 
     monkeypatch.setattr(workload, "apply_resource_effects", counted)
-    first = _sampling_parts("rejuvenating-hook")
-    expected = [0.0, 4260.0]
+    first = _sampling_parts("warmup-after-rejuvenation")
+    expected = [0.0, 6010.5]
     assert ticks == expected
     ticks.clear()
-    assert _sampling_parts("rejuvenating-hook") == first
+    assert _sampling_parts("warmup-after-rejuvenation") == first
     assert ticks == expected
-    assert len(first[2]) == 300
+    assert len(first[2]) == 360
 
 
 def test_readings_end_at_the_mark_that_stopped_the_stream():
@@ -593,6 +547,43 @@ def test_journal_closes_when_a_hook_raises():
     readings = run_stream(DEFN, cloud, until=cloud.clock + 60.0, tick_seconds=30.0)
     assert len(readings["time"]) == 2
     assert cloud._journal is None
+
+
+@pytest.mark.parametrize("hook", ["hour_hook", "result_hook", "error_hook"])
+def test_a_redeploy_inside_a_sampled_stream_is_refused(hook):
+    """A stream samples one deployment: a hook that rejuvenates the cloud
+    mid-stream gets ``RuntimeError`` before any field changes, the journal
+    closes with the call, and a rejuvenation once the call has returned
+    goes ahead."""
+    cloud = CloudState(params=_quiet(retention_fraction=0.5), seed=6)
+    faults = FaultModel(ALL_ERRORS, seed=6)
+
+    def fields():
+        return cloud.clock, cloud.ageing_units, cloud._host_residual_gb, cloud._warmup_start
+
+    before = []
+
+    def redeploy(*_):
+        before.append(fields())
+        rejuvenate(cloud)
+
+    with pytest.raises(RuntimeError, match="while a stream samples it"):
+        run_stream(
+            DEFN,
+            cloud,
+            until=2 * 3600.0,
+            concurrency=2,
+            faults=faults,
+            tick_seconds=60.0,
+            **{hook: redeploy},
+        )
+    assert cloud._journal is None
+    assert [fields()] == before
+    clock, ageing_units, _, _ = before[0]
+    rejuvenate(cloud)
+    assert cloud.clock == cloud._warmup_start == clock + cloud.params.rejuvenation_seconds
+    assert cloud.ageing_units == ageing_units * 0.5
+    assert cloud._host_residual_gb > 0.0
 
 
 class PollingCloud(CloudState):
@@ -827,8 +818,6 @@ def _sampled_run(config: dict, engine) -> dict:
     )
     params = ResourceParams(
         cache_max_age_seconds=1800.0,
-        rejuvenation_seconds=config["rejuvenation_seconds"],
-        warmup_after_rejuvenation=config["warmup_after_rejuvenation"],
         contention_capacity=config["contention_capacity"],
         cache_depositing_steps=config["cache_depositing_steps"],
         **fragile,
@@ -848,14 +837,6 @@ def _sampled_run(config: dict, engine) -> dict:
         cache_cleanup(cloud)
         if config["hook"] == "stop" and len(marks) == 2:
             return STOP_STREAM
-        # Rejuvenate only once every workload caught by the failure has
-        # been cut short, so that none holds an entity the redeploy wiped.
-        if (
-            config["hook"] == "rejuvenate"
-            and check_failed(cloud)
-            and cloud.failed_at <= t - 600.0
-        ):
-            rejuvenate(cloud)
         return None
 
     readings = engine(
@@ -881,18 +862,17 @@ def _sampled_run(config: dict, engine) -> dict:
     }
 
 
-#: The failing cloud rejuvenated at the first hour mark: once with no
-#: tick in the warm-up window past the mark, and once with 7 s ticks, the
-#: last of the first window at 3598 s and the next at 3605 s.
-_REJUVENATING = dict(
+#: A cloud that fails within minutes and is cleaned up at each hour mark:
+#: once with 60 s ticks, and once with 7 s ticks, the last of the warm-up
+#: window at 3598 s and the next at 3605 s, past the 3600 s mark.
+_FAILING = dict(
     table={},
     quotas=dict(DEFAULT_QUOTAS),
     topology="multi-node",
     concurrency=2,
     start=0.0,
     hours=3,
-    hook="rejuvenate",
-    warmup_after_rejuvenation=True,
+    hook="cleanup",
     fragile=True,
     timing="default",
     contention_capacity=1.0,
@@ -911,8 +891,6 @@ _CALM = dict(
     start=0.0,
     hours=2,
     hook="none",
-    rejuvenation_seconds=0.0,
-    warmup_after_rejuvenation=False,
     fragile=False,
     timing="default",
     contention_capacity=1.0,
@@ -922,8 +900,8 @@ _CALM = dict(
 
 
 @settings(max_examples=50, deadline=None)
-@example(**_REJUVENATING, interval=60.0, rejuvenation_seconds=0.0)
-@example(**_REJUVENATING, interval=7.0, rejuvenation_seconds=610.5)
+@example(**_FAILING, interval=60.0)
+@example(**_FAILING, interval=7.0)
 # The cleanup at 3600 s drops the images deposited before 1800 s.
 @example(**{**_CALM, "hook": "cleanup"})
 # The stream stops at the 7200 s mark, which is also a tick.
@@ -943,9 +921,7 @@ _CALM = dict(
     interval=st.sampled_from([5.0, 7.0, 7.3, 60.0, 1234.5]),
     start=st.sampled_from([0.0, 1234.5, 2.0**44]),
     hours=st.integers(min_value=2, max_value=3),  # an hour mark falls before the deadline
-    hook=st.sampled_from(["none", "cleanup", "rejuvenate", "stop"]),
-    rejuvenation_seconds=st.sampled_from([0.0, 610.5, 3600.0]),
-    warmup_after_rejuvenation=st.booleans(),
+    hook=st.sampled_from(["none", "cleanup", "stop"]),
     fragile=st.booleans(),
     timing=st.sampled_from(sorted(_TIMINGS)),
     contention_capacity=st.sampled_from([1.0, 2.0, 0.5, 3.0, 0.7]),
