@@ -303,14 +303,14 @@ class CloudState:
     While it is clear the predicate would give the answer it gave last
     time, so the engine skips the evaluation.
 
-    While a stream samples, ``_journal`` logs every change to what its
+    While a stream runs, ``_journal`` logs every change to what its
     readings depend on, so that no tick stops the engine: per gauge, two
     ``array("d")`` columns of clocks and values, the first value the one
     at opening, stamped ``-inf``.  The gauges are ``"memory"`` (the
     control node's raw available memory) and ``("disk", node)`` (each
-    compute node's cache total).  A stream samples one deployment:
-    ``rejuvenate`` is refused while a journal is open.  Outside a stream
-    ``_journal`` is None and nothing is logged.
+    compute node's cache total).  A stream runs on one deployment,
+    sampled or not: ``rejuvenate`` is refused while a journal is open.
+    Outside a stream ``_journal`` is None and nothing is logged.
     """
 
     def __init__(
@@ -474,9 +474,8 @@ class CloudState:
     def _call_after_readings(self, hook, t: float):
         """Return ``hook(t)``, called as if after the readings at time
         ``t``: what the journal logs during the call is restamped just
-        past ``t``, so only the readings after ``t`` see it."""
-        if self._journal is None:
-            return hook(t)
+        past ``t``, so only the readings after ``t`` see it.  Only a
+        stream calls it, so a journal is always open."""
         logs = self._journal.values()
         logged = [len(stamps) for stamps, _ in logs]
         result = hook(t)
@@ -637,12 +636,12 @@ def rejuvenate(state: CloudState) -> None:
     as a host-level residual (memory restored to initial minus residual,
     ageing units scaled by the same fraction).
 
-    A stream samples one deployment, so a redeploy while one samples (a
-    hook of a ``run_stream`` call with ``tick_seconds`` set) is refused
-    with ``RuntimeError`` before anything changes.
+    A stream runs on one deployment, so a redeploy while one runs (from
+    a hook of any ``run_stream`` call, sampled or not) is refused with
+    ``RuntimeError`` before anything changes.
     """
     if state._journal is not None:
-        raise RuntimeError("cannot rejuvenate a cloud while a stream samples it")
+        raise RuntimeError("cannot rejuvenate a cloud while a stream runs on it")
     params = state.params
     state._host_residual_gb += params.retention_fraction * state._consumed_gb
     state.ageing_units *= params.retention_fraction

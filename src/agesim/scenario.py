@@ -52,7 +52,6 @@ from .trendstats import (
     nudge_ties,
 )
 from .workload import (
-    DEFAULT_STEP_NAMES,
     DEFAULT_STEPS,
     STOP_STREAM,
     TimingParams,
@@ -118,10 +117,7 @@ class ScenarioConfig:
             raise ConfigError("deploy failure probability must lie in [0, 1]")
         Topology.named(self.topology)
         quota_table(self.quotas)  # raises on a quota below 1
-        if self.workload is None:
-            steps = DEFAULT_STEP_NAMES
-        else:
-            steps = tuple(s.name for s in self.workload.steps)
+        steps = [s.name for s in (DEFAULT_STEPS if self.workload is None else self.workload.steps)]
         for path, named in (
             ("timing.step_seconds", self.timing.step_seconds),
             ("resources.cache_depositing_steps", self.resources.cache_depositing_steps),
@@ -418,13 +414,15 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             "workload-duration", "seconds", *nudge_ties(starts, durations)
         )
     # Join the phases one gauge at a time, dropping each part once joined,
-    # so that no more than one gauge is held twice.  Every gauge holds one
-    # read-only clock: nudged stamps depend on the stamps alone.
+    # so that no more than one gauge is held twice.  The phases' stamps
+    # never decrease, so nudging only the clock moves each tie just past
+    # its predecessor in the order read; every gauge holds that one
+    # read-only clock and its readings in the order they were read.
     tick_times = np.concatenate([part.pop("time") for part in readings])
     clock, _ = nudge_ties(tick_times, tick_times)
     clock.flags.writeable = False
     for name in list(readings[0]):
-        _, values = nudge_ties(tick_times, np.concatenate([part.pop(name) for part in readings]))
+        values = np.concatenate([part.pop(name) for part in readings])
         values.flags.writeable = False
         series[name] = IndicatorSeries(name, "GB", clock, values)
 

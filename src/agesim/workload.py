@@ -91,35 +91,25 @@ _AGEING, _PHASE_DEPENDENT = AgeingRule.AGEING, AgeingRule.PHASE_DEPENDENT
 class StepSpec:
     """One step of a workload definition.
 
-    ``creates``/``deletes`` name the entity kind a create or delete step
-    touches; ``operates_on`` names the entity an operate step acts upon
-    (None for pure control-plane calls such as role grants).  ``undo_of``
-    marks cleanup steps with the step they reverse; a create step
-    reverses nothing.
+    ``kind`` names the entity kind the step creates, deletes or acts
+    upon; a create or delete step must name one, and an operate step
+    leaves it out for a pure control-plane call such as a role grant.
+    ``undo_of`` marks cleanup steps with the step they reverse; a create
+    step reverses nothing.
     """
 
     name: str
     action: StepAction
-    creates: EntityKind | None = None
-    deletes: EntityKind | None = None
-    operates_on: EntityKind | None = None
+    kind: EntityKind | None = None
     undo_of: str | None = None
 
     def __post_init__(self):
-        if self.action is StepAction.CREATE:
-            if self.creates is None:
-                raise ConfigError(f"create step {self.name!r} names no entity kind")
-            if self.undo_of is not None:
-                raise ConfigError(f"create step {self.name!r} cannot undo a step")
-        if self.action is StepAction.DELETE:
-            if self.deletes is None:
-                raise ConfigError(f"delete step {self.name!r} names no entity kind")
-            if self.undo_of is None:
-                raise ConfigError(f"delete step {self.name!r} must undo a create step")
-        if self.action is not StepAction.CREATE and self.creates is not None:
-            raise ConfigError(f"step {self.name!r} cannot create entities")
-        if self.action is not StepAction.DELETE and self.deletes is not None:
-            raise ConfigError(f"step {self.name!r} cannot delete entities")
+        if self.action is not StepAction.OPERATE and self.kind is None:
+            raise ConfigError(f"{self.action.value} step {self.name!r} names no entity kind")
+        if self.action is StepAction.CREATE and self.undo_of is not None:
+            raise ConfigError(f"create step {self.name!r} cannot undo a step")
+        if self.action is StepAction.DELETE and self.undo_of is None:
+            raise ConfigError(f"delete step {self.name!r} must undo a create step")
 
 
 def _steps() -> tuple[StepSpec, ...]:
@@ -128,48 +118,41 @@ def _steps() -> tuple[StepSpec, ...]:
     delete = StepAction.DELETE
     K = EntityKind
     return (
-        StepSpec("create user", create, creates=K.USER),
-        StepSpec("create role", create, creates=K.ROLE),
+        StepSpec("create user", create, K.USER),
+        StepSpec("create role", create, K.ROLE),
         StepSpec("add role", operate),
-        StepSpec("create security group", create, creates=K.SECURITY_GROUP),
-        StepSpec("create flavor", create, creates=K.FLAVOR),
-        StepSpec("create image", create, creates=K.IMAGE),
-        StepSpec("create network", create, creates=K.NETWORK),
-        StepSpec("create subnet", create, creates=K.SUBNET),
-        StepSpec("create port", create, creates=K.PORT),
-        StepSpec("create router", create, creates=K.ROUTER),
-        StepSpec("boot server", create, creates=K.SERVER),
-        StepSpec("create volume", create, creates=K.VOLUME),
-        StepSpec("attach volume", operate, operates_on=K.VOLUME),
-        StepSpec("rebuild server", operate, operates_on=K.SERVER),
-        StepSpec("pause server", operate, operates_on=K.SERVER),
-        StepSpec("unpause server", operate, operates_on=K.SERVER, undo_of="pause server"),
-        StepSpec("detach volume", operate, operates_on=K.VOLUME, undo_of="attach volume"),
-        StepSpec("delete volume", delete, deletes=K.VOLUME, undo_of="create volume"),
-        StepSpec("delete server", delete, deletes=K.SERVER, undo_of="boot server"),
-        StepSpec("delete router", delete, deletes=K.ROUTER, undo_of="create router"),
-        StepSpec("delete port", delete, deletes=K.PORT, undo_of="create port"),
-        StepSpec("delete subnet", delete, deletes=K.SUBNET, undo_of="create subnet"),
-        StepSpec("delete network", delete, deletes=K.NETWORK, undo_of="create network"),
-        StepSpec("delete image", delete, deletes=K.IMAGE, undo_of="create image"),
-        StepSpec("delete flavor", delete, deletes=K.FLAVOR, undo_of="create flavor"),
+        StepSpec("create security group", create, K.SECURITY_GROUP),
+        StepSpec("create flavor", create, K.FLAVOR),
+        StepSpec("create image", create, K.IMAGE),
+        StepSpec("create network", create, K.NETWORK),
+        StepSpec("create subnet", create, K.SUBNET),
+        StepSpec("create port", create, K.PORT),
+        StepSpec("create router", create, K.ROUTER),
+        StepSpec("boot server", create, K.SERVER),
+        StepSpec("create volume", create, K.VOLUME),
+        StepSpec("attach volume", operate, K.VOLUME),
+        StepSpec("rebuild server", operate, K.SERVER),
+        StepSpec("pause server", operate, K.SERVER),
+        StepSpec("unpause server", operate, K.SERVER, undo_of="pause server"),
+        StepSpec("detach volume", operate, K.VOLUME, undo_of="attach volume"),
+        StepSpec("delete volume", delete, K.VOLUME, undo_of="create volume"),
+        StepSpec("delete server", delete, K.SERVER, undo_of="boot server"),
+        StepSpec("delete router", delete, K.ROUTER, undo_of="create router"),
+        StepSpec("delete port", delete, K.PORT, undo_of="create port"),
+        StepSpec("delete subnet", delete, K.SUBNET, undo_of="create subnet"),
+        StepSpec("delete network", delete, K.NETWORK, undo_of="create network"),
+        StepSpec("delete image", delete, K.IMAGE, undo_of="create image"),
+        StepSpec("delete flavor", delete, K.FLAVOR, undo_of="create flavor"),
         StepSpec(
-            "delete security group",
-            delete,
-            deletes=K.SECURITY_GROUP,
-            undo_of="create security group",
+            "delete security group", delete, K.SECURITY_GROUP, undo_of="create security group"
         ),
         StepSpec("revoke role", operate, undo_of="add role"),
-        StepSpec("delete role", delete, deletes=K.ROLE, undo_of="create role"),
-        StepSpec("delete user", delete, deletes=K.USER, undo_of="create user"),
+        StepSpec("delete role", delete, K.ROLE, undo_of="create role"),
+        StepSpec("delete user", delete, K.USER, undo_of="create user"),
     )
 
 
 DEFAULT_STEPS: tuple[StepSpec, ...] = _steps()
-
-#: Step names of the default definition, which a scenario config checks
-#: the step names it configures against when it names no workload.
-DEFAULT_STEP_NAMES: tuple[str, ...] = tuple(s.name for s in DEFAULT_STEPS)
 
 
 @dataclass(frozen=True)
@@ -224,10 +207,12 @@ class WorkloadDefinition:
                     raise ConfigError(f"step {step.undo_of!r} is undone twice")
                 undone[step.undo_of] = i
                 doer = self.steps[target]
-                if step.action is StepAction.DELETE and doer.creates != step.deletes:
+                # An operate step names a kind too, but creates none.
+                made = doer.kind if doer.action is StepAction.CREATE else None
+                if step.action is StepAction.DELETE and made is not step.kind:
                     raise ConfigError(
-                        f"step {step.name!r} deletes {step.deletes} but "
-                        f"{doer.name!r} creates {doer.creates}"
+                        f"step {step.name!r} deletes {step.kind} but "
+                        f"{doer.name!r} creates {made}"
                     )
         for step in self.steps:
             if step.action is StepAction.CREATE and step.name not in undone:
@@ -339,13 +324,7 @@ def _plan(
     per_step = faults._per_step if faults is not None else {}
     by_name: dict[str, _PlanStep] = {}
     for spec in defn.steps:
-        name, action = spec.name, spec.action
-        if action is _CREATE:
-            kind = spec.creates
-        elif action is _DELETE:
-            kind = spec.deletes
-        else:
-            kind = spec.operates_on
+        name, action, kind = spec.name, spec.action, spec.kind
         gated = kind in cloud.quotas
         # An undo step names an earlier step (``WorkloadDefinition``
         # checks it), so that step's record already exists.
@@ -541,11 +520,11 @@ def run_stream(
     or before it left them, and nothing an hour hook did at the same
     instant.  Without ``tick_seconds`` the result is empty.  ``hour_hook``
     runs at whole-hour marks and may return ``STOP_STREAM`` to end the
-    run early (policy decisions live in the caller).  A sampled stream
-    reads one deployment: ``rejuvenate`` refuses while it samples, so no
-    hook may redeploy the cloud.  Each finished workload reaches the caller
-    only through ``result_hook``; workloads still in flight at the
-    deadline are discarded unrecorded.  Once the cloud has failed, a
+    run early (policy decisions live in the caller).  A stream runs on
+    one deployment, sampled or not: ``rejuvenate`` refuses while it runs,
+    so no hook may redeploy the cloud.  Each finished workload reaches
+    the caller only through ``result_hook``; workloads still in flight at
+    the deadline are discarded unrecorded.  Once the cloud has failed, a
     workload due to run another step is cut short there with
     ``CLOUD_UNAVAILABLE``, and every slot parks until the deadline.
     ``until`` must be finite and not before ``cloud.clock``, and
@@ -554,16 +533,15 @@ def run_stream(
     there (``math.ulp(until)``) would freeze the clock short of it.  Each
     of these is a ``ConfigError`` (see ``check_deadline``).
 
-    A tick is a timestamp, not an event.  While the stream samples, the
-    cloud logs every change to its gauges in a journal (see
-    ``CloudState``), opened for this call and closed when it returns or
-    raises, and every tick's readings, warm-up noise included, are
-    gathered from it after the loop.  The one tick that lands a pending
-    warm-up allocation, the first in the window, is an event, through
-    ``apply_resource_effects``, queued once at the start.  What an hour
-    hook logs is restamped just past its mark
-    (``CloudState._call_after_readings``), so that a tick at the mark
-    does not see it.
+    A tick is a timestamp, not an event.  The cloud logs every change to
+    its gauges in a journal (see ``CloudState``), opened for this call
+    and closed when it returns or raises; a sampled stream gathers every
+    tick's readings, warm-up noise included, from it after the loop.
+    The one tick that lands a pending warm-up allocation, the first in
+    the window, is an event, through ``apply_resource_effects``, queued
+    once at the start.  What an hour hook logs is restamped just past its
+    mark (``CloudState._call_after_readings``), so that a tick at the
+    mark does not see it.
 
     After a step the failure predicate is evaluated, through
     ``check_failed``, only while ``cloud.failure_inputs_changed`` is set:
@@ -621,7 +599,7 @@ def run_stream(
     check_deadline(t0, until, min(timing.base_for(step.name) for step in defn.steps))
 
     plan = _plan(defn, cloud, timing, faults)
-    journal = cloud._journal = None if tick_seconds is None else cloud._new_journal()
+    journal = cloud._journal = cloud._new_journal()
     try:
         heap: list[tuple[float, int, int, str, object]] = []
         # Bound per call rather than at import, so a patched heapq is seen.
@@ -778,7 +756,7 @@ def run_stream(
             cloud.clock = until
     finally:
         cloud._journal = None
-    if journal is None:
+    if tick_seconds is None:
         return {}
     end = until if stopped_at is None else math.nextafter(stopped_at, math.inf)
     ticks = np.arange(_first_tick(t0, tick_seconds, end))

@@ -129,7 +129,8 @@ def run_stream(
         # The most recent entity of ``kind`` the workload holds: the undo
         # entry whose undone step created one.
         for position in range(len(w.undo) - 1, -1, -1):
-            if steps[steps[w.undo[position]].undo_of].creates is kind:
+            held = steps[steps[w.undo[position]].undo_of]
+            if held.action is StepAction.CREATE and held.kind is kind:
                 strand(w, kind, position)
                 return True
         return False
@@ -145,18 +146,18 @@ def run_stream(
             return True
         if spec.action is StepAction.CREATE:
             if fault.rule is AgeingRule.PHASE_DEPENDENT and w.creates_done > 0:
-                strand(w, spec.creates, len(w.undo) - 1)
+                strand(w, spec.kind, len(w.undo) - 1)
                 return True
             w.undo.pop()
-            cloud.try_delete(spec.creates)
-            if spec.creates in cloud.quotas:
+            cloud.try_delete(spec.kind)
+            if spec.kind in cloud.quotas:
                 w.gated_held -= 1
                 w.gated_kept -= 1
             return False
         return (
             fault.rule is AgeingRule.PHASE_DEPENDENT
-            and spec.operates_on is not None
-            and strand_held(w, spec.operates_on)
+            and spec.kind is not None
+            and strand_held(w, spec.kind)
         )
 
     def run_step(w, t):
@@ -169,7 +170,7 @@ def run_stream(
             if steps[name].undo_of is not None:
                 assert w.undo.pop() == name
         spec = steps[name]
-        kind = spec.creates or spec.deletes or spec.operates_on
+        kind = spec.kind
         error = None
         if spec.action is StepAction.CREATE:
             if cloud.try_create(kind) is not None:

@@ -1022,6 +1022,10 @@ NEGATIVE_RESOURCES = (
     ("warmup_alloc_gb", -0.25),
 )
 
+#: The step keys that named an entity kind by the step's action, each
+#: with an action it went with; a step names its kind as ``kind`` alone.
+OLD_STEP_KEYS = (("create", "creates"), ("delete", "deletes"), ("operate", "operates_on"))
+
 
 class TestFreshProcess:
     """Hostile input given to the command in an interpreter of its own
@@ -1092,12 +1096,12 @@ class TestFreshProcess:
                 {
                     "workload": {
                         "steps": [
-                            {"name": "a", "action": "create", "creates": "port"},
+                            {"name": "a", "action": "create", "kind": "port"},
                             *(
                                 {
                                     "name": name,
                                     "action": "delete",
-                                    "deletes": "port",
+                                    "kind": "port",
                                     "undo_of": "a",
                                 }
                                 for name in ("b", "c")
@@ -1107,6 +1111,15 @@ class TestFreshProcess:
                 },
                 [],
                 "step 'a' is undone twice",
+            ),
+            # A step names its entity kind as ``kind``, not by its action.
+            *(
+                (
+                    {"workload": {"steps": [{"name": "a", "action": action, key: "port"}]}},
+                    [],
+                    f"scenario.workload.steps[0].{key}: unknown field",
+                )
+                for action, key in OLD_STEP_KEYS
             ),
         ],
         ids=[
@@ -1120,6 +1133,7 @@ class TestFreshProcess:
             *(f"negative-{field}" for field, _value in NEGATIVE_RESOURCES),
             "noise-overflow",
             "undone-twice",
+            *(f"old-key-{key}" for _action, key in OLD_STEP_KEYS),
         ],
     )
     @pytest.mark.parametrize("command", [["run"], ["suite", "--configs"]], ids=["run", "suite"])
@@ -1139,11 +1153,11 @@ class TestFreshProcess:
         the stream never reached its deadline; it is refused before its
         first event."""
         steps = [
-            {"name": "create user", "action": "create", "creates": "user"},
+            {"name": "create user", "action": "create", "kind": "user"},
             {
                 "name": "delete user",
                 "action": "delete",
-                "deletes": "user",
+                "kind": "user",
                 "undo_of": "create user",
             },
         ]

@@ -2,12 +2,15 @@
 arguments and ends without an error, so a change to the API the demos
 use cannot break them unnoticed."""
 
+import json
 import re
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
+
+from agesim.scenario import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -60,3 +63,14 @@ def test_readme_python_blocks_run_and_the_quick_start_verdict_holds(capsys):
     duration = namespace["duration"]
     assert duration.trend.verdict.value == commented == "upward"
     assert duration.ageing.sens_slope > 0
+
+
+def test_readme_json_blocks_are_scenario_configs():
+    """Every ``json`` block of the README is a config document that
+    ``ScenarioConfig.from_document`` builds, so the documented format
+    cannot drift from the code."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```json\n(.*?)^```$", readme, flags=re.S | re.M)
+    assert blocks
+    for block in blocks:
+        ScenarioConfig.from_document(json.loads(block))

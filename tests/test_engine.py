@@ -40,7 +40,6 @@ from agesim.cloud import (
 )
 from agesim.errors import ConfigError
 from agesim.workload import (
-    DEFAULT_STEP_NAMES,
     DEFAULT_STEPS,
     STOP_STREAM,
     StepAction,
@@ -549,17 +548,24 @@ def test_journal_closes_when_a_hook_raises():
     assert cloud._journal is None
 
 
+@pytest.mark.parametrize("tick_seconds", [60.0, None])
 @pytest.mark.parametrize("hook", ["hour_hook", "result_hook", "error_hook"])
-def test_a_redeploy_inside_a_sampled_stream_is_refused(hook):
-    """A stream samples one deployment: a hook that rejuvenates the cloud
-    mid-stream gets ``RuntimeError`` before any field changes, the journal
-    closes with the call, and a rejuvenation once the call has returned
-    goes ahead."""
+def test_a_redeploy_inside_a_stream_is_refused(hook, tick_seconds):
+    """A stream runs on one deployment, sampled or not: a hook that
+    rejuvenates the cloud mid-stream gets ``RuntimeError`` before any
+    field changes, the journal closes with the call, and a rejuvenation
+    once the call has returned goes ahead."""
     cloud = CloudState(params=_quiet(retention_fraction=0.5), seed=6)
     faults = FaultModel(ALL_ERRORS, seed=6)
 
     def fields():
-        return cloud.clock, cloud.ageing_units, cloud._host_residual_gb, cloud._warmup_start
+        return (
+            cloud.clock,
+            cloud.ageing_units,
+            cloud._host_residual_gb,
+            cloud._consumed_gb,
+            cloud._warmup_start,
+        )
 
     before = []
 
@@ -567,23 +573,23 @@ def test_a_redeploy_inside_a_sampled_stream_is_refused(hook):
         before.append(fields())
         rejuvenate(cloud)
 
-    with pytest.raises(RuntimeError, match="while a stream samples it"):
+    with pytest.raises(RuntimeError, match="while a stream runs on it"):
         run_stream(
             DEFN,
             cloud,
             until=2 * 3600.0,
             concurrency=2,
             faults=faults,
-            tick_seconds=60.0,
+            tick_seconds=tick_seconds,
             **{hook: redeploy},
         )
     assert cloud._journal is None
     assert [fields()] == before
-    clock, ageing_units, _, _ = before[0]
+    clock, ageing_units, residual, consumed, _ = before[0]
     rejuvenate(cloud)
     assert cloud.clock == cloud._warmup_start == clock + cloud.params.rejuvenation_seconds
     assert cloud.ageing_units == ageing_units * 0.5
-    assert cloud._host_residual_gb > 0.0
+    assert cloud._host_residual_gb == residual + 0.5 * consumed
 
 
 class PollingCloud(CloudState):
@@ -676,8 +682,8 @@ def test_default_fault_step_missing_from_a_custom_definition_raises():
     hold is refused rather than never drawn."""
     defn = WorkloadDefinition(
         steps=(
-            StepSpec("hold", StepAction.CREATE, creates=EntityKind.PORT),
-            StepSpec("release", StepAction.DELETE, deletes=EntityKind.PORT, undo_of="hold"),
+            StepSpec("hold", StepAction.CREATE, kind=EntityKind.PORT),
+            StepSpec("release", StepAction.DELETE, kind=EntityKind.PORT, undo_of="hold"),
         )
     )
     cloud = CloudState(params=_quiet())
@@ -695,7 +701,7 @@ def test_default_fault_step_missing_from_a_custom_definition_raises():
 KINDS = tuple(EntityKind)
 
 fault_tables = st.dictionaries(
-    st.sampled_from(DEFAULT_STEP_NAMES),
+    st.sampled_from([s.name for s in DEFAULT_STEPS]),
     st.dictionaries(
         st.sampled_from(tuple(DEFAULT_ERROR_CATALOG)),
         st.floats(min_value=0.0, max_value=0.3),

@@ -232,6 +232,30 @@ class TestSharedClock:
         assert not clock.flags.writeable
         assert (3600.0 + 1e-9 in clock.tolist()) is tie
 
+    def test_tied_readings_keep_the_order_they_were_read_in(self):
+        """The detection hour's last stress tick and the rejuvenation sample
+        share a stamp; every gauge holds the stress tick at the stamp and
+        the rejuvenation sample just past it, rather than whichever of its
+        two readings is the larger at each."""
+        report = run_scenario(
+            crashy_config(
+                EarlyFailurePolicy.REJUVENATE, resources=quiet_resources(rejuvenation_seconds=10.0)
+            )
+        )
+        assert report.rejuvenation_started == 3600.0
+        gauges = {name: s for name, s in report.series.items() if name != "workload-duration"}
+        clock = gauges["memory-available"].timestamps.tolist()
+        after = clock.index(3600.0) + 1
+        assert clock[after] == 3600.0 + 1e-9
+        fresh = {name: s.values[after] for name, s in gauges.items()}
+        assert fresh == {
+            "memory-available": 1.5,
+            "swap-used": 0.0,
+            "disk-used-compute-1": 0.0,
+            "disk-used-compute-2": 0.0,
+        }
+        assert gauges["memory-available"].values[after - 1] < 1.5
+
     def test_report_survives_pickle(self):
         report = run_scenario(
             crashy_config(

@@ -17,7 +17,6 @@ from agesim.errors import ConfigError
 from agesim.scenario import ScenarioConfig, run_scenario
 from agesim.workload import (
     CLOUD_UNAVAILABLE,
-    DEFAULT_STEP_NAMES,
     DEFAULT_STEPS,
     MAX_CONCURRENCY,
     STOP_STREAM,
@@ -62,14 +61,13 @@ def stream_results(cloud: CloudState, **options) -> list[WorkloadResult]:
 class TestDefinition:
     def test_has_29_steps(self):
         assert len(DEFN.steps) == 29
-        assert len(DEFAULT_STEP_NAMES) == 29
 
     def test_eleven_creates_each_with_delete(self):
         creates = [s for s in DEFN.steps if s.action is StepAction.CREATE]
         deletes = [s for s in DEFN.steps if s.action is StepAction.DELETE]
         assert len(creates) == 11
         assert len(deletes) == 11
-        assert {s.creates for s in creates} == set(EntityKind)
+        assert {s.kind for s in creates} == set(EntityKind)
         assert {d.undo_of for d in deletes} == {c.name for c in creates}
 
     def test_cleanup_is_lifo(self):
@@ -84,18 +82,18 @@ class TestDefinition:
 
     def test_out_of_order_cleanup_rejected(self):
         steps = (
-            StepSpec("create network", StepAction.CREATE, creates=EntityKind.NETWORK),
-            StepSpec("create volume", StepAction.CREATE, creates=EntityKind.VOLUME),
+            StepSpec("create network", StepAction.CREATE, kind=EntityKind.NETWORK),
+            StepSpec("create volume", StepAction.CREATE, kind=EntityKind.VOLUME),
             StepSpec(
                 "delete network",
                 StepAction.DELETE,
-                deletes=EntityKind.NETWORK,
+                kind=EntityKind.NETWORK,
                 undo_of="create network",
             ),
             StepSpec(
                 "delete volume",
                 StepAction.DELETE,
-                deletes=EntityKind.VOLUME,
+                kind=EntityKind.VOLUME,
                 undo_of="create volume",
             ),
         )
@@ -110,7 +108,7 @@ class TestDefinition:
             ScenarioConfig.from_document({"scenario_id": "x", "workload": {"steps": []}})
 
     def test_unbalanced_create_rejected(self):
-        steps = (StepSpec("create network", StepAction.CREATE, creates=EntityKind.NETWORK),)
+        steps = (StepSpec("create network", StepAction.CREATE, kind=EntityKind.NETWORK),)
         with pytest.raises(ConfigError):
             WorkloadDefinition(steps=steps)
 
@@ -118,15 +116,15 @@ class TestDefinition:
         """A create step never sits on a workload's undo stack, so it may
         not undo an earlier step."""
         with pytest.raises(ConfigError, match="create step 'create b' cannot undo a step"):
-            StepSpec("create b", StepAction.CREATE, creates=EntityKind.PORT, undo_of="create a")
+            StepSpec("create b", StepAction.CREATE, kind=EntityKind.PORT, undo_of="create a")
 
 
 def _step(name, action, **fields):
     return {"name": name, "action": action, **fields}
 
 
-CREATE_PORT = _step("create port", "create", creates="port")
-DELETE_PORT = _step("delete port", "delete", deletes="port", undo_of="create port")
+CREATE_PORT = _step("create port", "create", kind="port")
+DELETE_PORT = _step("delete port", "delete", kind="port", undo_of="create port")
 
 
 @pytest.mark.parametrize(
@@ -138,11 +136,9 @@ DELETE_PORT = _step("delete port", "delete", deletes="port", undo_of="create por
             "delete step 'delete port' names no entity kind",
         ),
         (
-            [CREATE_PORT, _step("delete port", "delete", deletes="port")],
+            [CREATE_PORT, _step("delete port", "delete", kind="port")],
             "delete step 'delete port' must undo a create step",
         ),
-        ([_step("grant", "operate", creates="role")], "step 'grant' cannot create entities"),
-        ([_step("grant", "operate", deletes="role")], "step 'grant' cannot delete entities"),
         ([CREATE_PORT, CREATE_PORT, DELETE_PORT], "step names must be unique"),
         (
             [DELETE_PORT, CREATE_PORT],
@@ -153,9 +149,18 @@ DELETE_PORT = _step("delete port", "delete", deletes="port", undo_of="create por
             "step 'create port' is undone twice",
         ),
         (
-            [CREATE_PORT, {**DELETE_PORT, "deletes": "volume"}],
+            [CREATE_PORT, {**DELETE_PORT, "kind": "volume"}],
             "step 'delete port' deletes EntityKind.VOLUME but 'create port' creates"
             " EntityKind.PORT",
+        ),
+        (
+            [
+                CREATE_PORT,
+                _step("touch port", "operate", kind="port"),
+                _step("drop port", "delete", kind="port", undo_of="touch port"),
+                DELETE_PORT,
+            ],
+            "step 'drop port' deletes EntityKind.PORT but 'touch port' creates None",
         ),
         (
             [{**CREATE_PORT, "depends_on": ["create network"]}, DELETE_PORT],
@@ -165,19 +170,33 @@ DELETE_PORT = _step("delete port", "delete", deletes="port", undo_of="create por
             [CREATE_PORT, {**DELETE_PORT, "service": "network"}],
             "scenario.workload.steps[1].service: unknown field",
         ),
+        (
+            [_step("create port", "create", creates="port"), DELETE_PORT],
+            "scenario.workload.steps[0].creates: unknown field",
+        ),
+        (
+            [CREATE_PORT, _step("delete port", "delete", deletes="port", undo_of="create port")],
+            "scenario.workload.steps[1].deletes: unknown field",
+        ),
+        (
+            [CREATE_PORT, _step("touch port", "operate", operates_on="port"), DELETE_PORT],
+            "scenario.workload.steps[1].operates_on: unknown field",
+        ),
     ],
     ids=[
         "create-without-kind",
         "delete-without-kind",
         "delete-undoing-nothing",
-        "operate-creating",
-        "operate-deleting",
         "duplicate-names",
         "undo-before-its-target",
         "undone-twice",
         "kind-mismatch",
+        "delete-undoing-operate",
         "depends-on",
         "service",
+        "creates",
+        "deletes",
+        "operates-on",
     ],
 )
 def test_a_malformed_workload_document_is_refused(steps, message):
@@ -242,9 +261,9 @@ def step_span(
     trial.quotas[EntityKind.PORT] = 1000  # room for every port stranded before slot 0 ends
     defn = WorkloadDefinition(
         steps=(
-            StepSpec("hold", StepAction.CREATE, creates=EntityKind.PORT),
-            StepSpec(step_name, StepAction.OPERATE, operates_on=EntityKind.PORT),
-            StepSpec("release", StepAction.DELETE, deletes=EntityKind.PORT, undo_of="hold"),
+            StepSpec("hold", StepAction.CREATE, kind=EntityKind.PORT),
+            StepSpec(step_name, StepAction.OPERATE, kind=EntityKind.PORT),
+            StepSpec("release", StepAction.DELETE, kind=EntityKind.PORT, undo_of="hold"),
         )
     )
     faults = FaultModel({step_name: {"node-unreachable": 1.0}})
@@ -452,11 +471,11 @@ class TestBootFault:
         server = EntityKind.SERVER
         defn = WorkloadDefinition(
             steps=(
-                StepSpec("boot a", create, creates=server),
-                StepSpec("boot b", create, creates=server),
-                StepSpec("rebuild", operate, operates_on=server),
-                StepSpec("delete b", delete, deletes=server, undo_of="boot b"),
-                StepSpec("delete a", delete, deletes=server, undo_of="boot a"),
+                StepSpec("boot a", create, kind=server),
+                StepSpec("boot b", create, kind=server),
+                StepSpec("rebuild", operate, kind=server),
+                StepSpec("delete b", delete, kind=server, undo_of="boot b"),
+                StepSpec("delete a", delete, kind=server, undo_of="boot a"),
             )
         )
         faults = FaultModel({"rebuild": {error: 1.0}, "delete b": {"node-unreachable": 1.0}})
