@@ -63,6 +63,20 @@ from .workload import (
 )
 
 
+#: Most gauge ticks a scenario may sample, ``(stress_hours +
+#: post_rejuvenation_hours) * 3600 / sample_interval_seconds + 1``: every
+#: tick holds a float64 reading of each gauge and of the clock, so 2**22
+#: ticks (48 days at 1 s ticks) take about 170 MB on the multi-node cloud.
+MAX_TICKS = 2**22
+
+#: Most slot-hours a scenario may run, ``concurrency * (stress_hours +
+#: post_rejuvenation_hours)``.  Past the quota gate the engine's work grows
+#: with that product, by 0.2-0.46 ms of host time per slot-hour on a 2-core
+#: VM (c=10,000 for one hour took 3.1-4.6 s), so the largest scenario
+#: accepted runs for one to two minutes.  The default phases (24 + 1 hours)
+#: at ``MAX_CONCURRENCY`` (250,000 slot-hours) stay within it.
+MAX_SLOT_HOURS = 2**18
+
 #: A scenario id names its bundle directory, ``scenario-{id}``, so it may
 #: hold only these characters, and may not be ``.`` or ``..``.
 _SCENARIO_ID = re.compile(r"[A-Za-z0-9._-]+")
@@ -140,6 +154,20 @@ class ScenarioConfig:
             raise ConfigError(
                 f"a {post} s post-rejuvenation phase cannot advance a clock at {start} s: "
                 f"its resolution there is {math.ulp(start)} s"
+            )
+        # the deadlines above keep the phases short enough to count in floats
+        hours = self.stress_hours + self.post_rejuvenation_hours
+        ticks = hours * SECONDS_PER_HOUR / self.sample_interval_seconds + 1
+        if ticks > MAX_TICKS:
+            raise ConfigError(
+                f"(stress_hours + post_rejuvenation_hours) * 3600 / sample_interval_seconds"
+                f" + 1 must be at most {MAX_TICKS} ticks, got {ticks}"
+            )
+        slot_hours = self.concurrency * hours
+        if slot_hours > MAX_SLOT_HOURS:
+            raise ConfigError(
+                f"concurrency * (stress_hours + post_rejuvenation_hours) must be at most"
+                f" {MAX_SLOT_HOURS} slot-hours, got {slot_hours}"
             )
 
     def to_document(self) -> dict:
@@ -335,8 +363,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     starts, durations = array("d"), array("d")
     # the gauge readings of each phase: stress, rejuvenation and post
     readings: list[dict[str, np.ndarray]] = []
-    # workload counts per hour, keyed by status value as the report holds them
-    hourly: dict[int, dict[str, int]] = {}
+    # workload counts per hour, keyed by status; the report holds their values
+    hourly: dict[int, dict[WorkloadStatus, int]] = {}
     # error times and kind codes; each kind's code by step, error and
     # stranded flag, numbered in the order first seen
     error_times, error_codes = array("d"), array("q")
@@ -347,18 +375,19 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         return STOP_STREAM if check_failed(cloud) else None
 
     success = WorkloadStatus.SUCCESS
-    value_of = {status: status.value for status in WorkloadStatus}
+    append_start, append_duration = starts.append, durations.append
 
     def result_hook(result) -> None:
-        status = result.status
-        hour = int(result.started_at // SECONDS_PER_HOUR)
+        started_at = result.started_at
+        hour = int(started_at // SECONDS_PER_HOUR)
         bucket = hourly.get(hour)
         if bucket is None:
-            bucket = hourly[hour] = dict.fromkeys(value_of.values(), 0)
-        bucket[value_of[status]] += 1
+            bucket = hourly[hour] = dict.fromkeys(WorkloadStatus, 0)
+        status = result.status
+        bucket[status] += 1
         if status is success:
-            starts.append(result.started_at)
-            durations.append(result.duration)
+            append_start(started_at)
+            append_duration(result.ended_at - started_at)
 
     append_error_time, append_error_code = error_times.append, error_codes.append
 
@@ -447,7 +476,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         excluded_windows=tuple(excluded),
         series=series,
         analyses=analyses,
-        hourly_counts=tuple({"hour": hour, **hourly[hour]} for hour in sorted(hourly)),
+        hourly_counts=tuple(
+            {"hour": hour, **{s.value: n for s, n in hourly[hour].items()}}
+            for hour in sorted(hourly)
+        ),
         error_log=ErrorLog(error_times, error_codes, kinds),
     )
 

@@ -207,6 +207,11 @@ class WorkloadDefinition:
                     raise ConfigError(f"step {step.undo_of!r} is undone twice")
                 undone[step.undo_of] = i
                 doer = self.steps[target]
+                if doer.action is StepAction.CREATE and step.action is not StepAction.DELETE:
+                    raise ConfigError(
+                        f"step {step.name!r} undoes create step {doer.name!r}"
+                        " but is not a delete step"
+                    )
                 # An operate step names a kind too, but creates none.
                 made = doer.kind if doer.action is StepAction.CREATE else None
                 if step.action is StepAction.DELETE and made is not step.kind:
@@ -359,9 +364,9 @@ class _Execution:
     """The state of one workload advancing through a run's step plan.
 
     ``run_stream`` executes the steps itself, inline in its event loop,
-    and reads and writes these fields directly; the methods here are the
-    rare paths it calls into (an error, a fault, a stranded entity) and
-    the settlement of a finished workload.
+    and settles a finished workload there too; it reads and writes these
+    fields directly, and the methods here are the rare paths it calls
+    into (an error, a fault, a stranded entity).
 
     ``index`` is the position of the next forward step in the plan.
     ``stack`` holds the ``_PlanStep`` records of the steps that will undo
@@ -371,8 +376,9 @@ class _Execution:
     ``gated_live`` counts the live quota-limited entities the workload
     holds; it holds the contention gate while that is positive.
     ``last_step`` is the record of the step executed most recently; a
-    workload runs its first step in the event that launches it, so
-    ``finalize`` always finds one.
+    workload runs its first step in the event that launches it, so a
+    finished workload always has one.  ``leftover_kinds`` is a tuple,
+    grown by each stranding, that a result holds as it is.
     """
 
     cloud: CloudState
@@ -387,7 +393,7 @@ class _Execution:
     gated_live: int = field(default=0, init=False)
     gated_creates: int = field(default=0, init=False)
     completed_creates: int = field(default=0, init=False)
-    leftover_kinds: list[str] = field(default_factory=list, init=False)
+    leftover_kinds: tuple[str, ...] = field(default=(), init=False)
     last_step: _PlanStep | None = field(default=None, init=False)
 
     # -- helpers ------------------------------------------------------------
@@ -413,7 +419,7 @@ class _Execution:
         self.cloud.add_leftover(kind, from_live=True)
         if kind in self.cloud.quotas:
             self.gated_live -= 1
-        self.leftover_kinds.append(kind.value)
+        self.leftover_kinds += (kind.value,)
 
     def _strand_held(self, kind: EntityKind) -> bool:
         """Strand the most recent entity of ``kind`` the workload holds, if any."""
@@ -435,7 +441,7 @@ class _Execution:
                 return True
             if self.cloud.add_leftover(kind) is not None:
                 return False
-            self.leftover_kinds.append(kind.value)
+            self.leftover_kinds += (kind.value,)
             return True
         if step.action is _CREATE:
             # The entity being made is the top of the stack.  A phase-
@@ -455,28 +461,6 @@ class _Execution:
             spec.rule is _PHASE_DEPENDENT
             and step.kind is not None
             and self._strand_held(step.kind)
-        )
-
-    # -- completion ------------------------------------------------------------
-
-    def finalize(self, ended_at: float) -> WorkloadResult:
-        """Land the workload's last completion event and return its result."""
-        apply_resource_effects(self.cloud, self.last_step.finished[self.gated_creates > 0])
-        if self.error is None:
-            status = _SUCCESS
-        elif self.leftover_kinds:
-            status = _AGEING_FAILURE
-        else:
-            status = _NON_AGEING_FAILURE
-        return WorkloadResult(
-            self.started_at,
-            ended_at,
-            status,
-            self.error,
-            self.failed_step,
-            len(self.leftover_kinds),
-            tuple(self.leftover_kinds),
-            self.steps_executed,
         )
 
 
@@ -573,23 +557,25 @@ def run_stream(
 
     Events are a slot's ``launch``, a workload's next ``step``, its
     ``finish`` when its last step ends, an allocation ``tick`` and an
-    ``hour`` mark.  A finish hands the slot on in the same event by
-    running the next workload's first step, unless a work event already
-    waits at that instant: a launch pushed then would run after it, so
-    the launch is queued behind it.  A failed cloud parks the slot.  Each
-    event costs one heap operation.  The first event is popped before
-    the loop; an event that schedules a successor (a step, a finish's
-    in-place launch, a launch queued behind a tie, an hour mark whose
-    successor falls before ``until``) takes the next event with
-    ``heappushpop``, and one that schedules nothing (a launch or finish
-    on a failed cloud, an allocation tick, an hour mark whose successor
-    would fall at or past ``until``) with ``heappop``.  ``heappushpop``
-    is "push, then pop the smallest", and events are tuples ordered by
-    (time, priority, sequence number) with unique sequence numbers, so
-    events run in exactly that order.  The loop ends at the first event
-    at or past ``until``, when the heap is empty, or at an hour mark
-    whose hook returned ``STOP_STREAM``; only that last exit leaves
-    ``cloud.clock`` short of ``until``.
+    ``hour`` mark.  A finish lands the workload's last completion event
+    through ``apply_resource_effects`` and, for ``result_hook``, builds
+    its ``WorkloadResult`` inline.  It hands the slot on in the same
+    event by running the next workload's first step, unless a work event
+    already waits at that instant: a launch pushed then would run after
+    it, so the launch is queued behind it.  A failed cloud parks the
+    slot.  Each event costs one heap operation.  The first event is
+    popped before the loop; an event that schedules a successor (a step,
+    a finish's in-place launch, a launch queued behind a tie, an hour
+    mark whose successor falls before ``until``) takes the next event
+    with ``heappushpop``, and one that schedules nothing (a launch or
+    finish on a failed cloud, an allocation tick, an hour mark whose
+    successor would fall at or past ``until``) with ``heappop``.
+    ``heappushpop`` is "push, then pop the smallest", and events are
+    tuples ordered by (time, priority, sequence number) with unique
+    sequence numbers, so events run in exactly that order.  The loop
+    ends at the first event at or past ``until``, when the heap is
+    empty, or at an hour mark whose hook returned ``STOP_STREAM``; only
+    that last exit leaves ``cloud.clock`` short of ``until``.
     """
     check_concurrency(concurrency)
     if tick_seconds is not None and not (0.0 < tick_seconds < math.inf):
@@ -611,6 +597,8 @@ def run_stream(
         # ``apply_resource_effects`` are looked up as module globals at each
         # call instead, so a patched module function is seen.
         CREATE, DELETE = _CREATE, _DELETE
+        # A C call, where ``WorkloadResult(...)`` runs a Python ``__new__``.
+        new_result = tuple.__new__
         n_steps = len(plan)
         capacity = cloud.params.contention_capacity
         contention_of = [max(g / capacity, 1.0) for g in range(concurrency + 1)]
@@ -675,9 +663,21 @@ def run_stream(
                             error_hook(t, *error)
                     if execution.gated_live > 0:
                         gate_count -= 1
-                    result = execution.finalize(t)
+                    apply_resource_effects(
+                        cloud, execution.last_step.finished[execution.gated_creates > 0]
+                    )
                     if result_hook is not None:
-                        result_hook(result)
+                        leftovers = execution.leftover_kinds
+                        if execution.error is None:
+                            status = _SUCCESS
+                        elif leftovers:
+                            status = _AGEING_FAILURE
+                        else:
+                            status = _NON_AGEING_FAILURE
+                        fields = (execution.started_at, t, status, execution.error,
+                                  execution.failed_step, len(leftovers), leftovers,
+                                  execution.steps_executed)
+                        result_hook(new_result(WorkloadResult, fields))
                     if cloud.failed:
                         event = heappop(heap) if heap else None
                         continue

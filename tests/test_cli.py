@@ -1112,6 +1112,31 @@ class TestFreshProcess:
                 [],
                 "step 'a' is undone twice",
             ),
+            # A create step undone by an operate step would leave its entity live.
+            (
+                {
+                    "workload": {
+                        "steps": [
+                            {"name": "boot", "action": "create", "kind": "server"},
+                            {"name": "release", "action": "operate", "undo_of": "boot"},
+                        ]
+                    }
+                },
+                [],
+                "step 'release' undoes create step 'boot' but is not a delete step",
+            ),
+            # A million hours at 1 s ticks would sample 3.6e9 ticks.
+            (
+                {"stress_hours": 10**6, "concurrency": 64, "sample_interval_seconds": 1.0},
+                [],
+                "sample_interval_seconds + 1 must be at most 4194304 ticks",
+            ),
+            # 10,000 slots for 27 hours would run for minutes.
+            (
+                {"stress_hours": 27, "concurrency": 10_000, "sample_interval_seconds": 3600},
+                [],
+                "must be at most 262144 slot-hours, got 270000",
+            ),
             # A step names its entity kind as ``kind``, not by its action.
             *(
                 (
@@ -1133,6 +1158,9 @@ class TestFreshProcess:
             *(f"negative-{field}" for field, _value in NEGATIVE_RESOURCES),
             "noise-overflow",
             "undone-twice",
+            "operate-undoing-create",
+            "tick-bound",
+            "slot-hour-bound",
             *(f"old-key-{key}" for _action, key in OLD_STEP_KEYS),
         ],
     )

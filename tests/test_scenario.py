@@ -16,6 +16,8 @@ from agesim.errors import AgesimError, ConfigError, InvalidSeriesError
 from agesim.report import render_tables, report_document
 from agesim.scenario import (
     MATRIX_CONCURRENCIES,
+    MAX_SLOT_HOURS,
+    MAX_TICKS,
     EarlyFailurePolicy,
     ErrorLog,
     ScenarioConfig,
@@ -516,6 +518,26 @@ class TestConfigDocuments:
                 ScenarioConfig(scenario_id="x", concurrency=concurrency)
         with pytest.raises(ConfigError, match="concurrency must lie in"):
             ScenarioConfig.from_document({"scenario_id": "x", "concurrency": 10**30})
+
+    def test_tick_count_is_bounded(self):
+        """Built only: 2,000 hours sampled at exactly ``MAX_TICKS`` ticks
+        builds, and one float step of the interval below refuses."""
+        interval = 3600.0 * 2000 / (MAX_TICKS - 1)
+        fields = dict(scenario_id="x", stress_hours=1999, post_rejuvenation_hours=1)
+        assert ScenarioConfig(**fields, sample_interval_seconds=interval)
+        with pytest.raises(ConfigError, match=f"at most {MAX_TICKS} ticks, got 4194304.00"):
+            ScenarioConfig(**fields, sample_interval_seconds=math.nextafter(interval, 0.0))
+
+    def test_slot_hours_are_bounded(self):
+        """Built only: 64 slots for ``MAX_SLOT_HOURS / 64`` hours builds,
+        and one stress hour more is refused."""
+        fields = dict(scenario_id="x", concurrency=64, sample_interval_seconds=3600.0)
+        hours = MAX_SLOT_HOURS // 64
+        assert ScenarioConfig(**fields, stress_hours=hours - 1)
+        with pytest.raises(
+            ConfigError, match=f"at most {MAX_SLOT_HOURS} slot-hours, got {MAX_SLOT_HOURS + 64}$"
+        ):
+            ScenarioConfig(**fields, stress_hours=hours)
 
     @pytest.mark.parametrize("field", ["stress_hours", "post_rejuvenation_hours"])
     def test_phase_overflowing_a_float_in_seconds_rejected(self, field):

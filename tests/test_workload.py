@@ -163,6 +163,13 @@ DELETE_PORT = _step("delete port", "delete", kind="port", undo_of="create port")
             "step 'drop port' deletes EntityKind.PORT but 'touch port' creates None",
         ),
         (
+            [
+                CREATE_PORT,
+                _step("release port", "operate", kind="port", undo_of="create port"),
+            ],
+            "step 'release port' undoes create step 'create port' but is not a delete step",
+        ),
+        (
             [{**CREATE_PORT, "depends_on": ["create network"]}, DELETE_PORT],
             "scenario.workload.steps[0].depends_on: unknown field",
         ),
@@ -192,6 +199,7 @@ DELETE_PORT = _step("delete port", "delete", kind="port", undo_of="create port")
         "undone-twice",
         "kind-mismatch",
         "delete-undoing-operate",
+        "operate-undoing-create",
         "depends-on",
         "service",
         "creates",
@@ -606,7 +614,7 @@ class TestFailedCloud:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="finalize hands the last step to apply_resource_effects, so a "
+        reason="a finish hands the last step to apply_resource_effects, so a "
         "workload cut short right after its boot deposits the boot's cache image "
         "again; mending it moves the benchmark's pinned output digests",
     )
@@ -617,6 +625,29 @@ class TestFailedCloud:
         results = stream_results(cloud, until=3600.0)
         assert [(r.steps_executed, r.error) for r in results] == [(11, CLOUD_UNAVAILABLE)]
         assert cloud.cache_image_count() == 1
+
+    def test_every_result_is_a_whole_workload_result(self):
+        """A result hook receives ``WorkloadResult`` instances whose
+        leftover kinds are a tuple as long as the leftover count, on every
+        outcome: success, both failures and a workload the failed cloud
+        cut short.  A plain tuple would compare equal to such a result."""
+        faults = FaultModel(
+            {
+                "boot server": {"server-error-status": 0.3},
+                "rebuild server": {"rebuild-error": 0.3},
+            },
+            seed=1,
+        )
+        cloud = quiet_cloud()
+        results = stream_results(cloud, until=7200.0, concurrency=4, faults=faults)
+        assert cloud.failed
+        assert {r.status for r in results} == set(WorkloadStatus)
+        assert CLOUD_UNAVAILABLE in {r.error for r in results}
+        for r in results:
+            assert type(r) is WorkloadResult
+            assert type(r.leftover_kinds) is tuple
+            assert len(r.leftover_kinds) == r.leftovers_created
+            assert r.ended_at >= r.started_at
 
 
 # ── Streaming ────────────────────────────────────────────────────────────
