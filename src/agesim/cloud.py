@@ -102,6 +102,21 @@ TOPOLOGIES = {
 }
 
 
+#: Most GB one deposit may add to a gauge: ``cache_image_gb``,
+#: ``leak_per_workload_gb``, ``leftover_retention_gb`` and
+#: ``warmup_alloc_gb``.  It keeps every gauge and every hourly bin finite.
+#: A step lasts at least its base time, and no base time is below 1 ms
+#: (``TimingParams``), so a slot runs at most 3.6e6 steps an hour, and a
+#: scenario, capped at ``MAX_SLOT_HOURS`` = 2**18 slot-hours (see
+#: ``agesim.scenario``), at most 9.5e11 steps.  A step lands at most one
+#: deposit of each per-step amount (a cache image, a stranded leftover, a
+#: finished workload's leak), and each deployment one warm-up allocation,
+#: so a gauge moves at most 3 * 1e12 * 1e12 GB, about 3e24 GB, from
+#: where it started; an hourly bin sums at most ``MAX_TICKS`` = 2**22
+#: readings, about 1.3e31 GB, far below the float limit (1.8e308).
+MAX_DEPOSIT_GB = 1e12
+
+
 @dataclass(frozen=True)
 class ResourceParams:
     """Resource-model rates and limits.
@@ -113,7 +128,8 @@ class ResourceParams:
     field may be negative: a negative leak, retention or warm-up
     allocation would free memory under load, a negative noise amplitude,
     or one whose range is too wide for a float, cannot be drawn, and a
-    negative ageing rate would run the clock back.
+    negative ageing rate would run the clock back.  No amount one event
+    deposits may pass ``MAX_DEPOSIT_GB``, so no gauge can overflow.
     """
 
     initial_memory_gb: float = 1.5
@@ -145,6 +161,11 @@ class ResourceParams:
         for spec in fields(self):
             if spec.type == "float" and not getattr(self, spec.name) >= 0:
                 raise ConfigError(f"{spec.name} must not be negative")
+        for name in (
+            "cache_image_gb", "leak_per_workload_gb", "leftover_retention_gb", "warmup_alloc_gb"
+        ):
+            if not getattr(self, name) <= MAX_DEPOSIT_GB:
+                raise ConfigError(f"{name} must be at most {MAX_DEPOSIT_GB:g} GB")
         if not math.isfinite(2 * self.warmup_noise_gb):
             raise ConfigError("warmup_noise_gb is too large to draw noise from")
 

@@ -300,7 +300,10 @@ class _PlanStep:
     model has probabilities for the step, so that a draw is worth a call.
     ``completed`` is the step's completion event and ``finished`` the
     pair of events that end a workload on this step, indexed by whether
-    the workload did real work; all three are built once per run.
+    the workload did real work.  ``rejected`` is the error event of a
+    quota rejection, ``(name, quota error name, False)``, for a
+    quota-gated step and None otherwise.  All three events are built once
+    per run.
     """
 
     name: str
@@ -312,7 +315,7 @@ class _PlanStep:
     draws: bool
     undoes: bool
     holds: EntityKind | None
-    quota_error: str | None
+    rejected: tuple[str, str, bool] | None
     completed: WorkloadStepCompleted
     finished: tuple[WorkloadStepCompleted, WorkloadStepCompleted]
     undo: _PlanStep | None = None
@@ -344,7 +347,7 @@ def _plan(
             draws=name in per_step,
             undoes=done is not None,
             holds=done.kind if done is not None and done.action is _CREATE else None,
-            quota_error=quota_error_name(kind) if gated else None,
+            rejected=(name, quota_error_name(kind), False) if gated else None,
             completed=WorkloadStepCompleted(name),
             finished=tuple(
                 WorkloadStepCompleted(name, workload_finished=True, did_real_work=real)
@@ -361,20 +364,31 @@ def _plan(
 
 @dataclass(slots=True, eq=False)
 class _Execution:
-    """The state of one workload advancing through a run's step plan.
+    """The state of the workload a stream slot is running.
 
     ``run_stream`` executes the steps itself, inline in its event loop,
     and settles a finished workload there too; it reads and writes these
     fields directly, and the methods here are the rare paths it calls
-    into (an error, a fault, a stranded entity).
+    into (a fault, a stranded entity, a cloud failing under a workload).
+
+    A slot has one record for the whole ``run_stream`` call, built for
+    its first launch; each later launch on the slot resets it in place
+    for the next workload: ``started_at``, ``index``, ``steps_executed``,
+    ``gated_creates``, ``completed_creates``, ``error``, ``failed_step``
+    and ``leftover_kinds``.  ``stack`` and ``gated_live`` need no reset,
+    because a workload that hands its slot on leaves the stack empty and
+    ``gated_live`` at 0: its plan undoes every entry it pushes, and a
+    stack entry holds every live quota-limited entity the workload has.
+    A slot parked by a failed cloud keeps its record as its last workload
+    left it.
 
     ``index`` is the position of the next forward step in the plan.
     ``stack`` holds the ``_PlanStep`` records of the steps that will undo
-    what the workload has done so far, most recent last.  The first error
-    sets ``aborted``: from then on each step pops ``stack`` and runs as an
-    unwind step, and the workload finishes when the stack is empty.
-    ``gated_live`` counts the live quota-limited entities the workload
-    holds; it holds the contention gate while that is positive.
+    what the workload has done so far, most recent last.  ``error`` is
+    the workload's first error: once it is set, each step pops ``stack``
+    and runs as an unwind step, and the workload finishes when the stack
+    is empty.  ``gated_live`` counts the live quota-limited entities the
+    workload holds; it holds the contention gate while that is positive.
     ``last_step`` is the record of the step executed most recently; a
     workload runs its first step in the event that launches it, so a
     finished workload always has one.  ``leftover_kinds`` is a tuple,
@@ -382,11 +396,9 @@ class _Execution:
     """
 
     cloud: CloudState
-    started_at: float
-    slot: int
+    started_at: float = field(default=0.0, init=False)
     index: int = field(default=0, init=False)
     stack: list[_PlanStep] = field(default_factory=list, init=False)
-    aborted: bool = field(default=False, init=False)
     error: str | None = field(default=None, init=False)
     failed_step: str | None = field(default=None, init=False)
     steps_executed: int = field(default=0, init=False)
@@ -399,12 +411,11 @@ class _Execution:
     # -- helpers ------------------------------------------------------------
 
     def _fail(self, step_name: str, error_name: str, stranded: bool) -> tuple[str, str, bool]:
-        """Record the workload's first error, abort forward progress and
-        return the error event."""
+        """Record the workload's first error, which turns it to unwinding,
+        and return the error event."""
         if self.error is None:
             self.error = error_name
             self.failed_step = step_name
-        self.aborted = True
         return (step_name, error_name, stranded)
 
     def _strand(self, kind: EntityKind, entry_index: int | None) -> None:
@@ -538,44 +549,49 @@ def run_stream(
     The definition is resolved once into a step plan (``_plan``, which
     also checks the fault table's step names) shared by every workload of
     the call, so a step costs a read of its precomputed record rather
-    than lookups by name.  Each workload's state is an ``_Execution``,
-    but a step runs inline in the event loop, through one body for forward
-    and unwind steps: unwinding picks the step from the undo stack rather
-    than the plan, pushes no undo entry and strands nothing on a faulted
-    operate.  A step makes no Python call beyond the ledger calls it needs
-    (``try_create``, ``try_delete``), a fault draw where the step has
-    configured probabilities, ``_Execution._fail`` on an error or a failed
-    cloud (and ``_apply_fault`` or ``_strand`` on a fault), a cache
-    deposit through ``apply_resource_effects``, ``check_failed`` when its
-    inputs changed, and the hooks.  Enum members, the plan, its length,
-    the two ledger methods and a table of the contention factor by gate
-    count (the formula above, so the same bits) are bound once.
+    than lookups by name.  Each slot's workloads keep their state in one
+    ``_Execution`` for the whole call, reset in place as the slot launches
+    each workload, but a step runs inline in the event loop, through one
+    body for forward and unwind steps: unwinding picks the step from the
+    undo stack rather than the plan, pushes no undo entry and strands
+    nothing on a faulted operate.  A step makes no Python call beyond the
+    ledger calls it needs (``try_create``, ``try_delete``), a fault draw
+    where the step has configured probabilities, ``_Execution._fail`` on a
+    fault or a failed cloud (and ``_apply_fault`` or ``_strand`` on a
+    fault), a cache deposit through ``apply_resource_effects``,
+    ``check_failed`` when its inputs changed, and the hooks.  A quota
+    rejection, the commonest error under overload, makes none beyond
+    ``try_create`` and ``error_hook``: the step records it in place, with
+    the error event its plan record holds.  Enum members, the plan, its
+    length, the two ledger methods and a table of the contention factor
+    by gate count (the formula above, so the same bits) are bound once.
     Concurrency is capped at ``MAX_CONCURRENCY``, checked before any
     launch is scheduled.  Hour marks are scheduled lazily: the k-th falls
     at ``t0 + k * SECONDS_PER_HOUR``, and each queues its successor as it
     fires.  Slot k launches at ``t0 + k * LAUNCH_STAGGER_SECONDS``.
 
-    Events are a slot's ``launch``, a workload's next ``step``, its
-    ``finish`` when its last step ends, an allocation ``tick`` and an
-    ``hour`` mark.  A finish lands the workload's last completion event
-    through ``apply_resource_effects`` and, for ``result_hook``, builds
-    its ``WorkloadResult`` inline.  It hands the slot on in the same
-    event by running the next workload's first step, unless a work event
-    already waits at that instant: a launch pushed then would run after
-    it, so the launch is queued behind it.  A failed cloud parks the
-    slot.  Each event costs one heap operation.  The first event is
-    popped before the loop; an event that schedules a successor (a step,
-    a finish's in-place launch, a launch queued behind a tie, an hour
-    mark whose successor falls before ``until``) takes the next event
-    with ``heappushpop``, and one that schedules nothing (a launch or
-    finish on a failed cloud, an allocation tick, an hour mark whose
-    successor would fall at or past ``until``) with ``heappop``.
-    ``heappushpop`` is "push, then pop the smallest", and events are
-    tuples ordered by (time, priority, sequence number) with unique
-    sequence numbers, so events run in exactly that order.  The loop
-    ends at the first event at or past ``until``, when the heap is
-    empty, or at an hour mark whose hook returned ``STOP_STREAM``; only
-    that last exit leaves ``cloud.clock`` short of ``until``.
+    Events are a slot's ``launch``, whose payload is the slot's record,
+    a workload's next ``step``, its ``finish`` when its last step ends,
+    an allocation ``tick`` and an ``hour`` mark.  A finish lands the
+    workload's last completion event through ``apply_resource_effects``
+    and, for ``result_hook``, builds its ``WorkloadResult`` inline.  It
+    hands the slot on in the same event by running the next workload's
+    first step, unless a work event already waits at that instant: a
+    launch pushed then would run after it, so the launch is queued
+    behind it.  A failed cloud parks the slot.  Each event costs one heap
+    operation.  The first event is popped before the loop; an event that
+    schedules a successor (a step, a finish's in-place launch, a launch
+    queued behind a tie, an hour mark whose successor falls before
+    ``until``) takes the next event with ``heappushpop``, and one that
+    schedules nothing (a launch or finish on a failed cloud, an
+    allocation tick, an hour mark whose successor would fall at or past
+    ``until``) with ``heappop``.  ``heappushpop`` is "push, then pop the
+    smallest", and events are tuples ordered by (time, priority,
+    sequence number) with unique sequence numbers, so events run in
+    exactly that order.  The loop ends at the first event at or past
+    ``until``, when the heap is empty, or at an hour mark whose hook
+    returned ``STOP_STREAM``; only that last exit leaves ``cloud.clock``
+    short of ``until``.
     """
     check_concurrency(concurrency)
     if tick_seconds is not None and not (0.0 < tick_seconds < math.inf):
@@ -611,7 +627,7 @@ def run_stream(
         for slot in range(concurrency):
             t_launch = t0 + slot * LAUNCH_STAGGER_SECONDS
             if t_launch < until:
-                heappush(heap, (t_launch, PRIO_WORK, seq(), "launch", slot))
+                heappush(heap, (t_launch, PRIO_WORK, seq(), "launch", _Execution(cloud)))
         # The first tick in the warm-up window lands its pending allocation,
         # if that tick falls before the deadline.
         if tick_seconds is not None and cloud._warmup_alloc_pending:
@@ -681,12 +697,16 @@ def run_stream(
                     if cloud.failed:
                         event = heappop(heap) if heap else None
                         continue
-                    payload = execution.slot
                     # Only a work event at t sorts below (t, PRIO_TICK).
                     if heap and heap[0] < (t, PRIO_TICK):
-                        event = heappushpop(heap, (t, PRIO_WORK, seq(), "launch", payload))
+                        event = heappushpop(heap, (t, PRIO_WORK, seq(), "launch", execution))
                         continue
-                execution = _Execution(cloud, t, payload)
+                # The slot's record starts its next workload.
+                execution.started_at = t
+                execution.index = execution.steps_executed = 0
+                execution.gated_creates = execution.completed_creates = 0
+                execution.error = execution.failed_step = None
+                execution.leftover_kinds = ()
             # One step.  The gate count excludes this workload while the
             # step runs, and counts it again if it holds the gate once the
             # step has resolved.
@@ -694,9 +714,9 @@ def run_stream(
                 gate_count -= 1
             error = None
             stack = execution.stack
-            # An aborted workload unwinds the top of its stack; otherwise an
-            # undo step in the plan pops its own entry.
-            unwinding = execution.aborted
+            # A workload with an error unwinds the top of its stack;
+            # otherwise an undo step in the plan pops its own entry.
+            unwinding = execution.error is not None
             if unwinding:
                 step = stack.pop()
             else:
@@ -708,7 +728,10 @@ def run_stream(
             action = step.action
             if action is CREATE:  # only ever a forward step
                 if try_create(step.kind) is not None:
-                    error = execution._fail(step.name, step.quota_error, False)
+                    # A quota rejection, on a forward step: the first error.
+                    error = step.rejected
+                    execution.error = error[1]
+                    execution.failed_step = step.name
                 else:
                     stack.append(step.undo)
                     if step.gated:
@@ -735,9 +758,9 @@ def run_stream(
                 error = execution._fail(step.name, spec.name, stranded)
             elif step.undo is not None and not unwinding:
                 stack.append(step.undo)
-            # A fault in this step aborts the workload; it then finishes
-            # once its unwind stack is empty.
-            finished = not stack if execution.aborted else execution.index >= n_steps
+            # An error in this step turns the workload to unwinding; it
+            # then finishes once its unwind stack is empty.
+            finished = not stack if execution.error is not None else execution.index >= n_steps
             execution.steps_executed += 1
             execution.last_step = step
             if error is None and step.deposits_cache:

@@ -293,18 +293,21 @@ class TestRunCommand:
         assert captured.out == ""
         assert "cannot advance a clock at 1.000000000000036e+17 s" in captured.err
 
-    def test_a_deposit_near_the_float_limit_is_exit_2_after_the_run(self, tmp_path, capsys):
-        """A 1e308 GB image is a valid config; the disk gauge overflows to
-        inf, and the series error, a ``ParseError``, is reported as exit 2.
-        Pinned as it stands: no field has a cap below the float limit."""
+    def test_a_deposit_near_the_float_limit_is_exit_2_before_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A 1e308 GB image would overflow the disk gauge to inf, and only
+        the analysis would refuse that, after the whole run.  The config
+        refuses it, naming the field and the cap, so no scenario runs."""
+        monkeypatch.setattr(
+            "agesim.cli.run_scenario", lambda *a, **k: pytest.fail("a scenario ran")
+        )
         config = {"scenario_id": "x", "stress_hours": 1, "concurrency": 4}
         path = write_json(tmp_path / "cfg.json", {**config, "resources": {"cache_image_gb": 1e308}})
         assert main(["run", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: series 'disk-used-compute-1' has a non-finite mean in hour 0\n"
-        )
+        assert captured.err == "error: cache_image_gb must be at most 1e+12 GB\n"
 
     def test_bad_phase_syntax_is_argparse_error(self, config_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -1091,6 +1094,12 @@ class TestFreshProcess:
                 [],
                 "warmup_noise_gb is too large to draw noise from",
             ),
+            # A 1e308 GB leak would overflow the memory gauge.
+            (
+                {"stress_hours": 1, "resources": {"leak_per_workload_gb": 1e308}},
+                [],
+                "leak_per_workload_gb must be at most 1e+12 GB",
+            ),
             # Two cleanup steps undo one create step.
             (
                 {
@@ -1157,6 +1166,7 @@ class TestFreshProcess:
             "post-overflow",
             *(f"negative-{field}" for field, _value in NEGATIVE_RESOURCES),
             "noise-overflow",
+            "deposit-overflow",
             "undone-twice",
             "operate-undoing-create",
             "tick-bound",

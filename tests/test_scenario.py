@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agesim.cloud import EntityKind, ResourceParams
-from agesim.errors import AgesimError, ConfigError, InvalidSeriesError
+from agesim.cloud import MAX_DEPOSIT_GB, EntityKind, ResourceParams
+from agesim.errors import AgesimError, ConfigError
 from agesim.report import render_tables, report_document
 from agesim.scenario import (
     MATRIX_CONCURRENCIES,
@@ -658,14 +658,20 @@ def test_a_hostile_config_ends_in_a_report_or_an_agesim_error(doc):
         pass
 
 
-@pytest.mark.parametrize("field", ["cache_image_gb", "leak_per_workload_gb"])
-def test_a_deposit_near_the_float_limit_fails_the_analysis(field):
-    """A deposit of 1e308 GB is a valid config, but the gauge it feeds
-    overflows to inf, and the hourly binning refuses the non-finite mean.
-    Pinned as it stands: no field has a cap below the float limit."""
+@pytest.mark.parametrize(
+    "field",
+    ["cache_image_gb", "leak_per_workload_gb", "leftover_retention_gb", "warmup_alloc_gb"],
+)
+def test_a_deposit_near_the_float_limit_is_refused_with_the_config(field):
+    """A deposit of 1e308 GB would overflow the gauge it feeds to inf,
+    and only the hourly binning would refuse that, after the whole run.
+    The config refuses it up front, naming the field and the cap; a
+    deposit of exactly ``MAX_DEPOSIT_GB`` is valid."""
     config = spoiled(FUZZ_BASES[0], ("resources", field), 1e308)
-    with pytest.raises(InvalidSeriesError, match="non-finite mean"):
-        run_scenario(ScenarioConfig.from_document(config))
+    with pytest.raises(ConfigError, match=f"^{field} must be at most 1e\\+12 GB$"):
+        ScenarioConfig.from_document(config)
+    at_cap = spoiled(FUZZ_BASES[0], ("resources", field), MAX_DEPOSIT_GB)
+    assert getattr(ScenarioConfig.from_document(at_cap).resources, field) == MAX_DEPOSIT_GB
 
 
 # ── Suites and the default matrix ────────────────────────────────────────

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from agesim import workload
 from agesim.cloud import CloudState, EntityKind, FaultModel, ResourceParams, check_failed
 from agesim.errors import ConfigError
 from agesim.scenario import ScenarioConfig, run_scenario
@@ -219,7 +220,7 @@ def test_engine_records_refuse_a_misspelt_field():
     no ``__dict__``, so a field the class does not declare cannot be set."""
     cloud = quiet_cloud()
     step = _plan(DEFN, cloud, TimingParams(), None)[0]
-    execution = _Execution(cloud, 0.0, 0)
+    execution = _Execution(cloud)
     for record in (step, execution):
         assert not hasattr(record, "__dict__")
         with pytest.raises(AttributeError):
@@ -1074,3 +1075,104 @@ class TestRunStream:
         with pytest.raises(ConfigError, match="deadline"):
             run_stream(DEFN, cloud, until=until)
         assert cloud.clock == 0.0
+
+
+# ── One record per slot ──────────────────────────────────────────────────
+
+
+def watch_records(monkeypatch):
+    """Have ``run_stream`` build a subclass of ``_Execution`` that counts
+    the records built and the ``_fail`` calls, and notes what each reused
+    record holds as a launch resets it: its stack and ``gated_live``."""
+    counts = collections.Counter()
+    handoffs = []
+    slot_started_at = _Execution.started_at
+
+    class Watched(_Execution):
+        __slots__ = ()
+
+        def __init__(self, cloud):
+            counts["built"] += 1
+            super().__init__(cloud)
+
+        def _fail(self, step_name, error_name, stranded):
+            counts["_fail"] += 1
+            return super()._fail(step_name, error_name, stranded)
+
+        @property
+        def started_at(self):
+            return slot_started_at.__get__(self)
+
+        @started_at.setter
+        def started_at(self, t):
+            # Set at construction and at each launch; a record that has
+            # run a step is being handed to the slot's next workload.
+            if getattr(self, "last_step", None) is not None:
+                handoffs.append((list(self.stack), self.gated_live))
+            slot_started_at.__set__(self, t)
+
+    monkeypatch.setattr(workload, "_Execution", Watched)
+    return counts, handoffs
+
+
+class TestSlotRecord:
+    def test_a_slot_builds_one_record_and_a_rejection_calls_no_fail(self, monkeypatch):
+        """A one-hour c=64 stream turns most workloads away at the quota
+        gate.  Each slot builds its record once and resets it for every
+        later workload, and a quota rejection is recorded in place: no
+        per-workload record and no ``_fail`` call."""
+        counts, handoffs = watch_records(monkeypatch)
+        errors = collections.Counter()
+        results = stream_results(
+            CloudState(seed=1),
+            until=3600.0,
+            concurrency=64,
+            error_hook=lambda t, step, error, stranded: errors.update([error]),
+        )
+        assert errors["quota-exceeded-security-group"] > 1000
+        assert len(results) > 1000
+        assert counts == {"built": 64}
+        assert len(handoffs) == len(results)
+
+    def test_a_record_is_handed_on_with_an_empty_stack_and_no_gate(self, monkeypatch):
+        """The reset leaves ``stack`` and ``gated_live`` alone: a workload
+        that hands its slot on, after a fault, a stranding or a rejection
+        too, leaves its stack empty and holds no gate.  Stranded servers
+        fail the cloud at last, and the slots it parks are not reset: the
+        last workload of each slot hands nothing on."""
+        counts, handoffs = watch_records(monkeypatch)
+        p = 0.05
+        faults = FaultModel(
+            {
+                "boot server": {"server-error-status": p, "node-unreachable": p},
+                "pause server": {"node-unreachable": p},
+                "delete volume": {"node-unreachable": p},
+                "detach volume": {"rebuild-error": 0.1},
+            },
+            seed=3,
+        )
+        cloud = quiet_cloud()
+        results = stream_results(cloud, until=3 * 3600.0, concurrency=8, faults=faults)
+        assert cloud.failed and len(results) > 100
+        assert {r.status for r in results} == set(WorkloadStatus)
+        assert counts["built"] == 8 and counts["_fail"] > 0
+        assert len(handoffs) == len(results) - 8
+        assert all(handoff == ([], 0) for handoff in handoffs)
+
+    def test_a_reused_record_starts_clean(self):
+        """On one slot, a workload that succeeds right after one that
+        failed with a leftover reports nothing of its predecessor."""
+        faults = FaultModel({"boot server": {"server-error-status": 0.5}}, seed=0)
+        results = stream_results(quiet_cloud(), until=3600.0, concurrency=1, faults=faults)
+        pairs = [
+            (before, after)
+            for before, after in zip(results, results[1:])
+            if before.leftover_kinds and after.status is WorkloadStatus.SUCCESS
+        ]
+        assert pairs
+        for before, after in pairs:
+            assert before.error == "server-error-status"
+            assert (after.error, after.failed_step) == (None, None)
+            assert after.leftover_kinds == () and after.leftovers_created == 0
+            assert after.steps_executed == 29
+            assert after.started_at == before.ended_at
